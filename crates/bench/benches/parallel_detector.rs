@@ -1,13 +1,14 @@
-//! Sharded-detector scaling: the multi-core configuration behind the
+//! Detector-pool scaling: the multi-core configuration behind the
 //! "ISP-hour in seconds" claim. Compares shard counts on the same record
-//! stream (results are bit-identical to sequential; the equivalence is
-//! unit-tested in `haystack-core`). On a single-core host this measures
-//! sharding overhead rather than speedup — read it next to `nproc`.
+//! stream, chunked through the persistent pool (results are
+//! bit-identical to sequential; the equivalence is unit-tested in
+//! `haystack-core`). On a single-core host this measures sharding
+//! overhead rather than speedup — read it next to `nproc`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use haystack_core::detector::DetectorConfig;
 use haystack_core::hitlist::HitList;
-use haystack_core::parallel::{DetectorPool, ShardedDetector};
+use haystack_core::parallel::DetectorPool;
 use haystack_core::pipeline::{Pipeline, PipelineConfig};
 use haystack_net::ports::Proto;
 use haystack_net::{AnonId, HourBin, Prefix4};
@@ -67,20 +68,8 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("sharded_detector");
     g.throughput(Throughput::Elements(records.len() as u64));
     g.sample_size(10);
-    for workers in [1usize, 2, 4] {
-        g.bench_function(format!("workers_{workers}"), |b| {
-            b.iter_batched(
-                || ShardedDetector::new(&p.rules, &hl, DetectorConfig::default(), workers),
-                |mut det| {
-                    det.observe_batch(&records).unwrap();
-                    det.state_size()
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
-    // The streaming entry point: chunks through the persistent pool with
-    // backpressure, the shape `haystack detect` and the studies now use.
+    // Chunks through the persistent pool with backpressure — the shape
+    // `haystack detect` and the studies use.
     for workers in [1usize, 2, 4] {
         g.bench_function(format!("pool_stream_workers_{workers}"), |b| {
             b.iter_batched(

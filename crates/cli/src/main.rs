@@ -27,8 +27,7 @@ use haystack_core::detector::{Detector, DetectorConfig};
 use haystack_core::hitlist::HitList;
 use haystack_core::mitigation::{block_plan, Action};
 use haystack_core::pack::SignaturePack;
-use haystack_core::parallel::{DetectorPool, ShardBackend};
-use haystack_core::procpool::{ProcPool, ProcPoolOptions};
+use haystack_core::parallel::DetectorPool;
 use haystack_core::pipeline::{Pipeline, PipelineConfig};
 use haystack_core::telemetry;
 use haystack_core::CheckpointDir;
@@ -162,30 +161,25 @@ fn parse_isolate(flags: &HashMap<String, String>) -> Isolate {
     }
 }
 
-/// Build the shard backend `--isolate` asked for. Both backends derive
-/// the whole-window hitlist from the rules, so their detections are
-/// byte-identical; only the failure domain differs.
-fn build_backend(
+/// Build the detector pool with the shard link `--isolate` asked for.
+/// Both links detect against the whole-window hitlist of the rules, so
+/// their detections are byte-identical; only the failure domain differs.
+fn build_pool(
     rules: &haystack_core::rules::RuleSet,
     config: DetectorConfig,
     workers: usize,
     isolate: Isolate,
-) -> Box<dyn ShardBackend> {
+) -> DetectorPool {
     match isolate {
-        Isolate::Thread => Box::new(DetectorPool::new(
-            rules,
-            &HitList::whole_window(rules),
-            config,
-            workers,
-        )),
-        Isolate::Process => match ProcPool::new(rules, config, workers, ProcPoolOptions::default())
-        {
-            Ok(pool) => Box::new(pool),
-            Err(e) => {
+        Isolate::Thread => {
+            DetectorPool::new(rules, &HitList::whole_window(rules), config, workers)
+        }
+        // No argv: the children are this executable's `shard-worker` arm.
+        Isolate::Process => DetectorPool::with_process_shards(rules, config, workers, &[])
+            .unwrap_or_else(|e| {
                 cli_error!("spawning shard workers: {e}");
                 exit(1);
-            }
-        },
+            }),
     }
 }
 
@@ -196,8 +190,8 @@ fn build_backend(
 const CHAOS_KILL_EVERY: u64 = 40;
 
 /// Apply the deterministic chaos kill schedule at chunk `tick`.
-fn chaos_tick(pool: &mut dyn ShardBackend, tick: u64) {
-    if tick == 0 || tick % CHAOS_KILL_EVERY != 0 {
+fn chaos_tick(pool: &mut DetectorPool, tick: u64) {
+    if tick == 0 || !tick.is_multiple_of(CHAOS_KILL_EVERY) {
         return;
     }
     let shard = ((tick / CHAOS_KILL_EVERY - 1) % pool.workers() as u64) as usize;
@@ -472,7 +466,7 @@ fn cmd_detect(flags: HashMap<String, String>) {
     // hour is never materialized, and detection state is sharded by line.
     let isolate = parse_isolate(&flags);
     let chaos = flags.contains_key("chaos");
-    let mut pool = build_backend(
+    let mut pool = build_pool(
         &rules,
         DetectorConfig { threshold, require_established: false },
         workers,
@@ -567,7 +561,7 @@ fn cmd_detect(flags: HashMap<String, String>) {
     let mut last_generation: Option<u64> = None;
     let mut saves_since_full: u64 = 0;
     let mut last_emitted_flushed: usize = 0;
-    let mut save = |pool: &mut dyn ShardBackend,
+    let mut save = |pool: &mut DetectorPool,
                     wm: Watermark,
                     records_this_day: u64,
                     done: bool,
@@ -639,11 +633,11 @@ fn cmd_detect(flags: HashMap<String, String>) {
                 chunk_no += 1;
                 if chaos {
                     chaos_ticks += 1;
-                    chaos_tick(pool.as_mut(), chaos_ticks);
+                    chaos_tick(&mut pool, chaos_ticks);
                 }
                 if checkpoint_chunks > 0 && chunk_no % checkpoint_chunks == 0 {
                     save(
-                        pool.as_mut(),
+                        &mut pool,
                         Watermark { day, hour: hour_idx, chunk: chunk_no },
                         records_this_day,
                         false,
@@ -656,7 +650,7 @@ fn cmd_detect(flags: HashMap<String, String>) {
                 // land exactly here, and the exit is clean.
                 if ckpt_dir.is_some() && sig::triggered() {
                     save(
-                        pool.as_mut(),
+                        &mut pool,
                         Watermark { day, hour: hour_idx, chunk: chunk_no },
                         records_this_day,
                         false,
@@ -673,7 +667,7 @@ fn cmd_detect(flags: HashMap<String, String>) {
             // Hour-boundary cadence — but the day-roll checkpoint waits
             // for the day's summary rows below.
             if wm.day == day {
-                save(pool.as_mut(), wm, records_this_day, false, false, &emitted);
+                save(&mut pool, wm, records_this_day, false, false, &emitted);
             }
         }
         pool_fatal(pool.finish());
@@ -700,9 +694,9 @@ fn cmd_detect(flags: HashMap<String, String>) {
         // captures the post-reset state so a resume lands exactly here.
         pool_fatal(pool.reset());
         records_this_day = 0;
-        save(pool.as_mut(), wm, 0, false, true, &emitted);
+        save(&mut pool, wm, 0, false, true, &emitted);
     }
-    save(pool.as_mut(), wm, 0, true, false, &emitted);
+    save(&mut pool, wm, 0, true, false, &emitted);
 }
 
 fn cmd_mitigate(flags: HashMap<String, String>) {

@@ -22,7 +22,7 @@ use haystack_core::detector::DetectorConfig;
 use haystack_core::events::{events_from_states, ndjson_line};
 use haystack_core::hitlist::HitList;
 use haystack_core::pack::{self, SignaturePack};
-use haystack_core::parallel::{ShardBackend, ShardHealth, ShardStatus, DEFAULT_REPLAY_LIMIT};
+use haystack_core::parallel::{DetectorPool, ShardHealth, ShardStatus, DEFAULT_REPLAY_LIMIT};
 use haystack_core::rules::RuleSet;
 use haystack_core::staleness::StalenessMonitor;
 use haystack_core::telemetry;
@@ -161,7 +161,7 @@ pub struct Engine {
     pack_bytes: Vec<u8>,
     config: EngineConfig,
     collector: Collector,
-    pool: Box<dyn ShardBackend>,
+    pool: DetectorPool,
     usage: UsageTracker,
     staleness: StalenessMonitor,
     anon: Anonymizer,
@@ -187,7 +187,7 @@ impl Engine {
         stats: Arc<AdmissionStats>,
     ) -> Result<Engine, String> {
         let hitlist = HitList::whole_window(&rules);
-        let mut pool = crate::build_backend(
+        let mut pool = crate::build_pool(
             &rules,
             DetectorConfig { threshold: config.threshold, require_established: false },
             config.workers,

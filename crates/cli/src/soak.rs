@@ -24,12 +24,12 @@
 //! kill-able variant.
 
 use crate::sig;
-use crate::{build_backend, chaos_tick, load_rules_full, num, parse_isolate, pool_fatal,
+use crate::{build_pool, chaos_tick, load_rules_full, num, parse_isolate, pool_fatal,
     pool_fatal_ck, Isolate};
 use haystack_cli::resume::{flag_conflicts, load_resume_checkpoint, RunCheckpoint, RunDelta};
 use haystack_cli::{cli_error, note};
 use haystack_core::detector::DetectorConfig;
-use haystack_core::parallel::ShardBackend;
+use haystack_core::parallel::DetectorPool;
 use haystack_core::rules::RuleSet;
 use haystack_core::{CheckpointDir, DetectorSnapshot};
 use haystack_wild::{
@@ -144,7 +144,7 @@ struct Saver<'a> {
 impl Saver<'_> {
     fn save(
         &mut self,
-        pool: &mut dyn ShardBackend,
+        pool: &mut DetectorPool,
         wm: Watermark,
         records_this_hour: u64,
         done: bool,
@@ -303,7 +303,7 @@ pub fn cmd_soak(flags: HashMap<String, String>) {
 
     let isolate = parse_isolate(&flags);
     let chaos = flags.contains_key("chaos");
-    let mut pool = build_backend(
+    let mut pool = build_pool(
         &rules,
         DetectorConfig { threshold, require_established: false },
         workers,
@@ -385,11 +385,11 @@ pub fn cmd_soak(flags: HashMap<String, String>) {
             chunk_no += 1;
             if chaos {
                 chaos_ticks += 1;
-                chaos_tick(pool.as_mut(), chaos_ticks);
+                chaos_tick(&mut pool, chaos_ticks);
             }
             if checkpoint_chunks > 0 && chunk_no % checkpoint_chunks == 0 {
                 saver.save(
-                    pool.as_mut(),
+                    &mut pool,
                     Watermark { day: 0, hour: g, chunk: chunk_no },
                     records_this_hour,
                     false,
@@ -398,7 +398,7 @@ pub fn cmd_soak(flags: HashMap<String, String>) {
             }
             if ckpt_dir.is_some() && sig::triggered() {
                 saver.save(
-                    pool.as_mut(),
+                    &mut pool,
                     Watermark { day: 0, hour: g, chunk: chunk_no },
                     records_this_hour,
                     false,
@@ -413,11 +413,11 @@ pub fn cmd_soak(flags: HashMap<String, String>) {
         emitted.push(row);
         wm = Watermark { day: 0, hour: g + 1, chunk: 0 };
         records_this_hour = 0;
-        saver.save(pool.as_mut(), wm, 0, false, &emitted);
+        saver.save(&mut pool, wm, 0, false, &emitted);
     }
 
     pool_fatal(pool.finish());
-    saver.save(pool.as_mut(), wm, 0, true, &emitted);
+    saver.save(&mut pool, wm, 0, true, &emitted);
 
     // Final detections: always to stdout (deterministically re-derived
     // from final state, so a resumed run's stdout is byte-identical to

@@ -1,11 +1,14 @@
-//! Process-pool equivalence (DESIGN.md §15): the process-isolated
-//! [`ProcPool`] — real `haystack shard-worker` children spoken to over
-//! HAYPROC pipe frames — must be observationally identical to the
-//! in-process [`DetectorPool`] and to the [`ReferenceDetector`] oracle,
-//! for any rule set, record feed, chunking, and worker count. The
-//! equivalence must survive an ungraceful mid-stream SIGKILL of a
-//! worker, and a crash-looping shard must trip the circuit breaker
-//! within its configured bound instead of respawning forever.
+//! Process-link equivalence (DESIGN.md §15): a [`DetectorPool`] on
+//! process shards — real `haystack shard-worker` children spoken to
+//! over HAYPROC pipe frames — must be observationally identical to one
+//! on thread shards and to the [`ReferenceDetector`] oracle, for any
+//! rule set, record feed, chunking, and worker count. The equivalence
+//! must survive an ungraceful mid-stream SIGKILL of a worker, and a
+//! crash-looping shard must trip the circuit breaker within its
+//! configured bound instead of respawning forever. Both links hang off
+//! one supervisor, so the same feed and the same kill schedule must
+//! also leave the two pools' books — status rows, shard states —
+//! identical (`transport_parity_*`).
 //!
 //! These tests live in the CLI crate because only it has the worker
 //! binary: `CARGO_BIN_EXE_haystack` points at the real executable whose
@@ -15,7 +18,6 @@ use haystack_core::detector::DetectorConfig;
 use haystack_core::events::{events_from_states, ndjson_line};
 use haystack_core::hitlist::{HitList, MapHitList};
 use haystack_core::parallel::{DetectorPool, RespawnPolicy, ShardStatus};
-use haystack_core::procpool::{ProcPool, ProcPoolOptions};
 use haystack_core::reference::ReferenceDetector;
 use haystack_core::rules::{RuleDomain, RuleSet, RuleSetBuilder};
 use haystack_dns::DomainName;
@@ -33,8 +35,9 @@ fn worker_cmd() -> Vec<String> {
     vec![env!("CARGO_BIN_EXE_haystack").to_string(), "shard-worker".to_string()]
 }
 
-fn proc_opts() -> ProcPoolOptions {
-    ProcPoolOptions { command: worker_cmd(), ..ProcPoolOptions::default() }
+/// A pool on `workers` process shards.
+fn process_shards(rules: &RuleSet, config: DetectorConfig, workers: usize) -> DetectorPool {
+    DetectorPool::with_process_shards(rules, config, workers, &worker_cmd()).expect("spawn workers")
 }
 
 /// A fixed class-name universe keeps generated rule sets comparable.
@@ -119,7 +122,7 @@ proptest! {
     // per case.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// ProcPool ≡ DetectorPool ≡ ReferenceDetector for arbitrary rule
+    /// Process shards ≡ thread shards ≡ ReferenceDetector for arbitrary rule
     /// sets, feeds, chunk sizes, and worker counts.
     #[test]
     fn process_pool_equals_thread_pool_and_reference(
@@ -135,8 +138,7 @@ proptest! {
         let config = DetectorConfig { threshold, require_established: false };
         let records: Vec<WildRecord> = records.iter().map(build_record).collect();
 
-        let mut proc_pool =
-            ProcPool::new(&rules, config, proc_workers, proc_opts()).expect("spawn workers");
+        let mut proc_pool = process_shards(&rules, config, proc_workers);
         let mut thread_pool = DetectorPool::new(
             &rules,
             &HitList::whole_window(&rules),
@@ -173,7 +175,7 @@ proptest! {
             for line in by_oracle.iter().flatten().take(8) {
                 prop_assert!(proc_pool.is_detected(*line, class).expect("is_detected")
                     == oracle.is_detected(*line, class)
-                    || !by_oracle[rules.rule_index(class).unwrap() as usize].contains(line));
+                    || !by_oracle[rules.rule_index(class).unwrap()].contains(line));
             }
         }
     }
@@ -196,8 +198,7 @@ proptest! {
         let kill_at = ((chunks.len() as f64) * kill_frac) as usize;
         let victim = kill_at % workers;
 
-        let mut proc_pool =
-            ProcPool::new(&rules, config, workers, proc_opts()).expect("spawn workers");
+        let mut proc_pool = process_shards(&rules, config, workers);
         let mut thread_pool =
             DetectorPool::new(&rules, &HitList::whole_window(&rules), config, 2);
         for (i, chunk) in chunks.iter().enumerate() {
@@ -254,8 +255,8 @@ fn crash_loop_trips_breaker_then_operator_reset_recovers() {
         fast_window: Duration::from_secs(600),
         trip_after: 3,
     };
-    let opts = ProcPoolOptions { policy, ..proc_opts() };
-    let mut pool = ProcPool::new(&rules, config, 1, opts).expect("spawn worker");
+    let mut pool = process_shards(&rules, config, 1);
+    pool.set_respawn_policy(policy);
 
     // Evidence from before the crash loop.
     let pre: Vec<WildRecord> = (0..8).map(|i| build_record(&(i, 0, 0, 4, 0))).collect();
@@ -292,7 +293,7 @@ fn crash_loop_trips_breaker_then_operator_reset_recovers() {
     assert_eq!(pool.shard_status()[0].status, ShardStatus::Ok);
     pool.finish().expect("post-reset finish");
 
-    let mut clean = ProcPool::new(&rules, config, 1, proc_opts()).expect("spawn worker");
+    let mut clean = process_shards(&rules, config, 1);
     clean.observe_records(&pre).expect("clean observe");
     clean.observe_records(&post).expect("clean observe");
     clean.finish().expect("clean finish");
@@ -305,4 +306,96 @@ fn crash_loop_trips_breaker_then_operator_reset_recovers() {
         pool.state_size().expect("recovered size"),
         clean.state_size().expect("clean size")
     );
+}
+
+/// One supervisor, two links: the same record feed and the same
+/// `kill_shard` / crash-loop / operator-reset schedule through a
+/// thread-linked and a process-linked pool must leave identical books —
+/// `shard_status()` rows (`status`, `queued`, `shed`) after every phase,
+/// `shard_states()` bytes, and detections — at 1, 2 and 4 workers.
+#[test]
+fn transport_parity_same_feed_and_kill_schedule_give_identical_books() {
+    let rules = build_rules(&[vec![(0, 0, false), (1, 0, false)], vec![(2, 1, true)]]);
+    let config = DetectorConfig { threshold: 0.4, require_established: false };
+    // A window no test run outlasts: the trip point depends on the
+    // death count alone, never on scheduling.
+    let policy = RespawnPolicy {
+        base: Duration::from_millis(1),
+        cap: Duration::from_millis(2),
+        fast_window: Duration::from_secs(600),
+        trip_after: 3,
+    };
+    let feed = |n: u64, salt: u64| -> Vec<WildRecord> {
+        (0..n)
+            .map(|i| {
+                let k = i.wrapping_mul(0x9E37_79B9).wrapping_add(salt);
+                build_record(&(k % 40, (k >> 8) as u8 % 8, (k >> 16) as u8 % 2, 1 + k % 29, 0))
+            })
+            .collect()
+    };
+    let (before, during, after) = (feed(900, 1), feed(150_000, 2), feed(900, 3));
+
+    for workers in [1usize, 2, 4] {
+        let mut thread_pool =
+            DetectorPool::new(&rules, &HitList::whole_window(&rules), config, workers);
+        thread_pool.enable_supervision(haystack_core::parallel::DEFAULT_REPLAY_LIMIT).unwrap();
+        let mut pools = [("thread", thread_pool), ("process", process_shards(&rules, config, workers))];
+        // Per pool: the status rows after each phase, then the final
+        // shard-state bytes and detections.
+        let mut books = Vec::new();
+        for (link, pool) in &mut pools {
+            let link = *link;
+            pool.set_respawn_policy(policy);
+            let mut rows = Vec::new();
+
+            // A healed mid-stream kill: death #1 for the last shard.
+            let victim = workers - 1;
+            for (i, chunk) in before.chunks(16).enumerate() {
+                if i == 20 {
+                    pool.kill_shard(victim).expect("kill");
+                }
+                pool.observe_records(chunk).expect("observe");
+            }
+            pool.finish().expect("finish heals the kill");
+            rows.push(pool.shard_status());
+            assert_eq!(rows[0][victim].status, ShardStatus::Ok, "{link}: answered since");
+
+            // Crash loop: kills until the breaker opens — deaths #2, #3.
+            let mut deaths = 1;
+            while pool.shard_status()[victim].status != ShardStatus::Degraded {
+                pool.kill_shard(victim).expect("kill");
+                let _ = pool.state_size();
+                deaths += 1;
+                assert!(deaths <= 3, "{link}: breaker must trip on the 3rd fast death");
+            }
+            rows.push(pool.shard_status());
+
+            // Degraded: its records queue to the bound, then shed; the
+            // other shards keep absorbing.
+            pool.observe_records(&during).expect("degraded observe");
+            pool.flush().expect("degraded flush");
+            rows.push(pool.shard_status());
+            if workers == 1 {
+                let row = rows[2][0];
+                assert_eq!(row.queued + row.shed, during.len() as u64, "{link}: exact accounting");
+                assert!(row.shed > 0, "{link}: the schedule must exercise shedding");
+            }
+
+            // Operator reset, the rest of the feed, and the final books.
+            pool.reset_breaker(victim).expect("reset");
+            pool.observe_records(&after).expect("observe");
+            pool.finish().expect("finish");
+            rows.push(pool.shard_status());
+            let states: Vec<Vec<u8>> =
+                pool.shard_states().expect("states").iter().map(|s| s.encode()).collect();
+            let found = detections(&rules, |c| pool.detected_lines(c).expect("query"));
+            assert!(found.iter().any(|lines| !lines.is_empty()), "{link}: nothing detected");
+            books.push((rows, states, found));
+        }
+        let process = books.pop().expect("process books");
+        let thread = books.pop().expect("thread books");
+        assert_eq!(thread.0, process.0, "{workers} workers: shard_status rows diverge");
+        assert!(thread.1 == process.1, "{workers} workers: shard_states bytes diverge");
+        assert_eq!(thread.2, process.2, "{workers} workers: detections diverge");
+    }
 }

@@ -266,7 +266,9 @@ fn chaos_daemon_stays_up_sheds_exactly_and_readmits_flapped_sources() {
     // detection evidence was lost: every line detected before the chaos
     // is still detected (background traffic may only have *added*).
     assert_eq!(d.get("/healthz"), "ok\n");
-    assert_eq!(d.get("/readyz"), "ready\n");
+    let ready: serde_json::Value = serde_json::from_str(&d.get("/readyz")).unwrap();
+    assert_eq!(ready["ready"].as_bool(), Some(true), "not ready after chaos: {ready}");
+    assert_eq!(ready["degraded"].as_array().map(Vec::len), Some(0), "degraded shards: {ready}");
     let before: serde_json::Value = serde_json::from_str(&detections).unwrap();
     let after: serde_json::Value = serde_json::from_str(&d.get("/detections")).unwrap();
     for class in before["classes"].as_array().unwrap() {

@@ -55,8 +55,7 @@ use haystack_wild::WildRecord;
 pub type RuleHandle = u16;
 
 /// The query surface shared by every detector shape — the single
-/// [`Detector`], the legacy [`ShardedDetector`](crate::parallel::
-/// ShardedDetector) façade, and the persistent
+/// [`Detector`] and the persistent
 /// [`DetectorPool`](crate::parallel::DetectorPool). Evaluation code
 /// (`quality::evaluate`) is generic over this, so the same scoring runs
 /// against any of them. `&mut self` because pooled implementations must

@@ -40,9 +40,9 @@
 //! structure; [`pack`] is the versioned, checksummed signature-pack
 //! codec that externalizes the rule layer (DESIGN.md §14); [`events`]
 //! derives the NDJSON detection-event stream from detector state.
-//! [`procpool`] is the process-isolated sibling of [`parallel`]: one
-//! supervised `haystack shard-worker` child per line-space partition,
-//! spoken to over checksummed pipe frames (DESIGN.md §15).
+//! [`procpool`] is [`parallel`]'s process link: the pool's shards as
+//! `haystack shard-worker` children, spoken to over checksummed pipe
+//! frames under the same supervisor (DESIGN.md §15).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -88,10 +88,8 @@ pub use hitlist::{HitList, MapHitList};
 pub use reference::ReferenceDetector;
 pub use observations::{DomainObservations, DomainUsage};
 pub use parallel::{
-    DetectorPool, PoolError, RespawnPolicy, ShardBackend, ShardHealth, ShardStatus,
-    ShardStatusReport, ShardedDetector,
+    DetectorPool, PoolError, RespawnPolicy, ShardHealth, ShardStatus, ShardStatusReport,
 };
-pub use procpool::{ProcPool, ProcPoolOptions};
 pub use events::DetectionEvent;
 pub use pack::{PackError, SignaturePack};
 pub use pipeline::{Pipeline, PipelineStats};

@@ -1,40 +1,51 @@
 //! Sharded, multi-core detection on a persistent, *supervised* worker
-//! pool.
+//! pool: one supervisor over two kinds of shard link.
 //!
 //! Per-line evidence is embarrassingly parallel: no record of line A ever
 //! touches line B's state. [`DetectorPool`] exploits that — each worker
-//! thread owns an independent [`Detector`] for the lines hashing to its
-//! shard, and lives for the pool's whole lifetime. Records flow to
-//! workers through bounded channels in recycled chunk-sized buffers, so
-//! a steady-state hour costs **zero** allocations on the feed path and
-//! peak resident memory is set by channel capacity, never by hour size.
-//! This is the "minutes for millions of devices" configuration (§1); the
+//! owns an independent [`Detector`] for the lines hashing to its shard,
+//! and lives for the pool's whole lifetime. Records flow to workers in
+//! recycled chunk-sized buffers over bounded queues, so a steady-state
+//! hour costs **zero** allocations on the feed path and peak resident
+//! memory is set by queue capacity, never by hour size. This is the
+//! "minutes for millions of devices" configuration (§1); the
 //! `parallel_detector` and `streaming_throughput` benches quantify it.
 //!
 //! Semantics are *identical* to a single [`Detector`] fed the same
 //! records — the equivalence and determinism tests at the bottom of this
-//! module pin it. Each line's records traverse exactly one FIFO channel
-//! in feed order, and the detector's evidence fold is commutative across
+//! module pin it. Each line's records traverse exactly one FIFO queue in
+//! feed order, and the detector's evidence fold is commutative across
 //! lines, so any worker count produces the same detections.
 //!
-//! **Crash safety** (DESIGN.md §12): worker loops run under
-//! `catch_unwind`. A shard that panics surfaces as a typed [`PoolError`]
-//! carrying the shard id and the captured panic payload — never a
-//! process abort. With [`DetectorPool::enable_supervision`] the pool
-//! goes further: each shard keeps a last-checkpoint
-//! [`DetectorState`] plus a bounded replay buffer of the records fed
-//! since, and a dead shard is respawned, restored, and replayed
-//! transparently. Replay is exact, not merely idempotent — the
-//! checkpoint covers everything before the watermark and the buffer
-//! everything after — so a recovered run's detections are byte-identical
-//! to an uninterrupted one (`supervised_recovery_*` tests).
+//! **One supervisor, two links** (DESIGN.md §12, §15). The pool owns all
+//! policy and all books — staging, batch retention for replay, the
+//! deferred delta fold, backoff and the crash-loop breaker, the degraded
+//! queue and its shed counts, auto-checkpoints, heal-and-retry, status
+//! rows. It talks to each shard through the private [`Link`] seam, which
+//! captures only what differs between a worker *thread* and a worker
+//! *process*: how a `(seq, `[`Request`]`)` reaches the worker, how a
+//! `(seq, `[`Reply`]`)` comes back, and how the worker is spawned,
+//! noticed dead, and killed. [`ThreadLink`] (here) moves requests over
+//! an in-process channel; [`crate::procpool`] holds the child-process
+//! link, which moves the same requests as HAYPROC frames over a pipe.
+//! Both workers run the same [`serve_shard`] loop.
 //!
-//! [`ShardedDetector`] remains as the legacy batch façade: one call
-//! observes a batch and blocks until it is fully absorbed.
+//! **Crash safety.** A thread worker runs under `catch_unwind`: a shard
+//! that panics surfaces as a typed [`PoolError`] carrying the shard id
+//! and the captured panic payload — never a process abort. With
+//! [`DetectorPool::enable_supervision`] (always on for process shards)
+//! the pool keeps, per shard, a last-checkpoint [`DetectorState`] plus a
+//! bounded retention of the batches shipped since, and a dead shard is
+//! respawned, restored, and replayed transparently. Replay is exact, not
+//! merely idempotent — the checkpoint covers everything before the
+//! watermark and the retention everything after — so a recovered run's
+//! detections are byte-identical to an uninterrupted one
+//! (`supervised_recovery_*` tests, `cli/tests/procpool.rs`).
 
 use crate::checkpoint::{DetectorDelta, DetectorSnapshot, DetectorState};
 use crate::detector::{DetectionQuery, Detector, DetectorConfig};
 use crate::hitlist::HitList;
+use crate::procpool::ProcLink;
 use crate::rules::RuleSet;
 use crate::telemetry::{self, Counter, Gauge, Histogram, HotStats, HotStatsCounters, Scope};
 use haystack_net::{AnonId, HourBin};
@@ -42,8 +53,7 @@ use haystack_wild::{RecordChunk, RecordStream, WildRecord};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
-    TrySendError,
+    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
 };
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -52,7 +62,7 @@ use std::time::{Duration, Instant};
 /// Records per worker-bound buffer (the pool's internal chunk size).
 pub const POOL_BATCH_RECORDS: usize = 1_024;
 
-/// Bounded command-channel depth per worker, in batches. This is the
+/// Bounded request-queue depth per worker, in batches. This is the
 /// backpressure knob: a feeder outrunning the workers blocks after
 /// `workers × POOL_CHANNEL_BATCHES` in-flight buffers.
 pub const POOL_CHANNEL_BATCHES: usize = 4;
@@ -61,8 +71,9 @@ pub const POOL_CHANNEL_BATCHES: usize = 4;
 /// buffer reaches this, the pool checkpoints the shard and drains it.
 pub const DEFAULT_REPLAY_LIMIT: usize = 262_144;
 
-/// A detector shard died. Carries the shard id and the panic payload
-/// captured by the worker's `catch_unwind`, when one was recovered.
+/// A detector shard died. Carries the shard id and the worker's last
+/// words — the panic payload captured by a thread worker's
+/// `catch_unwind`, or the supervisor's reason — when there are any.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolError {
     /// Which shard died.
@@ -71,6 +82,12 @@ pub struct PoolError {
     /// note survived), e.g. the message passed to
     /// [`DetectorPool::inject_panic`].
     pub panic: Option<String>,
+}
+
+impl PoolError {
+    pub(crate) fn new(shard: usize, why: impl Into<String>) -> PoolError {
+        PoolError { shard, panic: Some(why.into()) }
+    }
 }
 
 impl fmt::Display for PoolError {
@@ -89,11 +106,11 @@ impl std::error::Error for PoolError {}
 pub enum ShardHealth {
     /// The shard answered a barrier within the probe timeout.
     Responsive,
-    /// The shard's thread is alive (channel connected) but did not
-    /// answer in time — wedged or hopelessly behind. Escalate with
+    /// The shard's worker is alive (link connected) but did not answer
+    /// in time — wedged or hopelessly behind. Escalate with
     /// [`DetectorPool::force_respawn`].
     Stalled,
-    /// The shard's thread has exited; its channel is disconnected. The
+    /// The shard's worker has exited; its link is disconnected. The
     /// next pool operation heals it via the normal respawn path.
     Dead,
 }
@@ -113,9 +130,7 @@ impl ShardHealth {
 /// breaker open) before further records are shed with exact accounting.
 pub const DEFAULT_DEGRADED_QUEUE_LIMIT: usize = 65_536;
 
-/// Exponential-backoff and circuit-breaker policy for shard respawns,
-/// shared by the in-process [`DetectorPool`] supervisor and the
-/// process-isolated [`crate::procpool::ProcPool`].
+/// Exponential-backoff and circuit-breaker policy for shard respawns.
 ///
 /// A shard that dies deterministically (a poison record, a corrupt
 /// state) would otherwise respawn in a tight loop, burning a core and
@@ -173,6 +188,10 @@ pub struct BackoffState {
     streak: u32,
     last_death: Option<Instant>,
     tripped: bool,
+    /// The worker answered a request since `last_death`: the respawn is
+    /// over as far as status reporting goes. The streak is unaffected —
+    /// a crash loop answers barriers between its deaths too.
+    answered: bool,
 }
 
 impl BackoffState {
@@ -184,12 +203,18 @@ impl BackoffState {
             }
         }
         self.last_death = Some(now);
+        self.answered = false;
         self.streak += 1;
         if self.streak >= policy.trip_after {
             self.tripped = true;
             return RespawnDecision::Trip;
         }
         RespawnDecision::Backoff(policy.delay(self.streak))
+    }
+
+    /// Record that the (respawned) worker answered a request.
+    pub fn on_reply(&mut self) {
+        self.answered = true;
     }
 
     /// Whether the breaker is open (the shard is degraded).
@@ -207,27 +232,30 @@ impl BackoffState {
         *self = BackoffState::default();
     }
 
-    /// Supervision status at `now`: degraded while tripped, respawning
-    /// while a death streak is still inside the fast window, ok
+    /// Supervision status at `now`: degraded while tripped; respawning
+    /// from a death until the replacement first answers a request (or,
+    /// if nothing is asked of it, until the fast window has passed); ok
     /// otherwise.
     pub fn status_at(&self, policy: &RespawnPolicy, now: Instant) -> ShardStatus {
         if self.tripped {
             return ShardStatus::Degraded;
         }
         match self.last_death {
-            Some(t) if now.duration_since(t) <= policy.fast_window => ShardStatus::Respawning,
+            Some(t) if !self.answered && now.duration_since(t) <= policy.fast_window => {
+                ShardStatus::Respawning
+            }
             _ => ShardStatus::Ok,
         }
     }
 }
 
 /// A shard's supervision status, surfaced by `/readyz`, `/stats`, and
-/// [`ShardBackend::shard_status`].
+/// [`DetectorPool::shard_status`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardStatus {
-    /// Healthy: no recent deaths.
+    /// Healthy: no unanswered recent death.
     Ok,
-    /// Died recently and was respawned; its crash-loop streak is live.
+    /// Died recently; its replacement has not answered a request yet.
     Respawning,
     /// The crash-loop circuit breaker is open: the shard is no longer
     /// respawned; its records queue up to a bound, then shed.
@@ -272,134 +300,187 @@ pub(crate) fn shard_of(line: AnonId, n: usize) -> usize {
     (z % n as u64) as usize
 }
 
-/// Per-shard telemetry handles, shipped to the worker thread when the
-/// pool is instrumented.
+// ---------------------------------------------------------------------------
+// The protocol: what a supervisor asks of a shard, and what comes back
+// ---------------------------------------------------------------------------
+
+/// Per-shard telemetry handles, shipped to the worker when the pool is
+/// instrumented.
 #[derive(Debug, Clone)]
-struct ShardTelemetry {
-    /// Batches sent but not yet processed by this shard (shared with the
-    /// feeder, which increments on send).
-    queue_depth: Gauge,
-    /// The shard detector's hot-path tallies, flushed per batch.
+pub(crate) struct ShardTelemetry {
+    /// Batches sent but not yet taken off the shard's queue (shared with
+    /// the feeder, which increments on send). A thread worker decrements
+    /// after processing a batch; a process link after writing it to the
+    /// child's pipe.
+    pub(crate) queue_depth: Gauge,
+    /// The shard detector's hot-path tallies, flushed per batch
+    /// (in-process workers only — the registry does not cross a pipe).
     hot: HotStatsCounters,
-    /// Per-batch observe time, microseconds.
+    /// Per-batch observe time, microseconds (in-process workers only).
     batch_span_us: Histogram,
 }
 
-/// Commands a worker thread understands. Batches and queries share one
-/// FIFO channel, so a query observes every batch sent before it.
-enum Cmd {
+/// A request to a shard worker. Requests travel one FIFO queue per
+/// shard, so a query observes every batch sent before it.
+#[derive(Debug)]
+pub(crate) enum Request {
+    /// First request on every link: build the detector. Acked.
+    Init {
+        /// The rule set the shard detects against.
+        rules: Arc<RuleSet>,
+        /// Its hitlist. A hitlist has no wire codec: a process worker
+        /// always gets the whole-window hitlist of `rules`.
+        hitlist: HitList,
+        /// Detector configuration.
+        config: DetectorConfig,
+    },
     /// Observe a buffer of records. Batches travel as `Arc`s so the
     /// supervisor can retain one for replay with a refcount bump instead
-    /// of copying records; when the worker holds the last reference
+    /// of copying records; when a thread worker holds the last reference
     /// (unsupervised, or post-checkpoint), the buffer is recovered,
     /// cleared, and recycled back to the feeder.
     Batch(Arc<Vec<WildRecord>>),
-    /// Install telemetry handles on this shard.
+    /// Install telemetry handles on this shard. Never crosses a pipe.
     Telemetry(ShardTelemetry),
-    /// Swap the daily hitlist, keeping accumulated evidence.
-    SetHitlist(HitList),
+    /// Swap the daily hitlist, keeping accumulated evidence. `None`
+    /// (what a process worker decodes) re-derives the whole-window
+    /// hitlist from the worker's rules.
+    SetHitlist(Option<HitList>),
     /// Swap the rule set itself (live reload): rebuild the shard's
     /// detector against the new rules and hitlist, restoring the
-    /// already-migrated evidence state shipped with the command.
-    SetRules(Arc<RuleSet>, HitList, DetectorState),
+    /// already-migrated evidence state shipped with the request.
+    SetRules {
+        /// The new rule set.
+        rules: Arc<RuleSet>,
+        /// Its hitlist (whole-window for a process worker).
+        hitlist: HitList,
+        /// Evidence migrated to `rules` by class/domain name.
+        state: DetectorState,
+    },
     /// Clear accumulated evidence.
     Reset,
-    /// Reply when every prior command is processed.
-    Barrier(Sender<()>),
+    /// Ack when every prior request is processed.
+    Barrier,
     /// Export this shard's evidence state (processed in FIFO order, so
     /// the snapshot covers every batch sent before it).
-    Snapshot(Sender<DetectorState>),
+    Snapshot,
     /// Export a dirty-only snapshot of the evidence mutated since the
     /// shard's last delta/full checkpoint (full when no clean base
     /// exists). Unlike `Snapshot`, this clears the shard's dirty set.
-    SnapshotDelta(Sender<DetectorSnapshot>),
+    SnapshotDelta,
     /// Replace this shard's evidence state with a checkpoint.
     Restore(DetectorState),
-    /// Deterministic crash injection: panic when this command is
-    /// processed (i.e. after every batch sent before it).
-    PanicNow(String),
-    /// Deterministic stall injection: sleep when this command is
-    /// processed. Unlike a panic the thread stays alive, so the channel
+    /// Deterministic crash injection: panic when this request is
+    /// processed (i.e. after every batch sent before it). A thread
+    /// worker's unwind is caught; a child process exits 101.
+    Panic(String),
+    /// Deterministic stall injection: sleep when this request is
+    /// processed. Unlike a panic the worker stays alive, so the link
     /// never disconnects — exactly the failure a liveness probe (not a
-    /// join) has to catch.
-    StallFor(Duration),
+    /// join or a wait status) has to catch.
+    Stall(Duration),
     /// All detected lines for a class on this shard.
-    DetectedLines(String, Sender<Vec<AnonId>>),
+    DetectedLines(String),
     /// Whether the class is detected for a line owned by this shard.
-    IsDetected(AnonId, String, Sender<bool>),
+    IsDetected(AnonId, String),
     /// Graded confidence for (line, class) on the owning shard.
-    Confidence(AnonId, String, Sender<f64>),
+    Confidence(AnonId, String),
     /// First hour the gated detection held, on the owning shard.
-    FirstDetection(AnonId, String, Sender<Option<HourBin>>),
+    FirstDetection(AnonId, String),
     /// (line, rule) states held by this shard.
-    StateSize(Sender<usize>),
+    StateSize,
+    /// Leave the loop cleanly (a closed link means the same).
+    Shutdown,
 }
 
-struct Worker {
-    tx: SyncSender<Cmd>,
-    /// Cleared buffers coming back from the worker.
-    recycle: Receiver<Vec<WildRecord>>,
-    /// The panic payload, written by the worker thread when its loop
-    /// unwinds; read by the feeder after joining a dead shard.
-    panic_note: Arc<Mutex<Option<String>>>,
-    handle: Option<JoinHandle<()>>,
+/// A shard worker's answer, echoed with the request's sequence number.
+#[derive(Debug)]
+pub(crate) enum Reply {
+    /// `Init` / `Barrier` done.
+    Ack,
+    /// `Snapshot`.
+    State(DetectorState),
+    /// `SnapshotDelta`.
+    Snap(DetectorSnapshot),
+    /// `DetectedLines`.
+    Lines(Vec<AnonId>),
+    /// `IsDetected`.
+    Bool(bool),
+    /// `Confidence`.
+    F64(f64),
+    /// `FirstDetection`.
+    First(Option<HourBin>),
+    /// `StateSize`.
+    Usize(usize),
 }
 
-/// Why one [`run_shard`] generation returned.
-enum LoopExit {
-    /// Command channel closed: the pool is shutting down.
+/// The worker's end of a shard link: where its requests come from and
+/// where its replies go.
+pub(crate) trait WorkerPort {
+    /// The next request. `Ok(None)` means the supervisor hung up — a
+    /// clean shutdown.
+    fn next(&mut self) -> Result<Option<(u64, Request)>, String>;
+    /// Send the reply to request `seq`.
+    fn reply(&mut self, seq: u64, reply: Reply) -> Result<(), String>;
+    /// Hand a drained batch buffer back for reuse (in-process links).
+    fn recycle(&mut self, _buf: Vec<WildRecord>) {}
+}
+
+/// Why one rule-set generation of [`serve_shard`] ended.
+enum Generation {
+    /// Link closed or `Shutdown`: the worker is done.
     Done,
-    /// A [`Cmd::SetRules`] arrived: the caller rebuilds the detector
-    /// against the new rule set and re-enters the loop.
+    /// A [`Request::SetRules`] arrived: rebuild the detector against the
+    /// new rule set and serve on.
     Swap(Arc<RuleSet>, HitList, DetectorState),
 }
 
-/// The worker loop body; runs under `catch_unwind` so a panic is
-/// captured as a note instead of aborting the process. The loop is
-/// generationed around rule swaps: [`Detector`] borrows its rule set,
-/// so each rule-set generation gets its own inner run, and a
-/// [`Cmd::SetRules`] unwinds to this frame where the `Arc` can be
-/// rebound before the next generation starts.
-fn worker_loop(
-    rules: Arc<RuleSet>,
-    hitlist: HitList,
-    config: DetectorConfig,
-    rx: &Receiver<Cmd>,
-    recycle_tx: &Sender<Vec<WildRecord>>,
-) {
+/// The shard worker, whatever it runs in: take `Init` (acked), then
+/// serve requests until the link closes. `Err` is a protocol or state
+/// error — a thread worker records it as its last words, a child
+/// process exits 2. The loop is generationed around rule swaps:
+/// [`Detector`] borrows its rule set, so each rule-set generation gets
+/// its own inner run, and a `SetRules` unwinds to this frame where the
+/// `Arc` can be rebound before the next generation starts.
+pub(crate) fn serve_shard(port: &mut dyn WorkerPort) -> Result<(), String> {
+    let Some((seq, first)) = port.next()? else {
+        return Ok(()); // spawned and immediately abandoned
+    };
+    let Request::Init { rules, hitlist, config } = first else {
+        return Err("first request is not Init".into());
+    };
+    port.reply(seq, Reply::Ack)?;
     let mut tel: Option<ShardTelemetry> = None;
     let mut cur = (rules, hitlist, None);
     loop {
         let (rules, hitlist, restore) = cur;
-        match run_shard(&rules, hitlist, config, restore, rx, recycle_tx, &mut tel) {
-            LoopExit::Done => return,
-            LoopExit::Swap(r, h, s) => cur = (r, h, Some(s)),
+        match serve_generation(&rules, hitlist, config, restore, port, &mut tel)? {
+            Generation::Done => return Ok(()),
+            Generation::Swap(r, h, s) => cur = (r, h, Some(s)),
         }
     }
 }
 
 /// One rule-set generation of a shard worker: build the detector,
-/// restore migrated state if a swap shipped one, then serve commands
+/// restore migrated state if a swap shipped one, then serve requests
 /// until shutdown or the next swap.
-#[allow(clippy::too_many_arguments)]
-fn run_shard(
+fn serve_generation(
     rules: &RuleSet,
     hitlist: HitList,
     config: DetectorConfig,
     restore: Option<DetectorState>,
-    rx: &Receiver<Cmd>,
-    recycle_tx: &Sender<Vec<WildRecord>>,
+    port: &mut dyn WorkerPort,
     tel: &mut Option<ShardTelemetry>,
-) -> LoopExit {
+) -> Result<Generation, String> {
     let mut det = Detector::new(rules, hitlist, config);
     if let Some(state) = restore {
-        det.restore_state(&state).expect("migrated state matches the new rule set");
+        det.restore_state(&state).map_err(|e| format!("restore migrated state: {e}"))?;
     }
     // A fresh detector's tallies start at zero; the previous
     // generation's were flushed before the swap returned.
     let mut flushed = HotStats::default();
     // Fold the detector's tallies accrued since the last flush into the
-    // shard's atomic counters — one set of adds per batch, not per
+    // shard's atomic counters — one set of adds per request, not per
     // record.
     let flush_stats =
         |det: &Detector<'_>, tel: &Option<ShardTelemetry>, flushed: &mut HotStats| {
@@ -409,71 +490,204 @@ fn run_shard(
                 *flushed = now;
             }
         };
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Batch(buf) => {
+    while let Some((seq, req)) = port.next()? {
+        let reply = match req {
+            Request::Init { .. } => return Err("duplicate Init after handshake".into()),
+            Request::Shutdown => break,
+            Request::SetRules { rules, hitlist, state } => {
+                flush_stats(&det, tel, &mut flushed);
+                return Ok(Generation::Swap(rules, hitlist, state));
+            }
+            Request::Telemetry(t) => {
+                *tel = Some(t);
+                None
+            }
+            Request::Batch(buf) => {
                 let span = tel.as_ref().map(|t| t.batch_span_us.start_span());
                 det.observe_chunk(&buf);
                 drop(span);
-                if let Some(t) = &tel {
+                if let Some(t) = tel {
                     t.queue_depth.dec();
                 }
-                flush_stats(&det, tel, &mut flushed);
                 // Recycle only when this was the last reference — a
                 // replay-retained batch stays with the supervisor.
                 if let Ok(mut v) = Arc::try_unwrap(buf) {
                     v.clear();
-                    // Feeder may be gone during teardown.
-                    let _ = recycle_tx.send(v);
+                    port.recycle(v);
                 }
+                None
             }
-            Cmd::Telemetry(t) => {
-                *tel = Some(t);
-                flush_stats(&det, tel, &mut flushed);
-            }
-            Cmd::SetHitlist(hl) => det.set_hitlist(hl),
-            Cmd::SetRules(r, h, s) => {
-                flush_stats(&det, tel, &mut flushed);
-                return LoopExit::Swap(r, h, s);
-            }
-            Cmd::Reset => det.reset(),
-            Cmd::Barrier(reply) => {
-                // Counters are exact at every barrier: `finish()` syncs
-                // them for snapshots.
-                flush_stats(&det, tel, &mut flushed);
-                let _ = reply.send(());
-            }
-            Cmd::Snapshot(reply) => {
-                flush_stats(&det, tel, &mut flushed);
-                let _ = reply.send(det.export_state());
-            }
-            Cmd::SnapshotDelta(reply) => {
-                flush_stats(&det, tel, &mut flushed);
-                let _ = reply.send(det.take_snapshot_delta());
-            }
-            Cmd::Restore(state) => {
-                det.restore_state(&state).expect("checkpoint matches this rule set");
-            }
-            Cmd::PanicNow(msg) => panic!("{msg}"),
-            Cmd::StallFor(d) => std::thread::sleep(d),
-            Cmd::DetectedLines(class, reply) => {
-                let _ = reply.send(det.detected_lines(&class));
-            }
-            Cmd::IsDetected(line, class, reply) => {
-                let _ = reply.send(det.is_detected(line, &class));
-            }
-            Cmd::Confidence(line, class, reply) => {
-                let _ = reply.send(det.confidence(line, &class));
-            }
-            Cmd::FirstDetection(line, class, reply) => {
-                let _ = reply.send(det.first_detection(line, &class));
-            }
-            Cmd::StateSize(reply) => {
-                let _ = reply.send(det.state_size());
-            }
+            other => serve_request(&mut det, other)?,
+        };
+        // Counters are exact before any reply leaves: `finish()` syncs
+        // them for snapshots.
+        flush_stats(&det, tel, &mut flushed);
+        if let Some(reply) = reply {
+            port.reply(seq, reply)?;
         }
     }
-    LoopExit::Done
+    Ok(Generation::Done)
+}
+
+/// The per-request detector dispatch — the one place a [`Request`]
+/// meets a [`Detector`], for thread and process workers alike. Requests
+/// that manage the worker rather than its detector (`Init`, `SetRules`,
+/// `Telemetry`, `Shutdown`) and the batch lane belong to
+/// [`serve_generation`].
+fn serve_request(det: &mut Detector<'_>, req: Request) -> Result<Option<Reply>, String> {
+    Ok(Some(match req {
+        Request::SetHitlist(hitlist) => {
+            let hitlist = hitlist.unwrap_or_else(|| HitList::whole_window(det.rules()));
+            det.set_hitlist(hitlist);
+            return Ok(None);
+        }
+        Request::Reset => {
+            det.reset();
+            return Ok(None);
+        }
+        Request::Restore(state) => {
+            det.restore_state(&state).map_err(|e| format!("restore: {e}"))?;
+            return Ok(None);
+        }
+        Request::Panic(msg) => panic!("{msg}"),
+        Request::Stall(dur) => {
+            std::thread::sleep(dur);
+            return Ok(None);
+        }
+        Request::Barrier => Reply::Ack,
+        Request::Snapshot => Reply::State(det.export_state()),
+        Request::SnapshotDelta => Reply::Snap(det.take_snapshot_delta()),
+        Request::DetectedLines(class) => Reply::Lines(det.detected_lines(&class)),
+        Request::IsDetected(line, class) => Reply::Bool(det.is_detected(line, &class)),
+        Request::Confidence(line, class) => Reply::F64(det.confidence(line, &class)),
+        Request::FirstDetection(line, class) => Reply::First(det.first_detection(line, &class)),
+        Request::StateSize => Reply::Usize(det.state_size()),
+        Request::Init { .. }
+        | Request::SetRules { .. }
+        | Request::Telemetry(_)
+        | Request::Batch(_)
+        | Request::Shutdown => return Err("worker-level request reached the detector".into()),
+    }))
+}
+
+// ---------------------------------------------------------------------------
+// The link seam
+// ---------------------------------------------------------------------------
+
+/// How a link failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fault {
+    /// The worker is gone: its end of the link is closed (thread exited,
+    /// child's stdout at EOF or torn mid-frame).
+    Dead,
+    /// The worker is still there but did not take the request, or did
+    /// not answer, within the deadline.
+    Stalled,
+}
+
+/// The supervisor's end of one shard link — everything that differs
+/// between a worker thread and a worker process (DESIGN.md §15 has the
+/// table). `deadline: None` means the link's own patience: a thread
+/// link blocks (backpressure; a dead thread disconnects the channel), a
+/// process link applies its write deadline and heartbeat timeout (a
+/// hung child disconnects nothing).
+pub(crate) trait Link: Send + fmt::Debug {
+    /// Queue `(seq, req)` for the worker, waiting while its queue is
+    /// full. `Ok(true)` means it had to wait — the backpressure signal.
+    fn send(&self, seq: u64, req: Request, deadline: Option<Instant>) -> Result<bool, Fault>;
+    /// The worker's next reply.
+    fn recv(&self, deadline: Option<Instant>) -> Result<(u64, Reply), Fault>;
+    /// Tear the worker down after `fault` and return its last words, if
+    /// it left any. Idempotent.
+    fn kill(&mut self, fault: Fault) -> Option<String>;
+    /// A cleared batch buffer to refill, if the link has one: a batch
+    /// its worker finished with, or one handed to [`Link::reclaim`].
+    fn recycled(&mut self) -> Option<Vec<WildRecord>> {
+        None
+    }
+    /// Take back the buffer of a batch that has left the replay
+    /// retention. A link whose batches travel as the buffers themselves
+    /// keeps it for [`Link::recycled`]; one that serializes them has no
+    /// use worth the memory and lets it go.
+    fn reclaim(&mut self, _buf: Vec<WildRecord>) {}
+}
+
+/// Offer `item` to a bounded queue until `deadline`. `Ok(true)` means
+/// the queue was full at first.
+pub(crate) fn offer<T>(tx: &SyncSender<T>, mut item: T, deadline: Instant) -> Result<bool, Fault> {
+    let mut waited = false;
+    loop {
+        match tx.try_send(item) {
+            Ok(()) => return Ok(waited),
+            Err(TrySendError::Full(back)) => {
+                if Instant::now() >= deadline {
+                    return Err(Fault::Stalled);
+                }
+                item = back;
+                waited = true;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err(TrySendError::Disconnected(_)) => return Err(Fault::Dead),
+        }
+    }
+}
+
+/// Take the next item off `rx`, blocking until `deadline` (forever when
+/// `None`).
+pub(crate) fn take<T>(rx: &Receiver<T>, deadline: Option<Instant>) -> Result<T, Fault> {
+    let Some(deadline) = deadline else {
+        return rx.recv().map_err(|_| Fault::Dead);
+    };
+    rx.recv_timeout(deadline.saturating_duration_since(Instant::now())).map_err(|e| match e {
+        RecvTimeoutError::Timeout => Fault::Stalled,
+        RecvTimeoutError::Disconnected => Fault::Dead,
+    })
+}
+
+/// The in-process link: requests and replies move over channels to a
+/// worker thread running [`serve_shard`] under `catch_unwind`.
+struct ThreadLink {
+    /// `None` once killed.
+    tx: Option<SyncSender<(u64, Request)>>,
+    replies: Receiver<(u64, Reply)>,
+    /// Cleared buffers coming back from the worker.
+    recycle: Receiver<Vec<WildRecord>>,
+    /// Cleared buffers reclaimed from drained replay retention, reused
+    /// last-in first-out: the most recently retained batch is the one
+    /// most likely still in cache.
+    spare: Vec<Vec<WildRecord>>,
+    /// Why the worker's loop ended, when it did not end cleanly: the
+    /// panic payload or the protocol error. Written by the worker thread
+    /// before its channels close; read after joining it.
+    last_words: Arc<Mutex<Option<String>>>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl fmt::Debug for ThreadLink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ThreadLink").finish_non_exhaustive()
+    }
+}
+
+/// The thread worker's end of a [`ThreadLink`].
+struct ChannelPort {
+    rx: Receiver<(u64, Request)>,
+    replies: Sender<(u64, Reply)>,
+    recycle: Sender<Vec<WildRecord>>,
+}
+
+impl WorkerPort for ChannelPort {
+    fn next(&mut self) -> Result<Option<(u64, Request)>, String> {
+        Ok(self.rx.recv().ok())
+    }
+    fn reply(&mut self, seq: u64, reply: Reply) -> Result<(), String> {
+        // The supervisor may be gone during teardown.
+        let _ = self.replies.send((seq, reply));
+        Ok(())
+    }
+    fn recycle(&mut self, buf: Vec<WildRecord>) {
+        let _ = self.recycle.send(buf);
+    }
 }
 
 /// Render a panic payload as a message, when it was a string.
@@ -487,33 +701,101 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Spawn one shard worker thread.
-fn spawn_worker(
-    index: usize,
-    rules: Arc<RuleSet>,
-    hitlist: HitList,
-    config: DetectorConfig,
-    channel_batches: usize,
-) -> Worker {
-    let (tx, rx) = sync_channel::<Cmd>(channel_batches.max(1));
-    let (recycle_tx, recycle) = channel::<Vec<WildRecord>>();
-    let panic_note = Arc::new(Mutex::new(None));
-    let note = Arc::clone(&panic_note);
-    let handle = std::thread::Builder::new()
-        .name(format!("detector-shard-{index}"))
-        .spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                worker_loop(rules, hitlist, config, &rx, &recycle_tx);
-            }));
-            if let Err(payload) = result {
-                if let Ok(mut n) = note.lock() {
-                    *n = Some(panic_message(payload));
+impl ThreadLink {
+    /// Spawn one shard worker thread.
+    fn spawn(shard: usize, channel_batches: usize) -> ThreadLink {
+        let (tx, rx) = sync_channel(channel_batches.max(1));
+        let (reply_tx, replies) = channel();
+        let (recycle_tx, recycle) = channel();
+        let last_words = Arc::new(Mutex::new(None));
+        let note = Arc::clone(&last_words);
+        let handle = std::thread::Builder::new()
+            .name(format!("detector-shard-{shard}"))
+            .spawn(move || {
+                let mut port = ChannelPort { rx, replies: reply_tx, recycle: recycle_tx };
+                let words = match catch_unwind(AssertUnwindSafe(|| serve_shard(&mut port))) {
+                    Ok(Ok(())) => None,
+                    Ok(Err(e)) => Some(e),
+                    Err(payload) => Some(panic_message(payload)),
+                };
+                if let (Some(words), Ok(mut n)) = (words, note.lock()) {
+                    *n = Some(words);
                 }
-            }
-        })
-        .expect("spawn detector shard");
-    Worker { tx, recycle, panic_note, handle: Some(handle) }
+                // `port` drops here: the supervisor sees the channels
+                // close only after the note is written.
+            })
+            .expect("spawn detector shard");
+        ThreadLink {
+            tx: Some(tx),
+            replies,
+            recycle,
+            spare: Vec::new(),
+            last_words,
+            handle: Some(handle),
+        }
+    }
 }
+
+impl Link for ThreadLink {
+    fn send(&self, seq: u64, req: Request, deadline: Option<Instant>) -> Result<bool, Fault> {
+        let tx = self.tx.as_ref().ok_or(Fault::Dead)?;
+        if let Some(deadline) = deadline {
+            return offer(tx, (seq, req), deadline);
+        }
+        // Distinguish a clean send from one that had to block: the
+        // stall counter is the backpressure signal operators watch.
+        match tx.try_send((seq, req)) {
+            Ok(()) => Ok(false),
+            Err(TrySendError::Full(item)) => tx.send(item).map(|()| true).map_err(|_| Fault::Dead),
+            Err(TrySendError::Disconnected(_)) => Err(Fault::Dead),
+        }
+    }
+
+    fn recv(&self, deadline: Option<Instant>) -> Result<(u64, Reply), Fault> {
+        take(&self.replies, deadline)
+    }
+
+    fn kill(&mut self, fault: Fault) -> Option<String> {
+        // Closing the request channel ends a live worker's loop once it
+        // has drained what was queued.
+        self.tx = None;
+        let handle = self.handle.take()?;
+        match fault {
+            // Its channels closed, so the thread is past its loop: the
+            // join returns at once and the note is final.
+            Fault::Dead => {
+                let _ = handle.join();
+                self.last_words.lock().ok().and_then(|mut n| n.take())
+            }
+            // Alive but wedged — joining would hang the supervisor with
+            // it. Detach: the thread exits at its own pace, and its
+            // reply and recycle lanes are orphaned with this link, so
+            // nothing it touches flows back into the pool.
+            Fault::Stalled => None,
+        }
+    }
+
+    fn recycled(&mut self) -> Option<Vec<WildRecord>> {
+        self.recycle.try_recv().ok().or_else(|| self.spare.pop())
+    }
+
+    fn reclaim(&mut self, buf: Vec<WildRecord>) {
+        self.spare.push(buf);
+    }
+}
+
+impl Drop for ThreadLink {
+    fn drop(&mut self) {
+        self.tx = None;
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The supervisor
+// ---------------------------------------------------------------------------
 
 /// Supervision state: per-shard checkpoints, replay buffers, and the
 /// recovery telemetry published under the global `checkpoint` scope.
@@ -547,6 +829,8 @@ struct Supervisor {
     replayed_records: Counter,
     /// Per-shard checkpoints taken (explicit and automatic).
     shard_checkpoints: Counter,
+    /// Replies that did not arrive within a link's heartbeat timeout.
+    heartbeat_misses: Counter,
     /// Backoff sleeps taken before respawns (the respawn-storm brake).
     respawn_backoff: Counter,
     /// Crash-loop circuit-breaker trips (shards marked degraded).
@@ -578,6 +862,7 @@ impl Supervisor {
             restarts: scope.counter("shard_restarts"),
             replayed_records: scope.counter("replayed_records"),
             shard_checkpoints: scope.counter("shard_checkpoints"),
+            heartbeat_misses: scope.counter("heartbeat_misses"),
             respawn_backoff: scope.counter("respawn_backoff"),
             breaker_trips: scope.counter("breaker_trips"),
             degraded_queued: scope.counter("degraded_queued_records"),
@@ -594,26 +879,37 @@ impl Supervisor {
                 .expect("pending delta matches its base rule count");
         }
     }
+
+    /// Drain `shard`'s replay retention, handing each buffer back to
+    /// its link. By the time a replay buffer drains (a checkpoint
+    /// snapshot replied, so the worker has long since processed every
+    /// retained batch), the supervisor holds the last reference —
+    /// a thread link recovers the allocation for reuse instead of
+    /// dropping it (a worker can't recycle a batch the supervisor still
+    /// holds). Its spare list needs no cap: it only ever holds buffers
+    /// the replay retention held a moment earlier, so the pool's peak
+    /// resident memory is unchanged.
+    fn drain_replay(&mut self, shard: usize, link: &mut dyn Link) {
+        for batch in self.replay[shard].drain(..) {
+            if let Ok(mut v) = Arc::try_unwrap(batch) {
+                v.clear();
+                link.reclaim(v);
+            }
+        }
+        self.replay_records[shard] = 0;
+    }
+
+    /// Forget everything held for `shard` except its base state: the
+    /// queued deltas (subsumed by a full state, or stale) and the replay
+    /// retention.
+    fn clear_shard(&mut self, shard: usize, link: &mut dyn Link) {
+        self.pending[shard].clear();
+        self.drain_replay(shard, link);
+    }
 }
 
 fn empty_state(nrules: usize) -> DetectorState {
     DetectorState { rules: vec![Vec::new(); nrules] }
-}
-
-/// Drain a shard's replay retention into the feeder's spare list. By
-/// the time a replay buffer drains (a checkpoint snapshot replied, so
-/// the worker has long since processed every retained batch), the
-/// supervisor holds the last reference — recover the allocation for
-/// reuse instead of dropping it. The spare list needs no cap: it only
-/// ever holds buffers the replay retention held a moment earlier, so
-/// the pool's peak resident memory is unchanged.
-fn reclaim_replay(replay: &mut Vec<Arc<Vec<WildRecord>>>, spare: &mut Vec<Vec<WildRecord>>) {
-    for batch in replay.drain(..) {
-        if let Ok(mut v) = Arc::try_unwrap(batch) {
-            v.clear();
-            spare.push(v);
-        }
-    }
 }
 
 /// A persistent pool of shard-owning detector workers.
@@ -637,17 +933,20 @@ pub struct DetectorPool {
     hitlist: HitList,
     config: DetectorConfig,
     channel_batches: usize,
-    workers: Vec<Worker>,
+    /// The `haystack shard-worker` argv for process shards; `None` for
+    /// thread shards.
+    command: Option<Vec<String>>,
+    links: Vec<Box<dyn Link>>,
+    /// Last request sequence number issued, per shard. Replies echo it,
+    /// so a stale reply (its request timed out in an earlier probe) is
+    /// discarded instead of being mistaken for the current one.
+    seq: Vec<u64>,
     /// Per-shard partial buffers, reused across calls (the allocation
     /// churn fix: nothing here is rebuilt per batch).
     staging: Vec<Vec<WildRecord>>,
-    /// Buffers reclaimed from drained replay retention (supervised
-    /// pools only — the worker can't recycle a batch the supervisor
-    /// still holds, so the feeder recovers it at checkpoint time).
-    spare: Vec<Vec<WildRecord>>,
     batch_records: usize,
-    /// Chunk buffers ever allocated — the pool's peak resident buffer
-    /// count, since buffers recycle instead of dropping.
+    /// Chunk buffers ever allocated — on thread shards the pool's peak
+    /// resident buffer count, since buffers recycle instead of dropping.
     buffers_created: usize,
     /// Feeder-side telemetry, present only after
     /// [`DetectorPool::attach_telemetry`] on an enabled registry.
@@ -676,72 +975,128 @@ struct FeederTelemetry {
     records_in: Counter,
     /// Full or partial buffers shipped to workers.
     batches_shipped: Counter,
-    /// Ships that found the shard's channel full and had to block — the
+    /// Ships that found the shard's queue full and had to wait — the
     /// backpressure signal.
     backpressure_stalls: Counter,
     /// Fresh buffer allocations (nothing came back on the recycle lane).
     buffers_created: Counter,
     /// Ships served by a recycled buffer.
     buffers_recycled: Counter,
-    /// Staged records discarded by `reset` (they belong to the window
-    /// being cleared). Keeps the conservation invariant exact:
+    /// Staged and degraded-queued records discarded by `reset` (they
+    /// belong to the window being cleared). Keeps the conservation
+    /// invariant exact:
     /// `records_in == Σ shard records_observed + records_discarded`.
     records_discarded: Counter,
-    /// Per-shard in-flight batch gauges (shared with the workers, which
-    /// decrement after processing).
+    /// Per-shard in-flight batch gauges (shared with the workers).
     queue_depth: Vec<Gauge>,
-}
-
-impl fmt::Debug for Worker {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Worker").finish_non_exhaustive()
-    }
 }
 
 impl DetectorPool {
     /// Spawn `workers` shard threads sharing one rule set and hitlist.
     pub fn new(rules: &RuleSet, hitlist: &HitList, config: DetectorConfig, workers: usize) -> Self {
-        Self::with_tuning(rules, hitlist, config, workers, POOL_BATCH_RECORDS, POOL_CHANNEL_BATCHES)
+        Self::build(rules, hitlist, config, workers, POOL_BATCH_RECORDS, POOL_CHANNEL_BATCHES, None)
+            .expect("thread shards spawn and init infallibly")
     }
 
-    /// [`DetectorPool::new`] with explicit buffer size and channel depth
-    /// (benches sweep these).
-    pub fn with_tuning(
+    /// Spawn `workers` shard *processes* (DESIGN.md §15): one
+    /// `haystack shard-worker` child per shard, spoken to in HAYPROC
+    /// frames over its stdin/stdout. `command` is the worker argv; empty
+    /// means the current executable with a single `shard-worker`
+    /// argument — the normal CLI arrangement (tests point it at
+    /// `CARGO_BIN_EXE_haystack`).
+    ///
+    /// A hitlist has no wire codec, so process shards always detect
+    /// against the whole-window hitlist of their rules. They are always
+    /// supervised: the only link to a child is its pipe and the only
+    /// recovery is respawn. Fails if a child cannot be spawned or does
+    /// not complete the `Init` handshake within the heartbeat.
+    pub fn with_process_shards(
+        rules: &RuleSet,
+        config: DetectorConfig,
+        workers: usize,
+        command: &[String],
+    ) -> Result<Self, PoolError> {
+        let command = if command.is_empty() {
+            let exe = std::env::current_exe()
+                .map_err(|e| PoolError::new(0, format!("resolve worker binary: {e}")))?;
+            vec![exe.to_string_lossy().into_owned(), "shard-worker".to_string()]
+        } else {
+            command.to_vec()
+        };
+        let hitlist = HitList::whole_window(rules);
+        let mut pool = Self::build(
+            rules,
+            &hitlist,
+            config,
+            workers,
+            POOL_BATCH_RECORDS,
+            POOL_CHANNEL_BATCHES,
+            Some(command),
+        )?;
+        pool.enable_supervision(DEFAULT_REPLAY_LIMIT)?;
+        Ok(pool)
+    }
+
+    fn build(
         rules: &RuleSet,
         hitlist: &HitList,
         config: DetectorConfig,
         workers: usize,
         batch_records: usize,
         channel_batches: usize,
-    ) -> Self {
+        command: Option<Vec<String>>,
+    ) -> Result<Self, PoolError> {
         assert!(workers >= 1, "need at least one shard");
         let batch_records = batch_records.max(1);
-        let rules = Arc::new(rules.clone());
-        let workers = (0..workers)
-            .map(|i| {
-                spawn_worker(i, Arc::clone(&rules), hitlist.clone(), config, channel_batches)
-            })
-            .collect::<Vec<_>>();
-        let n = workers.len();
-        DetectorPool {
-            rules,
+        let mut pool = DetectorPool {
+            rules: Arc::new(rules.clone()),
             hitlist: hitlist.clone(),
             config,
             channel_batches,
-            workers,
-            staging: (0..n).map(|_| Vec::with_capacity(batch_records)).collect(),
-            spare: Vec::new(),
+            command,
+            links: Vec::with_capacity(workers),
+            seq: vec![0; workers],
+            staging: (0..workers).map(|_| Vec::with_capacity(batch_records)).collect(),
             batch_records,
-            buffers_created: n,
+            buffers_created: workers,
             telemetry: None,
             scope: None,
             supervisor: None,
             policy: RespawnPolicy::default(),
-            backoff: vec![BackoffState::default(); n],
-            degraded_queue: (0..n).map(|_| Vec::new()).collect(),
-            shed_records: vec![0; n],
+            backoff: vec![BackoffState::default(); workers],
+            degraded_queue: (0..workers).map(|_| Vec::new()).collect(),
+            shed_records: vec![0; workers],
             queue_limit: DEFAULT_DEGRADED_QUEUE_LIMIT,
+        };
+        for shard in 0..workers {
+            let link = pool.spawn_link(shard)?;
+            pool.links.push(link);
         }
+        Ok(pool)
+    }
+
+    /// Bring up a worker for `shard` and complete its `Init` handshake.
+    fn spawn_link(&mut self, shard: usize) -> Result<Box<dyn Link>, PoolError> {
+        let link: Box<dyn Link> = match &self.command {
+            None => Box::new(ThreadLink::spawn(shard, self.channel_batches)),
+            Some(command) => Box::new(ProcLink::spawn(shard, command, self.channel_batches)?),
+        };
+        let seq = self.next_seq(shard);
+        let init = Request::Init {
+            rules: Arc::clone(&self.rules),
+            hitlist: self.hitlist.clone(),
+            config: self.config,
+        };
+        let acked = link.send(seq, init, None).and_then(|_| await_reply(&*link, seq, None));
+        match acked {
+            Ok(Reply::Ack) => Ok(link),
+            _ => Err(PoolError::new(shard, "init shard worker: no init ack")),
+        }
+    }
+
+    fn next_seq(&mut self, shard: usize) -> u64 {
+        self.seq[shard] += 1;
+        self.seq[shard]
     }
 
     /// Replace the respawn backoff / circuit-breaker policy (tests and
@@ -753,7 +1108,7 @@ impl DetectorPool {
     /// Per-shard supervision status plus degraded-queue accounting.
     pub fn shard_status(&self) -> Vec<ShardStatusReport> {
         let now = Instant::now();
-        (0..self.workers.len())
+        (0..self.links.len())
             .map(|s| ShardStatusReport {
                 status: self.backoff[s].status_at(&self.policy, now),
                 queued: self.degraded_queue[s].len() as u64,
@@ -765,21 +1120,22 @@ impl DetectorPool {
     /// Turn on supervised recovery: checkpoint every shard now, then
     /// keep a bounded replay buffer (at most `replay_limit` records per
     /// shard — reaching the bound auto-checkpoints the shard). From this
-    /// point a shard panic is healed transparently: the shard is
+    /// point a shard death is healed transparently: the shard is
     /// respawned, restored from its last checkpoint, and replayed, and
-    /// the interrupted operation retried.
+    /// the interrupted operation retried. On an already-supervised pool
+    /// (every process pool) this adjusts the bound and takes a fresh
+    /// checkpoint.
     pub fn enable_supervision(&mut self, replay_limit: usize) -> Result<(), PoolError> {
-        let sup =
-            Supervisor::new(self.workers.len(), self.rules.rules.len(), replay_limit);
-        self.supervisor = Some(sup);
+        match &mut self.supervisor {
+            Some(sup) => sup.replay_limit = replay_limit.max(1),
+            None => {
+                let sup = Supervisor::new(self.links.len(), self.rules.rules.len(), replay_limit);
+                self.supervisor = Some(sup);
+            }
+        }
         // Capture whatever evidence the shards already hold, so a crash
         // right after enabling loses nothing.
         self.checkpoint_all()
-    }
-
-    /// Whether supervised recovery is enabled.
-    pub fn supervised(&self) -> bool {
-        self.supervisor.is_some()
     }
 
     /// Records currently held in replay buffers across all shards.
@@ -790,9 +1146,9 @@ impl DetectorPool {
     /// Instrument the pool under `scope`: feeder counters (`records_in`,
     /// `batches_shipped`, `backpressure_stalls`, buffer churn) plus
     /// per-shard sub-scopes (`shard0.queue_depth`,
-    /// `shard0.records_observed`, `shard0.batch_span_us`, …). A no-op
-    /// while telemetry is disabled, leaving the feed path byte-for-byte
-    /// as before.
+    /// `shard0.records_observed`, `shard0.batch_span_us`, …; only
+    /// `queue_depth` moves for a process shard). A no-op while telemetry
+    /// is disabled, leaving the feed path byte-for-byte as before.
     pub fn attach_telemetry(&mut self, scope: &Scope) -> Result<(), PoolError> {
         if !telemetry::enabled() {
             return Ok(());
@@ -804,18 +1160,18 @@ impl DetectorPool {
             buffers_created: scope.counter("buffers_created"),
             buffers_recycled: scope.counter("buffers_recycled"),
             records_discarded: scope.counter("records_discarded"),
-            queue_depth: (0..self.workers.len())
+            queue_depth: (0..self.links.len())
                 .map(|i| scope.sub(&format!("shard{i}")).gauge("queue_depth"))
                 .collect(),
         };
         // The per-worker startup buffers predate instrumentation.
         feeder.buffers_created.add(self.buffers_created as u64);
-        scope.gauge("workers").set(self.workers.len() as u64);
+        scope.gauge("workers").set(self.links.len() as u64);
         self.telemetry = Some(feeder);
         self.scope = Some(scope.clone());
-        for shard in 0..self.workers.len() {
+        for shard in 0..self.links.len() {
             let t = self.shard_telemetry(shard);
-            self.with_shard(shard, |w| w.tx.send(Cmd::Telemetry(t.clone())).ok())?;
+            self.tell(shard, &|| Request::Telemetry(t.clone()))?;
         }
         Ok(())
     }
@@ -836,242 +1192,252 @@ impl DetectorPool {
 
     /// Number of shard workers.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.links.len()
     }
 
-    /// Chunk buffers ever allocated by the pool — its peak resident
-    /// buffer count (buffers recycle through the workers, never drop).
+    /// Chunk buffers ever allocated by the pool — on thread shards its
+    /// peak resident buffer count (buffers recycle through the workers,
+    /// never drop).
     pub fn buffers_created(&self) -> usize {
         self.buffers_created
     }
 
-    /// Join a dead shard's thread and build its typed error.
-    fn shard_error(&mut self, shard: usize) -> PoolError {
-        let w = &mut self.workers[shard];
-        if let Some(handle) = w.handle.take() {
-            let _ = handle.join();
-        }
-        let panic = w.panic_note.lock().map(|mut n| n.take()).unwrap_or(None);
-        PoolError { shard, panic }
+    fn breaker_err(&self, shard: usize) -> PoolError {
+        PoolError::new(
+            shard,
+            format!("crash-loop circuit breaker open after {} fast deaths", self.policy.trip_after),
+        )
     }
 
-    /// A shard's channel disconnected mid-operation. Unsupervised, this
-    /// surfaces the typed error. Supervised, the shard is respawned,
-    /// restored from its last checkpoint, and replayed — after which the
-    /// caller retries the interrupted operation.
-    fn handle_dead_shard(&mut self, shard: usize) -> Result<(), PoolError> {
-        let err = self.shard_error(shard);
-        if self.supervisor.is_none() {
-            return Err(err);
-        }
-        self.respawn_and_replay(shard)
-    }
-
-    /// Replace `shard`'s worker with a fresh one restored from its last
-    /// checkpoint and replayed. The old `Worker` (and its command
-    /// channel) is dropped, not joined — callers decide whether joining
-    /// is safe ([`DetectorPool::handle_dead_shard`] joins first because
-    /// the thread provably exited; [`DetectorPool::force_respawn`] must
-    /// not, because a stalled thread would block the join forever).
-    fn respawn_and_replay(&mut self, shard: usize) -> Result<(), PoolError> {
+    /// The heal path every failure signal converges on. Tear down
+    /// whatever is left of the worker; unsupervised, that surfaces the
+    /// typed error. Supervised: consult the breaker, back off, spawn a
+    /// replacement, restore it from the shard's last checkpoint, and
+    /// replay the retained batches — after which the caller retries the
+    /// interrupted operation.
+    fn heal(&mut self, shard: usize, fault: Fault) -> Result<(), PoolError> {
+        let last_words = self.links[shard].kill(fault);
+        let Some(sup) = &self.supervisor else {
+            return Err(PoolError { shard, panic: last_words });
+        };
         // Respawn-storm brake: a deterministically-dying shard backs
         // off exponentially and eventually trips the circuit breaker
         // instead of respawning in a tight loop.
         if self.backoff[shard].tripped() {
-            return Err(PoolError {
-                shard,
-                panic: Some("crash-loop circuit breaker open".to_string()),
-            });
+            return Err(self.breaker_err(shard));
         }
         match self.backoff[shard].on_death(&self.policy, Instant::now()) {
             RespawnDecision::Trip => {
-                let sup = self.supervisor.as_ref().expect("supervised");
                 sup.breaker_trips.inc();
-                return Err(PoolError {
-                    shard,
-                    panic: Some(format!(
-                        "crash-loop circuit breaker open after {} fast deaths",
-                        self.policy.trip_after
-                    )),
-                });
+                return Err(self.breaker_err(shard));
             }
             RespawnDecision::Backoff(delay) => {
-                let sup = self.supervisor.as_ref().expect("supervised");
                 sup.respawn_backoff.inc();
                 std::thread::sleep(delay);
             }
         }
-        self.workers[shard] = spawn_worker(
-            shard,
-            Arc::clone(&self.rules),
-            self.hitlist.clone(),
-            self.config,
-            self.channel_batches,
-        );
-        // Batches lost in the dead worker's channel were inc'd but never
-        // dec'd; the respawned shard starts with an empty queue.
+        self.links[shard] = self.spawn_link(shard)?;
+        // Batches lost with the dead worker were inc'd but never dec'd;
+        // the respawned shard starts with an empty queue.
         if self.telemetry.is_some() {
             let t = self.shard_telemetry(shard);
             t.queue_depth.set(0);
-            let _ = self.workers[shard].tx.send(Cmd::Telemetry(t));
+            let seq = self.next_seq(shard);
+            let _ = self.links[shard].send(seq, Request::Telemetry(t), None);
         }
         let sup = self.supervisor.as_mut().expect("supervised");
         sup.restarts.inc();
         sup.fold_pending(shard);
-        let state = sup.shard_state[shard].clone();
         // Staging is left alone: those records were never shipped, are
         // not in the replay buffer, and will ship to the respawned
-        // worker in their normal turn.
+        // worker in their normal turn. The replay buffer stays too:
+        // these records are still since-checkpoint, and a second crash
+        // needs them again.
+        let restore = Request::Restore(sup.shard_state[shard].clone());
         let replay = sup.replay[shard].clone();
         let replayed = sup.replay_records[shard] as u64;
-        let w = &self.workers[shard];
-        if w.tx.send(Cmd::Restore(state)).is_err() {
-            return Err(self.shard_error(shard));
+        let seq = self.next_seq(shard);
+        if self.links[shard].send(seq, restore, None).is_err() {
+            return Err(PoolError::new(shard, "shard died during restore"));
         }
         // Re-ship the retained batches as-is: each is already shard-
         // partitioned and batch-sized, so no re-chunking (and no copy —
-        // `Cmd::Batch` carries a refcount clone).
+        // a batch request carries a refcount clone).
         for batch in replay {
             if let Some(t) = &self.telemetry {
                 t.queue_depth[shard].inc();
             }
-            if self.workers[shard].tx.send(Cmd::Batch(batch)).is_err() {
-                return Err(self.shard_error(shard));
+            let seq = self.next_seq(shard);
+            if self.links[shard].send(seq, Request::Batch(batch), None).is_err() {
+                return Err(PoolError::new(shard, "shard died during replay"));
             }
         }
-        let sup = self.supervisor.as_mut().expect("supervised");
-        sup.replayed_records.add(replayed);
-        // The replay buffer stays: these records are still
-        // since-checkpoint, and a second crash needs them again.
+        self.supervisor.as_ref().expect("supervised").replayed_records.add(replayed);
         Ok(())
     }
 
-    /// Run `op` against a shard, healing (under supervision) and
-    /// retrying once if the shard died mid-operation.
-    fn with_shard<T>(
-        &mut self,
-        shard: usize,
-        op: impl Fn(&Worker) -> Option<T>,
-    ) -> Result<T, PoolError> {
-        for _ in 0..2 {
-            if let Some(v) = op(&self.workers[shard]) {
-                return Ok(v);
-            }
-            self.handle_dead_shard(shard)?;
+    /// Await the reply to `seq` on `shard` with the link's own patience,
+    /// keeping the books: an answer ends the shard's `respawning`
+    /// status, a timeout is a heartbeat miss.
+    fn reply_for(&mut self, shard: usize, seq: u64) -> Result<Reply, Fault> {
+        let got = await_reply(&*self.links[shard], seq, None);
+        match (&got, &self.supervisor) {
+            (Ok(_), _) => self.backoff[shard].on_reply(),
+            (Err(Fault::Stalled), Some(sup)) => sup.heartbeat_misses.inc(),
+            _ => {}
         }
-        Err(PoolError { shard, panic: Some("shard died again during recovery".to_string()) })
+        got
     }
 
-    /// Ship `shard`'s staging buffer to its worker (blocking if the
-    /// channel is full — this is the backpressure point). Returns `true`
-    /// on success, `false` when the shard is dead.
-    fn try_ship(&mut self, shard: usize) -> bool {
-        if self.staging[shard].is_empty() {
-            return true;
-        }
-        let empty = match self.workers[shard].recycle.try_recv() {
-            Ok(buf) => {
-                if let Some(t) = &self.telemetry {
-                    t.buffers_recycled.inc();
-                }
-                buf
+    /// Send `build()` to `shard` — and await its reply when `ask` —
+    /// healing (under supervision) and retrying once if the shard fails
+    /// mid-operation. A second failure in a row, or an open breaker,
+    /// errors.
+    fn exchange(
+        &mut self,
+        shard: usize,
+        build: &dyn Fn() -> Request,
+        ask: bool,
+    ) -> Result<Option<Reply>, PoolError> {
+        for _ in 0..2 {
+            if self.backoff[shard].tripped() {
+                return Err(self.breaker_err(shard));
             }
-            Err(TryRecvError::Empty) => match self.spare.pop() {
-                Some(buf) => {
-                    if let Some(t) = &self.telemetry {
-                        t.buffers_recycled.inc();
-                    }
-                    buf
-                }
-                None => {
-                    self.buffers_created += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.buffers_created.inc();
-                    }
-                    Vec::with_capacity(self.batch_records)
-                }
-            },
-            Err(TryRecvError::Disconnected) => return false,
-        };
-        let full = Arc::new(std::mem::replace(&mut self.staging[shard], empty));
-        // Retain the batch for replay *before* any send attempt: a
-        // batch lost in a dead worker's channel (or dropped by a failed
-        // send) is then always recoverable. This is a refcount bump,
-        // not a copy — the records themselves are never duplicated.
-        if let Some(sup) = &mut self.supervisor {
-            sup.replay_records[shard] += full.len();
-            sup.replay[shard].push(Arc::clone(&full));
+            let seq = self.next_seq(shard);
+            let fault = match self.links[shard].send(seq, build(), None) {
+                Ok(_) if !ask => return Ok(None),
+                Ok(_) => match self.reply_for(shard, seq) {
+                    Ok(reply) => return Ok(Some(reply)),
+                    Err(fault) => fault,
+                },
+                Err(fault) => fault,
+            };
+            self.heal(shard, fault)?;
         }
-        let Some(t) = &self.telemetry else {
-            return self.workers[shard].tx.send(Cmd::Batch(full)).is_ok();
-        };
-        // Inc the queue gauge *before* the send: the worker decs after
-        // processing, and `Gauge::dec` saturates at zero — a dec racing
-        // ahead of a post-send inc would strand the gauge at +1. A
-        // failed send leaves a stale inc, but the shard is dead then and
-        // recovery resets the gauge on respawn.
-        t.queue_depth[shard].inc();
-        // Distinguish a clean send from one that had to block: the
-        // stall counter is the backpressure signal operators watch.
-        match self.workers[shard].tx.try_send(Cmd::Batch(full)) {
-            Ok(()) => {}
-            Err(TrySendError::Full(cmd)) => {
-                t.backpressure_stalls.inc();
-                if self.workers[shard].tx.send(cmd).is_err() {
-                    return false;
-                }
+        Err(PoolError::new(shard, "shard died again during recovery"))
+    }
+
+    /// Fire-and-forget request (FIFO-ordered with everything else).
+    fn tell(&mut self, shard: usize, build: &dyn Fn() -> Request) -> Result<(), PoolError> {
+        self.exchange(shard, build, false).map(|_| ())
+    }
+
+    /// Round trip: send `req`, then `pick` the expected reply shape.
+    fn ask<T>(
+        &mut self,
+        shard: usize,
+        build: &dyn Fn() -> Request,
+        pick: impl FnOnce(Reply) -> Option<T>,
+    ) -> Result<T, PoolError> {
+        let reply = self.exchange(shard, build, true)?.expect("asked for a reply");
+        pick(reply).ok_or_else(|| PoolError::new(shard, "protocol: unexpected reply shape"))
+    }
+
+    /// Flush, send `build()` to every shard, *then* await the replies —
+    /// so the shards work concurrently and the caller pays one shard's
+    /// latency, not the sum. A shard that failed either leg reports its
+    /// fault for the caller to heal on the slow path.
+    fn broadcast(
+        &mut self,
+        build: &dyn Fn() -> Request,
+    ) -> Result<Vec<Result<Reply, Fault>>, PoolError> {
+        self.flush()?;
+        let mut sent = Vec::with_capacity(self.links.len());
+        for shard in 0..self.links.len() {
+            if self.backoff[shard].tripped() {
+                return Err(self.breaker_err(shard));
             }
-            Err(TrySendError::Disconnected(_)) => return false,
+            let seq = self.next_seq(shard);
+            sent.push(self.links[shard].send(seq, build(), None).map(|_| seq));
         }
-        t.batches_shipped.inc();
-        true
+        Ok(sent
+            .into_iter()
+            .enumerate()
+            .map(|(shard, seq)| seq.and_then(|seq| self.reply_for(shard, seq)))
+            .collect())
     }
 
     /// Move `shard`'s staged records to its degraded queue (bounded;
     /// overflow is shed with exact accounting). Only reached once the
     /// shard's crash-loop breaker is open.
     fn queue_degraded(&mut self, shard: usize) {
-        if self.staging[shard].is_empty() {
-            return;
-        }
+        let staged = &mut self.staging[shard];
         let room = self.queue_limit.saturating_sub(self.degraded_queue[shard].len());
-        let take = self.staging[shard].len().min(room);
-        let staged = std::mem::take(&mut self.staging[shard]);
-        let shed = (staged.len() - take) as u64;
-        self.degraded_queue[shard].extend(staged.into_iter().take(take));
+        let keep = staged.len().min(room);
+        let shed = (staged.len() - keep) as u64;
+        self.degraded_queue[shard].extend_from_slice(&staged[..keep]);
+        staged.clear();
         self.shed_records[shard] += shed;
         if let Some(sup) = &self.supervisor {
-            sup.degraded_queued.add(take as u64);
+            sup.degraded_queued.add(keep as u64);
             sup.degraded_shed.add(shed);
         }
     }
 
-    /// Ship with supervised retry. A failed ship may drop the staged
-    /// buffer, but under supervision those records live in the replay
-    /// buffer, which recovery re-feeds. Once the shard's crash-loop
-    /// breaker is open, staged records divert to the bounded degraded
-    /// queue instead — the rest of the pool keeps running.
+    /// Ship `shard`'s staging buffer to its worker (waiting if its queue
+    /// is full — this is the backpressure point). Once the shard's
+    /// crash-loop breaker is open, staged records divert to the bounded
+    /// degraded queue instead — the rest of the pool keeps running.
     fn ship(&mut self, shard: usize) -> Result<(), PoolError> {
+        if self.staging[shard].is_empty() {
+            return Ok(());
+        }
         if self.backoff[shard].tripped() {
             self.queue_degraded(shard);
             return Ok(());
         }
-        for _ in 0..2 {
-            if self.try_ship(shard) {
-                return Ok(());
-            }
-            if let Err(e) = self.handle_dead_shard(shard) {
-                // The heal tripped the breaker: records staged for this
-                // shard divert to the degraded queue from here on. The
-                // feed keeps flowing for the healthy shards.
-                if self.backoff[shard].tripped() {
-                    self.queue_degraded(shard);
-                    return Ok(());
+        let empty = match self.links[shard].recycled() {
+            Some(buf) => {
+                if let Some(t) = &self.telemetry {
+                    t.buffers_recycled.inc();
                 }
-                return Err(e);
+                buf
             }
+            None => {
+                self.buffers_created += 1;
+                if let Some(t) = &self.telemetry {
+                    t.buffers_created.inc();
+                }
+                Vec::with_capacity(self.batch_records)
+            }
+        };
+        let full = Arc::new(std::mem::replace(&mut self.staging[shard], empty));
+        // Retain the batch for replay *before* any send attempt: a
+        // batch lost with a dead worker (or dropped by a failed send) is
+        // then always recoverable. This is a refcount bump, not a copy —
+        // the records themselves are never duplicated.
+        if let Some(sup) = &mut self.supervisor {
+            sup.replay_records[shard] += full.len();
+            sup.replay[shard].push(Arc::clone(&full));
         }
-        Err(PoolError { shard, panic: Some("shard died again during recovery".to_string()) })
+        // Inc the queue gauge *before* the send: the worker decs after
+        // taking the batch, and `Gauge::dec` saturates at zero — a dec
+        // racing ahead of a post-send inc would strand the gauge at +1.
+        // A failed send leaves a stale inc, but the shard is dead then
+        // and recovery resets the gauge on respawn.
+        if let Some(t) = &self.telemetry {
+            t.queue_depth[shard].inc();
+        }
+        let seq = self.next_seq(shard);
+        match self.links[shard].send(seq, Request::Batch(full), None) {
+            Ok(waited) => {
+                if let Some(t) = &self.telemetry {
+                    t.batches_shipped.inc();
+                    if waited {
+                        t.backpressure_stalls.inc();
+                    }
+                }
+                Ok(())
+            }
+            // The send dropped the batch, but under supervision it lives
+            // in the replay buffer, which the heal re-fed (or, if the
+            // heal tripped the breaker, which `reset_breaker` will). The
+            // feed keeps flowing for the healthy shards either way.
+            Err(fault) => match self.heal(shard, fault) {
+                Err(e) if !self.backoff[shard].tripped() => Err(e),
+                _ => Ok(()),
+            },
+        }
     }
 
     /// Observe records: partitioned to shards, shipped as buffers fill.
@@ -1079,7 +1445,7 @@ impl DetectorPool {
         if let Some(t) = &self.telemetry {
             t.records_in.add(records.len() as u64);
         }
-        let n = self.workers.len();
+        let n = self.links.len();
         for r in records {
             let shard = shard_of(r.line, n);
             self.staging[shard].push(*r);
@@ -1093,11 +1459,13 @@ impl DetectorPool {
             }
         }
         // Bound the replay buffers: a shard at the limit is checkpointed
-        // (which drains its buffer) before the next call.
+        // (which drains its buffer) before the next call. Degraded
+        // shards are skipped — their retention stopped growing.
         if let Some(sup) = &self.supervisor {
             let limit = sup.replay_limit;
-            let over: Vec<usize> =
-                (0..n).filter(|&s| sup.replay_records[s] >= limit).collect();
+            let over: Vec<usize> = (0..n)
+                .filter(|&s| sup.replay_records[s] >= limit && !self.backoff[s].tripped())
+                .collect();
             for shard in over {
                 self.checkpoint_shard(shard)?;
             }
@@ -1127,7 +1495,7 @@ impl DetectorPool {
 
     /// Push every partial staging buffer to its worker.
     pub fn flush(&mut self) -> Result<(), PoolError> {
-        for shard in 0..self.workers.len() {
+        for shard in 0..self.links.len() {
             self.ship(shard)?;
         }
         Ok(())
@@ -1138,62 +1506,54 @@ impl DetectorPool {
     /// (and healed, under supervision) individually.
     pub fn finish(&mut self) -> Result<(), PoolError> {
         self.flush()?;
-        for shard in 0..self.workers.len() {
-            self.with_shard(shard, |w| {
-                let (tx, rx) = channel();
-                w.tx.send(Cmd::Barrier(tx)).ok()?;
-                rx.recv().ok()
-            })?;
+        for shard in 0..self.links.len() {
+            self.ask(shard, &|| Request::Barrier, |r| matches!(r, Reply::Ack).then_some(()))?;
         }
         Ok(())
     }
 
+    /// Ask one shard for its full evidence state (FIFO — the snapshot
+    /// covers everything shipped so far).
+    fn snapshot_shard(&mut self, shard: usize) -> Result<DetectorState, PoolError> {
+        self.ask(shard, &|| Request::Snapshot, |r| match r {
+            Reply::State(state) => Some(state),
+            _ => None,
+        })
+    }
+
+    /// A full state arrived for `shard`: it becomes the base, subsumes
+    /// the queued deltas, and drains the replay buffer.
+    fn absorb_full(&mut self, shard: usize, state: DetectorState) {
+        let sup = self.supervisor.as_mut().expect("supervised");
+        sup.clear_shard(shard, &mut *self.links[shard]);
+        sup.shard_state[shard] = state;
+        sup.shard_checkpoints.inc();
+    }
+
     /// Checkpoint one shard: flush its staging, snapshot its evidence
-    /// state (FIFO — the snapshot covers everything fed so far), and
-    /// drain its replay buffer. Requires supervision.
+    /// state, and drain its replay buffer. Requires supervision.
     pub fn checkpoint_shard(&mut self, shard: usize) -> Result<(), PoolError> {
         assert!(self.supervisor.is_some(), "enable_supervision first");
         self.ship(shard)?;
-        let state = self.with_shard(shard, |w| {
-            let (tx, rx) = channel();
-            w.tx.send(Cmd::Snapshot(tx)).ok()?;
-            rx.recv().ok()
-        })?;
-        let sup = self.supervisor.as_mut().expect("supervised");
-        sup.shard_state[shard] = state;
-        sup.pending[shard].clear(); // full state subsumes queued deltas
-        reclaim_replay(&mut sup.replay[shard], &mut self.spare);
-        sup.replay_records[shard] = 0;
-        sup.shard_checkpoints.inc();
+        let state = self.snapshot_shard(shard)?;
+        self.absorb_full(shard, state);
         Ok(())
     }
 
     /// Checkpoint every shard (e.g. on an hour boundary). Requires
-    /// supervision. Snapshot commands are broadcast before any reply is
+    /// supervision. Snapshot requests are broadcast before any reply is
     /// awaited, so the shards export their states concurrently — the
     /// boundary costs one shard's export, not the sum of all of them.
     pub fn checkpoint_all(&mut self) -> Result<(), PoolError> {
         assert!(self.supervisor.is_some(), "enable_supervision first");
-        self.flush()?;
-        let mut pending: Vec<Option<Receiver<DetectorState>>> = Vec::new();
-        for w in &self.workers {
-            let (tx, rx) = channel();
-            pending.push(w.tx.send(Cmd::Snapshot(tx)).ok().map(|()| rx));
-        }
-        for (shard, slot) in pending.into_iter().enumerate() {
-            match slot.and_then(|rx| rx.recv().ok()) {
-                Some(state) => {
-                    let sup = self.supervisor.as_mut().expect("supervised");
-                    sup.shard_state[shard] = state;
-                    sup.pending[shard].clear(); // subsumed by the full
-                    reclaim_replay(&mut sup.replay[shard], &mut self.spare);
-                    sup.replay_records[shard] = 0;
-                    sup.shard_checkpoints.inc();
-                }
-                // Dead shard: heal it, then take its snapshot on the
+        let replies = self.broadcast(&|| Request::Snapshot)?;
+        for (shard, reply) in replies.into_iter().enumerate() {
+            match reply {
+                Ok(Reply::State(state)) => self.absorb_full(shard, state),
+                // Failed shard: heal it, then take its snapshot on the
                 // (recovered) slow path.
-                None => {
-                    self.handle_dead_shard(shard)?;
+                other => {
+                    self.heal(shard, other.err().unwrap_or(Fault::Dead))?;
                     self.checkpoint_shard(shard)?;
                 }
             }
@@ -1210,41 +1570,31 @@ impl DetectorPool {
     /// state has no delta base on disk.
     pub fn checkpoint_all_delta(&mut self) -> Result<Vec<DetectorSnapshot>, PoolError> {
         assert!(self.supervisor.is_some(), "enable_supervision first");
-        self.flush()?;
-        let mut pending: Vec<Option<Receiver<DetectorSnapshot>>> = Vec::new();
-        for w in &self.workers {
-            let (tx, rx) = channel();
-            pending.push(w.tx.send(Cmd::SnapshotDelta(tx)).ok().map(|()| rx));
-        }
-        let mut frames = Vec::with_capacity(self.workers.len());
-        for (shard, slot) in pending.into_iter().enumerate() {
-            match slot.and_then(|rx| rx.recv().ok()) {
-                Some(snap) => {
-                    let sup = self.supervisor.as_mut().expect("supervised");
-                    match &snap {
-                        DetectorSnapshot::Full(state) => {
-                            sup.shard_state[shard] = state.clone();
-                            sup.pending[shard].clear();
-                        }
-                        // Deferred: the frame is persisted by the caller
-                        // at this same moment, so queuing it (a memcpy)
-                        // instead of applying it (thousands of upserts)
-                        // loses nothing — the fold happens off the
-                        // boundary path, when the base is next read.
-                        DetectorSnapshot::Delta(delta) => {
-                            sup.pending[shard].push(delta.clone())
-                        }
-                    }
-                    reclaim_replay(&mut sup.replay[shard], &mut self.spare);
-                    sup.replay_records[shard] = 0;
-                    sup.shard_checkpoints.inc();
-                    frames.push(snap);
+        let replies = self.broadcast(&|| Request::SnapshotDelta)?;
+        let mut frames = Vec::with_capacity(replies.len());
+        for (shard, reply) in replies.into_iter().enumerate() {
+            match reply {
+                Ok(Reply::Snap(DetectorSnapshot::Full(state))) => {
+                    self.absorb_full(shard, state.clone());
+                    frames.push(DetectorSnapshot::Full(state));
                 }
-                // Dead shard: heal it, take a full snapshot on the
+                // Deferred: the frame is persisted by the caller at this
+                // same moment, so queuing it (a memcpy) instead of
+                // applying it (thousands of upserts) loses nothing — the
+                // fold happens off the boundary path, when the base is
+                // next read.
+                Ok(Reply::Snap(DetectorSnapshot::Delta(delta))) => {
+                    let sup = self.supervisor.as_mut().expect("supervised");
+                    sup.drain_replay(shard, &mut *self.links[shard]);
+                    sup.pending[shard].push(delta.clone());
+                    sup.shard_checkpoints.inc();
+                    frames.push(DetectorSnapshot::Delta(delta));
+                }
+                // Failed shard: heal it, take a full snapshot on the
                 // recovered slow path, and persist that full frame —
                 // the worker's dirty set died with it.
-                None => {
-                    self.handle_dead_shard(shard)?;
+                other => {
+                    self.heal(shard, other.err().unwrap_or(Fault::Dead))?;
                     self.checkpoint_shard(shard)?;
                     let sup = self.supervisor.as_ref().expect("supervised");
                     frames.push(DetectorSnapshot::Full(sup.shard_state[shard].clone()));
@@ -1258,8 +1608,7 @@ impl DetectorPool {
     /// frames of [`DetectorPool::checkpoint_all_delta`] have been folded
     /// into. Requires supervision.
     pub fn supervised_shard_states(&mut self) -> Vec<DetectorState> {
-        assert!(self.supervisor.is_some(), "enable_supervision first");
-        let sup = self.supervisor.as_mut().expect("supervised");
+        let sup = self.supervisor.as_mut().expect("enable_supervision first");
         for shard in 0..sup.shard_state.len() {
             sup.fold_pending(shard);
         }
@@ -1277,114 +1626,103 @@ impl DetectorPool {
             return Ok(self.supervisor.as_ref().expect("supervised").shard_state.clone());
         }
         self.flush()?;
-        let mut states = Vec::with_capacity(self.workers.len());
-        for shard in 0..self.workers.len() {
-            states.push(self.with_shard(shard, |w| {
-                let (tx, rx) = channel();
-                w.tx.send(Cmd::Snapshot(tx)).ok()?;
-                rx.recv().ok()
-            })?);
-        }
-        Ok(states)
+        (0..self.links.len()).map(|shard| self.snapshot_shard(shard)).collect()
     }
 
     /// Restore per-shard evidence states exported by
     /// [`DetectorPool::shard_states`] from a pool with the same worker
-    /// count and rule set. Under supervision the states become the
-    /// shards' checkpoints and the replay buffers drain.
+    /// count and rule set. Staged records are discarded — the restored
+    /// states define the new watermark. Under supervision the states
+    /// become the shards' checkpoints and the replay buffers drain.
     pub fn restore_shard_states(&mut self, states: &[DetectorState]) -> Result<(), PoolError> {
         assert_eq!(
             states.len(),
-            self.workers.len(),
+            self.links.len(),
             "shard states must match the worker count"
         );
         for s in &mut self.staging {
             s.clear();
         }
         if let Some(sup) = &mut self.supervisor {
+            for shard in 0..states.len() {
+                // Stale deltas would corrupt the restored base.
+                sup.clear_shard(shard, &mut *self.links[shard]);
+            }
             sup.shard_state = states.to_vec();
-            for q in &mut sup.pending {
-                q.clear(); // stale deltas would corrupt the restored base
-            }
-            for r in &mut sup.replay {
-                reclaim_replay(r, &mut self.spare);
-            }
-            sup.replay_records.fill(0);
         }
         for (shard, state) in states.iter().enumerate() {
-            let state = state.clone();
-            self.with_shard(shard, move |w| w.tx.send(Cmd::Restore(state.clone())).ok())?;
+            self.tell(shard, &|| Request::Restore(state.clone()))?;
         }
         Ok(())
     }
 
     /// Deterministic crash injection: make `shard` panic with `msg` once
-    /// every batch sent before this call is processed. The next
-    /// operation touching the shard observes the death (and heals it,
-    /// under supervision).
+    /// every batch sent before this call is processed (a child process
+    /// exits 101). The next operation touching the shard observes the
+    /// death (and heals it, under supervision).
     pub fn inject_panic(&mut self, shard: usize, msg: &str) -> Result<(), PoolError> {
-        let msg = msg.to_string();
-        self.with_shard(shard, move |w| w.tx.send(Cmd::PanicNow(msg.clone())).ok())
+        self.tell(shard, &|| Request::Panic(msg.to_string()))
     }
 
     /// Deterministic stall injection: make `shard` sleep for `dur` once
-    /// every batch sent before this call is processed. The thread stays
+    /// every batch sent before this call is processed. The worker stays
     /// alive — this is the wedged-not-dead failure
     /// [`DetectorPool::shard_health`] exists to catch.
     pub fn inject_stall(&mut self, shard: usize, dur: Duration) -> Result<(), PoolError> {
-        self.with_shard(shard, move |w| w.tx.send(Cmd::StallFor(dur)).ok())
+        self.tell(shard, &|| Request::Stall(dur))
+    }
+
+    /// Chaos: sever `shard`'s worker ungracefully *right now* — SIGKILL
+    /// for a process shard, an abandoned thread for a thread shard
+    /// (whatever it had queued is lost with it). The next operation
+    /// touching the shard heals it.
+    pub fn kill_shard(&mut self, shard: usize) -> Result<(), PoolError> {
+        self.links[shard].kill(Fault::Stalled);
+        Ok(())
     }
 
     /// Probe every shard's liveness: each gets a barrier and `timeout`
     /// to answer it (enqueue time counts — a shard too wedged to drain
-    /// its channel is as stalled as one that never replies). Purely
-    /// observational: no healing, no flushing, no blocking beyond the
-    /// timeout per shard.
-    pub fn shard_health(&self, timeout: Duration) -> Vec<ShardHealth> {
-        self.workers
-            .iter()
-            .map(|w| {
-                let deadline = Instant::now() + timeout;
-                let (tx, rx) = channel();
-                let mut cmd = Cmd::Barrier(tx);
-                loop {
-                    match w.tx.try_send(cmd) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(c)) => {
-                            if Instant::now() >= deadline {
-                                return ShardHealth::Stalled;
-                            }
-                            cmd = c;
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(TrySendError::Disconnected(_)) => return ShardHealth::Dead,
-                    }
+    /// its queue is as stalled as one that never replies). A shard
+    /// whose breaker is open reads as dead. Observational: no healing,
+    /// no flushing, no blocking beyond the timeout per shard.
+    pub fn shard_health(&mut self, timeout: Duration) -> Vec<ShardHealth> {
+        (0..self.links.len())
+            .map(|shard| {
+                if self.backoff[shard].tripped() {
+                    return ShardHealth::Dead;
                 }
-                match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-                    Ok(()) => ShardHealth::Responsive,
-                    Err(RecvTimeoutError::Timeout) => ShardHealth::Stalled,
-                    Err(RecvTimeoutError::Disconnected) => ShardHealth::Dead,
+                let deadline = Some(Instant::now() + timeout);
+                let seq = self.next_seq(shard);
+                let link = &*self.links[shard];
+                let answered = link
+                    .send(seq, Request::Barrier, deadline)
+                    .and_then(|_| await_reply(link, seq, deadline));
+                match answered {
+                    Ok(_) => {
+                        self.backoff[shard].on_reply();
+                        ShardHealth::Responsive
+                    }
+                    Err(Fault::Stalled) => ShardHealth::Stalled,
+                    Err(Fault::Dead) => ShardHealth::Dead,
                 }
             })
             .collect()
     }
 
     /// Watchdog escalation for a shard that is alive but unresponsive:
-    /// abandon its thread (detach — joining a wedged thread would hang
-    /// the supervisor with it) and bring up a replacement restored from
-    /// the last checkpoint plus replay. Recovery is exact for the same
-    /// reason crash recovery is: the checkpoint covers everything before
-    /// the watermark, the replay buffer everything after, and the
-    /// abandoned worker's un-checkpointed state is discarded with it.
+    /// abandon its worker (detach the thread — joining a wedged thread
+    /// would hang the supervisor with it — or SIGKILL the child) and
+    /// bring up a replacement restored from the last checkpoint plus
+    /// replay. Recovery is exact for the same reason crash recovery is:
+    /// the checkpoint covers everything before the watermark, the replay
+    /// buffer everything after, and the abandoned worker's
+    /// un-checkpointed state is discarded with it. Counts as a death for
+    /// the breaker — repeated escalation trips it rather than thrashing.
     /// Requires supervision.
     pub fn force_respawn(&mut self, shard: usize) -> Result<(), PoolError> {
         assert!(self.supervisor.is_some(), "enable_supervision first");
-        // Detach: the old thread keeps draining its channel at its own
-        // pace until the dropped sender disconnects it, then exits. Its
-        // recycle lane is already orphaned, so nothing it touches flows
-        // back into the pool.
-        drop(self.workers[shard].handle.take());
-        self.respawn_and_replay(shard)
+        self.heal(shard, Fault::Stalled)
     }
 
     /// Operator reset for a degraded shard: close its crash-loop
@@ -1395,8 +1733,7 @@ impl DetectorPool {
     pub fn reset_breaker(&mut self, shard: usize) -> Result<(), PoolError> {
         assert!(self.supervisor.is_some(), "enable_supervision first");
         self.backoff[shard].reset();
-        drop(self.workers[shard].handle.take());
-        self.respawn_and_replay(shard)?;
+        self.heal(shard, Fault::Stalled)?;
         // The respawn above counted as a death; an operator reset
         // declares the shard healthy, so clear that bookkeeping too.
         self.backoff[shard].reset();
@@ -1413,7 +1750,9 @@ impl DetectorPool {
     /// Swap the daily hitlist on every shard. Staged records are flushed
     /// first, so they are observed under the hitlist that was current
     /// when they were fed. Under supervision every shard is checkpointed
-    /// first, so a replay never crosses a hitlist swap.
+    /// first, so a replay never crosses a hitlist swap. (Process shards
+    /// re-derive the whole-window hitlist of their rules instead — a
+    /// hitlist has no wire codec.)
     pub fn set_hitlist(&mut self, hitlist: &HitList) -> Result<(), PoolError> {
         if self.supervisor.is_some() {
             self.checkpoint_all()?;
@@ -1421,9 +1760,8 @@ impl DetectorPool {
             self.flush()?;
         }
         self.hitlist = hitlist.clone();
-        for shard in 0..self.workers.len() {
-            let hl = hitlist.clone();
-            self.with_shard(shard, move |w| w.tx.send(Cmd::SetHitlist(hl.clone())).ok())?;
+        for shard in 0..self.links.len() {
+            self.tell(shard, &|| Request::SetHitlist(Some(hitlist.clone())))?;
         }
         Ok(())
     }
@@ -1436,9 +1774,9 @@ impl DetectorPool {
     /// shard's evidence is exported (covering every record fed so far),
     /// migrated to the new rule set by class/domain name
     /// ([`crate::pack::migrate_detector_state`]), and shipped back with
-    /// the new rules in one [`Cmd::SetRules`] — so unchanged rules lose
-    /// no evidence, removed rules vanish, added rules start empty, and
-    /// a supervised replay never crosses the swap.
+    /// the new rules in one [`Request::SetRules`] — so unchanged rules
+    /// lose no evidence, removed rules vanish, added rules start empty,
+    /// and a supervised replay never crosses the swap.
     pub fn set_rules(&mut self, rules: &RuleSet, hitlist: &HitList) -> Result<(), PoolError> {
         let new_rules = Arc::new(rules.clone());
         // Under supervision this is a checkpoint_all: replay buffers
@@ -1463,40 +1801,43 @@ impl DetectorPool {
         }
         self.rules = Arc::clone(&new_rules);
         self.hitlist = hitlist.clone();
-        for (shard, state) in migrated.into_iter().enumerate() {
-            let r = Arc::clone(&new_rules);
-            let hl = hitlist.clone();
-            self.with_shard(shard, move |w| {
-                w.tx.send(Cmd::SetRules(Arc::clone(&r), hl.clone(), state.clone())).ok()
+        for (shard, state) in migrated.iter().enumerate() {
+            // Should the send fail, the respawn inits with the new rules
+            // and restores the migrated base — the retried swap is then
+            // a no-op.
+            self.tell(shard, &|| Request::SetRules {
+                rules: Arc::clone(&new_rules),
+                hitlist: hitlist.clone(),
+                state: state.clone(),
             })?;
         }
         Ok(())
     }
 
     /// Clear accumulated evidence (new aggregation window). Records still
-    /// staged are discarded — they belong to the window being cleared.
+    /// staged or queued for a degraded shard are discarded — they belong
+    /// to the window being cleared.
     pub fn reset(&mut self) -> Result<(), PoolError> {
+        let held = self.staging.iter().chain(&self.degraded_queue).map(Vec::len).sum::<usize>();
         if let Some(t) = &self.telemetry {
-            t.records_discarded.add(self.staging.iter().map(Vec::len).sum::<usize>() as u64);
+            t.records_discarded.add(held as u64);
         }
-        for s in &mut self.staging {
+        for s in self.staging.iter_mut().chain(&mut self.degraded_queue) {
             s.clear();
         }
         let nrules = self.rules.rules.len();
         if let Some(sup) = &mut self.supervisor {
-            for r in &mut sup.replay {
-                reclaim_replay(r, &mut self.spare);
-            }
-            sup.replay_records.fill(0);
-            for s in &mut sup.shard_state {
-                *s = empty_state(nrules);
-            }
-            for q in &mut sup.pending {
-                q.clear(); // the window they belong to is being cleared
+            for shard in 0..sup.shard_state.len() {
+                sup.clear_shard(shard, &mut *self.links[shard]);
+                sup.shard_state[shard] = empty_state(nrules);
             }
         }
-        for shard in 0..self.workers.len() {
-            self.with_shard(shard, |w| w.tx.send(Cmd::Reset).ok())?;
+        for shard in 0..self.links.len() {
+            // A degraded shard is already at the empty base; it comes
+            // back with `reset_breaker`.
+            if !self.backoff[shard].tripped() {
+                self.tell(shard, &|| Request::Reset)?;
+            }
         }
         Ok(())
     }
@@ -1505,37 +1846,43 @@ impl DetectorPool {
     pub fn detected_lines(&mut self, class: &str) -> Result<Vec<AnonId>, PoolError> {
         self.flush()?;
         let mut out = Vec::new();
-        for shard in 0..self.workers.len() {
-            let lines = self.with_shard(shard, |w| {
-                let (tx, rx) = channel();
-                w.tx.send(Cmd::DetectedLines(class.to_string(), tx)).ok()?;
-                rx.recv().ok()
-            })?;
+        for shard in 0..self.links.len() {
+            let lines =
+                self.ask(shard, &|| Request::DetectedLines(class.to_string()), |r| match r {
+                    Reply::Lines(lines) => Some(lines),
+                    _ => None,
+                })?;
             out.extend(lines);
         }
         out.sort_unstable();
         Ok(out)
     }
 
+    /// Flush `line`'s shard and ask it one question.
+    fn ask_owner<T>(
+        &mut self,
+        line: AnonId,
+        build: &dyn Fn() -> Request,
+        pick: impl FnOnce(Reply) -> Option<T>,
+    ) -> Result<T, PoolError> {
+        let shard = shard_of(line, self.links.len());
+        self.ship(shard)?;
+        self.ask(shard, build, pick)
+    }
+
     /// Whether `class` is detected for `line` (asks the owning shard).
     pub fn is_detected(&mut self, line: AnonId, class: &str) -> Result<bool, PoolError> {
-        let shard = shard_of(line, self.workers.len());
-        self.ship(shard)?;
-        self.with_shard(shard, |w| {
-            let (tx, rx) = channel();
-            w.tx.send(Cmd::IsDetected(line, class.to_string(), tx)).ok()?;
-            rx.recv().ok()
+        self.ask_owner(line, &|| Request::IsDetected(line, class.to_string()), |r| match r {
+            Reply::Bool(b) => Some(b),
+            _ => None,
         })
     }
 
     /// Graded detection confidence for `(line, class)` in `[0, 1]`.
     pub fn confidence(&mut self, line: AnonId, class: &str) -> Result<f64, PoolError> {
-        let shard = shard_of(line, self.workers.len());
-        self.ship(shard)?;
-        self.with_shard(shard, |w| {
-            let (tx, rx) = channel();
-            w.tx.send(Cmd::Confidence(line, class.to_string(), tx)).ok()?;
-            rx.recv().ok()
+        self.ask_owner(line, &|| Request::Confidence(line, class.to_string()), |r| match r {
+            Reply::F64(v) => Some(v),
+            _ => None,
         })
     }
 
@@ -1546,12 +1893,9 @@ impl DetectorPool {
         line: AnonId,
         class: &str,
     ) -> Result<Option<HourBin>, PoolError> {
-        let shard = shard_of(line, self.workers.len());
-        self.ship(shard)?;
-        self.with_shard(shard, |w| {
-            let (tx, rx) = channel();
-            w.tx.send(Cmd::FirstDetection(line, class.to_string(), tx)).ok()?;
-            rx.recv().ok()
+        self.ask_owner(line, &|| Request::FirstDetection(line, class.to_string()), |r| match r {
+            Reply::First(first) => Some(first),
+            _ => None,
         })
     }
 
@@ -1559,207 +1903,27 @@ impl DetectorPool {
     pub fn state_size(&mut self) -> Result<usize, PoolError> {
         self.flush()?;
         let mut total = 0usize;
-        for shard in 0..self.workers.len() {
-            total += self.with_shard(shard, |w| {
-                let (tx, rx) = channel();
-                w.tx.send(Cmd::StateSize(tx)).ok()?;
-                rx.recv().ok()
+        for shard in 0..self.links.len() {
+            total += self.ask(shard, &|| Request::StateSize, |r| match r {
+                Reply::Usize(n) => Some(n),
+                _ => None,
             })?;
         }
         Ok(total)
     }
 }
 
-/// The common surface of the in-process [`DetectorPool`] and the
-/// process-isolated [`crate::procpool::ProcPool`]: everything the
-/// detect/soak/serve paths need, object-safe so the backend is chosen
-/// at runtime by `--isolate thread|process`.
-///
-/// Both implementations share the sharding function, the supervision
-/// contract (checkpoint + bounded replay, byte-identical recovery), and
-/// the crash-loop circuit breaker ([`RespawnPolicy`]) — the trait is
-/// what lets the CLI treat a worker *process* and a worker *thread* as
-/// the same thing.
-pub trait ShardBackend: Send + fmt::Debug {
-    /// Number of shard workers.
-    fn workers(&self) -> usize;
-    /// Turn on supervised recovery: checkpoint every shard now, then
-    /// keep a bounded replay buffer (at most `replay_limit` records per
-    /// shard).
-    fn enable_supervision(&mut self, replay_limit: usize) -> Result<(), PoolError>;
-    /// Whether supervised recovery is enabled.
-    fn supervised(&self) -> bool;
-    /// Instrument the backend under `scope` (no-op while telemetry is
-    /// disabled).
-    fn attach_telemetry(&mut self, scope: &Scope) -> Result<(), PoolError>;
-    /// Replace the respawn backoff / circuit-breaker policy.
-    fn set_respawn_policy(&mut self, policy: RespawnPolicy);
-    /// Observe records, partitioned to shards by line id.
-    fn observe_records(&mut self, records: &[WildRecord]) -> Result<(), PoolError>;
-    /// Push every partial staging buffer to its worker.
-    fn flush(&mut self) -> Result<(), PoolError>;
-    /// Flush, then block until every worker processed everything sent.
-    fn finish(&mut self) -> Result<(), PoolError>;
-    /// Checkpoint every shard (full states). Requires supervision.
-    fn checkpoint_all(&mut self) -> Result<(), PoolError>;
-    /// Checkpoint every shard incrementally, returning the per-shard
-    /// dirty-only frames for persistence. Requires supervision.
-    fn checkpoint_all_delta(&mut self) -> Result<Vec<DetectorSnapshot>, PoolError>;
-    /// The supervisor's merged per-shard base states. Requires
-    /// supervision.
-    fn supervised_shard_states(&mut self) -> Vec<DetectorState>;
-    /// Export every shard's evidence state (a checkpoint, under
-    /// supervision).
-    fn shard_states(&mut self) -> Result<Vec<DetectorState>, PoolError>;
-    /// Restore per-shard evidence states from a same-shape export.
-    fn restore_shard_states(&mut self, states: &[DetectorState]) -> Result<(), PoolError>;
-    /// Swap the daily hitlist on every shard.
-    fn set_hitlist(&mut self, hitlist: &HitList) -> Result<(), PoolError>;
-    /// Swap the rule set live, migrating evidence by class name.
-    fn set_rules(&mut self, rules: &RuleSet, hitlist: &HitList) -> Result<(), PoolError>;
-    /// Clear accumulated evidence (new aggregation window).
-    fn reset(&mut self) -> Result<(), PoolError>;
-    /// All lines for which `class` is detected, merged and sorted.
-    fn detected_lines(&mut self, class: &str) -> Result<Vec<AnonId>, PoolError>;
-    /// Whether `class` is detected for `line`.
-    fn is_detected(&mut self, line: AnonId, class: &str) -> Result<bool, PoolError>;
-    /// Graded detection confidence for `(line, class)` in `[0, 1]`.
-    fn confidence(&mut self, line: AnonId, class: &str) -> Result<f64, PoolError>;
-    /// First hour the gated detection held for `(line, class)`.
-    fn first_detection(&mut self, line: AnonId, class: &str)
-        -> Result<Option<HourBin>, PoolError>;
-    /// Total per-(line, rule) states held across shards.
-    fn state_size(&mut self) -> Result<usize, PoolError>;
-    /// Probe every shard's liveness within `timeout` (observational).
-    fn shard_health(&self, timeout: Duration) -> Vec<ShardHealth>;
-    /// Per-shard supervision status plus degraded-queue accounting.
-    fn shard_status(&self) -> Vec<ShardStatusReport>;
-    /// Watchdog escalation: abandon a wedged shard and bring up a
-    /// replacement from checkpoint + replay. Requires supervision.
-    fn force_respawn(&mut self, shard: usize) -> Result<(), PoolError>;
-    /// Operator reset for a degraded shard: close its breaker, respawn,
-    /// re-feed its queued records. Requires supervision.
-    fn reset_breaker(&mut self, shard: usize) -> Result<(), PoolError>;
-    /// Chaos: make `shard` die once everything sent before is processed.
-    fn inject_panic(&mut self, shard: usize, msg: &str) -> Result<(), PoolError>;
-    /// Chaos: make `shard` stall for `dur` (alive but unresponsive).
-    fn inject_stall(&mut self, shard: usize, dur: Duration) -> Result<(), PoolError>;
-    /// Chaos: kill `shard`'s worker ungracefully *right now* (SIGKILL
-    /// for a process backend, a panic for the thread backend). The next
-    /// operation touching the shard heals it.
-    fn kill_shard(&mut self, shard: usize) -> Result<(), PoolError>;
-
-    /// Drain a whole [`RecordStream`] through the backend, reusing one
-    /// chunk buffer. Returns `(records, sampled_packets, degradation)`
-    /// funnel totals folded over every chunk.
-    fn observe_stream(
-        &mut self,
-        stream: &mut dyn RecordStream,
-        chunk: &mut RecordChunk,
-    ) -> Result<(u64, u64, haystack_wild::FeedDegradation), PoolError> {
-        let mut records = 0u64;
-        let mut packets = 0u64;
-        let mut degradation = haystack_wild::FeedDegradation::default();
-        while stream.next_chunk(chunk) {
-            records += chunk.records.len() as u64;
-            packets += chunk.sampled_packets;
-            degradation.absorb(chunk.degradation);
-            self.observe_records(&chunk.records)?;
+/// Await the reply matching `seq` on a link, discarding stale replies
+/// (their requests timed out in an earlier probe). A reply from the
+/// future is a protocol violation — grounds for healing, like a
+/// disconnect or a corrupt frame.
+fn await_reply(link: &dyn Link, seq: u64, deadline: Option<Instant>) -> Result<Reply, Fault> {
+    loop {
+        match link.recv(deadline)? {
+            (rseq, reply) if rseq == seq => return Ok(reply),
+            (rseq, _) if rseq < seq => continue,
+            _ => return Err(Fault::Dead),
         }
-        Ok((records, packets, degradation))
-    }
-}
-
-impl ShardBackend for DetectorPool {
-    fn workers(&self) -> usize {
-        DetectorPool::workers(self)
-    }
-    fn enable_supervision(&mut self, replay_limit: usize) -> Result<(), PoolError> {
-        DetectorPool::enable_supervision(self, replay_limit)
-    }
-    fn supervised(&self) -> bool {
-        DetectorPool::supervised(self)
-    }
-    fn attach_telemetry(&mut self, scope: &Scope) -> Result<(), PoolError> {
-        DetectorPool::attach_telemetry(self, scope)
-    }
-    fn set_respawn_policy(&mut self, policy: RespawnPolicy) {
-        DetectorPool::set_respawn_policy(self, policy)
-    }
-    fn observe_records(&mut self, records: &[WildRecord]) -> Result<(), PoolError> {
-        DetectorPool::observe_records(self, records)
-    }
-    fn flush(&mut self) -> Result<(), PoolError> {
-        DetectorPool::flush(self)
-    }
-    fn finish(&mut self) -> Result<(), PoolError> {
-        DetectorPool::finish(self)
-    }
-    fn checkpoint_all(&mut self) -> Result<(), PoolError> {
-        DetectorPool::checkpoint_all(self)
-    }
-    fn checkpoint_all_delta(&mut self) -> Result<Vec<DetectorSnapshot>, PoolError> {
-        DetectorPool::checkpoint_all_delta(self)
-    }
-    fn supervised_shard_states(&mut self) -> Vec<DetectorState> {
-        DetectorPool::supervised_shard_states(self)
-    }
-    fn shard_states(&mut self) -> Result<Vec<DetectorState>, PoolError> {
-        DetectorPool::shard_states(self)
-    }
-    fn restore_shard_states(&mut self, states: &[DetectorState]) -> Result<(), PoolError> {
-        DetectorPool::restore_shard_states(self, states)
-    }
-    fn set_hitlist(&mut self, hitlist: &HitList) -> Result<(), PoolError> {
-        DetectorPool::set_hitlist(self, hitlist)
-    }
-    fn set_rules(&mut self, rules: &RuleSet, hitlist: &HitList) -> Result<(), PoolError> {
-        DetectorPool::set_rules(self, rules, hitlist)
-    }
-    fn reset(&mut self) -> Result<(), PoolError> {
-        DetectorPool::reset(self)
-    }
-    fn detected_lines(&mut self, class: &str) -> Result<Vec<AnonId>, PoolError> {
-        DetectorPool::detected_lines(self, class)
-    }
-    fn is_detected(&mut self, line: AnonId, class: &str) -> Result<bool, PoolError> {
-        DetectorPool::is_detected(self, line, class)
-    }
-    fn confidence(&mut self, line: AnonId, class: &str) -> Result<f64, PoolError> {
-        DetectorPool::confidence(self, line, class)
-    }
-    fn first_detection(
-        &mut self,
-        line: AnonId,
-        class: &str,
-    ) -> Result<Option<HourBin>, PoolError> {
-        DetectorPool::first_detection(self, line, class)
-    }
-    fn state_size(&mut self) -> Result<usize, PoolError> {
-        DetectorPool::state_size(self)
-    }
-    fn shard_health(&self, timeout: Duration) -> Vec<ShardHealth> {
-        DetectorPool::shard_health(self, timeout)
-    }
-    fn shard_status(&self) -> Vec<ShardStatusReport> {
-        DetectorPool::shard_status(self)
-    }
-    fn force_respawn(&mut self, shard: usize) -> Result<(), PoolError> {
-        DetectorPool::force_respawn(self, shard)
-    }
-    fn reset_breaker(&mut self, shard: usize) -> Result<(), PoolError> {
-        DetectorPool::reset_breaker(self, shard)
-    }
-    fn inject_panic(&mut self, shard: usize, msg: &str) -> Result<(), PoolError> {
-        DetectorPool::inject_panic(self, shard, msg)
-    }
-    fn inject_stall(&mut self, shard: usize, dur: Duration) -> Result<(), PoolError> {
-        DetectorPool::inject_stall(self, shard, dur)
-    }
-    fn kill_shard(&mut self, shard: usize) -> Result<(), PoolError> {
-        // The closest thread-backend equivalent of SIGKILL: the worker
-        // dies once everything already queued is processed.
-        DetectorPool::inject_panic(self, shard, "chaos: shard killed")
     }
 }
 
@@ -1771,79 +1935,14 @@ impl DetectionQuery for DetectorPool {
 
 impl Drop for DetectorPool {
     fn drop(&mut self) {
-        for w in &mut self.workers {
-            // Closing the command channel ends the worker loop.
-            let (tx, _) = sync_channel(1);
-            drop(std::mem::replace(&mut w.tx, tx));
-            if let Some(handle) = w.handle.take() {
-                let _ = handle.join();
-            }
+        // Tell every worker to leave before any link is torn down, so
+        // they wind down side by side rather than one join (or one
+        // `waitpid`) after another. Best effort: a link with no room
+        // for the request closes right after, which means the same.
+        let now = Instant::now();
+        for link in &self.links {
+            let _ = link.send(0, Request::Shutdown, Some(now));
         }
-    }
-}
-
-/// The legacy batch façade over [`DetectorPool`]: `observe_batch` blocks
-/// until the batch is fully absorbed, preserving the old call-and-query
-/// contract. New code should drive the pool (or a [`RecordStream`])
-/// directly.
-#[derive(Debug)]
-pub struct ShardedDetector {
-    pool: DetectorPool,
-}
-
-impl ShardedDetector {
-    /// Create `workers` shards sharing one rule set and hitlist.
-    pub fn new(rules: &RuleSet, hitlist: &HitList, config: DetectorConfig, workers: usize) -> Self {
-        ShardedDetector { pool: DetectorPool::new(rules, hitlist, config, workers) }
-    }
-
-    /// Number of shards.
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// The underlying pool (for streaming feeds and tuning knobs).
-    pub fn pool_mut(&mut self) -> &mut DetectorPool {
-        &mut self.pool
-    }
-
-    /// Swap the daily hitlist on every shard.
-    pub fn set_hitlist(&mut self, hitlist: &HitList) -> Result<(), PoolError> {
-        self.pool.set_hitlist(hitlist)
-    }
-
-    /// Process one batch of records across all shards, blocking until
-    /// every record is absorbed.
-    pub fn observe_batch(&mut self, records: &[WildRecord]) -> Result<(), PoolError> {
-        self.pool.observe_records(records)?;
-        self.pool.finish()
-    }
-
-    /// Whether `class` is detected for `line` (dispatches to the shard
-    /// owning the line).
-    pub fn is_detected(&mut self, line: AnonId, class: &str) -> Result<bool, PoolError> {
-        self.pool.is_detected(line, class)
-    }
-
-    /// All lines for which `class` is detected, merged across shards.
-    pub fn detected_lines(&mut self, class: &str) -> Result<Vec<AnonId>, PoolError> {
-        self.pool.detected_lines(class)
-    }
-
-    /// Total per-(line, rule) states held across shards.
-    pub fn state_size(&mut self) -> Result<usize, PoolError> {
-        self.pool.state_size()
-    }
-
-    /// Reset every shard (new aggregation window).
-    pub fn reset(&mut self) -> Result<(), PoolError> {
-        self.pool.reset()
-    }
-}
-
-impl DetectionQuery for ShardedDetector {
-    fn query_detected_lines(&mut self, class: &str) -> Vec<AnonId> {
-        self.detected_lines(class).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -1859,6 +1958,22 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::net::Ipv4Addr;
+
+    impl DetectorPool {
+        /// [`DetectorPool::new`] with explicit buffer size and queue
+        /// depth.
+        fn with_tuning(
+            rules: &RuleSet,
+            hitlist: &HitList,
+            config: DetectorConfig,
+            workers: usize,
+            batch_records: usize,
+            channel_batches: usize,
+        ) -> Self {
+            Self::build(rules, hitlist, config, workers, batch_records, channel_batches, None)
+                .expect("thread shards spawn and init infallibly")
+        }
+    }
 
     fn ruleset(n: usize) -> RuleSet {
         let mut b = RuleSetBuilder::new();
@@ -1911,8 +2026,9 @@ mod tests {
             seq.observe_wild(r);
         }
         for workers in [1usize, 2, 4, 7] {
-            let mut par = ShardedDetector::new(&rules, &hl, config, workers);
-            par.observe_batch(&records).unwrap();
+            let mut par = DetectorPool::new(&rules, &hl, config, workers);
+            par.observe_records(&records).unwrap();
+            par.finish().unwrap();
             assert_eq!(
                 par.detected_lines("X").unwrap(),
                 seq.detected_lines("X"),
@@ -2076,8 +2192,9 @@ mod tests {
         let config = DetectorConfig { threshold: 0.5, require_established: false };
         let records = random_records(10_000, 5);
 
-        let mut batched = ShardedDetector::new(&rules, &hl, config, 3);
-        batched.observe_batch(&records).unwrap();
+        let mut batched = DetectorPool::new(&rules, &hl, config, 3);
+        batched.observe_records(&records).unwrap();
+        batched.finish().unwrap();
 
         let mut streamed = DetectorPool::new(&rules, &hl, config, 3);
         for piece in records.chunks(17) {
@@ -2161,9 +2278,10 @@ mod tests {
         let rules = ruleset(2);
         let hl = HitList::whole_window(&rules);
         let config = DetectorConfig::default();
-        let mut par = ShardedDetector::new(&rules, &hl, config, 4);
+        let mut par = DetectorPool::new(&rules, &hl, config, 4);
         let records = random_records(5_000, 9);
-        par.observe_batch(&records).unwrap();
+        par.observe_records(&records).unwrap();
+        par.finish().unwrap();
         for line in par.detected_lines("X").unwrap() {
             assert!(par.is_detected(line, "X").unwrap());
         }
@@ -2217,8 +2335,9 @@ mod tests {
     fn reset_clears_all_shards() {
         let rules = ruleset(2);
         let hl = HitList::whole_window(&rules);
-        let mut par = ShardedDetector::new(&rules, &hl, DetectorConfig::default(), 3);
-        par.observe_batch(&random_records(2_000, 1)).unwrap();
+        let mut par = DetectorPool::new(&rules, &hl, DetectorConfig::default(), 3);
+        par.observe_records(&random_records(2_000, 1)).unwrap();
+        par.finish().unwrap();
         assert!(par.state_size().unwrap() > 0);
         par.reset().unwrap();
         assert_eq!(par.state_size().unwrap(), 0);
@@ -2626,6 +2745,31 @@ mod tests {
         assert_eq!(p.delay(3), Duration::from_millis(40));
         assert_eq!(p.delay(7), Duration::from_millis(500), "capped");
         assert_eq!(p.delay(60), Duration::from_millis(500), "shift saturates");
+    }
+
+    #[test]
+    fn respawning_label_ends_at_the_first_reply_not_at_the_window() {
+        let p = RespawnPolicy { fast_window: Duration::from_secs(1), ..RespawnPolicy::default() };
+        let ms = Duration::from_millis;
+        let mut b = BackoffState::default();
+        let t0 = Instant::now();
+        assert_eq!(b.status_at(&p, t0), ShardStatus::Ok, "never died");
+        // Death, then the heal (backoff sleep, spawn, restore, replay):
+        // nothing has answered yet.
+        assert!(matches!(b.on_death(&p, t0), RespawnDecision::Backoff(_)));
+        assert_eq!(b.status_at(&p, t0), ShardStatus::Respawning);
+        assert_eq!(b.status_at(&p, t0 + ms(400)), ShardStatus::Respawning);
+        // First reply from the replacement: recovered, window or not.
+        b.on_reply();
+        assert_eq!(b.status_at(&p, t0 + ms(401)), ShardStatus::Ok);
+        assert_eq!(b.status_at(&p, t0 + ms(5_000)), ShardStatus::Ok, "window elapsed");
+        // The reply did not forgive the streak: a second fast death is
+        // death #2, and it reports respawning afresh.
+        assert!(matches!(b.on_death(&p, t0 + ms(600)), RespawnDecision::Backoff(_)));
+        assert_eq!(b.streak(), 2);
+        assert_eq!(b.status_at(&p, t0 + ms(601)), ShardStatus::Respawning);
+        // A replacement nobody asks anything of ages out with the window.
+        assert_eq!(b.status_at(&p, t0 + ms(1_700)), ShardStatus::Ok);
     }
 
     #[test]

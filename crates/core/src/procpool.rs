@@ -1,65 +1,45 @@
-//! Process-isolated detector shards (DESIGN.md §15).
+//! The process link: detector shards as `haystack shard-worker` child
+//! processes (DESIGN.md §15).
 //!
-//! [`ProcPool`] is the multi-process sibling of
-//! [`crate::parallel::DetectorPool`]: one `haystack shard-worker` child
-//! process per line-space partition, fed record chunks and control
-//! commands over its stdin/stdout pipes. Frames reuse the §12
+//! [`crate::parallel::DetectorPool`] is the only supervisor; this module
+//! is what it needs to run a shard in another *process* instead of
+//! another thread — the HAYPROC codec that puts the pool's
+//! [`Request`]/[`Reply`] protocol on a byte stream, [`ProcLink`] (the
+//! supervisor's end of a child's stdin/stdout pipes), and
+//! [`worker_main`] (the child's end, which feeds decoded requests to the
+//! same [`serve_shard`] loop a thread worker runs). Frames reuse the §12
 //! checksummed snapshot codec via [`haystack_net::framing`], so a child
 //! killed mid-write leaves a torn frame that fails validation instead
 //! of silently corrupting the supervisor.
 //!
-//! The supervisor owns spawn and respawn. Three failure signals feed
-//! it: a *write timeout* (the child's pipe stayed full — it is hung), a
-//! *heartbeat miss* (a synchronous request got no reply within the
-//! deadline), and a *disconnect* (the child's stdout closed — it died,
-//! e.g. SIGKILL or OOM). All three converge on the same heal path as
-//! the in-process pool: kill and reap whatever is left, apply the
-//! exponential-backoff [`RespawnPolicy`] (repeated fast deaths trip the
-//! crash-loop circuit breaker and mark the shard degraded), spawn a
-//! fresh child, restore the last checkpoint base, and replay the
-//! retained record batches byte-identically. Because each line's
-//! records traverse exactly one FIFO pipe in feed order — and the
-//! line-space partition ([`crate::parallel`]'s `shard_of`) is shared
-//! with the thread backend — detections are byte-identical across
-//! `--isolate thread`, `--isolate process`, any worker count, and any
-//! SIGKILL schedule.
-//!
-//! A degraded shard (breaker open) stops consuming records: its staged
-//! evidence queues up to a bound, then sheds with exact accounting
-//! (`procpool.degraded_queued_records` / `degraded_shed_records`), and
-//! queries touching the partition fail fast with a typed error naming
-//! the breaker. [`ProcPool::reset_breaker`] is the operator path back:
-//! close the breaker, respawn from checkpoint + replay, then re-feed
-//! the queued records.
-//!
-//! Unlike the thread backend, supervision is inherent here — there is
-//! no unsupervised process mode, because the only link to a child is
-//! the pipe and the only recovery is respawn. `enable_supervision`
-//! merely adjusts the replay bound.
+//! Three failure signals reach the supervisor through this link: a
+//! *write timeout* (the child's pipe stayed full past [`WRITE_TIMEOUT`]
+//! — it is hung), a *heartbeat miss* (a request got no reply within
+//! [`HEARTBEAT`]), and a *disconnect* (the child's stdout closed or
+//! tore — it died, e.g. SIGKILL or OOM). The first two read as
+//! `Stalled`, the last as `Dead`; all three converge on the pool's one
+//! heal path.
 
-use crate::checkpoint::{DetectorDelta, DetectorSnapshot, DetectorState};
-use crate::detector::{Detector, DetectorConfig};
+use crate::checkpoint::{DetectorSnapshot, DetectorState};
+use crate::detector::DetectorConfig;
 use crate::hitlist::HitList;
 use crate::pack::SignaturePack;
 use crate::parallel::{
-    shard_of, BackoffState, PoolError, RespawnDecision, RespawnPolicy, ShardBackend, ShardHealth,
-    ShardStatusReport, DEFAULT_DEGRADED_QUEUE_LIMIT, DEFAULT_REPLAY_LIMIT, POOL_BATCH_RECORDS,
-    POOL_CHANNEL_BATCHES,
+    offer, serve_shard, take, Fault, Link, PoolError, Reply, Request, WorkerPort,
 };
 use crate::rules::RuleSet;
-use crate::telemetry::{Counter, Scope};
+use crate::telemetry::Gauge;
 use haystack_net::framing::{read_frame, write_frame};
 use haystack_net::ports::Proto;
 use haystack_net::snapshot::{open, seal, SnapError, SnapReader, SnapWriter};
 use haystack_net::{AnonId, HourBin, Prefix4};
 use haystack_wild::WildRecord;
-use std::cell::Cell;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::Ipv4Addr;
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -71,6 +51,19 @@ pub const PROC_VERSION: u32 = 1;
 /// Per-frame payload cap: a corrupt header cannot make the reader
 /// allocate unboundedly.
 pub const PROC_MAX_PAYLOAD: u64 = 1 << 30;
+/// Bytes one [`WildRecord`] occupies on the wire (8+8+8+4+1+4+4+2+1+1+4)
+/// — also the allocation guard for a batch's declared record count.
+pub const RECORD_WIRE_BYTES: usize = 45;
+
+/// Reply deadline for a request to a child. A miss counts
+/// `checkpoint.heartbeat_misses` and heals the shard.
+const HEARTBEAT: Duration = Duration::from_secs(10);
+/// Deadline for handing a frame to a child's writer thread. The pipe
+/// staying full this long means the child stopped reading — hung, not
+/// merely slow.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long a dropped link waits for its child to exit on its own.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 
 // Request tags (supervisor → worker). The payload layout after the
 // `[seq u64][tag u8]` prefix is documented per tag in the codec below.
@@ -102,7 +95,7 @@ const R_F64: u8 = 5;
 const R_FIRST: u8 = 6;
 const R_USIZE: u8 = 7;
 
-/// Wire layout of one [`WildRecord`] (fixed 35 bytes).
+/// Wire layout of one [`WildRecord`] (fixed [`RECORD_WIRE_BYTES`]).
 fn put_record(w: &mut SnapWriter, r: &WildRecord) {
     w.put_u64(r.line.0);
     w.put_u64(r.packets);
@@ -145,111 +138,140 @@ fn get_record(r: &mut SnapReader<'_>) -> Result<WildRecord, SnapError> {
     })
 }
 
-/// Seal one request frame: `[seq][tag]` then `body`'s payload.
-fn request_frame(seq: u64, tag: u8, body: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.put_u64(seq);
+/// Rules travel as a sealed §14 signature-pack frame, so a child
+/// rebuilds *exactly* the rule layer the parent holds. The pack's own
+/// threshold field is unused here — the detector's travels in `Init`.
+fn put_rules(w: &mut SnapWriter, rules: &RuleSet) {
+    let pack = SignaturePack {
+        rules: rules.clone(),
+        threshold: 1.0,
+        source: "hayproc".to_string(),
+        comment: String::new(),
+    };
+    w.put_bytes(&pack.encode());
+}
+
+fn get_rules(r: &mut SnapReader<'_>) -> Result<Arc<RuleSet>, SnapError> {
+    let pack = SignaturePack::load(r.bytes()?).map_err(|_| SnapError::Malformed("rule pack"))?;
+    Ok(Arc::new(pack.rules))
+}
+
+fn put_line_class(w: &mut SnapWriter, tag: u8, line: AnonId, class: &str) {
     w.put_u8(tag);
-    body(&mut w);
-    seal(PROC_MAGIC, PROC_VERSION, &w.into_bytes())
+    w.put_u64(line.0);
+    w.put_str(class);
 }
 
-fn batch_frame(seq: u64, records: &[WildRecord]) -> Vec<u8> {
-    request_frame(seq, T_BATCH, |w| {
-        w.put_u64(records.len() as u64);
-        for r in records {
-            put_record(w, r);
-        }
-    })
-}
-
-fn restore_frame(seq: u64, state: &DetectorState) -> Vec<u8> {
-    request_frame(seq, T_RESTORE, |w| w.put_bytes(&state.encode()))
-}
-
-/// A decoded supervisor → worker message (owned, child side).
-enum ToWorker {
-    Init { pack: Vec<u8>, threshold: f64, require_established: bool },
-    Batch(Vec<WildRecord>),
-    Barrier,
-    Snapshot,
-    SnapshotDelta,
-    Restore(DetectorState),
-    SetHitlist,
-    SetRules { pack: Vec<u8>, state: DetectorState },
-    Reset,
-    DetectedLines(String),
-    IsDetected(AnonId, String),
-    Confidence(AnonId, String),
-    FirstDetection(AnonId, String),
-    StateSize,
-    PanicNow(String),
-    StallFor(u64),
-    Shutdown,
-}
-
-fn read_string(r: &mut SnapReader<'_>) -> Result<String, SnapError> {
+fn get_string(r: &mut SnapReader<'_>) -> Result<String, SnapError> {
     let raw = r.bytes()?;
     std::str::from_utf8(raw).map(str::to_owned).map_err(|_| SnapError::Malformed("utf-8 string"))
 }
 
-fn decode_to_worker(frame: &[u8]) -> Result<(u64, ToWorker), SnapError> {
+/// Seal one request frame: `[seq][tag]` then the tag's payload. `None`
+/// for the one request that never crosses a pipe (telemetry handles).
+/// A hitlist has no wire codec either: the decoder re-derives the
+/// whole-window hitlist from the rules it does carry.
+pub(crate) fn encode_request(seq: u64, req: &Request) -> Option<Vec<u8>> {
+    let mut w = SnapWriter::new();
+    w.put_u64(seq);
+    match req {
+        Request::Telemetry(_) => return None,
+        Request::Init { rules, config, .. } => {
+            w.put_u8(T_INIT);
+            put_rules(&mut w, rules);
+            w.put_f64_bits(config.threshold);
+            w.put_u8(u8::from(config.require_established));
+        }
+        Request::Batch(records) => {
+            w.put_u8(T_BATCH);
+            w.put_u64(records.len() as u64);
+            for r in records.iter() {
+                put_record(&mut w, r);
+            }
+        }
+        Request::Barrier => w.put_u8(T_BARRIER),
+        Request::Snapshot => w.put_u8(T_SNAPSHOT),
+        Request::SnapshotDelta => w.put_u8(T_SNAPSHOT_DELTA),
+        Request::Restore(state) => {
+            w.put_u8(T_RESTORE);
+            w.put_bytes(&state.encode());
+        }
+        Request::SetHitlist(_) => w.put_u8(T_SET_HITLIST),
+        Request::SetRules { rules, state, .. } => {
+            w.put_u8(T_SET_RULES);
+            put_rules(&mut w, rules);
+            w.put_bytes(&state.encode());
+        }
+        Request::Reset => w.put_u8(T_RESET),
+        Request::DetectedLines(class) => {
+            w.put_u8(T_DETECTED_LINES);
+            w.put_str(class);
+        }
+        Request::IsDetected(line, class) => put_line_class(&mut w, T_IS_DETECTED, *line, class),
+        Request::Confidence(line, class) => put_line_class(&mut w, T_CONFIDENCE, *line, class),
+        Request::FirstDetection(line, class) => {
+            put_line_class(&mut w, T_FIRST_DETECTION, *line, class)
+        }
+        Request::StateSize => w.put_u8(T_STATE_SIZE),
+        Request::Panic(msg) => {
+            w.put_u8(T_PANIC);
+            w.put_str(msg);
+        }
+        Request::Stall(dur) => {
+            w.put_u8(T_STALL);
+            w.put_u64(dur.as_millis() as u64);
+        }
+        Request::Shutdown => w.put_u8(T_SHUTDOWN),
+    }
+    Some(seal(PROC_MAGIC, PROC_VERSION, &w.into_bytes()))
+}
+
+/// Open and decode one request frame (child side).
+pub(crate) fn decode_to_worker(frame: &[u8]) -> Result<(u64, Request), SnapError> {
     let payload = open(PROC_MAGIC, PROC_VERSION, frame)?;
     let mut r = SnapReader::new(payload);
     let seq = r.u64()?;
-    let tag = r.u8()?;
-    let msg = match tag {
-        T_INIT => ToWorker::Init {
-            pack: r.bytes()?.to_vec(),
-            threshold: r.f64_bits()?,
-            require_established: r.u8()? != 0,
-        },
+    let req = match r.u8()? {
+        T_INIT => {
+            let rules = get_rules(&mut r)?;
+            let config =
+                DetectorConfig { threshold: r.f64_bits()?, require_established: r.u8()? != 0 };
+            Request::Init { hitlist: HitList::whole_window(&rules), rules, config }
+        }
         T_BATCH => {
-            let n = r.count(35)?;
+            let n = r.count(RECORD_WIRE_BYTES)?;
             let mut records = Vec::with_capacity(n);
             for _ in 0..n {
                 records.push(get_record(&mut r)?);
             }
-            ToWorker::Batch(records)
+            Request::Batch(Arc::new(records))
         }
-        T_BARRIER => ToWorker::Barrier,
-        T_SNAPSHOT => ToWorker::Snapshot,
-        T_SNAPSHOT_DELTA => ToWorker::SnapshotDelta,
-        T_RESTORE => ToWorker::Restore(DetectorState::decode(r.bytes()?)?),
-        T_SET_HITLIST => ToWorker::SetHitlist,
+        T_BARRIER => Request::Barrier,
+        T_SNAPSHOT => Request::Snapshot,
+        T_SNAPSHOT_DELTA => Request::SnapshotDelta,
+        T_RESTORE => Request::Restore(DetectorState::decode(r.bytes()?)?),
+        T_SET_HITLIST => Request::SetHitlist(None),
         T_SET_RULES => {
-            let pack = r.bytes()?.to_vec();
+            let rules = get_rules(&mut r)?;
             let state = DetectorState::decode(r.bytes()?)?;
-            ToWorker::SetRules { pack, state }
+            Request::SetRules { hitlist: HitList::whole_window(&rules), rules, state }
         }
-        T_RESET => ToWorker::Reset,
-        T_DETECTED_LINES => ToWorker::DetectedLines(read_string(&mut r)?),
-        T_IS_DETECTED => ToWorker::IsDetected(AnonId(r.u64()?), read_string(&mut r)?),
-        T_CONFIDENCE => ToWorker::Confidence(AnonId(r.u64()?), read_string(&mut r)?),
-        T_FIRST_DETECTION => ToWorker::FirstDetection(AnonId(r.u64()?), read_string(&mut r)?),
-        T_STATE_SIZE => ToWorker::StateSize,
-        T_PANIC => ToWorker::PanicNow(read_string(&mut r)?),
-        T_STALL => ToWorker::StallFor(r.u64()?),
-        T_SHUTDOWN => ToWorker::Shutdown,
+        T_RESET => Request::Reset,
+        T_DETECTED_LINES => Request::DetectedLines(get_string(&mut r)?),
+        T_IS_DETECTED => Request::IsDetected(AnonId(r.u64()?), get_string(&mut r)?),
+        T_CONFIDENCE => Request::Confidence(AnonId(r.u64()?), get_string(&mut r)?),
+        T_FIRST_DETECTION => Request::FirstDetection(AnonId(r.u64()?), get_string(&mut r)?),
+        T_STATE_SIZE => Request::StateSize,
+        T_PANIC => Request::Panic(get_string(&mut r)?),
+        T_STALL => Request::Stall(Duration::from_millis(r.u64()?)),
+        T_SHUTDOWN => Request::Shutdown,
         _ => return Err(SnapError::Malformed("unknown request tag")),
     };
-    Ok((seq, msg))
+    Ok((seq, req))
 }
 
-/// A decoded worker → supervisor reply (parent side).
-#[derive(Debug)]
-enum Reply {
-    Ack,
-    State(DetectorState),
-    Snap(DetectorSnapshot),
-    Lines(Vec<AnonId>),
-    Bool(bool),
-    F64(f64),
-    First(Option<HourBin>),
-    Usize(usize),
-}
-
-fn reply_frame(seq: u64, reply: &Reply) -> Vec<u8> {
+/// Seal one reply frame: `[seq][tag]` then the tag's payload.
+pub(crate) fn encode_reply(seq: u64, reply: &Reply) -> Vec<u8> {
     let mut w = SnapWriter::new();
     w.put_u64(seq);
     match reply {
@@ -290,7 +312,8 @@ fn reply_frame(seq: u64, reply: &Reply) -> Vec<u8> {
     seal(PROC_MAGIC, PROC_VERSION, &w.into_bytes())
 }
 
-fn decode_reply(frame: &[u8]) -> Result<(u64, Reply), SnapError> {
+/// Open and decode one reply frame (supervisor side).
+pub(crate) fn decode_reply(frame: &[u8]) -> Result<(u64, Reply), SnapError> {
     let payload = open(PROC_MAGIC, PROC_VERSION, frame)?;
     let mut r = SnapReader::new(payload);
     let seq = r.u64()?;
@@ -326,8 +349,10 @@ fn decode_reply(frame: &[u8]) -> Result<(u64, Reply), SnapError> {
 /// Entry point of the `haystack shard-worker` child process: serve the
 /// worker protocol on stdin/stdout until shutdown. Returns the process
 /// exit code — `0` for a clean shutdown (a `Shutdown` frame or EOF at a
-/// frame boundary), `2` for a protocol or state error. Everything the
-/// child prints on stdout is protocol frames; diagnostics go to stderr.
+/// frame boundary), `2` for a protocol or state error. An injected
+/// panic unwinds out of here and exits the process 101 with no reply —
+/// a torn pipe for the supervisor to detect. Everything the child
+/// prints on stdout is protocol frames; diagnostics go to stderr.
 pub fn worker_main() -> i32 {
     let stdin = io::stdin();
     let stdout = io::stdout();
@@ -342,380 +367,97 @@ pub fn worker_main() -> i32 {
     }
 }
 
-fn next_msg(rin: &mut impl Read) -> Result<Option<(u64, ToWorker)>, String> {
-    match read_frame(rin, PROC_MAGIC, PROC_MAX_PAYLOAD) {
-        Ok(Some(frame)) => decode_to_worker(&frame).map(Some).map_err(|e| format!("decode: {e}")),
-        Ok(None) => Ok(None),
-        Err(e) => Err(format!("read: {e}")),
+/// The child's end of the link: requests decoded off one byte stream,
+/// replies encoded onto another.
+struct PipePort<'a, R, W> {
+    rin: &'a mut R,
+    wout: &'a mut W,
+}
+
+impl<R: Read, W: Write> WorkerPort for PipePort<'_, R, W> {
+    fn next(&mut self) -> Result<Option<(u64, Request)>, String> {
+        match read_frame(self.rin, PROC_MAGIC, PROC_MAX_PAYLOAD) {
+            Ok(Some(frame)) => {
+                decode_to_worker(&frame).map(Some).map_err(|e| format!("decode: {e}"))
+            }
+            Ok(None) => Ok(None),
+            Err(e) => Err(format!("read: {e}")),
+        }
     }
-}
-
-fn send_reply(wout: &mut impl Write, seq: u64, reply: &Reply) -> Result<(), String> {
-    write_frame(wout, &reply_frame(seq, reply)).map_err(|e| format!("write: {e}"))
-}
-
-/// What ended one rule-set generation of the serve loop.
-enum Generation {
-    Done,
-    Swap(RuleSet, DetectorState),
+    fn reply(&mut self, seq: u64, reply: Reply) -> Result<(), String> {
+        write_frame(self.wout, &encode_reply(seq, &reply)).map_err(|e| format!("write: {e}"))
+    }
 }
 
 /// The child's protocol loop, generic over the byte streams so the
-/// in-process tests can drive it without spawning. The first frame must
-/// be `Init` (acked); afterwards the loop mirrors the thread backend's
-/// `run_shard` generation-per-rule-set structure, because [`Detector`]
-/// borrows its rule set.
+/// in-process tests can drive it without spawning: the shared
+/// [`serve_shard`] loop over a [`PipePort`].
 fn run_worker(rin: &mut impl Read, wout: &mut impl Write) -> Result<(), String> {
-    let Some((seq, first)) = next_msg(rin)? else {
-        return Ok(()); // spawned and immediately abandoned
-    };
-    let ToWorker::Init { pack, threshold, require_established } = first else {
-        return Err("first frame is not Init".into());
-    };
-    let loaded = SignaturePack::load(&pack).map_err(|e| format!("init pack: {e}"))?;
-    let config = DetectorConfig { threshold, require_established };
-    send_reply(wout, seq, &Reply::Ack)?;
-    let mut cur: (RuleSet, Option<DetectorState>) = (loaded.rules, None);
-    loop {
-        let (rules, restore) = cur;
-        match serve_generation(&rules, config, restore, rin, wout)? {
-            Generation::Done => return Ok(()),
-            Generation::Swap(rules, state) => cur = (rules, Some(state)),
-        }
-    }
-}
-
-fn serve_generation(
-    rules: &RuleSet,
-    config: DetectorConfig,
-    restore: Option<DetectorState>,
-    rin: &mut impl Read,
-    wout: &mut impl Write,
-) -> Result<Generation, String> {
-    // The process backend always derives the whole-window hitlist from
-    // the rules (a hitlist has no wire codec); `SetHitlist` re-derives
-    // it, which every CLI surface uses anyway. DESIGN.md §15 notes the
-    // limitation.
-    let mut det = Detector::new(rules, HitList::whole_window(rules), config);
-    if let Some(state) = restore {
-        det.restore_state(&state).map_err(|e| format!("restore: {e}"))?;
-    }
-    loop {
-        let Some((seq, msg)) = next_msg(rin)? else {
-            return Ok(Generation::Done);
-        };
-        match msg {
-            ToWorker::Init { .. } => return Err("duplicate Init after handshake".into()),
-            ToWorker::Batch(records) => det.observe_chunk(&records),
-            ToWorker::Barrier => send_reply(wout, seq, &Reply::Ack)?,
-            ToWorker::Snapshot => send_reply(wout, seq, &Reply::State(det.export_state()))?,
-            ToWorker::SnapshotDelta => {
-                send_reply(wout, seq, &Reply::Snap(det.take_snapshot_delta()))?
-            }
-            ToWorker::Restore(state) => {
-                det.restore_state(&state).map_err(|e| format!("restore: {e}"))?
-            }
-            ToWorker::SetHitlist => det.set_hitlist(HitList::whole_window(rules)),
-            ToWorker::SetRules { pack, state } => {
-                let loaded = SignaturePack::load(&pack).map_err(|e| format!("swap pack: {e}"))?;
-                return Ok(Generation::Swap(loaded.rules, state));
-            }
-            ToWorker::Reset => det.reset(),
-            ToWorker::DetectedLines(class) => {
-                send_reply(wout, seq, &Reply::Lines(det.detected_lines(&class)))?
-            }
-            ToWorker::IsDetected(line, class) => {
-                send_reply(wout, seq, &Reply::Bool(det.is_detected(line, &class)))?
-            }
-            ToWorker::Confidence(line, class) => {
-                send_reply(wout, seq, &Reply::F64(det.confidence(line, &class)))?
-            }
-            ToWorker::FirstDetection(line, class) => {
-                send_reply(wout, seq, &Reply::First(det.first_detection(line, &class)))?
-            }
-            ToWorker::StateSize => send_reply(wout, seq, &Reply::Usize(det.state_size()))?,
-            // Chaos: die the way an abort would — no unwind, no reply,
-            // a torn pipe for the supervisor to detect.
-            ToWorker::PanicNow(msg) => {
-                eprintln!("haystack shard-worker: injected crash: {msg}");
-                std::process::exit(101);
-            }
-            ToWorker::StallFor(ms) => std::thread::sleep(Duration::from_millis(ms)),
-            ToWorker::Shutdown => return Ok(Generation::Done),
-        }
-    }
+    serve_shard(&mut PipePort { rin, wout })
 }
 
 // ---------------------------------------------------------------------------
 // Supervisor side
 // ---------------------------------------------------------------------------
 
-/// Tuning for [`ProcPool`]: how workers are launched and how their
-/// failures are detected and paced.
-#[derive(Debug, Clone)]
-pub struct ProcPoolOptions {
-    /// Worker command line. Empty means the current executable with a
-    /// single `shard-worker` argument — the normal CLI arrangement.
-    /// Tests point this at `CARGO_BIN_EXE_haystack`.
-    pub command: Vec<String>,
-    /// Reply deadline for synchronous requests (barrier, snapshot,
-    /// queries). A miss counts `procpool.heartbeat_misses` and heals
-    /// the shard.
-    pub heartbeat: Duration,
-    /// Deadline for handing a frame to the shard's writer. The pipe
-    /// staying full this long means the child stopped reading — hung,
-    /// not merely slow.
-    pub write_timeout: Duration,
-    /// Respawn backoff and crash-loop circuit breaker.
-    pub policy: RespawnPolicy,
-    /// Records staged per shard before a batch frame ships.
-    pub batch_records: usize,
-    /// Batch frames in flight per shard before the feeder blocks.
-    pub channel_batches: usize,
-    /// Records a degraded (breaker-open) shard queues before shedding.
-    pub queue_limit: usize,
-}
-
-impl Default for ProcPoolOptions {
-    fn default() -> Self {
-        ProcPoolOptions {
-            command: Vec::new(),
-            heartbeat: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            policy: RespawnPolicy::default(),
-            batch_records: POOL_BATCH_RECORDS,
-            channel_batches: POOL_CHANNEL_BATCHES,
-            queue_limit: DEFAULT_DEGRADED_QUEUE_LIMIT,
-        }
-    }
-}
-
-/// One shard's child process plus the pipe threads that own its ends.
-/// The writer thread owns stdin (so a full pipe blocks it, not the
-/// feeder — the feeder observes a bounded channel with a deadline), the
-/// reader thread owns stdout (so a reply can be awaited with a timeout,
-/// which a blocking `read` cannot).
-struct ProcWorker {
+/// The supervisor's end of one child process plus the pipe threads that
+/// own its ends. The writer thread owns stdin (so a full pipe blocks it,
+/// not the feeder — the feeder observes a bounded queue with a
+/// deadline), the reader thread owns stdout (so a reply can be awaited
+/// with a timeout, which a blocking `read` cannot).
+pub(crate) struct ProcLink {
     child: Child,
-    /// Frames to the writer thread. `None` after teardown began.
-    to_child: Option<SyncSender<Vec<u8>>>,
+    /// Frames to the writer thread, flagged when they carry a batch.
+    /// `None` after teardown began.
+    to_child: Option<SyncSender<(Vec<u8>, bool)>>,
     from_child: Receiver<Vec<u8>>,
+    /// The shard's queue-depth gauge, shared with the writer thread,
+    /// which decrements it for every batch frame written to the pipe.
+    depth: Arc<Mutex<Gauge>>,
     writer: Option<JoinHandle<()>>,
     reader: Option<JoinHandle<()>>,
-    /// Request sequence, echoed in replies so a stale reply (its
-    /// request timed out in an earlier probe) is discarded instead of
-    /// being mistaken for the current one. `Cell` because liveness
-    /// probes take `&self`.
-    next_seq: Cell<u64>,
 }
 
-impl ProcWorker {
-    fn bump_seq(&self) -> u64 {
-        let seq = self.next_seq.get().wrapping_add(1);
-        self.next_seq.set(seq);
-        seq
-    }
-}
-
-impl fmt::Debug for ProcWorker {
+impl fmt::Debug for ProcLink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ProcWorker")
-            .field("pid", &self.child.id())
-            .field("next_seq", &self.next_seq.get())
-            .finish_non_exhaustive()
+        f.debug_struct("ProcLink").field("pid", &self.child.id()).finish_non_exhaustive()
     }
 }
 
-/// Hand `frame` to the shard's writer thread within `timeout`.
-fn send_with_deadline(w: &ProcWorker, frame: Vec<u8>, timeout: Duration) -> bool {
-    let Some(tx) = &w.to_child else {
-        return false;
-    };
-    let deadline = Instant::now() + timeout;
-    let mut frame = frame;
-    loop {
-        match tx.try_send(frame) {
-            Ok(()) => return true,
-            Err(TrySendError::Full(back)) => {
-                if Instant::now() >= deadline {
-                    return false;
-                }
-                frame = back;
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(TrySendError::Disconnected(_)) => return false,
-        }
-    }
-}
-
-/// Supervisor-side counters, under the `procpool` telemetry scope.
-struct ProcTelemetry {
-    records_in: Counter,
-    batches_shipped: Counter,
-    restarts: Counter,
-    heartbeat_misses: Counter,
-    respawn_backoff: Counter,
-    breaker_trips: Counter,
-    replayed_records: Counter,
-    shard_checkpoints: Counter,
-    degraded_queued: Counter,
-    degraded_shed: Counter,
-}
-
-impl ProcTelemetry {
-    fn new() -> ProcTelemetry {
-        let scope = Scope::named("procpool");
-        ProcTelemetry {
-            records_in: scope.counter("records_in"),
-            batches_shipped: scope.counter("batches_shipped"),
-            restarts: scope.counter("shard_restarts"),
-            heartbeat_misses: scope.counter("heartbeat_misses"),
-            respawn_backoff: scope.counter("respawn_backoff"),
-            breaker_trips: scope.counter("breaker_trips"),
-            replayed_records: scope.counter("replayed_records"),
-            shard_checkpoints: scope.counter("shard_checkpoints"),
-            degraded_queued: scope.counter("degraded_queued_records"),
-            degraded_shed: scope.counter("degraded_shed_records"),
-        }
-    }
-}
-
-/// A pool of process-isolated detector shards. See the module docs for
-/// the failure model; the API mirrors [`DetectorPool`] via
-/// [`ShardBackend`].
-///
-/// [`DetectorPool`]: crate::parallel::DetectorPool
-pub struct ProcPool {
-    rules: Arc<RuleSet>,
-    /// The sealed [`SignaturePack`] shipped to every (re)spawned child.
-    pack_bytes: Vec<u8>,
-    config: DetectorConfig,
-    opts: ProcPoolOptions,
-    /// Resolved worker argv.
-    command: Vec<String>,
-    workers: Vec<ProcWorker>,
-    staging: Vec<Vec<WildRecord>>,
-    /// Per-shard checkpoint base states (same contract as the thread
-    /// pool's supervisor).
-    shard_state: Vec<DetectorState>,
-    /// Delta frames accepted but not yet folded into the base.
-    pending: Vec<Vec<DetectorDelta>>,
-    /// Record batches shipped since the shard's last checkpoint.
-    replay: Vec<Vec<Vec<WildRecord>>>,
-    replay_records: Vec<usize>,
-    replay_limit: usize,
-    backoff: Vec<BackoffState>,
-    degraded_queue: Vec<Vec<WildRecord>>,
-    shed_records: Vec<u64>,
-    tel: ProcTelemetry,
-}
-
-impl fmt::Debug for ProcPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ProcPool")
-            .field("workers", &self.workers.len())
-            .field("buffered", &self.replay_records.iter().sum::<usize>())
-            .finish_non_exhaustive()
-    }
-}
-
-fn empty_state(nrules: usize) -> DetectorState {
-    DetectorState { rules: vec![Vec::new(); nrules] }
-}
-
-fn breaker_err(shard: usize, policy: &RespawnPolicy) -> PoolError {
-    PoolError {
-        shard,
-        panic: Some(format!(
-            "crash-loop circuit breaker open after {} fast deaths",
-            policy.trip_after
-        )),
-    }
-}
-
-impl ProcPool {
-    /// Spawn `workers` shard child processes sharing one rule set.
-    ///
-    /// The rules are sealed into a [`SignaturePack`] and shipped in
-    /// each child's `Init` frame; children derive the whole-window
-    /// hitlist themselves. Fails if any child cannot be spawned or does
-    /// not complete the `Init` handshake within the heartbeat.
-    pub fn new(
-        rules: &RuleSet,
-        config: DetectorConfig,
-        workers: usize,
-        opts: ProcPoolOptions,
-    ) -> Result<ProcPool, PoolError> {
-        assert!(workers >= 1, "a pool needs at least one worker");
-        let pack = SignaturePack {
-            rules: rules.clone(),
-            threshold: config.threshold,
-            source: "procpool".to_string(),
-            comment: String::new(),
-        };
-        let command = if opts.command.is_empty() {
-            let exe = std::env::current_exe().map_err(|e| PoolError {
-                shard: 0,
-                panic: Some(format!("resolve worker binary: {e}")),
-            })?;
-            vec![exe.to_string_lossy().into_owned(), "shard-worker".to_string()]
-        } else {
-            opts.command.clone()
-        };
-        let nrules = rules.rules.len();
-        let mut pool = ProcPool {
-            rules: Arc::new(rules.clone()),
-            pack_bytes: pack.encode(),
-            config,
-            opts,
-            command,
-            workers: Vec::with_capacity(workers),
-            staging: (0..workers).map(|_| Vec::new()).collect(),
-            shard_state: (0..workers).map(|_| empty_state(nrules)).collect(),
-            pending: (0..workers).map(|_| Vec::new()).collect(),
-            replay: (0..workers).map(|_| Vec::new()).collect(),
-            replay_records: vec![0; workers],
-            replay_limit: DEFAULT_REPLAY_LIMIT,
-            backoff: vec![BackoffState::default(); workers],
-            degraded_queue: (0..workers).map(|_| Vec::new()).collect(),
-            shed_records: vec![0; workers],
-            tel: ProcTelemetry::new(),
-        };
-        for shard in 0..workers {
-            let w = pool.spawn_child(shard)?;
-            pool.workers.push(w);
-        }
-        Ok(pool)
-    }
-
-    /// Child process ids, indexed by shard — the chaos harness SIGKILLs
-    /// these directly.
-    pub fn child_pids(&self) -> Vec<u32> {
-        self.workers.iter().map(|w| w.child.id()).collect()
-    }
-
-    /// Spawn one worker and complete its `Init` handshake.
-    fn spawn_child(&self, shard: usize) -> Result<ProcWorker, PoolError> {
-        let spawn_err = |what: &str, e: &dyn fmt::Display| PoolError {
-            shard,
-            panic: Some(format!("{what}: {e}")),
-        };
-        let mut cmd = Command::new(&self.command[0]);
-        cmd.args(&self.command[1..]).stdin(Stdio::piped()).stdout(Stdio::piped());
-        let mut child = cmd.spawn().map_err(|e| spawn_err("spawn shard worker", &e))?;
+impl ProcLink {
+    /// Spawn one worker process (`command` is its argv) and the two
+    /// threads that own its pipes. The pool completes the `Init`
+    /// handshake.
+    pub(crate) fn spawn(
+        shard: usize,
+        command: &[String],
+        channel_batches: usize,
+    ) -> Result<ProcLink, PoolError> {
+        let mut cmd = Command::new(&command[0]);
+        cmd.args(&command[1..]).stdin(Stdio::piped()).stdout(Stdio::piped());
+        let mut child = cmd
+            .spawn()
+            .map_err(|e| PoolError::new(shard, format!("spawn shard worker: {e}")))?;
         let mut stdin = child.stdin.take().expect("piped stdin");
         let mut stdout = child.stdout.take().expect("piped stdout");
-        let (to_child, frames) = sync_channel::<Vec<u8>>(self.opts.channel_batches.max(1));
+        let depth = Arc::new(Mutex::new(Gauge::noop()));
+        let writer_depth = Arc::clone(&depth);
+        let (to_child, frames) = sync_channel::<(Vec<u8>, bool)>(channel_batches.max(1));
         let writer = std::thread::Builder::new()
             .name(format!("proc-shard-{shard}-w"))
             .spawn(move || {
-                while let Ok(frame) = frames.recv() {
+                while let Ok((frame, is_batch)) = frames.recv() {
                     if write_frame(&mut stdin, &frame).is_err() {
                         return; // child died; supervisor notices via stdout
                     }
+                    if is_batch {
+                        if let Ok(gauge) = writer_depth.lock() {
+                            gauge.dec();
+                        }
+                    }
                 }
-                // Channel closed: dropping stdin EOFs the child, which
-                // is its clean-shutdown signal.
+                // Queue closed: dropping stdin EOFs the child, which is
+                // its clean-shutdown signal.
             })
             .expect("spawn shard writer thread");
         let (replies, from_child) = channel::<Vec<u8>>();
@@ -735,832 +477,78 @@ impl ProcPool {
                 }
             })
             .expect("spawn shard reader thread");
-        let w = ProcWorker {
+        Ok(ProcLink {
             child,
             to_child: Some(to_child),
             from_child,
+            depth,
             writer: Some(writer),
             reader: Some(reader),
-            next_seq: Cell::new(0),
-        };
-        let seq = w.bump_seq();
-        let init = request_frame(seq, T_INIT, |b| {
-            b.put_bytes(&self.pack_bytes);
-            b.put_f64_bits(self.config.threshold);
-            b.put_u8(u8::from(self.config.require_established));
-        });
-        if !send_with_deadline(&w, init, self.opts.write_timeout) {
-            return Err(spawn_err("init shard worker", &"pipe closed before init"));
-        }
-        match await_reply_on(&w, seq, self.opts.heartbeat, &self.tel) {
-            Some(Reply::Ack) => Ok(w),
-            _ => Err(spawn_err("init shard worker", &"no init ack within heartbeat")),
-        }
+        })
     }
 
-    /// Kill and reap whatever is left of a shard's child, joining its
-    /// pipe threads and draining stale replies. Idempotent.
-    fn teardown_child(&mut self, shard: usize) {
-        let w = &mut self.workers[shard];
-        w.to_child = None;
-        let _ = w.child.kill();
-        let _ = w.child.wait();
-        if let Some(h) = w.writer.take() {
+    /// Close the pipes, give the child `grace` to exit on its own, then
+    /// kill and reap whatever is left and join the pipe threads.
+    /// Idempotent.
+    fn teardown(&mut self, grace: Duration) {
+        self.to_child = None;
+        let deadline = Instant::now() + grace;
+        while matches!(self.child.try_wait(), Ok(None)) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        if let Some(h) = self.writer.take() {
             let _ = h.join();
         }
-        if let Some(h) = w.reader.take() {
+        if let Some(h) = self.reader.take() {
             let _ = h.join();
         }
-        while w.from_child.try_recv().is_ok() {}
     }
+}
 
-    /// The heal path every failure signal converges on: tear the old
-    /// child down, consult the breaker, back off, spawn a replacement,
-    /// restore the checkpoint base, and replay retained batches.
-    fn heal_shard(&mut self, shard: usize) -> Result<(), PoolError> {
-        self.teardown_child(shard);
-        if self.backoff[shard].tripped() {
-            return Err(breaker_err(shard, &self.opts.policy));
-        }
-        match self.backoff[shard].on_death(&self.opts.policy, Instant::now()) {
-            RespawnDecision::Trip => {
-                self.tel.breaker_trips.inc();
-                return Err(breaker_err(shard, &self.opts.policy));
+impl Link for ProcLink {
+    fn send(&self, seq: u64, req: Request, deadline: Option<Instant>) -> Result<bool, Fault> {
+        let Some(frame) = encode_request(seq, &req) else {
+            if let (Request::Telemetry(t), Ok(mut gauge)) = (req, self.depth.lock()) {
+                *gauge = t.queue_depth;
             }
-            RespawnDecision::Backoff(delay) => {
-                self.tel.respawn_backoff.inc();
-                std::thread::sleep(delay);
-            }
-        }
-        let fresh = self.spawn_child(shard)?;
-        self.workers[shard] = fresh;
-        self.tel.restarts.inc();
-        // Base := checkpoint + any accepted deltas, then replay.
-        self.fold_pending(shard);
-        let seq = self.workers[shard].bump_seq();
-        let frame = restore_frame(seq, &self.shard_state[shard]);
-        if !send_with_deadline(&self.workers[shard], frame, self.opts.write_timeout) {
-            return Err(PoolError { shard, panic: Some("shard died during restore".into()) });
-        }
-        let mut replayed = 0u64;
-        for i in 0..self.replay[shard].len() {
-            let seq = self.workers[shard].bump_seq();
-            let frame = batch_frame(seq, &self.replay[shard][i]);
-            replayed += self.replay[shard][i].len() as u64;
-            if !send_with_deadline(&self.workers[shard], frame, self.opts.write_timeout) {
-                return Err(PoolError { shard, panic: Some("shard died during replay".into()) });
-            }
-        }
-        self.tel.replayed_records.add(replayed);
-        Ok(())
-    }
-
-    fn fold_pending(&mut self, shard: usize) {
-        for delta in self.pending[shard].drain(..) {
-            delta
-                .apply(&mut self.shard_state[shard])
-                .expect("pending delta matches its base rule count");
-        }
-    }
-
-    /// Send a request and await its reply, healing and retrying once on
-    /// failure. The second death in a row (or an open breaker) errors.
-    fn sync_request(
-        &mut self,
-        shard: usize,
-        build: &dyn Fn(u64) -> Vec<u8>,
-    ) -> Result<Reply, PoolError> {
-        for _ in 0..2 {
-            if self.backoff[shard].tripped() {
-                return Err(breaker_err(shard, &self.opts.policy));
-            }
-            let seq = self.workers[shard].bump_seq();
-            if send_with_deadline(&self.workers[shard], build(seq), self.opts.write_timeout) {
-                if let Some(reply) =
-                    await_reply_on(&self.workers[shard], seq, self.opts.heartbeat, &self.tel)
-                {
-                    return Ok(reply);
-                }
-            }
-            self.heal_shard(shard)?;
-        }
-        Err(PoolError { shard, panic: Some("shard died again during recovery".into()) })
-    }
-
-    /// Divert a degraded shard's staged records into its bounded queue,
-    /// shedding beyond the limit with exact accounting.
-    fn queue_degraded(&mut self, shard: usize) {
-        let staged = std::mem::take(&mut self.staging[shard]);
-        let room = self.opts.queue_limit.saturating_sub(self.degraded_queue[shard].len());
-        let keep = staged.len().min(room);
-        self.degraded_queue[shard].extend_from_slice(&staged[..keep]);
-        let shed = (staged.len() - keep) as u64;
-        self.shed_records[shard] += shed;
-        self.tel.degraded_queued.add(keep as u64);
-        self.tel.degraded_shed.add(shed);
-    }
-
-    /// Ship a shard's staged records as one batch frame, retaining them
-    /// for replay. A degraded shard queues instead; a shard that dies
-    /// twice in a row errors.
-    fn ship(&mut self, shard: usize) -> Result<(), PoolError> {
-        if self.staging[shard].is_empty() {
-            return Ok(());
-        }
-        if self.backoff[shard].tripped() {
-            self.queue_degraded(shard);
-            return Ok(());
-        }
-        for _ in 0..2 {
-            let seq = self.workers[shard].bump_seq();
-            let frame = batch_frame(seq, &self.staging[shard]);
-            if send_with_deadline(&self.workers[shard], frame, self.opts.write_timeout) {
-                // The handoff is atomic: the frame either entered the
-                // writer queue (retain for replay) or it did not (keep
-                // staged and retry after healing).
-                let batch = std::mem::take(&mut self.staging[shard]);
-                self.replay_records[shard] += batch.len();
-                self.replay[shard].push(batch);
-                self.tel.batches_shipped.inc();
-                return Ok(());
-            }
-            if let Err(e) = self.heal_shard(shard) {
-                if self.backoff[shard].tripped() {
-                    // Tripped while shipping: divert and keep the rest
-                    // of the pool flowing.
-                    self.queue_degraded(shard);
-                    return Ok(());
-                }
-                return Err(e);
-            }
-        }
-        Err(PoolError { shard, panic: Some("shard died again during recovery".into()) })
-    }
-
-    /// Observe records, partitioned to shards by line id — the same
-    /// `shard_of` as the thread backend, so the two backends partition
-    /// identically.
-    pub fn observe_records(&mut self, records: &[WildRecord]) -> Result<(), PoolError> {
-        let n = self.workers.len();
-        self.tel.records_in.add(records.len() as u64);
-        for r in records {
-            let shard = shard_of(r.line, n);
-            self.staging[shard].push(*r);
-            // A degraded shard's records divert to its bounded queue
-            // eagerly (not at the batch threshold), so `/readyz` and
-            // `/stats` see the queue depth grow as records arrive.
-            if self.staging[shard].len() >= self.opts.batch_records
-                || self.backoff[shard].tripped()
-            {
-                self.ship(shard)?;
-            }
-        }
-        // Bound replay memory: checkpoint any shard over its limit
-        // (skipping degraded shards — their retention stopped growing).
-        for shard in 0..n {
-            if self.replay_records[shard] >= self.replay_limit && !self.backoff[shard].tripped() {
-                self.checkpoint_shard(shard)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Push every partial staging buffer to its worker.
-    pub fn flush(&mut self) -> Result<(), PoolError> {
-        for shard in 0..self.workers.len() {
-            self.ship(shard)?;
-        }
-        Ok(())
-    }
-
-    /// Flush, then barrier every worker: when this returns, every
-    /// record fed so far has been folded into some shard's evidence.
-    pub fn finish(&mut self) -> Result<(), PoolError> {
-        self.flush()?;
-        for shard in 0..self.workers.len() {
-            self.sync_request(shard, &|seq| request_frame(seq, T_BARRIER, |_| ()))?;
-        }
-        Ok(())
-    }
-
-    /// Checkpoint one shard: ship its staging, take a full snapshot,
-    /// and drain its replay retention.
-    fn checkpoint_shard(&mut self, shard: usize) -> Result<(), PoolError> {
-        self.ship(shard)?;
-        let reply = self.sync_request(shard, &|seq| request_frame(seq, T_SNAPSHOT, |_| ()))?;
-        let Reply::State(state) = reply else {
-            return Err(PoolError { shard, panic: Some("protocol: expected State reply".into()) });
+            return Ok(false);
         };
-        self.shard_state[shard] = state;
-        self.pending[shard].clear(); // subsumed by the full
-        self.replay[shard].clear();
-        self.replay_records[shard] = 0;
-        self.tel.shard_checkpoints.inc();
-        Ok(())
+        let tx = self.to_child.as_ref().ok_or(Fault::Dead)?;
+        let deadline = deadline.unwrap_or_else(|| Instant::now() + WRITE_TIMEOUT);
+        offer(tx, (frame, matches!(req, Request::Batch(_))), deadline)
     }
 
-    /// Checkpoint every shard (full states). Snapshot requests are
-    /// broadcast before any reply is awaited so shards export
-    /// concurrently; a shard that fails the round-trip is healed and
-    /// checkpointed on the recovered slow path.
-    pub fn checkpoint_all(&mut self) -> Result<(), PoolError> {
-        self.flush()?;
-        let mut sent: Vec<Option<u64>> = vec![None; self.workers.len()];
-        for (shard, slot) in sent.iter_mut().enumerate() {
-            if self.backoff[shard].tripped() {
-                return Err(breaker_err(shard, &self.opts.policy));
-            }
-            let seq = self.workers[shard].bump_seq();
-            let frame = request_frame(seq, T_SNAPSHOT, |_| ());
-            if send_with_deadline(&self.workers[shard], frame, self.opts.write_timeout) {
-                *slot = Some(seq);
-            }
-        }
-        for (shard, seq) in sent.into_iter().enumerate() {
-            let state = seq.and_then(|seq| {
-                match await_reply_on(&self.workers[shard], seq, self.opts.heartbeat, &self.tel) {
-                    Some(Reply::State(state)) => Some(state),
-                    _ => None,
-                }
-            });
-            match state {
-                Some(state) => {
-                    self.shard_state[shard] = state;
-                    self.pending[shard].clear();
-                    self.replay[shard].clear();
-                    self.replay_records[shard] = 0;
-                    self.tel.shard_checkpoints.inc();
-                }
-                None => {
-                    self.heal_shard(shard)?;
-                    self.checkpoint_shard(shard)?;
-                }
-            }
-        }
-        Ok(())
+    fn recv(&self, deadline: Option<Instant>) -> Result<(u64, Reply), Fault> {
+        let deadline = deadline.unwrap_or_else(|| Instant::now() + HEARTBEAT);
+        let frame = take(&self.from_child, Some(deadline))?;
+        // A frame that fails its checksum or shape is a broken child.
+        decode_reply(&frame).map_err(|_| Fault::Dead)
     }
 
-    /// Checkpoint every shard incrementally, returning the per-shard
-    /// dirty-only frames for persistence — the same contract as the
-    /// thread backend's `checkpoint_all_delta`.
-    pub fn checkpoint_all_delta(&mut self) -> Result<Vec<DetectorSnapshot>, PoolError> {
-        self.flush()?;
-        let mut sent: Vec<Option<u64>> = vec![None; self.workers.len()];
-        for (shard, slot) in sent.iter_mut().enumerate() {
-            if self.backoff[shard].tripped() {
-                return Err(breaker_err(shard, &self.opts.policy));
-            }
-            let seq = self.workers[shard].bump_seq();
-            let frame = request_frame(seq, T_SNAPSHOT_DELTA, |_| ());
-            if send_with_deadline(&self.workers[shard], frame, self.opts.write_timeout) {
-                *slot = Some(seq);
-            }
-        }
-        let mut frames = Vec::with_capacity(self.workers.len());
-        for (shard, seq) in sent.into_iter().enumerate() {
-            let snap = seq.and_then(|seq| {
-                match await_reply_on(&self.workers[shard], seq, self.opts.heartbeat, &self.tel) {
-                    Some(Reply::Snap(snap)) => Some(snap),
-                    _ => None,
-                }
-            });
-            match snap {
-                Some(snap) => {
-                    match &snap {
-                        DetectorSnapshot::Full(state) => {
-                            self.shard_state[shard] = state.clone();
-                            self.pending[shard].clear();
-                        }
-                        DetectorSnapshot::Delta(delta) => self.pending[shard].push(delta.clone()),
-                    }
-                    self.replay[shard].clear();
-                    self.replay_records[shard] = 0;
-                    self.tel.shard_checkpoints.inc();
-                    frames.push(snap);
-                }
-                None => {
-                    // Healed shard contributes a full frame — its dirty
-                    // set died with it.
-                    self.heal_shard(shard)?;
-                    self.checkpoint_shard(shard)?;
-                    frames.push(DetectorSnapshot::Full(self.shard_state[shard].clone()));
-                }
-            }
-        }
-        Ok(frames)
-    }
-
-    /// The supervisor's merged per-shard base states.
-    pub fn supervised_shard_states(&mut self) -> Vec<DetectorState> {
-        for shard in 0..self.shard_state.len() {
-            self.fold_pending(shard);
-        }
-        self.shard_state.clone()
-    }
-
-    /// Export every shard's evidence state (doubles as a checkpoint).
-    pub fn shard_states(&mut self) -> Result<Vec<DetectorState>, PoolError> {
-        self.checkpoint_all()?;
-        Ok(self.shard_state.clone())
-    }
-
-    /// Restore per-shard evidence states from a same-shape export.
-    /// Staged records and replay retention are discarded — the restored
-    /// states define the new watermark.
-    pub fn restore_shard_states(&mut self, states: &[DetectorState]) -> Result<(), PoolError> {
-        assert_eq!(states.len(), self.workers.len(), "shard-count mismatch on restore");
-        for s in &mut self.staging {
-            s.clear();
-        }
-        self.shard_state = states.to_vec();
-        for q in &mut self.pending {
-            q.clear();
-        }
-        for r in &mut self.replay {
-            r.clear();
-        }
-        self.replay_records.fill(0);
-        for shard in 0..self.workers.len() {
-            if self.backoff[shard].tripped() {
-                return Err(breaker_err(shard, &self.opts.policy));
-            }
-            let seq = self.workers[shard].bump_seq();
-            let frame = restore_frame(seq, &self.shard_state[shard]);
-            if !send_with_deadline(&self.workers[shard], frame, self.opts.write_timeout) {
-                // Healing restores from the just-installed base.
-                self.heal_shard(shard)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Swap the daily hitlist on every shard. The process backend
-    /// always derives the whole-window hitlist from the rules (see the
-    /// module docs), so this checkpoint-then-broadcast merely re-derives
-    /// it child-side.
-    pub fn set_hitlist(&mut self, _hitlist: &HitList) -> Result<(), PoolError> {
-        self.checkpoint_all()?;
-        for shard in 0..self.workers.len() {
-            let seq = self.workers[shard].bump_seq();
-            let frame = request_frame(seq, T_SET_HITLIST, |_| ());
-            if !send_with_deadline(&self.workers[shard], frame, self.opts.write_timeout) {
-                self.heal_shard(shard)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Swap the rule set live, migrating evidence by class name —
-    /// checkpoint-first, exactly like the thread backend.
-    pub fn set_rules(&mut self, rules: &RuleSet, _hitlist: &HitList) -> Result<(), PoolError> {
-        let new_rules = Arc::new(rules.clone());
-        let old_states = self.shard_states()?; // checkpoint: replay drains
-        let migrated: Vec<DetectorState> = old_states
-            .iter()
-            .map(|s| {
-                crate::pack::migrate_detector_state(&self.rules, &new_rules, self.config.threshold, s)
-            })
-            .collect();
-        let pack = SignaturePack {
-            rules: rules.clone(),
-            threshold: self.config.threshold,
-            source: "procpool".to_string(),
-            comment: String::new(),
-        };
-        self.pack_bytes = pack.encode();
-        self.shard_state = migrated.clone();
-        for q in &mut self.pending {
-            q.clear(); // pre-swap deltas reference the old rule set
-        }
-        self.rules = new_rules;
-        for (shard, state) in migrated.iter().enumerate() {
-            let seq = self.workers[shard].bump_seq();
-            let frame = request_frame(seq, T_SET_RULES, |w| {
-                w.put_bytes(&self.pack_bytes);
-                w.put_bytes(&state.encode());
-            });
-            if !send_with_deadline(&self.workers[shard], frame, self.opts.write_timeout) {
-                // A respawn inits with the new pack and restores the
-                // migrated base — same outcome as the swap frame.
-                self.heal_shard(shard)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Clear accumulated evidence (new aggregation window). Staged and
-    /// degraded-queued records are discarded — they belong to the
-    /// window being cleared.
-    pub fn reset(&mut self) -> Result<(), PoolError> {
-        for s in &mut self.staging {
-            s.clear();
-        }
-        for q in &mut self.degraded_queue {
-            q.clear();
-        }
-        let nrules = self.rules.rules.len();
-        for shard in 0..self.workers.len() {
-            self.shard_state[shard] = empty_state(nrules);
-            self.pending[shard].clear();
-            self.replay[shard].clear();
-            self.replay_records[shard] = 0;
-        }
-        for shard in 0..self.workers.len() {
-            if self.backoff[shard].tripped() {
-                continue; // already at the empty base; heals on reset_breaker
-            }
-            let seq = self.workers[shard].bump_seq();
-            let frame = request_frame(seq, T_RESET, |_| ());
-            if !send_with_deadline(&self.workers[shard], frame, self.opts.write_timeout) {
-                self.heal_shard(shard)?; // restores the empty base
-            }
-        }
-        Ok(())
-    }
-
-    /// All lines for which `class` is detected, merged and sorted.
-    pub fn detected_lines(&mut self, class: &str) -> Result<Vec<AnonId>, PoolError> {
-        self.flush()?;
-        let mut all = Vec::new();
-        for shard in 0..self.workers.len() {
-            let reply = self.sync_request(shard, &|seq| {
-                request_frame(seq, T_DETECTED_LINES, |w| w.put_str(class))
-            })?;
-            let Reply::Lines(lines) = reply else {
-                return Err(PoolError {
-                    shard,
-                    panic: Some("protocol: expected Lines reply".into()),
-                });
-            };
-            all.extend(lines);
-        }
-        all.sort_unstable();
-        Ok(all)
-    }
-
-    /// Whether `class` is detected for `line`.
-    pub fn is_detected(&mut self, line: AnonId, class: &str) -> Result<bool, PoolError> {
-        let shard = shard_of(line, self.workers.len());
-        self.ship(shard)?;
-        let reply = self.sync_request(shard, &|seq| {
-            request_frame(seq, T_IS_DETECTED, |w| {
-                w.put_u64(line.0);
-                w.put_str(class);
-            })
-        })?;
-        match reply {
-            Reply::Bool(b) => Ok(b),
-            _ => Err(PoolError { shard, panic: Some("protocol: expected Bool reply".into()) }),
-        }
-    }
-
-    /// Graded detection confidence for `(line, class)` in `[0, 1]`.
-    pub fn confidence(&mut self, line: AnonId, class: &str) -> Result<f64, PoolError> {
-        let shard = shard_of(line, self.workers.len());
-        self.ship(shard)?;
-        let reply = self.sync_request(shard, &|seq| {
-            request_frame(seq, T_CONFIDENCE, |w| {
-                w.put_u64(line.0);
-                w.put_str(class);
-            })
-        })?;
-        match reply {
-            Reply::F64(v) => Ok(v),
-            _ => Err(PoolError { shard, panic: Some("protocol: expected F64 reply".into()) }),
-        }
-    }
-
-    /// First hour the gated detection held for `(line, class)`.
-    pub fn first_detection(
-        &mut self,
-        line: AnonId,
-        class: &str,
-    ) -> Result<Option<HourBin>, PoolError> {
-        let shard = shard_of(line, self.workers.len());
-        self.ship(shard)?;
-        let reply = self.sync_request(shard, &|seq| {
-            request_frame(seq, T_FIRST_DETECTION, |w| {
-                w.put_u64(line.0);
-                w.put_str(class);
-            })
-        })?;
-        match reply {
-            Reply::First(first) => Ok(first),
-            _ => Err(PoolError { shard, panic: Some("protocol: expected First reply".into()) }),
-        }
-    }
-
-    /// Total per-(line, rule) states held across shards.
-    pub fn state_size(&mut self) -> Result<usize, PoolError> {
-        self.flush()?;
-        let mut total = 0usize;
-        for shard in 0..self.workers.len() {
-            let reply =
-                self.sync_request(shard, &|seq| request_frame(seq, T_STATE_SIZE, |_| ()))?;
-            let Reply::Usize(n) = reply else {
-                return Err(PoolError {
-                    shard,
-                    panic: Some("protocol: expected Usize reply".into()),
-                });
-            };
-            total += n;
-        }
-        Ok(total)
-    }
-
-    /// Probe every shard's liveness within `timeout` (observational —
-    /// no healing). A tripped shard reads as Dead.
-    pub fn shard_health(&self, timeout: Duration) -> Vec<ShardHealth> {
-        (0..self.workers.len())
-            .map(|shard| {
-                if self.backoff[shard].tripped() {
-                    return ShardHealth::Dead;
-                }
-                let w = &self.workers[shard];
-                let Some(tx) = &w.to_child else {
-                    return ShardHealth::Dead;
-                };
-                let deadline = Instant::now() + timeout;
-                let seq = w.bump_seq();
-                let mut frame = request_frame(seq, T_BARRIER, |_| ());
-                loop {
-                    match tx.try_send(frame) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(back)) => {
-                            if Instant::now() >= deadline {
-                                return ShardHealth::Stalled;
-                            }
-                            frame = back;
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(TrySendError::Disconnected(_)) => return ShardHealth::Dead,
-                    }
-                }
-                loop {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    match w.from_child.recv_timeout(left) {
-                        Ok(bytes) => match decode_reply(&bytes) {
-                            Ok((rseq, _)) if rseq == seq => return ShardHealth::Responsive,
-                            Ok((rseq, _)) if rseq < seq => continue, // stale
-                            _ => return ShardHealth::Dead,
-                        },
-                        Err(RecvTimeoutError::Timeout) => return ShardHealth::Stalled,
-                        Err(RecvTimeoutError::Disconnected) => return ShardHealth::Dead,
-                    }
-                }
-            })
-            .collect()
-    }
-
-    /// Per-shard supervision status plus degraded-queue accounting.
-    pub fn shard_status(&self) -> Vec<ShardStatusReport> {
-        let now = Instant::now();
-        (0..self.workers.len())
-            .map(|shard| ShardStatusReport {
-                status: self.backoff[shard].status_at(&self.opts.policy, now),
-                queued: self.degraded_queue[shard].len() as u64,
-                shed: self.shed_records[shard],
-            })
-            .collect()
-    }
-
-    /// Watchdog escalation: abandon a wedged shard and bring up a
-    /// replacement from checkpoint + replay. Counts as a death for the
-    /// breaker — repeated escalation trips it rather than thrashing.
-    pub fn force_respawn(&mut self, shard: usize) -> Result<(), PoolError> {
-        assert!(shard < self.workers.len(), "no such shard");
-        self.heal_shard(shard)
-    }
-
-    /// Operator reset for a degraded shard: close its breaker, respawn
-    /// from checkpoint + replay, then re-feed the queued records.
-    pub fn reset_breaker(&mut self, shard: usize) -> Result<(), PoolError> {
-        assert!(shard < self.workers.len(), "no such shard");
-        self.backoff[shard].reset();
-        self.heal_shard(shard)?;
-        // The heal above counted as a death; an operator reset declares
-        // the shard healthy, so clear that bookkeeping too.
-        self.backoff[shard].reset();
-        let queued = std::mem::take(&mut self.degraded_queue[shard]);
-        for r in &queued {
-            self.staging[shard].push(*r);
-            if self.staging[shard].len() >= self.opts.batch_records {
-                self.ship(shard)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Chaos: make `shard` exit abruptly once everything sent before is
-    /// processed (an injected crash, like an abort mid-hour).
-    pub fn inject_panic(&mut self, shard: usize, msg: &str) -> Result<(), PoolError> {
-        let owned = msg.to_string();
-        for _ in 0..2 {
-            if self.backoff[shard].tripped() {
-                return Err(breaker_err(shard, &self.opts.policy));
-            }
-            let seq = self.workers[shard].bump_seq();
-            let frame = request_frame(seq, T_PANIC, |w| w.put_str(&owned));
-            if send_with_deadline(&self.workers[shard], frame, self.opts.write_timeout) {
-                return Ok(());
-            }
-            self.heal_shard(shard)?;
-        }
-        Err(PoolError { shard, panic: Some("shard died again during recovery".into()) })
-    }
-
-    /// Chaos: make `shard` stall for `dur` (alive but unresponsive).
-    pub fn inject_stall(&mut self, shard: usize, dur: Duration) -> Result<(), PoolError> {
-        for _ in 0..2 {
-            if self.backoff[shard].tripped() {
-                return Err(breaker_err(shard, &self.opts.policy));
-            }
-            let seq = self.workers[shard].bump_seq();
-            let ms = dur.as_millis() as u64;
-            let frame = request_frame(seq, T_STALL, |w| w.put_u64(ms));
-            if send_with_deadline(&self.workers[shard], frame, self.opts.write_timeout) {
-                return Ok(());
-            }
-            self.heal_shard(shard)?;
-        }
-        Err(PoolError { shard, panic: Some("shard died again during recovery".into()) })
-    }
-
-    /// Chaos: SIGKILL `shard`'s child *right now* — the exact failure
-    /// the process backend exists to survive. The next operation
-    /// touching the shard heals it.
-    pub fn kill_shard(&mut self, shard: usize) -> Result<(), PoolError> {
-        assert!(shard < self.workers.len(), "no such shard");
-        let _ = self.workers[shard].child.kill();
-        Ok(())
+    fn kill(&mut self, _fault: Fault) -> Option<String> {
+        self.teardown(Duration::ZERO);
+        None
     }
 }
 
-/// Await the reply matching `seq` on a worker's receive channel,
-/// discarding stale replies (their requests timed out earlier). `None`
-/// means a heartbeat miss, a disconnect, or a corrupt frame — all
-/// grounds for healing.
-fn await_reply_on(
-    w: &ProcWorker,
-    seq: u64,
-    timeout: Duration,
-    tel: &ProcTelemetry,
-) -> Option<Reply> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        match w.from_child.recv_timeout(left) {
-            Ok(bytes) => match decode_reply(&bytes) {
-                Ok((rseq, reply)) if rseq == seq => return Some(reply),
-                Ok((rseq, _)) if rseq < seq => continue,
-                _ => return None,
-            },
-            Err(RecvTimeoutError::Timeout) => {
-                tel.heartbeat_misses.inc();
-                return None;
-            }
-            Err(RecvTimeoutError::Disconnected) => return None,
-        }
-    }
-}
-
-impl ShardBackend for ProcPool {
-    fn workers(&self) -> usize {
-        self.workers.len()
-    }
-    fn enable_supervision(&mut self, replay_limit: usize) -> Result<(), PoolError> {
-        // Supervision is inherent to the process backend; this only
-        // adjusts the replay bound and establishes a fresh watermark.
-        self.replay_limit = replay_limit.max(1);
-        self.checkpoint_all()
-    }
-    fn supervised(&self) -> bool {
-        true
-    }
-    fn attach_telemetry(&mut self, scope: &Scope) -> Result<(), PoolError> {
-        scope.gauge("workers").set(self.workers.len() as u64);
-        Ok(())
-    }
-    fn set_respawn_policy(&mut self, policy: RespawnPolicy) {
-        self.opts.policy = policy;
-    }
-    fn observe_records(&mut self, records: &[WildRecord]) -> Result<(), PoolError> {
-        ProcPool::observe_records(self, records)
-    }
-    fn flush(&mut self) -> Result<(), PoolError> {
-        ProcPool::flush(self)
-    }
-    fn finish(&mut self) -> Result<(), PoolError> {
-        ProcPool::finish(self)
-    }
-    fn checkpoint_all(&mut self) -> Result<(), PoolError> {
-        ProcPool::checkpoint_all(self)
-    }
-    fn checkpoint_all_delta(&mut self) -> Result<Vec<DetectorSnapshot>, PoolError> {
-        ProcPool::checkpoint_all_delta(self)
-    }
-    fn supervised_shard_states(&mut self) -> Vec<DetectorState> {
-        ProcPool::supervised_shard_states(self)
-    }
-    fn shard_states(&mut self) -> Result<Vec<DetectorState>, PoolError> {
-        ProcPool::shard_states(self)
-    }
-    fn restore_shard_states(&mut self, states: &[DetectorState]) -> Result<(), PoolError> {
-        ProcPool::restore_shard_states(self, states)
-    }
-    fn set_hitlist(&mut self, hitlist: &HitList) -> Result<(), PoolError> {
-        ProcPool::set_hitlist(self, hitlist)
-    }
-    fn set_rules(&mut self, rules: &RuleSet, hitlist: &HitList) -> Result<(), PoolError> {
-        ProcPool::set_rules(self, rules, hitlist)
-    }
-    fn reset(&mut self) -> Result<(), PoolError> {
-        ProcPool::reset(self)
-    }
-    fn detected_lines(&mut self, class: &str) -> Result<Vec<AnonId>, PoolError> {
-        ProcPool::detected_lines(self, class)
-    }
-    fn is_detected(&mut self, line: AnonId, class: &str) -> Result<bool, PoolError> {
-        ProcPool::is_detected(self, line, class)
-    }
-    fn confidence(&mut self, line: AnonId, class: &str) -> Result<f64, PoolError> {
-        ProcPool::confidence(self, line, class)
-    }
-    fn first_detection(
-        &mut self,
-        line: AnonId,
-        class: &str,
-    ) -> Result<Option<HourBin>, PoolError> {
-        ProcPool::first_detection(self, line, class)
-    }
-    fn state_size(&mut self) -> Result<usize, PoolError> {
-        ProcPool::state_size(self)
-    }
-    fn shard_health(&self, timeout: Duration) -> Vec<ShardHealth> {
-        ProcPool::shard_health(self, timeout)
-    }
-    fn shard_status(&self) -> Vec<ShardStatusReport> {
-        ProcPool::shard_status(self)
-    }
-    fn force_respawn(&mut self, shard: usize) -> Result<(), PoolError> {
-        ProcPool::force_respawn(self, shard)
-    }
-    fn reset_breaker(&mut self, shard: usize) -> Result<(), PoolError> {
-        ProcPool::reset_breaker(self, shard)
-    }
-    fn inject_panic(&mut self, shard: usize, msg: &str) -> Result<(), PoolError> {
-        ProcPool::inject_panic(self, shard, msg)
-    }
-    fn inject_stall(&mut self, shard: usize, dur: Duration) -> Result<(), PoolError> {
-        ProcPool::inject_stall(self, shard, dur)
-    }
-    fn kill_shard(&mut self, shard: usize) -> Result<(), PoolError> {
-        ProcPool::kill_shard(self, shard)
-    }
-}
-
-impl Drop for ProcPool {
+impl Drop for ProcLink {
     fn drop(&mut self) {
-        // Ask every child to exit, then close the pipes (EOF doubles as
-        // the shutdown signal if the frame did not fit).
-        for w in &mut self.workers {
-            if let Some(tx) = &w.to_child {
-                let seq = w.bump_seq();
-                let _ = tx.try_send(request_frame(seq, T_SHUTDOWN, |_| ()));
-            }
-            w.to_child = None;
-        }
-        for w in &mut self.workers {
-            let deadline = Instant::now() + Duration::from_secs(2);
-            loop {
-                match w.child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(10))
-                    }
-                    _ => {
-                        let _ = w.child.kill();
-                        let _ = w.child.wait();
-                        break;
-                    }
-                }
-            }
-            if let Some(h) = w.writer.take() {
-                let _ = h.join();
-            }
-            if let Some(h) = w.reader.take() {
-                let _ = h.join();
-            }
-        }
+        // Closing the pipes EOFs the child — its clean-shutdown signal,
+        // if the pool's `Shutdown` request has not reached it already.
+        self.teardown(SHUTDOWN_GRACE);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{DetectorDelta, LineEvidence};
     use crate::rules::{RuleDomain, RuleSetBuilder};
     use haystack_dns::DomainName;
     use haystack_testbed::catalog::DetectionLevel;
+    use proptest::prelude::*;
     use std::io::Cursor;
 
     fn ruleset(n: usize) -> RuleSet {
@@ -1597,15 +585,30 @@ mod tests {
         }
     }
 
+    fn request_frame(seq: u64, req: Request) -> Vec<u8> {
+        encode_request(seq, &req).expect("request has a wire form")
+    }
+
+    fn init_request(rules: &RuleSet, config: DetectorConfig) -> Request {
+        Request::Init {
+            rules: Arc::new(rules.clone()),
+            hitlist: HitList::whole_window(rules),
+            config,
+        }
+    }
+
     #[test]
     fn record_codec_round_trips_exactly() {
         let records: Vec<WildRecord> =
             (0..40).map(|i| record(i, (i % 6) as u8 + 1, (i % 24) as u32)).collect();
-        let frame = batch_frame(7, &records);
+        let frame = request_frame(7, Request::Batch(Arc::new(records.clone())));
         let (seq, msg) = decode_to_worker(&frame).unwrap();
         assert_eq!(seq, 7);
-        let ToWorker::Batch(back) = msg else { panic!("not a batch") };
-        assert_eq!(back, records);
+        let Request::Batch(back) = msg else { panic!("not a batch") };
+        assert_eq!(*back, records);
+        let mut w = SnapWriter::new();
+        put_record(&mut w, &records[0]);
+        assert_eq!(w.len(), RECORD_WIRE_BYTES, "one record's wire size");
     }
 
     #[test]
@@ -1621,7 +624,7 @@ mod tests {
             Reply::Usize(42),
         ];
         for (i, reply) in shapes.iter().enumerate() {
-            let frame = reply_frame(i as u64, reply);
+            let frame = encode_reply(i as u64, reply);
             let (seq, back) = decode_reply(&frame).unwrap();
             assert_eq!(seq, i as u64);
             assert_eq!(format!("{back:?}"), format!("{reply:?}"), "shape {i}");
@@ -1630,7 +633,7 @@ mod tests {
 
     #[test]
     fn corrupt_request_frame_is_rejected_not_misread() {
-        let mut frame = batch_frame(1, &[record(5, 1, 0)]);
+        let mut frame = request_frame(1, Request::Batch(Arc::new(vec![record(5, 1, 0)])));
         let mid = frame.len() / 2;
         frame[mid] ^= 0x80;
         assert!(decode_to_worker(&frame).is_err());
@@ -1642,32 +645,18 @@ mod tests {
     fn worker_loop_serves_the_protocol_over_byte_streams() {
         let rules = ruleset(6);
         let config = DetectorConfig { threshold: 0.5, require_established: false };
-        let pack = SignaturePack {
-            rules: rules.clone(),
-            threshold: config.threshold,
-            source: "test".into(),
-            comment: String::new(),
-        };
-        let pack_bytes = pack.encode();
 
         // Enough distinct-domain evidence on line 12 to cross 0.5 of 6.
         let records: Vec<WildRecord> = (0..4).map(|i| record(12, i + 1, i as u32)).collect();
         let mut input = Vec::new();
         let mut frame = |f: Vec<u8>| input.extend_from_slice(&f);
-        frame(request_frame(1, T_INIT, |w| {
-            w.put_bytes(&pack_bytes);
-            w.put_f64_bits(config.threshold);
-            w.put_u8(0);
-        }));
-        frame(batch_frame(2, &records));
-        frame(request_frame(3, T_BARRIER, |_| ()));
-        frame(request_frame(4, T_IS_DETECTED, |w| {
-            w.put_u64(12);
-            w.put_str("X");
-        }));
-        frame(request_frame(5, T_DETECTED_LINES, |w| w.put_str("X")));
-        frame(request_frame(6, T_SNAPSHOT, |_| ()));
-        frame(request_frame(7, T_SHUTDOWN, |_| ()));
+        frame(request_frame(1, init_request(&rules, config)));
+        frame(request_frame(2, Request::Batch(Arc::new(records))));
+        frame(request_frame(3, Request::Barrier));
+        frame(request_frame(4, Request::IsDetected(AnonId(12), "X".into())));
+        frame(request_frame(5, Request::DetectedLines("X".into())));
+        frame(request_frame(6, Request::Snapshot));
+        frame(request_frame(7, Request::Shutdown));
 
         let mut rin = Cursor::new(input);
         let mut out = Vec::new();
@@ -1701,10 +690,174 @@ mod tests {
     #[test]
     fn worker_loop_rejects_a_first_frame_that_is_not_init() {
         let mut input = Vec::new();
-        input.extend_from_slice(&request_frame(1, T_BARRIER, |_| ()));
+        input.extend_from_slice(&request_frame(1, Request::Barrier));
         let mut rin = Cursor::new(input);
         let mut out = Vec::new();
         let err = run_worker(&mut rin, &mut out).unwrap_err();
         assert!(err.contains("Init"), "err: {err}");
+    }
+
+    // ------------------------------------------------------------------
+    // Hostile frames (ROADMAP 4(d), HAYPROC slice)
+    // ------------------------------------------------------------------
+
+    fn evidence() -> Vec<LineEvidence> {
+        vec![LineEvidence { line: AnonId(12), mask: 0b101, first_met: Some(HourBin(3)) }]
+    }
+
+    /// One valid frame of every request variant that has a wire form.
+    fn every_request_frame() -> Vec<Vec<u8>> {
+        let rules = ruleset(3);
+        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let state = DetectorState { rules: vec![evidence()] };
+        let line = AnonId(12);
+        vec![
+            init_request(&rules, config),
+            Request::Batch(Arc::new((0..5).map(|i| record(i, 1, 0)).collect())),
+            Request::SetHitlist(None),
+            Request::SetRules {
+                rules: Arc::new(rules.clone()),
+                hitlist: HitList::whole_window(&rules),
+                state: state.clone(),
+            },
+            Request::Reset,
+            Request::Barrier,
+            Request::Snapshot,
+            Request::SnapshotDelta,
+            Request::Restore(state),
+            Request::Panic("boom".into()),
+            Request::Stall(Duration::from_millis(1)),
+            Request::DetectedLines("X".into()),
+            Request::IsDetected(line, "X".into()),
+            Request::Confidence(line, "X".into()),
+            Request::FirstDetection(line, "X".into()),
+            Request::StateSize,
+            Request::Shutdown,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, req)| request_frame(i as u64 + 2, req))
+        .collect()
+    }
+
+    /// One valid frame of every reply variant.
+    fn every_reply_frame() -> Vec<Vec<u8>> {
+        [
+            Reply::Ack,
+            Reply::State(DetectorState { rules: vec![evidence()] }),
+            Reply::Snap(DetectorSnapshot::Full(DetectorState { rules: vec![evidence()] })),
+            Reply::Snap(DetectorSnapshot::Delta(DetectorDelta { rules: vec![evidence()] })),
+            Reply::Lines(vec![AnonId(3), AnonId(9)]),
+            Reply::Bool(true),
+            Reply::F64(0.625),
+            Reply::First(Some(HourBin(17))),
+            Reply::Usize(42),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, reply)| encode_reply(i as u64, reply))
+        .collect()
+    }
+
+    /// Mutate a frame's payload and seal it again, so the mutant gets
+    /// past the checksum and the decoder itself is what is on trial.
+    fn resealed(frame: &[u8], mutate: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut payload = open(PROC_MAGIC, PROC_VERSION, frame).expect("valid frame").to_vec();
+        mutate(&mut payload);
+        seal(PROC_MAGIC, PROC_VERSION, &payload)
+    }
+
+    /// Feed `Init` then `frame` to the child loop. Mutants that decode
+    /// to a chaos request are valid frames doing what they say (panic,
+    /// sleep) — not the decoder's business — so they are skipped.
+    fn run_worker_on(frame: &[u8]) -> Option<Result<(), String>> {
+        if matches!(decode_to_worker(frame), Ok((_, Request::Panic(_) | Request::Stall(_)))) {
+            return None;
+        }
+        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let mut input = request_frame(1, init_request(&ruleset(3), config));
+        input.extend_from_slice(frame);
+        Some(run_worker(&mut Cursor::new(input), &mut Vec::new()))
+    }
+
+    /// Offset of the tag byte in a request or reply payload.
+    const TAG_AT: usize = 8;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Truncated, bit-flipped, tag-swapped and count-inflated frames
+        /// of every variant: the decoders and the child loop return
+        /// `Err` (exit 2) — never panic, never reserve for a count the
+        /// frame cannot hold.
+        #[test]
+        fn hostile_frames_are_rejected_never_a_panic(
+            pick in any::<usize>(),
+            at in 0.0f64..1.0,
+            bit in 0u8..8,
+            tag in any::<u8>(),
+            count in any::<u64>(),
+        ) {
+            let requests = every_request_frame();
+            let replies = every_reply_frame();
+            let request = &requests[pick % requests.len()];
+            let reply = &replies[pick % replies.len()];
+            // The same relative position in a frame or a payload of any length.
+            let spot = |len: usize| ((len - 1) as f64 * at) as usize;
+            let flip = |bytes: &mut Vec<u8>| {
+                let i = spot(bytes.len());
+                bytes[i] ^= 1 << bit;
+            };
+
+            // On the wire: a torn or flipped frame fails the envelope.
+            for frame in [request, reply] {
+                // (Torn after at least a byte: nothing at all is a clean EOF.)
+                let torn = frame[..spot(frame.len()).max(1)].to_vec();
+                let mut flipped = frame.clone();
+                flip(&mut flipped);
+                for hostile in [torn, flipped] {
+                    prop_assert!(decode_to_worker(&hostile).is_err());
+                    prop_assert!(decode_reply(&hostile).is_err());
+                    prop_assert!(matches!(run_worker_on(&hostile), Some(Err(_))));
+                }
+            }
+
+            // Past the checksum: a truncated payload is always refused…
+            let short = resealed(request, |p| p.truncate(spot(p.len())));
+            prop_assert!(decode_to_worker(&short).is_err());
+            prop_assert!(matches!(run_worker_on(&short), Some(Err(_))));
+            let short = resealed(reply, |p| p.truncate(spot(p.len())));
+            prop_assert!(decode_reply(&short).is_err());
+
+            // …a flipped bit or a swapped tag decodes to *something* or
+            // is refused, and the child loop survives either way…
+            let flipped = resealed(request, flip);
+            let _ = decode_to_worker(&flipped);
+            let _ = run_worker_on(&flipped);
+            let _ = decode_reply(&resealed(reply, flip));
+            let swapped = resealed(request, |p| p[TAG_AT] = tag);
+            if tag > T_SHUTDOWN {
+                prop_assert!(decode_to_worker(&swapped).is_err());
+            }
+            let _ = run_worker_on(&swapped);
+            let swapped = resealed(reply, |p| p[TAG_AT] = tag);
+            if tag > R_USIZE {
+                prop_assert!(decode_reply(&swapped).is_err());
+            }
+
+            // …and a count larger than the frame could hold is refused
+            // before anything is reserved for it.
+            let batch = request_frame(9, Request::Batch(Arc::new(vec![record(5, 1, 0); 4])));
+            let inflated = resealed(&batch, |p| {
+                p[TAG_AT + 1..TAG_AT + 9].copy_from_slice(&count.max(5).to_le_bytes());
+            });
+            prop_assert!(decode_to_worker(&inflated).is_err());
+            prop_assert!(matches!(run_worker_on(&inflated), Some(Err(_))));
+            let lines = encode_reply(9, &Reply::Lines(vec![AnonId(1); 4]));
+            let inflated = resealed(&lines, |p| {
+                p[TAG_AT + 1..TAG_AT + 9].copy_from_slice(&count.max(5).to_le_bytes());
+            });
+            prop_assert!(decode_reply(&inflated).is_err());
+        }
     }
 }

@@ -76,8 +76,7 @@ pub fn owner_ids(pipeline: &Pipeline, isp: &IspVantage, class: &str, day: u32) -
 }
 
 /// Score one class's detections against the oracle. Generic over the
-/// detector shape ([`Detector`](crate::detector::Detector),
-/// [`ShardedDetector`](crate::parallel::ShardedDetector), or
+/// detector shape ([`Detector`](crate::detector::Detector) or
 /// [`DetectorPool`](crate::parallel::DetectorPool)) via
 /// [`DetectionQuery`].
 pub fn evaluate<Q: DetectionQuery + ?Sized>(
