@@ -60,6 +60,21 @@ fn bench(c: &mut Criterion) {
                 total
             })
         });
+        // The daemon's entry point: one record buffer reused across
+        // datagrams, no `Vec` per call.
+        g.bench_function("decode_into_10k", |b| {
+            let mut out = Vec::new();
+            b.iter(|| {
+                let mut coll = Collector::new();
+                let mut total = 0usize;
+                for m in &msgs {
+                    out.clear();
+                    total += coll.feed_into(m, &mut out).unwrap();
+                }
+                assert_eq!(total, recs.len());
+                total
+            })
+        });
         g.finish();
     }
 }

@@ -29,7 +29,7 @@ use haystack_flow::export::{ExportProtocol, Exporter};
 use haystack_flow::listener::AdmissionQueue;
 use haystack_flow::{Collector, FlowKey, FlowRecord, TcpFlags};
 use haystack_net::ports::Proto;
-use haystack_net::{Anonymizer, Prefix4, SimTime};
+use haystack_net::{Anonymizer, SimTime};
 use haystack_wild::WildRecord;
 use std::net::Ipv4Addr;
 use std::time::{Duration, Instant};
@@ -88,6 +88,8 @@ struct Ingest {
     usage: UsageTracker,
     staleness: StalenessMonitor,
     anon: Anonymizer,
+    flow_buf: Vec<FlowRecord>,
+    wild_buf: Vec<WildRecord>,
     records: u64,
     decode_errors: u64,
 }
@@ -105,36 +107,26 @@ impl Ingest {
             usage,
             staleness,
             anon: Anonymizer::new(11, 11 ^ 0x9E37_79B9_7F4A_7C15),
+            flow_buf: Vec::new(),
+            wild_buf: Vec::new(),
             records: 0,
             decode_errors: 0,
         }
     }
 
     fn feed(&mut self, datagram: Bytes) {
-        match self.collector.feed(datagram) {
-            Ok(records) => {
-                self.records += records.len() as u64;
-                let wild: Vec<WildRecord> = records
-                    .iter()
-                    .map(|r| {
-                        let w = WildRecord {
-                            line: self.anon.anonymize(r.key.src),
-                            line_slash24: Prefix4::slash24_of(r.key.src),
-                            src_ip: r.key.src,
-                            dst: r.key.dst,
-                            dport: r.key.dport,
-                            proto: r.key.proto,
-                            packets: r.packets,
-                            bytes: r.bytes,
-                            established: r.tcp_flags.is_established_evidence(),
-                            hour: r.first.hour(),
-                        };
-                        self.usage.observe(&w);
-                        self.staleness.observe(&w);
-                        w
-                    })
-                    .collect();
-                self.pool.observe_records(&wild).expect("pool");
+        self.flow_buf.clear();
+        match self.collector.feed_into(&datagram, &mut self.flow_buf) {
+            Ok(decoded) => {
+                self.records += decoded as u64;
+                self.wild_buf.clear();
+                for r in &self.flow_buf {
+                    let w = WildRecord::from_flow(r, &self.anon);
+                    self.usage.observe(&w);
+                    self.staleness.observe(&w);
+                    self.wild_buf.push(w);
+                }
+                self.pool.observe_records(&self.wild_buf).expect("pool");
             }
             Err(_) => self.decode_errors += 1,
         }

@@ -28,8 +28,8 @@ use haystack_core::staleness::StalenessMonitor;
 use haystack_core::telemetry;
 use haystack_core::usage::{UsageConfig, UsageTracker};
 use haystack_flow::listener::AdmissionStats;
-use haystack_flow::Collector;
-use haystack_net::{Anonymizer, Prefix4};
+use haystack_flow::{Collector, FlowRecord};
+use haystack_net::Anonymizer;
 use haystack_wild::WildRecord;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -173,6 +173,7 @@ pub struct Engine {
     watchdog_probes: u64,
     watchdog_respawns: u64,
     strikes: Vec<u8>,
+    flow_buf: Vec<FlowRecord>,
     wild_buf: Vec<WildRecord>,
     ingest_delay: Duration,
 }
@@ -216,6 +217,7 @@ impl Engine {
             watchdog_probes: 0,
             watchdog_respawns: 0,
             strikes: vec![0; workers],
+            flow_buf: Vec::new(),
             wild_buf: Vec::new(),
             ingest_delay: Duration::ZERO,
         })
@@ -310,23 +312,15 @@ impl Engine {
             std::thread::sleep(self.ingest_delay);
         }
         self.datagrams += 1;
-        match self.collector.feed(datagram) {
-            Ok(records) => {
-                self.records += records.len() as u64;
+        // Both buffers keep their capacity from datagram to datagram, so
+        // a data-only datagram costs this thread no allocation.
+        self.flow_buf.clear();
+        match self.collector.feed_into(&datagram, &mut self.flow_buf) {
+            Ok(decoded) => {
+                self.records += decoded as u64;
                 self.wild_buf.clear();
-                for r in &records {
-                    let w = WildRecord {
-                        line: self.anon.anonymize(r.key.src),
-                        line_slash24: Prefix4::slash24_of(r.key.src),
-                        src_ip: r.key.src,
-                        dst: r.key.dst,
-                        dport: r.key.dport,
-                        proto: r.key.proto,
-                        packets: r.packets,
-                        bytes: r.bytes,
-                        established: r.tcp_flags.is_established_evidence(),
-                        hour: r.first.hour(),
-                    };
+                for r in &self.flow_buf {
+                    let w = WildRecord::from_flow(r, &self.anon);
                     self.usage.observe(&w);
                     self.staleness.observe(&w);
                     self.wild_buf.push(w);

@@ -32,7 +32,9 @@ use crate::ipfix;
 use crate::netflow_v5 as v5;
 use crate::netflow_v9 as v9;
 use crate::record::FlowRecord;
-use crate::wire::{decode_records, OptionsTemplate, SamplingOptions, Template, TemplateField};
+use crate::wire::{
+    DecodePlan, OptionsTemplate, SamplingOptions, Set, Sets, Template, TemplateField, TemplateRef,
+};
 use bytes::Bytes;
 use haystack_net::snapshot::{open, seal, SnapError, SnapReader, SnapWriter, MAGIC_LEN};
 use std::collections::HashMap;
@@ -113,7 +115,10 @@ struct SourceState {
 /// A collector accepting NetFlow v5/v9 and IPFIX feeds.
 #[derive(Debug)]
 pub struct Collector {
-    templates: HashMap<(u32, u16), Template>,
+    /// Each cached template with the decode plan compiled from it when it
+    /// was announced (derived state: dropped with the template, rebuilt
+    /// on restore, never serialized).
+    templates: HashMap<(u32, u16), (Template, DecodePlan)>,
     options_templates: HashMap<(u32, u16), OptionsTemplate>,
     /// Last-use stamps for LRU eviction, one per cache.
     template_lru: HashMap<(u32, u16), u64>,
@@ -206,12 +211,22 @@ impl Collector {
     }
 
     /// Feed one datagram of any supported protocol (v5, v9, IPFIX),
-    /// dispatching on the version word.
-    pub fn feed(&mut self, datagram: Bytes) -> Result<Vec<FlowRecord>, FlowError> {
-        match peek_version(&datagram) {
-            Some(5) => self.feed_netflow_v5(datagram),
-            Some(9) => self.feed_netflow_v9(datagram),
-            Some(10) => self.feed_ipfix(datagram),
+    /// dispatching on the version word, and append its records to the
+    /// caller's (reusable) buffer; returns how many were appended. Once
+    /// `out` has grown to a datagram's worth, a data-only datagram is
+    /// decoded without allocating.
+    ///
+    /// The contract every `feed*` entry point shares (DESIGN.md §8): a
+    /// message is validated whole before any of it is applied. A
+    /// datagram that fails to parse — even in its last set — changes
+    /// nothing but `datagrams_received`, `malformed_messages` and the
+    /// source's malformed streak, and leaves `out` as it was.
+    pub fn feed_into(&mut self, datagram: &[u8], out: &mut Vec<FlowRecord>) -> Result<usize, FlowError> {
+        match peek_version(datagram) {
+            Some(v5::VERSION) => self.feed_v5(datagram, out),
+            Some(version @ (v9::VERSION | ipfix::VERSION)) => {
+                self.feed_templated(version, datagram, out, false)
+            }
             found => {
                 self.datagrams_received += 1;
                 self.malformed_messages += 1;
@@ -220,116 +235,127 @@ impl Collector {
         }
     }
 
+    /// [`Collector::feed_into`], returning the records in a fresh `Vec`.
+    pub fn feed(&mut self, datagram: Bytes) -> Result<Vec<FlowRecord>, FlowError> {
+        let mut out = Vec::new();
+        self.feed_into(&datagram, &mut out).map(|_| out)
+    }
+
     /// Like [`Collector::feed`], but data referencing an unannounced
     /// template is an error ([`FlowError::UnknownTemplate`]) instead of a
     /// counted drop. Useful in controlled replays where template loss
     /// must be loud.
     pub fn feed_strict(&mut self, datagram: Bytes) -> Result<Vec<FlowRecord>, FlowError> {
         match peek_version(&datagram) {
-            Some(9) => self.feed_v9_inner(datagram, true),
-            Some(10) => self.feed_ipfix_inner(datagram, true),
+            Some(version @ (v9::VERSION | ipfix::VERSION)) => {
+                let mut out = Vec::new();
+                self.feed_templated(version, &datagram, &mut out, true).map(|_| out)
+            }
             _ => self.feed(datagram),
         }
     }
 
     /// Feed one NetFlow v9 datagram; returns the decoded records.
     pub fn feed_netflow_v9(&mut self, datagram: Bytes) -> Result<Vec<FlowRecord>, FlowError> {
-        self.feed_v9_inner(datagram, false)
+        let mut out = Vec::new();
+        self.feed_templated(v9::VERSION, &datagram, &mut out, false).map(|_| out)
     }
 
     /// Feed one IPFIX datagram; returns the decoded records.
     pub fn feed_ipfix(&mut self, datagram: Bytes) -> Result<Vec<FlowRecord>, FlowError> {
-        self.feed_ipfix_inner(datagram, false)
+        let mut out = Vec::new();
+        self.feed_templated(ipfix::VERSION, &datagram, &mut out, false).map(|_| out)
     }
 
-    fn feed_v9_inner(&mut self, datagram: Bytes, strict: bool) -> Result<Vec<FlowRecord>, FlowError> {
+    /// The one v9 / IPFIX path: quarantine, validate the whole message,
+    /// then sequence tracking, the sets in wire order, and the
+    /// per-message books.
+    fn feed_templated(
+        &mut self,
+        version: u16,
+        datagram: &[u8],
+        out: &mut Vec<FlowRecord>,
+        strict: bool,
+    ) -> Result<usize, FlowError> {
         self.datagrams_received += 1;
-        let source_hint = peek_source(&datagram).filter(|(v, _)| *v == 9).map(|(_, s)| s);
+        let source_hint = peek_source(datagram).filter(|(v, _)| *v == version).map(|(_, s)| s);
         if let Some(source) = source_hint {
             if self.consume_quarantine(source) {
-                return Ok(Vec::new());
+                return Ok(0);
             }
         }
-        let msg = match v9::decode(datagram) {
-            Ok(m) => m,
+        let split = if version == v9::VERSION {
+            v9::split(datagram).map(|(h, _, sets)| (h.source_id, h.sequence, sets))
+        } else {
+            ipfix::split(datagram).map(|(h, sets)| (h.domain_id, h.sequence, sets))
+        };
+        let checked = split.and_then(|(source, sequence, sets)| {
+            sets.validate()?;
+            Ok((source, sequence, sets))
+        });
+        let (source, sequence, sets) = match checked {
+            Ok(msg) => msg,
             Err(e) => {
                 self.note_malformed_message(source_hint);
                 return Err(e);
             }
         };
-        let source = msg.header.source_id;
-        self.track_sequence(source, msg.header.sequence);
-        let mut out = Vec::new();
+        self.track_sequence(source, sequence);
+        let start = out.len();
         let mut clean = true;
-        for fs in msg.flowsets {
-            match fs {
-                v9::FlowSet::Templates(ts) => {
-                    for t in ts {
-                        self.insert_template(source, t);
-                    }
-                }
-                v9::FlowSet::OptionsTemplates(ts) => {
-                    for t in ts {
-                        self.insert_options_template(source, t);
-                    }
-                }
-                v9::FlowSet::Data { template_id, body } => {
-                    self.decode_data(source, template_id, body, &mut out, strict, &mut clean)?;
-                }
-            }
+        if let Err(e) = self.apply_sets(source, sets, out, strict, &mut clean) {
+            // Strict mode's unknown template: the message's records are
+            // neither handed out nor counted.
+            out.truncate(start);
+            return Err(e);
         }
-        self.finish_message(source, msg.header.sequence, out.len(), clean);
-        self.records_decoded += out.len() as u64;
-        Ok(out)
+        let decoded = out.len() - start;
+        self.finish_message(source, sequence, decoded, clean);
+        self.records_decoded += decoded as u64;
+        Ok(decoded)
     }
 
-    fn feed_ipfix_inner(&mut self, datagram: Bytes, strict: bool) -> Result<Vec<FlowRecord>, FlowError> {
-        self.datagrams_received += 1;
-        let source_hint = peek_source(&datagram).filter(|(v, _)| *v == 10).map(|(_, s)| s);
-        if let Some(source) = source_hint {
-            if self.consume_quarantine(source) {
-                return Ok(Vec::new());
-            }
-        }
-        let msg = match ipfix::decode(datagram) {
-            Ok(m) => m,
-            Err(e) => {
-                self.note_malformed_message(source_hint);
-                return Err(e);
-            }
-        };
-        let source = msg.header.domain_id;
-        self.track_sequence(source, msg.header.sequence);
-        let mut out = Vec::new();
-        let mut clean = true;
-        for set in msg.sets {
-            match set {
-                ipfix::Set::Templates(ts) => {
+    /// Apply a validated message's sets in wire order: templates into the
+    /// caches, data through them into `out`.
+    fn apply_sets(
+        &mut self,
+        source: u32,
+        sets: Sets<'_>,
+        out: &mut Vec<FlowRecord>,
+        strict: bool,
+        clean: &mut bool,
+    ) -> Result<(), FlowError> {
+        for set in sets {
+            match set? {
+                Set::Templates(ts) => {
                     for t in ts {
-                        self.insert_template(source, t);
+                        self.insert_template(source, t?);
                     }
                 }
-                ipfix::Set::OptionsTemplates(ts) => {
+                Set::OptionsTemplates(ts) => {
                     for t in ts {
-                        self.insert_options_template(source, t);
+                        self.insert_options_template(source, t?);
                     }
                 }
-                ipfix::Set::Data { template_id, body } => {
-                    self.decode_data(source, template_id, body, &mut out, strict, &mut clean)?;
+                Set::Data { template_id, body } => {
+                    self.decode_data(source, template_id, body, out, strict, clean)?;
                 }
             }
         }
-        self.finish_message(source, msg.header.sequence, out.len(), clean);
-        self.records_decoded += out.len() as u64;
-        Ok(out)
+        Ok(())
     }
 
     /// Feed one legacy NetFlow v5 datagram (fixed format, no templates).
     /// The header's sampling announcement, if present, is recorded under
     /// the engine id as source.
     pub fn feed_netflow_v5(&mut self, datagram: Bytes) -> Result<Vec<FlowRecord>, FlowError> {
+        let mut out = Vec::new();
+        self.feed_v5(&datagram, &mut out).map(|_| out)
+    }
+
+    fn feed_v5(&mut self, datagram: &[u8], out: &mut Vec<FlowRecord>) -> Result<usize, FlowError> {
         self.datagrams_received += 1;
-        let msg = match v5::decode(datagram) {
+        let mut msg = match v5::decode(datagram) {
             Ok(m) => m,
             Err(e) => {
                 self.malformed_messages += 1;
@@ -342,8 +368,10 @@ impl Collector {
                 SamplingOptions { interval: u32::from(interval), algorithm: 1 },
             );
         }
-        self.records_decoded += msg.records.len() as u64;
-        Ok(msg.records)
+        let decoded = msg.records.len();
+        self.records_decoded += decoded as u64;
+        out.append(&mut msg.records);
+        Ok(decoded)
     }
 
     /// True (and consumes one quarantine slot) when the source's feed is
@@ -462,12 +490,19 @@ impl Collector {
         self.options_lru.retain(|(s, _), _| *s != source);
     }
 
-    fn insert_template(&mut self, source: u32, t: Template) {
+    fn insert_template(&mut self, source: u32, t: TemplateRef<'_>) {
         let key = (source, t.id);
         self.template_announcements += 1;
         self.lru_clock += 1;
         self.template_lru.insert(key, self.lru_clock);
-        self.templates.insert(key, t);
+        // The periodic refresh of a layout already cached keeps the
+        // template and its plan; only a new layout is copied and compiled.
+        if self.templates.get(&key).is_some_and(|(cached, _)| t.describes(cached)) {
+            return;
+        }
+        let t = t.to_template();
+        let plan = t.plan();
+        self.templates.insert(key, (t, plan));
         if self.templates.len() > self.template_cache_cap {
             if let Some(victim) = lru_victim(&self.template_lru, key) {
                 self.templates.remove(&victim);
@@ -496,7 +531,7 @@ impl Collector {
         &mut self,
         source: u32,
         template_id: u16,
-        body: Bytes,
+        body: &[u8],
         out: &mut Vec<FlowRecord>,
         strict: bool,
         clean: &mut bool,
@@ -526,27 +561,19 @@ impl Collector {
             return Ok(());
         }
         match self.templates.get(&key) {
-            Some(t) => {
+            Some((_, plan)) => {
                 self.template_hits += 1;
                 // RFC 3954/7011 allow at most 3 bytes of padding to the
                 // next 4-byte boundary; a longer remainder means the set
                 // was truncated or corrupted mid-record.
-                let rlen = t.record_len();
+                let rlen = plan.record_len();
                 if rlen > 0 && body.len() % rlen > 3 {
                     self.malformed_sets += 1;
                     *clean = false;
                 }
-                match decode_records(t, &mut body.clone()) {
-                    Ok(mut records) => {
-                        self.lru_clock += 1;
-                        self.template_lru.insert(key, self.lru_clock);
-                        out.append(&mut records);
-                    }
-                    Err(_) => {
-                        self.malformed_sets += 1;
-                        *clean = false;
-                    }
-                }
+                plan.decode_into(body, out);
+                self.lru_clock += 1;
+                self.template_lru.insert(key, self.lru_clock);
                 Ok(())
             }
             None => {
@@ -702,7 +729,7 @@ impl Collector {
         tmpl_keys.sort_unstable();
         w.put_u64(tmpl_keys.len() as u64);
         for key in &tmpl_keys {
-            let t = &self.templates[key];
+            let (t, _) = &self.templates[key];
             w.put_u32(key.0);
             w.put_u16(key.1);
             put_fields(&mut w, &t.fields);
@@ -794,7 +821,9 @@ impl Collector {
             let source = r.u32()?;
             let id = r.u16()?;
             let fields = read_fields(&mut r)?;
-            c.templates.insert((source, id), Template { id, fields });
+            let t = Template { id, fields };
+            let plan = t.plan();
+            c.templates.insert((source, id), (t, plan));
         }
         read_lru(&mut r, &mut c.template_lru)?;
 

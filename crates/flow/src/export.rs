@@ -182,7 +182,7 @@ mod tests {
     fn first_message_carries_template() {
         let mut e = Exporter::new(ExportProtocol::NetflowV9, 1);
         let msgs = e.export(&recs(1), 100).unwrap();
-        let msg = v9::decode(msgs[0].clone()).unwrap();
+        let msg = v9::decode(&msgs[0]).unwrap();
         assert!(matches!(msg.flowsets[0], v9::FlowSet::Templates(_)));
     }
 
@@ -191,7 +191,7 @@ mod tests {
         let mut e = Exporter::new(ExportProtocol::Ipfix, 1);
         let msgs = e.export(&[], 100).unwrap();
         assert_eq!(msgs.len(), 1);
-        let msg = ipfix::decode(msgs[0].clone()).unwrap();
+        let msg = ipfix::decode(&msgs[0]).unwrap();
         assert!(matches!(msg.sets[0], ipfix::Set::Templates(_)));
     }
 
@@ -200,7 +200,7 @@ mod tests {
         let mut e = Exporter::new(ExportProtocol::NetflowV9, 1).with_batch_size(10);
         e.export(&recs(10), 100).unwrap();
         let msgs = e.export(&recs(1), 101).unwrap();
-        let msg = v9::decode(msgs[0].clone()).unwrap();
+        let msg = v9::decode(&msgs[0]).unwrap();
         assert_eq!(msg.header.sequence, 10);
     }
 

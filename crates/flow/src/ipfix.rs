@@ -19,8 +19,8 @@
 
 use crate::error::FlowError;
 use crate::record::FlowRecord;
-use crate::wire::{OptionsTemplate, SamplingOptions, Template};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wire::{be16, be32, Dialect, OptionsTemplate, SamplingOptions, Sets, Template};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// Protocol version constant.
 pub const VERSION: u16 = 10;
@@ -40,29 +40,17 @@ pub struct IpfixHeader {
     pub domain_id: u32,
 }
 
-/// A parsed set: templates decoded, data left raw for the collector.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Set {
-    /// Templates announced in a template set.
-    Templates(Vec<Template>),
-    /// Options templates (sampling announcements).
-    OptionsTemplates(Vec<OptionsTemplate>),
-    /// A data set for `template_id`, records still encoded.
-    Data {
-        /// The describing template's id.
-        template_id: u16,
-        /// Raw record bytes (including alignment padding).
-        body: Bytes,
-    },
-}
+/// A set: templates parsed as they are iterated, data left raw for the
+/// collector.
+pub use crate::wire::Set;
 
-/// A parsed IPFIX message.
+/// A parsed IPFIX message, borrowing its data sets from the datagram.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message {
+pub struct Message<'a> {
     /// Header fields.
     pub header: IpfixHeader,
     /// Sets in order of appearance.
-    pub sets: Vec<Set>,
+    pub sets: Vec<Set<'a>>,
 }
 
 /// Encode one message: `templates` first, then data sets.
@@ -139,62 +127,41 @@ fn put_set(buf: &mut BytesMut, id: u16, body: &BytesMut) {
     buf.put_bytes(0, pad);
 }
 
-/// Decode a datagram into a [`Message`]. The header's length field is
-/// honoured: bytes beyond it are rejected as trailing garbage.
-pub fn decode(mut datagram: Bytes) -> Result<Message, FlowError> {
-    if datagram.remaining() < 16 {
+/// Parse a datagram's header, leaving its sets to be walked (and checked)
+/// lazily. The header's length field is honoured: bytes beyond it are
+/// rejected as trailing garbage.
+pub fn split(datagram: &[u8]) -> Result<(IpfixHeader, Sets<'_>), FlowError> {
+    if datagram.len() < 16 {
         return Err(FlowError::Truncated {
             context: "ipfix header",
             needed: 16,
-            available: datagram.remaining(),
+            available: datagram.len(),
         });
     }
-    let version = datagram.get_u16();
+    let version = be16(datagram, 0);
     if version != VERSION {
         return Err(FlowError::BadVersion { expected: VERSION, found: version });
     }
-    let declared_len = usize::from(datagram.get_u16());
-    if declared_len < 16 || declared_len - 4 != datagram.remaining() {
+    let declared_len = be16(datagram, 2);
+    if declared_len < 16 || usize::from(declared_len) != datagram.len() {
         return Err(FlowError::BadSetLength {
-            declared: declared_len as u16,
-            remaining: datagram.remaining(),
+            declared: declared_len,
+            remaining: datagram.len() - 4,
         });
     }
     let header = IpfixHeader {
-        export_time: datagram.get_u32(),
-        sequence: datagram.get_u32(),
-        domain_id: datagram.get_u32(),
+        export_time: be32(datagram, 4),
+        sequence: be32(datagram, 8),
+        domain_id: be32(datagram, 12),
     };
-    let mut sets = Vec::new();
-    while datagram.remaining() >= 4 {
-        let id = datagram.get_u16();
-        let declared = datagram.get_u16();
-        if declared < 4 || usize::from(declared) - 4 > datagram.remaining() {
-            return Err(FlowError::BadSetLength { declared, remaining: datagram.remaining() });
-        }
-        let body = datagram.split_to(usize::from(declared) - 4);
-        match id {
-            TEMPLATE_SET_ID => {
-                let mut b = body;
-                let mut ts = Vec::new();
-                while b.remaining() >= 4 {
-                    ts.push(Template::parse_body(&mut b)?);
-                }
-                sets.push(Set::Templates(ts));
-            }
-            OPTIONS_TEMPLATE_SET_ID => {
-                let mut b = body;
-                let mut ts = Vec::new();
-                while b.remaining() >= 6 {
-                    ts.push(OptionsTemplate::parse_body_ipfix(&mut b)?);
-                }
-                sets.push(Set::OptionsTemplates(ts));
-            }
-            id if id >= 256 => sets.push(Set::Data { template_id: id, body }),
-            id => return Err(FlowError::ReservedTemplateId(id)),
-        }
-    }
-    Ok(Message { header, sets })
+    Ok((header, Sets::new(&datagram[16..], Dialect::Ipfix)))
+}
+
+/// Decode a datagram into a [`Message`], every set and template checked.
+pub fn decode(datagram: &[u8]) -> Result<Message<'_>, FlowError> {
+    let (header, sets) = split(datagram)?;
+    sets.validate()?;
+    Ok(Message { header, sets: sets.collect::<Result<_, _>>()? })
 }
 
 #[cfg(test)]
@@ -235,13 +202,13 @@ mod tests {
         let wire = encode(&header(), std::slice::from_ref(&t), &[(&t, &records)]).unwrap();
         // Header length field covers the whole message.
         assert_eq!(u16::from_be_bytes([wire[2], wire[3]]) as usize, wire.len());
-        let msg = decode(wire).unwrap();
+        let msg = decode(&wire).unwrap();
         assert_eq!(msg.header, header());
         assert_eq!(msg.sets.len(), 2);
         match &msg.sets[1] {
             Set::Data { template_id, body } => {
                 assert_eq!(*template_id, 400);
-                let decoded = decode_records(&t, &mut body.clone()).unwrap();
+                let decoded = decode_records(&t, body);
                 assert_eq!(decoded, records);
             }
             other => panic!("expected data, got {other:?}"),
@@ -255,7 +222,7 @@ mod tests {
         let mut tampered = BytesMut::from(&wire[..]);
         tampered[1] = 9;
         assert_eq!(
-            decode(tampered.freeze()),
+            decode(&tampered),
             Err(FlowError::BadVersion { expected: 10, found: 9 })
         );
     }
@@ -266,7 +233,7 @@ mod tests {
         let wire = encode(&header(), &[t], &[]).unwrap();
         let mut tampered = BytesMut::from(&wire[..]);
         tampered[3] = tampered[3].wrapping_add(4); // lie about length
-        assert!(matches!(decode(tampered.freeze()), Err(FlowError::BadSetLength { .. })));
+        assert!(matches!(decode(&tampered), Err(FlowError::BadSetLength { .. })));
     }
 
     #[test]
@@ -282,7 +249,7 @@ mod tests {
     #[test]
     fn truncated_header_rejected() {
         assert!(matches!(
-            decode(Bytes::from_static(&[0u8; 8])),
+            decode(&[0u8; 8]),
             Err(FlowError::Truncated { .. })
         ));
     }
@@ -294,10 +261,10 @@ mod tests {
         let r1: Vec<_> = (0..2).map(rec).collect();
         let r2: Vec<_> = (2..5).map(rec).collect();
         let wire = encode(&header(), &[t1.clone(), t2.clone()], &[(&t1, &r1), (&t2, &r2)]).unwrap();
-        let msg = decode(wire).unwrap();
+        let msg = decode(&wire).unwrap();
         assert_eq!(msg.sets.len(), 3);
         match &msg.sets[0] {
-            Set::Templates(ts) => assert_eq!(ts.len(), 2),
+            Set::Templates(ts) => assert_eq!(ts.clone().count(), 2),
             other => panic!("expected templates, got {other:?}"),
         }
     }

@@ -144,20 +144,32 @@ pub fn write_frame(w: &mut impl Write, datagram: &[u8]) -> io::Result<()> {
     w.write_all(datagram)
 }
 
+/// Bytes a [`FrameReader`] buffers: two maximal frames with their length
+/// prefixes, so that a read into the tail always has room for the rest of
+/// the frame being assembled.
+const FRAME_BUF_LEN: usize = 2 * (4 + MAX_FRAME_LEN);
+
 /// Incremental frame reader over a possibly-timeout-interrupted stream.
 /// A read timeout surfaces as `WouldBlock`/`TimedOut` with all partial
 /// bytes retained, so callers can poll a shutdown flag and resume
 /// without losing framing.
+///
+/// One fixed buffer, filled by reads as large as the stream will give
+/// and consumed by a cursor: frames are copied out of `buf[start..end]`,
+/// and the unconsumed bytes move to the front only when the tail could
+/// no longer hold a maximal frame — once per ~64 KiB, not once per frame.
 #[derive(Debug)]
 pub struct FrameReader<R: Read> {
     inner: R,
-    buf: Vec<u8>,
+    buf: Box<[u8]>,
+    start: usize,
+    end: usize,
 }
 
 impl<R: Read> FrameReader<R> {
     /// Wrap a stream.
     pub fn new(inner: R) -> FrameReader<R> {
-        FrameReader { inner, buf: Vec::new() }
+        FrameReader { inner, buf: vec![0; FRAME_BUF_LEN].into_boxed_slice(), start: 0, end: 0 }
     }
 
     /// The next complete frame, `Ok(None)` on clean EOF at a frame
@@ -165,24 +177,31 @@ impl<R: Read> FrameReader<R> {
     /// length prefix is `InvalidData`.
     pub fn next_frame(&mut self) -> io::Result<Option<Bytes>> {
         loop {
-            if self.buf.len() >= 4 {
-                let len = u32::from_be_bytes(self.buf[..4].try_into().unwrap()) as usize;
+            if let [a, b, c, d, rest @ ..] = &self.buf[self.start..self.end] {
+                let len = u32::from_be_bytes([*a, *b, *c, *d]) as usize;
                 if len > MAX_FRAME_LEN {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!("frame length {len} exceeds bound {MAX_FRAME_LEN}"),
                     ));
                 }
-                if self.buf.len() >= 4 + len {
-                    let frame = Bytes::from(&self.buf[4..4 + len]);
-                    self.buf.drain(..4 + len);
+                if let Some(frame) = rest.get(..len) {
+                    let frame = Bytes::from(frame);
+                    self.start += 4 + len;
                     return Ok(Some(frame));
                 }
             }
-            let mut chunk = [0u8; 4096];
-            match self.inner.read(&mut chunk) {
+            // Rewind when nothing is pending (free), or when the space
+            // after `start` could not hold a maximal frame. The pending
+            // bytes are short of one frame, so after this the tail is
+            // never empty and a zero-byte read can only mean EOF.
+            if self.start == self.end || self.buf.len() - self.start < 4 + MAX_FRAME_LEN {
+                self.buf.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, self.end - self.start);
+            }
+            match self.inner.read(&mut self.buf[self.end..]) {
                 Ok(0) => {
-                    return if self.buf.is_empty() {
+                    return if self.start == self.end {
                         Ok(None)
                     } else {
                         Err(io::Error::new(
@@ -191,7 +210,7 @@ impl<R: Read> FrameReader<R> {
                         ))
                     };
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.end += n,
                 Err(e) => return Err(e),
             }
         }
@@ -360,6 +379,92 @@ mod tests {
         assert_eq!(r.next_frame().unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 
+    /// A stream that hands out at most `step` bytes per `read` and raises
+    /// `WouldBlock` once at each offset in `blocks` (ascending).
+    struct Trickle {
+        data: Vec<u8>,
+        pos: usize,
+        step: usize,
+        blocks: Vec<usize>,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.blocks.first() == Some(&self.pos) {
+                self.blocks.remove(0);
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let until = self.blocks.first().map_or(self.data.len(), |b| (*b).min(self.data.len()));
+            let n = self.step.min(buf.len()).min(until - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// Every frame of the stream, riding out timeouts like the TCP
+    /// handler does.
+    fn frames_of(stream: Trickle) -> Vec<Bytes> {
+        let mut r = FrameReader::new(stream);
+        let mut out = Vec::new();
+        loop {
+            match r.next_frame() {
+                Ok(Some(f)) => out.push(f),
+                Ok(None) => return out,
+                Err(e) if is_timeout(&e) => {}
+                Err(e) => panic!("frame {}: {e}", out.len()),
+            }
+        }
+    }
+
+    #[test]
+    fn frames_are_independent_of_how_reads_split_the_stream() {
+        // Sizes around every edge of the cursor buffer: empty, tiny,
+        // datagram-sized, maximal; enough of them to wrap it many times.
+        let sizes = [0, 1, 3, 4, 5, 1_164, 1_464, 4_096, MAX_FRAME_LEN, 40_000, MAX_FRAME_LEN - 1];
+        let want: Vec<Bytes> = (0..60usize)
+            .map(|i| {
+                let len = sizes[i % sizes.len()];
+                Bytes::from((0..len).map(|j| (i * 31 + j) as u8).collect::<Vec<u8>>())
+            })
+            .collect();
+        let mut wire = Vec::new();
+        for f in &want {
+            write_frame(&mut wire, f).unwrap();
+        }
+        for step in [1, 2, 3, 7, 4_095, 4_097, 65_536] {
+            let stream = Trickle { data: wire.clone(), pos: 0, step, blocks: Vec::new() };
+            assert_eq!(frames_of(stream), want, "{step} bytes per read");
+        }
+        // A timeout at every split point of one frame (the 1 164-byte one
+        // and its prefix) loses nothing and duplicates nothing.
+        let at: usize = want[..5].iter().map(|f| 4 + f.len()).sum();
+        let blocks: Vec<usize> = (at..=at + 4 + want[5].len()).collect();
+        let stream = Trickle { data: wire.clone(), pos: 0, step: 4_097, blocks };
+        assert_eq!(frames_of(stream), want);
+    }
+
+    #[test]
+    fn frame_length_bound_is_exact() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &vec![7u8; MAX_FRAME_LEN]).unwrap();
+        wire.extend_from_slice(&((MAX_FRAME_LEN + 1) as u32).to_be_bytes());
+        wire.extend_from_slice(&vec![7u8; MAX_FRAME_LEN + 1]);
+        let mut r = FrameReader::new(Cursor::new(wire));
+        assert_eq!(r.next_frame().unwrap().unwrap().len(), MAX_FRAME_LEN);
+        assert_eq!(r.next_frame().unwrap_err().kind(), io::ErrorKind::InvalidData);
+        // EOF inside the length prefix and inside the body are both
+        // mid-frame, however the reads fall.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &v9_stub(5)).unwrap();
+        for cut in [2, 4, wire.len() - 1] {
+            let stream = Trickle { data: wire[..cut].to_vec(), pos: 0, step: 3, blocks: vec![1] };
+            let mut r = FrameReader::new(stream);
+            assert!(is_timeout(&r.next_frame().unwrap_err()));
+            assert_eq!(r.next_frame().unwrap_err().kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
+        }
+    }
+
     #[test]
     fn udp_listener_delivers_datagrams() {
         let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
@@ -375,9 +480,11 @@ mod tests {
             let d = rx.recv_timeout(Duration::from_secs(5)).unwrap();
             assert_eq!(d, v9_stub(4));
         }
-        assert_eq!(stats.admitted(), 3);
+        // The listener counts a datagram admitted after the queue took
+        // it, so its books are only final once it has been joined.
         shutdown.store(true, Ordering::Relaxed);
         h.join().unwrap();
+        assert_eq!(stats.admitted(), 3);
     }
 
     #[test]
@@ -402,9 +509,11 @@ mod tests {
         writer.join().unwrap();
         let want: Vec<Bytes> = (0..total).map(v9_stub).collect();
         assert_eq!(got, want, "tcp path must preserve order and lose nothing");
-        assert_eq!(stats.shed(), 0);
-        assert_eq!(stats.admitted(), u64::from(total));
+        // The handler counts a datagram admitted after the queue took it,
+        // so its books are only final once it has been joined.
         shutdown.store(true, Ordering::Relaxed);
         h.join().unwrap();
+        assert_eq!(stats.shed(), 0);
+        assert_eq!(stats.admitted(), u64::from(total));
     }
 }

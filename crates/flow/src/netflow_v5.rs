@@ -120,7 +120,7 @@ pub struct Message {
 }
 
 /// Decode one datagram.
-pub fn decode(mut datagram: Bytes) -> Result<Message, FlowError> {
+pub fn decode(mut datagram: impl Buf) -> Result<Message, FlowError> {
     if datagram.remaining() < HEADER_LEN {
         return Err(FlowError::Truncated {
             context: "netflow v5 header",

@@ -22,8 +22,8 @@
 
 use crate::error::FlowError;
 use crate::record::FlowRecord;
-use crate::wire::{OptionsTemplate, SamplingOptions, Template};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wire::{be16, be32, Dialect, OptionsTemplate, SamplingOptions, Sets, Template};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// Protocol version constant.
 pub const VERSION: u16 = 9;
@@ -46,32 +46,19 @@ pub struct V9Header {
     pub source_id: u32,
 }
 
-/// A parsed flowset: templates decoded, data left raw.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlowSet {
-    /// A template flowset's templates.
-    Templates(Vec<Template>),
-    /// An options-template flowset's templates (sampling announcements).
-    OptionsTemplates(Vec<OptionsTemplate>),
-    /// A data flowset: records for `template_id`, still encoded. The
-    /// collector decides whether the id names a data or options template.
-    Data {
-        /// The describing template's id.
-        template_id: u16,
-        /// Raw record bytes (including any alignment padding).
-        body: Bytes,
-    },
-}
+/// A flowset: templates parsed as they are iterated, data left raw.
+pub use crate::wire::Set as FlowSet;
 
-/// A parsed NetFlow v9 message.
+/// A parsed NetFlow v9 message, borrowing its data flowsets from the
+/// datagram.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message {
+pub struct Message<'a> {
     /// Header fields.
     pub header: V9Header,
     /// Record count from the header (templates + data records).
     pub count: u16,
     /// Flowsets in order of appearance.
-    pub flowsets: Vec<FlowSet>,
+    pub flowsets: Vec<FlowSet<'a>>,
 }
 
 /// Encode one message containing the given templates followed by data
@@ -149,56 +136,35 @@ fn put_set(buf: &mut BytesMut, id: u16, body: &BytesMut) {
     buf.put_bytes(0, pad);
 }
 
-/// Decode a datagram into a [`Message`].
-pub fn decode(mut datagram: Bytes) -> Result<Message, FlowError> {
-    if datagram.remaining() < 20 {
+/// Parse a datagram's header, leaving its flowsets to be walked (and
+/// checked) lazily: `(header, record count, flowsets)`.
+pub fn split(datagram: &[u8]) -> Result<(V9Header, u16, Sets<'_>), FlowError> {
+    if datagram.len() < 20 {
         return Err(FlowError::Truncated {
             context: "netflow v9 header",
             needed: 20,
-            available: datagram.remaining(),
+            available: datagram.len(),
         });
     }
-    let version = datagram.get_u16();
+    let version = be16(datagram, 0);
     if version != VERSION {
         return Err(FlowError::BadVersion { expected: VERSION, found: version });
     }
-    let count = datagram.get_u16();
     let header = V9Header {
-        sys_uptime_ms: datagram.get_u32(),
-        unix_secs: datagram.get_u32(),
-        sequence: datagram.get_u32(),
-        source_id: datagram.get_u32(),
+        sys_uptime_ms: be32(datagram, 4),
+        unix_secs: be32(datagram, 8),
+        sequence: be32(datagram, 12),
+        source_id: be32(datagram, 16),
     };
-    let mut flowsets = Vec::new();
-    while datagram.remaining() >= 4 {
-        let id = datagram.get_u16();
-        let declared = datagram.get_u16();
-        if declared < 4 || usize::from(declared) - 4 > datagram.remaining() {
-            return Err(FlowError::BadSetLength { declared, remaining: datagram.remaining() });
-        }
-        let body = datagram.split_to(usize::from(declared) - 4);
-        match id {
-            TEMPLATE_FLOWSET_ID => {
-                let mut b = body;
-                let mut ts = Vec::new();
-                while b.remaining() >= 4 {
-                    ts.push(Template::parse_body(&mut b)?);
-                }
-                flowsets.push(FlowSet::Templates(ts));
-            }
-            OPTIONS_TEMPLATE_FLOWSET_ID => {
-                let mut b = body;
-                let mut ts = Vec::new();
-                while b.remaining() >= 6 {
-                    ts.push(OptionsTemplate::parse_body_v9(&mut b)?);
-                }
-                flowsets.push(FlowSet::OptionsTemplates(ts));
-            }
-            id if id >= 256 => flowsets.push(FlowSet::Data { template_id: id, body }),
-            id => return Err(FlowError::ReservedTemplateId(id)),
-        }
-    }
-    Ok(Message { header, count, flowsets })
+    Ok((header, be16(datagram, 2), Sets::new(&datagram[20..], Dialect::V9)))
+}
+
+/// Decode a datagram into a [`Message`], every flowset and template
+/// checked.
+pub fn decode(datagram: &[u8]) -> Result<Message<'_>, FlowError> {
+    let (header, count, sets) = split(datagram)?;
+    sets.validate()?;
+    Ok(Message { header, count, flowsets: sets.collect::<Result<_, _>>()? })
 }
 
 #[cfg(test)]
@@ -237,19 +203,20 @@ mod tests {
         let t = Template::standard(256);
         let records: Vec<_> = (0..5).map(rec).collect();
         let wire = encode(&header(), std::slice::from_ref(&t), &[(&t, &records)]).unwrap();
-        let msg = decode(wire).unwrap();
+        let msg = decode(&wire).unwrap();
         assert_eq!(msg.header, header());
         assert_eq!(msg.count, 6); // 1 template + 5 data records
         assert_eq!(msg.flowsets.len(), 2);
         match &msg.flowsets[0] {
-            FlowSet::Templates(ts) => assert_eq!(ts[0], t),
+            FlowSet::Templates(ts) => {
+                assert_eq!(ts.clone().next().unwrap().unwrap().to_template(), t)
+            }
             other => panic!("expected templates, got {other:?}"),
         }
         match &msg.flowsets[1] {
             FlowSet::Data { template_id, body } => {
                 assert_eq!(*template_id, 256);
-                let mut b = body.clone();
-                let decoded = decode_records(&t, &mut b).unwrap();
+                let decoded = decode_records(&t, body);
                 assert_eq!(decoded, records);
             }
             other => panic!("expected data, got {other:?}"),
@@ -261,7 +228,7 @@ mod tests {
         let t = Template::standard(300);
         let records: Vec<_> = (0..3).map(rec).collect();
         let wire = encode(&header(), &[], &[(&t, &records)]).unwrap();
-        let msg = decode(wire).unwrap();
+        let msg = decode(&wire).unwrap();
         assert_eq!(msg.count, 3);
         assert_eq!(msg.flowsets.len(), 1);
     }
@@ -270,7 +237,7 @@ mod tests {
     fn empty_data_flowsets_are_omitted() {
         let t = Template::standard(256);
         let wire = encode(&header(), std::slice::from_ref(&t), &[(&t, &[])]).unwrap();
-        let msg = decode(wire).unwrap();
+        let msg = decode(&wire).unwrap();
         assert_eq!(msg.flowsets.len(), 1, "only the template flowset");
     }
 
@@ -282,7 +249,7 @@ mod tests {
         tampered[0] = 0;
         tampered[1] = 5; // NetFlow v5
         assert_eq!(
-            decode(tampered.freeze()),
+            decode(&tampered),
             Err(FlowError::BadVersion { expected: 9, found: 5 })
         );
     }
@@ -290,7 +257,7 @@ mod tests {
     #[test]
     fn truncated_header_rejected() {
         assert!(matches!(
-            decode(Bytes::from_static(&[0u8; 10])),
+            decode(&[0u8; 10]),
             Err(FlowError::Truncated { .. })
         ));
     }
@@ -304,7 +271,7 @@ mod tests {
         // Flowset length field sits at offset 22; claim more than remains.
         tampered[22] = 0xFF;
         tampered[23] = 0xFF;
-        assert!(matches!(decode(tampered.freeze()), Err(FlowError::BadSetLength { .. })));
+        assert!(matches!(decode(&tampered), Err(FlowError::BadSetLength { .. })));
     }
 
     #[test]
@@ -327,6 +294,6 @@ mod tests {
         buf.put_u32(0);
         buf.put_u16(5);
         buf.put_u16(4);
-        assert!(matches!(decode(buf.freeze()), Err(FlowError::ReservedTemplateId(5))));
+        assert!(matches!(decode(&buf), Err(FlowError::ReservedTemplateId(5))));
     }
 }

@@ -14,6 +14,7 @@ use crate::error::FlowError;
 use crate::key::FlowKey;
 use crate::record::FlowRecord;
 use crate::tcp_flags::TcpFlags;
+use crate::{ipfix, netflow_v9 as v9};
 use bytes::{Buf, BufMut, BytesMut};
 use haystack_net::ports::Proto;
 use haystack_net::SimTime;
@@ -101,22 +102,25 @@ impl Template {
         if self.fields.is_empty() {
             return Err(FlowError::EmptyTemplate(self.id));
         }
+        check_fields(self.fields.iter().copied())
+    }
+
+    /// Compile the template into its fixed-offset [`DecodePlan`].
+    pub fn plan(&self) -> DecodePlan {
+        let mut plan = DecodePlan::default();
         for f in &self.fields {
-            let ok = match f.id {
-                FIELD_IPV4_SRC_ADDR | FIELD_IPV4_DST_ADDR => f.len == 4,
-                FIELD_L4_SRC_PORT | FIELD_L4_DST_PORT => f.len == 2,
-                FIELD_PROTOCOL | FIELD_TCP_FLAGS => f.len == 1,
-                FIELD_IN_PKTS | FIELD_IN_BYTES => matches!(f.len, 1 | 2 | 4 | 8),
-                FIELD_FIRST_SWITCHED | FIELD_LAST_SWITCHED => f.len == 4,
-                // Unknown information elements are legal on the wire; the
-                // decoder skips them, so any length is acceptable.
-                _ => true,
-            };
-            if !ok {
-                return Err(FlowError::UnsupportedField { field: f.id, len: f.len });
+            let width = usize::from(f.len);
+            // Later occurrences overwrite earlier ones, as in the field
+            // walk of `decode_record`. A known field at a width
+            // `validate` rejects is skipped like an unknown one.
+            if let Some((slot, widths)) = known_field(f.id) {
+                if widths.contains(&f.len) {
+                    plan.slots[slot] = Slot { off: plan.record_len, width };
+                }
             }
+            plan.record_len += width;
         }
-        Ok(())
+        plan
     }
 
     /// Encode the template *body* (template id, field count, fields) —
@@ -132,31 +136,10 @@ impl Template {
 
     /// Parse one template body from `buf`, advancing it.
     pub fn parse_body(buf: &mut impl Buf) -> Result<Template, FlowError> {
-        if buf.remaining() < 4 {
-            return Err(FlowError::Truncated {
-                context: "template header",
-                needed: 4,
-                available: buf.remaining(),
-            });
-        }
-        let id = buf.get_u16();
-        let count = buf.get_u16() as usize;
-        if count == 0 {
-            return Err(FlowError::EmptyTemplate(id));
-        }
-        if buf.remaining() < count * 4 {
-            return Err(FlowError::Truncated {
-                context: "template fields",
-                needed: count * 4,
-                available: buf.remaining(),
-            });
-        }
-        let mut fields = Vec::with_capacity(count);
-        for _ in 0..count {
-            fields.push(TemplateField { id: buf.get_u16(), len: buf.get_u16() });
-        }
-        let t = Template { id, fields };
-        t.validate()?;
+        let mut body = buf.chunk();
+        let t = TemplateRef::parse(&mut body)?.to_template();
+        let used = buf.remaining() - body.len();
+        buf.advance(used);
         Ok(t)
     }
 
@@ -182,6 +165,9 @@ impl Template {
     /// Decode one record under this template, advancing `buf`. Unknown
     /// fields are skipped; absent key fields default to zero (documented
     /// collector behaviour — the standard template always carries them).
+    ///
+    /// This field walk is the reference the compiled [`DecodePlan`] is
+    /// tested against; data sets are decoded through the plan.
     pub fn decode_record(&self, buf: &mut impl Buf) -> Result<FlowRecord, FlowError> {
         let need = self.record_len();
         if buf.remaining() < need {
@@ -224,6 +210,181 @@ impl Template {
             first: SimTime(u64::from(first)),
             last: SimTime(u64::from(last)),
         })
+    }
+}
+
+/// Every known field at a length the decoder supports. Unknown
+/// information elements are legal on the wire; the decoder skips them, so
+/// any length is acceptable.
+fn check_fields(fields: impl Iterator<Item = TemplateField>) -> Result<(), FlowError> {
+    for f in fields {
+        if known_field(f.id).is_some_and(|(_, widths)| !widths.contains(&f.len)) {
+            return Err(FlowError::UnsupportedField { field: f.id, len: f.len });
+        }
+    }
+    Ok(())
+}
+
+/// A template body still on the wire: checked like a [`Template`], not
+/// yet copied into one. Exporters re-announce their templates every few
+/// messages; the collector compares the refresh in place
+/// ([`TemplateRef::describes`]) and copies only a layout it has not
+/// cached.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TemplateRef<'a> {
+    /// Template id (≥ 256).
+    pub id: u16,
+    /// The `(type, length)` pairs, four bytes each.
+    fields: &'a [u8],
+}
+
+impl<'a> TemplateRef<'a> {
+    /// Parse and validate one template body (template id, field count,
+    /// fields) from the front of `buf`, advancing it.
+    pub fn parse(buf: &mut &'a [u8]) -> Result<TemplateRef<'a>, FlowError> {
+        if buf.len() < 4 {
+            return Err(FlowError::Truncated {
+                context: "template header",
+                needed: 4,
+                available: buf.len(),
+            });
+        }
+        let (id, count) = (be16(buf, 0), usize::from(be16(buf, 2)));
+        if count == 0 {
+            return Err(FlowError::EmptyTemplate(id));
+        }
+        let rest = &buf[4..];
+        if rest.len() < count * 4 {
+            return Err(FlowError::Truncated {
+                context: "template fields",
+                needed: count * 4,
+                available: rest.len(),
+            });
+        }
+        if id < 256 {
+            return Err(FlowError::ReservedTemplateId(id));
+        }
+        let (fields, rest) = rest.split_at(count * 4);
+        let t = TemplateRef { id, fields };
+        check_fields(t.fields())?;
+        *buf = rest;
+        Ok(t)
+    }
+
+    /// The fields in template order.
+    pub fn fields(&self) -> impl Iterator<Item = TemplateField> + 'a {
+        self.fields.chunks_exact(4).map(|f| TemplateField { id: be16(f, 0), len: be16(f, 2) })
+    }
+
+    /// Whether `t` is this very template: same id, same fields.
+    pub fn describes(&self, t: &Template) -> bool {
+        self.id == t.id && self.fields().eq(t.fields.iter().copied())
+    }
+
+    /// Copy into an owned [`Template`].
+    pub fn to_template(&self) -> Template {
+        Template { id: self.id, fields: self.fields().collect() }
+    }
+}
+
+// Slot indices of the ten fields a `FlowRecord` is built from.
+const SRC: usize = 0;
+const DST: usize = 1;
+const SPORT: usize = 2;
+const DPORT: usize = 3;
+const PROTO: usize = 4;
+const FLAGS: usize = 5;
+const PKTS: usize = 6;
+const BYTES: usize = 7;
+const FIRST: usize = 8;
+const LAST: usize = 9;
+
+/// The decoder's view of a field type: its [`DecodePlan`] slot and the
+/// on-wire lengths it supports. `None` for fields the decoder skips.
+fn known_field(id: u16) -> Option<(usize, &'static [u16])> {
+    Some(match id {
+        FIELD_IPV4_SRC_ADDR => (SRC, &[4]),
+        FIELD_IPV4_DST_ADDR => (DST, &[4]),
+        FIELD_L4_SRC_PORT => (SPORT, &[2]),
+        FIELD_L4_DST_PORT => (DPORT, &[2]),
+        FIELD_PROTOCOL => (PROTO, &[1]),
+        FIELD_TCP_FLAGS => (FLAGS, &[1]),
+        FIELD_IN_PKTS => (PKTS, &[1, 2, 4, 8]),
+        FIELD_IN_BYTES => (BYTES, &[1, 2, 4, 8]),
+        FIELD_FIRST_SWITCHED => (FIRST, &[4]),
+        FIELD_LAST_SWITCHED => (LAST, &[4]),
+        _ => return None,
+    })
+}
+
+/// Where one known field sits in an encoded record. Width 0: the template
+/// does not carry the field, and it decodes as zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Slot {
+    off: usize,
+    width: usize,
+}
+
+impl Slot {
+    #[inline(always)]
+    fn load(self, rec: &[u8]) -> u64 {
+        match rec.get(self.off..self.off + self.width) {
+            Some(&[a]) => u64::from(a),
+            Some(&[a, b]) => u64::from(u16::from_be_bytes([a, b])),
+            Some(&[a, b, c, d]) => u64::from(u32::from_be_bytes([a, b, c, d])),
+            Some(&[a, b, c, d, e, f, g, h]) => u64::from_be_bytes([a, b, c, d, e, f, g, h]),
+            _ => 0,
+        }
+    }
+}
+
+/// A [`Template`] compiled once into fixed offsets ([`Template::plan`]):
+/// the record length and, for each field a [`FlowRecord`] is built from,
+/// where it sits. Decoding a data set is then one pass over
+/// `record_len`-sized chunks with direct big-endian loads. Fields are
+/// private: every slot lies inside `record_len` by construction.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DecodePlan {
+    record_len: usize,
+    slots: [Slot; 10],
+}
+
+impl DecodePlan {
+    /// Bytes of one encoded record.
+    pub fn record_len(&self) -> usize {
+        self.record_len
+    }
+
+    /// Append every record of a data-set body to `out`, returning how
+    /// many. Trailing bytes shorter than one record are the RFC-mandated
+    /// alignment padding and are ignored; a zero-length record decodes
+    /// nothing.
+    pub fn decode_into(&self, body: &[u8], out: &mut Vec<FlowRecord>) -> usize {
+        if self.record_len == 0 {
+            return 0;
+        }
+        let before = out.len();
+        out.extend(body.chunks_exact(self.record_len).map(|rec| self.decode(rec)));
+        out.len() - before
+    }
+
+    #[inline(always)]
+    fn decode(&self, rec: &[u8]) -> FlowRecord {
+        let field = |slot: usize| self.slots[slot].load(rec);
+        FlowRecord {
+            key: FlowKey {
+                src: Ipv4Addr::from(field(SRC) as u32),
+                dst: Ipv4Addr::from(field(DST) as u32),
+                sport: field(SPORT) as u16,
+                dport: field(DPORT) as u16,
+                proto: Proto::from_number(field(PROTO) as u8).unwrap_or(Proto::Tcp),
+            },
+            packets: field(PKTS),
+            bytes: field(BYTES),
+            tcp_flags: TcpFlags(field(FLAGS) as u8),
+            first: SimTime(field(FIRST)),
+            last: SimTime(field(LAST)),
+        }
     }
 }
 
@@ -391,16 +552,164 @@ impl OptionsTemplate {
     }
 }
 
-/// Decode every record in a data-set body. Trailing bytes shorter than one
-/// record are treated as the RFC-mandated 4-byte-alignment padding and
-/// ignored.
-pub fn decode_records(t: &Template, body: &mut impl Buf) -> Result<Vec<FlowRecord>, FlowError> {
-    let rlen = t.record_len();
-    let mut out = Vec::with_capacity(body.remaining() / rlen.max(1));
-    while body.remaining() >= rlen && rlen > 0 {
-        out.push(t.decode_record(body)?);
+/// Decode every record in a data-set body (see
+/// [`DecodePlan::decode_into`]; callers decoding more than one set under
+/// the same template compile the plan once instead).
+pub fn decode_records(t: &Template, body: &[u8]) -> Vec<FlowRecord> {
+    let mut out = Vec::new();
+    t.plan().decode_into(body, &mut out);
+    out
+}
+
+/// Which of the two templated protocols a message body is in: they
+/// differ in the ids of the template sets and in the options-template
+/// layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Dialect {
+    V9,
+    Ipfix,
+}
+
+/// One set of a NetFlow v9 / IPFIX message. Template sets parse as they
+/// are iterated; data is left raw for whoever owns the template cache.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Set<'a> {
+    /// The templates announced in a template set.
+    Templates(TemplateRefs<'a>),
+    /// The options templates announced in an options-template set
+    /// (sampling announcements).
+    OptionsTemplates(OptionsTemplates<'a>),
+    /// A data set: records for `template_id`, still encoded. The
+    /// collector decides whether the id names a data or options template.
+    Data {
+        /// The describing template's id.
+        template_id: u16,
+        /// Raw record bytes (including any alignment padding).
+        body: &'a [u8],
+    },
+}
+
+/// The template bodies of one template set. Stops at the first malformed
+/// one; trailing bytes too short for a template header are padding.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TemplateRefs<'a>(&'a [u8]);
+
+impl<'a> Iterator for TemplateRefs<'a> {
+    type Item = Result<TemplateRef<'a>, FlowError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.0.len() < 4 {
+            return None;
+        }
+        let t = TemplateRef::parse(&mut self.0);
+        if t.is_err() {
+            self.0 = &[];
+        }
+        Some(t)
     }
-    Ok(out)
+}
+
+/// The options templates of one options-template set, as
+/// [`TemplateRefs`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OptionsTemplates<'a> {
+    body: &'a [u8],
+    dialect: Dialect,
+}
+
+impl Iterator for OptionsTemplates<'_> {
+    type Item = Result<OptionsTemplate, FlowError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.body.len() < 6 {
+            return None;
+        }
+        let t = match self.dialect {
+            Dialect::V9 => OptionsTemplate::parse_body_v9(&mut self.body),
+            Dialect::Ipfix => OptionsTemplate::parse_body_ipfix(&mut self.body),
+        };
+        if t.is_err() {
+            self.body = &[];
+        }
+        Some(t)
+    }
+}
+
+/// The sets of one message, split lazily in wire order; the walk stops at
+/// the first malformed set. [`Sets::validate`] runs the whole walk ahead
+/// of time, so that a message can be checked before any of it is applied.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sets<'a> {
+    rest: &'a [u8],
+    dialect: Dialect,
+}
+
+impl<'a> Sets<'a> {
+    /// Walk `rest`, everything after the message header.
+    pub(crate) fn new(rest: &'a [u8], dialect: Dialect) -> Sets<'a> {
+        Sets { rest, dialect }
+    }
+
+    /// Check every set and every template in them, consuming nothing and
+    /// allocating nothing for data and template sets.
+    pub fn validate(&self) -> Result<(), FlowError> {
+        for set in self.clone() {
+            match set? {
+                Set::Templates(mut ts) => ts.try_for_each(|t| t.map(drop))?,
+                Set::OptionsTemplates(mut ts) => ts.try_for_each(|t| t.map(drop))?,
+                Set::Data { .. } => {}
+            }
+        }
+        Ok(())
+    }
+
+    fn split_next(&mut self) -> Result<Set<'a>, FlowError> {
+        let (id, declared) = (be16(self.rest, 0), be16(self.rest, 2));
+        let rest = &self.rest[4..];
+        if declared < 4 || usize::from(declared) - 4 > rest.len() {
+            return Err(FlowError::BadSetLength { declared, remaining: rest.len() });
+        }
+        let (body, rest) = rest.split_at(usize::from(declared) - 4);
+        self.rest = rest;
+        let (template_set, options_template_set) = match self.dialect {
+            Dialect::V9 => (v9::TEMPLATE_FLOWSET_ID, v9::OPTIONS_TEMPLATE_FLOWSET_ID),
+            Dialect::Ipfix => (ipfix::TEMPLATE_SET_ID, ipfix::OPTIONS_TEMPLATE_SET_ID),
+        };
+        match id {
+            id if id == template_set => Ok(Set::Templates(TemplateRefs(body))),
+            id if id == options_template_set => {
+                Ok(Set::OptionsTemplates(OptionsTemplates { body, dialect: self.dialect }))
+            }
+            id if id >= 256 => Ok(Set::Data { template_id: id, body }),
+            id => Err(FlowError::ReservedTemplateId(id)),
+        }
+    }
+}
+
+impl<'a> Iterator for Sets<'a> {
+    type Item = Result<Set<'a>, FlowError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        // Fewer than a set header's worth of trailing bytes is padding.
+        if self.rest.len() < 4 {
+            return None;
+        }
+        let set = self.split_next();
+        if set.is_err() {
+            self.rest = &[];
+        }
+        Some(set)
+    }
+}
+
+/// Big-endian `u16` at `at`; callers have checked the length.
+pub(crate) fn be16(b: &[u8], at: usize) -> u16 {
+    u16::from_be_bytes([b[at], b[at + 1]])
+}
+
+/// Big-endian `u32` at `at`; callers have checked the length.
+pub(crate) fn be32(b: &[u8], at: usize) -> u32 {
+    u32::from_be_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
 }
 
 fn put_uint(buf: &mut BytesMut, v: u64, len: u16) {
@@ -417,7 +726,14 @@ fn get_uint(buf: &mut impl Buf, len: u16) -> u64 {
         1 => u64::from(buf.get_u8()),
         2 => u64::from(buf.get_u16()),
         4 => u64::from(buf.get_u32()),
-        _ => buf.get_u64(),
+        8 => buf.get_u64(),
+        // Options templates are not held to the integer widths data
+        // templates are: skip what the field declares, no more, and read
+        // it as zero.
+        _ => {
+            buf.advance(usize::from(len));
+            0
+        }
     }
 }
 

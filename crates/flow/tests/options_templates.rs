@@ -4,7 +4,10 @@
 
 use bytes::BytesMut;
 use haystack_flow::export::{ExportProtocol, Exporter};
-use haystack_flow::wire::{OptionsTemplate, SamplingOptions};
+use haystack_flow::wire::{
+    OptionsTemplate, SamplingOptions, TemplateField, FIELD_SAMPLING_ALGORITHM,
+    FIELD_SAMPLING_INTERVAL, SCOPE_SYSTEM,
+};
 use haystack_flow::{Collector, FlowKey, FlowRecord, TcpFlags};
 use haystack_net::ports::Proto;
 use haystack_net::SimTime;
@@ -95,6 +98,24 @@ fn data_records_still_decode_alongside_options() {
         decoded.extend(collector.feed_netflow_v9(msg).unwrap());
     }
     assert_eq!(decoded, records, "options sets must not disturb data decoding");
+}
+
+#[test]
+fn odd_width_option_fields_are_skipped_not_overread() {
+    // Found by a mutation fuzzer: a 3-byte SAMPLING_INTERVAL used to be
+    // read as eight bytes, past the end of the record.
+    let ot = OptionsTemplate {
+        id: 512,
+        scope_fields: vec![TemplateField { id: SCOPE_SYSTEM, len: 4 }],
+        option_fields: vec![
+            TemplateField { id: FIELD_SAMPLING_INTERVAL, len: 3 },
+            TemplateField { id: FIELD_SAMPLING_ALGORITHM, len: 1 },
+        ],
+    };
+    let mut record = &[0, 0, 0, 7, 9, 9, 9, 2][..];
+    let decoded = ot.decode_sampling(&mut record).unwrap();
+    assert_eq!(decoded, SamplingOptions { interval: 0, algorithm: 2 });
+    assert!(record.is_empty(), "exactly one record consumed");
 }
 
 #[test]

@@ -144,6 +144,48 @@ proptest! {
         }
     }
 
+    /// `feed` and `feed_into` are one collector: over the same impaired
+    /// stream (loss, reordering, restart, corruption deep enough to
+    /// quarantine the source and put it on probation) a collector fed
+    /// through fresh `Vec`s and one fed through a single reused buffer
+    /// end with the same records and byte-identical state.
+    #[test]
+    fn feed_and_feed_into_agree_under_chaos(
+        records in prop::collection::vec(arb_record(), 0..120),
+        chaos in arb_chaos(),
+        protocol in prop_oneof![Just(ExportProtocol::NetflowV9), Just(ExportProtocol::Ipfix)],
+        batch in 1usize..40,
+    ) {
+        let mut exporter = Exporter::new(protocol, 7).with_batch_size(batch);
+        let mut link = ChaosLink::new(chaos);
+        let mut delivered = Vec::new();
+        for (hour, chunk) in records.chunks(37.max(batch)).enumerate() {
+            delivered.extend(link.transmit_all(exporter.export(chunk, 100 + hour as u32).unwrap()));
+        }
+        delivered.extend(link.shutdown());
+
+        let (mut by_vec, mut by_buf) = (Collector::new(), Collector::new());
+        let (mut from_vec, mut from_buf) = (Vec::new(), Vec::new());
+        let mut buf = Vec::new();
+        for d in delivered {
+            buf.clear();
+            let fed = by_buf.feed_into(&d, &mut buf);
+            from_buf.extend_from_slice(&buf);
+            match by_vec.feed(d) {
+                Ok(rs) => {
+                    prop_assert_eq!(fed, Ok(rs.len()));
+                    from_vec.extend(rs);
+                }
+                Err(e) => {
+                    prop_assert_eq!(fed, Err(e));
+                    prop_assert!(buf.is_empty(), "a rejected datagram left records behind");
+                }
+            }
+        }
+        prop_assert_eq!(from_vec, from_buf);
+        prop_assert_eq!(by_vec.snapshot(), by_buf.snapshot());
+    }
+
     #[test]
     fn restart_is_detected_when_its_datagram_arrives(
         records in prop::collection::vec(arb_record(), 60..120),

@@ -9,8 +9,9 @@
 //! anonymized subscriber identity, the /24 kept on-premises for Figure 13,
 //! and the server side in the clear.
 
+use haystack_flow::FlowRecord;
 use haystack_net::ports::Proto;
-use haystack_net::{AnonId, HourBin, Prefix4};
+use haystack_net::{AnonId, Anonymizer, HourBin, Prefix4};
 use std::net::Ipv4Addr;
 
 /// One hour-aggregated, sampled flow observation at a wild vantage point.
@@ -49,6 +50,26 @@ pub struct WildRecord {
     pub established: bool,
     /// The hour bin.
     pub hour: HourBin,
+}
+
+impl WildRecord {
+    /// The record a collector-fed vantage point hands on for one decoded
+    /// flow: the subscriber side anonymized, its /24 kept, the hour taken
+    /// from the flow's first packet.
+    pub fn from_flow(r: &FlowRecord, anon: &Anonymizer) -> WildRecord {
+        WildRecord {
+            line: anon.anonymize(r.key.src),
+            line_slash24: Prefix4::slash24_of(r.key.src),
+            src_ip: r.key.src,
+            dst: r.key.dst,
+            dport: r.key.dport,
+            proto: r.key.proto,
+            packets: r.packets,
+            bytes: r.bytes,
+            established: r.tcp_flags.is_established_evidence(),
+            hour: r.first.hour(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -439,3 +439,49 @@ fn full_flow_pipeline_ipfix_round_trip() {
     assert_eq!(collector.malformed_messages(), 0);
     assert_eq!(collector.dropped_unknown_template(), 0);
 }
+
+#[test]
+fn exported_records_decode_alike_through_feed_into_and_feed() {
+    // The decode path the daemon runs (`Collector::feed_into` into a
+    // reused buffer) and the one everything else uses (`feed`), under the
+    // tier-1 command: real flow-cache output exported as NetFlow v9 and
+    // as IPFIX comes back record for record through both, and turns into
+    // the same `WildRecord`s.
+    use haystack::flow::cache::{FlowCache, FlowCacheConfig};
+    use haystack::flow::export::{ExportProtocol, Exporter};
+    use haystack::flow::{Collector, FlowRecord};
+    use haystack::net::Anonymizer;
+    use haystack::wild::WildRecord;
+
+    let p = pipeline();
+    let mut cache = FlowCache::new(FlowCacheConfig::default());
+    let mut exported: Vec<FlowRecord> = Vec::new();
+    for hour in StudyWindow::IDLE_GT.hour_bins().take(2) {
+        for g in p.driver.generate_hour(&p.world, hour) {
+            cache.on_packet(&g.packet);
+        }
+        cache.advance(hour.next().start());
+        exported.extend(cache.drain_expired());
+    }
+    assert!(exported.len() > 100, "only {} records to export", exported.len());
+
+    let anon = Anonymizer::new(7, 8);
+    for protocol in [ExportProtocol::NetflowV9, ExportProtocol::Ipfix] {
+        let wire = Exporter::new(protocol, 9).export(&exported, 100).unwrap();
+        assert!(wire.len() as u64 > Exporter::TEMPLATE_REFRESH, "no template refresh on the wire");
+        let (mut by_buf, mut by_vec) = (Collector::new(), Collector::new());
+        let (mut buf, mut from_buf, mut from_vec) = (Vec::new(), Vec::new(), Vec::new());
+        for datagram in wire {
+            buf.clear();
+            let decoded = by_buf.feed_into(&datagram, &mut buf).unwrap();
+            assert_eq!(decoded, buf.len());
+            from_buf.extend(buf.iter().map(|r| WildRecord::from_flow(r, &anon)));
+            from_vec.extend(by_vec.feed(datagram).unwrap());
+        }
+        assert_eq!(from_vec, exported, "{protocol:?}");
+        let wild: Vec<WildRecord> = exported.iter().map(|r| WildRecord::from_flow(r, &anon)).collect();
+        assert_eq!(from_buf, wild, "{protocol:?}");
+        assert_eq!(by_buf.snapshot(), by_vec.snapshot(), "{protocol:?}");
+        assert_eq!(by_buf.records_decoded(), exported.len() as u64);
+    }
+}
