@@ -6,7 +6,9 @@
 //! The format is versioned and intentionally dumb — one object per rule,
 //! primitive types only — so non-Rust consumers can read it.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: [`sig`] alone opts out, for its two libc
+// `signal(2)` calls.
+#![deny(unsafe_code)]
 
 use haystack_core::rules::{RuleDomain, RuleSet, RuleSetBuilder};
 use haystack_dns::DomainName;
@@ -16,6 +18,8 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 pub mod resume;
+#[allow(unsafe_code)]
+pub mod sig;
 
 /// Format version written into every document.
 pub const FORMAT_VERSION: u32 = 1;
@@ -180,6 +184,20 @@ pub mod log {
         eprintln!("{args}");
         count("raw_emitted");
     }
+}
+
+/// Read the numeric flag `--key`, or `default` when it was not passed;
+/// a value that does not parse is a usage error (exit 2).
+pub fn num<T: std::str::FromStr>(
+    flags: &std::collections::HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> T {
+    let Some(v) = flags.get(key) else { return default };
+    v.parse().unwrap_or_else(|_| {
+        cli_error!("--{key} needs a number");
+        std::process::exit(2);
+    })
 }
 
 /// Print a progress note to stderr unless `--quiet` is in effect.

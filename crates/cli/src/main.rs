@@ -18,11 +18,10 @@
 //! progress/error output routes through [`haystack_cli::log`].
 
 mod serve;
-mod sig;
 mod soak;
 
-use haystack_cli::resume::{flag_conflicts, load_resume_checkpoint, RunCheckpoint, RunDelta};
-use haystack_cli::{cli_error, note, rules_from_json, rules_to_json};
+use haystack_cli::resume::{or_exit, ResumableRun, RunSpec};
+use haystack_cli::{cli_error, note, num, rules_from_json, rules_to_json};
 use haystack_core::detector::{Detector, DetectorConfig};
 use haystack_core::hitlist::HitList;
 use haystack_core::mitigation::{block_plan, Action};
@@ -30,25 +29,16 @@ use haystack_core::pack::SignaturePack;
 use haystack_core::parallel::DetectorPool;
 use haystack_core::pipeline::{Pipeline, PipelineConfig};
 use haystack_core::telemetry;
-use haystack_core::CheckpointDir;
+use haystack_core::{CheckpointDir, DetectorSnapshot, DetectorState};
 use haystack_dns::DnsDb;
 use haystack_net::DayBin;
 use haystack_testbed::catalog::data::standard_catalog;
 use haystack_testbed::materialize::materialize;
 use haystack_wild::{
-    skip_chunks, IspConfig, IspVantage, RecordChunk, VantagePoint, Watermark,
-    DEFAULT_CHUNK_RECORDS,
+    IspConfig, IspVantage, RecordChunk, VantagePoint, Watermark, DEFAULT_CHUNK_RECORDS,
 };
 use std::collections::HashMap;
 use std::process::exit;
-
-/// Exit with a checkpoint I/O or decode error.
-fn pool_fatal_ck<T>(r: Result<T, haystack_core::CheckpointError>) -> T {
-    r.unwrap_or_else(|e| {
-        cli_error!("checkpoint: {e}");
-        exit(1);
-    })
-}
 
 fn usage() -> ! {
     haystack_cli::log::raw_args(format_args!(
@@ -130,87 +120,6 @@ fn load_rules_full(
 
 fn load_rules(flags: &HashMap<String, String>) -> haystack_core::rules::RuleSet {
     load_rules_full(flags).0
-}
-
-/// Which shard backend `--isolate` selects (DESIGN.md §15).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Isolate {
-    /// In-process worker threads (the default).
-    Thread,
-    /// One `haystack shard-worker` child process per shard.
-    Process,
-}
-
-impl Isolate {
-    fn label(self) -> &'static str {
-        match self {
-            Isolate::Thread => "thread",
-            Isolate::Process => "process",
-        }
-    }
-}
-
-fn parse_isolate(flags: &HashMap<String, String>) -> Isolate {
-    match flags.get("isolate").map(String::as_str) {
-        None | Some("thread") => Isolate::Thread,
-        Some("process") => Isolate::Process,
-        Some(other) => {
-            cli_error!("--isolate needs `thread` or `process`, not {other:?}");
-            exit(2);
-        }
-    }
-}
-
-/// Build the detector pool with the shard link `--isolate` asked for.
-/// Both links detect against the whole-window hitlist of the rules, so
-/// their detections are byte-identical; only the failure domain differs.
-fn build_pool(
-    rules: &haystack_core::rules::RuleSet,
-    config: DetectorConfig,
-    workers: usize,
-    isolate: Isolate,
-) -> DetectorPool {
-    match isolate {
-        Isolate::Thread => {
-            DetectorPool::new(rules, &HitList::whole_window(rules), config, workers)
-        }
-        // No argv: the children are this executable's `shard-worker` arm.
-        Isolate::Process => DetectorPool::with_process_shards(rules, config, workers, &[])
-            .unwrap_or_else(|e| {
-                cli_error!("spawning shard workers: {e}");
-                exit(1);
-            }),
-    }
-}
-
-/// `--chaos` on `detect`/`soak`: ungracefully kill one shard every this
-/// many chunks, cycling through the shards. The schedule is a pure
-/// function of the chunk count, so a chaos run is reproducible and its
-/// outputs must still match an undisturbed run byte-for-byte.
-const CHAOS_KILL_EVERY: u64 = 40;
-
-/// Apply the deterministic chaos kill schedule at chunk `tick`.
-fn chaos_tick(pool: &mut DetectorPool, tick: u64) {
-    if tick == 0 || !tick.is_multiple_of(CHAOS_KILL_EVERY) {
-        return;
-    }
-    let shard = ((tick / CHAOS_KILL_EVERY - 1) % pool.workers() as u64) as usize;
-    note!("chaos: killing shard {shard} at chunk {tick}");
-    if let Err(e) = pool.kill_shard(shard) {
-        note!("chaos: kill of shard {shard} reported: {e}");
-    }
-}
-
-fn num<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
-    flags
-        .get(key)
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                cli_error!("--{key} needs a number");
-                exit(2);
-            })
-        })
-        .unwrap_or(default)
 }
 
 fn cmd_rules(flags: HashMap<String, String>) {
@@ -368,92 +277,15 @@ fn cmd_inspect(flags: HashMap<String, String>) {
     }
 }
 
-/// Exit with the pool error — a shard died and (without supervision or
-/// after repeated deaths) could not be healed.
-fn pool_fatal<T>(r: Result<T, haystack_core::PoolError>) -> T {
-    r.unwrap_or_else(|e| {
-        cli_error!("{e}");
-        exit(1);
-    })
-}
+/// `detect` counts its run in days of 24 hours over the simulated ISP.
+const DETECT: RunSpec =
+    RunSpec { command: "detect", span_flag: "days", default_lines: 20_000, default_span: 1 };
 
 fn cmd_detect(flags: HashMap<String, String>) {
     let (rules, pack) = load_rules_full(&flags);
-    let ckpt_dir = flags.get("checkpoint-dir").map(|d| {
-        pool_fatal_ck(CheckpointDir::open(d))
-    });
-    let resume = flags.contains_key("resume");
-    if resume && ckpt_dir.is_none() {
-        cli_error!("--resume needs --checkpoint-dir");
-        exit(2);
-    }
-    let checkpoint_chunks: u64 = num(&flags, "checkpoint-chunks", 0);
-
-    // A resumed run takes its configuration from the checkpoint — flag
-    // drift between invocations cannot silently change the stream. An
-    // *explicitly* conflicting flag, a version-skewed frame, or a fully
-    // corrupt directory each fail with a message naming the generation
-    // (and field) at fault, not a generic codec error.
-    let loaded: Option<RunCheckpoint> = if resume {
-        let dir = ckpt_dir.as_ref().expect("checked above");
-        match load_resume_checkpoint(dir) {
-            Ok(Some((generation, ck))) => {
-                if let Err(e) = flag_conflicts(&ck, generation, &flags) {
-                    cli_error!("resume: {e}");
-                    exit(1);
-                }
-                note!(
-                    "resuming from checkpoint generation {generation} at day {} hour {} chunk {}",
-                    ck.watermark.day,
-                    ck.watermark.hour,
-                    ck.watermark.chunk
-                );
-                Some(ck)
-            }
-            Ok(None) => {
-                note!("no checkpoint found; starting fresh");
-                None
-            }
-            Err(e) => {
-                cli_error!("resume: {e}");
-                exit(1);
-            }
-        }
-    } else {
-        None
-    };
-
-    let (lines, days, threshold, seed, workers, chunk_records) = match &loaded {
-        Some(ck) => (
-            ck.lines,
-            ck.days,
-            ck.threshold,
-            ck.seed,
-            ck.workers as usize,
-            ck.chunk_records as usize,
-        ),
-        None => {
-            let workers: usize = num(&flags, "workers", 4);
-            if workers == 0 {
-                cli_error!("--workers must be at least 1");
-                exit(2);
-            }
-            (
-                num(&flags, "lines", 20_000),
-                num(&flags, "days", 1),
-                // A loaded pack carries the threshold `D` it was
-                // generated for; an explicit --threshold still wins.
-                num(
-                    &flags,
-                    "threshold",
-                    pack.as_ref().map(|p| p.threshold).unwrap_or(0.4),
-                ),
-                num(&flags, "seed", 42),
-                workers,
-                DEFAULT_CHUNK_RECORDS,
-            )
-        }
-    };
+    let loaded = ResumableRun::load(&DETECT, &flags, pack.as_ref().map(|p| p.threshold));
+    let (lines, days, seed) = (loaded.ck.lines, loaded.ck.days, loaded.ck.seed);
+    let (workers, chunk_records) = (loaded.ck.workers, loaded.ck.chunk_records as usize);
 
     note!("building the simulated ISP ({lines} lines) ...");
     let catalog = standard_catalog();
@@ -462,56 +294,13 @@ fn cmd_detect(flags: HashMap<String, String>) {
         &catalog,
         IspConfig { lines, sampling: 1_000, seed, background: false },
     );
-    // Hours stream chunk-by-chunk into the persistent worker pool — the
-    // hour is never materialized, and detection state is sharded by line.
-    let isolate = parse_isolate(&flags);
-    let chaos = flags.contains_key("chaos");
-    let mut pool = build_pool(
-        &rules,
-        DetectorConfig { threshold, require_established: false },
-        workers,
-        isolate,
-    );
-    if ckpt_dir.is_some() || isolate == Isolate::Process || chaos {
-        // Checkpointed runs are also supervised: a shard panic is healed
-        // from the pool's in-memory shard checkpoints instead of killing
-        // the run. They drain on SIGTERM too — checkpoint at the current
-        // watermark, exit 0 — so an orchestrator's stop is never a crash.
-        // Process isolation and chaos both imply supervision — losing a
-        // child (or killing one on purpose) must never lose evidence.
-        pool_fatal(pool.enable_supervision(haystack_core::parallel::DEFAULT_REPLAY_LIMIT));
+    let mut run = ResumableRun::start(loaded, &flags, &rules);
+    if run.ck.done {
+        note!("checkpointed run already complete; re-printed its output");
+        return;
     }
-    if ckpt_dir.is_some() {
-        sig::install();
-    }
-
-    // `emit` lines are the run's replayable stdout: checkpointed
-    // verbatim, re-printed on resume, so a resumed run's stdout is
-    // byte-identical to an uninterrupted one.
-    let mut emitted: Vec<String> = Vec::new();
-    let mut wm = Watermark::start();
-    let mut records_this_day = 0u64;
-    match &loaded {
-        Some(ck) => {
-            if ck.done {
-                note!("checkpointed run already complete; re-printing its output");
-            }
-            for line in &ck.emitted {
-                println!("{line}");
-            }
-            emitted = ck.emitted.clone();
-            wm = ck.watermark;
-            records_this_day = ck.records_this_day;
-            pool_fatal(pool.restore_shard_states(&ck.shards));
-            if ck.done {
-                return;
-            }
-        }
-        None => {
-            let header = "day\tclass\tdetected_lines".to_string();
-            println!("{header}");
-            emitted.push(header);
-        }
+    if !run.resumed {
+        run.emit("day\tclass\tdetected_lines".to_string());
     }
 
     // `--events FILE`: the NDJSON detection-event stream, derived from
@@ -522,7 +311,7 @@ fn cmd_detect(flags: HashMap<String, String>) {
     // and re-deriving that day on resume must not duplicate it.
     let mut events_file = flags.get("events").map(|path| {
         use std::io::Write;
-        let kept: String = if loaded.is_some() {
+        let kept: String = if run.resumed {
             std::fs::read_to_string(path)
                 .unwrap_or_default()
                 .lines()
@@ -530,7 +319,7 @@ fn cmd_detect(flags: HashMap<String, String>) {
                     l.strip_prefix("{\"day\":")
                         .and_then(|rest| rest.split(',').next())
                         .and_then(|n| n.parse::<u32>().ok())
-                        .is_some_and(|d| d < wm.day)
+                        .is_some_and(|d| d < run.ck.watermark.day)
                 })
                 .fold(String::new(), |mut acc, l| {
                     acc.push_str(l);
@@ -551,137 +340,37 @@ fn cmd_detect(flags: HashMap<String, String>) {
         f
     });
 
-    // Checkpoint cadence: periodic full frames anchor the chain; every
-    // save in between writes a dirty-only [`RunDelta`] — the watermark
-    // advance, the stdout lines since the last flush, and each shard's
-    // incremental snapshot — chained by `base_generation`. Day rolls and
-    // run completion force a full frame (evidence resets there, so a
-    // delta would be full-sized anyway and the chain stays short).
-    const FULL_EVERY: u64 = 8;
-    let mut last_generation: Option<u64> = None;
-    let mut saves_since_full: u64 = 0;
-    let mut last_emitted_flushed: usize = 0;
-    let mut save = |pool: &mut DetectorPool,
-                    wm: Watermark,
-                    records_this_day: u64,
-                    done: bool,
-                    force_full: bool,
-                    emitted: &[String]| {
-        let Some(dir) = &ckpt_dir else { return };
-        let full = force_full
-            || done
-            || last_generation.is_none()
-            || saves_since_full + 1 >= FULL_EVERY;
-        let generation = if full {
-            // Fold outstanding dirty state into the supervisor's bases so
-            // the full frame doubles as the next delta's clean anchor.
-            pool_fatal(pool.checkpoint_all_delta());
-            let ck = RunCheckpoint {
-                seed,
-                lines,
-                days,
-                threshold,
-                workers: workers as u32,
-                chunk_records: chunk_records as u64,
-                watermark: wm,
-                records_this_day,
-                done,
-                emitted: emitted.to_vec(),
-                shards: pool.supervised_shard_states(),
-            };
-            saves_since_full = 0;
-            pool_fatal_ck(dir.write(RunCheckpoint::PREFIX, &ck.encode()))
-        } else {
-            let shards = pool_fatal(pool.checkpoint_all_delta());
-            let dirty: usize =
-                shards.iter().map(haystack_core::DetectorSnapshot::entry_count).sum();
-            let delta = RunDelta {
-                base_generation: last_generation.expect("delta saves follow a full"),
-                watermark: wm,
-                records_this_day,
-                done,
-                emitted_new: emitted[last_emitted_flushed..].to_vec(),
-                shards,
-            };
-            saves_since_full += 1;
-            pool_fatal_ck(dir.write_delta(RunCheckpoint::PREFIX, &delta.encode(), dirty as u64))
-        };
-        last_generation = Some(generation);
-        last_emitted_flushed = emitted.len();
-    };
-
-    let mut chunk = RecordChunk::with_capacity(chunk_records);
-    let mut chaos_ticks = 0u64;
-    while wm.day < days {
-        let day = wm.day;
-        for hour_idx in wm.hour..24 {
+    while run.ck.watermark.day < days {
+        let day = run.ck.watermark.day;
+        for hour_idx in run.ck.watermark.hour..24 {
             let hour = DayBin(day)
                 .hours()
                 .nth(hour_idx as usize)
                 .expect("a day has 24 hours");
-            let mut stream = isp.stream_hour(&world, hour, chunk_records);
-            // Resuming mid-hour: regenerate the hour and discard the
-            // already-processed prefix (generation is deterministic).
-            let mut chunk_no = if hour_idx == wm.hour && wm.chunk > 0 {
-                skip_chunks(&mut *stream, wm.chunk)
-            } else {
-                0
-            };
-            while stream.next_chunk(&mut chunk) {
-                records_this_day += chunk.records.len() as u64;
-                pool_fatal(pool.observe_records(&chunk.records));
-                chunk_no += 1;
-                if chaos {
-                    chaos_ticks += 1;
-                    chaos_tick(&mut pool, chaos_ticks);
-                }
-                if checkpoint_chunks > 0 && chunk_no % checkpoint_chunks == 0 {
-                    save(
-                        &mut pool,
-                        Watermark { day, hour: hour_idx, chunk: chunk_no },
-                        records_this_day,
-                        false,
-                        false,
-                        &emitted,
-                    );
-                }
-                // SIGTERM drain: the in-flight chunk is finished (it was
-                // observed above), the watermark checkpoint makes resume
-                // land exactly here, and the exit is clean.
-                if ckpt_dir.is_some() && sig::triggered() {
-                    save(
-                        &mut pool,
-                        Watermark { day, hour: hour_idx, chunk: chunk_no },
-                        records_this_day,
-                        false,
-                        false,
-                        &emitted,
-                    );
-                    note!(
-                        "sigterm: checkpointed at day {day} hour {hour_idx} chunk {chunk_no}; exiting"
-                    );
-                    exit(0);
-                }
-            }
-            wm = Watermark::hour_start(day, hour_idx).next_hour();
+            // Hours stream chunk-by-chunk into the persistent worker pool
+            // — the hour is never materialized, and detection state is
+            // sharded by line.
+            run.feed_hour(&mut *isp.stream_hour(&world, hour, chunk_records));
+            run.ck.watermark = Watermark::hour_start(day, hour_idx).next_hour();
             // Hour-boundary cadence — but the day-roll checkpoint waits
             // for the day's summary rows below.
-            if wm.day == day {
-                save(&mut pool, wm, records_this_day, false, false, &emitted);
+            if run.ck.watermark.day == day {
+                run.save(false, false);
             }
         }
-        pool_fatal(pool.finish());
-        note!("day {day}: {records_this_day} records streamed through {workers} workers");
+        or_exit(run.pool.finish());
+        note!(
+            "day {day}: {} records streamed through {workers} workers",
+            run.ck.records_this_day
+        );
         for rule in &rules.rules {
             let name = rules.class_name(rule.class);
-            let n = pool_fatal(pool.detected_lines(name)).len();
-            let row = format!("{day}\t{name}\t{n}");
-            println!("{row}");
-            emitted.push(row);
+            let n = or_exit(run.pool.detected_lines(name)).len();
+            run.emit(format!("{day}\t{name}\t{n}"));
         }
         if let Some(f) = &mut events_file {
             use std::io::Write;
-            let states = pool_fatal(pool.shard_states());
+            let states = or_exit(run.pool.shard_states());
             for e in &haystack_core::events::events_from_states(&rules, &states) {
                 let line = haystack_core::events::ndjson_line(&rules, e, Some(day));
                 writeln!(f, "{line}").unwrap_or_else(|e| {
@@ -692,11 +381,11 @@ fn cmd_detect(flags: HashMap<String, String>) {
         }
         // Evidence resets at the day boundary; the day-roll checkpoint
         // captures the post-reset state so a resume lands exactly here.
-        pool_fatal(pool.reset());
-        records_this_day = 0;
-        save(&mut pool, wm, 0, false, true, &emitted);
+        or_exit(run.pool.reset());
+        run.ck.records_this_day = 0;
+        run.save(false, true);
     }
-    save(&mut pool, wm, 0, true, false, &emitted);
+    run.save(true, false);
 }
 
 fn cmd_mitigate(flags: HashMap<String, String>) {
@@ -968,45 +657,35 @@ fn cmd_metrics(flags: HashMap<String, String>) {
             isp.stream_hour(&world, hour, DEFAULT_CHUNK_RECORDS),
             &telemetry::Scope::named("stream"),
         );
-        pool_fatal(pool.observe_stream(&mut stream, &mut chunk));
-        pool_fatal(pool.finish());
-        // One durable checkpoint round-trip, so the snapshot also shows
-        // the CheckpointDir side of DESIGN.md §12 (snapshots_written,
-        // snapshot_bytes, restores) next to the pool-side counters.
+        or_exit(pool.observe_stream(&mut stream, &mut chunk));
+        or_exit(pool.finish());
+        // One durable checkpoint round-trip per shard — a full frame,
+        // the dirty set as a delta chained onto it, the chain restored —
+        // so the snapshot also shows the CheckpointDir side of DESIGN.md
+        // §12 (snapshots_written, snapshot_bytes, dirty_entries,
+        // delta_bytes, restores) next to the pool-side counters.
         let ckpt_root =
             std::env::temp_dir().join(format!("haystack-metrics-ckpt-{}", std::process::id()));
-        match CheckpointDir::open(&ckpt_root) {
-            Ok(dir) => {
-                let states = pool_fatal(pool.shard_states());
-                let mut ok = true;
-                for (i, s) in states.iter().enumerate() {
-                    ok &= dir.write(&format!("shard{i}"), &s.encode()).is_ok();
-                }
-                if ok {
-                    // The incremental side of §12: flush each shard's
-                    // dirty set as a delta frame so the snapshot also
-                    // carries checkpoint.dirty_entries / delta_bytes.
-                    let frames = pool_fatal(pool.checkpoint_all_delta());
-                    for (i, f) in frames.iter().enumerate() {
-                        let _ = dir.write_delta(
-                            &format!("shard{i}"),
-                            &f.encode(),
-                            f.entry_count() as u64,
-                        );
-                    }
-                    for i in 0..states.len() {
-                        let _ = dir.load_latest(
-                            &format!("shard{i}"),
-                            haystack_core::DetectorState::decode,
-                        );
-                    }
-                } else {
-                    note!("checkpoint slice skipped: checkpoint write failed");
-                }
-                let _ = std::fs::remove_dir_all(&ckpt_root);
+        let states = or_exit(pool.shard_states());
+        let deltas = or_exit(pool.checkpoint_all_delta());
+        let round_trip = CheckpointDir::open(&ckpt_root).and_then(|dir| {
+            for (i, (state, delta)) in states.iter().zip(&deltas).enumerate() {
+                let prefix = format!("shard{i}");
+                let base = dir.write(&prefix, &state.encode())?;
+                dir.write_delta(&prefix, &delta.encode(), delta.entry_count() as u64)?;
+                dir.load_chain(
+                    &prefix,
+                    DetectorState::decode,
+                    |frame| Ok((base, DetectorSnapshot::decode(frame)?)),
+                    |state, delta: DetectorSnapshot| delta.apply_to(state),
+                )?;
             }
-            Err(e) => note!("checkpoint slice skipped: {e}"),
+            Ok(())
+        });
+        if let Err(e) = round_trip {
+            note!("checkpoint slice skipped: {e}");
         }
+        let _ = std::fs::remove_dir_all(&ckpt_root);
     }
 
     let snap = telemetry::global().snapshot();

@@ -1,8 +1,9 @@
-//! The run-level checkpoint `haystack detect --checkpoint-dir` persists
-//! (DESIGN.md §12).
+//! Resumable runs: the run-level checkpoint chain `haystack detect` and
+//! `haystack soak` persist under `--checkpoint-dir`, and the one driver
+//! ([`ResumableRun`]) both commands stream through (DESIGN.md §12).
 //!
-//! One [`RunCheckpoint`] frame captures everything a killed `detect` run
-//! needs to continue byte-identically:
+//! One [`RunCheckpoint`] frame captures everything a killed run needs to
+//! continue byte-identically:
 //!
 //! * the **configuration** the run was started with — a resumed run uses
 //!   the checkpointed config, so flag drift between invocations cannot
@@ -18,17 +19,23 @@
 //! * the per-shard **detector states**, exported by the worker pool.
 //!
 //! The frame rides the `haystack-net` snapshot codec: versioned magic,
-//! length header, FNV-1a checksum. A truncated or bit-flipped file is
-//! rejected with a typed error and `CheckpointDir::load_latest` falls
-//! back to the previous generation.
+//! length header, FNV-1a checksum. Between periodic full frames a run
+//! writes dirty-only [`RunDelta`]s; `CheckpointDir::load_chain` restores
+//! the newest consistent full+delta chain and falls back past any frame
+//! the checksum rejects.
 
+use crate::{cli_error, note, num, sig};
+use haystack_core::detector::DetectorConfig;
+use haystack_core::hitlist::HitList;
+use haystack_core::parallel::{DetectorPool, DEFAULT_REPLAY_LIMIT};
+use haystack_core::rules::RuleSet;
 use haystack_core::{CheckpointDir, CheckpointError, DetectorSnapshot, DetectorState};
-use haystack_net::snapshot::{
-    checksum_ok, open, seal, SnapError, SnapReader, SnapWriter, MAGIC_LEN,
-};
-use haystack_wild::Watermark;
+use haystack_net::snapshot::{open, seal, SnapError, SnapReader, SnapWriter, MAGIC_LEN};
+use haystack_wild::{skip_chunks, RecordChunk, RecordStream, Watermark, DEFAULT_CHUNK_RECORDS};
 use std::collections::HashMap;
 use std::fmt;
+use std::process::exit;
+use std::time::Instant;
 
 /// Everything needed to resume an interrupted `haystack detect` run.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,26 +243,20 @@ impl RunDelta {
 /// file to inspect or delete.
 #[derive(Debug)]
 pub enum ResumeError {
-    /// Directory-level I/O failed (or every generation was unreadable).
+    /// The chain could not be restored: I/O, version skew, or every
+    /// generation corrupt (see `CheckpointDir::load_chain`).
     Checkpoint(CheckpointError),
-    /// The newest generation has a *valid checksum* but was written by a
-    /// different format version — falling back would silently resume an
-    /// older run, so this is a hard error naming both versions.
-    VersionSkew {
-        /// Generation that carries the skewed frame.
+    /// The chain was written by the other resumable command. `detect`
+    /// and `soak` share the frame format and file prefix but not the
+    /// stream, so resuming one as the other would silently run the wrong
+    /// traffic with `days = hours`.
+    WrongCommand {
+        /// Generation the chain was restored up to.
         generation: u64,
-        /// Version the frame declares.
-        found: u32,
-        /// Version this build reads.
-        expected: u32,
-    },
-    /// Every on-disk generation failed its checksum or decode; the
-    /// newest generation's error is reported.
-    AllCorrupt {
-        /// Newest (first-tried) generation.
-        generation: u64,
-        /// Its decode failure.
-        err: SnapError,
+        /// Subcommand that wrote it.
+        wrote: &'static str,
+        /// Subcommand asked to resume it.
+        resuming: &'static str,
     },
     /// An explicit command-line flag contradicts the checkpointed
     /// configuration — resuming would silently change the stream.
@@ -275,16 +276,11 @@ impl fmt::Display for ResumeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ResumeError::Checkpoint(e) => write!(f, "{e}"),
-            ResumeError::VersionSkew { generation, found, expected } => write!(
+            ResumeError::WrongCommand { generation, wrote, resuming } => write!(
                 f,
-                "checkpoint generation {generation} was written by snapshot format \
-                 version {found}, but this build reads version {expected}; \
-                 re-run the writing build or remove the checkpoint directory"
-            ),
-            ResumeError::AllCorrupt { generation, err } => write!(
-                f,
-                "no usable checkpoint: every generation is corrupt \
-                 (newest generation {generation}: {err})"
+                "checkpoint generation {generation} was written by `haystack {wrote}`, \
+                 not `haystack {resuming}`; resume it with `haystack {wrote} --resume` \
+                 or start a fresh checkpoint directory"
             ),
             ResumeError::Conflict { generation, field, flag, checkpoint } => write!(
                 f,
@@ -303,140 +299,427 @@ impl From<CheckpointError> for ResumeError {
     }
 }
 
-/// Load the newest usable generation of `prefix`, with *explained*
-/// failures (unlike `CheckpointDir::load_latest`, which only falls
-/// back):
+/// Reject an explicit flag that contradicts a checkpointed field.
 ///
-/// * a frame whose **checksum verifies** but whose version differs is
-///   genuine version skew — a hard [`ResumeError::VersionSkew`] naming
-///   the generation, never a silent fallback to an older run;
-/// * a frame whose checksum fails is bit rot or a torn write — skipped,
-///   falling back to the previous generation exactly as before;
-/// * when every generation is corrupt, the newest generation's error is
-///   reported with its generation number.
-pub fn load_validated<T>(
-    dir: &CheckpointDir,
-    prefix: &str,
-    mut decode: impl FnMut(&[u8]) -> Result<T, SnapError>,
-) -> Result<Option<(u64, T)>, ResumeError> {
-    let generations = dir.generations(prefix)?;
-    let mut newest_err: Option<(u64, SnapError)> = None;
-    for &generation in generations.iter().rev() {
-        let frame = dir.read_generation(prefix, generation)?;
-        match decode(&frame) {
-            Ok(v) => return Ok(Some((generation, v))),
-            Err(SnapError::BadVersion { found, expected }) if checksum_ok(&frame) => {
-                return Err(ResumeError::VersionSkew { generation, found, expected });
-            }
-            Err(e) => {
-                if newest_err.is_none() {
-                    newest_err = Some((generation, e));
-                }
-            }
-        }
+/// A resumed run (or daemon) takes its configuration from the
+/// checkpoint; a flag the operator *did not pass* simply defers to it.
+/// But an explicitly passed value that disagrees is a footgun — the run
+/// would silently ignore it — so it fails loudly, naming the field, both
+/// values, and the generation they came from.
+pub fn conflict<T: std::str::FromStr + PartialEq + fmt::Display>(
+    flags: &HashMap<String, String>,
+    generation: u64,
+    field: &'static str,
+    checkpoint: T,
+) -> Result<(), ResumeError> {
+    let Some(flag) = flags.get(field) else { return Ok(()) };
+    // Values are compared *parsed*, so `--threshold 0.40` does not
+    // conflict with a stored 0.4. A flag value that does not parse
+    // conflicts trivially (it cannot equal the checkpoint's).
+    if flag.parse::<T>().is_ok_and(|v| v == checkpoint) {
+        return Ok(());
     }
-    match newest_err {
-        Some((generation, err)) => Err(ResumeError::AllCorrupt { generation, err }),
-        None => Ok(None),
+    Err(ResumeError::Conflict {
+        generation,
+        field,
+        flag: flag.clone(),
+        checkpoint: checkpoint.to_string(),
+    })
+}
+
+/// Unwrap, or report the error and exit 1 — a shard that could not be
+/// healed, a checkpoint that could not be written, a refused resume.
+pub fn or_exit<T, E: fmt::Display>(r: Result<T, E>) -> T {
+    r.unwrap_or_else(|e| {
+        cli_error!("{e}");
+        exit(1);
+    })
+}
+
+/// [`or_exit`], saying first what was being attempted.
+pub fn fatal<T, E: fmt::Display>(what: &str, r: Result<T, E>) -> T {
+    or_exit(r.map_err(|e| format!("{what}: {e}")))
+}
+
+/// Which shard backend `--isolate` selects (DESIGN.md §15).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Isolate {
+    /// In-process worker threads (the default).
+    Thread,
+    /// One `haystack shard-worker` child process per shard.
+    Process,
+}
+
+impl Isolate {
+    /// The flag value that selects this backend.
+    pub fn label(self) -> &'static str {
+        match self {
+            Isolate::Thread => "thread",
+            Isolate::Process => "process",
+        }
     }
 }
 
-/// Load the newest usable run state by replaying the full+delta chain.
-///
-/// Fulls are tried newest-first with [`load_validated`]'s error
-/// classification (checksum-valid version skew is a hard error, bit rot
-/// falls back). Onto the chosen full, deltas are applied in generation
-/// order — but only while each delta's `base_generation` links to the
-/// frame before it. A corrupt, skewed-base, or non-linking delta stops
-/// the chain: the run resumes from the last *consistent* generation and
-/// re-processes the stream from that watermark.
-pub fn load_resume_checkpoint(
+/// Read `--isolate` (exit 2 on anything but `thread` or `process`).
+pub fn parse_isolate(flags: &HashMap<String, String>) -> Isolate {
+    match flags.get("isolate").map(String::as_str) {
+        None | Some("thread") => Isolate::Thread,
+        Some("process") => Isolate::Process,
+        Some(other) => {
+            cli_error!("--isolate needs `thread` or `process`, not {other:?}");
+            exit(2);
+        }
+    }
+}
+
+/// Build the detector pool with the shard link `--isolate` asked for.
+/// Both links detect against the whole-window hitlist of the rules, so
+/// their detections are byte-identical; only the failure domain differs.
+pub fn build_pool(
+    rules: &RuleSet,
+    config: DetectorConfig,
+    workers: usize,
+    isolate: Isolate,
+) -> DetectorPool {
+    match isolate {
+        Isolate::Thread => {
+            DetectorPool::new(rules, &HitList::whole_window(rules), config, workers)
+        }
+        // No argv: the children are this executable's `shard-worker` arm.
+        Isolate::Process => or_exit(
+            DetectorPool::with_process_shards(rules, config, workers, &[])
+                .map_err(|e| format!("spawning shard workers: {e}")),
+        ),
+    }
+}
+
+/// `--chaos` on `detect`/`soak`: ungracefully kill one shard every this
+/// many chunks, cycling through the shards. The schedule is a pure
+/// function of the chunk count, so a chaos run is reproducible and its
+/// outputs must still match an undisturbed run byte-for-byte.
+const CHAOS_KILL_EVERY: u64 = 40;
+
+/// Apply the deterministic chaos kill schedule at chunk `tick`.
+fn chaos_tick(pool: &mut DetectorPool, tick: u64) {
+    if tick == 0 || !tick.is_multiple_of(CHAOS_KILL_EVERY) {
+        return;
+    }
+    let shard = ((tick / CHAOS_KILL_EVERY - 1) % pool.workers() as u64) as usize;
+    note!("chaos: killing shard {shard} at chunk {tick}");
+    if let Err(e) = pool.kill_shard(shard) {
+        note!("chaos: kill of shard {shard} reported: {e}");
+    }
+}
+
+/// Full-frame cadence: every `FULL_EVERY`-th save anchors a new full
+/// generation; saves in between write dirty-only [`RunDelta`] frames.
+const FULL_EVERY: u64 = 8;
+
+/// How a soak's config row — the first stdout line it checkpoints —
+/// begins. A `detect` chain starts with its column header instead, which
+/// is what tells the two writers of the shared frame format apart.
+pub const SOAK_ROW: &str = "# soak ";
+
+/// What differs between the resumable commands before the first record.
+#[derive(Debug, Clone, Copy)]
+pub struct RunSpec {
+    /// The subcommand, as error messages name it.
+    pub command: &'static str,
+    /// The flag [`RunCheckpoint::days`] is set by: the run's length in
+    /// the command's own unit (`days` for `detect`, `hours` for `soak`).
+    pub span_flag: &'static str,
+    /// `--lines` of a fresh run that does not pass it.
+    pub default_lines: u32,
+    /// The span of a fresh run that does not pass it.
+    pub default_span: u32,
+}
+
+/// Restore the newest consistent full+delta chain of a run.
+fn load_run(dir: &CheckpointDir) -> Result<Option<(u64, RunCheckpoint)>, CheckpointError> {
+    dir.load_chain(
+        RunCheckpoint::PREFIX,
+        RunCheckpoint::decode,
+        |frame| RunDelta::decode(frame).map(|d| (d.base_generation, d)),
+        |ck, delta| delta.apply(ck),
+    )
+}
+
+/// [`load_run`], then refuse a chain the other command wrote and any
+/// explicit flag that contradicts the checkpointed configuration.
+fn restore(
+    spec: &RunSpec,
     dir: &CheckpointDir,
+    flags: &HashMap<String, String>,
 ) -> Result<Option<(u64, RunCheckpoint)>, ResumeError> {
-    let fulls = dir.generations(RunCheckpoint::PREFIX)?;
-    let deltas = dir.delta_generations(RunCheckpoint::PREFIX)?;
-    let mut newest_err: Option<(u64, SnapError)> = None;
-    for &generation in fulls.iter().rev() {
-        let frame = dir.read_generation(RunCheckpoint::PREFIX, generation)?;
-        let mut ck = match RunCheckpoint::decode(&frame) {
-            Ok(ck) => ck,
-            Err(SnapError::BadVersion { found, expected }) if checksum_ok(&frame) => {
-                return Err(ResumeError::VersionSkew { generation, found, expected });
+    let Some((generation, ck)) = load_run(dir)? else { return Ok(None) };
+    let soak = ck.emitted.first().is_some_and(|row| row.starts_with(SOAK_ROW));
+    let wrote = if soak { "soak" } else { "detect" };
+    if wrote != spec.command {
+        return Err(ResumeError::WrongCommand { generation, wrote, resuming: spec.command });
+    }
+    conflict(flags, generation, "seed", ck.seed)?;
+    conflict(flags, generation, "lines", ck.lines)?;
+    conflict(flags, generation, spec.span_flag, ck.days)?;
+    conflict(flags, generation, "threshold", ck.threshold)?;
+    conflict(flags, generation, "workers", ck.workers)?;
+    conflict(flags, generation, "chunk-records", ck.chunk_records)?;
+    Ok(Some((generation, ck)))
+}
+
+/// A run's configuration and position before anything has a side
+/// effect: the restored chain under `--resume`, the flags otherwise.
+pub struct Loaded {
+    /// A resumed run takes its configuration from the checkpoint — flag
+    /// drift between invocations cannot silently change the stream.
+    pub ck: RunCheckpoint,
+    /// Generation the chain was restored up to; `None` for a fresh run.
+    pub generation: Option<u64>,
+    dir: Option<CheckpointDir>,
+}
+
+/// Pause and size accounting of the checkpoints a run wrote.
+#[derive(Debug, Default)]
+pub struct SaveTally {
+    /// Wall time of all saves together, in milliseconds.
+    pub pause_ms_sum: f64,
+    /// Wall time of the longest save, in milliseconds.
+    pub pause_ms_max: f64,
+    /// Full frames written.
+    pub fulls: u64,
+    /// Their sealed bytes.
+    pub full_bytes: u64,
+    /// Delta frames written.
+    pub deltas: u64,
+    /// Their sealed bytes.
+    pub delta_bytes: u64,
+}
+
+/// The one resumable-run driver: a supervised detector pool fed hour by
+/// hour from a deterministic stream, checkpointed as a full+delta chain,
+/// drained on SIGTERM, resumed byte-identically. `detect` and `soak`
+/// keep only what differs — the stream source, what an hour or a day
+/// prints, the epilogue.
+pub struct ResumableRun {
+    /// Configuration, position and replayable stdout — the run's state
+    /// *is* its next full checkpoint (`shards` is filled only while a
+    /// full frame is being encoded; the pool holds the live evidence).
+    pub ck: RunCheckpoint,
+    /// The detector pool every record goes through.
+    pub pool: DetectorPool,
+    /// Whether this run continues a checkpointed one.
+    pub resumed: bool,
+    /// Records fed by this invocation.
+    pub streamed: u64,
+    /// What the saves cost.
+    pub tally: SaveTally,
+    dir: Option<CheckpointDir>,
+    checkpoint_chunks: u64,
+    chaos: bool,
+    chaos_ticks: u64,
+    /// Newest generation this invocation wrote — the next delta's base.
+    head: Option<u64>,
+    saves_since_full: u64,
+    /// How many `ck.emitted` lines the newest frame already covers.
+    emitted_flushed: usize,
+    chunk: RecordChunk,
+}
+
+impl ResumableRun {
+    /// The preamble: open `--checkpoint-dir`; under `--resume` restore
+    /// the chain, or fail with a message naming the generation (and
+    /// field) at fault — a version-skewed frame, a fully corrupt
+    /// directory, the other command's chain, a conflicting flag.
+    pub fn load(
+        spec: &RunSpec,
+        flags: &HashMap<String, String>,
+        pack_threshold: Option<f64>,
+    ) -> Loaded {
+        let dir = flags.get("checkpoint-dir").map(|d| or_exit(CheckpointDir::open(d)));
+        let resume = flags.contains_key("resume");
+        let restored = match (&dir, resume) {
+            (None, true) => {
+                cli_error!("--resume needs --checkpoint-dir");
+                exit(2);
             }
-            Err(e) => {
-                if newest_err.is_none() {
-                    newest_err = Some((generation, e));
+            (Some(dir), true) => fatal("resume", restore(spec, dir, flags)),
+            _ => None,
+        };
+        if let Some((generation, ck)) = restored {
+            return Loaded { ck, generation: Some(generation), dir };
+        }
+        if resume {
+            note!("no checkpoint found; starting fresh");
+        }
+        let workers: u32 = num(flags, "workers", 4);
+        if workers == 0 {
+            cli_error!("--workers must be at least 1");
+            exit(2);
+        }
+        let ck = RunCheckpoint {
+            seed: num(flags, "seed", 42),
+            lines: num(flags, "lines", spec.default_lines),
+            days: num(flags, spec.span_flag, spec.default_span),
+            // A loaded pack carries the threshold `D` it was generated
+            // for; an explicit --threshold still wins.
+            threshold: num(flags, "threshold", pack_threshold.unwrap_or(0.4)),
+            workers,
+            chunk_records: DEFAULT_CHUNK_RECORDS as u64,
+            watermark: Watermark::start(),
+            records_this_day: 0,
+            done: false,
+            emitted: Vec::new(),
+            shards: Vec::new(),
+        };
+        Loaded { ck, generation: None, dir }
+    }
+
+    /// Build the pool, and for a resumed run re-print its stdout and
+    /// restore its evidence.
+    pub fn start(
+        loaded: Loaded,
+        flags: &HashMap<String, String>,
+        rules: &RuleSet,
+    ) -> ResumableRun {
+        let Loaded { mut ck, generation, dir } = loaded;
+        let isolate = parse_isolate(flags);
+        let chaos = flags.contains_key("chaos");
+        let config = DetectorConfig { threshold: ck.threshold, require_established: false };
+        let mut pool = build_pool(rules, config, ck.workers as usize, isolate);
+        if dir.is_some() || isolate == Isolate::Process || chaos {
+            // Checkpointed runs are also supervised: a shard panic is
+            // healed from the pool's in-memory shard checkpoints instead
+            // of killing the run. Process isolation and chaos both imply
+            // supervision too — losing a child (or killing one on
+            // purpose) must never lose evidence.
+            or_exit(pool.enable_supervision(DEFAULT_REPLAY_LIMIT));
+        }
+        if dir.is_some() {
+            // Drain on SIGTERM — checkpoint at the current watermark,
+            // exit 0 — so an orchestrator's stop is never a crash.
+            sig::install();
+        }
+        if let Some(generation) = generation {
+            let Watermark { day, hour, chunk } = ck.watermark;
+            note!(
+                "resuming from checkpoint generation {generation} at day {day} hour {hour} chunk {chunk}"
+            );
+            // `emitted` is the run's replayable stdout: checkpointed
+            // verbatim, re-printed here, so a resumed run's stdout is
+            // byte-identical to an uninterrupted one.
+            for line in &ck.emitted {
+                println!("{line}");
+            }
+            or_exit(pool.restore_shard_states(&std::mem::take(&mut ck.shards)));
+        }
+        ResumableRun {
+            pool,
+            resumed: generation.is_some(),
+            streamed: 0,
+            tally: SaveTally::default(),
+            dir,
+            checkpoint_chunks: num(flags, "checkpoint-chunks", 0),
+            chaos,
+            chaos_ticks: 0,
+            head: None,
+            saves_since_full: 0,
+            emitted_flushed: 0,
+            chunk: RecordChunk::with_capacity(ck.chunk_records as usize),
+            ck,
+        }
+    }
+
+    /// Print one replayable stdout line.
+    pub fn emit(&mut self, row: String) {
+        println!("{row}");
+        self.ck.emitted.push(row);
+    }
+
+    /// Stream the watermark's hour through the pool. A run resumed
+    /// mid-hour regenerates the hour and discards the already-processed
+    /// prefix (generation is deterministic). Saves every
+    /// `--checkpoint-chunks` chunks, and on SIGTERM — the in-flight chunk
+    /// is finished, the watermark checkpoint makes resume land exactly
+    /// here, and the exit is clean.
+    pub fn feed_hour(&mut self, stream: &mut dyn RecordStream) {
+        let Watermark { day, hour, chunk } = self.ck.watermark;
+        if chunk > 0 {
+            self.ck.watermark.chunk = skip_chunks(stream, chunk);
+        }
+        while stream.next_chunk(&mut self.chunk) {
+            let records = self.chunk.records.len() as u64;
+            self.ck.records_this_day += records;
+            self.streamed += records;
+            or_exit(self.pool.observe_records(&self.chunk.records));
+            self.ck.watermark.chunk += 1;
+            let chunk = self.ck.watermark.chunk;
+            if self.chaos {
+                self.chaos_ticks += 1;
+                chaos_tick(&mut self.pool, self.chaos_ticks);
+            }
+            let periodic =
+                self.checkpoint_chunks > 0 && chunk.is_multiple_of(self.checkpoint_chunks);
+            let drain = self.dir.is_some() && sig::triggered();
+            if periodic || drain {
+                self.save(false, false);
+            }
+            if drain {
+                note!("sigterm: checkpointed at day {day} hour {hour} chunk {chunk}; exiting");
+                exit(0);
+            }
+        }
+    }
+
+    /// Checkpoint at the current watermark (a no-op without
+    /// `--checkpoint-dir`). Periodic full frames anchor the chain; every
+    /// save in between writes a dirty-only [`RunDelta`] — the watermark
+    /// advance, the stdout lines since the last flush, and each shard's
+    /// incremental snapshot — chained by `base_generation`. `force_full`
+    /// is for day rolls (evidence resets there, so a delta would be
+    /// full-sized anyway); the `done` frame that ends a run is full too.
+    pub fn save(&mut self, done: bool, force_full: bool) {
+        let Some(dir) = &self.dir else { return };
+        let t0 = Instant::now();
+        self.ck.done = done;
+        // For a full frame this also folds outstanding dirty state into
+        // the supervisor's bases, so the frame doubles as the next
+        // delta's clean anchor.
+        let shards = or_exit(self.pool.checkpoint_all_delta());
+        let generation = match self.head {
+            Some(head) if !(done || force_full) && self.saves_since_full + 1 < FULL_EVERY => {
+                let dirty: usize = shards.iter().map(DetectorSnapshot::entry_count).sum();
+                let frame = RunDelta {
+                    base_generation: head,
+                    watermark: self.ck.watermark,
+                    records_this_day: self.ck.records_this_day,
+                    done: false,
+                    emitted_new: self.ck.emitted[self.emitted_flushed..].to_vec(),
+                    shards,
                 }
-                continue;
+                .encode();
+                self.tally.deltas += 1;
+                self.tally.delta_bytes += frame.len() as u64;
+                self.saves_since_full += 1;
+                or_exit(dir.write_delta(RunCheckpoint::PREFIX, &frame, dirty as u64))
+            }
+            _ => {
+                // After a restore or reset these are full-sized: do not
+                // hold them beside the states the frame is built from.
+                drop(shards);
+                self.ck.shards = self.pool.supervised_shard_states();
+                let frame = self.ck.encode();
+                self.ck.shards = Vec::new();
+                self.tally.fulls += 1;
+                self.tally.full_bytes += frame.len() as u64;
+                self.saves_since_full = 0;
+                or_exit(dir.write(RunCheckpoint::PREFIX, &frame))
             }
         };
-        let mut top = generation;
-        for &dg in deltas.iter().filter(|&&dg| dg > generation) {
-            let Ok(dframe) = dir.read_delta(RunCheckpoint::PREFIX, dg) else { break };
-            match RunDelta::decode(&dframe) {
-                Ok(d) if d.base_generation == top => {
-                    if d.apply(&mut ck).is_err() {
-                        break;
-                    }
-                    top = dg;
-                }
-                // Chains onto a generation this walk did not restore
-                // (e.g. a newer-but-corrupt full): the chain breaks here
-                // and the run resumes from the last linked frame.
-                Ok(_) => break,
-                Err(SnapError::BadVersion { found, expected }) if checksum_ok(&dframe) => {
-                    return Err(ResumeError::VersionSkew { generation: dg, found, expected });
-                }
-                Err(_) => break,
-            }
-        }
-        return Ok(Some((top, ck)));
+        self.head = Some(generation);
+        self.emitted_flushed = self.ck.emitted.len();
+        let pause_ms = t0.elapsed().as_secs_f64() * 1e3;
+        self.tally.pause_ms_sum += pause_ms;
+        self.tally.pause_ms_max = self.tally.pause_ms_max.max(pause_ms);
     }
-    match newest_err {
-        Some((generation, err)) => Err(ResumeError::AllCorrupt { generation, err }),
-        None => Ok(None),
-    }
-}
-
-/// Reject explicit flags that contradict the checkpointed configuration.
-///
-/// A resumed run takes its configuration from the checkpoint; a flag the
-/// operator *did not pass* simply defers to it. But an explicitly passed
-/// value that disagrees is a footgun — the run would silently ignore it —
-/// so each one fails loudly, naming the field, both values, and the
-/// generation they came from.
-pub fn flag_conflicts(
-    ck: &RunCheckpoint,
-    generation: u64,
-    flags: &HashMap<String, String>,
-) -> Result<(), ResumeError> {
-    fn check<T: std::str::FromStr + PartialEq + fmt::Display>(
-        flags: &HashMap<String, String>,
-        generation: u64,
-        field: &'static str,
-        checkpoint: T,
-    ) -> Result<(), ResumeError> {
-        let Some(flag) = flags.get(field) else { return Ok(()) };
-        // Values are compared *parsed*, so `--threshold 0.40` does not
-        // conflict with a stored 0.4. A flag value that does not parse
-        // conflicts trivially (it cannot equal the checkpoint's).
-        if flag.parse::<T>().is_ok_and(|v| v == checkpoint) {
-            return Ok(());
-        }
-        Err(ResumeError::Conflict {
-            generation,
-            field,
-            flag: flag.clone(),
-            checkpoint: checkpoint.to_string(),
-        })
-    }
-    check(flags, generation, "seed", ck.seed)?;
-    check(flags, generation, "lines", ck.lines)?;
-    check(flags, generation, "days", ck.days)?;
-    check(flags, generation, "threshold", ck.threshold)?;
-    check(flags, generation, "workers", ck.workers)?;
-    check(flags, generation, "chunk-records", ck.chunk_records)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -521,7 +804,7 @@ mod tests {
                 d.shards.iter().map(DetectorSnapshot::entry_count).sum::<usize>() as u64,
             )
             .unwrap();
-        let (top, loaded) = load_resume_checkpoint(&dir).unwrap().unwrap();
+        let (top, loaded) = load_run(&dir).unwrap().unwrap();
         assert_eq!(top, g2);
         assert_eq!(loaded.watermark, d.watermark);
         assert_eq!(loaded.records_this_day, 123_456);
@@ -531,46 +814,6 @@ mod tests {
         assert_eq!(loaded.shards[1].rules[0].len(), 1);
         // Config fields come from the full base.
         assert_eq!(loaded.seed, ck.seed);
-        let _ = std::fs::remove_dir_all(dir.root());
-    }
-
-    #[test]
-    fn corrupt_full_stops_the_chain_at_the_last_linked_generation() {
-        let dir = CheckpointDir::open(scratch("chain-rot")).unwrap();
-        let ck = sample();
-        let g1 = dir.write(RunCheckpoint::PREFIX, &ck.encode()).unwrap();
-        let d2 = sample_delta(g1, 8);
-        let g2 = dir.write_delta(RunCheckpoint::PREFIX, &d2.encode(), 2).unwrap();
-        // A newer full that rots on disk…
-        let mut rotten = ck.encode();
-        let mid = rotten.len() / 2;
-        rotten[mid] ^= 0x20;
-        let g3 = dir.write(RunCheckpoint::PREFIX, &rotten).unwrap();
-        // …and a delta chained onto it, which therefore cannot link once
-        // the full is skipped.
-        let d4 = sample_delta(g3, 9);
-        dir.write_delta(RunCheckpoint::PREFIX, &d4.encode(), 2).unwrap();
-        let (top, loaded) = load_resume_checkpoint(&dir).unwrap().unwrap();
-        assert_eq!(top, g2, "resume stops at the last consistent frame");
-        assert_eq!(loaded.watermark, d2.watermark);
-        let _ = std::fs::remove_dir_all(dir.root());
-    }
-
-    #[test]
-    fn skewed_delta_version_is_a_hard_error() {
-        let dir = CheckpointDir::open(scratch("delta-skew")).unwrap();
-        dir.write(RunCheckpoint::PREFIX, &sample().encode()).unwrap();
-        let mut w = SnapWriter::new();
-        w.put_u64(1);
-        let future = seal(RunDelta::MAGIC, RunDelta::VERSION + 1, &w.into_bytes());
-        let generation = dir.write_delta(RunCheckpoint::PREFIX, &future, 0).unwrap();
-        match load_resume_checkpoint(&dir).unwrap_err() {
-            ResumeError::VersionSkew { generation: g, found, .. } => {
-                assert_eq!(g, generation);
-                assert_eq!(found, RunDelta::VERSION + 1);
-            }
-            other => panic!("expected VersionSkew, got {other:?}"),
-        }
         let _ = std::fs::remove_dir_all(dir.root());
     }
 
@@ -589,81 +832,29 @@ mod tests {
         ))
     }
 
-    #[test]
-    fn version_skew_is_a_hard_error_naming_the_generation() {
-        let dir = CheckpointDir::open(scratch("skew")).unwrap();
-        dir.write(RunCheckpoint::PREFIX, &sample().encode()).unwrap();
-        // A frame from a "future" build: valid checksum, bumped version.
-        let mut w = SnapWriter::new();
-        w.put_u64(99);
-        let future = seal(RunCheckpoint::MAGIC, RunCheckpoint::VERSION + 1, &w.into_bytes());
-        let generation = dir.write(RunCheckpoint::PREFIX, &future).unwrap();
-        let err = load_resume_checkpoint(&dir).unwrap_err();
-        match err {
-            ResumeError::VersionSkew { generation: g, found, expected } => {
-                assert_eq!(g, generation);
-                assert_eq!(found, RunCheckpoint::VERSION + 1);
-                assert_eq!(expected, RunCheckpoint::VERSION);
-            }
-            other => panic!("expected VersionSkew, got {other:?}"),
-        }
-        let msg = load_resume_checkpoint(&dir).unwrap_err().to_string();
-        assert!(msg.contains(&format!("generation {generation}")), "{msg}");
-        assert!(msg.contains("version 2"), "{msg}");
-        let _ = std::fs::remove_dir_all(dir.root());
-    }
-
-    #[test]
-    fn bit_rot_still_falls_back_but_total_loss_names_the_generation() {
-        let dir = CheckpointDir::open(scratch("rot")).unwrap();
-        let ck = sample();
-        let g0 = dir.write(RunCheckpoint::PREFIX, &ck.encode()).unwrap();
-        let mut rotten = ck.encode();
-        let mid = rotten.len() / 2;
-        rotten[mid] ^= 0x20;
-        let g1 = dir.write(RunCheckpoint::PREFIX, &rotten).unwrap();
-        // Newest is rotten: fall back to the previous generation.
-        let (generation, loaded) = load_resume_checkpoint(&dir).unwrap().unwrap();
-        assert_eq!(generation, g0);
-        assert_eq!(loaded, ck);
-        // Rot the older one too: the error names the *newest* generation.
-        let mut older = dir.read_generation(RunCheckpoint::PREFIX, g0).unwrap();
-        older.truncate(older.len() / 2);
-        std::fs::write(
-            dir.root().join(format!("{}-{g0:08}.ckpt", RunCheckpoint::PREFIX)),
-            older,
-        )
-        .unwrap();
-        match load_resume_checkpoint(&dir).unwrap_err() {
-            ResumeError::AllCorrupt { generation, .. } => assert_eq!(generation, g1),
-            other => panic!("expected AllCorrupt, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(dir.root());
-    }
-
-    #[test]
-    fn empty_directory_resumes_fresh() {
-        let dir = CheckpointDir::open(scratch("empty")).unwrap();
-        assert!(load_resume_checkpoint(&dir).unwrap().is_none());
-        let _ = std::fs::remove_dir_all(dir.root());
-    }
+    const DETECT: RunSpec =
+        RunSpec { command: "detect", span_flag: "days", default_lines: 1, default_span: 1 };
+    const SOAK: RunSpec =
+        RunSpec { command: "soak", span_flag: "hours", default_lines: 1, default_span: 1 };
 
     #[test]
     fn explicit_flag_conflicts_name_field_and_generation() {
-        let ck = sample();
+        let dir = CheckpointDir::open(scratch("conflict")).unwrap();
+        let g = dir.write(RunCheckpoint::PREFIX, &sample().encode()).unwrap();
         let mut flags = HashMap::new();
         // Absent flags defer to the checkpoint.
-        flag_conflicts(&ck, 3, &flags).unwrap();
+        assert_eq!(restore(&DETECT, &dir, &flags).unwrap(), Some((g, sample())));
         // Matching explicit flags are fine, including re-formatted floats.
         flags.insert("lines".into(), "3000".into());
         flags.insert("threshold".into(), "0.40".into());
-        flag_conflicts(&ck, 3, &flags).unwrap();
+        flags.insert("days".into(), "2".into());
+        restore(&DETECT, &dir, &flags).unwrap();
         // A disagreeing flag names the field, both values, the generation.
         flags.insert("lines".into(), "5000".into());
-        let err = flag_conflicts(&ck, 3, &flags).unwrap_err();
+        let err = restore(&DETECT, &dir, &flags).unwrap_err();
         match &err {
             ResumeError::Conflict { generation, field, flag, checkpoint } => {
-                assert_eq!(*generation, 3);
+                assert_eq!(*generation, g);
                 assert_eq!(*field, "lines");
                 assert_eq!(flag, "5000");
                 assert_eq!(checkpoint, "3000");
@@ -672,12 +863,38 @@ mod tests {
         }
         let msg = err.to_string();
         assert!(msg.contains("--lines 5000"), "{msg}");
-        assert!(msg.contains("generation 3"), "{msg}");
+        assert!(msg.contains(&format!("generation {g}")), "{msg}");
         assert!(msg.contains("3000"), "{msg}");
         // Unparseable values conflict rather than being ignored.
         flags.remove("lines");
         flags.insert("workers".into(), "many".into());
-        assert!(flag_conflicts(&ck, 3, &flags).is_err());
+        assert!(restore(&DETECT, &dir, &flags).is_err());
+        let _ = std::fs::remove_dir_all(dir.root());
+    }
+
+    #[test]
+    fn a_chain_the_other_command_wrote_is_refused_by_generation() {
+        let flags = HashMap::new();
+        let dir = CheckpointDir::open(scratch("wrong-command")).unwrap();
+        // `sample()` starts with detect's column header…
+        let g = dir.write(RunCheckpoint::PREFIX, &sample().encode()).unwrap();
+        match restore(&SOAK, &dir, &flags).unwrap_err() {
+            ResumeError::WrongCommand { generation, wrote, resuming } => {
+                assert_eq!((generation, wrote, resuming), (g, "detect", "soak"));
+            }
+            other => panic!("expected WrongCommand, got {other:?}"),
+        }
+        // …and a soak's chain with its config row.
+        let mut soak = sample();
+        soak.emitted[0] = format!("{SOAK_ROW}lines=3000 hours=2");
+        let g = dir.write(RunCheckpoint::PREFIX, &soak.encode()).unwrap();
+        let msg = restore(&DETECT, &dir, &flags).unwrap_err().to_string();
+        assert!(msg.contains(&format!("generation {g}")), "{msg}");
+        assert!(msg.contains("`haystack soak`"), "{msg}");
+        // The span is checked under the command's own flag name.
+        restore(&SOAK, &dir, &HashMap::from([("hours".into(), "2".into())])).unwrap();
+        restore(&SOAK, &dir, &HashMap::from([("hours".into(), "3".into())])).unwrap_err();
+        let _ = std::fs::remove_dir_all(dir.root());
     }
 
     #[test]

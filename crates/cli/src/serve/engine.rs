@@ -149,7 +149,7 @@ pub struct EngineConfig {
     /// Watchdog probe timeout (per probe round).
     pub watchdog_timeout: Duration,
     /// Shard backend: in-process threads or supervised child processes.
-    pub isolate: crate::Isolate,
+    pub isolate: haystack_cli::resume::Isolate,
 }
 
 /// The engine state — see the module docs.
@@ -188,7 +188,7 @@ impl Engine {
         stats: Arc<AdmissionStats>,
     ) -> Result<Engine, String> {
         let hitlist = HitList::whole_window(&rules);
-        let mut pool = crate::build_pool(
+        let mut pool = haystack_cli::resume::build_pool(
             &rules,
             DetectorConfig { threshold: config.threshold, require_established: false },
             config.workers,

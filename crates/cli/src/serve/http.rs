@@ -183,7 +183,7 @@ fn route(
     match (method, path) {
         ("GET", "/healthz") => (200, "text/plain", "ok\n".into()),
         ("GET", "/readyz") => {
-            if crate::sig::triggered() {
+            if haystack_cli::sig::triggered() {
                 (503, "text/plain", "draining\n".into())
             } else {
                 // Readiness is the engine's verdict: any shard with an
@@ -210,7 +210,7 @@ fn route(
             None => bad("reload-rules needs ?path=/abs/pack.hsp"),
         },
         ("POST", "/admin/drain") => {
-            crate::sig::request_shutdown();
+            haystack_cli::sig::request_shutdown();
             (200, "application/json", "{\"draining\":true}".into())
         }
         ("POST", "/admin/panic") => {

@@ -30,13 +30,14 @@ mod state;
 pub use send::cmd_send;
 
 use engine::{Engine, EngineConfig};
-use haystack_cli::resume::{load_validated, ResumeError};
-use haystack_cli::{cli_error, note};
+use haystack_cli::resume::{conflict, fatal, parse_isolate};
+use haystack_cli::{cli_error, note, num, sig};
 use haystack_core::checkpoint::CheckpointDir;
 use haystack_core::pack::SignaturePack;
 use haystack_core::rules::RuleSet;
 use haystack_core::telemetry;
 use haystack_flow::listener::{spawn_tcp_listener, spawn_udp_listener, AdmissionQueue};
+use haystack_net::snapshot::SnapError;
 use state::ServeCheckpoint;
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, TcpListener, UdpSocket};
@@ -46,46 +47,9 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn fatal<T, E: std::fmt::Display>(what: &str, r: Result<T, E>) -> T {
-    r.unwrap_or_else(|e| {
-        cli_error!("{what}: {e}");
-        exit(1);
-    })
-}
-
-/// Reject an explicit flag that contradicts the checkpointed daemon
-/// configuration (same policy as `detect --resume`).
-fn serve_conflicts(
-    ck: &ServeCheckpoint,
-    generation: u64,
-    flags: &HashMap<String, String>,
-) -> Result<(), ResumeError> {
-    fn check<T: std::str::FromStr + PartialEq + std::fmt::Display>(
-        flags: &HashMap<String, String>,
-        generation: u64,
-        field: &'static str,
-        checkpoint: T,
-    ) -> Result<(), ResumeError> {
-        let Some(flag) = flags.get(field) else { return Ok(()) };
-        if flag.parse::<T>().is_ok_and(|v| v == checkpoint) {
-            return Ok(());
-        }
-        Err(ResumeError::Conflict {
-            generation,
-            field,
-            flag: flag.clone(),
-            checkpoint: checkpoint.to_string(),
-        })
-    }
-    check(flags, generation, "workers", ck.workers)?;
-    check(flags, generation, "threshold", ck.threshold)?;
-    check(flags, generation, "seed", ck.seed)?;
-    Ok(())
-}
-
 pub fn cmd_serve(flags: HashMap<String, String>) {
     telemetry::set_enabled(true);
-    crate::sig::install();
+    sig::install();
 
     let (file_rules, file_pack) = crate::load_rules_full(&flags);
 
@@ -102,26 +66,29 @@ pub fn cmd_serve(flags: HashMap<String, String>) {
     // explicit flags may confirm it but not contradict it.
     let loaded: Option<(u64, ServeCheckpoint)> = if resume {
         let dir = ckpt_dir.as_ref().expect("checked above");
-        match load_validated(dir, ServeCheckpoint::PREFIX, ServeCheckpoint::decode) {
-            Ok(Some((generation, ck))) => {
-                fatal("resume", serve_conflicts(&ck, generation, &flags).map_err(|e| e.to_string()));
+        // The daemon writes full frames only: its chain has no deltas.
+        let chain = dir.load_chain(
+            ServeCheckpoint::PREFIX,
+            ServeCheckpoint::decode,
+            |_| Err::<(u64, ()), _>(SnapError::Malformed("serve writes no delta frames")),
+            |_, ()| Ok(()),
+        );
+        let loaded = fatal("resume", chain);
+        match &loaded {
+            Some((generation, ck)) => {
+                fatal("resume", conflict(&flags, *generation, "workers", ck.workers));
+                fatal("resume", conflict(&flags, *generation, "threshold", ck.threshold));
+                fatal("resume", conflict(&flags, *generation, "seed", ck.seed));
                 note!(
                     "resuming from serve checkpoint generation {generation} \
                      ({} datagrams, {} records)",
                     ck.datagrams,
                     ck.records
                 );
-                Some((generation, ck))
             }
-            Ok(None) => {
-                note!("no serve checkpoint found; starting fresh");
-                None
-            }
-            Err(e) => {
-                cli_error!("resume: {e}");
-                exit(1);
-            }
+            None => note!("no serve checkpoint found; starting fresh"),
         }
+        loaded
     } else {
         None
     };
@@ -129,9 +96,9 @@ pub fn cmd_serve(flags: HashMap<String, String>) {
     let (workers, threshold, seed) = match &loaded {
         Some((_, ck)) => (ck.workers as usize, ck.threshold, ck.seed),
         None => (
-            crate::num(&flags, "workers", 4),
-            crate::num(&flags, "threshold", 0.4),
-            crate::num(&flags, "seed", 42),
+            num(&flags, "workers", 4),
+            num(&flags, "threshold", 0.4),
+            num(&flags, "seed", 42),
         ),
     };
     if workers == 0 {
@@ -166,22 +133,22 @@ pub fn cmd_serve(flags: HashMap<String, String>) {
         }
     };
 
-    let queue_capacity: usize = crate::num(&flags, "queue-capacity", 1_024);
+    let queue_capacity: usize = num(&flags, "queue-capacity", 1_024);
     if queue_capacity == 0 {
         cli_error!("--queue-capacity must be at least 1");
         exit(2);
     }
     let chaos = flags.contains_key("chaos");
-    let isolate = crate::parse_isolate(&flags);
+    let isolate = parse_isolate(&flags);
     let config = EngineConfig {
         workers,
         threshold,
         seed,
         ckpt: ckpt_dir,
-        checkpoint_secs: crate::num(&flags, "checkpoint-secs", 0),
+        checkpoint_secs: num(&flags, "checkpoint-secs", 0),
         chaos,
-        watchdog_every: Duration::from_millis(crate::num(&flags, "watchdog-ms", 1_000)),
-        watchdog_timeout: Duration::from_millis(crate::num(&flags, "watchdog-timeout-ms", 500)),
+        watchdog_every: Duration::from_millis(num(&flags, "watchdog-ms", 1_000)),
+        watchdog_timeout: Duration::from_millis(num(&flags, "watchdog-timeout-ms", 500)),
         isolate,
     };
 
@@ -191,15 +158,15 @@ pub fn cmd_serve(flags: HashMap<String, String>) {
     let host_ip: Ipv4Addr = fatal("--host", host.parse());
     let udp = fatal(
         "udp bind",
-        UdpSocket::bind((host_ip, crate::num::<u16>(&flags, "udp-port", 0))),
+        UdpSocket::bind((host_ip, num::<u16>(&flags, "udp-port", 0))),
     );
     let tcp = fatal(
         "tcp bind",
-        TcpListener::bind((host_ip, crate::num::<u16>(&flags, "tcp-port", 0))),
+        TcpListener::bind((host_ip, num::<u16>(&flags, "tcp-port", 0))),
     );
     let http_sock = fatal(
         "http bind",
-        TcpListener::bind((host_ip, crate::num::<u16>(&flags, "http-port", 0))),
+        TcpListener::bind((host_ip, num::<u16>(&flags, "http-port", 0))),
     );
     let udp_port = fatal("udp addr", udp.local_addr()).port();
     let tcp_port = fatal("tcp addr", tcp.local_addr()).port();
@@ -239,7 +206,7 @@ pub fn cmd_serve(flags: HashMap<String, String>) {
 
     // Park until a drain begins (signal or /admin/drain) or the engine
     // dies underneath us (listener sockets torn down, nothing to serve).
-    while !crate::sig::triggered() && engine::engine_alive(&engine_handle) {
+    while !sig::triggered() && engine::engine_alive(&engine_handle) {
         std::thread::sleep(Duration::from_millis(50));
     }
     note!("serve: draining (stopping listeners, flushing admitted datagrams)");

@@ -81,26 +81,26 @@ fn corrupt(datagram: &[u8]) -> Vec<u8> {
 }
 
 pub fn cmd_send(flags: HashMap<String, String>) {
-    let port: u16 = crate::num(&flags, "port", 0);
+    let port: u16 = haystack_cli::num(&flags, "port", 0);
     if port == 0 {
         cli_error!("send needs --port (the daemon prints its bound ports at startup)");
         exit(2);
     }
     let host = flags.get("host").cloned().unwrap_or_else(|| "127.0.0.1".into());
     let mode = flags.get("mode").map(String::as_str).unwrap_or("tcp");
-    let seed: u64 = crate::num(&flags, "seed", 42);
-    let source: u32 = crate::num(&flags, "source", 7);
-    let hour: u32 = crate::num(&flags, "hour", 0);
-    let malformed: usize = crate::num(&flags, "malformed", 0);
-    let repeat: usize = crate::num(&flags, "repeat", 1);
+    let seed: u64 = haystack_cli::num(&flags, "seed", 42);
+    let source: u32 = haystack_cli::num(&flags, "source", 7);
+    let hour: u32 = haystack_cli::num(&flags, "hour", 0);
+    let malformed: usize = haystack_cli::num(&flags, "malformed", 0);
+    let repeat: usize = haystack_cli::num(&flags, "repeat", 1);
 
     let records = if flags.contains_key("rules") {
         let rules = crate::load_rules(&flags);
-        let lines: u32 = crate::num(&flags, "lines", 16);
-        let packets: u64 = crate::num(&flags, "packets", 12);
+        let lines: u32 = haystack_cli::num(&flags, "lines", 16);
+        let packets: u64 = haystack_cli::num(&flags, "packets", 12);
         hitting_records(&rules, lines, packets, hour)
     } else {
-        let n: usize = crate::num(&flags, "records", 10_000);
+        let n: usize = haystack_cli::num(&flags, "records", 10_000);
         crate::synthetic_flow_records(n, seed)
     };
 

@@ -1,15 +1,15 @@
 //! SIGTERM/SIGINT → a cooperative shutdown flag.
 //!
-//! The daemon (and a checkpointing `detect` run) must *drain* on
-//! SIGTERM: finish in-flight work, write a final checkpoint, exit 0 —
-//! not die mid-write. The handler therefore does the only async-safe
+//! The daemon (and a checkpointing `detect` or `soak` run) must *drain*
+//! on SIGTERM: finish in-flight work, write a final checkpoint, exit 0
+//! — not die mid-write. The handler therefore does the only async-safe
 //! thing possible: it sets an atomic flag that every blocking loop in
 //! the binary polls (all socket reads run with short timeouts for
 //! exactly this reason — glibc installs handlers with `SA_RESTART`, so
 //! a signal alone does not interrupt a blocking `recv`).
 //!
-//! This is the one unsafe corner of the binary (the `haystack-cli`
-//! library itself is `#![forbid(unsafe_code)]`): a single libc
+//! This is the one unsafe corner of the crate (the rest of the
+//! `haystack-cli` library is `#![deny(unsafe_code)]`): a single libc
 //! `signal(2)` call per signal, installing a handler that touches
 //! nothing but an `AtomicBool`.
 

@@ -6,7 +6,7 @@
 //! ≥10⁶ lines of streamed traffic over many simulated hours, pushed
 //! through the supervised detector pool with **incremental dirty-only
 //! checkpoints** — hourly delta frames chained onto periodic full
-//! generations, exactly the `detect --resume` machinery.
+//! generations, through the same [`ResumableRun`] driver as `detect`.
 //!
 //! What it reports (stderr note, or `--report FILE` as JSON):
 //!
@@ -19,31 +19,25 @@
 //! survives SIGKILL, and `--resume` replays the full+delta chain and
 //! regenerates byte-identical traffic from the watermark, so the final
 //! detections (`--out`) and events (`--events`) match an uninterrupted
-//! run exactly. The canonical `BENCH_wild.json` numbers come from the
-//! in-process `soak` bench bin; this command is the operator-facing,
-//! kill-able variant.
+//! run exactly. CI's `soak-smoke` job gates the `--report` of this
+//! command (RSS ceiling, checkpoint pause, delta frames written);
+//! `benchmark/` measures it as the `soak_thread`/`soak_process`
+//! workloads.
 
-use crate::sig;
-use crate::{build_pool, chaos_tick, load_rules_full, num, parse_isolate, pool_fatal,
-    pool_fatal_ck, Isolate};
-use haystack_cli::resume::{flag_conflicts, load_resume_checkpoint, RunCheckpoint, RunDelta};
-use haystack_cli::{cli_error, note};
-use haystack_core::detector::DetectorConfig;
-use haystack_core::parallel::DetectorPool;
+use crate::load_rules_full;
+use haystack_cli::resume::{conflict, fatal, or_exit, ResumableRun, RunSpec, SOAK_ROW};
+use haystack_cli::{cli_error, note, num};
 use haystack_core::rules::RuleSet;
-use haystack_core::{CheckpointDir, DetectorSnapshot};
-use haystack_wild::{
-    skip_chunks, RecordChunk, RecordStream, SoakConfig, SoakStream, Watermark,
-    DEFAULT_CHUNK_RECORDS,
-};
+use haystack_wild::{SoakConfig, SoakStream, Watermark};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::process::exit;
 use std::time::Instant;
 
-/// Full-frame cadence: every `FULL_EVERY`-th save anchors a new full
-/// generation; saves in between write dirty-only [`RunDelta`] frames.
-const FULL_EVERY: u64 = 8;
+/// `soak` counts its run in flat hours (`RunCheckpoint::days` stores
+/// the total) over the stateless wild-scale generator.
+const SOAK: RunSpec =
+    RunSpec { command: "soak", span_flag: "hours", default_lines: 1_000_000, default_span: 6 };
 
 /// Peak resident set size in KiB, from `/proc/self/status` (`VmHWM`).
 /// `None` off Linux or if the field is missing.
@@ -75,11 +69,11 @@ fn hit_targets(rules: &RuleSet) -> Vec<(Ipv4Addr, u16)> {
 
 /// The soak run's config row — first stdout line, checkpointed with the
 /// rest of `emitted`. It carries the soak-only parameters a
-/// [`RunCheckpoint`] has no fields for, so `--resume` can restore (and
+/// `RunCheckpoint` has no fields for, so `--resume` can restore (and
 /// conflict-check) the exact stream configuration.
 fn config_row(cfg: &SoakConfig, hours: u32) -> String {
     format!(
-        "# soak lines={} hours={hours} records_per_hour={} hit_rate_ppm={} seed={}",
+        "{SOAK_ROW}lines={} hours={hours} records_per_hour={} hit_rate_ppm={} seed={}",
         cfg.lines, cfg.records_per_hour, cfg.hit_rate_ppm, cfg.seed
     )
 }
@@ -87,7 +81,7 @@ fn config_row(cfg: &SoakConfig, hours: u32) -> String {
 /// Parse `(records_per_hour, hit_rate_ppm)` back out of a [`config_row`]
 /// line. `None` means the checkpoint was not written by `haystack soak`.
 fn parse_config_row(line: &str) -> Option<(u64, u32)> {
-    if !line.starts_with("# soak ") {
+    if !line.starts_with(SOAK_ROW) {
         return None;
     }
     let mut records_per_hour = None;
@@ -102,192 +96,29 @@ fn parse_config_row(line: &str) -> Option<(u64, u32)> {
     Some((records_per_hour?, hit_rate_ppm?))
 }
 
-/// A resumed soak takes its stream config from the checkpoint; an
-/// explicitly conflicting flag fails with the field at fault, like
-/// `detect --resume`'s [`flag_conflicts`] (which covers the shared
-/// fields — this covers the soak-only ones).
-fn soak_flag_conflict(
-    flags: &HashMap<String, String>,
-    field: &'static str,
-    checkpoint: u64,
-) {
-    if let Some(flag) = flags.get(field) {
-        if flag.parse::<u64>().ok() != Some(checkpoint) {
-            cli_error!(
-                "resume: --{field} {flag} conflicts with the checkpointed run's {checkpoint}"
-            );
-            exit(1);
-        }
-    }
-}
-
-/// Incremental checkpoint writer: owns the full/delta cadence, the
-/// chain head, and the pause/bytes accounting the report surfaces.
-struct Saver<'a> {
-    dir: Option<&'a CheckpointDir>,
-    seed: u64,
-    lines: u32,
-    hours: u32,
-    threshold: f64,
-    workers: u32,
-    chunk_records: u64,
-    last_generation: Option<u64>,
-    saves_since_full: u64,
-    last_emitted_flushed: usize,
-    pauses_ms: Vec<f64>,
-    fulls: u64,
-    deltas: u64,
-    full_bytes: u64,
-    delta_bytes: u64,
-}
-
-impl Saver<'_> {
-    fn save(
-        &mut self,
-        pool: &mut DetectorPool,
-        wm: Watermark,
-        records_this_hour: u64,
-        done: bool,
-        emitted: &[String],
-    ) {
-        let Some(dir) = self.dir else { return };
-        let t0 = Instant::now();
-        let full =
-            done || self.last_generation.is_none() || self.saves_since_full + 1 >= FULL_EVERY;
-        let generation = if full {
-            // Fold outstanding dirty state into the supervisor's bases so
-            // the full frame doubles as the next delta's clean anchor.
-            pool_fatal(pool.checkpoint_all_delta());
-            let ck = RunCheckpoint {
-                seed: self.seed,
-                lines: self.lines,
-                days: self.hours, // soak time is hours; `days` stores the total
-                threshold: self.threshold,
-                workers: self.workers,
-                chunk_records: self.chunk_records,
-                watermark: wm,
-                records_this_day: records_this_hour,
-                done,
-                emitted: emitted.to_vec(),
-                shards: pool.supervised_shard_states(),
-            };
-            let frame = ck.encode();
-            self.fulls += 1;
-            self.full_bytes += frame.len() as u64;
-            self.saves_since_full = 0;
-            pool_fatal_ck(dir.write(RunCheckpoint::PREFIX, &frame))
-        } else {
-            let shards = pool_fatal(pool.checkpoint_all_delta());
-            let dirty: usize = shards.iter().map(DetectorSnapshot::entry_count).sum();
-            let delta = RunDelta {
-                base_generation: self.last_generation.expect("delta saves follow a full"),
-                watermark: wm,
-                records_this_day: records_this_hour,
-                done,
-                emitted_new: emitted[self.last_emitted_flushed..].to_vec(),
-                shards,
-            };
-            let frame = delta.encode();
-            self.deltas += 1;
-            self.delta_bytes += frame.len() as u64;
-            self.saves_since_full += 1;
-            pool_fatal_ck(dir.write_delta(RunCheckpoint::PREFIX, &frame, dirty as u64))
-        };
-        self.last_generation = Some(generation);
-        self.last_emitted_flushed = emitted.len();
-        self.pauses_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
-}
-
 pub fn cmd_soak(flags: HashMap<String, String>) {
     let (rules, pack) = load_rules_full(&flags);
-    let ckpt_dir = flags
-        .get("checkpoint-dir")
-        .map(|d| pool_fatal_ck(CheckpointDir::open(d)));
-    let resume = flags.contains_key("resume");
-    if resume && ckpt_dir.is_none() {
-        cli_error!("--resume needs --checkpoint-dir");
-        exit(2);
-    }
-    let checkpoint_chunks: u64 = num(&flags, "checkpoint-chunks", 0);
     let mem_ceiling_mb: u64 = num(&flags, "mem-ceiling-mb", 0);
+    let loaded = ResumableRun::load(&SOAK, &flags, pack.as_ref().map(|p| p.threshold));
+    let (lines, hours, seed) = (loaded.ck.lines, loaded.ck.days, loaded.ck.seed);
+    let (workers, chunk_records) = (loaded.ck.workers, loaded.ck.chunk_records as usize);
 
-    let loaded: Option<RunCheckpoint> = if resume {
-        let dir = ckpt_dir.as_ref().expect("checked above");
-        match load_resume_checkpoint(dir) {
-            Ok(Some((generation, ck))) => {
-                if let Err(e) = flag_conflicts(&ck, generation, &flags) {
-                    cli_error!("resume: {e}");
-                    exit(1);
-                }
-                note!(
-                    "resuming from checkpoint generation {generation} at hour {} chunk {}",
-                    ck.watermark.hour,
-                    ck.watermark.chunk
-                );
-                Some(ck)
-            }
-            Ok(None) => {
-                note!("no checkpoint found; starting fresh");
-                None
-            }
-            Err(e) => {
-                cli_error!("resume: {e}");
+    // Fresh runs read the soak-only stream shape from flags; resumed
+    // runs from the checkpointed config row, so flag drift cannot
+    // silently change the traffic.
+    let (records_per_hour, hit_rate_ppm) = match loaded.generation {
+        Some(generation) => {
+            // `load` refused any chain whose first row is not a soak's.
+            let Some((rph, ppm)) = parse_config_row(&loaded.ck.emitted[0]) else {
+                cli_error!("resume: checkpoint generation {generation} has a malformed config row");
                 exit(1);
-            }
+            };
+            fatal("resume", conflict(&flags, generation, "records-per-hour", rph));
+            fatal("resume", conflict(&flags, generation, "hit-rate-ppm", ppm));
+            (rph, ppm)
         }
-    } else {
-        None
+        None => (num(&flags, "records-per-hour", 1_000_000), num(&flags, "hit-rate-ppm", 10_000)),
     };
-
-    // Fresh runs read the stream shape from flags; resumed runs from the
-    // checkpoint (the shared fields) and its config row (the soak-only
-    // ones), so flag drift cannot silently change the traffic.
-    let (lines, hours, threshold, seed, workers, chunk_records, records_per_hour, hit_rate_ppm) =
-        match &loaded {
-            Some(ck) => {
-                let Some((rph, ppm)) =
-                    ck.emitted.first().and_then(|row| parse_config_row(row))
-                else {
-                    cli_error!("resume: checkpoint was not written by `haystack soak`");
-                    exit(1);
-                };
-                soak_flag_conflict(&flags, "hours", u64::from(ck.days));
-                soak_flag_conflict(&flags, "records-per-hour", rph);
-                soak_flag_conflict(&flags, "hit-rate-ppm", u64::from(ppm));
-                (
-                    ck.lines,
-                    ck.days,
-                    ck.threshold,
-                    ck.seed,
-                    ck.workers as usize,
-                    ck.chunk_records as usize,
-                    rph,
-                    ppm,
-                )
-            }
-            None => {
-                let workers: usize = num(&flags, "workers", 4);
-                if workers == 0 {
-                    cli_error!("--workers must be at least 1");
-                    exit(2);
-                }
-                (
-                    num(&flags, "lines", 1_000_000),
-                    num(&flags, "hours", 6),
-                    num(
-                        &flags,
-                        "threshold",
-                        pack.as_ref().map(|p| p.threshold).unwrap_or(0.4),
-                    ),
-                    num(&flags, "seed", 42),
-                    workers,
-                    DEFAULT_CHUNK_RECORDS,
-                    num(&flags, "records-per-hour", 1_000_000),
-                    num(&flags, "hit-rate-ppm", 10_000),
-                )
-            }
-        };
 
     let soak_cfg = SoakConfig { lines, seed, hit_rate_ppm, records_per_hour };
     let targets = hit_targets(&rules);
@@ -301,123 +132,32 @@ pub fn cmd_soak(flags: HashMap<String, String>) {
         targets.len()
     );
 
-    let isolate = parse_isolate(&flags);
-    let chaos = flags.contains_key("chaos");
-    let mut pool = build_pool(
-        &rules,
-        DetectorConfig { threshold, require_established: false },
-        workers,
-        isolate,
-    );
-    if ckpt_dir.is_some() || isolate == Isolate::Process || chaos {
-        // Process isolation and chaos both imply supervision — losing a
-        // child (or killing one on purpose) must never lose evidence.
-        pool_fatal(pool.enable_supervision(haystack_core::parallel::DEFAULT_REPLAY_LIMIT));
-    }
-    if ckpt_dir.is_some() {
-        sig::install();
-    }
-
-    let mut saver = Saver {
-        dir: ckpt_dir.as_ref(),
-        seed,
-        lines,
-        hours,
-        threshold,
-        workers: workers as u32,
-        chunk_records: chunk_records as u64,
-        last_generation: None,
-        saves_since_full: 0,
-        last_emitted_flushed: 0,
-        pauses_ms: Vec::new(),
-        fulls: 0,
-        deltas: 0,
-        full_bytes: 0,
-        delta_bytes: 0,
-    };
-
     // `emitted` is the replayable stdout, exactly as in `detect`: the
     // config row, the column header, then one row per completed hour.
-    let mut emitted: Vec<String> = Vec::new();
-    let mut wm = Watermark::start();
-    let mut records_this_hour = 0u64;
-    match &loaded {
-        Some(ck) => {
-            if ck.done {
-                note!("checkpointed soak already complete; re-deriving its outputs");
-            }
-            for line in &ck.emitted {
-                println!("{line}");
-            }
-            emitted = ck.emitted.clone();
-            wm = ck.watermark;
-            records_this_hour = ck.records_this_day;
-            pool_fatal(pool.restore_shard_states(&ck.shards));
-            saver.last_emitted_flushed = emitted.len();
-        }
-        None => {
-            let cfg = config_row(&soak_cfg, hours);
-            println!("{cfg}");
-            emitted.push(cfg);
-            let header = "hour\trecords".to_string();
-            println!("{header}");
-            emitted.push(header);
-        }
+    let mut run = ResumableRun::start(loaded, &flags, &rules);
+    if run.ck.done {
+        note!("checkpointed soak already complete; re-deriving its outputs");
+    }
+    if !run.resumed {
+        run.emit(config_row(&soak_cfg, hours));
+        run.emit("hour\trecords".to_string());
     }
 
     let t0 = Instant::now();
-    let mut streamed = 0u64;
-    let mut chaos_ticks = 0u64;
-    let mut chunk = RecordChunk::with_capacity(chunk_records);
     // Soak time is a flat hour index: no day rolls, no evidence resets —
     // the detector's state grows monotonically, which is exactly what
     // the memory-ceiling check is about.
-    while wm.hour < hours {
-        let g = wm.hour;
-        let mut stream = SoakStream::hour(&targets, soak_cfg, 0, g, chunk_records);
-        // Resuming mid-hour: regenerate the hour and discard the
-        // already-processed prefix (generation is stateless).
-        let mut chunk_no = if wm.chunk > 0 { skip_chunks(&mut stream, wm.chunk) } else { 0 };
-        while stream.next_chunk(&mut chunk) {
-            records_this_hour += chunk.records.len() as u64;
-            streamed += chunk.records.len() as u64;
-            pool_fatal(pool.observe_records(&chunk.records));
-            chunk_no += 1;
-            if chaos {
-                chaos_ticks += 1;
-                chaos_tick(&mut pool, chaos_ticks);
-            }
-            if checkpoint_chunks > 0 && chunk_no % checkpoint_chunks == 0 {
-                saver.save(
-                    &mut pool,
-                    Watermark { day: 0, hour: g, chunk: chunk_no },
-                    records_this_hour,
-                    false,
-                    &emitted,
-                );
-            }
-            if ckpt_dir.is_some() && sig::triggered() {
-                saver.save(
-                    &mut pool,
-                    Watermark { day: 0, hour: g, chunk: chunk_no },
-                    records_this_hour,
-                    false,
-                    &emitted,
-                );
-                note!("sigterm: checkpointed at hour {g} chunk {chunk_no}; exiting");
-                exit(0);
-            }
-        }
-        let row = format!("{g}\t{records_this_hour}");
-        println!("{row}");
-        emitted.push(row);
-        wm = Watermark { day: 0, hour: g + 1, chunk: 0 };
-        records_this_hour = 0;
-        saver.save(&mut pool, wm, 0, false, &emitted);
+    while run.ck.watermark.hour < hours {
+        let g = run.ck.watermark.hour;
+        run.feed_hour(&mut SoakStream::hour(&targets, soak_cfg, 0, g, chunk_records));
+        run.emit(format!("{g}\t{}", run.ck.records_this_day));
+        run.ck.watermark = Watermark::hour_start(0, g + 1);
+        run.ck.records_this_day = 0;
+        run.save(false, false);
     }
 
-    pool_fatal(pool.finish());
-    saver.save(&mut pool, wm, 0, true, &emitted);
+    or_exit(run.pool.finish());
+    run.save(true, false);
 
     // Final detections: always to stdout (deterministically re-derived
     // from final state, so a resumed run's stdout is byte-identical to
@@ -425,7 +165,7 @@ pub fn cmd_soak(flags: HashMap<String, String>) {
     let mut out_rows = vec!["class\tdetected_lines".to_string()];
     for rule in &rules.rules {
         let name = rules.class_name(rule.class);
-        let n = pool_fatal(pool.detected_lines(name)).len();
+        let n = or_exit(run.pool.detected_lines(name)).len();
         out_rows.push(format!("{name}\t{n}"));
     }
     for row in &out_rows {
@@ -441,7 +181,7 @@ pub fn cmd_soak(flags: HashMap<String, String>) {
     }
     if let Some(path) = flags.get("events") {
         use std::io::Write;
-        let states = pool_fatal(pool.shard_states());
+        let states = or_exit(run.pool.shard_states());
         let mut f = std::io::BufWriter::new(std::fs::File::create(path).unwrap_or_else(|e| {
             cli_error!("cannot open {path}: {e}");
             exit(1);
@@ -455,19 +195,16 @@ pub fn cmd_soak(flags: HashMap<String, String>) {
         }
     }
 
+    let (streamed, saves) = (run.streamed, &run.tally);
     let elapsed = t0.elapsed().as_secs_f64();
     let records_per_sec = streamed as f64 / elapsed.max(1e-9);
     let peak_kb = peak_rss_kb().unwrap_or(0);
-    let pause_max = saver.pauses_ms.iter().cloned().fold(0.0f64, f64::max);
-    let pause_mean = if saver.pauses_ms.is_empty() {
-        0.0
-    } else {
-        saver.pauses_ms.iter().sum::<f64>() / saver.pauses_ms.len() as f64
-    };
+    let pause_max = saves.pause_ms_max;
+    let pause_mean = saves.pause_ms_sum / (saves.fulls + saves.deltas).max(1) as f64;
     note!(
         "soak: {streamed} records in {elapsed:.2}s ({records_per_sec:.0} records/s), peak RSS {:.1} MiB, {} checkpoints (pause mean {pause_mean:.2} ms, max {pause_max:.2} ms)",
         peak_kb as f64 / 1024.0,
-        saver.fulls + saver.deltas
+        saves.fulls + saves.deltas
     );
 
     if let Some(path) = flags.get("report") {
@@ -485,10 +222,10 @@ pub fn cmd_soak(flags: HashMap<String, String>) {
             "peak_rss_kb": peak_kb,
             "mem_ceiling_mb": mem_ceiling_mb,
             "checkpoints": {
-                "full_frames": saver.fulls,
-                "delta_frames": saver.deltas,
-                "full_bytes": saver.full_bytes,
-                "delta_bytes": saver.delta_bytes,
+                "full_frames": saves.fulls,
+                "delta_frames": saves.deltas,
+                "full_bytes": saves.full_bytes,
+                "delta_bytes": saves.delta_bytes,
                 "pause_ms_mean": pause_mean,
                 "pause_ms_max": pause_max,
             },

@@ -299,6 +299,16 @@ fn conflicting_flag_refuses_resume_and_names_the_field() {
     assert!(stderr.contains("--lines"), "error does not name the flag: {stderr}");
     assert!(stderr.contains("4321"), "error does not echo the flag value: {stderr}");
     assert!(stderr.contains("generation"), "error does not name the generation: {stderr}");
+
+    // `soak` shares the frame format and the `run` prefix: resuming this
+    // directory as a soak would run another stream with `hours = days`.
+    let mut cmd = Command::new(BIN);
+    cmd.args(["soak", "--quiet", "--rules"])
+        .arg(rules_file())
+        .args(["--checkpoint-dir", dir.to_str().unwrap(), "--resume"]);
+    let stderr = run_to_failure(&mut cmd);
+    assert!(stderr.contains("`haystack detect`"), "error does not name the writer: {stderr}");
+    assert!(stderr.contains("generation"), "error does not name the generation: {stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end robustness oracle for `haystack serve` (DESIGN.md §13).
 //!
-//! Two proofs, each against a real daemon process on loopback sockets:
+//! Three proofs, each against a real daemon process on loopback sockets:
 //!
 //! * **chaos**: under a forced shard panic, injected stalls, a malformed
 //!   flood, and a 2× overload burst, the daemon stays up, sheds with
@@ -10,11 +10,16 @@
 //!   checkpoint; a `--resume` restart fed the remaining records answers
 //!   every query byte-identically to a daemon that was never
 //!   interrupted.
+//! * **restart from a damaged directory**: a bit-flipped newest
+//!   generation falls back to the previous one; a checksum-valid frame
+//!   of a future format version is refused by generation.
 
 use haystack_cli::rules_to_json;
 use haystack_core::pack::SignaturePack;
 use haystack_core::pipeline::{Pipeline, PipelineConfig};
 use haystack_core::rules::{RuleSet, RuleSetBuilder};
+use haystack_core::CheckpointDir;
+use haystack_net::snapshot::seal;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -120,6 +125,16 @@ impl Daemon {
 
     fn stats(&self) -> serde_json::Value {
         serde_json::from_str(&self.get("/stats")).unwrap()
+    }
+
+    /// One sample of `/metrics` by its exposition name.
+    fn metric(&self, name: &str) -> u64 {
+        let text = self.get("/metrics");
+        let line = text
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(name))
+            .unwrap_or_else(|| panic!("{name} missing from /metrics"));
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
     }
 
     /// Poll `/stats` until the decoded-record counter reaches `want`.
@@ -336,6 +351,7 @@ fn sigterm_restart_answers_queries_byte_identical_to_an_uninterrupted_run() {
     let subject = Daemon::start("sub2", &sub_ckpt, &["--resume"]);
     let carried = subject.stats()["records"].as_u64().unwrap();
     assert_eq!(carried, half1, "restarted daemon lost checkpointed records");
+    assert!(subject.metric("haystack_checkpoint_restores") >= 1, "the restore went uncounted");
     let got2 = hitting_burst(subject.tcp, "5");
     assert_eq!(got2, half2);
     subject.wait_records(half1 + half2);
@@ -345,6 +361,53 @@ fn sigterm_restart_answers_queries_byte_identical_to_an_uninterrupted_run() {
     for ((t, want), (_, got)) in want.iter().zip(got.iter()) {
         assert_eq!(got, want, "{t} diverges after SIGTERM + resume restart");
     }
+}
+
+#[test]
+fn resume_falls_back_past_a_corrupt_generation_and_refuses_a_future_version() {
+    // Generation 0 holds the first burst, generation 1 (the SIGTERM
+    // drain's) both.
+    let ckpt = scratch("rot-ckpt");
+    let d = Daemon::start("rot1", &ckpt, &[]);
+    let half1 = hitting_burst(d.tcp, "0");
+    d.wait_records(half1);
+    let want = query_snapshot(&d);
+    assert!(d.post("/admin/checkpoint").contains("\"generation\":0"));
+    let half2 = hitting_burst(d.tcp, "5");
+    d.wait_records(half1 + half2);
+    d.sigterm();
+
+    // Bit rot in the newest generation: the restart answers from the
+    // previous one — the first burst only — and counts what it skipped.
+    let newest = ckpt.join("serve-00000001.ckpt");
+    let mut bytes = std::fs::read(&newest).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x20;
+    std::fs::write(&newest, bytes).unwrap();
+    let d = Daemon::start("rot2", &ckpt, &["--resume"]);
+    assert_eq!(d.stats()["records"].as_u64().unwrap(), half1, "did not fall back to generation 0");
+    for ((t, want), (_, got)) in want.iter().zip(query_snapshot(&d).iter()) {
+        assert_eq!(got, want, "{t} is not generation 0's answer");
+    }
+    assert_eq!(d.metric("haystack_checkpoint_corrupt_skipped"), 1);
+    assert_eq!(d.metric("haystack_checkpoint_restores"), 1);
+    d.drain();
+
+    // A checksum-valid frame from a "future" build is version skew, not
+    // rot: falling back would silently serve an older state, so the
+    // daemon refuses to start and names the generation.
+    let future = seal(b"HAYSRVC\0", 99, &[0; 8]);
+    let generation = CheckpointDir::open(&ckpt).unwrap().write("serve", &future).unwrap();
+    let out = Command::new(BIN)
+        .args(["serve", "--resume", "--checkpoint-dir", ckpt.to_str().unwrap()])
+        .arg("--rules")
+        .arg(rules_file())
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "a future-version checkpoint was accepted");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("generation {generation}")), "{stderr}");
+    assert!(stderr.contains("version 99"), "{stderr}");
 }
 
 /// Seal the pipeline's rule set minus one class into a pack file.

@@ -171,5 +171,21 @@ fn soak_sigkill_resume_replays_the_delta_chain_byte_identical() {
         want_events,
         "event stream diverges after SIGKILL + resume"
     );
+
+    // The finished chain refuses what would silently change the stream:
+    // a soak-only flag that contradicts its config row, and `detect`,
+    // which shares the frame format and would run the ISP stream with
+    // `days = hours`. Both errors name the generation.
+    let refused = |cmd: &mut Command| {
+        let out = cmd.args(["--checkpoint-dir", dir.to_str().unwrap(), "--resume"]).output().unwrap();
+        assert!(!out.status.success(), "resume was accepted");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let stderr = refused(soak_cmd(&[]).args(["--hit-rate-ppm", "5"]));
+    assert!(stderr.contains("--hit-rate-ppm 5"), "error does not name the flag: {stderr}");
+    assert!(stderr.contains("generation"), "error does not name the generation: {stderr}");
+    let stderr = refused(Command::new(BIN).args(["detect", "--quiet", "--rules"]).arg(rules_file()));
+    assert!(stderr.contains("`haystack soak`"), "error does not name the writer: {stderr}");
+    assert!(stderr.contains("generation"), "error does not name the generation: {stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

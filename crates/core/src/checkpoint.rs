@@ -22,15 +22,15 @@
 //! * **[`CheckpointDir`]** — generation-numbered snapshot files written
 //!   atomically (temp file + fsync + rename + directory fsync) on a
 //!   caller-chosen cadence, pruned to a bounded number of generations.
-//!   [`CheckpointDir::load_latest`] walks generations newest-first and
-//!   *skips* any frame the checksum rejects, so a torn or bit-rotten
-//!   write degrades to the previous generation instead of a crash loop.
 //!   Delta frames ([`CheckpointDir::write_delta`]) share the generation
-//!   counter but live in `.dckpt` files; [`CheckpointDir::
-//!   load_latest_chain`] replays the newest decodable full generation
-//!   plus every newer delta in order, stopping at the first corrupt
-//!   delta — the chain degrades to the last *consistent* generation,
-//!   never to a half-applied state.
+//!   counter but live in `.dckpt` files. [`CheckpointDir::load_chain`] is
+//!   the one restore path: it walks full generations newest-first,
+//!   *skips* any frame the checksum rejects (a torn or bit-rotten write
+//!   degrades to the previous generation instead of a crash loop),
+//!   refuses a checksum-valid frame of another format version by name,
+//!   and replays onto the chosen full only the deltas whose
+//!   `base_generation` links to the frame below — the chain degrades to
+//!   the last *consistent* generation, never to a half-applied state.
 //!
 //! Everything here reports through the `checkpoint` telemetry scope
 //! (snapshots written, bytes, restores, corrupt generations skipped,
@@ -38,7 +38,9 @@
 //! recovery activity alongside the pipeline counters.
 
 use crate::telemetry::{Counter, Scope};
-use haystack_net::snapshot::{open, seal, SnapError, SnapReader, SnapWriter, MAGIC_LEN};
+use haystack_net::snapshot::{
+    checksum_ok, open, seal, SnapError, SnapReader, SnapWriter, MAGIC_LEN,
+};
 use haystack_net::{AnonId, HourBin};
 use std::fmt;
 use std::fs;
@@ -55,9 +57,27 @@ pub enum CheckpointError {
         /// The underlying error.
         err: std::io::Error,
     },
-    /// A snapshot frame failed to decode (and no older generation was
-    /// usable either).
+    /// A snapshot frame failed to decode.
     Snap(SnapError),
+    /// A generation has a *valid checksum* but was written by a
+    /// different format version — falling back would silently restore an
+    /// older run, so this is a hard error naming both versions.
+    VersionSkew {
+        /// Generation that carries the skewed frame.
+        generation: u64,
+        /// Version the frame declares.
+        found: u32,
+        /// Version this build reads.
+        expected: u32,
+    },
+    /// Every on-disk full generation failed its checksum or decode; the
+    /// newest generation's error is reported.
+    AllCorrupt {
+        /// Newest (first-tried) generation.
+        generation: u64,
+        /// Its decode failure.
+        err: SnapError,
+    },
     /// A decoded state does not fit the component it is being restored
     /// into (e.g. rule-count mismatch — the checkpoint was taken under a
     /// different rule set).
@@ -71,6 +91,17 @@ impl fmt::Display for CheckpointError {
                 write!(f, "checkpoint I/O error at {}: {err}", path.display())
             }
             CheckpointError::Snap(e) => write!(f, "checkpoint snapshot error: {e}"),
+            CheckpointError::VersionSkew { generation, found, expected } => write!(
+                f,
+                "checkpoint generation {generation} was written by snapshot format \
+                 version {found}, but this build reads version {expected}; \
+                 re-run the writing build or remove the checkpoint directory"
+            ),
+            CheckpointError::AllCorrupt { generation, err } => write!(
+                f,
+                "no usable checkpoint: every generation is corrupt \
+                 (newest generation {generation}: {err})"
+            ),
             CheckpointError::StateMismatch(what) => {
                 write!(f, "checkpoint does not match this configuration: {what}")
             }
@@ -340,12 +371,10 @@ fn merge_upserts<T: Copy, K: Ord>(base: &mut Vec<T>, upserts: &[T], key: impl Fn
 /// The detector's *dirty* evidence: every (line, rule) entry mutated
 /// since the previous snapshot, as absolute-value upserts.
 ///
-/// Deltas accumulate across a chain: because each upsert carries the
-/// entry's full current value (not an increment), applying *every*
-/// delta newer than any full generation — even one older than the
-/// newest — reconstructs the exact state at the last delta. That is
-/// what lets a corrupt full generation fall back to its predecessor
-/// without losing the deltas written after it.
+/// Each upsert carries the entry's full current value (not an
+/// increment), so applying a delta twice, or one that over-includes,
+/// is harmless; applied in order onto their base, a chain of deltas
+/// reconstructs the exact state at the last one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DetectorDelta {
     /// Per-rule upserts, indexed like `RuleSet::rules`, sorted by line.
@@ -845,114 +874,81 @@ impl CheckpointDir {
         Ok(())
     }
 
-    /// Read the raw frame of one specific generation, without decoding.
+    /// Restore the newest consistent full+delta chain of `prefix` — the
+    /// one loader every resume path goes through.
     ///
-    /// Loaders that need to *explain* a rejected checkpoint (rather than
-    /// silently fall back) read the frame themselves and classify the
-    /// failure — see `haystack-cli`'s resume validation, which separates
-    /// genuine version skew from on-disk corruption.
-    pub fn read_generation(&self, prefix: &str, generation: u64) -> Result<Vec<u8>, CheckpointError> {
-        let path = self.file_of(prefix, generation);
-        fs::read(&path).map_err(|e| io_err(&path, e))
-    }
-
-    /// Read the raw frame of one specific *delta* generation, without
-    /// decoding — the chain-walking counterpart of
-    /// [`CheckpointDir::read_generation`].
-    pub fn read_delta(&self, prefix: &str, generation: u64) -> Result<Vec<u8>, CheckpointError> {
-        let path = self.delta_file_of(prefix, generation);
-        fs::read(&path).map_err(|e| io_err(&path, e))
-    }
-
-    /// Load the newest generation of `prefix` that `decode` accepts.
-    ///
-    /// Generations are tried newest-first; a frame that fails to decode
+    /// Fulls are tried newest-first. A frame that fails to decode
     /// (truncated by a torn write, bit-flipped on disk) is *skipped* —
-    /// counted in the `checkpoint.corrupt_skipped` telemetry — and the
-    /// previous generation is tried instead. Returns `Ok(None)` when no
-    /// generation exists, and the last decode error when every existing
-    /// generation is corrupt.
-    pub fn load_latest<T>(
-        &self,
-        prefix: &str,
-        mut decode: impl FnMut(&[u8]) -> Result<T, SnapError>,
-    ) -> Result<Option<(u64, T)>, CheckpointError> {
-        let generations = self.generations(prefix)?;
-        let mut last_err: Option<SnapError> = None;
-        for &generation in generations.iter().rev() {
-            let path = self.file_of(prefix, generation);
-            let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-            match decode(&bytes) {
-                Ok(v) => {
-                    self.telemetry.restores.inc();
-                    return Ok(Some((generation, v)));
-                }
-                Err(e) => {
-                    self.telemetry.corrupt_skipped.inc();
-                    last_err = Some(e);
-                }
-            }
-        }
-        match last_err {
-            Some(e) => Err(CheckpointError::Snap(e)),
-            None => Ok(None),
-        }
-    }
-
-    /// Load the newest consistent full+delta chain of `prefix`.
-    ///
-    /// Fulls are tried newest-first (a corrupt full is skipped, counted
-    /// in `checkpoint.corrupt_skipped`); once one decodes, every delta
-    /// with a *higher* generation is applied in ascending order. A delta
-    /// that fails to read, decode, or apply stops the chain there — the
-    /// caller gets the last consistent generation, never a half-applied
-    /// state. Because deltas carry absolute-value upserts, replaying the
-    /// deltas written *after* a corrupt full on top of an older full
-    /// still reconstructs the exact newest state.
+    /// counted in `checkpoint.corrupt_skipped` — and the previous full is
+    /// tried instead; a frame whose **checksum verifies** but whose
+    /// version differs is genuine skew and a hard
+    /// [`CheckpointError::VersionSkew`] naming the generation, never a
+    /// silent fallback to an older run. Onto the chosen full, newer
+    /// deltas are applied in generation order, each only if the
+    /// `base_generation` that `decode_delta` returns beside it names the
+    /// frame directly below. A delta frame carries what changed *since
+    /// its base* (a run delta's new stdout lines, for one), so a delta
+    /// orphaned by a corrupt full, or one that is itself unreadable,
+    /// stops the chain: the caller gets the last *consistent* generation.
+    /// A prefix that never writes deltas is simply a chain of length one.
     ///
     /// Returns `(generation, value)` where `generation` is the highest
     /// frame folded in, `Ok(None)` when no full generation exists, and
-    /// the last decode error when every full generation is corrupt.
-    pub fn load_latest_chain<T, D>(
+    /// [`CheckpointError::AllCorrupt`] with the newest generation's error
+    /// when every full is corrupt.
+    pub fn load_chain<T, D>(
         &self,
         prefix: &str,
         mut decode_full: impl FnMut(&[u8]) -> Result<T, SnapError>,
-        mut decode_delta: impl FnMut(&[u8]) -> Result<D, SnapError>,
+        mut decode_delta: impl FnMut(&[u8]) -> Result<(u64, D), SnapError>,
         mut apply: impl FnMut(&mut T, D) -> Result<(), CheckpointError>,
     ) -> Result<Option<(u64, T)>, CheckpointError> {
-        let fulls = self.generations(prefix)?;
+        let skew = |generation: u64, frame: &[u8], e: &SnapError| match *e {
+            SnapError::BadVersion { found, expected } if checksum_ok(frame) => {
+                Err(CheckpointError::VersionSkew { generation, found, expected })
+            }
+            _ => Ok(()),
+        };
         let deltas = self.delta_generations(prefix)?;
-        let mut last_err: Option<SnapError> = None;
-        for &generation in fulls.iter().rev() {
+        let mut newest_err: Option<(u64, SnapError)> = None;
+        for &generation in self.generations(prefix)?.iter().rev() {
             let path = self.file_of(prefix, generation);
-            let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-            let mut v = match decode_full(&bytes) {
-                Ok(v) => v,
+            let frame = fs::read(&path).map_err(|e| io_err(&path, e))?;
+            let mut value = match decode_full(&frame) {
+                Ok(value) => value,
                 Err(e) => {
+                    skew(generation, &frame, &e)?;
                     self.telemetry.corrupt_skipped.inc();
-                    last_err = Some(e);
+                    newest_err.get_or_insert((generation, e));
                     continue;
                 }
             };
             self.telemetry.restores.inc();
             let mut top = generation;
             for &dg in deltas.iter().filter(|&&dg| dg > generation) {
-                let applied = self
-                    .read_delta(prefix, dg)
-                    .ok()
-                    .and_then(|b| decode_delta(&b).ok())
-                    .and_then(|d| apply(&mut v, d).ok())
-                    .is_some();
-                if !applied {
-                    self.telemetry.corrupt_skipped.inc();
-                    break;
+                // An unreadable delta reads as an empty frame, which
+                // fails to decode like any torn one.
+                let frame = fs::read(self.delta_file_of(prefix, dg)).unwrap_or_default();
+                match decode_delta(&frame) {
+                    Ok((base, delta)) if base == top => {
+                        if apply(&mut value, delta).is_err() {
+                            break;
+                        }
+                        top = dg;
+                    }
+                    // Chains onto a frame this walk did not restore.
+                    Ok(_) => break,
+                    Err(e) => {
+                        skew(dg, &frame, &e)?;
+                        self.telemetry.corrupt_skipped.inc();
+                        break;
+                    }
                 }
-                top = dg;
             }
-            return Ok(Some((top, v)));
+            return Ok(Some((top, value)));
         }
-        match last_err {
-            Some(e) => Err(CheckpointError::Snap(e)),
+        match newest_err {
+            Some((generation, err)) => Err(CheckpointError::AllCorrupt { generation, err }),
             None => Ok(None),
         }
     }
@@ -1039,14 +1035,12 @@ mod tests {
         }
         // Pruned to the default two generations.
         assert_eq!(dir.generations("det").unwrap(), vec![2, 3]);
-        let (generation, s) = dir
-            .load_latest("det", DetectorState::decode)
-            .unwrap()
-            .expect("latest generation");
+        let (generation, s) = load_chain(&dir).unwrap().expect("latest generation");
         assert_eq!(generation, 3);
         assert_eq!(s.rules[0][0].line, AnonId(3));
-        // Prefixes are independent namespaces.
-        assert!(dir.load_latest("other", DetectorState::decode).unwrap().is_none());
+        // Prefixes are independent namespaces; an empty one restores nothing.
+        let other = dir.load_chain("other", DetectorState::decode, decode_linked, apply_delta);
+        assert!(other.unwrap().is_none());
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -1070,22 +1064,55 @@ mod tests {
         bytes[mid] ^= 0x40;
         fs::write(&latest, &bytes).unwrap();
 
-        let (generation, s) = dir
-            .load_latest("det", DetectorState::decode)
-            .unwrap()
-            .expect("fallback generation");
+        let (generation, s) = load_chain(&dir).unwrap().expect("fallback generation");
         assert_eq!(generation, g1 - 1, "fell back to the previous generation");
         assert_eq!(s, good);
 
         // Truncate the older generation too: now every generation is
-        // corrupt, and the error is typed, not a panic.
+        // corrupt, and the error is typed, not a panic, and names the
+        // *newest* generation.
         let older = root.join(format!("det-{:08}.ckpt", g1 - 1));
         let bytes = fs::read(&older).unwrap();
         fs::write(&older, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(matches!(
-            dir.load_latest("det", DetectorState::decode),
-            Err(CheckpointError::Snap(_))
-        ));
+        let err = load_chain(&dir).unwrap_err();
+        match &err {
+            CheckpointError::AllCorrupt { generation, .. } => assert_eq!(*generation, g1),
+            other => panic!("expected AllCorrupt, got {other:?}"),
+        }
+        assert!(err.to_string().contains(&format!("generation {g1}")), "{err}");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn version_skew_is_a_hard_error_naming_the_generation() {
+        let root = scratch("skew");
+        let dir = CheckpointDir::open(&root).unwrap();
+        dir.write("det", &one_entry(1, 1).encode()).unwrap();
+        // A full from a "future" build — valid checksum, bumped version —
+        // must not silently fall back to the older, readable generation.
+        let future = seal(DetectorState::MAGIC, DetectorState::VERSION + 1, &[0; 8]);
+        let g1 = dir.write("det", &future).unwrap();
+        let err = load_chain(&dir).unwrap_err();
+        match &err {
+            CheckpointError::VersionSkew { generation, found, expected } => {
+                assert_eq!(*generation, g1);
+                assert_eq!(*found, DetectorState::VERSION + 1);
+                assert_eq!(*expected, DetectorState::VERSION);
+            }
+            other => panic!("expected VersionSkew, got {other:?}"),
+        }
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("generation {g1}")), "{msg}");
+        assert!(msg.contains("version 2"), "{msg}");
+        // The same holds for a skewed *delta* on top of a good full.
+        fs::remove_file(root.join(format!("det-{g1:08}.ckpt"))).unwrap();
+        let g2 = dir.write_delta("det", &seal(LINK_MAGIC, 2, &[0; 8]), 0).unwrap();
+        match load_chain(&dir).unwrap_err() {
+            CheckpointError::VersionSkew { generation, found, .. } => {
+                assert_eq!((generation, found), (g2, 2));
+            }
+            other => panic!("expected VersionSkew, got {other:?}"),
+        }
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -1181,14 +1208,36 @@ mod tests {
         }
     }
 
-    fn load_chain(dir: &CheckpointDir) -> Option<(u64, DetectorState)> {
-        dir.load_latest_chain(
-            "det",
-            DetectorState::decode,
-            DetectorDelta::decode,
-            |s, d: DetectorDelta| d.apply(s),
-        )
-        .unwrap()
+    /// The test chain's delta frame: a `base_generation` link in front of
+    /// a [`DetectorDelta`], as `RunDelta` carries one in front of its
+    /// shard snapshots.
+    const LINK_MAGIC: &[u8; MAGIC_LEN] = b"HAYTLNK\0";
+
+    fn linked(base: u64, line: u64, mask: u64) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put_u64(base);
+        w.put_bytes(&one_upsert(line, mask).encode());
+        seal(LINK_MAGIC, 1, &w.into_bytes())
+    }
+
+    fn decode_linked(frame: &[u8]) -> Result<(u64, DetectorDelta), SnapError> {
+        let mut r = SnapReader::new(open(LINK_MAGIC, 1, frame)?);
+        Ok((r.u64()?, DetectorDelta::decode(r.bytes()?)?))
+    }
+
+    fn apply_delta(s: &mut DetectorState, d: DetectorDelta) -> Result<(), CheckpointError> {
+        d.apply(s)
+    }
+
+    fn load_chain(dir: &CheckpointDir) -> Result<Option<(u64, DetectorState)>, CheckpointError> {
+        dir.load_chain("det", DetectorState::decode, decode_linked, apply_delta)
+    }
+
+    fn flip_a_bit(path: &Path) {
+        let mut bytes = fs::read(path).unwrap();
+        let at = bytes.len() / 2;
+        bytes[at] ^= 0x20;
+        fs::write(path, &bytes).unwrap();
     }
 
     #[test]
@@ -1196,8 +1245,8 @@ mod tests {
         let root = scratch("chain-gen");
         let dir = CheckpointDir::open(&root).unwrap();
         assert_eq!(dir.write("det", &one_entry(1, 1).encode()).unwrap(), 0);
-        assert_eq!(dir.write_delta("det", &one_upsert(2, 1).encode(), 1).unwrap(), 1);
-        assert_eq!(dir.write_delta("det", &one_upsert(3, 1).encode(), 1).unwrap(), 2);
+        assert_eq!(dir.write_delta("det", &linked(0, 2, 1), 1).unwrap(), 1);
+        assert_eq!(dir.write_delta("det", &linked(1, 3, 1), 1).unwrap(), 2);
         assert_eq!(dir.write("det", &one_entry(9, 9).encode()).unwrap(), 3);
         assert_eq!(dir.generations("det").unwrap(), vec![0, 3]);
         assert_eq!(dir.delta_generations("det").unwrap(), vec![1, 2]);
@@ -1205,13 +1254,13 @@ mod tests {
     }
 
     #[test]
-    fn chain_replays_full_plus_newer_deltas_in_order() {
+    fn chain_replays_full_plus_linked_deltas_in_order() {
         let root = scratch("chain-replay");
         let dir = CheckpointDir::open(&root).unwrap();
         dir.write("det", &one_entry(1, 0b1).encode()).unwrap();
-        dir.write_delta("det", &one_upsert(1, 0b11).encode(), 1).unwrap();
-        dir.write_delta("det", &one_upsert(2, 0b1).encode(), 1).unwrap();
-        let (generation, s) = load_chain(&dir).expect("chain");
+        dir.write_delta("det", &linked(0, 1, 0b11), 1).unwrap();
+        dir.write_delta("det", &linked(1, 2, 0b1), 1).unwrap();
+        let (generation, s) = load_chain(&dir).unwrap().expect("chain");
         assert_eq!(generation, 2, "top of chain is the newest delta");
         assert_eq!(
             s.rules[0],
@@ -1228,15 +1277,11 @@ mod tests {
         let root = scratch("chain-corrupt-delta");
         let dir = CheckpointDir::open(&root).unwrap();
         dir.write("det", &one_entry(1, 0b1).encode()).unwrap();
-        let g1 = dir.write_delta("det", &one_upsert(1, 0b11).encode(), 1).unwrap();
-        let g2 = dir.write_delta("det", &one_upsert(1, 0b111).encode(), 1).unwrap();
+        let g1 = dir.write_delta("det", &linked(0, 1, 0b11), 1).unwrap();
+        let g2 = dir.write_delta("det", &linked(g1, 1, 0b111), 1).unwrap();
         // Bit-flip the middle delta: it and everything after must drop.
-        let mid = root.join(format!("det-{g1:08}.dckpt"));
-        let mut bytes = fs::read(&mid).unwrap();
-        let at = bytes.len() / 2;
-        bytes[at] ^= 0x20;
-        fs::write(&mid, &bytes).unwrap();
-        let (generation, s) = load_chain(&dir).expect("chain");
+        flip_a_bit(&root.join(format!("det-{g1:08}.dckpt")));
+        let (generation, s) = load_chain(&dir).unwrap().expect("chain");
         assert_eq!(generation, 0, "fell back to the full generation");
         assert_eq!(s, one_entry(1, 0b1));
         assert!(g2 > g1);
@@ -1244,29 +1289,34 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_full_falls_back_and_newer_deltas_still_apply() {
+    fn unlinked_delta_stops_the_chain() {
+        let root = scratch("chain-unlinked");
+        let dir = CheckpointDir::open(&root).unwrap();
+        dir.write("det", &one_entry(1, 0b1).encode()).unwrap(); // gen 0
+        dir.write_delta("det", &linked(0, 1, 0b11), 1).unwrap(); // gen 1
+        // Intact, but chained onto a frame that is not the one below it.
+        dir.write_delta("det", &linked(7, 1, 0b111), 1).unwrap(); // gen 2
+        dir.write_delta("det", &linked(2, 2, 0b1), 1).unwrap(); // gen 3
+        let (generation, s) = load_chain(&dir).unwrap().expect("chain");
+        assert_eq!(generation, 1, "nothing past the unlinked delta is applied");
+        assert_eq!(s, one_entry(1, 0b11));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn corrupt_full_orphans_the_deltas_chained_onto_it() {
         let root = scratch("chain-corrupt-full");
         let dir = CheckpointDir::open(&root).unwrap();
         dir.write("det", &one_entry(1, 0b1).encode()).unwrap(); // gen 0
-        dir.write_delta("det", &one_upsert(1, 0b11).encode(), 1).unwrap(); // gen 1
+        dir.write_delta("det", &linked(0, 1, 0b11), 1).unwrap(); // gen 1
         let g2 = dir.write("det", &one_entry(1, 0b11).encode()).unwrap(); // gen 2
-        dir.write_delta("det", &one_upsert(2, 0b1).encode(), 1).unwrap(); // gen 3
-        // Corrupt the newest full: absolute-value deltas written after it
-        // must still land on top of the older full.
-        let newest_full = root.join(format!("det-{g2:08}.ckpt"));
-        let mut bytes = fs::read(&newest_full).unwrap();
-        let at = bytes.len() / 2;
-        bytes[at] ^= 0x40;
-        fs::write(&newest_full, &bytes).unwrap();
-        let (generation, s) = load_chain(&dir).expect("chain");
-        assert_eq!(generation, 3, "chain reaches the delta past the corrupt full");
-        assert_eq!(
-            s.rules[0],
-            vec![
-                LineEvidence { line: AnonId(1), mask: 0b11, first_met: None },
-                LineEvidence { line: AnonId(2), mask: 0b1, first_met: None },
-            ]
-        );
+        dir.write_delta("det", &linked(g2, 2, 0b1), 1).unwrap(); // gen 3
+        // Corrupt the newest full: the delta written after it links to a
+        // frame the walk cannot restore, so the chain ends below it.
+        flip_a_bit(&root.join(format!("det-{g2:08}.ckpt")));
+        let (generation, s) = load_chain(&dir).unwrap().expect("chain");
+        assert_eq!(generation, 1, "resume stops at the last consistent frame");
+        assert_eq!(s, one_entry(1, 0b11));
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -1275,9 +1325,9 @@ mod tests {
         let root = scratch("chain-prune");
         let dir = CheckpointDir::open(&root).unwrap();
         dir.write("det", &one_entry(1, 1).encode()).unwrap(); // gen 0
-        dir.write_delta("det", &one_upsert(2, 1).encode(), 1).unwrap(); // gen 1
+        dir.write_delta("det", &linked(0, 2, 1), 1).unwrap(); // gen 1
         dir.write("det", &one_entry(1, 1).encode()).unwrap(); // gen 2
-        dir.write_delta("det", &one_upsert(3, 1).encode(), 1).unwrap(); // gen 3
+        dir.write_delta("det", &linked(2, 3, 1), 1).unwrap(); // gen 3
         dir.write("det", &one_entry(1, 1).encode()).unwrap(); // gen 4 → prunes gen 0
         // keep=2 retains fulls {2, 4}; the gen-1 delta predates full 2.
         assert_eq!(dir.generations("det").unwrap(), vec![2, 4]);
@@ -1290,7 +1340,7 @@ mod tests {
         let root = scratch("tmp");
         let dir = CheckpointDir::open(&root).unwrap();
         dir.write("det", &sample_detector_state().encode()).unwrap();
-        dir.write_delta("det", &one_upsert(1, 1).encode(), 1).unwrap();
+        dir.write_delta("det", &linked(0, 1, 1), 1).unwrap();
         let leftovers: Vec<_> = fs::read_dir(&root)
             .unwrap()
             .filter_map(|e| e.ok())
@@ -1327,8 +1377,7 @@ mod tests {
         }
         // No new generation became visible; the old one still loads.
         assert_eq!(dir.generations("det").unwrap(), vec![0]);
-        let (generation, state) =
-            dir.load_latest("det", DetectorState::decode).unwrap().expect("gen 0 loads");
+        let (generation, state) = load_chain(&dir).unwrap().expect("gen 0 loads");
         assert_eq!((generation, state), (0, one_entry(1, 1)));
         // The fault is one-shot: the retry lands as generation 1.
         assert_eq!(dir.write("det", &one_entry(2, 3).encode()).unwrap(), 1);
@@ -1340,23 +1389,23 @@ mod tests {
         let root = scratch("torn");
         let dir = CheckpointDir::open(&root).unwrap();
         dir.write("det", &one_entry(1, 1).encode()).unwrap(); // gen 0
-        dir.write_delta("det", &one_upsert(2, 1).encode(), 1).unwrap(); // gen 1
+        dir.write_delta("det", &linked(0, 2, 1), 1).unwrap(); // gen 1
 
         dir.inject_write_fault(WriteFault::TornWrite);
-        let err = dir.write_delta("det", &one_upsert(3, 1).encode(), 1).unwrap_err();
+        let err = dir.write_delta("det", &linked(1, 3, 1), 1).unwrap_err();
         assert!(matches!(err, CheckpointError::Io { .. }), "typed error, not a panic");
         // The crash left a truncated tmp remnant on disk…
         assert_eq!(tmp_remnants(&root), vec!["det-00000002.dckpt.tmp".to_string()]);
         // …which generation scans and chain loads never see.
         assert_eq!(dir.generations("det").unwrap(), vec![0]);
         assert_eq!(dir.delta_generations("det").unwrap(), vec![1]);
-        let (top, state) = load_chain(&dir).expect("chain loads");
+        let (top, state) = load_chain(&dir).unwrap().expect("chain loads");
         assert_eq!(top, 1);
         assert_eq!(state.rules[0].len(), 2, "gen 0 entry plus the gen 1 upsert");
         // The next write overwrites the remnant and completes normally.
-        assert_eq!(dir.write_delta("det", &one_upsert(3, 1).encode(), 1).unwrap(), 2);
+        assert_eq!(dir.write_delta("det", &linked(1, 3, 1), 1).unwrap(), 2);
         assert_eq!(tmp_remnants(&root), Vec::<String>::new());
-        assert_eq!(load_chain(&dir).unwrap().0, 2);
+        assert_eq!(load_chain(&dir).unwrap().unwrap().0, 2);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -1368,7 +1417,7 @@ mod tests {
         dir.inject_write_fault(WriteFault::TornWrite);
         dir.write("det", &one_entry(9, 9).encode()).unwrap_err();
         assert_eq!(tmp_remnants(&root), vec!["det-00000001.ckpt.tmp".to_string()]);
-        let (generation, state) = load_chain(&dir).expect("previous full loads");
+        let (generation, state) = load_chain(&dir).unwrap().expect("previous full loads");
         assert_eq!((generation, state), (0, one_entry(1, 1)));
         fs::remove_dir_all(&root).unwrap();
     }

@@ -507,7 +507,7 @@ mod tests {
 
         let back = SignaturePack::decode(&sample().encode()).unwrap();
         let hl = HitList::whole_window(&back.rules);
-        assert!(hl.len() > 0);
+        assert!(!hl.is_empty());
         assert!(hl.prefilter_len() > 0 && hl.prefilter_len().is_power_of_two());
         for rule in &back.rules.rules {
             for d in &rule.domains {

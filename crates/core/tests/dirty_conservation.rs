@@ -15,6 +15,7 @@ use haystack_core::rules::{RuleDomain, RuleSet, RuleSetBuilder};
 use haystack_core::telemetry;
 use haystack_core::{CheckpointDir, DetectorSnapshot};
 use haystack_dns::DomainName;
+use haystack_net::snapshot::{open, seal, SnapError, SnapReader, SnapWriter, MAGIC_LEN};
 use haystack_net::ports::Proto;
 use haystack_net::{AnonId, HourBin};
 use haystack_testbed::catalog::DetectionLevel;
@@ -36,6 +37,22 @@ fn ruleset() -> RuleSet {
             .collect(),
     );
     b.build()
+}
+
+/// A delta frame as the chain loader wants it: the generation it chains
+/// onto in front of the detector's own dirty-only snapshot frame.
+const LINK_MAGIC: &[u8; MAGIC_LEN] = b"HAYTLNK\0";
+
+fn linked(base: u64, snap: &DetectorSnapshot) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.put_u64(base);
+    w.put_bytes(&snap.encode());
+    seal(LINK_MAGIC, 1, &w.into_bytes())
+}
+
+fn decode_linked(frame: &[u8]) -> Result<(u64, DetectorSnapshot), SnapError> {
+    let mut r = SnapReader::new(open(LINK_MAGIC, 1, frame)?);
+    Ok((r.u64()?, DetectorSnapshot::decode(r.bytes()?)?))
 }
 
 #[test]
@@ -66,7 +83,7 @@ fn dirty_entries_flushed_equal_entries_encoded() {
     // dirty-set sizes (including an empty round — zero entries, but the
     // frame bytes still count).
     observe(&mut det, 1, 1);
-    dir.write("det", &det.checkpoint_full().encode()).unwrap();
+    let mut head = dir.write("det", &det.checkpoint_full().encode()).unwrap();
 
     let mut expected_entries = 0u64;
     let mut expected_bytes = 0u64;
@@ -82,8 +99,8 @@ fn dirty_entries_flushed_equal_entries_encoded() {
         assert_eq!(dirty, round, "each round dirties `round` distinct lines");
         let snap = det.take_snapshot_delta();
         assert_eq!(snap.entry_count() as u64, dirty, "flushed == encoded");
-        let frame = snap.encode();
-        dir.write_delta("det", &frame, dirty).unwrap();
+        let frame = linked(head, &snap);
+        head = dir.write_delta("det", &frame, dirty).unwrap();
         expected_entries += dirty;
         expected_bytes += frame.len() as u64;
     }
@@ -102,14 +119,14 @@ fn dirty_entries_flushed_equal_entries_encoded() {
 
     // The chain those frames form restores to the live state.
     let restored = dir
-        .load_latest_chain(
-            "det",
-            haystack_core::DetectorState::decode,
-            DetectorSnapshot::decode,
-            |base, d: DetectorSnapshot| d.apply_to(base),
-        )
+        .load_chain("det", haystack_core::DetectorState::decode, decode_linked, |base, d| {
+            d.apply_to(base)
+        })
         .unwrap()
         .expect("chain present");
-    assert_eq!(restored.1, det.export_state());
+    assert_eq!(restored, (head, det.export_state()), "every delta linked and applied");
+    // …and the one loader is what `checkpoint.restores` counts.
+    assert_eq!(snap.counter("checkpoint.restores"), Some(0));
+    assert_eq!(telemetry::global().snapshot().counter("checkpoint.restores"), Some(1));
     let _ = std::fs::remove_dir_all(dir.root());
 }

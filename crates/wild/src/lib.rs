@@ -33,8 +33,8 @@
 //!   consumers one bounded chunk at a time instead of materializing an
 //!   hour (DESIGN.md, "Streaming architecture").
 //! * [`soak`] — the stateless wild-scale soak generator: ≥10⁶ lines of
-//!   ~99%-miss traffic for the `haystack soak` harness and the
-//!   `BENCH_wild.json` soak bench.
+//!   ~99%-miss traffic for the `haystack soak` harness and
+//!   `benchmark/`'s soak workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
