@@ -1,9 +1,6 @@
-//! The paper's scalability claim (§1: "can identify millions of IoT
-//! devices within minutes, in a non-intrusive way from passive, sampled
-//! data"): measure detector throughput in flow records per second, for
-//! the pre-optimization reference path, the flattened hot path, and the
-//! batched fingerprint-gated path at the miss rates a wild deployment
-//! actually sees, and derive the wall-clock for an ISP-scale hour.
+//! The detector kernel in isolation: the pre-optimization reference
+//! path, the flattened hot path, and the batched fingerprint-gated path
+//! at the miss rates a wild deployment actually sees.
 //!
 //! The wild workload is *miss-dominated* — the overwhelming majority of
 //! sampled records match no IoT rule — so the headline variants here are
@@ -19,18 +16,13 @@
 //! recomputed — not trusted from a stale snapshot — every time the bench
 //! runs.
 //!
-//! Output:
-//!
-//! * criterion-style per-variant timings on stdout;
-//! * `BENCH_detector.json` — one row per variant with records/sec, the
-//!   compiled-vs-reference speedup, and (miss variants) the gate-vs-
-//!   ungated speedup: the PR-over-PR perf trajectory file CI archives;
-//! * with `--check <baseline.json>`, exits non-zero if the `compiled`
-//!   variant or the miss-dominated `compiled_chunk_miss99` variant
-//!   regressed more than 20 % against the committed baseline snapshot
-//!   (the CI gate).
+//! This is a comparison, not a gate: read the rows of one run against
+//! each other (compiled vs reference, gated vs ungated). Absolute
+//! records/s, and every perf bound, come from `benchmark/` — the kernel
+//! on the real record stream is `core.detector.ns_per_record` on
+//! `serve_miss99` / `serve_hit50` / `serve_query_mix`.
 
-use criterion::{BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use haystack_core::detector::{Detector, DetectorConfig};
 use haystack_core::hitlist::{HitList, MapHitList};
 use haystack_core::pipeline::{Pipeline, PipelineConfig};
@@ -42,29 +34,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Records per measured pass.
 const RECORDS: usize = 100_000;
-/// Timed passes per variant; the best is reported (minimum noise floor).
-const PASSES: usize = 5;
-/// CI gate: fail if a gated variant's records/sec drops below this ×
-/// its baseline row.
-const REGRESSION_FLOOR: f64 = 0.8;
-/// The gated variants `--check` holds against the committed baseline:
-/// the legacy 30 %-hit compiled path and the miss-dominated headline.
-const GATED_VARIANTS: [&str; 2] = ["compiled", "compiled_chunk_miss99"];
-
-/// `cargo bench` runs with the package directory as cwd; anchor all
-/// artifact paths at the workspace root so the trajectory file lands in
-/// one place no matter how the bench is invoked.
-fn root_path(name: &str) -> std::path::PathBuf {
-    let p = std::path::Path::new(name);
-    if p.is_absolute() {
-        return p.to_path_buf();
-    }
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(name)
-}
 
 fn pipeline() -> &'static Pipeline {
     static P: OnceLock<Pipeline> = OnceLock::new();
@@ -91,10 +63,10 @@ fn rule_keys() -> Vec<(Ipv4Addr, u16)> {
 /// draw uniformly from the rule keys; every miss record gets a distinct
 /// destination (see the module doc — recycled miss keys would let the
 /// probe table hide in cache and understate the gate's value).
-fn stream(n: usize, seed: u64, hit_rate: f64) -> Vec<WildRecord> {
+fn stream(hit_rate: f64) -> Vec<WildRecord> {
     let keys = rule_keys();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
+    let mut rng = SmallRng::seed_from_u64(7);
+    (0..RECORDS)
         .map(|i| {
             let (dst, dport) = if rng.gen_bool(hit_rate) {
                 keys[rng.gen_range(0..keys.len())]
@@ -118,75 +90,23 @@ fn stream(n: usize, seed: u64, hit_rate: f64) -> Vec<WildRecord> {
         .collect()
 }
 
-/// Best-of-[`PASSES`] records/sec for one observe strategy, fresh
-/// detector per pass (state growth included in the timing — the
-/// before/after comparison the legacy variants have always used).
-fn measure<F: FnMut(&[WildRecord]) -> usize>(records: &[WildRecord], mut pass: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..PASSES {
-        let t0 = Instant::now();
-        let states = pass(records);
-        let dt = t0.elapsed().as_secs_f64();
-        assert!(states > 0, "a pass must accumulate state");
-        best = best.min(dt);
-    }
-    records.len() as f64 / best
+fn compiled() -> Detector<'static> {
+    let p = pipeline();
+    Detector::new(&p.rules, HitList::whole_window(&p.rules), DetectorConfig::default())
 }
 
-/// Best-of-[`PASSES`] records/sec for `observe_chunk` on a *warm*
-/// detector: one untimed pass first, so the scratch columns are sized
-/// and every (line, rule) state the stream can touch exists. This is
-/// the steady state an ISP-scale deployment lives in (`alloc_free.rs`
-/// pins it allocation-free) — first-touch state-map growth belongs to
-/// the first hour, not to the per-record cost model. On a miss-heavy
-/// stream a fresh-detector pass would spend a measurable share of its
-/// time in exactly those one-time inserts.
-fn measure_warm(records: &[WildRecord]) -> f64 {
+/// "reference" is the pre-optimization implementation (SipHash tuple
+/// maps, per-match entry clone over the HashMap hitlist); "compiled" is
+/// the flattened hot path; "compiled_chunk" adds the batched
+/// fingerprint-gated entry point the pool shards use. All three run a
+/// 30 %-hit mix on a fresh detector per pass, state growth included.
+fn before_after(c: &mut Criterion) {
     let p = pipeline();
-    let mut det =
-        Detector::new(&p.rules, HitList::whole_window(&p.rules), DetectorConfig::default());
-    det.observe_chunk(records);
-    let mut best = f64::INFINITY;
-    for _ in 0..PASSES {
-        let t0 = Instant::now();
-        det.observe_chunk(records);
-        let dt = t0.elapsed().as_secs_f64();
-        best = best.min(dt);
-    }
-    // Miss-dominated passes may legitimately accumulate no detection
-    // state; records observed is the liveness check instead.
-    assert!(det.hot_stats().records > 0, "a pass must observe records");
-    records.len() as f64 / best
-}
-
-/// Records/sec for the *ungated* probe path on a stream: what every
-/// record cost before the fingerprint front gate existed — pack, hash,
-/// full open-addressing probe — measured through the public
-/// [`HitList::lookup_ungated`] bypass on the same compiled table.
-fn measure_ungated(records: &[WildRecord]) -> f64 {
-    let p = pipeline();
-    let hl = HitList::whole_window(&p.rules);
-    let mut best = f64::INFINITY;
-    for _ in 0..PASSES {
-        let mut matches = 0usize;
-        let t0 = Instant::now();
-        for r in records {
-            matches += hl.lookup_ungated(r.dst, r.dport).len();
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        assert!(matches > 0, "the stream must contain rule hits");
-        best = best.min(dt);
-    }
-    records.len() as f64 / best
-}
-
-fn criterion_comparison(records: &[WildRecord]) {
-    let p = pipeline();
-    let mut c = Criterion::default();
+    let records = stream(0.3);
     let mut g = c.benchmark_group("detector");
-    g.throughput(Throughput::Elements(records.len() as u64));
+    g.throughput(Throughput::Elements(RECORDS as u64));
     g.sample_size(10);
-    g.bench_function("reference_observe_100k", |b| {
+    g.bench_function("reference", |b| {
         b.iter_batched(
             || {
                 ReferenceDetector::new(
@@ -196,7 +116,7 @@ fn criterion_comparison(records: &[WildRecord]) {
                 )
             },
             |mut det| {
-                for r in records {
+                for r in &records {
                     det.observe_wild(r);
                 }
                 det.state_size()
@@ -204,11 +124,11 @@ fn criterion_comparison(records: &[WildRecord]) {
             BatchSize::LargeInput,
         )
     });
-    g.bench_function("compiled_observe_100k", |b| {
+    g.bench_function("compiled", |b| {
         b.iter_batched(
-            || Detector::new(&p.rules, HitList::whole_window(&p.rules), DetectorConfig::default()),
+            compiled,
             |mut det| {
-                for r in records {
+                for r in &records {
                     det.observe_wild(r);
                 }
                 det.state_size()
@@ -216,11 +136,11 @@ fn criterion_comparison(records: &[WildRecord]) {
             BatchSize::LargeInput,
         )
     });
-    g.bench_function("compiled_observe_chunk_100k", |b| {
+    g.bench_function("compiled_chunk", |b| {
         b.iter_batched(
-            || Detector::new(&p.rules, HitList::whole_window(&p.rules), DetectorConfig::default()),
+            compiled,
             |mut det| {
-                det.observe_chunk(records);
+                det.observe_chunk(&records);
                 det.state_size()
             },
             BatchSize::LargeInput,
@@ -229,181 +149,40 @@ fn criterion_comparison(records: &[WildRecord]) {
     g.finish();
 }
 
-/// Load a named variant's records/sec from a baseline JSON file.
-fn baseline_rps(path: &str, variant: &str) -> f64 {
-    let text = std::fs::read_to_string(root_path(path)).unwrap_or_else(|e| {
-        eprintln!("error: cannot read baseline {path}: {e}");
-        std::process::exit(1);
-    });
-    let doc: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("error: baseline {path} is not JSON: {e:?}");
-        std::process::exit(1);
-    });
-    doc.as_array()
-        .and_then(|rows| {
-            rows.iter().find(|r| r.get("variant").and_then(|v| v.as_str()) == Some(variant))
-        })
-        .and_then(|row| row.get("records_per_sec"))
-        .and_then(|v| v.as_f64())
-        .unwrap_or_else(|| {
-            eprintln!("error: baseline {path} has no {variant} records_per_sec row");
-            std::process::exit(1);
-        })
-}
-
-fn main() {
-    // Cargo invokes benches with `--bench` (and possibly a filter);
-    // only `--check <file>` is meaningful here.
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let check = argv.iter().position(|a| a == "--check").map(|i| {
-        argv.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("error: --check needs a baseline path");
-            std::process::exit(2);
-        })
-    });
-
+/// Steady-state `observe_chunk` at wild miss rates on a *warm* detector
+/// (`Bencher::iter` runs one untimed pass first, so the scratch columns
+/// are sized and every (line, rule) state the stream can touch exists —
+/// the state `alloc_free.rs` pins allocation-free; first-touch map
+/// growth belongs to the first hour, not to the per-record cost), and
+/// the ungated comparator: what every record cost before the
+/// fingerprint front gate existed — pack, hash, full open-addressing
+/// probe — through the public [`HitList::lookup_ungated`] bypass on the
+/// same compiled table and the same 99 %-miss stream.
+fn miss_dominated(c: &mut Criterion) {
     let p = pipeline();
-    let hit30 = stream(RECORDS, 7, 0.3);
-    criterion_comparison(&hit30);
-
-    // Before/after measurement for the trajectory file. "reference" is
-    // the pre-optimization implementation (SipHash tuple maps, per-match
-    // entry clone over the HashMap hitlist); "compiled" is the flattened
-    // hot path; "compiled_chunk" adds the batched fingerprint-gated
-    // entry point the pool shards use. All three keep the legacy 30 %-
-    // hit mix and fresh-per-pass semantics for trajectory continuity.
-    let reference_rps = measure(&hit30, |recs| {
-        let mut det = ReferenceDetector::new(
-            &p.rules,
-            MapHitList::whole_window(&p.rules),
-            DetectorConfig::default(),
-        );
-        for r in recs {
-            det.observe_wild(r);
-        }
-        det.state_size()
-    });
-    let compiled_rps = measure(&hit30, |recs| {
-        let mut det =
-            Detector::new(&p.rules, HitList::whole_window(&p.rules), DetectorConfig::default());
-        for r in recs {
-            det.observe_wild(r);
-        }
-        det.state_size()
-    });
-    let chunk_rps = measure(&hit30, |recs| {
-        let mut det =
-            Detector::new(&p.rules, HitList::whole_window(&p.rules), DetectorConfig::default());
-        det.observe_chunk(recs);
-        det.state_size()
-    });
-
-    // The miss-dominated rows: steady-state `observe_chunk` at wild
-    // miss rates, plus the ungated comparator that reconstructs the
-    // pre-gate per-record probe cost on the 99 %-miss stream.
-    let miss99 = stream(RECORDS, 7, 0.01);
-    let miss_rows = [
-        ("compiled_chunk_miss50", measure_warm(&stream(RECORDS, 7, 0.50))),
-        ("compiled_chunk_miss90", measure_warm(&stream(RECORDS, 7, 0.10))),
-        ("compiled_chunk_miss99", measure_warm(&miss99)),
-    ];
-    let ungated_rps = measure_ungated(&miss99);
-
-    println!("variant\trecords\trecords_per_sec\tspeedup_vs_reference");
-    let mut rows = Vec::new();
-    for (variant, rps) in [
-        ("reference", reference_rps),
-        ("compiled", compiled_rps),
-        ("compiled_chunk", chunk_rps),
+    let mut g = c.benchmark_group("detector");
+    g.throughput(Throughput::Elements(RECORDS as u64));
+    g.sample_size(10);
+    let miss99 = stream(0.01);
+    for (name, records) in [
+        ("compiled_chunk_miss50", &stream(0.50)),
+        ("compiled_chunk_miss90", &stream(0.10)),
+        ("compiled_chunk_miss99", &miss99),
     ] {
-        let speedup = rps / reference_rps;
-        println!("{variant}\t{RECORDS}\t{rps:.0}\t{speedup:.2}");
-        rows.push(serde_json::json!({
-            "bench": "detector_throughput",
-            "variant": variant,
-            "records": RECORDS,
-            "passes": PASSES,
-            "records_per_sec": rps,
-            "speedup_vs_reference": speedup,
-        }));
-    }
-    for (variant, rps) in miss_rows {
-        let mut row = serde_json::json!({
-            "bench": "detector_throughput",
-            "variant": variant,
-            "records": RECORDS,
-            "passes": PASSES,
-            "records_per_sec": rps,
+        let mut det = compiled();
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                det.observe_chunk(records);
+                det.hot_stats().records
+            })
         });
-        // The ungated comparator runs on the 99 %-miss stream, so the
-        // gate-vs-ungated ratio is only meaningful on that row.
-        if variant == "compiled_chunk_miss99" {
-            let vs_ungated = rps / ungated_rps;
-            row["speedup_vs_ungated_probe"] = serde_json::json!(vs_ungated);
-            println!("{variant}\t{RECORDS}\t{rps:.0}\t(×{vs_ungated:.2} vs ungated probe)");
-        } else {
-            println!("{variant}\t{RECORDS}\t{rps:.0}");
-        }
-        rows.push(row);
     }
-    println!("ungated_probe_miss99\t{RECORDS}\t{ungated_rps:.0}\t1.00");
-    rows.push(serde_json::json!({
-        "bench": "detector_throughput",
-        "variant": "ungated_probe_miss99",
-        "records": RECORDS,
-        "passes": PASSES,
-        "records_per_sec": ungated_rps,
-    }));
-
-    // The §1 derivation: a 15 M-line ISP hour is ~6 M sampled records
-    // (≈ 2 records per IoT line-hour on ~20 % of lines).
-    let miss99_rps = miss_rows[2].1;
-    eprintln!(
-        "# compiled ≈ {:.2} M records/s ({:.2}× reference) → a 15 M-line ISP hour (~6 M \
-         records) in {:.1} s",
-        compiled_rps / 1e6,
-        compiled_rps / reference_rps,
-        6e6 / compiled_rps
-    );
-    eprintln!(
-        "# miss-dominated steady state ≈ {:.1} M records/s ({:.2}× the ungated probe path \
-         at {:.1} M)",
-        miss99_rps / 1e6,
-        miss99_rps / ungated_rps,
-        ungated_rps / 1e6
-    );
-
-    let doc = serde_json::Value::Array(rows);
-    let text = serde_json::to_string_pretty(&doc).expect("serializable");
-    std::fs::write(root_path("BENCH_detector.json"), &text).unwrap_or_else(|e| {
-        eprintln!("error: cannot write BENCH_detector.json: {e}");
-        std::process::exit(1);
+    let hl = HitList::whole_window(&p.rules);
+    g.bench_function("ungated_probe_miss99", |b| {
+        b.iter(|| miss99.iter().map(|r| hl.lookup_ungated(r.dst, r.dport).len()).sum::<usize>())
     });
-    eprintln!("# wrote BENCH_detector.json");
-
-    if let Some(path) = check {
-        let current = |variant: &str| match variant {
-            "compiled" => compiled_rps,
-            "compiled_chunk_miss99" => miss99_rps,
-            _ => unreachable!("gated variant list out of sync"),
-        };
-        let mut failed = false;
-        for variant in GATED_VARIANTS {
-            let rps = current(variant);
-            let base = baseline_rps(&path, variant);
-            let floor = REGRESSION_FLOOR * base;
-            if rps < floor {
-                eprintln!(
-                    "error: {variant} {rps:.0} records/s regressed more than 20 % against \
-                     baseline {base:.0} (floor {floor:.0})"
-                );
-                failed = true;
-            } else {
-                eprintln!("# regression gate OK: {variant} {rps:.0} >= {floor:.0} ({path})");
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-    }
+    g.finish();
 }
+
+criterion_group!(benches, before_after, miss_dominated);
+criterion_main!(benches);

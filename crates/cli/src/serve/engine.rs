@@ -78,6 +78,12 @@ pub enum Query {
     },
     /// Write a checkpoint generation now.
     CheckpointNow,
+    /// Operator reset of one degraded shard: close its crash-loop
+    /// breaker, respawn it and replay what queued meanwhile.
+    ResetBreaker {
+        /// Shard index.
+        shard: usize,
+    },
     /// Chaos: panic one shard (healed by supervision).
     Panic {
         /// Shard index.
@@ -348,7 +354,8 @@ impl Engine {
             // A degraded shard (crash-loop breaker open) is the
             // supervisor's verdict, not a stall — respawning it again
             // is exactly the loop the breaker exists to stop. It waits
-            // for an operator reset; `/readyz` advertises it meanwhile.
+            // for `POST /admin/reset-breaker`; `/readyz` advertises it
+            // meanwhile.
             if matches!(status[shard].status, ShardStatus::Degraded) {
                 continue;
             }
@@ -426,6 +433,7 @@ impl Engine {
                 Ok(generation) => ok(format!("{{\"generation\":{generation}}}")),
                 Err(e) => err(409, &e),
             },
+            Query::ResetBreaker { shard } => self.reset_breaker(shard),
             Query::Panic { shard } => self.chaos_panic(shard),
             Query::Stall { shard, ms } => self.chaos_stall(shard, ms),
             Query::Slow { us } => self.chaos_slow(us),
@@ -477,7 +485,8 @@ impl Engine {
     /// `/readyz` through the engine: 200 while every shard serves, 503
     /// naming the degraded shards once any crash-loop breaker is open.
     /// Evidence for a degraded shard queues (bounded, then sheds with
-    /// exact accounting) until an operator reset closes the breaker.
+    /// exact accounting) until `POST /admin/reset-breaker` closes the
+    /// breaker.
     fn ready_body(&mut self) -> CtlReply {
         let degraded: Vec<String> = self
             .pool
@@ -718,6 +727,25 @@ impl Engine {
             self.rules.undetectable.len(),
             self.pack_bytes.len()
         ))
+    }
+
+    /// The operator exit from a degraded shard (`/readyz` 503). Only a
+    /// degraded shard is reset: on a healthy one `reset_breaker` would
+    /// do nothing but force a respawn.
+    fn reset_breaker(&mut self, shard: usize) -> CtlReply {
+        match self.pool.shard_status().get(shard).map(|s| s.status) {
+            None => return err(400, "shard out of range"),
+            Some(ShardStatus::Degraded) => {}
+            Some(_) => return err(409, "shard is not degraded"),
+        }
+        match self.pool.reset_breaker(shard) {
+            Ok(()) => {
+                note!("serve: operator reset the breaker of shard {shard}");
+                self.strikes[shard] = 0;
+                ok(format!("{{\"shard\":{shard},\"reset\":true}}"))
+            }
+            Err(e) => err(409, &e.to_string()),
+        }
     }
 
     fn chaos_panic(&mut self, shard: usize) -> CtlReply {

@@ -14,8 +14,10 @@
 //!   engine over the control channel and answered between ingest
 //!   chunks, so they always see consistent state.
 //! * **admin** — `POST /admin/checkpoint`, `POST /admin/drain`,
-//!   `POST /admin/reload-rules?path=…` (live signature-pack swap), and
-//!   (only with `--chaos`) `POST /admin/panic` / `POST /admin/stall`.
+//!   `POST /admin/reload-rules?path=…` (live signature-pack swap),
+//!   `POST /admin/reset-breaker?shard=N` (the operator exit from a
+//!   degraded shard), and (only with `--chaos`) `POST /admin/panic` /
+//!   `POST /admin/stall` / `POST /admin/slow`.
 //!
 //! Requests race the drain: once the shutdown flag is set the accept
 //! loop exits within one poll interval, and an engine reply that never
@@ -209,6 +211,12 @@ fn route(
             Some(path) => ask(ctl, Query::ReloadRules { path }),
             None => bad("reload-rules needs ?path=/abs/pack.hsp"),
         },
+        ("POST", "/admin/reset-breaker") => {
+            match param(query, "shard").and_then(|v| v.parse().ok()) {
+                Some(shard) => ask(ctl, Query::ResetBreaker { shard }),
+                None => bad("reset-breaker needs ?shard=N"),
+            }
+        }
         ("POST", "/admin/drain") => {
             haystack_cli::sig::request_shutdown();
             (200, "application/json", "{\"draining\":true}".into())
@@ -247,8 +255,8 @@ fn route(
             _,
             "/healthz" | "/readyz" | "/metrics" | "/stats" | "/detections" | "/line"
             | "/usage" | "/staleness" | "/sources" | "/events" | "/admin/checkpoint"
-            | "/admin/drain" | "/admin/reload-rules" | "/admin/panic" | "/admin/stall"
-            | "/admin/slow",
+            | "/admin/drain" | "/admin/reload-rules" | "/admin/reset-breaker" | "/admin/panic"
+            | "/admin/stall" | "/admin/slow",
         ) => (405, "application/json", "{\"error\":\"method not allowed\"}".into()),
         _ => (404, "application/json", "{\"error\":\"no such endpoint\"}".into()),
     }

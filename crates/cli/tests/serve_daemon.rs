@@ -1,11 +1,14 @@
 //! End-to-end robustness oracle for `haystack serve` (DESIGN.md §13).
 //!
-//! Three proofs, each against a real daemon process on loopback sockets:
+//! Four proofs, each against a real daemon process on loopback sockets:
 //!
 //! * **chaos**: under a forced shard panic, injected stalls, a malformed
 //!   flood, and a 2× overload burst, the daemon stays up, sheds with
 //!   exact accounting (`received == admitted + shed`, attributed per
 //!   source), heals its shards, and re-admits the flapped source.
+//! * **operator reset**: a crash-looping shard trips its breaker
+//!   (`/readyz` 503, its records queue); `POST /admin/reset-breaker`
+//!   brings it back with the queue replayed and no evidence lost.
 //! * **restart determinism**: SIGTERM mid-stream drains to a final
 //!   checkpoint; a `--resume` restart fed the remaining records answers
 //!   every query byte-identically to a daemon that was never
@@ -310,6 +313,69 @@ fn chaos_daemon_stays_up_sheds_exactly_and_readmits_flapped_sources() {
         std::fs::read_dir(&ckpt).unwrap().count() > 0,
         "drained daemon left no checkpoint"
     );
+}
+
+/// `/readyz` parsed, whatever its status.
+fn readyz(d: &Daemon) -> (u16, serde_json::Value) {
+    let (status, body) = d.http("GET", "/readyz");
+    (status, serde_json::from_str(&body).unwrap_or_else(|e| panic!("/readyz {body:?}: {e:?}")))
+}
+
+#[test]
+fn reset_breaker_brings_a_crash_looped_shard_back_without_a_restart() {
+    let ckpt = scratch("breaker-ckpt");
+    let d = Daemon::start("breaker", &ckpt, &["--chaos"]);
+    let records = hitting_burst(d.tcp, "0");
+    d.wait_records(records);
+    let baseline = d.get("/detections");
+    assert!(baseline.contains("\"count\":8"), "expected 8 detected lines: {baseline}");
+
+    // Only a degraded shard can be reset; a bad shard is the caller's error.
+    assert_eq!(d.http("POST", "/admin/reset-breaker").0, 400);
+    assert_eq!(d.http("POST", "/admin/reset-breaker?shard=3").0, 400);
+    assert_eq!(d.http("POST", "/admin/reset-breaker?shard=1").0, 409);
+    assert_eq!(d.http("GET", "/admin/reset-breaker?shard=1").0, 405);
+
+    // Crash loop: each panic is observed (and healed) by the query that
+    // follows it, until the fifth death inside the fast window opens
+    // the breaker. The query itself fails once the shard is degraded.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let _ = d.http("POST", "/admin/panic?shard=1");
+        let _ = d.http("GET", "/detections");
+        let (status, ready) = readyz(&d);
+        if status == 503 {
+            assert_eq!(ready["ready"].as_bool(), Some(false), "{ready}");
+            assert_eq!(ready["degraded"], serde_json::json!([1]), "{ready}");
+            break;
+        }
+        assert!(Instant::now() < deadline, "breaker never opened: {ready}");
+    }
+
+    // The same lines again, an hour later: shard 1's share queues, the
+    // other shards keep ingesting.
+    let more = hitting_burst(d.tcp, "1");
+    d.wait_records(records + more);
+    let queued = d.stats()["shards"][1]["queued"].as_u64().unwrap();
+    assert!(queued > 0, "nothing queued for the degraded shard");
+
+    let reset = d.post("/admin/reset-breaker?shard=1");
+    assert_eq!(reset, "{\"shard\":1,\"reset\":true}");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let (status, ready) = readyz(&d);
+        if status == 200 && ready["shards"][1]["status"].as_str() == Some("ok") {
+            assert_eq!(ready["degraded"], serde_json::json!([]), "{ready}");
+            break;
+        }
+        assert!(Instant::now() < deadline, "shard 1 never came back: {ready}");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let shard = &d.stats()["shards"][1];
+    assert_eq!(shard["queued"].as_u64(), Some(0), "queue not replayed: {shard}");
+    assert_eq!(shard["shed"].as_u64(), Some(0), "records shed below the queue bound: {shard}");
+    assert_eq!(d.get("/detections"), baseline, "evidence lost across the crash loop");
+    d.drain();
 }
 
 /// Every query surface whose bytes must survive a restart. `/stats` is

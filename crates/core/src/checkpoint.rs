@@ -691,20 +691,18 @@ pub enum WriteFault {
 /// via temp file + fsync + rename + directory fsync, so a crash at any
 /// point leaves either the old generation set or the old set plus one
 /// complete new file — never a half-written visible checkpoint. Old
-/// generations are pruned down to [`CheckpointDir::keep`] per prefix;
-/// the default keeps two, so one corrupt latest generation still leaves
-/// a fallback.
+/// generations are pruned down to [`CheckpointDir::DEFAULT_KEEP`] per
+/// prefix: two, so one corrupt latest generation still leaves a fallback.
 #[derive(Debug)]
 pub struct CheckpointDir {
     root: PathBuf,
-    keep: usize,
     telemetry: DirTelemetry,
     /// One-shot injected fault, consumed by the next atomic write.
     fault: std::sync::Mutex<Option<WriteFault>>,
 }
 
 impl CheckpointDir {
-    /// Default generations retained per prefix.
+    /// Generations retained per prefix.
     pub const DEFAULT_KEEP: usize = 2;
 
     /// Open (creating if needed) a checkpoint directory.
@@ -713,16 +711,9 @@ impl CheckpointDir {
         fs::create_dir_all(&root).map_err(|e| io_err(&root, e))?;
         Ok(CheckpointDir {
             root,
-            keep: Self::DEFAULT_KEEP,
             telemetry: DirTelemetry::new(),
             fault: std::sync::Mutex::new(None),
         })
-    }
-
-    /// Override how many generations are retained per prefix (min 1).
-    pub fn with_keep(mut self, keep: usize) -> CheckpointDir {
-        self.keep = keep.max(1);
-        self
     }
 
     /// The directory path.
@@ -855,8 +846,8 @@ impl CheckpointDir {
 
     fn prune(&self, prefix: &str) -> Result<(), CheckpointError> {
         let generations = self.generations(prefix)?;
-        if generations.len() > self.keep {
-            for &generation in &generations[..generations.len() - self.keep] {
+        if generations.len() > Self::DEFAULT_KEEP {
+            for &generation in &generations[..generations.len() - Self::DEFAULT_KEEP] {
                 let path = self.file_of(prefix, generation);
                 fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
             }

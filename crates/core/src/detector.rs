@@ -4,8 +4,8 @@
 //! of the rule's primary domains the line has touched. Each record costs
 //! one hitlist lookup plus a few bit operations, which is what lets the
 //! methodology run against an ISP's full NetFlow feed ("able to identify
-//! millions of IoT devices within minutes", §1; the `detector_throughput`
-//! bench quantifies it).
+//! millions of IoT devices within minutes", §1; `benchmark/` measures it
+//! as `core.detector.ns_per_record` on every `serve_*` workload).
 //!
 //! Detection semantics (§4.3.2): rule `r` fires for a line once the line
 //! has contacted IP/port combinations of at least `max(1, ⌊D·N⌋)` of the

@@ -8,8 +8,9 @@
 //! recycled chunk-sized buffers over bounded queues, so a steady-state
 //! hour costs **zero** allocations on the feed path and peak resident
 //! memory is set by queue capacity, never by hour size. This is the
-//! "minutes for millions of devices" configuration (§1); the
-//! `parallel_detector` and `streaming_throughput` benches quantify it.
+//! "minutes for millions of devices" configuration (§1); `benchmark/`
+//! measures it as `core.parallel.*` on every workload and end to end as
+//! `soak_thread` / `soak_process`.
 //!
 //! Semantics are *identical* to a single [`Detector`] fed the same
 //! records — the equivalence and determinism tests at the bottom of this
@@ -1532,7 +1533,7 @@ impl DetectorPool {
 
     /// Checkpoint one shard: flush its staging, snapshot its evidence
     /// state, and drain its replay buffer. Requires supervision.
-    pub fn checkpoint_shard(&mut self, shard: usize) -> Result<(), PoolError> {
+    fn checkpoint_shard(&mut self, shard: usize) -> Result<(), PoolError> {
         assert!(self.supervisor.is_some(), "enable_supervision first");
         self.ship(shard)?;
         let state = self.snapshot_shard(shard)?;
@@ -1544,7 +1545,7 @@ impl DetectorPool {
     /// supervision. Snapshot requests are broadcast before any reply is
     /// awaited, so the shards export their states concurrently — the
     /// boundary costs one shard's export, not the sum of all of them.
-    pub fn checkpoint_all(&mut self) -> Result<(), PoolError> {
+    fn checkpoint_all(&mut self) -> Result<(), PoolError> {
         assert!(self.supervisor.is_some(), "enable_supervision first");
         let replies = self.broadcast(&|| Request::Snapshot)?;
         for (shard, reply) in replies.into_iter().enumerate() {

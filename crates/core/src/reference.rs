@@ -7,8 +7,9 @@
 //! and full-state scans in `detected_lines`. It is deliberately *not*
 //! fast — its job is to be obviously correct so `tests/prop_hotpath.rs`
 //! can pin the optimized [`Detector`](crate::detector::Detector) against
-//! it on random rulesets and flow streams, and so the
-//! `detector_throughput` bench can report a genuine before/after.
+//! it on random rulesets and flow streams, so `benchmark/` can hold every
+//! run's detections to it, and so the `detector_throughput` bench can
+//! show a genuine before/after ratio in one run.
 
 use crate::hitlist::MapHitList;
 use crate::rules::RuleSet;

@@ -35,9 +35,12 @@
 //! `None`. With the feature compiled in (the workspace default via the
 //! CLI and bench crates), a process-global flag — off until
 //! [`set_enabled`]`(true)` — decides at *handle creation* whether the
-//! handle is live. Hot loops therefore never consult the flag; the
-//! PR-3 allocation-free observe path is preserved bit-for-bit, and the
-//! `telemetry_overhead` bench pins the enabled cost below 2 %.
+//! handle is live. Hot loops therefore never consult the flag, and the
+//! PR-3 allocation-free observe path is preserved bit-for-bit.
+//! `haystack serve` turns the flag on (`soak` and `detect` leave it
+//! off), so every `serve_*` number and every layer row of `benchmark/`
+//! is measured with recording on; nothing in the tree measures the
+//! on/off difference.
 //!
 //! ## Conservation invariants
 //!

@@ -345,14 +345,9 @@ impl Collector {
         Ok(())
     }
 
-    /// Feed one legacy NetFlow v5 datagram (fixed format, no templates).
+    /// One legacy NetFlow v5 datagram (fixed format, no templates).
     /// The header's sampling announcement, if present, is recorded under
     /// the engine id as source.
-    pub fn feed_netflow_v5(&mut self, datagram: Bytes) -> Result<Vec<FlowRecord>, FlowError> {
-        let mut out = Vec::new();
-        self.feed_v5(&datagram, &mut out).map(|_| out)
-    }
-
     fn feed_v5(&mut self, datagram: &[u8], out: &mut Vec<FlowRecord>) -> Result<usize, FlowError> {
         self.datagrams_received += 1;
         let mut msg = match v5::decode(datagram) {
@@ -1115,7 +1110,7 @@ mod tests {
             .with_sampling_interval(1_000);
         let wire = v5::encode(&header, &records).unwrap();
         let mut collector = Collector::new();
-        let decoded = collector.feed_netflow_v5(wire).unwrap();
+        let decoded = collector.feed(wire).unwrap();
         assert_eq!(decoded, records);
         assert_eq!(collector.sampling_of(12).unwrap().interval, 1_000);
     }

@@ -7,8 +7,9 @@
 //! source — because UDP gives no backpressure and an unbounded buffer
 //! is just a slow OOM. The TCP replay path blocks instead: it exists
 //! for tests and controlled replays, where losing a datagram to timing
-//! would make "byte-identical after restart" unprovable. The invariant
-//! the bench gate asserts: `received == admitted + shed`, always.
+//! would make "byte-identical after restart" unprovable. The invariant,
+//! which `benchmark/` checks on every run's `/stats`: `received ==
+//! admitted + shed`, always.
 //!
 //! TCP framing is trivial — a big-endian `u32` length then the datagram
 //! bytes — because NetFlow/IPFIX datagrams are self-contained; the

@@ -168,11 +168,6 @@ impl AsRegistry {
         best.and_then(|i| self.info.get(&i.asn))
     }
 
-    /// All registered ASes.
-    pub fn ases(&self) -> impl Iterator<Item = &AsInfo> {
-        self.info.values()
-    }
-
     /// Metadata for a specific ASN.
     pub fn get(&self, asn: Asn) -> Option<&AsInfo> {
         self.info.get(&asn)

@@ -50,12 +50,6 @@ impl SimTime {
         ((self.0 % SECS_PER_DAY) / SECS_PER_HOUR) as u32
     }
 
-    /// Advance by `secs` seconds.
-    #[must_use]
-    pub fn plus_secs(self, secs: u64) -> Self {
-        SimTime(self.0 + secs)
-    }
-
     /// Saturating difference in seconds (`self - earlier`).
     pub fn secs_since(self, earlier: SimTime) -> u64 {
         self.0.saturating_sub(earlier.0)

@@ -196,11 +196,6 @@ pub struct ClassSpec {
 }
 
 impl ClassSpec {
-    /// Display name with level suffix, as in Figure 10.
-    pub fn display_name(&self) -> String {
-        format!("{}{}", self.name, self.level.suffix())
-    }
-
     /// Number of dedicated (monitorable) primary domains — what Figure
     /// 10's "#domains" column counts.
     pub fn monitored_domain_count(&self) -> usize {

@@ -150,11 +150,6 @@ impl VecStream {
     pub fn set_sampled_packets(&mut self, sampled_packets: u64) {
         self.sampled_packets = sampled_packets;
     }
-
-    /// Attribute `degradation` to the first emitted chunk.
-    pub fn set_degradation(&mut self, degradation: FeedDegradation) {
-        self.degradation = degradation;
-    }
 }
 
 impl RecordStream for VecStream {
