@@ -8,6 +8,12 @@
 //! drain path is just "consume the queue to disconnection, finish the
 //! pool, write the final checkpoint".
 //!
+//! The thread never sleeps on a tick. With both inboxes empty it parks
+//! until its next watchdog or checkpoint deadline, and whoever fills an
+//! inbox unparks it: the admission queue after each datagram it admits
+//! and after a producer handle is dropped, the HTTP plane after each
+//! control request (see [`Engine::run`]).
+//!
 //! The engine never exits on ingest trouble. Malformed datagrams are
 //! counted and dropped (the collector quarantines the source); a shard
 //! panic is healed by the pool's supervision; a shard *stall* (a worker
@@ -32,14 +38,40 @@ use haystack_flow::{Collector, FlowRecord};
 use haystack_net::Anonymizer;
 use haystack_wild::WildRecord;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Consecutive failed watchdog probes before a shard is force-respawned
 /// (one failure can be a barrier queued behind a deep backlog; two in a
 /// row across a probe interval is a stuck worker).
 const WATCHDOG_STRIKES: u8 = 2;
+
+/// Datagrams the engine takes per turn of its loop before it reads the
+/// clock for the watchdog and the periodic checkpoint: one `Instant::now`
+/// per burst instead of two per datagram, and at ~30 records a datagram
+/// still a clock read every few hundred microseconds under full load.
+const INGEST_BURST: usize = 64;
+
+/// Turns the engine looks at two empty inboxes before it parks, backing
+/// off as a blocking channel `recv` does before it sleeps: a few
+/// microseconds in all, then the park — which ends only when someone
+/// unparks it or a deadline is due.
+const IDLE_BACKOFF_TURNS: u32 = 10;
+
+/// One turn of that backoff: 2^turn spin hints for the first seven turns,
+/// then the rest of the time slice to whoever is runnable (on one CPU,
+/// the listener that is about to fill the queue).
+fn idle_backoff(turn: u32) {
+    if turn <= 6 {
+        for _ in 0..1u32 << turn {
+            std::hint::spin_loop();
+        }
+    } else {
+        std::thread::yield_now();
+    }
+}
 
 /// A control-plane query, answered by the engine between ingest chunks.
 #[derive(Debug)]
@@ -256,31 +288,72 @@ impl Engine {
     /// final checkpoint. This is the whole lifecycle: SIGTERM stops the
     /// listeners, the engine consumes what was already admitted, and
     /// exits with durable state.
-    pub fn run(mut self, data_rx: Receiver<Bytes>, ctl_rx: Receiver<CtlRequest>) {
-        let mut last_probe = Instant::now();
-        let mut last_ckpt = Instant::now();
-        loop {
-            while let Ok(req) = ctl_rx.try_recv() {
-                self.handle_ctl(req);
+    ///
+    /// One wait for both inboxes. Each turn takes a bounded burst — the
+    /// control channel is emptied before every datagram, so a request is
+    /// answered between datagrams however deep the backlog and however
+    /// slow `/admin/slow` makes each one — then reads the clock once for
+    /// the watchdog and the periodic checkpoint. Only a turn that found
+    /// both inboxes empty waits — a few microseconds of backoff, then a
+    /// park until the next of those two deadlines: there is no tick.
+    /// Whoever fills an inbox ends the park — `http::ask` after its
+    /// `send`, the admission queue after every admitted datagram and
+    /// after a producer handle is dropped
+    /// ([`AdmissionQueue::wake_on_admit`]) — and because an `unpark`
+    /// that lands before the `park` makes it return at once, a message
+    /// that arrives between the last `try_recv` and the park is not slept
+    /// through. Must run on the thread registered with both, which
+    /// [`Engine::spawn`] arranges.
+    ///
+    /// [`AdmissionQueue::wake_on_admit`]: haystack_flow::listener::AdmissionQueue::wake_on_admit
+    fn run(mut self, data_rx: Receiver<Bytes>, ctl_rx: Receiver<CtlRequest>) {
+        let mut next_probe = Instant::now() + self.config.watchdog_every;
+        // The periodic checkpoint's interval and next due time, if any.
+        let mut periodic = (self.config.checkpoint_secs > 0 && self.config.ckpt.is_some())
+            .then(|| Duration::from_secs(self.config.checkpoint_secs))
+            .map(|every| (every, Instant::now() + every));
+        let mut empty_turns = 0u32;
+        'serve: loop {
+            let mut idle = true;
+            for _ in 0..INGEST_BURST {
+                while let Ok(req) = ctl_rx.try_recv() {
+                    self.handle_ctl(req);
+                    idle = false;
+                }
+                match data_rx.try_recv() {
+                    Ok(d) => self.ingest(d),
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => break 'serve,
+                }
+                idle = false;
             }
-            match data_rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(d) => self.ingest(d),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-            if last_probe.elapsed() >= self.config.watchdog_every {
+            let mut now = Instant::now();
+            if now >= next_probe {
                 self.watchdog_probe();
                 self.publish_telemetry();
-                last_probe = Instant::now();
+                now = Instant::now();
+                next_probe = now + self.config.watchdog_every;
             }
-            if self.config.checkpoint_secs > 0
-                && self.config.ckpt.is_some()
-                && last_ckpt.elapsed() >= Duration::from_secs(self.config.checkpoint_secs)
-            {
-                if let Err(e) = self.write_checkpoint() {
-                    note!("serve: periodic checkpoint failed: {e}");
+            if let Some((every, due)) = &mut periodic {
+                if now >= *due {
+                    if let Err(e) = self.write_checkpoint() {
+                        note!("serve: periodic checkpoint failed: {e}");
+                    }
+                    now = Instant::now();
+                    *due = now + *every;
                 }
-                last_ckpt = Instant::now();
+            }
+            if !idle {
+                empty_turns = 0;
+            } else if empty_turns < IDLE_BACKOFF_TURNS {
+                // A loaded engine runs its queue dry many times a second;
+                // the next datagram is microseconds away, and a park and
+                // the listener's wake would cost more than waiting for it.
+                idle_backoff(empty_turns);
+                empty_turns += 1;
+            } else {
+                let wake_at = periodic.map_or(next_probe, |(_, due)| due.min(next_probe));
+                std::thread::park_timeout(wake_at.saturating_duration_since(now));
             }
         }
         // Drain epilogue: all admitted datagrams are ingested; make the
@@ -301,15 +374,26 @@ impl Engine {
         }
     }
 
-    /// Spawn the engine loop on its own thread.
+    /// Spawn the engine loop on its own thread; `on_exit` is unparked
+    /// when that thread leaves the loop, however it leaves it.
     pub fn spawn(
         self,
         data_rx: Receiver<Bytes>,
         ctl_rx: Receiver<CtlRequest>,
+        on_exit: Thread,
     ) -> std::thread::JoinHandle<()> {
+        struct UnparkOnDrop(Thread);
+        impl Drop for UnparkOnDrop {
+            fn drop(&mut self) {
+                self.0.unpark();
+            }
+        }
         std::thread::Builder::new()
             .name("hay-engine".into())
-            .spawn(move || self.run(data_rx, ctl_rx))
+            .spawn(move || {
+                let _exit = UnparkOnDrop(on_exit);
+                self.run(data_rx, ctl_rx)
+            })
             .expect("spawn engine")
     }
 
@@ -385,6 +469,8 @@ impl Engine {
         scope.gauge("received").set(self.stats.received());
         scope.gauge("admitted").set(self.stats.admitted());
         scope.gauge("shed").set(self.stats.shed());
+        // (The HTTP plane counts its own, `serve.http_accept_retries`.)
+        scope.gauge("tcp_accept_retries").set(self.stats.accept_retries());
         scope.gauge("datagrams_processed").set(self.datagrams);
         scope.gauge("records_decoded").set(self.records);
         scope.gauge("decode_errors").set(self.decode_errors);
@@ -573,30 +659,22 @@ impl Engine {
     }
 
     fn line_body(&mut self, id: u64) -> CtlReply {
-        if let Err(e) = self.pool.flush() {
-            return err(500, &e.to_string());
-        }
-        let line = haystack_net::AnonId(id);
-        let names: Vec<String> = self
+        // One round trip to the shard that owns the line (the pool ships
+        // that shard's pending batch first), not two per class.
+        let verdicts = match self.pool.line_verdicts(haystack_net::AnonId(id)) {
+            Ok(v) => v,
+            Err(e) => return err(500, &e.to_string()),
+        };
+        let parts: Vec<String> = self
             .rules
             .rules
             .iter()
-            .map(|r| self.rules.class_name(r.class).to_string())
+            .zip(verdicts)
+            .map(|(r, (detected, confidence))| {
+                let name = self.rules.class_name(r.class);
+                format!("{{\"class\":{name:?},\"detected\":{detected},\"confidence\":{confidence}}}")
+            })
             .collect();
-        let mut parts = Vec::with_capacity(names.len());
-        for name in &names {
-            let detected = match self.pool.is_detected(line, name) {
-                Ok(d) => d,
-                Err(e) => return err(500, &e.to_string()),
-            };
-            let confidence = match self.pool.confidence(line, name) {
-                Ok(c) => c,
-                Err(e) => return err(500, &e.to_string()),
-            };
-            parts.push(format!(
-                "{{\"class\":{name:?},\"detected\":{detected},\"confidence\":{confidence}}}"
-            ));
-        }
         ok(format!("{{\"line\":{id},\"classes\":[{}]}}", parts.join(",")))
     }
 
@@ -783,14 +861,9 @@ impl Engine {
     }
 }
 
-/// `true` while the engine thread is alive — used by the orchestrator's
-/// poll loop to notice an engine death.
-pub fn engine_alive(handle: &std::thread::JoinHandle<()>) -> bool {
-    !handle.is_finished()
-}
-
-/// Shared shutdown flag helper: the listeners and the HTTP plane all
-/// poll one `AtomicBool`.
+/// Shared shutdown flag helper: the listeners poll one `AtomicBool`
+/// between socket reads, and the HTTP plane reads it when the
+/// orchestrator's connection ends its blocking `accept`.
 pub fn new_shutdown_flag() -> Arc<AtomicBool> {
     Arc::new(AtomicBool::new(false))
 }

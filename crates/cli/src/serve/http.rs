@@ -7,8 +7,9 @@
 //!
 //! * **liveness** — `/healthz` (process up), `/readyz` (503 once a
 //!   drain has begun), `/metrics` (Prometheus exposition of the
-//!   telemetry registry). Answered directly on the HTTP thread; they
-//!   must work even when the engine is busy or draining.
+//!   telemetry registry). Answered directly on the connection's
+//!   handler thread; they must work even when the engine is busy or
+//!   draining.
 //! * **queries** — `/stats`, `/detections`, `/line`, `/usage`,
 //!   `/staleness`, `/sources`, `/events` (NDJSON): forwarded to the
 //!   engine over the control channel and answered between ingest
@@ -19,59 +20,144 @@
 //!   degraded shard), and (only with `--chaos`) `POST /admin/panic` /
 //!   `POST /admin/stall` / `POST /admin/slow`.
 //!
-//! Requests race the drain: once the shutdown flag is set the accept
-//! loop exits within one poll interval, and an engine reply that never
-//! comes (engine already gone) surfaces as 503, never a hang.
+//! Nothing here polls. The accept thread blocks in `accept()`; each
+//! connection is served on a short-lived handler thread, at most
+//! [`MAX_HANDLERS`] at a time (a connection over the cap is served
+//! inline on the accept thread), and the *whole* request head must
+//! arrive within [`HEAD_DEADLINE`] — so a client that stalls mid-head,
+//! or trickles a byte at a time, pins one handler for that long and
+//! nobody else. A query wakes the parked engine itself ([`ask`] unparks
+//! it after the `send`).
+//!
+//! Requests race the drain: the orchestrator sets the shutdown flag and
+//! then connects to this plane's own port, which is what ends the
+//! blocked `accept()`. The accept thread serves whatever else is already
+//! queued on the socket (`/readyz` is 503 by then), closes the listener
+//! and joins its handlers — so a request that raced the drain gets an
+//! answer, a later one a refused connection, and an engine reply that
+//! never comes (engine already gone) surfaces as 503, never a hang. A
+//! transient `accept` error (a peer that reset while queued, `EINTR`,
+//! descriptor exhaustion) is counted in `serve.http_accept_retries`
+//! and ridden out; only a dead listener ends the plane, with a note.
 
 use super::engine::{CtlReply, CtlRequest, Query};
+use haystack_cli::note;
 use haystack_core::telemetry;
-use std::io::{Read, Write};
+use haystack_flow::listener::accept_retry;
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::thread::{JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
-/// Accept-loop poll interval (shutdown-flag latency bound).
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
+/// Handler threads alive at once. Past this a connection is served on
+/// the accept thread itself, so stalled clients can pin this many
+/// threads and then delay — never starve — everyone behind them.
+const MAX_HANDLERS: usize = 8;
+/// How long a client has to deliver its whole request head, and how long
+/// one write of the response may block on a client that stopped reading.
+const HEAD_DEADLINE: Duration = Duration::from_secs(5);
 /// How long a query may wait on the engine before 503.
 const ENGINE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Largest request head accepted.
 const MAX_HEAD: usize = 8 * 1024;
 
-/// Run the HTTP plane until `shutdown` is set.
+/// What a connection handler needs besides the connection.
+#[derive(Clone)]
+struct Plane {
+    ctl: Sender<CtlRequest>,
+    /// Unparked after every control request sent: the engine parks when
+    /// both its inboxes are empty.
+    engine: Thread,
+    /// Unparked once a request that found the drain flag set (the
+    /// `/admin/drain` that set it, for one) has been answered: the
+    /// orchestrator parks until a drain begins.
+    orchestrator: Thread,
+    chaos: bool,
+}
+
+/// Run the HTTP plane until `shutdown` is set *and* a connection arrives
+/// (the orchestrator's own — see the module docs).
 pub fn spawn_http(
     listener: TcpListener,
     ctl: Sender<CtlRequest>,
+    engine: Thread,
     chaos: bool,
     shutdown: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
-    listener.set_nonblocking(true).expect("http nonblocking");
+    let plane = Plane { ctl, engine, orchestrator: std::thread::current(), chaos };
     std::thread::Builder::new()
         .name("hay-http".into())
-        .spawn(move || {
-            while !shutdown.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => handle_conn(stream, &ctl, chaos),
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        std::thread::sleep(POLL_INTERVAL)
-                    }
-                    Err(_) => break,
-                }
-            }
-        })
+        .spawn(move || accept_loop(listener, &plane, &shutdown))
         .expect("spawn http")
 }
 
-fn handle_conn(mut stream: TcpStream, ctl: &Sender<CtlRequest>, chaos: bool) {
-    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("http read timeout");
-    let Some((method, target)) = read_request_head(&mut stream) else {
+fn accept_loop(listener: TcpListener, plane: &Plane, shutdown: &AtomicBool) {
+    let accept_retries = telemetry::Scope::named("serve").counter("http_accept_retries");
+    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+    let mut draining = false;
+    loop {
+        let accepted = listener.accept();
+        if !draining && shutdown.load(Ordering::SeqCst) {
+            // Woken for the drain. Whatever else is already queued on
+            // the socket is answered, not reset: accept without blocking
+            // until the backlog is empty.
+            draining = true;
+            if listener.set_nonblocking(true).is_err() {
+                break;
+            }
+        }
+        match accepted {
+            Ok((stream, _)) => {
+                handlers.retain(|h| !h.is_finished());
+                serve_conn(stream, plane, &mut handlers);
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) => match accept_retry(&e) {
+                Some(pause) => {
+                    accept_retries.inc();
+                    std::thread::sleep(pause);
+                }
+                None => {
+                    note!("serve: http accept failed, query plane closed: {e}");
+                    break;
+                }
+            },
+        }
+    }
+    // Closed before the handlers are waited for: from here a client is
+    // refused at once instead of queueing on a socket nobody accepts from.
+    drop(listener);
+    for h in handlers {
+        let _ = h.join();
+    }
+}
+
+/// Serve one connection on a handler thread of its own, or inline when
+/// [`MAX_HANDLERS`] are busy.
+fn serve_conn(stream: TcpStream, plane: &Plane, handlers: &mut Vec<JoinHandle<()>>) {
+    if handlers.len() >= MAX_HANDLERS {
+        return handle_conn(stream, plane);
+    }
+    let handler = plane.clone();
+    match std::thread::Builder::new()
+        .name("hay-http-conn".into())
+        .spawn(move || handle_conn(stream, &handler))
+    {
+        Ok(h) => handlers.push(h),
+        // The connection went with the closure: this client sees a close,
+        // the plane goes on.
+        Err(e) => note!("serve: no thread for an http connection: {e}"),
+    }
+}
+
+fn handle_conn(mut stream: TcpStream, plane: &Plane) {
+    let _ = stream.set_write_timeout(Some(HEAD_DEADLINE));
+    let _ = stream.set_nodelay(true);
+    let Some((method, target)) = read_request_head(&mut stream, Instant::now() + HEAD_DEADLINE)
+    else {
         respond(&mut stream, 400, "text/plain", "bad request\n");
         return;
     };
@@ -79,21 +165,36 @@ fn handle_conn(mut stream: TcpStream, ctl: &Sender<CtlRequest>, chaos: bool) {
         Some((p, q)) => (p, q),
         None => (target.as_str(), ""),
     };
-    let (status, content_type, body) = route(&method, path, query, ctl, chaos);
+    let (status, content_type, body) = route(&method, path, query, plane);
     respond(&mut stream, status, content_type, &body);
+    if haystack_cli::sig::triggered() {
+        // A drain has begun — by `/admin/drain` just now, perhaps. Only
+        // here, with the answer written, is the orchestrator told:
+        // nothing may let the process exit before the client has its 200.
+        plane.orchestrator.unpark();
+    }
 }
 
-/// Read up to the header terminator and parse the request line.
-fn read_request_head(stream: &mut TcpStream) -> Option<(String, String)> {
+/// Read up to the header terminator and parse the request line. The
+/// whole head must be in by `deadline`: the socket timeout shrinks to
+/// the time remaining before each `read`, so no pacing of the bytes buys
+/// a client more than the one deadline.
+fn read_request_head(stream: &mut TcpStream, deadline: Instant) -> Option<(String, String)> {
     let mut head = Vec::new();
     let mut chunk = [0u8; 1024];
     while !head.windows(4).any(|w| w == b"\r\n\r\n") {
         if head.len() > MAX_HEAD {
             return None;
         }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return None;
+        }
+        stream.set_read_timeout(Some(left)).ok()?;
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => head.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => return None,
         }
     }
@@ -115,13 +216,16 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) 
         503 => "Service Unavailable",
         _ => "Error",
     };
-    let _ = write!(
-        stream,
+    // Two writes, not one per `write!` fragment, and no second copy of a
+    // body that can run to tens of megabytes (`/detections`); the socket
+    // is `TCP_NODELAY`, so the body does not wait out the client's
+    // delayed ACK of the head.
+    let head = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+         Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    let _ = stream.flush();
+    let _ = stream.write_all(head.as_bytes()).and_then(|()| stream.write_all(body.as_bytes()));
 }
 
 /// Percent-decode one query-string value (`+` means space; a malformed
@@ -175,13 +279,8 @@ fn param(query: &str, key: &str) -> Option<String> {
 
 type Routed = (u16, &'static str, String);
 
-fn route(
-    method: &str,
-    path: &str,
-    query: &str,
-    ctl: &Sender<CtlRequest>,
-    chaos: bool,
-) -> Routed {
+fn route(method: &str, path: &str, query: &str, plane: &Plane) -> Routed {
+    let chaos = plane.chaos;
     match (method, path) {
         ("GET", "/healthz") => (200, "text/plain", "ok\n".into()),
         ("GET", "/readyz") => {
@@ -190,30 +289,30 @@ fn route(
             } else {
                 // Readiness is the engine's verdict: any shard with an
                 // open crash-loop breaker turns the daemon not-ready.
-                ask(ctl, Query::Ready)
+                ask(plane, Query::Ready)
             }
         }
         ("GET", "/metrics") => {
             (200, "text/plain; version=0.0.4", telemetry::global().snapshot().to_prometheus())
         }
-        ("GET", "/stats") => ask(ctl, Query::Stats),
-        ("GET", "/detections") => ask(ctl, Query::Detections { class: param(query, "class") }),
+        ("GET", "/stats") => ask(plane, Query::Stats),
+        ("GET", "/detections") => ask(plane, Query::Detections { class: param(query, "class") }),
         ("GET", "/line") => match param(query, "id").and_then(|v| v.parse().ok()) {
-            Some(id) => ask(ctl, Query::Line { id }),
+            Some(id) => ask(plane, Query::Line { id }),
             None => bad("line needs ?id=N"),
         },
-        ("GET", "/usage") => ask(ctl, Query::Usage { class: param(query, "class") }),
-        ("GET", "/staleness") => ask(ctl, Query::Staleness),
-        ("GET", "/sources") => ask(ctl, Query::Sources),
-        ("GET", "/events") => ask(ctl, Query::Events),
-        ("POST", "/admin/checkpoint") => ask(ctl, Query::CheckpointNow),
+        ("GET", "/usage") => ask(plane, Query::Usage { class: param(query, "class") }),
+        ("GET", "/staleness") => ask(plane, Query::Staleness),
+        ("GET", "/sources") => ask(plane, Query::Sources),
+        ("GET", "/events") => ask(plane, Query::Events),
+        ("POST", "/admin/checkpoint") => ask(plane, Query::CheckpointNow),
         ("POST", "/admin/reload-rules") => match param(query, "path") {
-            Some(path) => ask(ctl, Query::ReloadRules { path }),
+            Some(path) => ask(plane, Query::ReloadRules { path }),
             None => bad("reload-rules needs ?path=/abs/pack.hsp"),
         },
         ("POST", "/admin/reset-breaker") => {
             match param(query, "shard").and_then(|v| v.parse().ok()) {
-                Some(shard) => ask(ctl, Query::ResetBreaker { shard }),
+                Some(shard) => ask(plane, Query::ResetBreaker { shard }),
                 None => bad("reset-breaker needs ?shard=N"),
             }
         }
@@ -226,7 +325,7 @@ fn route(
                 return forbidden();
             }
             match param(query, "shard").and_then(|v| v.parse().ok()) {
-                Some(shard) => ask(ctl, Query::Panic { shard }),
+                Some(shard) => ask(plane, Query::Panic { shard }),
                 None => bad("panic needs ?shard=N"),
             }
         }
@@ -235,7 +334,7 @@ fn route(
                 return forbidden();
             }
             match param(query, "us").and_then(|v| v.parse().ok()) {
-                Some(us) => ask(ctl, Query::Slow { us }),
+                Some(us) => ask(plane, Query::Slow { us }),
                 None => bad("slow needs ?us=N"),
             }
         }
@@ -247,7 +346,7 @@ fn route(
                 param(query, "shard").and_then(|v| v.parse().ok()),
                 param(query, "ms").and_then(|v| v.parse().ok()),
             ) {
-                (Some(shard), Some(ms)) => ask(ctl, Query::Stall { shard, ms }),
+                (Some(shard), Some(ms)) => ask(plane, Query::Stall { shard, ms }),
                 _ => bad("stall needs ?shard=N&ms=M"),
             }
         }
@@ -271,11 +370,14 @@ fn forbidden() -> Routed {
 }
 
 /// Round-trip a query to the engine; a missing engine is 503, not a hang.
-fn ask(ctl: &Sender<CtlRequest>, query: Query) -> Routed {
+fn ask(plane: &Plane, query: Query) -> Routed {
     let (tx, rx) = channel();
-    if ctl.send(CtlRequest { query, reply: tx }).is_err() {
+    if plane.ctl.send(CtlRequest { query, reply: tx }).is_err() {
         return (503, "application/json", "{\"error\":\"engine gone\"}".into());
     }
+    // After the send, so the engine cannot wake, find nothing and park
+    // again before the request is there.
+    plane.engine.unpark();
     match rx.recv_timeout(ENGINE_TIMEOUT) {
         Ok(CtlReply { status, content_type, body }) => (status, content_type, body),
         Err(_) => (503, "application/json", "{\"error\":\"engine busy\"}".into()),

@@ -13,6 +13,17 @@
 //!                    engine thread (collector → pool → usage/staleness)
 //! ```
 //!
+//! No thread of the shell sleeps on a tick to find out whether there is
+//! work. The engine parks until the admission queue or the HTTP plane
+//! unparks it (or its next watchdog / checkpoint deadline); the HTTP
+//! plane blocks in `accept()` and serves each connection on a handler
+//! thread; this orchestrator parks until `/admin/drain` or the engine's
+//! exit unparks it, with a 50 ms timeout only because a signal handler
+//! can do no more than set a flag. The two datagram listeners keep
+//! their 25 ms socket read timeouts: a blocking `recv` cannot be ended
+//! from outside without a descriptor to write to, and a listener's
+//! latency is not on any query's path.
+//!
 //! Lifecycle state machine: **serving** → (SIGTERM, SIGINT, or
 //! `POST /admin/drain`) → **draining** (listeners stop, `/readyz` turns
 //! 503, the engine consumes every already-admitted datagram) →
@@ -40,12 +51,15 @@ use haystack_flow::listener::{spawn_tcp_listener, spawn_udp_listener, AdmissionQ
 use haystack_net::snapshot::SnapError;
 use state::ServeCheckpoint;
 use std::collections::HashMap;
-use std::net::{Ipv4Addr, TcpListener, UdpSocket};
+use std::net::{Ipv4Addr, TcpListener, TcpStream, UdpSocket};
 use std::process::exit;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// How often the parked orchestrator looks at the signal flag.
+const SIGNAL_POLL: Duration = Duration::from_millis(50);
 
 pub fn cmd_serve(flags: HashMap<String, String>) {
     telemetry::set_enabled(true);
@@ -194,23 +208,41 @@ pub fn cmd_serve(flags: HashMap<String, String>) {
         None => fatal("engine", Engine::new(rules, pack_bytes, config, stats.clone())),
     };
 
+    // The engine first: its thread handle is what the producers of its
+    // two inboxes wake — the admission queue after every datagram it
+    // admits and after a producer handle is dropped, the HTTP plane
+    // after every control request.
     let shutdown = engine::new_shutdown_flag();
     let (ctl_tx, ctl_rx) = channel();
+    let engine_handle = engine.spawn(data_rx, ctl_rx, std::thread::current());
+    queue.wake_on_admit(engine_handle.thread().clone());
     let udp_handle = spawn_udp_listener(udp, queue.clone(), shutdown.clone());
     let tcp_handle = spawn_tcp_listener(tcp, queue.clone(), shutdown.clone());
-    let http_handle = http::spawn_http(http_sock, ctl_tx, chaos, shutdown.clone());
+    let http_handle = http::spawn_http(
+        http_sock,
+        ctl_tx,
+        engine_handle.thread().clone(),
+        chaos,
+        shutdown.clone(),
+    );
     // The engine's data channel must disconnect when the listeners
     // exit, so the orchestrator holds no producer of its own.
     drop(queue);
-    let engine_handle = engine.spawn(data_rx, ctl_rx);
 
-    // Park until a drain begins (signal or /admin/drain) or the engine
-    // dies underneath us (listener sockets torn down, nothing to serve).
-    while !sig::triggered() && engine::engine_alive(&engine_handle) {
-        std::thread::sleep(Duration::from_millis(50));
+    // Park until a drain begins or the engine dies underneath us
+    // (listener sockets torn down, nothing to serve). `/admin/drain` and
+    // the engine's exit unpark this thread; the timeout is there only
+    // for SIGTERM/SIGINT, whose handler may do nothing but set the flag.
+    while !sig::triggered() && !engine_handle.is_finished() {
+        std::thread::park_timeout(SIGNAL_POLL);
     }
     note!("serve: draining (stopping listeners, flushing admitted datagrams)");
     engine::trip(&shutdown);
+    // The HTTP plane blocks in `accept()`: a connection to its own port
+    // is what lets it see the flag. It may already be on its way out (a
+    // request got there first), so a refused connection is fine.
+    let http_ip = if host_ip.is_unspecified() { Ipv4Addr::LOCALHOST } else { host_ip };
+    let _ = TcpStream::connect_timeout(&(http_ip, http_port).into(), Duration::from_secs(1));
     let _ = udp_handle.join();
     let _ = tcp_handle.join();
     // Listener producers are gone: the engine drains to disconnection,

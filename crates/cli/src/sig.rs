@@ -3,10 +3,15 @@
 //! The daemon (and a checkpointing `detect` or `soak` run) must *drain*
 //! on SIGTERM: finish in-flight work, write a final checkpoint, exit 0
 //! — not die mid-write. The handler therefore does the only async-safe
-//! thing possible: it sets an atomic flag that every blocking loop in
-//! the binary polls (all socket reads run with short timeouts for
-//! exactly this reason — glibc installs handlers with `SA_RESTART`, so
-//! a signal alone does not interrupt a blocking `recv`).
+//! thing possible: it sets an atomic flag. It can wake nobody (no
+//! `unpark`, no write to a socket), so exactly one loop per command
+//! looks at the flag on a timer: a `detect` / `soak` run between chunks,
+//! and in `haystack serve` the orchestrator thread, parked with a 50 ms
+//! timeout. Everything else in the daemon is woken by that thread — it
+//! trips the listeners' shutdown flag (their socket reads keep short
+//! timeouts for exactly this reason: glibc installs handlers with
+//! `SA_RESTART`, so a signal alone does not interrupt a blocking `recv`)
+//! and connects to the HTTP plane's port to end its blocking `accept`.
 //!
 //! This is the one unsafe corner of the crate (the rest of the
 //! `haystack-cli` library is `#![deny(unsafe_code)]`): a single libc
@@ -15,7 +20,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the handler; polled by every long-running loop.
+/// Set by the handler; read by the loops the module docs name.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 const SIGINT: i32 = 2;

@@ -312,7 +312,8 @@ fn crash_loop_trips_breaker_then_operator_reset_recovers() {
 /// `kill_shard` / crash-loop / operator-reset schedule through a
 /// thread-linked and a process-linked pool must leave identical books —
 /// `shard_status()` rows (`status`, `queued`, `shed`) after every phase,
-/// `shard_states()` bytes, and detections — at 1, 2 and 4 workers.
+/// `shard_states()` bytes, detections and per-line verdicts — at 1, 2
+/// and 4 workers.
 #[test]
 fn transport_parity_same_feed_and_kill_schedule_give_identical_books() {
     let rules = build_rules(&[vec![(0, 0, false), (1, 0, false)], vec![(2, 1, true)]]);
@@ -390,12 +391,27 @@ fn transport_parity_same_feed_and_kill_schedule_give_identical_books() {
                 pool.shard_states().expect("states").iter().map(|s| s.encode()).collect();
             let found = detections(&rules, |c| pool.detected_lines(c).expect("query"));
             assert!(found.iter().any(|lines| !lines.is_empty()), "{link}: nothing detected");
-            books.push((rows, states, found));
+            // One round trip per line answers what two per class do.
+            let verdicts: Vec<Vec<(bool, f64)>> = (0..40)
+                .map(|line| pool.line_verdicts(AnonId(line)).expect("line verdicts"))
+                .collect();
+            for (line, all) in (0..40).map(AnonId).zip(&verdicts) {
+                let by_class: Vec<(bool, f64)> = rules
+                    .rules
+                    .iter()
+                    .map(|r| rules.class_name(r.class))
+                    .map(|c| (pool.is_detected(line, c).unwrap(), pool.confidence(line, c).unwrap()))
+                    .collect();
+                assert_eq!(all, &by_class, "{link}: line {line:?}");
+            }
+            assert!(verdicts.iter().flatten().any(|v| v.0), "{link}: no line detected");
+            books.push((rows, states, found, verdicts));
         }
         let process = books.pop().expect("process books");
         let thread = books.pop().expect("thread books");
         assert_eq!(thread.0, process.0, "{workers} workers: shard_status rows diverge");
         assert!(thread.1 == process.1, "{workers} workers: shard_states bytes diverge");
         assert_eq!(thread.2, process.2, "{workers} workers: detections diverge");
+        assert_eq!(thread.3, process.3, "{workers} workers: line verdicts diverge");
     }
 }

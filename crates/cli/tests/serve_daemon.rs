@@ -1,6 +1,6 @@
 //! End-to-end robustness oracle for `haystack serve` (DESIGN.md §13).
 //!
-//! Four proofs, each against a real daemon process on loopback sockets:
+//! Each proof runs against a real daemon process on loopback sockets:
 //!
 //! * **chaos**: under a forced shard panic, injected stalls, a malformed
 //!   flood, and a 2× overload burst, the daemon stays up, sheds with
@@ -16,6 +16,11 @@
 //! * **restart from a damaged directory**: a bit-flipped newest
 //!   generation falls back to the previous one; a checksum-valid frame
 //!   of a future format version is refused by generation.
+//! * **a shell that never sleeps**: an idle daemon answers `/line` in
+//!   well under a poll interval; a client stalled mid-head delays nobody
+//!   and is closed by the head deadline; a drain exits promptly with its
+//!   200 delivered and its checkpoint written; requests in flight during
+//!   the drain are answered, not dropped.
 
 use haystack_cli::rules_to_json;
 use haystack_core::pack::SignaturePack;
@@ -99,19 +104,19 @@ impl Daemon {
         Daemon { child, udp: port("udp"), tcp: port("tcp"), http: port("http") }
     }
 
+    /// A connection to the HTTP plane with nothing sent on it yet.
+    fn connect(&self) -> TcpStream {
+        let stream = TcpStream::connect(("127.0.0.1", self.http)).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        stream
+    }
+
     /// One HTTP/1.1 request; returns (status, body).
     fn http(&self, method: &str, target: &str) -> (u16, String) {
-        let mut stream = TcpStream::connect(("127.0.0.1", self.http)).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut stream = self.connect();
         write!(stream, "{method} {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
             .unwrap();
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).unwrap();
-        let text = String::from_utf8_lossy(&raw).into_owned();
-        let status: u16 =
-            text.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0);
-        let body = text.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-        (status, body)
+        read_response(&mut stream).unwrap()
     }
 
     fn get(&self, target: &str) -> String {
@@ -164,13 +169,18 @@ impl Daemon {
         assert!(status.success(), "daemon drain exited nonzero: {status:?}");
     }
 
-    /// SIGTERM the daemon and wait for its orderly exit.
-    fn sigterm(mut self) {
+    /// Send the daemon a SIGTERM.
+    fn signal_term(&self) {
         assert!(Command::new("kill")
             .args(["-TERM", &self.child.id().to_string()])
             .status()
             .unwrap()
             .success());
+    }
+
+    /// SIGTERM the daemon and wait for its orderly exit.
+    fn sigterm(mut self) {
+        self.signal_term();
         let status = self.child.wait().unwrap();
         assert!(status.success(), "daemon SIGTERM exited nonzero: {status:?}");
     }
@@ -181,6 +191,17 @@ impl Drop for Daemon {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
+}
+
+/// The daemon's whole answer on `stream`, read to EOF: (status, body).
+/// `Err` is a reset or a timeout — the daemon never owes a client those.
+fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, String)> {
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw)?;
+    let text = String::from_utf8_lossy(&raw).into_owned();
+    let status: u16 = text.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0);
+    let body = text.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
+    Ok((status, body))
 }
 
 /// Drive `haystack send` at a daemon port.
@@ -600,4 +621,148 @@ fn reload_rules_swaps_pack_mid_stream_without_evidence_loss() {
     assert!(!class_names(&resumed).contains(&removed.to_string()));
     assert!(count_of(&resumed, added).unwrap() > 0);
     d.drain();
+}
+
+/// The HTTP plane's handler-thread cap and whole-head deadline
+/// (`MAX_HANDLERS`, `HEAD_DEADLINE` in `serve/http.rs`).
+const HANDLER_CAP: usize = 8;
+const HEAD_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Wall time of one `GET target` that must answer 200.
+fn timed_get(d: &Daemon, target: &str) -> Duration {
+    let t0 = Instant::now();
+    d.get(target);
+    t0.elapsed()
+}
+
+#[test]
+fn idle_daemon_answers_line_queries_without_waiting_out_a_poll() {
+    let ckpt = scratch("idle-ckpt");
+    let d = Daemon::start("idle", &ckpt, &[]);
+    d.get("/readyz");
+    // Nothing arrives between the queries: every one finds the engine
+    // parked and has to wake it.
+    let mut took: Vec<Duration> = (0..20).map(|i| timed_get(&d, &format!("/line?id={i}"))).collect();
+    took.sort_unstable();
+    let median = took[took.len() / 2];
+    assert!(median < Duration::from_millis(10), "idle /line median {median:?}: {took:?}");
+    d.drain();
+}
+
+/// A client that sends half a request line and then nothing.
+fn stalled_client(d: &Daemon) -> TcpStream {
+    let mut stream = d.connect();
+    stream.write_all(b"GET /li").unwrap();
+    stream
+}
+
+#[test]
+fn stalled_clients_delay_nobody_and_are_closed_by_the_head_deadline() {
+    let ckpt = scratch("stall-ckpt");
+    let d = Daemon::start("stall", &ckpt, &[]);
+    d.get("/readyz");
+
+    // One stalled client: the plane answers around it at once (best of
+    // three, so one scheduling hiccup on a busy host is not a failure).
+    let opened = Instant::now();
+    let mut stalled = stalled_client(&d);
+    let best = (0..3).map(|_| timed_get(&d, "/readyz")).min().unwrap();
+    assert!(best < Duration::from_millis(100), "/readyz behind a stalled client: {best:?}");
+    // ... and the stalled client is told 400 when its head deadline
+    // passes — once, for the whole head, not per read.
+    let (status, _) = read_response(&mut stalled).expect("stalled client was reset, not answered");
+    let held = opened.elapsed();
+    assert_eq!(status, 400);
+    assert!(
+        held >= HEAD_DEADLINE - Duration::from_millis(200) && held < HEAD_DEADLINE + Duration::from_secs(2),
+        "stalled client held {held:?}"
+    );
+
+    // More stalled clients than handler threads: the cap serves one on
+    // the accept thread, so a query waits — for one head deadline, not
+    // for as long as the clients care to stall.
+    let opened = Instant::now();
+    let mut stalled: Vec<TcpStream> = (0..HANDLER_CAP + 2).map(|_| stalled_client(&d)).collect();
+    let waited = timed_get(&d, "/readyz");
+    assert!(
+        waited < HEAD_DEADLINE + Duration::from_millis(1_500),
+        "/readyz behind {} stalled clients: {waited:?}",
+        stalled.len()
+    );
+    for (i, stream) in stalled.iter_mut().enumerate() {
+        let (status, _) = read_response(stream).expect("stalled client was reset, not answered");
+        assert_eq!(status, 400, "stalled client {i}");
+    }
+    assert!(opened.elapsed() < 2 * HEAD_DEADLINE + Duration::from_secs(2));
+    d.drain();
+}
+
+fn serve_checkpoints(dir: &Path) -> usize {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            let name = name.to_string_lossy();
+            name.starts_with("serve-") && name.ends_with(".ckpt")
+        })
+        .count()
+}
+
+#[test]
+fn drain_and_sigterm_exit_promptly_with_the_final_checkpoint_written() {
+    // /admin/drain: the 200 arrives whole, then the process is gone
+    // within half a second, its final checkpoint on disk.
+    let ckpt = scratch("prompt-drain-ckpt");
+    let mut d = Daemon::start("prompt-drain", &ckpt, &[]);
+    d.get("/readyz");
+    assert_eq!(d.post("/admin/drain"), "{\"draining\":true}");
+    let answered = Instant::now();
+    let status = d.child.wait().unwrap();
+    let took = answered.elapsed();
+    assert!(status.success(), "drained daemon exited nonzero: {status:?}");
+    assert!(took < Duration::from_millis(500), "drain to exit took {took:?}");
+    assert_eq!(serve_checkpoints(&ckpt), 1, "no final checkpoint after /admin/drain");
+    // The listener is closed, not hanging: a late client is refused.
+    assert!(TcpStream::connect(("127.0.0.1", d.http)).is_err());
+
+    // SIGTERM: the handler only sets a flag, so the orchestrator's 50 ms
+    // look at it is the one poll left on this path.
+    let ckpt = scratch("prompt-term-ckpt");
+    let mut d = Daemon::start("prompt-term", &ckpt, &[]);
+    d.get("/readyz");
+    d.signal_term();
+    let signalled = Instant::now();
+    let status = d.child.wait().unwrap();
+    let took = signalled.elapsed();
+    assert!(status.success(), "daemon SIGTERM exited nonzero: {status:?}");
+    assert!(took < Duration::from_millis(500), "SIGTERM to exit took {took:?}");
+    assert_eq!(serve_checkpoints(&ckpt), 1, "no final checkpoint after SIGTERM");
+}
+
+#[test]
+fn requests_in_flight_during_a_drain_are_answered_not_dropped() {
+    let ckpt = scratch("race-ckpt");
+    let mut d = Daemon::start("race", &ckpt, &[]);
+    d.get("/readyz");
+    // Connected before the drain, asking during it: each of these has a
+    // handler already waiting for its head when the flag goes up.
+    let targets = ["/readyz", "/stats", "/line?id=7", "/readyz", "/detections", "/line?id=8"];
+    let mut racers: Vec<TcpStream> = targets.iter().map(|_| d.connect()).collect();
+    assert_eq!(d.post("/admin/drain"), "{\"draining\":true}");
+    for (stream, target) in racers.iter_mut().zip(targets) {
+        // A refused write would be the daemon already gone: it may not
+        // leave while these are in flight.
+        write!(stream, "GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
+    }
+    for (stream, target) in racers.iter_mut().zip(targets) {
+        let (status, body) = read_response(stream)
+            .unwrap_or_else(|e| panic!("GET {target} during the drain: {e}"));
+        assert!(matches!(status, 200 | 503), "GET {target} during the drain -> {status}: {body}");
+        if target == "/readyz" {
+            assert_eq!((status, body.as_str()), (503, "draining\n"));
+        }
+    }
+    let status = d.child.wait().unwrap();
+    assert!(status.success(), "drained daemon exited nonzero: {status:?}");
+    assert_eq!(serve_checkpoints(&ckpt), 1);
 }

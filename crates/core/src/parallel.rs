@@ -388,6 +388,9 @@ pub(crate) enum Request {
     Confidence(AnonId, String),
     /// First hour the gated detection held, on the owning shard.
     FirstDetection(AnonId, String),
+    /// `IsDetected` and `Confidence` for every rule at once, for a line
+    /// owned by this shard: one round trip for a whole `/line` answer.
+    LineVerdicts(AnonId),
     /// (line, rule) states held by this shard.
     StateSize,
     /// Leave the loop cleanly (a closed link means the same).
@@ -413,6 +416,8 @@ pub(crate) enum Reply {
     First(Option<HourBin>),
     /// `StateSize`.
     Usize(usize),
+    /// `LineVerdicts`: `(detected, confidence)` per rule, in rule order.
+    Verdicts(Vec<(bool, f64)>),
 }
 
 /// The worker's end of a shard link: where its requests come from and
@@ -562,6 +567,15 @@ fn serve_request(det: &mut Detector<'_>, req: Request) -> Result<Option<Reply>, 
         Request::IsDetected(line, class) => Reply::Bool(det.is_detected(line, &class)),
         Request::Confidence(line, class) => Reply::F64(det.confidence(line, &class)),
         Request::FirstDetection(line, class) => Reply::First(det.first_detection(line, &class)),
+        Request::LineVerdicts(line) => {
+            // By class name, as `IsDetected` / `Confidence` resolve it, so
+            // the answers are theirs bit for bit.
+            let rules = det.rules();
+            let classes = rules.rules.iter().map(|r| rules.class_name(r.class));
+            Reply::Verdicts(
+                classes.map(|c| (det.is_detected(line, c), det.confidence(line, c))).collect(),
+            )
+        }
         Request::StateSize => Reply::Usize(det.state_size()),
         Request::Init { .. }
         | Request::SetRules { .. }
@@ -1883,6 +1897,17 @@ impl DetectorPool {
     pub fn confidence(&mut self, line: AnonId, class: &str) -> Result<f64, PoolError> {
         self.ask_owner(line, &|| Request::Confidence(line, class.to_string()), |r| match r {
             Reply::F64(v) => Some(v),
+            _ => None,
+        })
+    }
+
+    /// `(is_detected, confidence)` of `line` for every rule, in rule
+    /// order — what [`DetectorPool::is_detected`] and
+    /// [`DetectorPool::confidence`] answer class by class, in one round
+    /// trip to the owning shard instead of two per rule.
+    pub fn line_verdicts(&mut self, line: AnonId) -> Result<Vec<(bool, f64)>, PoolError> {
+        self.ask_owner(line, &|| Request::LineVerdicts(line), |r| match r {
+            Reply::Verdicts(v) => Some(v),
             _ => None,
         })
     }

@@ -84,6 +84,7 @@ const T_STATE_SIZE: u8 = 13;
 const T_PANIC: u8 = 14;
 const T_STALL: u8 = 15;
 const T_SHUTDOWN: u8 = 16;
+const T_LINE_VERDICTS: u8 = 17;
 
 // Reply tags (worker → supervisor).
 const R_ACK: u8 = 0;
@@ -94,6 +95,7 @@ const R_BOOL: u8 = 4;
 const R_F64: u8 = 5;
 const R_FIRST: u8 = 6;
 const R_USIZE: u8 = 7;
+const R_VERDICTS: u8 = 8;
 
 /// Wire layout of one [`WildRecord`] (fixed [`RECORD_WIRE_BYTES`]).
 fn put_record(w: &mut SnapWriter, r: &WildRecord) {
@@ -212,6 +214,10 @@ pub(crate) fn encode_request(seq: u64, req: &Request) -> Option<Vec<u8>> {
         Request::FirstDetection(line, class) => {
             put_line_class(&mut w, T_FIRST_DETECTION, *line, class)
         }
+        Request::LineVerdicts(line) => {
+            w.put_u8(T_LINE_VERDICTS);
+            w.put_u64(line.0);
+        }
         Request::StateSize => w.put_u8(T_STATE_SIZE),
         Request::Panic(msg) => {
             w.put_u8(T_PANIC);
@@ -261,6 +267,7 @@ pub(crate) fn decode_to_worker(frame: &[u8]) -> Result<(u64, Request), SnapError
         T_IS_DETECTED => Request::IsDetected(AnonId(r.u64()?), get_string(&mut r)?),
         T_CONFIDENCE => Request::Confidence(AnonId(r.u64()?), get_string(&mut r)?),
         T_FIRST_DETECTION => Request::FirstDetection(AnonId(r.u64()?), get_string(&mut r)?),
+        T_LINE_VERDICTS => Request::LineVerdicts(AnonId(r.u64()?)),
         T_STATE_SIZE => Request::StateSize,
         T_PANIC => Request::Panic(get_string(&mut r)?),
         T_STALL => Request::Stall(Duration::from_millis(r.u64()?)),
@@ -308,6 +315,14 @@ pub(crate) fn encode_reply(seq: u64, reply: &Reply) -> Vec<u8> {
             w.put_u8(R_USIZE);
             w.put_u64(*n as u64);
         }
+        Reply::Verdicts(verdicts) => {
+            w.put_u8(R_VERDICTS);
+            w.put_u64(verdicts.len() as u64);
+            for (detected, confidence) in verdicts {
+                w.put_u8(u8::from(*detected));
+                w.put_f64_bits(*confidence);
+            }
+        }
     }
     seal(PROC_MAGIC, PROC_VERSION, &w.into_bytes())
 }
@@ -337,6 +352,14 @@ pub(crate) fn decode_reply(frame: &[u8]) -> Result<(u64, Reply), SnapError> {
             Reply::First(some.then_some(HourBin(hour)))
         }
         R_USIZE => Reply::Usize(r.u64()? as usize),
+        R_VERDICTS => {
+            let n = r.count(9)?;
+            let mut verdicts = Vec::with_capacity(n);
+            for _ in 0..n {
+                verdicts.push((r.u8()? != 0, r.f64_bits()?));
+            }
+            Reply::Verdicts(verdicts)
+        }
         _ => return Err(SnapError::Malformed("unknown reply tag")),
     };
     Ok((seq, reply))
@@ -622,6 +645,8 @@ mod tests {
             Reply::First(Some(HourBin(17))),
             Reply::First(None),
             Reply::Usize(42),
+            Reply::Verdicts(vec![(true, 1.0), (false, 0.375), (false, 0.0)]),
+            Reply::Verdicts(Vec::new()),
         ];
         for (i, reply) in shapes.iter().enumerate() {
             let frame = encode_reply(i as u64, reply);
@@ -656,7 +681,9 @@ mod tests {
         frame(request_frame(4, Request::IsDetected(AnonId(12), "X".into())));
         frame(request_frame(5, Request::DetectedLines("X".into())));
         frame(request_frame(6, Request::Snapshot));
-        frame(request_frame(7, Request::Shutdown));
+        frame(request_frame(7, Request::LineVerdicts(AnonId(12))));
+        frame(request_frame(8, Request::LineVerdicts(AnonId(13))));
+        frame(request_frame(9, Request::Shutdown));
 
         let mut rin = Cursor::new(input);
         let mut out = Vec::new();
@@ -679,6 +706,14 @@ mod tests {
         }
         match next() {
             (6, Reply::State(state)) => assert!(state.entry_count() > 0),
+            other => panic!("unexpected: {other:?}"),
+        }
+        match next() {
+            (7, Reply::Verdicts(v)) => assert_eq!(v, vec![(true, 1.0)], "one rule, detected"),
+            other => panic!("unexpected: {other:?}"),
+        }
+        match next() {
+            (8, Reply::Verdicts(v)) => assert_eq!(v, vec![(false, 0.0)], "a line never seen"),
             other => panic!("unexpected: {other:?}"),
         }
         assert!(
@@ -731,6 +766,7 @@ mod tests {
             Request::IsDetected(line, "X".into()),
             Request::Confidence(line, "X".into()),
             Request::FirstDetection(line, "X".into()),
+            Request::LineVerdicts(line),
             Request::StateSize,
             Request::Shutdown,
         ]
@@ -752,6 +788,7 @@ mod tests {
             Reply::F64(0.625),
             Reply::First(Some(HourBin(17))),
             Reply::Usize(42),
+            Reply::Verdicts(vec![(true, 1.0), (false, 0.375)]),
         ]
         .iter()
         .enumerate()
@@ -836,12 +873,12 @@ mod tests {
             let _ = run_worker_on(&flipped);
             let _ = decode_reply(&resealed(reply, flip));
             let swapped = resealed(request, |p| p[TAG_AT] = tag);
-            if tag > T_SHUTDOWN {
+            if tag > T_LINE_VERDICTS {
                 prop_assert!(decode_to_worker(&swapped).is_err());
             }
             let _ = run_worker_on(&swapped);
             let swapped = resealed(reply, |p| p[TAG_AT] = tag);
-            if tag > R_USIZE {
+            if tag > R_VERDICTS {
                 prop_assert!(decode_reply(&swapped).is_err());
             }
 
@@ -855,6 +892,11 @@ mod tests {
             prop_assert!(matches!(run_worker_on(&inflated), Some(Err(_))));
             let lines = encode_reply(9, &Reply::Lines(vec![AnonId(1); 4]));
             let inflated = resealed(&lines, |p| {
+                p[TAG_AT + 1..TAG_AT + 9].copy_from_slice(&count.max(5).to_le_bytes());
+            });
+            prop_assert!(decode_reply(&inflated).is_err());
+            let verdicts = encode_reply(9, &Reply::Verdicts(vec![(true, 1.0); 4]));
+            let inflated = resealed(&verdicts, |p| {
                 p[TAG_AT + 1..TAG_AT + 9].copy_from_slice(&count.max(5).to_le_bytes());
             });
             prop_assert!(decode_reply(&inflated).is_err());

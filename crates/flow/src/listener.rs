@@ -22,8 +22,8 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
 /// Largest frame the TCP replay path accepts. A NetFlow/IPFIX datagram
@@ -33,6 +33,11 @@ pub const MAX_FRAME_LEN: usize = 64 * 1024;
 
 /// How long socket reads block before re-checking the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// How long an accept loop pauses when the process is out of descriptors
+/// or socket memory: long enough for a connection to close, short enough
+/// that the plane is back within a blink.
+const EXHAUSTION_PAUSE: Duration = Duration::from_millis(5);
 
 /// Shared admission counters. All monotonic; `received` is every
 /// datagram a listener pulled off a socket, and exactly one of
@@ -44,6 +49,7 @@ pub struct AdmissionStats {
     admitted: AtomicU64,
     shed: AtomicU64,
     shed_by_source: Mutex<HashMap<u32, u64>>,
+    accept_retries: AtomicU64,
 }
 
 impl AdmissionStats {
@@ -72,6 +78,12 @@ impl AdmissionStats {
         out
     }
 
+    /// Transient `accept` errors the TCP replay listener rode out
+    /// (see [`accept_retry`]).
+    pub fn accept_retries(&self) -> u64 {
+        self.accept_retries.load(Ordering::Relaxed)
+    }
+
     fn note_shed(&self, datagram: &[u8]) {
         self.shed.fetch_add(1, Ordering::Relaxed);
         let source = peek_source(datagram).map_or(0, |(_, s)| s);
@@ -86,6 +98,32 @@ impl AdmissionStats {
 pub struct AdmissionQueue {
     tx: SyncSender<Bytes>,
     stats: Arc<AdmissionStats>,
+    /// Declared after `tx` on purpose: fields drop in declaration order,
+    /// so the consumer is woken *after* this handle's sender is gone and
+    /// a wake for the last handle finds the channel already disconnected.
+    /// (Waking from an `impl Drop for AdmissionQueue` would run before
+    /// `tx` drops: the consumer sees `Empty`, parks again, and nobody is
+    /// left to wake it.)
+    waker: Waker,
+}
+
+/// The consumer thread to unpark, shared by every clone of a queue.
+/// Dropping one wakes the consumer: a producer handle just went away.
+#[derive(Debug, Clone, Default)]
+struct Waker(Arc<OnceLock<Thread>>);
+
+impl Waker {
+    fn wake(&self) {
+        if let Some(consumer) = self.0.get() {
+            consumer.unpark();
+        }
+    }
+}
+
+impl Drop for Waker {
+    fn drop(&mut self) {
+        self.wake();
+    }
 }
 
 impl AdmissionQueue {
@@ -96,7 +134,18 @@ impl AdmissionQueue {
         assert!(capacity > 0, "admission queue capacity must be positive");
         let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
         let stats = Arc::new(AdmissionStats::default());
-        (AdmissionQueue { tx, stats: Arc::clone(&stats) }, rx, stats)
+        (AdmissionQueue { tx, stats: Arc::clone(&stats), waker: Waker::default() }, rx, stats)
+    }
+
+    /// Register the thread that consumes this queue's receive side, for a
+    /// consumer that `park`s instead of blocking in `recv`: it is unparked
+    /// after every admitted datagram and whenever a producer handle (this
+    /// one or any clone) is dropped — by then that handle's sender is
+    /// gone, so the wake for the last one finds `Disconnected`. One
+    /// consumer per queue; a second registration is ignored. Without one,
+    /// nothing is woken and `recv` on the receiver works as ever.
+    pub fn wake_on_admit(&self, consumer: Thread) {
+        let _ = self.waker.0.set(consumer);
     }
 
     /// Non-blocking admission — the UDP path. Returns `false` (and
@@ -106,6 +155,7 @@ impl AdmissionQueue {
         match self.tx.try_send(datagram) {
             Ok(()) => {
                 self.stats.admitted.fetch_add(1, Ordering::Relaxed);
+                self.waker.wake();
                 true
             }
             Err(TrySendError::Full(d)) | Err(TrySendError::Disconnected(d)) => {
@@ -123,6 +173,7 @@ impl AdmissionQueue {
         match self.tx.send(datagram) {
             Ok(()) => {
                 self.stats.admitted.fetch_add(1, Ordering::Relaxed);
+                self.waker.wake();
                 true
             }
             Err(e) => {
@@ -222,6 +273,30 @@ fn is_timeout(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
+/// Classify an `accept` error for the daemon's accept loops (the TCP
+/// replay listener here, the HTTP plane in `haystack serve`). `Some` is
+/// for the kinds that say nothing about the listening socket, and holds
+/// how long to pause before accepting again: nothing when one queued
+/// connection went bad (the peer reset it before it was accepted) or a
+/// signal interrupted the call, a few milliseconds when the process is
+/// out of descriptors or socket memory, so connections can close. `None`
+/// is everything else — a listener that is genuinely dead (`EBADF`,
+/// `EINVAL`, `ENOTSOCK`), which the loop reports and leaves.
+pub fn accept_retry(e: &io::Error) -> Option<Duration> {
+    // EMFILE / ENFILE / ENOBUFS have no stable `ErrorKind`.
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    const ENOBUFS: i32 = 105;
+    match e.kind() {
+        io::ErrorKind::ConnectionAborted
+        | io::ErrorKind::ConnectionReset
+        | io::ErrorKind::Interrupted => Some(Duration::ZERO),
+        io::ErrorKind::OutOfMemory => Some(EXHAUSTION_PAUSE),
+        _ if matches!(e.raw_os_error(), Some(ENFILE | EMFILE | ENOBUFS)) => Some(EXHAUSTION_PAUSE),
+        _ => None,
+    }
+}
+
 /// Run a UDP listener until `shutdown` is set: each datagram is offered
 /// to the queue, shedding (with accounting) when the engine is behind.
 pub fn spawn_udp_listener(
@@ -264,6 +339,10 @@ pub fn spawn_tcp_listener(
             while !shutdown.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((stream, _)) => {
+                        // Reap as we go: a weeks-long daemon fed by
+                        // reconnecting exporters must not keep a handle
+                        // per connection it ever served.
+                        handlers.retain(|h| !h.is_finished());
                         let q = queue.clone();
                         let stop = Arc::clone(&shutdown);
                         let h = std::thread::Builder::new()
@@ -273,7 +352,16 @@ pub fn spawn_tcp_listener(
                         handlers.push(h);
                     }
                     Err(e) if is_timeout(&e) => std::thread::sleep(POLL_INTERVAL),
-                    Err(_) => break,
+                    Err(e) => match accept_retry(&e) {
+                        Some(pause) => {
+                            queue.stats.accept_retries.fetch_add(1, Ordering::Relaxed);
+                            std::thread::sleep(pause);
+                        }
+                        None => {
+                            eprintln!("hay-tcp: accept failed, listener closed: {e}");
+                            break;
+                        }
+                    },
                 }
             }
             for h in handlers {
@@ -353,6 +441,107 @@ mod tests {
         drop(rx);
         assert!(!q.push(v9_stub(3)));
         assert_eq!(stats.received(), stats.admitted() + stats.shed());
+    }
+
+    /// A consumer that parks instead of blocking in `recv`, as the
+    /// daemon's engine does: returns what ended its wait and how long
+    /// after `since` it saw it. Its parks are far longer than the bound
+    /// the tests assert, so only a wake can meet it.
+    fn parked_consumer(
+        rx: Receiver<Bytes>,
+        since: Arc<Mutex<std::time::Instant>>,
+    ) -> JoinHandle<(Result<Bytes, std::sync::mpsc::TryRecvError>, Duration)> {
+        std::thread::spawn(move || loop {
+            match rx.try_recv() {
+                Err(std::sync::mpsc::TryRecvError::Empty) => {
+                    std::thread::park_timeout(Duration::from_secs(10))
+                }
+                other => return (other, since.lock().unwrap().elapsed()),
+            }
+        })
+    }
+
+    #[test]
+    fn parked_consumer_sees_disconnect_when_the_last_handle_drops() {
+        // Hazard: a wake that runs before the sender is dropped lets the
+        // consumer see `Empty`, park again, and sleep out its timeout.
+        for round in 0..200 {
+            let (q, rx, _) = AdmissionQueue::bounded(4);
+            let since = Arc::new(Mutex::new(std::time::Instant::now()));
+            let consumer = parked_consumer(rx, Arc::clone(&since));
+            q.wake_on_admit(consumer.thread().clone());
+            let clones: Vec<AdmissionQueue> = (0..3).map(|_| q.clone()).collect();
+            // Let the consumer settle into its park on odd rounds; race
+            // it on even ones.
+            if round % 2 == 1 {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            drop(clones);
+            *since.lock().unwrap() = std::time::Instant::now();
+            drop(q);
+            let (seen, after) = consumer.join().unwrap();
+            assert_eq!(seen, Err(std::sync::mpsc::TryRecvError::Disconnected));
+            assert!(after < Duration::from_millis(100), "round {round}: woke after {after:?}");
+        }
+    }
+
+    #[test]
+    fn parked_consumer_is_woken_by_offer_and_by_push() {
+        type Admit = fn(&AdmissionQueue, Bytes) -> bool;
+        for admit in [AdmissionQueue::offer as Admit, AdmissionQueue::push as Admit] {
+            let (q, rx, _) = AdmissionQueue::bounded(4);
+            let since = Arc::new(Mutex::new(std::time::Instant::now()));
+            let consumer = parked_consumer(rx, Arc::clone(&since));
+            q.clone().wake_on_admit(consumer.thread().clone());
+            std::thread::sleep(Duration::from_millis(20)); // parked by now
+            *since.lock().unwrap() = std::time::Instant::now();
+            assert!(admit(&q, v9_stub(3)));
+            let (seen, after) = consumer.join().unwrap();
+            assert_eq!(seen, Ok(v9_stub(3)));
+            assert!(after < Duration::from_millis(100), "woke after {after:?}");
+        }
+    }
+
+    #[test]
+    fn accept_errors_are_classified() {
+        use io::ErrorKind::*;
+        for kind in [ConnectionAborted, ConnectionReset, Interrupted] {
+            assert_eq!(accept_retry(&kind.into()), Some(Duration::ZERO), "{kind:?}");
+        }
+        assert_eq!(accept_retry(&OutOfMemory.into()), Some(EXHAUSTION_PAUSE));
+        for errno in [23, 24, 105] {
+            let e = io::Error::from_raw_os_error(errno);
+            assert_eq!(accept_retry(&e), Some(EXHAUSTION_PAUSE), "errno {errno}");
+        }
+        // ECONNABORTED as the kernel reports it, not just as a kind.
+        assert_eq!(accept_retry(&io::Error::from_raw_os_error(103)), Some(Duration::ZERO));
+        // A dead listener: EBADF, EINVAL, ENOTSOCK — and anything unnamed.
+        for errno in [9, 22, 88] {
+            assert_eq!(accept_retry(&io::Error::from_raw_os_error(errno)), None, "errno {errno}");
+        }
+        for kind in [InvalidInput, NotConnected, PermissionDenied, Other] {
+            assert_eq!(accept_retry(&kind.into()), None, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn tcp_listener_reaps_finished_handlers_and_survives_reconnects() {
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (q, rx, stats) = AdmissionQueue::bounded(64);
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let h = spawn_tcp_listener(listener, q, Arc::clone(&shutdown));
+        // Many short connections, one frame each: every one is served.
+        for i in 0..20u32 {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            write_frame(&mut stream, &v9_stub(i)).unwrap();
+            drop(stream);
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), v9_stub(i));
+        }
+        shutdown.store(true, Ordering::Relaxed);
+        h.join().unwrap();
+        assert_eq!(stats.admitted(), 20);
+        assert_eq!(stats.accept_retries(), 0);
     }
 
     #[test]
