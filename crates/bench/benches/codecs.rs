@@ -51,10 +51,7 @@ fn bench(c: &mut Criterion) {
                 let mut coll = Collector::new();
                 let mut total = 0usize;
                 for m in &msgs {
-                    total += match proto {
-                        ExportProtocol::NetflowV9 => coll.feed_netflow_v9(m.clone()).unwrap().len(),
-                        ExportProtocol::Ipfix => coll.feed_ipfix(m.clone()).unwrap().len(),
-                    };
+                    total += coll.feed(m.clone()).unwrap().len();
                 }
                 assert_eq!(total, recs.len());
                 total

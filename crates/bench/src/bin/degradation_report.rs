@@ -65,13 +65,13 @@ fn wire_step(severity: f64, seed: u64, records: &[FlowRecord]) -> (u64, u64, usi
         let msgs = exporter.export(chunk, 3_600 * hour as u32).expect("export");
         for d in link.transmit_all(msgs) {
             // Malformed datagrams are counted, never fatal.
-            if let Ok(rs) = collector.feed_netflow_v9(d) {
+            if let Ok(rs) = collector.feed(d) {
                 decoded += rs.len();
             }
         }
     }
     for d in link.shutdown() {
-        if let Ok(rs) = collector.feed_netflow_v9(d) {
+        if let Ok(rs) = collector.feed(d) {
             decoded += rs.len();
         }
     }
@@ -186,11 +186,11 @@ fn main() {
     let mut decoded = 0usize;
     for (hour, chunk) in records.chunks(256).enumerate() {
         for d in link.transmit_all(exporter.export(chunk, 3_600 * hour as u32).expect("export")) {
-            decoded += collector.feed_netflow_v9(d).map_or(0, |rs| rs.len());
+            decoded += collector.feed(d).map_or(0, |rs| rs.len());
         }
     }
     for d in link.shutdown() {
-        decoded += collector.feed_netflow_v9(d).map_or(0, |rs| rs.len());
+        decoded += collector.feed(d).map_or(0, |rs| rs.len());
     }
     assert!(collector.missed_datagrams() > 0, "10% loss must register sequence gaps");
     assert!(collector.restarts_detected() >= 1, "the restart must be detected");

@@ -1,17 +1,18 @@
 //! `haystack` — the operator-facing command line.
 //!
 //! ```text
-//! haystack rules    [--fast] [--seed N] [--out rules.json]
-//! haystack inspect  --rules rules.json
-//! haystack detect   --rules rules.json [--lines N] [--days D] [--threshold T] [--workers W]
-//! haystack mitigate --rules rules.json --class NAME [--redirect IP]
+//! haystack rules export [--rules PACK | --seed N [--full]] [--threshold T] --out PACK
+//! haystack rules show   --pack PACK
+//! haystack detect   [--rules PACK] [--lines N] [--days D] [--threshold T] [--workers W]
+//! haystack mitigate --rules PACK --class NAME [--redirect IP]
 //! haystack chaos    [--severity S] [--seed N] [--records N]
-//! haystack metrics  [--rules rules.json] [--severity S] [--records N] [--json]
+//! haystack metrics  [--rules PACK] [--threshold T] [--severity S] [--records N] [--json]
 //! ```
 //!
-//! `rules` runs the full §2–§4 pipeline (it needs the testbeds) and
-//! persists the detection rules; the other commands work from the JSON
-//! document alone, the way a collector-side deployment would.
+//! `rules export` runs the §2–§4 pipeline (it needs the testbeds) and
+//! seals the detection rules and their threshold `D` into a signature
+//! pack — the one rule file there is; the other commands work from that
+//! pack alone, the way a collector-side deployment would.
 //!
 //! `--quiet` silences progress notes on any command (errors still
 //! print), keeping stdout machine-readable and stderr clean. All
@@ -21,7 +22,7 @@ mod serve;
 mod soak;
 
 use haystack_cli::resume::{or_exit, ResumableRun, RunSpec};
-use haystack_cli::{cli_error, note, num, rules_from_json, rules_to_json};
+use haystack_cli::{cli_error, note, num};
 use haystack_core::detector::{Detector, DetectorConfig};
 use haystack_core::hitlist::HitList;
 use haystack_core::mitigation::{block_plan, Action};
@@ -42,7 +43,7 @@ use std::process::exit;
 
 fn usage() -> ! {
     haystack_cli::log::raw_args(format_args!(
-        "usage:\n  haystack rules    [--fast] [--seed N] [--out FILE]\n  haystack rules export [--rules FILE] [--threshold T] [--comment TEXT] --out PACK\n  haystack rules show   --pack PACK\n  haystack rules lint   --pack PACK\n  haystack inspect  --rules FILE\n  haystack detect   [--rules FILE|PACK] [--lines N] [--days D] [--threshold T] [--seed N] [--workers W]\n                    [--checkpoint-dir DIR] [--resume] [--checkpoint-chunks N] [--events FILE]\n                    [--isolate thread|process] [--chaos]\n  haystack serve    [--rules FILE|PACK] [--udp-port N] [--tcp-port N] [--http-port N] [--host IP]\n                    [--workers W] [--threshold T] [--seed N] [--queue-capacity N]\n                    [--checkpoint-dir DIR] [--resume] [--checkpoint-secs N]\n                    [--ports-file FILE] [--watchdog-ms N] [--watchdog-timeout-ms N] [--chaos]\n                    [--isolate thread|process]\n  haystack send     --port N [--host IP] [--mode tcp|udp] [--rules FILE] [--lines N]\n                    [--records N] [--packets N] [--seed N] [--source N] [--hour N]\n                    [--malformed N] [--repeat N]\n  haystack soak     [--rules FILE|PACK] [--lines N] [--hours N] [--records-per-hour N]\n                    [--hit-rate-ppm N] [--threshold T] [--seed N] [--workers W]\n                    [--checkpoint-dir DIR] [--resume] [--checkpoint-chunks N]\n                    [--mem-ceiling-mb N] [--out FILE] [--events FILE] [--report FILE]\n                    [--isolate thread|process] [--chaos]\n  haystack mitigate --rules FILE --class NAME [--redirect IP]\n  haystack capture  --out FILE [--hours N] [--seed N]\n  haystack replay   --trace FILE --rules FILE [--sampling N] [--threshold T]\n  haystack chaos    [--severity S] [--seed N] [--records N]\n  haystack metrics  [--rules FILE] [--severity S] [--seed N] [--records N] [--lines N] [--workers W] [--json]\nnotes:\n  --rules accepts a JSON rules file or a binary signature pack (HAYPACK frame);\n  when omitted, the compiled-in default rule set is generated (fast pipeline, seed 42);\n  --isolate process runs each detector shard as a supervised `haystack shard-worker`\n  child process (crash-isolated; see DESIGN.md \u{00a7}15) instead of an in-process thread\nglobal flags:\n  --quiet           suppress progress notes (errors still print)"
+        "usage:\n  haystack rules export [--rules PACK | --seed N [--full]] [--threshold T] [--comment TEXT] --out PACK\n  haystack rules show   --pack PACK\n  haystack rules lint   --pack PACK\n  haystack detect   [--rules PACK] [--lines N] [--days D] [--threshold T] [--seed N] [--workers W]\n                    [--checkpoint-dir DIR] [--resume] [--checkpoint-chunks N] [--events FILE]\n                    [--isolate thread|process] [--chaos]\n  haystack serve    [--rules PACK] [--udp-port N] [--tcp-port N] [--http-port N] [--host IP]\n                    [--workers W] [--threshold T] [--seed N] [--queue-capacity N]\n                    [--checkpoint-dir DIR] [--resume] [--checkpoint-secs N]\n                    [--ports-file FILE] [--watchdog-ms N] [--watchdog-timeout-ms N] [--chaos]\n                    [--isolate thread|process]\n  haystack send     --port N [--host IP] [--mode tcp|udp] [--rules PACK] [--lines N]\n                    [--records N] [--packets N] [--seed N] [--source N] [--hour N]\n                    [--malformed N] [--repeat N]\n  haystack soak     [--rules PACK] [--lines N] [--hours N] [--records-per-hour N]\n                    [--hit-rate-ppm N] [--threshold T] [--seed N] [--workers W]\n                    [--checkpoint-dir DIR] [--resume] [--checkpoint-chunks N]\n                    [--mem-ceiling-mb N] [--out FILE] [--events FILE] [--report FILE]\n                    [--isolate thread|process] [--chaos]\n  haystack mitigate --rules PACK --class NAME [--redirect IP]\n  haystack capture  --out FILE [--hours N] [--seed N]\n  haystack replay   --trace FILE --rules PACK [--sampling N] [--threshold T]\n  haystack chaos    [--severity S] [--seed N] [--records N]\n  haystack metrics  [--rules PACK] [--threshold T] [--severity S] [--seed N] [--records N] [--lines N] [--workers W] [--json]\nnotes:\n  --rules takes a signature pack (HAYPACK frame) written by `rules export`, and\n  --threshold defaults to the pack's D; when --rules is omitted, the default pack\n  is generated (fast pipeline, seed 42, D 0.4), the one `rules export` writes;\n  --isolate process runs each detector shard as a supervised `haystack shard-worker`\n  child process (crash-isolated; see DESIGN.md \u{00a7}15) instead of an in-process thread\nglobal flags:\n  --quiet           suppress progress notes (errors still print)"
     ));
     exit(2);
 }
@@ -52,7 +53,7 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(key) = a.strip_prefix("--") {
-            if matches!(key, "fast" | "quiet" | "json" | "resume" | "chaos") {
+            if matches!(key, "full" | "quiet" | "json" | "resume" | "chaos") {
                 out.insert(key.to_string(), "true".into());
             } else {
                 match it.next() {
@@ -69,104 +70,63 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     out
 }
 
-/// Provenance string of the compiled-in default rule set — the pack
-/// `haystack rules export` writes when no `--rules` file is given.
-const DEFAULT_PACK_SOURCE: &str = "generate(fast,seed=42)";
-
-/// The compiled-in default rule set: the deterministic fast pipeline at
-/// seed 42. `haystack rules export` (no `--rules`) packs exactly this,
-/// so `detect --rules <that pack>` is byte-identical to `detect` with
-/// no `--rules` at all.
-fn default_rules() -> haystack_core::rules::RuleSet {
-    note!("no --rules: generating the compiled-in default rule set (fast pipeline, seed 42) ...");
-    Pipeline::run(PipelineConfig::fast(42)).rules.as_ref().clone()
+/// The pack `rules export --seed N [--full]` seals: the ground-truth
+/// pipeline's rules at `D` = 0.4. With no flags at all that is
+/// `generate_pack(42, false)`, the default pack.
+fn generate_pack(seed: u64, full: bool) -> SignaturePack {
+    let (config, mode) = if full {
+        (PipelineConfig { seed, ..Default::default() }, "full")
+    } else {
+        (PipelineConfig::fast(seed), "fast")
+    };
+    note!("running the ground-truth pipeline ({mode}, seed {seed}) ...");
+    SignaturePack {
+        rules: Pipeline::run(config).rules.as_ref().clone(),
+        threshold: 0.4,
+        source: format!("generate({mode},seed={seed})"),
+        comment: String::new(),
+    }
 }
 
-/// Load `--rules` from a JSON rules file *or* a binary signature pack
-/// (sniffed by frame magic); absent the flag, generate the compiled-in
-/// default. Returns the pack too when one was loaded, so callers can
-/// pick up its threshold and provenance.
-fn load_rules_full(
-    flags: &HashMap<String, String>,
-) -> (haystack_core::rules::RuleSet, Option<SignaturePack>) {
+/// The one rule loader: the signature pack at `--rules`, or the default
+/// pack when the flag is absent — so `detect --rules <default pack>` is
+/// byte-identical to `detect` with no `--rules` at all.
+fn load_pack(flags: &HashMap<String, String>) -> SignaturePack {
     let Some(path) = flags.get("rules") else {
-        return (default_rules(), None);
+        note!("no --rules: generating the default pack");
+        return generate_pack(42, false);
     };
     let bytes = std::fs::read(path).unwrap_or_else(|e| {
         cli_error!("cannot read {path}: {e}");
         exit(1);
     });
-    if SignaturePack::sniff(&bytes) {
-        let pack = SignaturePack::load(&bytes).unwrap_or_else(|e| {
-            cli_error!("{path}: {e}");
-            exit(1);
-        });
-        return (pack.rules.clone(), Some(pack));
-    }
-    let text = String::from_utf8(bytes).unwrap_or_else(|_| {
-        cli_error!("{path} is neither a signature pack nor UTF-8 JSON");
-        exit(1);
-    });
-    let doc: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-        cli_error!("{path} is not JSON: {e}");
-        exit(1);
-    });
-    let rules = rules_from_json(&doc).unwrap_or_else(|e| {
+    SignaturePack::load(&bytes).unwrap_or_else(|e| {
         cli_error!("{path}: {e}");
         exit(1);
-    });
-    (rules, None)
+    })
 }
 
-fn load_rules(flags: &HashMap<String, String>) -> haystack_core::rules::RuleSet {
-    load_rules_full(flags).0
-}
-
-fn cmd_rules(flags: HashMap<String, String>) {
-    let seed: u64 = num(&flags, "seed", 42);
-    let config = if flags.contains_key("fast") {
-        PipelineConfig::fast(seed)
-    } else {
-        PipelineConfig { seed, ..Default::default() }
-    };
-    note!("running the ground-truth pipeline (this is the slow part) ...");
-    let pipeline = Pipeline::run(config);
-    let doc = rules_to_json(&pipeline.rules);
-    let text = serde_json::to_string_pretty(&doc).expect("serializable");
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, text).unwrap_or_else(|e| {
-                cli_error!("cannot write {path}: {e}");
-                exit(1);
-            });
-            note!(
-                "wrote {} rules ({} undetectable classes) to {path}",
-                pipeline.rules.rules.len(),
-                pipeline.rules.undetectable.len()
-            );
-        }
-        None => println!("{text}"),
-    }
-}
-
-/// `haystack rules export`: seal a rule set (from `--rules`, or the
-/// compiled-in default) as a versioned, checksummed signature pack.
-/// The encoding is deterministic, so exporting the default twice gives
-/// byte-identical packs, and `export → load → export` is a fixpoint.
+/// `haystack rules export`: seal a rule set — re-sealed from `--rules`,
+/// generated by `--seed N [--full]`, or the default pack — as a
+/// versioned, checksummed signature pack. The encoding is deterministic,
+/// so exporting twice gives byte-identical packs, and `export → load →
+/// export` is a fixpoint.
 fn cmd_rules_export(flags: HashMap<String, String>) {
-    let (rules, loaded) = load_rules_full(&flags);
-    let threshold: f64 = num(
-        &flags,
-        "threshold",
-        loaded.as_ref().map(|p| p.threshold).unwrap_or(0.4),
-    );
-    let source = match &loaded {
-        Some(p) => p.source.clone(),
-        None if flags.contains_key("rules") => "haystack rules export --rules".to_string(),
-        None => DEFAULT_PACK_SOURCE.to_string(),
+    let out = flags.get("out").unwrap_or_else(|| usage());
+    let generate = flags.contains_key("seed") || flags.contains_key("full");
+    if generate && flags.contains_key("rules") {
+        cli_error!("--rules re-seals an existing pack; --seed and --full generate a new one");
+        exit(2);
+    }
+    let mut pack = if generate {
+        generate_pack(num(&flags, "seed", 42), flags.contains_key("full"))
+    } else {
+        load_pack(&flags)
     };
-    let comment = flags.get("comment").cloned().unwrap_or_default();
-    let pack = SignaturePack { rules, threshold, source, comment };
+    pack.threshold = num(&flags, "threshold", pack.threshold);
+    if let Some(comment) = flags.get("comment") {
+        pack.comment = comment.clone();
+    }
     let defects = pack.lint();
     if !defects.is_empty() {
         for d in &defects {
@@ -175,7 +135,6 @@ fn cmd_rules_export(flags: HashMap<String, String>) {
         exit(1);
     }
     let bytes = pack.encode();
-    let out = flags.get("out").unwrap_or_else(|| usage());
     std::fs::write(out, &bytes).unwrap_or_else(|e| {
         cli_error!("cannot write {out}: {e}");
         exit(1);
@@ -206,7 +165,8 @@ fn read_pack(flags: &HashMap<String, String>) -> (String, SignaturePack) {
 }
 
 /// `haystack rules show`: human-readable pack summary (provenance plus
-/// the `inspect` table), with lint defects appended if any.
+/// one row per rule and per undetectable class), with lint defects
+/// appended if any.
 fn cmd_rules_show(flags: HashMap<String, String>) {
     let (_, pack) = read_pack(&flags);
     println!("format\tHAYPACK v{}", SignaturePack::VERSION);
@@ -261,29 +221,14 @@ fn cmd_rules_lint(flags: HashMap<String, String>) {
     exit(1);
 }
 
-fn cmd_inspect(flags: HashMap<String, String>) {
-    let rules = load_rules(&flags);
-    println!("class\tlevel\tparent\tdomains\tservice_ips\tusage_indicators");
-    for r in &rules.rules {
-        println!(
-            "{}\t{:?}\t{}\t{}\t{}\t{}",
-            rules.class_name(r.class),
-            r.level,
-            r.parent.map(|p| rules.class_name(p)).unwrap_or("-"),
-            r.domains.len(),
-            r.domains.iter().map(|d| d.ips.len()).sum::<usize>(),
-            r.domains.iter().filter(|d| d.usage_indicator).count(),
-        );
-    }
-}
-
 /// `detect` counts its run in days of 24 hours over the simulated ISP.
 const DETECT: RunSpec =
     RunSpec { command: "detect", span_flag: "days", default_lines: 20_000, default_span: 1 };
 
 fn cmd_detect(flags: HashMap<String, String>) {
-    let (rules, pack) = load_rules_full(&flags);
-    let loaded = ResumableRun::load(&DETECT, &flags, pack.as_ref().map(|p| p.threshold));
+    let pack = load_pack(&flags);
+    let loaded = ResumableRun::load(&DETECT, &flags, pack.threshold);
+    let rules = pack.rules;
     let (lines, days, seed) = (loaded.ck.lines, loaded.ck.days, loaded.ck.seed);
     let (workers, chunk_records) = (loaded.ck.workers, loaded.ck.chunk_records as usize);
 
@@ -389,7 +334,7 @@ fn cmd_detect(flags: HashMap<String, String>) {
 }
 
 fn cmd_mitigate(flags: HashMap<String, String>) {
-    let rules = load_rules(&flags);
+    let rules = load_pack(&flags).rules;
     let class = flags.get("class").unwrap_or_else(|| usage());
     let class: &'static str = Box::leak(class.clone().into_boxed_str());
     let action = match flags.get("redirect") {
@@ -409,7 +354,7 @@ fn cmd_mitigate(flags: HashMap<String, String>) {
             }
         }
         None => {
-            cli_error!("no rule for class {class:?} (try `haystack inspect`)");
+            cli_error!("no rule for class {class:?} (try `haystack rules show`)");
             exit(1);
         }
     }
@@ -442,10 +387,10 @@ fn cmd_capture(flags: HashMap<String, String>) {
 fn cmd_replay(flags: HashMap<String, String>) {
     use haystack_flow::sampling::{PacketSampler, SystematicSampler};
     use haystack_testbed::capture::read_trace;
-    let rules = load_rules(&flags);
+    let SignaturePack { rules, threshold, .. } = load_pack(&flags);
     let trace_path = flags.get("trace").unwrap_or_else(|| usage());
     let sampling: u64 = num(&flags, "sampling", 1_000);
-    let threshold: f64 = num(&flags, "threshold", 0.4);
+    let threshold: f64 = num(&flags, "threshold", threshold);
     let file = std::fs::File::open(trace_path).unwrap_or_else(|e| {
         cli_error!("cannot open {trace_path}: {e}");
         exit(1);
@@ -547,11 +492,11 @@ fn cmd_chaos(flags: HashMap<String, String>) {
         for (hour, chunk) in records.chunks(512).enumerate() {
             let msgs = exporter.export(chunk, 3_600 * hour as u32).expect("export");
             for d in link.transmit_all(msgs) {
-                decoded += collector.feed_netflow_v9(d).map_or(0, |rs| rs.len());
+                decoded += collector.feed(d).map_or(0, |rs| rs.len());
             }
         }
         for d in link.shutdown() {
-            decoded += collector.feed_netflow_v9(d).map_or(0, |rs| rs.len());
+            decoded += collector.feed(d).map_or(0, |rs| rs.len());
         }
         let s = link.stats();
         println!(
@@ -602,11 +547,11 @@ fn cmd_metrics(flags: HashMap<String, String>) {
     for (hour, chunk) in records.chunks(512).enumerate() {
         let msgs = exporter.export(chunk, 3_600 * hour as u32).expect("export");
         for d in link.transmit_all(msgs) {
-            decoded += collector.feed_netflow_v9(d).map_or(0, |rs| rs.len()) as u64;
+            decoded += collector.feed(d).map_or(0, |rs| rs.len()) as u64;
         }
     }
     for d in link.shutdown() {
-        decoded += collector.feed_netflow_v9(d).map_or(0, |rs| rs.len()) as u64;
+        decoded += collector.feed(d).map_or(0, |rs| rs.len()) as u64;
     }
     let s = link.stats();
     wire.counter("records_sent").add(records.len() as u64);
@@ -617,7 +562,8 @@ fn cmd_metrics(flags: HashMap<String, String>) {
     observe_collector(&telemetry::Scope::named("collector"), &collector);
 
     if flags.contains_key("rules") {
-        let rules = load_rules(&flags);
+        let SignaturePack { rules, threshold, .. } = load_pack(&flags);
+        let threshold: f64 = num(&flags, "threshold", threshold);
         let lines: u32 = num(&flags, "lines", 2_000);
         let workers: usize = num(&flags, "workers", 2);
         if workers == 0 {
@@ -636,7 +582,7 @@ fn cmd_metrics(flags: HashMap<String, String>) {
         let mut pool = DetectorPool::new(
             &rules,
             &hitlist,
-            DetectorConfig { threshold: 0.4, require_established: false },
+            DetectorConfig { threshold, require_established: false },
             workers,
         );
         pool.attach_telemetry(&telemetry::Scope::named("pool"))
@@ -708,27 +654,18 @@ fn main() {
     if cmd == "shard-worker" {
         exit(haystack_core::procpool::worker_main());
     }
-    // `rules` grew subcommands; a bare `haystack rules` still runs the
-    // legacy JSON generator.
-    if cmd == "rules" {
-        if let Some((sub, sub_rest)) = rest.split_first() {
-            if !sub.starts_with("--") {
-                let flags = parse_flags(sub_rest);
-                haystack_cli::log::set_quiet(flags.contains_key("quiet"));
-                return match sub.as_str() {
-                    "export" => cmd_rules_export(flags),
-                    "show" => cmd_rules_show(flags),
-                    "lint" => cmd_rules_lint(flags),
-                    _ => usage(),
-                };
-            }
-        }
-    }
+    // `rules` is the one command with subcommands: `rules export`,
+    // `rules show` and `rules lint` dispatch as two-word commands.
+    let (cmd, rest) = match rest.split_first() {
+        Some((sub, sub_rest)) if cmd == "rules" => (format!("rules {sub}"), sub_rest),
+        _ => (cmd.clone(), rest),
+    };
     let flags = parse_flags(rest);
     haystack_cli::log::set_quiet(flags.contains_key("quiet"));
     match cmd.as_str() {
-        "rules" => cmd_rules(flags),
-        "inspect" => cmd_inspect(flags),
+        "rules export" => cmd_rules_export(flags),
+        "rules show" => cmd_rules_show(flags),
+        "rules lint" => cmd_rules_lint(flags),
         "detect" => cmd_detect(flags),
         "soak" => soak::cmd_soak(flags),
         "serve" => serve::cmd_serve(flags),

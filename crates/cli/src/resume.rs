@@ -532,7 +532,7 @@ impl ResumableRun {
     pub fn load(
         spec: &RunSpec,
         flags: &HashMap<String, String>,
-        pack_threshold: Option<f64>,
+        pack_threshold: f64,
     ) -> Loaded {
         let dir = flags.get("checkpoint-dir").map(|d| or_exit(CheckpointDir::open(d)));
         let resume = flags.contains_key("resume");
@@ -559,9 +559,9 @@ impl ResumableRun {
             seed: num(flags, "seed", 42),
             lines: num(flags, "lines", spec.default_lines),
             days: num(flags, spec.span_flag, spec.default_span),
-            // A loaded pack carries the threshold `D` it was generated
-            // for; an explicit --threshold still wins.
-            threshold: num(flags, "threshold", pack_threshold.unwrap_or(0.4)),
+            // The pack carries the threshold `D` it was generated for;
+            // an explicit --threshold still wins.
+            threshold: num(flags, "threshold", pack_threshold),
             workers,
             chunk_records: DEFAULT_CHUNK_RECORDS as u64,
             watermark: Watermark::start(),

@@ -45,7 +45,6 @@ use haystack_cli::resume::{conflict, fatal, parse_isolate};
 use haystack_cli::{cli_error, note, num, sig};
 use haystack_core::checkpoint::CheckpointDir;
 use haystack_core::pack::SignaturePack;
-use haystack_core::rules::RuleSet;
 use haystack_core::telemetry;
 use haystack_flow::listener::{spawn_tcp_listener, spawn_udp_listener, AdmissionQueue};
 use haystack_net::snapshot::SnapError;
@@ -65,7 +64,7 @@ pub fn cmd_serve(flags: HashMap<String, String>) {
     telemetry::set_enabled(true);
     sig::install();
 
-    let (file_rules, file_pack) = crate::load_rules_full(&flags);
+    let file_pack = crate::load_pack(&flags);
 
     let ckpt_dir = flags
         .get("checkpoint-dir")
@@ -111,7 +110,7 @@ pub fn cmd_serve(flags: HashMap<String, String>) {
         Some((_, ck)) => (ck.workers as usize, ck.threshold, ck.seed),
         None => (
             num(&flags, "workers", 4),
-            num(&flags, "threshold", 0.4),
+            num(&flags, "threshold", file_pack.threshold),
             num(&flags, "seed", 42),
         ),
     };
@@ -122,30 +121,16 @@ pub fn cmd_serve(flags: HashMap<String, String>) {
 
     // A resumed daemon runs the rules it checkpointed (a pack reloaded
     // via `/admin/reload-rules` survives the restart); a fresh daemon
-    // wraps its `--rules` file into a canonical pack frame.
-    let (rules, pack_bytes): (Arc<RuleSet>, Vec<u8>) = match &loaded {
-        Some((generation, ck)) => {
-            let pack = SignaturePack::load(&ck.pack).unwrap_or_else(|e| {
-                cli_error!("resume: checkpoint generation {generation} pack: {e}");
-                exit(1);
-            });
-            let bytes = pack.encode();
-            (Arc::new(pack.rules), bytes)
-        }
-        None => {
-            let pack = match file_pack {
-                Some(p) => p,
-                None => SignaturePack {
-                    rules: file_rules.clone(),
-                    threshold,
-                    source: "haystack serve --rules".into(),
-                    comment: String::new(),
-                },
-            };
-            let bytes = pack.encode();
-            (Arc::new(pack.rules), bytes)
-        }
+    // runs its `--rules` pack.
+    let pack = match &loaded {
+        Some((generation, ck)) => SignaturePack::load(&ck.pack).unwrap_or_else(|e| {
+            cli_error!("resume: checkpoint generation {generation} pack: {e}");
+            exit(1);
+        }),
+        None => file_pack,
     };
+    let pack_bytes = pack.encode();
+    let rules = Arc::new(pack.rules);
 
     let queue_capacity: usize = num(&flags, "queue-capacity", 1_024);
     if queue_capacity == 0 {

@@ -95,7 +95,7 @@ pub fn cmd_send(flags: HashMap<String, String>) {
     let repeat: usize = haystack_cli::num(&flags, "repeat", 1);
 
     let records = if flags.contains_key("rules") {
-        let rules = crate::load_rules(&flags);
+        let rules = crate::load_pack(&flags).rules;
         let lines: u32 = haystack_cli::num(&flags, "lines", 16);
         let packets: u64 = haystack_cli::num(&flags, "packets", 12);
         hitting_records(&rules, lines, packets, hour)

@@ -24,7 +24,7 @@
 //! `benchmark/` measures it as the `soak_thread`/`soak_process`
 //! workloads.
 
-use crate::load_rules_full;
+use crate::load_pack;
 use haystack_cli::resume::{conflict, fatal, or_exit, ResumableRun, RunSpec, SOAK_ROW};
 use haystack_cli::{cli_error, note, num};
 use haystack_core::rules::RuleSet;
@@ -97,9 +97,10 @@ fn parse_config_row(line: &str) -> Option<(u64, u32)> {
 }
 
 pub fn cmd_soak(flags: HashMap<String, String>) {
-    let (rules, pack) = load_rules_full(&flags);
+    let pack = load_pack(&flags);
     let mem_ceiling_mb: u64 = num(&flags, "mem-ceiling-mb", 0);
-    let loaded = ResumableRun::load(&SOAK, &flags, pack.as_ref().map(|p| p.threshold));
+    let loaded = ResumableRun::load(&SOAK, &flags, pack.threshold);
+    let rules = pack.rules;
     let (lines, hours, seed) = (loaded.ck.lines, loaded.ck.days, loaded.ck.seed);
     let (workers, chunk_records) = (loaded.ck.workers, loaded.ck.chunk_records as usize);
 

@@ -3,10 +3,12 @@
 //! checkpoint directory, and diff stdout byte-for-byte against an
 //! uninterrupted run. Also proves the corruption fallback: bit-flipping
 //! the newest checkpoint generation makes resume fall back to the
-//! previous one — same byte-identical output, no panic.
+//! previous one — same byte-identical output, no panic. The rule file
+//! those runs load is checked here too: `rules export` writes the one
+//! default pack, and anything but a pack is refused.
 
 use haystack_cli::resume::RunCheckpoint;
-use haystack_cli::rules_to_json;
+use haystack_core::pack::SignaturePack;
 use haystack_core::pipeline::{Pipeline, PipelineConfig};
 use haystack_core::CheckpointDir;
 use haystack_net::snapshot::{seal, SnapWriter};
@@ -34,14 +36,20 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Rules JSON on disk, generated once for the whole test binary.
+/// The fast(7) rules as a signature pack on disk, generated once for
+/// the whole test binary.
 fn rules_file() -> &'static Path {
     static FILE: OnceLock<PathBuf> = OnceLock::new();
     FILE.get_or_init(|| {
         let p = Pipeline::run(PipelineConfig::fast(7));
-        let path = scratch("rules").join("rules.json");
-        let text = serde_json::to_string(&rules_to_json(&p.rules)).unwrap();
-        std::fs::write(&path, text).unwrap();
+        let path = scratch("rules").join("rules.hsp");
+        let pack = SignaturePack {
+            rules: p.rules.as_ref().clone(),
+            threshold: 0.4,
+            source: "generate(fast,seed=7)".into(),
+            comment: String::new(),
+        };
+        std::fs::write(&path, pack.encode()).unwrap();
         path
     })
 }
@@ -322,5 +330,54 @@ fn resume_without_a_checkpoint_starts_fresh_and_matches() {
         "--resume",
     ]));
     assert_eq!(resumed, clean, "fresh --resume diverges from a plain run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `haystack rules export` with the given flags, into `out`.
+fn export(args: &[&str], out: &Path) -> std::process::Output {
+    Command::new(BIN)
+        .args(["rules", "export", "--quiet"])
+        .args(args)
+        .arg("--out")
+        .arg(out)
+        .output()
+        .unwrap()
+}
+
+#[test]
+fn the_default_pack_is_the_seed_42_pack() {
+    let dir = scratch("default-pack");
+    let (default, seeded) = (dir.join("default.hsp"), dir.join("seed42.hsp"));
+    assert!(export(&[], &default).status.success());
+    assert!(export(&["--seed", "42"], &seeded).status.success());
+    assert_eq!(std::fs::read(&default).unwrap(), std::fs::read(&seeded).unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_rules_file_that_is_not_a_pack_is_refused_by_path() {
+    let dir = scratch("json-rules");
+    let json = dir.join("rules.json");
+    std::fs::write(&json, "{\"format_version\":1,\"rules\":[]}").unwrap();
+    let out = Command::new(BIN)
+        .args(DETECT)
+        .arg("--rules")
+        .arg(&json)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(json.to_str().unwrap()), "error does not name the file: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn export_refuses_rules_together_with_seed() {
+    let dir = scratch("export-conflict");
+    let pack = rules_file().to_str().unwrap();
+    let out = export(&["--rules", pack, "--seed", "1"], &dir.join("x.hsp"));
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(!dir.join("x.hsp").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,22 +1,27 @@
-//! The JSON document must carry real pipeline rules losslessly — a
+//! The signature pack must carry real pipeline rules losslessly — a
 //! collector loading the file detects exactly what the generating side
 //! would.
 
-use haystack_cli::{rules_from_json, rules_to_json};
 use haystack_core::detector::{Detector, DetectorConfig};
 use haystack_core::hitlist::HitList;
+use haystack_core::pack::SignaturePack;
 use haystack_core::pipeline::{Pipeline, PipelineConfig};
 use haystack_net::ports::Proto;
 use haystack_net::{AnonId, HourBin};
 
 #[test]
-fn real_rules_survive_json_and_detect_identically() {
+fn real_rules_survive_the_pack_and_detect_identically() {
     let p = Pipeline::run(PipelineConfig::fast(7));
-    let doc = rules_to_json(&p.rules);
-    let text = serde_json::to_string(&doc).unwrap();
-    let parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
-    let loaded = rules_from_json(&parsed).unwrap();
+    let sealed = SignaturePack {
+        rules: p.rules.as_ref().clone(),
+        threshold: 0.35,
+        source: "generate(fast,seed=7)".into(),
+        comment: String::new(),
+    };
+    let pack = SignaturePack::load(&sealed.encode()).unwrap();
+    let loaded = &pack.rules;
 
+    assert_eq!(pack.threshold, 0.35);
     assert_eq!(loaded.rules.len(), p.rules.rules.len());
     for (a, b) in p.rules.rules.iter().zip(&loaded.rules) {
         assert_eq!(p.rules.class_name(a.class), loaded.class_name(b.class));
@@ -33,6 +38,12 @@ fn real_rules_survive_json_and_detect_identically() {
             assert_eq!(da.usage_indicator, db.usage_indicator);
         }
     }
+    assert!(!p.rules.undetectable.is_empty(), "fast(7) has undetectable classes");
+    assert_eq!(loaded.undetectable.len(), p.rules.undetectable.len());
+    for ((ca, ra), (cb, rb)) in p.rules.undetectable.iter().zip(&loaded.undetectable) {
+        assert_eq!(p.rules.class_name(*ca), loaded.class_name(*cb));
+        assert_eq!(ra, rb);
+    }
 
     // Identical evidence → identical verdicts, original vs loaded rules.
     let line = AnonId(42);
@@ -41,9 +52,9 @@ fn real_rules_survive_json_and_detect_identically() {
         HitList::whole_window(&p.rules),
         DetectorConfig::default(),
     );
-    let mut from_json = Detector::new(
-        &loaded,
-        HitList::whole_window(&loaded),
+    let mut from_pack = Detector::new(
+        loaded,
+        HitList::whole_window(loaded),
         DetectorConfig::default(),
     );
     // Touch one IP/port of every rule domain.
@@ -58,13 +69,13 @@ fn real_rules_survive_json_and_detect_identically() {
         .collect();
     for (ip, port) in combos {
         orig.observe(line, ip, port, Proto::Tcp, true, HourBin(0));
-        from_json.observe(line, ip, port, Proto::Tcp, true, HourBin(0));
+        from_pack.observe(line, ip, port, Proto::Tcp, true, HourBin(0));
     }
     for rule in &p.rules.rules {
         let class = p.rules.class_name(rule.class);
         assert_eq!(
             orig.is_detected(line, class),
-            from_json.is_detected(line, class),
+            from_pack.is_detected(line, class),
             "verdict diverged for {class}"
         );
     }

@@ -22,7 +22,6 @@
 //!   200 delivered and its checkpoint written; requests in flight during
 //!   the drain are answered, not dropped.
 
-use haystack_cli::rules_to_json;
 use haystack_core::pack::SignaturePack;
 use haystack_core::pipeline::{Pipeline, PipelineConfig};
 use haystack_core::rules::{RuleSet, RuleSetBuilder};
@@ -50,13 +49,19 @@ fn pipeline() -> &'static Pipeline {
     P.get_or_init(|| Pipeline::run(PipelineConfig::fast(7)))
 }
 
-/// Rules JSON on disk, generated once for the whole test binary.
+/// The fast(7) rules as a signature pack on disk, generated once for
+/// the whole test binary.
 fn rules_file() -> &'static Path {
     static FILE: OnceLock<PathBuf> = OnceLock::new();
     FILE.get_or_init(|| {
-        let path = scratch("rules").join("rules.json");
-        let text = serde_json::to_string(&rules_to_json(&pipeline().rules)).unwrap();
-        std::fs::write(&path, text).unwrap();
+        let path = scratch("rules").join("rules.hsp");
+        let pack = SignaturePack {
+            rules: pipeline().rules.as_ref().clone(),
+            threshold: 0.4,
+            source: "generate(fast,seed=7)".into(),
+            comment: String::new(),
+        };
+        std::fs::write(&path, pack.encode()).unwrap();
         path
     })
 }
@@ -75,11 +80,10 @@ impl Daemon {
         Daemon::start_with_rules(tag, ckpt, extra, rules_file())
     }
 
-    /// Like [`Daemon::start`], with an explicit rules file (JSON or a
-    /// signature pack).
+    /// Like [`Daemon::start`], with an explicit signature pack.
     fn start_with_rules(tag: &str, ckpt: &Path, extra: &[&str], rules: &Path) -> Daemon {
         let ports_file = scratch(tag).join("ports.json");
-        let child = Command::new(BIN)
+        let mut child = Command::new(BIN)
             .args(["serve", "--workers", "3", "--seed", "11"])
             .arg("--rules")
             .arg(rules)
@@ -96,6 +100,9 @@ impl Daemon {
                 if text.ends_with('\n') {
                     break serde_json::from_str(&text).unwrap();
                 }
+            }
+            if let Some(status) = child.try_wait().unwrap() {
+                panic!("daemon exited before writing its ports file: {status:?}");
             }
             assert!(Instant::now() < deadline, "daemon never wrote its ports file");
             std::thread::sleep(Duration::from_millis(20));
@@ -620,6 +627,31 @@ fn reload_rules_swaps_pack_mid_stream_without_evidence_loss() {
     let resumed: serde_json::Value = serde_json::from_str(&d.get("/detections")).unwrap();
     assert!(!class_names(&resumed).contains(&removed.to_string()));
     assert!(count_of(&resumed, added).unwrap() > 0);
+    d.drain();
+}
+
+#[test]
+fn serve_takes_its_threshold_from_the_loaded_pack() {
+    // The fast(7) rules re-sealed at D = 0.9; the daemon gets no
+    // --threshold, so its checkpoint must record the pack's D.
+    let pack = scratch("d09-pack").join("d09.hsp");
+    let out = Command::new(BIN)
+        .args(["rules", "export", "--quiet", "--threshold", "0.9", "--rules"])
+        .arg(rules_file())
+        .arg("--out")
+        .arg(&pack)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let ckpt = scratch("d09-ckpt");
+    let d = Daemon::start_with_rules("d09a", &ckpt, &[], &pack);
+    let records = hitting_burst(d.tcp, "0");
+    d.wait_records(records);
+    d.sigterm();
+
+    // Confirming that D on resume is no conflict.
+    let d = Daemon::start_with_rules("d09b", &ckpt, &["--resume", "--threshold", "0.9"], &pack);
+    assert_eq!(d.stats()["records"].as_u64().unwrap(), records);
     d.drain();
 }
 

@@ -9,7 +9,7 @@
 //! frames chained onto periodic fulls, not standalone full snapshots —
 //! the kill is timed so at least two delta frames exist when it lands.
 
-use haystack_cli::rules_to_json;
+use haystack_core::pack::SignaturePack;
 use haystack_core::pipeline::{Pipeline, PipelineConfig};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -51,14 +51,20 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Rules JSON on disk, generated once for the whole test binary.
+/// The fast(7) rules as a signature pack on disk, generated once for
+/// the whole test binary.
 fn rules_file() -> &'static Path {
     static FILE: OnceLock<PathBuf> = OnceLock::new();
     FILE.get_or_init(|| {
         let p = Pipeline::run(PipelineConfig::fast(7));
-        let path = scratch("rules").join("rules.json");
-        let text = serde_json::to_string(&rules_to_json(&p.rules)).unwrap();
-        std::fs::write(&path, text).unwrap();
+        let path = scratch("rules").join("rules.hsp");
+        let pack = SignaturePack {
+            rules: p.rules.as_ref().clone(),
+            threshold: 0.4,
+            source: "generate(fast,seed=7)".into(),
+            comment: String::new(),
+        };
+        std::fs::write(&path, pack.encode()).unwrap();
         path
     })
 }

@@ -89,7 +89,7 @@ pub fn replay_flows(pipeline: &Pipeline, config: &CrosscheckConfig) -> Vec<(Hour
         {
             decoded.extend(
                 collector
-                    .feed_netflow_v9(msg)
+                    .feed(msg)
                     .expect("self-produced datagrams decode"),
             );
         }
@@ -182,7 +182,7 @@ impl<'p> GroundTruthVantage<'p> {
             decoded.extend(
                 state
                     .collector
-                    .feed_netflow_v9(msg)
+                    .feed(msg)
                     .expect("self-produced datagrams decode"),
             );
         }

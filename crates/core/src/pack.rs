@@ -128,12 +128,6 @@ impl SignaturePack {
     /// Pack format version this build writes and reads.
     pub const VERSION: u32 = 1;
 
-    /// Whether `bytes` even claims to be a signature pack (used by the
-    /// CLI to tell a pack file from a legacy JSON rules file).
-    pub fn sniff(bytes: &[u8]) -> bool {
-        bytes.len() >= MAGIC_LEN && &bytes[..MAGIC_LEN] == Self::MAGIC
-    }
-
     /// Seal the pack as one checksummed frame. Deterministic: the same
     /// pack always encodes to the same bytes.
     pub fn encode(&self) -> Vec<u8> {
@@ -489,7 +483,6 @@ mod tests {
     fn round_trips_and_is_deterministic() {
         let pack = sample();
         let bytes = pack.encode();
-        assert!(SignaturePack::sniff(&bytes));
         let back = SignaturePack::decode(&bytes).unwrap();
         assert_eq!(back, pack);
         assert_eq!(back.encode(), bytes, "export → load → export must reproduce bytes");

@@ -64,17 +64,17 @@ fn wire_records_are_conserved_under_loss() {
         for (hour, chunk) in records.chunks(256).enumerate() {
             let msgs = exporter.export(chunk, 3_600 * hour as u32).expect("export");
             for d in link.transmit_all(msgs) {
-                let _ = collector.feed_netflow_v9(d);
+                let _ = collector.feed(d);
             }
         }
         for d in link.shutdown() {
-            let _ = collector.feed_netflow_v9(d);
+            let _ = collector.feed(d);
         }
         // A sentinel fed around the link: tail loss only registers as a
         // sequence gap once a later datagram arrives.
         let sentinel = flow_records(1, 999);
         for d in exporter.export(&sentinel, 90_000).expect("export") {
-            let _ = collector.feed_netflow_v9(d);
+            let _ = collector.feed(d);
         }
         let sent = (records.len() + sentinel.len()) as u64;
 

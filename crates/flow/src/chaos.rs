@@ -162,11 +162,11 @@ pub struct ChaosStats {
 /// let mut collector = Collector::new();
 /// for datagram in exporter.export(&[], 100).unwrap() {
 ///     for impaired in link.transmit(datagram) {
-///         let _ = collector.feed_netflow_v9(impaired);
+///         let _ = collector.feed(impaired);
 ///     }
 /// }
 /// for held in link.shutdown() {
-///     let _ = collector.feed_netflow_v9(held);
+///     let _ = collector.feed(held);
 /// }
 /// assert_eq!(link.stats().dropped, 1);
 /// assert_eq!(collector.template_count(), 0);
@@ -511,7 +511,7 @@ mod tests {
         let mut collector = Collector::new();
         let mut decoded = Vec::new();
         for d in link.transmit_all(wire(100, 10)) {
-            decoded.extend(collector.feed_netflow_v9(d).unwrap_or_default());
+            decoded.extend(collector.feed(d).unwrap_or_default());
         }
         assert!(decoded.is_empty(), "no template may ever arrive");
         assert!(link.stats().templates_withheld >= 1);
@@ -527,7 +527,7 @@ mod tests {
         let mut link = ChaosLink::new(cfg);
         let mut collector = Collector::new();
         for d in link.transmit_all(msgs) {
-            collector.feed_netflow_v9(d).unwrap();
+            collector.feed(d).unwrap();
         }
         assert_eq!(link.stats().sampling_rewritten, 1);
         assert_eq!(collector.sampling_of(7).unwrap().interval, 64);
@@ -546,7 +546,7 @@ mod tests {
         let exported = records(400);
         let mut decoded = Vec::new();
         for d in link.transmit_all(wire(400, 10)) {
-            decoded.extend(collector.feed_netflow_v9(d).unwrap_or_default());
+            decoded.extend(collector.feed(d).unwrap_or_default());
         }
         assert!(records_subset(&decoded, &exported), "decoder must not invent records");
         assert!(link.stats().truncated > 0 && link.stats().corrupted > 0);

@@ -255,18 +255,6 @@ impl Collector {
         }
     }
 
-    /// Feed one NetFlow v9 datagram; returns the decoded records.
-    pub fn feed_netflow_v9(&mut self, datagram: Bytes) -> Result<Vec<FlowRecord>, FlowError> {
-        let mut out = Vec::new();
-        self.feed_templated(v9::VERSION, &datagram, &mut out, false).map(|_| out)
-    }
-
-    /// Feed one IPFIX datagram; returns the decoded records.
-    pub fn feed_ipfix(&mut self, datagram: Bytes) -> Result<Vec<FlowRecord>, FlowError> {
-        let mut out = Vec::new();
-        self.feed_templated(ipfix::VERSION, &datagram, &mut out, false).map(|_| out)
-    }
-
     /// The one v9 / IPFIX path: quarantine, validate the whole message,
     /// then sequence tracking, the sets in wire order, and the
     /// per-message books.
@@ -994,7 +982,7 @@ mod tests {
         let records = recs(20);
         let mut decoded = Vec::new();
         for msg in exporter.export(&records, 100).unwrap() {
-            decoded.extend(collector.feed_netflow_v9(msg).unwrap());
+            decoded.extend(collector.feed(msg).unwrap());
         }
         assert_eq!(decoded, records);
         assert_eq!(collector.dropped_unknown_template(), 0);
@@ -1013,7 +1001,7 @@ mod tests {
         let records = recs(5);
         let mut decoded = Vec::new();
         for msg in exporter.export(&records, 100).unwrap() {
-            decoded.extend(collector.feed_ipfix(msg).unwrap());
+            decoded.extend(collector.feed(msg).unwrap());
         }
         assert_eq!(decoded, records);
     }
@@ -1045,15 +1033,15 @@ mod tests {
         let msgs = exporter.export(&records, 100).unwrap();
         assert_eq!(msgs.len(), 2);
         let mut collector = Collector::new();
-        let decoded = collector.feed_netflow_v9(msgs[1].clone()).unwrap();
+        let decoded = collector.feed(msgs[1].clone()).unwrap();
         assert!(decoded.is_empty());
         assert_eq!(collector.dropped_unknown_template(), 1);
         assert_eq!(collector.dropped_unknown_template_by_source(1), 1);
         assert_eq!(collector.dropped_unknown_template_by_source(2), 0);
         // Once the template arrives, subsequent data decodes.
-        collector.feed_netflow_v9(msgs[0].clone()).unwrap();
+        collector.feed(msgs[0].clone()).unwrap();
         let again = exporter.export(&records, 101).unwrap();
-        let decoded = collector.feed_netflow_v9(again[0].clone()).unwrap();
+        let decoded = collector.feed(again[0].clone()).unwrap();
         assert_eq!(decoded.len(), 4);
     }
 
@@ -1082,8 +1070,8 @@ mod tests {
         let mut collector = Collector::new();
         // Source 1 announces its template; source 2's *data-only* second
         // message must not decode against it.
-        collector.feed_netflow_v9(m1[0].clone()).unwrap();
-        let decoded = collector.feed_netflow_v9(m2[1].clone()).unwrap();
+        collector.feed(m1[0].clone()).unwrap();
+        let decoded = collector.feed(m2[1].clone()).unwrap();
         assert!(decoded.is_empty());
         assert_eq!(collector.dropped_unknown_template(), 1);
         assert_eq!(collector.template_count(), 1);
@@ -1092,13 +1080,13 @@ mod tests {
     #[test]
     fn malformed_datagram_counted_not_fatal() {
         let mut collector = Collector::new();
-        assert!(collector.feed_netflow_v9(Bytes::from_static(&[1, 2, 3])).is_err());
+        assert!(collector.feed(Bytes::from_static(&[1, 2, 3])).is_err());
         assert_eq!(collector.malformed_messages(), 1);
         // Collector still works afterwards.
         let mut exporter = Exporter::new(ExportProtocol::NetflowV9, 1);
         let records = recs(2);
         for msg in exporter.export(&records, 100).unwrap() {
-            assert!(collector.feed_netflow_v9(msg).is_ok());
+            assert!(collector.feed(msg).is_ok());
         }
     }
 
@@ -1117,13 +1105,18 @@ mod tests {
 
     #[test]
     fn cross_protocol_feeds_rejected() {
+        // `feed` dispatches on the version word: an IPFIX message decodes,
+        // the same bytes under a protocol it does not speak are refused.
         let mut exporter = Exporter::new(ExportProtocol::Ipfix, 1);
         let msgs = exporter.export(&recs(1), 100).unwrap();
         let mut collector = Collector::new();
+        let mut foreign = msgs[0].to_vec();
+        foreign[..2].copy_from_slice(&11u16.to_be_bytes());
         assert!(matches!(
-            collector.feed_netflow_v9(msgs[0].clone()),
-            Err(FlowError::BadVersion { expected: 9, found: 10 })
+            collector.feed(Bytes::from(foreign)),
+            Err(FlowError::BadVersion { expected: 9, found: 11 })
         ));
+        assert_eq!(collector.feed(msgs[0].clone()).unwrap(), recs(1));
     }
 
     #[test]
@@ -1132,10 +1125,10 @@ mod tests {
         let msgs = exporter.export(&recs(20), 100).unwrap();
         assert_eq!(msgs.len(), 4);
         let mut collector = Collector::new();
-        collector.feed_netflow_v9(msgs[0].clone()).unwrap();
+        collector.feed(msgs[0].clone()).unwrap();
         // msgs[1] lost in transit.
-        collector.feed_netflow_v9(msgs[2].clone()).unwrap();
-        collector.feed_netflow_v9(msgs[3].clone()).unwrap();
+        collector.feed(msgs[2].clone()).unwrap();
+        collector.feed(msgs[3].clone()).unwrap();
         assert_eq!(collector.missed_datagrams(), 1);
         assert_eq!(collector.missed_records(), 5);
         let st = collector.source_stats(3).unwrap();
@@ -1148,10 +1141,10 @@ mod tests {
         let mut exporter = Exporter::new(ExportProtocol::NetflowV9, 3).with_batch_size(5);
         let msgs = exporter.export(&recs(15), 100).unwrap();
         let mut collector = Collector::new();
-        collector.feed_netflow_v9(msgs[0].clone()).unwrap();
-        collector.feed_netflow_v9(msgs[1].clone()).unwrap();
-        collector.feed_netflow_v9(msgs[1].clone()).unwrap(); // duplicate
-        collector.feed_netflow_v9(msgs[2].clone()).unwrap();
+        collector.feed(msgs[0].clone()).unwrap();
+        collector.feed(msgs[1].clone()).unwrap();
+        collector.feed(msgs[1].clone()).unwrap(); // duplicate
+        collector.feed(msgs[2].clone()).unwrap();
         let st = collector.source_stats(3).unwrap();
         assert_eq!(st.out_of_order, 1);
         assert_eq!(st.restarts, 0);
@@ -1164,20 +1157,20 @@ mod tests {
         let mut first_life = Exporter::new(ExportProtocol::NetflowV9, 8).with_batch_size(5);
         let mut collector = Collector::new();
         for msg in first_life.export(&recs(20), 100).unwrap() {
-            collector.feed_netflow_v9(msg).unwrap();
+            collector.feed(msg).unwrap();
         }
         assert_eq!(collector.template_count(), 1);
         // Crash: a fresh process reuses source id 8, sequence reset to 0.
         let mut second_life = Exporter::new(ExportProtocol::NetflowV9, 8).with_batch_size(5);
         let msgs = second_life.export(&recs(10), 200).unwrap();
-        let decoded = collector.feed_netflow_v9(msgs[0].clone()).unwrap();
+        let decoded = collector.feed(msgs[0].clone()).unwrap();
         assert_eq!(collector.restarts_detected(), 1);
         // The restart message itself re-announces the template, so its
         // data still decodes after the flush.
         assert_eq!(decoded.len(), 5);
         assert_eq!(collector.template_count(), 1);
         // And the post-restart stream tracks cleanly.
-        collector.feed_netflow_v9(msgs[1].clone()).unwrap();
+        collector.feed(msgs[1].clone()).unwrap();
         assert_eq!(collector.missed_datagrams(), 0);
     }
 
@@ -1187,7 +1180,7 @@ mod tests {
         for source in 0..4u32 {
             let mut e = Exporter::new(ExportProtocol::NetflowV9, source).with_batch_size(4);
             for msg in e.export(&recs(4), 100).unwrap() {
-                collector.feed_netflow_v9(msg).unwrap();
+                collector.feed(msg).unwrap();
             }
         }
         assert_eq!(collector.template_count(), 2, "cap enforced");
@@ -1196,7 +1189,7 @@ mod tests {
         // data-only messages now drop as unknown-template.
         let mut oldest = Exporter::new(ExportProtocol::NetflowV9, 0).with_batch_size(4);
         let msgs = oldest.export(&recs(8), 101).unwrap();
-        let decoded = collector.feed_netflow_v9(msgs[1].clone()).unwrap();
+        let decoded = collector.feed(msgs[1].clone()).unwrap();
         assert!(decoded.is_empty());
         assert!(collector.dropped_unknown_template_by_source(0) > 0);
     }
@@ -1219,7 +1212,7 @@ mod tests {
         let mut exporter = Exporter::new(ExportProtocol::NetflowV9, 4).with_batch_size(4);
         let mut collector = Collector::new();
         for msg in exporter.export(&recs(4), 100).unwrap() {
-            collector.feed_netflow_v9(msg).unwrap();
+            collector.feed(msg).unwrap();
         }
         // Framing-valid data set for the announced template 256, but its
         // 37-byte body is one byte short of a record.
@@ -1227,7 +1220,7 @@ mod tests {
         fs.extend_from_slice(&256u16.to_be_bytes());
         fs.extend_from_slice(&41u16.to_be_bytes());
         fs.extend_from_slice(&[0u8; 37]);
-        collector.feed_netflow_v9(v9_datagram(4, 4, &fs)).unwrap();
+        collector.feed(v9_datagram(4, 4, &fs)).unwrap();
         assert_eq!(collector.malformed_sets(), 1);
         assert_eq!(collector.malformed_messages(), 0);
     }
@@ -1242,26 +1235,26 @@ mod tests {
         bad_set.extend_from_slice(&3u16.to_be_bytes());
         for i in 0..Collector::QUARANTINE_THRESHOLD {
             let bad = v9_datagram(9, i, &bad_set);
-            assert!(collector.feed_netflow_v9(bad).is_err());
+            assert!(collector.feed(bad).is_err());
         }
         assert_eq!(collector.quarantined_sources(), vec![9]);
         // While quarantined, even valid datagrams from 9 are discarded…
         let mut e9 = Exporter::new(ExportProtocol::NetflowV9, 9).with_batch_size(4);
         let msgs9 = e9.export(&recs(4), 100).unwrap();
-        assert_eq!(collector.feed_netflow_v9(msgs9[0].clone()).unwrap(), vec![]);
+        assert_eq!(collector.feed(msgs9[0].clone()).unwrap(), vec![]);
         assert!(collector.source_stats(9).unwrap().quarantined_dropped >= 1);
         // …but other sources are untouched.
         let mut e5 = Exporter::new(ExportProtocol::NetflowV9, 5).with_batch_size(4);
         let mut decoded = Vec::new();
         for msg in e5.export(&recs(4), 100).unwrap() {
-            decoded.extend(collector.feed_netflow_v9(msg).unwrap());
+            decoded.extend(collector.feed(msg).unwrap());
         }
         assert_eq!(decoded.len(), 4);
         // Quarantine expires after the fixed number of datagrams.
         for _ in 0..Collector::QUARANTINE_DATAGRAMS {
-            let _ = collector.feed_netflow_v9(msgs9[0].clone());
+            let _ = collector.feed(msgs9[0].clone());
         }
-        let decoded = collector.feed_netflow_v9(msgs9[0].clone()).unwrap();
+        let decoded = collector.feed(msgs9[0].clone()).unwrap();
         assert_eq!(decoded.len(), 4, "source 9 resumes after probation");
     }
 
@@ -1273,13 +1266,13 @@ mod tests {
         bad_set.extend_from_slice(&3u16.to_be_bytes());
         for i in 0..Collector::QUARANTINE_THRESHOLD {
             let bad = v9_datagram(9, i, &bad_set);
-            assert!(collector.feed_netflow_v9(bad).is_err());
+            assert!(collector.feed(bad).is_err());
         }
         assert!(matches!(collector.source_health(9), SourceHealth::Quarantined { remaining } if remaining == window));
         let mut e9 = Exporter::new(ExportProtocol::NetflowV9, 9).with_batch_size(4);
         let msgs9 = e9.export(&recs(4), 100).unwrap();
         for _ in 0..window {
-            assert_eq!(collector.feed_netflow_v9(msgs9[0].clone()).unwrap(), vec![]);
+            assert_eq!(collector.feed(msgs9[0].clone()).unwrap(), vec![]);
         }
         assert_eq!(
             collector.source_health(9),
@@ -1294,7 +1287,7 @@ mod tests {
         let msgs9 = quarantine_then_probation(&mut collector, Collector::QUARANTINE_DATAGRAMS);
         // Clean messages flow during probation (half-open, not closed)…
         for i in 0..Collector::PROBATION_CLEAN {
-            let decoded = collector.feed_netflow_v9(msgs9[0].clone()).unwrap();
+            let decoded = collector.feed(msgs9[0].clone()).unwrap();
             assert_eq!(decoded.len(), 4, "probation message {i} must decode");
         }
         // …and a full clean run restores health and forgives the backoff.
@@ -1314,7 +1307,7 @@ mod tests {
         let mut bad_set = Vec::new();
         bad_set.extend_from_slice(&256u16.to_be_bytes());
         bad_set.extend_from_slice(&3u16.to_be_bytes());
-        assert!(collector.feed_netflow_v9(v9_datagram(9, 50, &bad_set)).is_err());
+        assert!(collector.feed(v9_datagram(9, 50, &bad_set)).is_err());
         assert_eq!(
             collector.source_health(9),
             SourceHealth::Quarantined { remaining: Collector::QUARANTINE_DATAGRAMS << 1 }
@@ -1336,13 +1329,13 @@ mod tests {
     /// resulting probation with one malformed message.
     fn quarantine_backoff_cycle(collector: &mut Collector, msgs9: &[Bytes], window: u32) -> u32 {
         for _ in 0..window {
-            assert_eq!(collector.feed_netflow_v9(msgs9[0].clone()).unwrap(), vec![]);
+            assert_eq!(collector.feed(msgs9[0].clone()).unwrap(), vec![]);
         }
         assert!(matches!(collector.source_health(9), SourceHealth::Probation { .. }));
         let mut bad_set = Vec::new();
         bad_set.extend_from_slice(&256u16.to_be_bytes());
         bad_set.extend_from_slice(&3u16.to_be_bytes());
-        assert!(collector.feed_netflow_v9(v9_datagram(9, 99, &bad_set)).is_err());
+        assert!(collector.feed(v9_datagram(9, 99, &bad_set)).is_err());
         window
     }
 
@@ -1353,7 +1346,7 @@ mod tests {
         let mut bad_set = Vec::new();
         bad_set.extend_from_slice(&256u16.to_be_bytes());
         bad_set.extend_from_slice(&3u16.to_be_bytes());
-        assert!(collector.feed_netflow_v9(v9_datagram(9, 50, &bad_set)).is_err());
+        assert!(collector.feed(v9_datagram(9, 50, &bad_set)).is_err());
         for level in 2..=(Collector::MAX_BACKOFF_LEVEL + 3) {
             let got = match collector.source_health(9) {
                 SourceHealth::Quarantined { remaining } => remaining,
@@ -1375,7 +1368,7 @@ mod tests {
         let mut collector = Collector::new();
         let mut e5 = Exporter::new(ExportProtocol::NetflowV9, 5).with_batch_size(4);
         for msg in e5.export(&recs(4), 100).unwrap() {
-            collector.feed_netflow_v9(msg).unwrap();
+            collector.feed(msg).unwrap();
         }
         quarantine_then_probation(&mut collector, Collector::QUARANTINE_DATAGRAMS);
         let healths = collector.source_healths();
@@ -1392,11 +1385,11 @@ mod tests {
         let mut collector = Collector::new();
         let msgs9 = quarantine_then_probation(&mut collector, Collector::QUARANTINE_DATAGRAMS);
         // Partially serve probation, then fail it once to raise backoff.
-        collector.feed_netflow_v9(msgs9[0].clone()).unwrap();
+        collector.feed(msgs9[0].clone()).unwrap();
         let mut bad_set = Vec::new();
         bad_set.extend_from_slice(&256u16.to_be_bytes());
         bad_set.extend_from_slice(&3u16.to_be_bytes());
-        assert!(collector.feed_netflow_v9(v9_datagram(9, 60, &bad_set)).is_err());
+        assert!(collector.feed(v9_datagram(9, 60, &bad_set)).is_err());
         let restored = Collector::restore(&collector.snapshot()).expect("restore");
         assert_eq!(restored.source_health(9), collector.source_health(9));
         assert_eq!(restored.requarantines_total(), collector.requarantines_total());

@@ -32,7 +32,7 @@ pub enum ExportProtocol {
 ///     .with_sampling(1_000, false);
 /// let mut collector = Collector::new();
 /// for datagram in exporter.export(&[], 100).unwrap() {
-///     collector.feed_netflow_v9(datagram).unwrap();
+///     collector.feed(datagram).unwrap();
 /// }
 /// // The collector learned the announced sampling rate.
 /// assert_eq!(collector.sampling_of(7).unwrap().interval, 1_000);

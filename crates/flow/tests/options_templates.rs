@@ -67,7 +67,7 @@ fn collector_learns_sampling_rate_netflow() {
         Exporter::new(ExportProtocol::NetflowV9, 7).with_sampling(1_000, false);
     let mut collector = Collector::new();
     for msg in exporter.export(&recs(3), 100).unwrap() {
-        collector.feed_netflow_v9(msg).unwrap();
+        collector.feed(msg).unwrap();
     }
     let s = collector.sampling_of(7).expect("sampling learned");
     assert_eq!(s.interval, 1_000);
@@ -80,7 +80,7 @@ fn collector_learns_sampling_rate_ipfix() {
     let mut exporter = Exporter::new(ExportProtocol::Ipfix, 9).with_sampling(10_000, true);
     let mut collector = Collector::new();
     for msg in exporter.export(&recs(3), 100).unwrap() {
-        collector.feed_ipfix(msg).unwrap();
+        collector.feed(msg).unwrap();
     }
     let s = collector.sampling_of(9).expect("sampling learned");
     assert_eq!(s.interval, 10_000);
@@ -95,7 +95,7 @@ fn data_records_still_decode_alongside_options() {
     let records = recs(5);
     let mut decoded = Vec::new();
     for msg in exporter.export(&records, 100).unwrap() {
-        decoded.extend(collector.feed_netflow_v9(msg).unwrap());
+        decoded.extend(collector.feed(msg).unwrap());
     }
     assert_eq!(decoded, records, "options sets must not disturb data decoding");
 }
@@ -123,7 +123,7 @@ fn exporter_without_sampling_announces_nothing() {
     let mut exporter = Exporter::new(ExportProtocol::NetflowV9, 7);
     let mut collector = Collector::new();
     for msg in exporter.export(&recs(2), 100).unwrap() {
-        collector.feed_netflow_v9(msg).unwrap();
+        collector.feed(msg).unwrap();
     }
     assert!(collector.sampling_of(7).is_none());
 }
@@ -149,11 +149,11 @@ fn rate_update_overwrites_previous_announcement() {
     let mut collector = Collector::new();
     let mut e1 = Exporter::new(ExportProtocol::NetflowV9, 7).with_sampling(1_000, false);
     for msg in e1.export(&recs(1), 100).unwrap() {
-        collector.feed_netflow_v9(msg).unwrap();
+        collector.feed(msg).unwrap();
     }
     let mut e2 = Exporter::new(ExportProtocol::NetflowV9, 7).with_sampling(2_000, false);
     for msg in e2.export(&recs(1), 200).unwrap() {
-        collector.feed_netflow_v9(msg).unwrap();
+        collector.feed(msg).unwrap();
     }
     assert_eq!(collector.sampling_of(7).unwrap().interval, 2_000);
 }

@@ -96,19 +96,13 @@ proptest! {
             for d in link.transmit_all(msgs) {
                 // Errors are fine (malformed datagrams are counted);
                 // panics are not.
-                if let Ok(rs) = match protocol {
-                    ExportProtocol::NetflowV9 => collector.feed_netflow_v9(d),
-                    ExportProtocol::Ipfix => collector.feed_ipfix(d),
-                } {
+                if let Ok(rs) = collector.feed(d) {
                     decoded.extend(rs);
                 }
             }
         }
         for d in link.shutdown() {
-            if let Ok(rs) = match protocol {
-                ExportProtocol::NetflowV9 => collector.feed_netflow_v9(d),
-                ExportProtocol::Ipfix => collector.feed_ipfix(d),
-            } {
+            if let Ok(rs) = collector.feed(d) {
                 decoded.extend(rs);
             }
         }
@@ -200,7 +194,7 @@ proptest! {
         let mut decoded = Vec::new();
         for (hour, chunk) in records.chunks(16).enumerate() {
             for d in link.transmit_all(exporter.export(chunk, 100 + hour as u32).unwrap()) {
-                if let Ok(rs) = collector.feed_netflow_v9(d) {
+                if let Ok(rs) = collector.feed(d) {
                     decoded.extend(rs);
                 }
             }
@@ -228,13 +222,13 @@ proptest! {
             d.extend_from_slice(&[0u8; 12]);
             d.extend_from_slice(&666u32.to_be_bytes());
             d.extend_from_slice(g);
-            let _ = collector.feed_netflow_v9(bytes::Bytes::from(d));
+            let _ = collector.feed(bytes::Bytes::from(d));
         }
         // A well-behaved source is never affected.
         let mut exporter = Exporter::new(ExportProtocol::NetflowV9, 5).with_batch_size(16);
         let mut decoded = Vec::new();
         for msg in exporter.export(&records, 100).unwrap() {
-            decoded.extend(collector.feed_netflow_v9(msg).unwrap());
+            decoded.extend(collector.feed(msg).unwrap());
         }
         prop_assert_eq!(decoded, records.clone());
         prop_assert!(!collector.quarantined_sources().contains(&5));

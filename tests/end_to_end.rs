@@ -425,7 +425,7 @@ fn full_flow_pipeline_ipfix_round_trip() {
         }
         cache.advance(hour.next().start());
         for msg in exporter.export(&cache.drain_expired(), hour.start().0 as u32).unwrap() {
-            for rec in collector.feed_ipfix(msg).unwrap() {
+            for rec in collector.feed(msg).unwrap() {
                 let proto = rec.key.proto;
                 det.observe(line, rec.key.dst, rec.key.dport, proto, rec.is_established_evidence(), hour);
             }
