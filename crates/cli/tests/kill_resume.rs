@@ -19,11 +19,12 @@ use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_haystack");
 
-/// Detect flags shared by every run in this file. Two days at modest
-/// scale: long enough that the kill lands mid-stream with several
-/// checkpoint generations on disk, short enough for CI.
+/// Detect flags shared by every run in this file. Four days at modest
+/// scale: the second checkpoint generation lands within the first
+/// tenth of the run, so the kill always lands mid-stream, and the run is
+/// still short enough for CI.
 const DETECT: &[&str] = &[
-    "detect", "--lines", "3000", "--days", "2", "--seed", "7", "--workers", "3", "--quiet",
+    "detect", "--lines", "3000", "--days", "4", "--seed", "7", "--workers", "3", "--quiet",
 ];
 
 fn scratch(tag: &str) -> PathBuf {
@@ -79,9 +80,7 @@ fn ckpt_files(dir: &Path) -> Vec<PathBuf> {
 }
 
 /// Start a checkpointed run, SIGKILL it once at least two checkpoint
-/// generations exist, and return the checkpoint directory. If the run
-/// finishes before the kill lands, that is fine too — the resume path
-/// then just replays the completed run's output.
+/// generations exist, and return the checkpoint directory.
 fn crashed_run() -> PathBuf {
     let dir = scratch("ckpt");
     let mut child = detect_cmd(&["--checkpoint-dir", dir.to_str().unwrap()])
@@ -95,9 +94,7 @@ fn crashed_run() -> PathBuf {
             child.kill().unwrap(); // SIGKILL on unix — no cleanup runs
             break;
         }
-        if child.try_wait().unwrap().is_some() {
-            break; // finished before we could kill it
-        }
+        assert!(child.try_wait().unwrap().is_none(), "the run finished before the kill");
         assert!(Instant::now() < deadline, "no checkpoints appeared in 120 s");
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -178,9 +175,7 @@ fn events_stream_survives_sigkill_and_resume_byte_identical() {
             child.kill().unwrap();
             break;
         }
-        if child.try_wait().unwrap().is_some() {
-            break;
-        }
+        assert!(child.try_wait().unwrap().is_none(), "the run finished before the kill");
         assert!(Instant::now() < deadline, "no checkpoints appeared in 120 s");
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -224,20 +219,17 @@ fn sigterm_drains_to_a_final_checkpoint_and_resumes_byte_identical() {
     // Wait until the run is demonstrably mid-stream (one durable
     // generation), then ask for a graceful drain.
     let deadline = Instant::now() + Duration::from_secs(120);
-    let mut terminated = false;
     loop {
         if !ckpt_files(&dir).is_empty() {
-            let ok = Command::new("kill")
+            let sent = Command::new("kill")
                 .args(["-TERM", &child.id().to_string()])
                 .status()
                 .unwrap()
                 .success();
-            terminated = ok;
+            assert!(sent, "SIGTERM not delivered");
             break;
         }
-        if child.try_wait().unwrap().is_some() {
-            break; // finished before the drain request
-        }
+        assert!(child.try_wait().unwrap().is_none(), "the run finished before the drain request");
         assert!(Instant::now() < deadline, "no checkpoints appeared in 120 s");
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -245,11 +237,9 @@ fn sigterm_drains_to_a_final_checkpoint_and_resumes_byte_identical() {
     // Unlike SIGKILL, a drain is an orderly exit: status 0, and when the
     // signal landed mid-run the process says what it checkpointed.
     assert!(out.status.success(), "SIGTERM drain exited nonzero: {:?}", out.status);
-    if terminated {
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        if stderr.contains("sigterm") {
-            assert!(stderr.contains("checkpointed"), "drain message missing: {stderr}");
-        }
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    if stderr.contains("sigterm") {
+        assert!(stderr.contains("checkpointed"), "drain message missing: {stderr}");
     }
     assert!(!ckpt_files(&dir).is_empty(), "drained run left no checkpoint");
 
@@ -298,7 +288,7 @@ fn conflicting_flag_refuses_resume_and_names_the_field() {
     // wrong world, so it must be refused by name.
     let mut cmd = Command::new(BIN);
     cmd.args([
-        "detect", "--lines", "4321", "--days", "2", "--seed", "7", "--workers", "3", "--quiet",
+        "detect", "--lines", "4321", "--days", "4", "--seed", "7", "--workers", "3", "--quiet",
     ])
     .arg("--rules")
     .arg(rules_file())

@@ -8,21 +8,27 @@
 //! configured bound instead of respawning forever. Both links hang off
 //! one supervisor, so the same feed and the same kill schedule must
 //! also leave the two pools' books — status rows, shard states —
-//! identical (`transport_parity_*`).
+//! identical (`transport_parity_*`). The pool's feeder gates records
+//! against the whole-window hitlist before any crosses a pipe, so the
+//! gate's false positives and a process pool's `set_hitlist` are pinned
+//! here too.
 //!
 //! These tests live in the CLI crate because only it has the worker
 //! binary: `CARGO_BIN_EXE_haystack` points at the real executable whose
 //! `shard-worker` arm the pool spawns.
 
+use haystack_core::checkpoint::{DetectorState, LineEvidence};
 use haystack_core::detector::DetectorConfig;
 use haystack_core::events::{events_from_states, ndjson_line};
+use haystack_core::fasthash::mix64;
 use haystack_core::hitlist::{HitList, MapHitList};
 use haystack_core::parallel::{DetectorPool, RespawnPolicy, ShardStatus};
 use haystack_core::reference::ReferenceDetector;
 use haystack_core::rules::{RuleDomain, RuleSet, RuleSetBuilder};
-use haystack_dns::DomainName;
+use haystack_dns::zone::RotationPolicy;
+use haystack_dns::{DnsDb, DomainName, Resolver, ZoneDb};
 use haystack_net::ports::Proto;
-use haystack_net::{AnonId, HourBin, Prefix4};
+use haystack_net::{AnonId, DayBin, HourBin, Prefix4, SimTime};
 use haystack_testbed::catalog::DetectionLevel;
 use haystack_wild::WildRecord;
 use proptest::prelude::*;
@@ -326,11 +332,16 @@ fn transport_parity_same_feed_and_kill_schedule_give_identical_books() {
         fast_window: Duration::from_secs(600),
         trip_after: 3,
     };
+    // Every record hits one of the three indexed (ip, port) keys, so
+    // every one passes the feeder's gate and reaches the books compared
+    // below — the degraded queue and its sheds count survivors only.
+    const HITS: [(u8, u8); 3] = [(0, 0), (1, 0), (2, 1)];
     let feed = |n: u64, salt: u64| -> Vec<WildRecord> {
         (0..n)
             .map(|i| {
                 let k = i.wrapping_mul(0x9E37_79B9).wrapping_add(salt);
-                build_record(&(k % 40, (k >> 8) as u8 % 8, (k >> 16) as u8 % 2, 1 + k % 29, 0))
+                let (ip, port) = HITS[((k >> 8) % 3) as usize];
+                build_record(&(k % 40, ip, port, 1 + k % 29, 0))
             })
             .collect()
     };
@@ -414,4 +425,144 @@ fn transport_parity_same_feed_and_kill_schedule_give_identical_books() {
         assert_eq!(thread.2, process.2, "{workers} workers: detections diverge");
         assert_eq!(thread.3, process.3, "{workers} workers: line verdicts diverge");
     }
+}
+
+/// Up to 16 keys `10.99.x.y:443` that are absent from `rules`' hitlist
+/// but pass its fingerprint gate (hash-colliding tag bits), found by
+/// brute force through the gate's own public hash pipeline.
+fn fingerprint_colliders(rules: &RuleSet) -> Vec<Ipv4Addr> {
+    let hl = HitList::whole_window(rules);
+    let colliders: Vec<Ipv4Addr> = (0..=u16::MAX)
+        .map(|i| Ipv4Addr::new(10, 99, (i >> 8) as u8, i as u8))
+        .filter(|&ip| hl.prefilter_pass(mix64(HitList::pack_key(ip, 443))))
+        .take(16)
+        .collect();
+    assert!(!colliders.is_empty(), "no fingerprint collision found in a /16 scan");
+    for &ip in &colliders {
+        assert!(hl.lookup(ip, 443).is_empty(), "collider {ip} must be absent");
+    }
+    colliders
+}
+
+/// One record from `line` to `dst:dport` in `hour`.
+fn record_to(line: u64, dst: Ipv4Addr, dport: u16, hour: u32) -> WildRecord {
+    WildRecord { dst, dport, ..build_record(&(line, 0, 0, 1, hour)) }
+}
+
+/// The pool's per-shard states folded into one, entries sorted by line
+/// per rule — what a single detector over the same records exports.
+fn merged(states: &[DetectorState]) -> DetectorState {
+    let mut rules = vec![Vec::new(); states[0].rules.len()];
+    for state in states {
+        for (ri, entries) in state.rules.iter().enumerate() {
+            rules[ri].extend_from_slice(entries);
+        }
+    }
+    for entries in &mut rules {
+        entries.sort_unstable_by_key(|e: &LineEvidence| e.line);
+    }
+    DetectorState { rules }
+}
+
+/// The feeder's gate in front of process shards: fingerprint colliders
+/// cross the pipe (they pass the gate) and the child's probe rejects
+/// them, proven misses never cross. At 1, 2 and 4 workers a colliders-
+/// only feed leaves no state, and a 99 %-miss feed with the colliders
+/// woven in gives the reference detector's detections and state bytes.
+#[test]
+fn feeder_gate_on_process_shards_equals_reference_on_colliders_and_misses() {
+    let rules =
+        build_rules(&[vec![(0, 0, false), (1, 0, false), (3, 1, false)], vec![(2, 1, true)]]);
+    let config = DetectorConfig { threshold: 0.4, require_established: false };
+    let colliders = fingerprint_colliders(&rules);
+    let colliding: Vec<WildRecord> = (0..colliders.len() * 13)
+        .map(|i| record_to(i as u64 % 5, colliders[i % colliders.len()], 443, 0))
+        .collect();
+    // One rule hit per hundred records, one collider per 150, 151.64/16
+    // background (outside every rule) otherwise.
+    let hits = [(0u8, 0u8), (1, 0), (3, 1), (2, 1)];
+    let feed: Vec<WildRecord> = (0..20_000u32)
+        .map(|i| {
+            let line = u64::from(i % 31);
+            if i % 150 == 75 {
+                WildRecord { line: AnonId(line), ..colliding[(i / 150) as usize % colliding.len()] }
+            } else if i % 100 == 0 {
+                let (ip, port) = hits[(i / 100) as usize % hits.len()];
+                build_record(&(line, ip, port, 1, i / 1_000))
+            } else {
+                record_to(line, Ipv4Addr::new(151, 64, (i >> 8) as u8, i as u8), 443, i / 1_000)
+            }
+        })
+        .collect();
+    let mut oracle = ReferenceDetector::new(&rules, MapHitList::whole_window(&rules), config);
+    for r in &feed {
+        oracle.observe_wild(r);
+    }
+    let want = oracle.export_state().encode();
+    let by_oracle = detections(&rules, |c| oracle.detected_lines(c));
+    assert!(by_oracle.iter().any(|lines| !lines.is_empty()), "the hits must detect");
+
+    for workers in [1usize, 2, 4] {
+        let mut pool = process_shards(&rules, config, workers);
+        pool.observe_records(&colliding).expect("observe colliders");
+        pool.finish().expect("finish");
+        assert_eq!(pool.state_size().expect("state size"), 0, "{workers} workers: collider state");
+
+        for chunk in feed.chunks(777) {
+            pool.observe_records(chunk).expect("observe");
+        }
+        pool.finish().expect("finish");
+        let by_proc = detections(&rules, |c| pool.detected_lines(c).expect("query"));
+        assert_eq!(by_proc, by_oracle, "{workers} workers: detections");
+        let states = pool.shard_states().expect("states");
+        assert!(merged(&states).encode() == want, "{workers} workers: state bytes diverge");
+    }
+}
+
+/// A process pool's children can only detect with the whole-window
+/// hitlist, so its feeder gates with that one whatever `set_hitlist` is
+/// handed: a pool that swaps in a day hitlist mid-feed ends with the
+/// detections and shard-state bytes of one that never swaps. The same
+/// swap on thread shards does change the answer — the feed is sensitive
+/// to it.
+#[test]
+fn process_pool_set_hitlist_keeps_the_whole_window() {
+    let rules =
+        build_rules(&[vec![(0, 0, false), (1, 0, false)], vec![(2, 1, true), (3, 0, false)]]);
+    let config = DetectorConfig { threshold: 0.4, require_established: false };
+    // Passive DNS saw two of the four domains on other addresses on day
+    // 0, so that day's hitlist drops their whole-window keys.
+    let mut zones = ZoneDb::new();
+    let mut dnsdb = DnsDb::new();
+    for (name, ip) in [("d0.p0.example", 9u8), ("d1.p1.example", 10)] {
+        let name = DomainName::parse(name).unwrap();
+        let moved = vec![Ipv4Addr::new(198, 18, 34, ip)];
+        zones.insert_pool(name.clone(), moved, RotationPolicy::STABLE);
+        let seen = Resolver::new(&zones).resolve(&name, SimTime(0)).unwrap();
+        dnsdb.record_resolution(&seen, SimTime(0));
+    }
+    let day0 = HitList::for_day(&rules, &dnsdb, DayBin(0));
+    // Each line hits every whole-window key once.
+    let keys = [(0u8, 0u8), (1, 0), (2, 1), (3, 0)];
+    let feed: Vec<WildRecord> = (0..8u64)
+        .flat_map(|line| keys.map(|(ip, port)| build_record(&(line, ip, port, 1, line as u32))))
+        .collect();
+    let (first, rest) = feed.split_at(feed.len() / 2);
+    let run = |pool: &mut DetectorPool, swap: bool| {
+        pool.observe_records(first).expect("observe");
+        if swap {
+            pool.set_hitlist(&day0).expect("set_hitlist");
+        }
+        pool.observe_records(rest).expect("observe");
+        pool.finish().expect("finish");
+        let found = detections(&rules, |c| pool.detected_lines(c).expect("query"));
+        let states: Vec<Vec<u8>> =
+            pool.shard_states().expect("states").iter().map(|s| s.encode()).collect();
+        (found, states)
+    };
+    let want = run(&mut process_shards(&rules, config, 2), false);
+    assert_eq!(run(&mut process_shards(&rules, config, 2), true), want);
+    let whole = HitList::whole_window(&rules);
+    let swapped_threads = run(&mut DetectorPool::new(&rules, &whole, config, 2), true);
+    assert_ne!(swapped_threads, want, "day 0's hitlist must differ from the whole window's");
 }

@@ -21,7 +21,9 @@ const BIN: &str = env!("CARGO_BIN_EXE_haystack");
 /// One soak shape for every run in this file: a full 10⁶-line
 /// population, ~99% miss rate, three simulated hours. `--checkpoint-
 /// chunks 4` makes saves land every few chunks so the SIGKILL window is
-/// wide and the chain holds many deltas per full anchor.
+/// wide and the chain holds many deltas per full anchor. 10.5 M records:
+/// the second delta frame lands within a few tens of ms, and the run
+/// lasts hundreds of ms even in release, so the kill always lands.
 const SOAK: &[&str] = &[
     "soak",
     "--lines",
@@ -29,7 +31,7 @@ const SOAK: &[&str] = &[
     "--hours",
     "3",
     "--records-per-hour",
-    "350000",
+    "3500000",
     "--hit-rate-ppm",
     "10000",
     "--seed",
@@ -127,30 +129,18 @@ fn soak_sigkill_resume_replays_the_delta_chain_byte_identical() {
     .spawn()
     .unwrap();
     let deadline = Instant::now() + Duration::from_secs(300);
-    let mut killed = false;
     loop {
         if files_with_ext(&dir, "dckpt").len() >= 2 {
             child.kill().unwrap(); // SIGKILL — no cleanup runs
-            killed = true;
             break;
         }
-        if child.try_wait().unwrap().is_some() {
-            break; // finished before the kill could land
-        }
+        assert!(child.try_wait().unwrap().is_none(), "the soak finished before the kill");
         assert!(Instant::now() < deadline, "no delta frames appeared in 300 s");
         std::thread::sleep(Duration::from_millis(10));
     }
     let _ = child.wait();
-    if killed {
-        assert!(
-            !files_with_ext(&dir, "ckpt").is_empty(),
-            "killed soak left no full anchor"
-        );
-        assert!(
-            files_with_ext(&dir, "dckpt").len() >= 2,
-            "killed soak left no delta chain"
-        );
-    }
+    assert!(!files_with_ext(&dir, "ckpt").is_empty(), "killed soak left no full anchor");
+    assert!(files_with_ext(&dir, "dckpt").len() >= 2, "killed soak left no delta chain");
 
     // Resume: the chain (full + deltas, applied in base_generation
     // order) plus the stateless stream must reconstruct everything.

@@ -18,6 +18,19 @@
 //! feed order, and the detector's evidence fold is commutative across
 //! lines, so any worker count produces the same detections.
 //!
+//! **Gate once, in the feeder** (DESIGN.md §9, §10). The feeder runs the
+//! fingerprint gate ([`gate::gate_block`]) over every caller chunk
+//! against the pool's own hitlist — the one every shard detects with —
+//! and only *survivors* are routed, staged, retained for replay and
+//! shipped. A proven miss (~98 % of the paper's sampled regime) is never
+//! copied and never crosses a thread or pipe link. The gate has no false
+//! negatives and ignores `require_established` (which stays in the
+//! shard), so it admits a superset of what the shard's own gate admits
+//! and can never drop evidence. Every book the pool keeps — replay
+//! retention and its auto-checkpoint bound, the degraded queue and its
+//! sheds, `records_discarded`, per-shard `records_observed` — therefore
+//! counts survivors.
+//!
 //! **One supervisor, two links** (DESIGN.md §12, §15). The pool owns all
 //! policy and all books — staging, batch retention for replay, the
 //! deferred delta fold, backoff and the crash-loop breaker, the degraded
@@ -45,6 +58,7 @@
 
 use crate::checkpoint::{DetectorDelta, DetectorSnapshot, DetectorState};
 use crate::detector::{DetectionQuery, Detector, DetectorConfig};
+use crate::gate::{self, SOA_BLOCK};
 use crate::hitlist::HitList;
 use crate::procpool::ProcLink;
 use crate::rules::RuleSet;
@@ -68,8 +82,9 @@ pub const POOL_BATCH_RECORDS: usize = 1_024;
 /// `workers × POOL_CHANNEL_BATCHES` in-flight buffers.
 pub const POOL_CHANNEL_BATCHES: usize = 4;
 
-/// Default per-shard replay-buffer bound, in records: once a shard's
-/// buffer reaches this, the pool checkpoints the shard and drains it.
+/// Default per-shard replay-buffer bound, in gate survivors (the only
+/// records a shard is sent): once a shard's buffer reaches this, the
+/// pool checkpoints the shard and drains it.
 pub const DEFAULT_REPLAY_LIMIT: usize = 262_144;
 
 /// A detector shard died. Carries the shard id and the worker's last
@@ -127,8 +142,9 @@ impl ShardHealth {
     }
 }
 
-/// Default bound on records queued for a degraded shard (crash-loop
-/// breaker open) before further records are shed with exact accounting.
+/// Default bound on gate survivors queued for a degraded shard
+/// (crash-loop breaker open) before further survivors are shed with
+/// exact accounting.
 pub const DEFAULT_DEGRADED_QUEUE_LIMIT: usize = 65_536;
 
 /// Exponential-backoff and circuit-breaker policy for shard respawns.
@@ -276,14 +292,15 @@ impl ShardStatus {
 
 /// One shard's status row: supervision status plus the degraded-queue
 /// accounting (`queued`/`shed` are nonzero only after its breaker
-/// tripped).
+/// tripped, and count gate survivors — a proven miss is retired in the
+/// feeder and never queues).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStatusReport {
     /// Supervision status.
     pub status: ShardStatus,
-    /// Records queued for a degraded shard, awaiting an operator reset.
+    /// Survivors queued for a degraded shard, awaiting an operator reset.
     pub queued: u64,
-    /// Records shed after the degraded queue filled.
+    /// Survivors shed after the degraded queue filled.
     pub shed: u64,
 }
 
@@ -945,6 +962,10 @@ pub struct DetectorPool {
     /// Construction parameters, retained so a dead shard can be
     /// respawned identically.
     rules: Arc<RuleSet>,
+    /// The hitlist every shard detects with, and the one the feeder
+    /// gates against — so the two must never disagree. On a process
+    /// pool it is always `HitList::whole_window(&rules)`, because that
+    /// is all a child can derive.
     hitlist: HitList,
     config: DetectorConfig,
     channel_batches: usize,
@@ -960,6 +981,11 @@ pub struct DetectorPool {
     /// churn fix: nothing here is rebuilt per batch).
     staging: Vec<Vec<WildRecord>>,
     batch_records: usize,
+    /// The feeder gate's survivor columns ([`gate::gate_block`]'s
+    /// `surv`/`shash`), [`SOA_BLOCK`] long and allocated once, so a chunk
+    /// of misses costs no allocation at all.
+    surv: Vec<u32>,
+    shash: Vec<u64>,
     /// Chunk buffers ever allocated — on thread shards the pool's peak
     /// resident buffer count, since buffers recycle instead of dropping.
     buffers_created: usize,
@@ -974,12 +1000,12 @@ pub struct DetectorPool {
     policy: RespawnPolicy,
     /// Per-shard crash-loop tracking.
     backoff: Vec<BackoffState>,
-    /// Records accepted for a degraded shard (breaker open), held until
-    /// an operator [`DetectorPool::reset_breaker`] replays them.
+    /// Survivors accepted for a degraded shard (breaker open), held
+    /// until an operator [`DetectorPool::reset_breaker`] replays them.
     degraded_queue: Vec<Vec<WildRecord>>,
-    /// Records shed per shard after its degraded queue filled.
+    /// Survivors shed per shard after its degraded queue filled.
     shed_records: Vec<u64>,
-    /// Bound on each shard's degraded queue, in records.
+    /// Bound on each shard's degraded queue, in survivors.
     queue_limit: usize,
 }
 
@@ -988,6 +1014,9 @@ pub struct DetectorPool {
 struct FeederTelemetry {
     /// Records accepted by `observe_records`.
     records_in: Counter,
+    /// Records the feeder's fingerprint gate retired: proven misses,
+    /// never staged or shipped.
+    gate_rejected: Counter,
     /// Full or partial buffers shipped to workers.
     batches_shipped: Counter,
     /// Ships that found the shard's queue full and had to wait — the
@@ -997,10 +1026,11 @@ struct FeederTelemetry {
     buffers_created: Counter,
     /// Ships served by a recycled buffer.
     buffers_recycled: Counter,
-    /// Staged and degraded-queued records discarded by `reset` (they
+    /// Staged and degraded-queued survivors discarded by `reset` (they
     /// belong to the window being cleared). Keeps the conservation
-    /// invariant exact:
-    /// `records_in == Σ shard records_observed + records_discarded`.
+    /// invariant exact (after `finish`, no shard degraded or respawned):
+    /// `records_in == gate_rejected + Σ shard records_observed +
+    /// records_discarded`.
     records_discarded: Counter,
     /// Per-shard in-flight batch gauges (shared with the workers).
     queue_depth: Vec<Gauge>,
@@ -1021,7 +1051,8 @@ impl DetectorPool {
     /// `CARGO_BIN_EXE_haystack`).
     ///
     /// A hitlist has no wire codec, so process shards always detect
-    /// against the whole-window hitlist of their rules. They are always
+    /// against the whole-window hitlist of their rules, and the pool's
+    /// feeder gates against that same hitlist. They are always
     /// supervised: the only link to a child is its pipe and the only
     /// recovery is respawn. Fails if a child cannot be spawned or does
     /// not complete the `Init` handshake within the heartbeat.
@@ -1073,6 +1104,8 @@ impl DetectorPool {
             seq: vec![0; workers],
             staging: (0..workers).map(|_| Vec::with_capacity(batch_records)).collect(),
             batch_records,
+            surv: vec![0; SOA_BLOCK],
+            shash: vec![0; SOA_BLOCK],
             buffers_created: workers,
             telemetry: None,
             scope: None,
@@ -1133,13 +1166,13 @@ impl DetectorPool {
     }
 
     /// Turn on supervised recovery: checkpoint every shard now, then
-    /// keep a bounded replay buffer (at most `replay_limit` records per
-    /// shard — reaching the bound auto-checkpoints the shard). From this
-    /// point a shard death is healed transparently: the shard is
-    /// respawned, restored from its last checkpoint, and replayed, and
-    /// the interrupted operation retried. On an already-supervised pool
-    /// (every process pool) this adjusts the bound and takes a fresh
-    /// checkpoint.
+    /// keep a bounded replay buffer (at most `replay_limit` gate
+    /// survivors per shard — reaching the bound auto-checkpoints the
+    /// shard). From this point a shard death is healed transparently:
+    /// the shard is respawned, restored from its last checkpoint, and
+    /// replayed, and the interrupted operation retried. On an
+    /// already-supervised pool (every process pool) this adjusts the
+    /// bound and takes a fresh checkpoint.
     pub fn enable_supervision(&mut self, replay_limit: usize) -> Result<(), PoolError> {
         match &mut self.supervisor {
             Some(sup) => sup.replay_limit = replay_limit.max(1),
@@ -1153,14 +1186,14 @@ impl DetectorPool {
         self.checkpoint_all()
     }
 
-    /// Records currently held in replay buffers across all shards.
+    /// Survivors currently held in replay buffers across all shards.
     pub fn replay_buffered(&self) -> usize {
         self.supervisor.as_ref().map_or(0, |s| s.replay_records.iter().sum())
     }
 
     /// Instrument the pool under `scope`: feeder counters (`records_in`,
-    /// `batches_shipped`, `backpressure_stalls`, buffer churn) plus
-    /// per-shard sub-scopes (`shard0.queue_depth`,
+    /// `gate_rejected`, `batches_shipped`, `backpressure_stalls`, buffer
+    /// churn) plus per-shard sub-scopes (`shard0.queue_depth`,
     /// `shard0.records_observed`, `shard0.batch_span_us`, …; only
     /// `queue_depth` moves for a process shard). A no-op while telemetry
     /// is disabled, leaving the feed path byte-for-byte as before.
@@ -1170,6 +1203,7 @@ impl DetectorPool {
         }
         let feeder = FeederTelemetry {
             records_in: scope.counter("records_in"),
+            gate_rejected: scope.counter("gate_rejected"),
             batches_shipped: scope.counter("batches_shipped"),
             backpressure_stalls: scope.counter("backpressure_stalls"),
             buffers_created: scope.counter("buffers_created"),
@@ -1455,22 +1489,40 @@ impl DetectorPool {
         }
     }
 
-    /// Observe records: partitioned to shards, shipped as buffers fill.
+    /// Observe records: gated against the pool's hitlist one
+    /// [`SOA_BLOCK`] at a time, survivors partitioned to shards and
+    /// shipped as buffers fill. A proven miss is counted
+    /// (`gate_rejected`) and dropped right here.
     pub fn observe_records(&mut self, records: &[WildRecord]) -> Result<(), PoolError> {
         if let Some(t) = &self.telemetry {
             t.records_in.add(records.len() as u64);
         }
         let n = self.links.len();
-        for r in records {
-            let shard = shard_of(r.line, n);
-            self.staging[shard].push(*r);
-            // A degraded shard's records divert to its bounded queue
-            // eagerly (not at the batch threshold), so `/readyz` and
-            // `/stats` see the queue depth grow as records arrive.
-            if self.staging[shard].len() >= self.batch_records
-                || self.backoff[shard].tripped()
-            {
-                self.ship(shard)?;
+        for block in records.chunks(SOA_BLOCK) {
+            // An empty hitlist has an empty fingerprint: every record is
+            // a miss.
+            let fp = self.hitlist.prefilter();
+            let survivors = if fp.is_empty() {
+                0
+            } else {
+                gate::gate_block(block, fp, &mut self.surv, &mut self.shash)
+            };
+            if let Some(t) = &self.telemetry {
+                t.gate_rejected.add((block.len() - survivors) as u64);
+            }
+            for k in 0..survivors {
+                let r = &block[self.surv[k] as usize];
+                let shard = shard_of(r.line, n);
+                self.staging[shard].push(*r);
+                // A degraded shard's survivors divert to its bounded
+                // queue eagerly (not at the batch threshold), so
+                // `/readyz` and `/stats` see the queue grow as they
+                // arrive.
+                if self.staging[shard].len() >= self.batch_records
+                    || self.backoff[shard].tripped()
+                {
+                    self.ship(shard)?;
+                }
             }
         }
         // Bound the replay buffers: a shard at the limit is checkpointed
@@ -1762,13 +1814,18 @@ impl DetectorPool {
         Ok(())
     }
 
-    /// Swap the daily hitlist on every shard. Staged records are flushed
-    /// first, so they are observed under the hitlist that was current
-    /// when they were fed. Under supervision every shard is checkpointed
-    /// first, so a replay never crosses a hitlist swap. (Process shards
-    /// re-derive the whole-window hitlist of their rules instead — a
-    /// hitlist has no wire codec.)
+    /// Swap the daily hitlist on every shard and in the feeder's gate.
+    /// Staged survivors are flushed first, so they are observed under
+    /// the hitlist that gated them. Under supervision every shard is
+    /// checkpointed first, so a replay never crosses a hitlist swap.
+    ///
+    /// A no-op on a process pool: a hitlist has no wire codec, so its
+    /// children can only detect with the whole-window hitlist of their
+    /// rules, and the feeder must gate with the same one.
     pub fn set_hitlist(&mut self, hitlist: &HitList) -> Result<(), PoolError> {
+        if self.command.is_some() {
+            return Ok(());
+        }
         if self.supervisor.is_some() {
             self.checkpoint_all()?;
         } else {
@@ -1791,7 +1848,10 @@ impl DetectorPool {
     /// ([`crate::pack::migrate_detector_state`]), and shipped back with
     /// the new rules in one [`Request::SetRules`] — so unchanged rules
     /// lose no evidence, removed rules vanish, added rules start empty,
-    /// and a supervised replay never crosses the swap.
+    /// and a supervised replay never crosses the swap. The feeder gates
+    /// with the new hitlist from here on — on a process pool that is
+    /// always the whole-window hitlist of `rules`, and `hitlist` is
+    /// ignored (see [`DetectorPool::set_hitlist`]).
     pub fn set_rules(&mut self, rules: &RuleSet, hitlist: &HitList) -> Result<(), PoolError> {
         let new_rules = Arc::new(rules.clone());
         // Under supervision this is a checkpoint_all: replay buffers
@@ -1814,8 +1874,12 @@ impl DetectorPool {
                 q.clear(); // pre-swap deltas reference the old rule set
             }
         }
+        self.hitlist = match self.command {
+            Some(_) => HitList::whole_window(&new_rules),
+            None => hitlist.clone(),
+        };
         self.rules = Arc::clone(&new_rules);
-        self.hitlist = hitlist.clone();
+        let hitlist = self.hitlist.clone();
         for (shard, state) in migrated.iter().enumerate() {
             // Should the send fail, the respawn inits with the new rules
             // and restores the migrated base — the retried swap is then
@@ -1829,9 +1893,10 @@ impl DetectorPool {
         Ok(())
     }
 
-    /// Clear accumulated evidence (new aggregation window). Records still
-    /// staged or queued for a degraded shard are discarded — they belong
-    /// to the window being cleared.
+    /// Clear accumulated evidence (new aggregation window). Survivors
+    /// still staged or queued for a degraded shard are discarded (and
+    /// counted in `records_discarded`) — they belong to the window being
+    /// cleared.
     pub fn reset(&mut self) -> Result<(), PoolError> {
         let held = self.staging.iter().chain(&self.degraded_queue).map(Vec::len).sum::<usize>();
         if let Some(t) = &self.telemetry {
@@ -2038,6 +2103,17 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// [`random_records`] with every destination folded onto the first
+    /// `domains` IPs of [`ruleset`]: each record is a rule hit, so each
+    /// passes the feeder's gate and lands in the books a test counts.
+    fn hit_records(count: usize, seed: u64, domains: u8) -> Vec<WildRecord> {
+        let mut records = random_records(count, seed);
+        for r in &mut records {
+            r.dst = Ipv4Addr::new(198, 18, 8, (r.dst.octets()[3] - 1) % domains + 1);
+        }
+        records
     }
 
     #[test]
@@ -2263,7 +2339,7 @@ mod tests {
             100,
             channel_batches,
         );
-        pool.observe_records(&random_records(100_000, 2)).unwrap();
+        pool.observe_records(&hit_records(100_000, 2, 1)).unwrap();
         pool.finish().unwrap();
         // Per shard: 1 staging + channel_batches in flight + 1 being
         // processed + 1 in the recycle queue.
@@ -2329,11 +2405,12 @@ mod tests {
             2,
         );
         pool.attach_telemetry(&scope).unwrap();
-        let records = random_records(10_000, 21);
+        let records = hit_records(10_000, 21, 4);
         pool.observe_records(&records).unwrap();
         pool.finish().unwrap();
         let snap = telemetry::global().snapshot().filtered("t_pool_unit");
         assert_eq!(snap.counter("t_pool_unit.records_in"), Some(10_000));
+        assert_eq!(snap.counter("t_pool_unit.gate_rejected"), Some(0), "every record is a hit");
         let observed: u64 = (0..3)
             .map(|i| snap.counter(&format!("t_pool_unit.shard{i}.records_observed")).unwrap())
             .sum();
@@ -2452,7 +2529,7 @@ mod tests {
         let mut pool = DetectorPool::new(&rules, &hl, DetectorConfig::default(), 2);
         let limit = 500usize;
         pool.enable_supervision(limit).unwrap();
-        let records = random_records(20_000, 31);
+        let records = hit_records(20_000, 31, 4);
         for piece in records.chunks(100) {
             pool.observe_records(piece).unwrap();
             // A shard's buffer can overshoot by at most one feed call
@@ -2529,6 +2606,75 @@ mod tests {
         };
         let want = run(false, false);
         assert_eq!(run(true, true), want);
+    }
+
+    #[test]
+    fn set_hitlist_widens_the_feeder_gate_too() {
+        // Start on a day hitlist that indexes only two of six domains,
+        // then swap to the whole window: records for the other four must
+        // reach the shards from the swap on. A feeder still gating with
+        // the narrow hitlist would drop them.
+        let rules = ruleset(6);
+        let narrow = HitList::whole_window(&ruleset(2));
+        let wide = HitList::whole_window(&rules);
+        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let records = random_records(12_000, 59);
+        let (before, after) = records.split_at(4_000);
+
+        let mut seq = Detector::new(&rules, narrow.clone(), config);
+        seq.observe_chunk(before);
+        seq.set_hitlist(wide.clone());
+        seq.observe_chunk(after);
+
+        let mut pool = DetectorPool::new(&rules, &narrow, config, 3);
+        pool.observe_records(before).unwrap();
+        pool.set_hitlist(&wide).unwrap();
+        pool.observe_records(after).unwrap();
+        pool.finish().unwrap();
+        assert_eq!(pool.detected_lines("X").unwrap(), seq.detected_lines("X"));
+        assert_eq!(pool.state_size().unwrap(), seq.state_size());
+        let mut narrow_only = Detector::new(&rules, narrow, config);
+        narrow_only.observe_chunk(&records);
+        assert!(seq.state_size() > narrow_only.state_size(), "the swap must matter");
+    }
+
+    #[test]
+    fn only_gate_survivors_reach_the_replay_books() {
+        let rules = ruleset(4);
+        let hl = HitList::whole_window(&rules);
+        let config = DetectorConfig::default();
+        // Two in three records go to 151.64/16, outside every rule.
+        let mut records = random_records(6_000, 13);
+        for (i, r) in records.iter_mut().enumerate() {
+            if i % 3 != 0 {
+                r.dst = Ipv4Addr::new(151, 64, (i >> 8) as u8, i as u8);
+            }
+        }
+        let passes = |r: &&WildRecord| {
+            hl.prefilter_pass(crate::fasthash::mix64(HitList::pack_key(r.dst, r.dport)))
+        };
+        let survivors = records.iter().filter(passes).count();
+        assert!(survivors < records.len() / 2, "{survivors} survivors");
+
+        // What a shard is sent is retained for replay: the survivors,
+        // exactly — a proven miss is never copied.
+        let mut pool = DetectorPool::new(&rules, &hl, config, 3);
+        pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
+        pool.observe_records(&records).unwrap();
+        pool.flush().unwrap();
+        assert_eq!(pool.replay_buffered(), survivors);
+        let mut seq = Detector::new(&rules, hl.clone(), config);
+        seq.observe_chunk(&records);
+        assert_eq!(pool.detected_lines("X").unwrap(), seq.detected_lines("X"));
+
+        // An empty hitlist has an empty fingerprint: the feeder retires
+        // every record.
+        let mut empty = DetectorPool::new(&rules, &HitList::default(), config, 3);
+        empty.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
+        empty.observe_records(&records).unwrap();
+        empty.flush().unwrap();
+        assert_eq!(empty.replay_buffered(), 0);
+        assert_eq!(empty.state_size().unwrap(), 0);
     }
 
     #[test]
@@ -2705,7 +2851,7 @@ mod tests {
 
         // Feed records: shard 0's land in the bounded queue, then shed;
         // the other shard keeps absorbing normally.
-        let records = random_records(20_000, 23);
+        let records = hit_records(20_000, 23, 4);
         pool.observe_records(&records).unwrap();
         pool.flush().unwrap();
         let shard0: u64 =

@@ -11,6 +11,7 @@
 //! run's detections to it, and so the `detector_throughput` bench can
 //! show a genuine before/after ratio in one run.
 
+use crate::checkpoint::{DetectorState, LineEvidence};
 use crate::hitlist::MapHitList;
 use crate::rules::RuleSet;
 use haystack_net::ports::Proto;
@@ -183,5 +184,20 @@ impl<'r> ReferenceDetector<'r> {
     /// Number of (line, rule) states held.
     pub fn state_size(&self) -> usize {
         self.state.len()
+    }
+
+    /// The evidence state in checkpoint form, entries sorted by line per
+    /// rule — what [`Detector::export_state`](crate::detector::Detector::
+    /// export_state) of an equivalent detector encodes to, byte for byte.
+    pub fn export_state(&self) -> DetectorState {
+        let mut rules = vec![Vec::new(); self.rules.rules.len()];
+        for (&(line, ri), &mask) in &self.state {
+            let first_met = self.first_met.get(&(line, ri)).copied();
+            rules[ri as usize].push(LineEvidence { line, mask, first_met });
+        }
+        for entries in &mut rules {
+            entries.sort_unstable_by_key(|e: &LineEvidence| e.line);
+        }
+        DetectorState { rules }
     }
 }

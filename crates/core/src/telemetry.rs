@@ -50,7 +50,9 @@
 //! * collector: `records_in == records_decoded + missed_records`
 //! * stream:    `records_in == records_emitted + records_lost
 //!   - records_duplicated`
-//! * pool:      `records_in == records_observed` (after `finish`)
+//! * pool:      `records_in == gate_rejected + Σ shard records_observed +
+//!   records_discarded` (after `finish`): the feeder's fingerprint gate
+//!   retires proven misses, shards observe only survivors
 
 use crate::hitlist::HitList;
 use haystack_wild::{RecordChunk, RecordStream};

@@ -8,11 +8,15 @@
 //! rules to exercise the spill arena) and random flow streams through
 //! both sides and require identical `lookup`, `detected_lines`,
 //! `first_detection`, and `confidence` — across chunk sizes too, since
-//! `observe_chunk` is the entry point the shard workers use.
+//! `observe_chunk` is the entry point the shard workers use — and, with
+//! the fingerprint gate run a second time in `DetectorPool`'s feeder,
+//! through the pool as well.
 
+use haystack_core::checkpoint::{DetectorState, LineEvidence};
 use haystack_core::detector::{Detector, DetectorConfig};
 use haystack_core::fasthash::mix64;
 use haystack_core::hitlist::{HitList, MapHitList};
+use haystack_core::parallel::DetectorPool;
 use haystack_core::reference::ReferenceDetector;
 use haystack_core::rules::{RuleDomain, RuleSet, RuleSetBuilder};
 use haystack_dns::DomainName;
@@ -242,24 +246,21 @@ proptest! {
     }
 }
 
-/// Adversarial fingerprint collisions: keys that are *absent* from the
-/// hitlist but pass the fingerprint front gate (hash-colliding tag
-/// bits). These are the gate's false positives — the probe pass must
-/// reject every one against the full key table, leaving detections,
-/// matches, and state untouched, in both the scalar and the batched
-/// path, at every chunking.
-#[test]
-fn fingerprint_collisions_are_rejected_by_the_probe() {
+/// The fixed ruleset of the adversarial-collision tests.
+fn collision_rules() -> RuleSet {
     let sp: Vec<RuleSpec> = vec![vec![vec![1, 2, 3], vec![4, 5]], vec![vec![2, 6], vec![7]]];
-    let rules = ruleset(&sp, false);
-    let map = MapHitList::whole_window(&rules);
+    ruleset(&sp, false)
+}
+
+/// Brute-force up to 16 keys `10.99.x.y:443` that are *absent* from the
+/// hitlist but collide with some indexed key's fingerprint bit, through
+/// the same public hash pipeline the gate uses. The fingerprint is small
+/// for [`collision_rules`], so colliders are dense enough to find
+/// quickly.
+fn fingerprint_colliders(rules: &RuleSet) -> Vec<Ipv4Addr> {
+    let map = MapHitList::whole_window(rules);
     let hl = map.clone().compile();
     assert!(hl.prefilter_len().is_power_of_two());
-
-    // Brute-force absent keys that collide with some indexed key's
-    // fingerprint bit, through the same public hash pipeline the gate
-    // uses. The fingerprint is small for this ruleset, so colliders are
-    // dense enough to find quickly.
     let mut colliders: Vec<Ipv4Addr> = Vec::new();
     'scan: for a in 0u8..=255 {
         for b in 0u8..=255 {
@@ -276,11 +277,14 @@ fn fingerprint_collisions_are_rejected_by_the_probe() {
         }
     }
     assert!(!colliders.is_empty(), "no fingerprint collision found in a /16 scan");
+    colliders
+}
 
-    // An all-collider stream: every record passes the gate (worst-case
-    // false-positive pressure) and every probe comes back empty.
+/// An all-collider stream: every record passes the gate (worst-case
+/// false-positive pressure) and every probe comes back empty.
+fn collider_records(colliders: &[Ipv4Addr]) -> Vec<WildRecord> {
     let src = Ipv4Addr::new(100, 64, 9, 9);
-    let recs: Vec<WildRecord> = colliders
+    colliders
         .iter()
         .cycle()
         .take(colliders.len() * 13)
@@ -297,7 +301,20 @@ fn fingerprint_collisions_are_rejected_by_the_probe() {
             established: true,
             hour: HourBin(0),
         })
-        .collect();
+        .collect()
+}
+
+/// Adversarial fingerprint collisions: keys that are *absent* from the
+/// hitlist but pass the fingerprint front gate (hash-colliding tag
+/// bits). These are the gate's false positives — the probe pass must
+/// reject every one against the full key table, leaving detections,
+/// matches, and state untouched, in both the scalar and the batched
+/// path, at every chunking.
+#[test]
+fn fingerprint_collisions_are_rejected_by_the_probe() {
+    let rules = collision_rules();
+    let colliders = fingerprint_colliders(&rules);
+    let recs = collider_records(&colliders);
     for chunk_size in [1usize, 7, recs.len()] {
         let mut det =
             Detector::new(&rules, MapHitList::whole_window(&rules).compile(), DetectorConfig::default());
@@ -311,5 +328,99 @@ fn fingerprint_collisions_are_rejected_by_the_probe() {
         assert_eq!(stats.matches, 0, "the probe must reject every collider");
         assert_eq!(stats.detections, 0);
         assert_eq!(det.state_size(), 0, "false positives must leave no state");
+    }
+}
+
+/// A 99 %-miss stream with the adversarial colliders woven in: one rule
+/// hit per hundred records, one collider per 150, background (`151.64/16`,
+/// outside every rule) otherwise.
+fn miss99_with_colliders(colliders: &[Ipv4Addr]) -> Vec<WildRecord> {
+    let colliding = collider_records(colliders);
+    let src = Ipv4Addr::new(100, 64, 9, 9);
+    (0..20_000u32)
+        .map(|i| {
+            if i % 150 == 75 {
+                return colliding[(i / 150) as usize % colliding.len()];
+            }
+            let (dst, dport) = if i % 100 == 0 {
+                let k = i / 100;
+                (Ipv4Addr::new(198, 18, 40, 1 + (k % 7) as u8), if k % 3 == 0 { 8883 } else { 443 })
+            } else {
+                (Ipv4Addr::new(151, 64, (i >> 8) as u8, i as u8), 443)
+            };
+            WildRecord {
+                line: AnonId(u64::from(i % 29)),
+                line_slash24: Prefix4::slash24_of(src),
+                src_ip: src,
+                dst,
+                dport,
+                proto: Proto::Tcp,
+                packets: 1,
+                bytes: 80,
+                established: true,
+                hour: HourBin(i / 1_000),
+            }
+        })
+        .collect()
+}
+
+/// The pool's shard states folded into one, entries sorted by line per
+/// rule — what a single detector over the same records exports.
+fn merged(states: &[DetectorState]) -> DetectorState {
+    let mut rules = vec![Vec::new(); states[0].rules.len()];
+    for state in states {
+        for (ri, entries) in state.rules.iter().enumerate() {
+            rules[ri].extend_from_slice(entries);
+        }
+    }
+    for entries in &mut rules {
+        entries.sort_unstable_by_key(|e: &LineEvidence| e.line);
+    }
+    DetectorState { rules }
+}
+
+/// The same colliders through a `DetectorPool` on thread shards, whose
+/// feeder now runs the fingerprint gate: colliders pass it and are
+/// rejected by the shard's probe, proven misses are retired before they
+/// reach a shard. At 1, 2 and 4 workers the detections and the shard
+/// states' bytes equal the reference detector's, and a colliders-only
+/// feed leaves no state on any shard.
+#[test]
+fn pool_feeder_gate_equals_reference_on_colliders_and_misses() {
+    let rules = collision_rules();
+    let colliders = fingerprint_colliders(&rules);
+    let hl = HitList::whole_window(&rules);
+    let config = DetectorConfig::default();
+    let feed = miss99_with_colliders(&colliders);
+    let mut reference = ReferenceDetector::new(&rules, MapHitList::whole_window(&rules), config);
+    for r in &feed {
+        reference.observe_wild(r);
+    }
+    let want = reference.export_state().encode();
+    assert!(reference.state_size() > 0, "the hits must leave evidence");
+
+    for workers in [1usize, 2, 4] {
+        let mut pool = DetectorPool::new(&rules, &hl, config, workers);
+        for chunk in feed.chunks(777) {
+            pool.observe_records(chunk).unwrap();
+        }
+        pool.finish().unwrap();
+        for rule in &rules.rules {
+            let class = rules.class_name(rule.class);
+            assert_eq!(
+                pool.detected_lines(class).unwrap(),
+                reference.detected_lines(class),
+                "{workers} workers: detected_lines({class})"
+            );
+        }
+        let states = pool.shard_states().unwrap();
+        assert!(merged(&states).encode() == want, "{workers} workers: state bytes diverge");
+
+        let mut colliders_only = DetectorPool::new(&rules, &hl, config, workers);
+        colliders_only.observe_records(&collider_records(&colliders)).unwrap();
+        colliders_only.finish().unwrap();
+        assert_eq!(colliders_only.state_size().unwrap(), 0, "{workers} workers: collider state");
+        let states = colliders_only.shard_states().unwrap();
+        assert!(states.iter().all(|s| s.entry_count() == 0), "{workers} workers: collider state");
     }
 }

@@ -8,8 +8,10 @@
 //!   `records_sent == records_decoded + missed_records`.
 //! * **Stream + pool**: `VecStream → DegradeStream → InstrumentedStream
 //!   → DetectorPool`; `records_in == records_emitted + records_lost -
-//!   records_duplicated`, and the pool's feeder count equals the sum of
-//!   the per-shard worker counts.
+//!   records_duplicated`, and the pool's feeder count equals what its
+//!   fingerprint gate retired plus the sum of the per-shard worker
+//!   counts plus what a reset discarded: `records_in == gate_rejected +
+//!   Σ shard records_observed + records_discarded`.
 
 use haystack_core::detector::DetectorConfig;
 use haystack_core::hitlist::HitList;
@@ -172,6 +174,8 @@ fn stream_and_pool_records_are_conserved_under_loss() {
         );
         let records_in = c("pool.records_in");
         assert_eq!(records_in, emitted, "loss {loss}: the pool saw what the stream emitted");
+        let rejected = c("pool.gate_rejected");
+        let discarded = c("pool.records_discarded");
         let shard_sum: u64 = snap
             .counters
             .iter()
@@ -181,9 +185,14 @@ fn stream_and_pool_records_are_conserved_under_loss() {
             })
             .map(|(_, v)| *v)
             .sum();
+        // The stream mixes rule hits with 151.64/16 background, so both
+        // the feeder's gate and the shards have records to account for.
+        assert!(rejected > 0, "loss {loss}: the feeder gate retired nothing");
+        assert!(shard_sum > 0, "loss {loss}: no record reached a shard");
         assert_eq!(
-            shard_sum, records_in,
-            "loss {loss}: worker shards must account for every fed record"
+            rejected + shard_sum + discarded,
+            records_in,
+            "loss {loss}: feeder gate and worker shards must account for every fed record"
         );
         if loss >= 0.05 {
             assert!(lost > 0, "loss {loss} should have cost something");
