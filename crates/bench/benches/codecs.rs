@@ -66,7 +66,7 @@ fn bench(c: &mut Criterion) {
                 let mut total = 0usize;
                 for m in &msgs {
                     out.clear();
-                    total += coll.feed_into(m, &mut out).unwrap();
+                    total += coll.feed_into(m, &mut out, |_, _| true).unwrap();
                 }
                 assert_eq!(total, recs.len());
                 total

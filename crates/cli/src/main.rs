@@ -434,7 +434,10 @@ fn cmd_replay(flags: HashMap<String, String>) {
     }
 }
 
-/// Deterministic synthetic flow records shared by `chaos` and `metrics`.
+/// Deterministic synthetic flow records shared by `chaos`, `metrics` and
+/// `send`'s background stream. Every destination is in TEST-NET-3
+/// (`203.0.113.0/24`), which no rule's service IPs ever overlap (the
+/// soak stream's miss space too), so none of them is evidence.
 fn synthetic_flow_records(n_records: usize, seed: u64) -> Vec<haystack_flow::FlowRecord> {
     use haystack_flow::{FlowKey, FlowRecord, TcpFlags};
     use haystack_net::ports::Proto;
@@ -445,7 +448,7 @@ fn synthetic_flow_records(n_records: usize, seed: u64) -> Vec<haystack_flow::Flo
             FlowRecord {
                 key: FlowKey {
                     src: std::net::Ipv4Addr::new(100, 64, (x >> 8) as u8, x as u8),
-                    dst: std::net::Ipv4Addr::new(198, 18, 0, (x >> 16) as u8),
+                    dst: std::net::Ipv4Addr::new(203, 0, 113, (x >> 16) as u8),
                     sport: 40_000 + (i % 1_000) as u16,
                     dport: 443,
                     proto: Proto::Tcp,

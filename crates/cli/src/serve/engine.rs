@@ -34,7 +34,7 @@ use haystack_core::staleness::StalenessMonitor;
 use haystack_core::telemetry;
 use haystack_core::usage::{UsageConfig, UsageTracker};
 use haystack_flow::listener::AdmissionStats;
-use haystack_flow::{Collector, FlowRecord};
+use haystack_flow::{Collector, FlowError, FlowRecord};
 use haystack_net::Anonymizer;
 use haystack_wild::WildRecord;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -199,6 +199,10 @@ pub struct Engine {
     pack_bytes: Vec<u8>,
     config: EngineConfig,
     collector: Collector,
+    /// The whole-window hitlist of `rules`, the one `pool`, `usage` and
+    /// `staleness` were built with: its fingerprint is the collector's
+    /// admission predicate, so a proven miss is dropped at decode.
+    hitlist: HitList,
     pool: DetectorPool,
     usage: UsageTracker,
     staleness: StalenessMonitor,
@@ -206,6 +210,10 @@ pub struct Engine {
     stats: Arc<AdmissionStats>,
     datagrams: u64,
     records: u64,
+    /// Records decoded but turned away by the admission predicate. Not
+    /// checkpointed (like `pool_errors`): over one process lifetime,
+    /// records decoded == `parse_rejected` + the pool's `records_in`.
+    parse_rejected: u64,
     decode_errors: u64,
     pool_errors: u64,
     watchdog_probes: u64,
@@ -235,7 +243,7 @@ impl Engine {
         pool.enable_supervision(DEFAULT_REPLAY_LIMIT).map_err(|e| e.to_string())?;
         pool.attach_telemetry(&telemetry::Scope::named("pool")).map_err(|e| e.to_string())?;
         let usage = UsageTracker::new(Arc::clone(&rules), hitlist.clone(), UsageConfig::default());
-        let staleness = StalenessMonitor::new(hitlist);
+        let staleness = StalenessMonitor::new(hitlist.clone());
         let anon = Anonymizer::new(config.seed, config.seed ^ 0x9E37_79B9_7F4A_7C15);
         let workers = config.workers;
         Ok(Engine {
@@ -243,6 +251,7 @@ impl Engine {
             pack_bytes,
             config,
             collector: Collector::new(),
+            hitlist,
             pool,
             usage,
             staleness,
@@ -250,6 +259,7 @@ impl Engine {
             stats,
             datagrams: 0,
             records: 0,
+            parse_rejected: 0,
             decode_errors: 0,
             pool_errors: 0,
             watchdog_probes: 0,
@@ -405,9 +415,22 @@ impl Engine {
         // Both buffers keep their capacity from datagram to datagram, so
         // a data-only datagram costs this thread no allocation.
         self.flow_buf.clear();
-        match self.collector.feed_into(&datagram, &mut self.flow_buf) {
+        let hitlist = &self.hitlist;
+        let fed = self
+            .collector
+            .feed_into(&datagram, &mut self.flow_buf, |dst, port| hitlist.admits(dst, port));
+        self.observe_decoded(fed);
+    }
+
+    /// Book one datagram's decode and take its survivors (`flow_buf`)
+    /// through conversion, usage, staleness and the pool. A record the
+    /// fingerprint rejected has no `lookup` entries, so none of those
+    /// could have used it: only the counts tell it was there.
+    fn observe_decoded(&mut self, fed: Result<usize, FlowError>) {
+        match fed {
             Ok(decoded) => {
                 self.records += decoded as u64;
+                self.parse_rejected += (decoded - self.flow_buf.len()) as u64;
                 self.wild_buf.clear();
                 for r in &self.flow_buf {
                     let w = WildRecord::from_flow(r, &self.anon);
@@ -473,6 +496,7 @@ impl Engine {
         scope.gauge("tcp_accept_retries").set(self.stats.accept_retries());
         scope.gauge("datagrams_processed").set(self.datagrams);
         scope.gauge("records_decoded").set(self.records);
+        scope.gauge("parse_rejected").set(self.parse_rejected);
         scope.gauge("decode_errors").set(self.decode_errors);
         scope.gauge("watchdog_probes").set(self.watchdog_probes);
         scope.gauge("watchdog_respawns").set(self.watchdog_respawns);
@@ -606,7 +630,8 @@ impl Engine {
             .collect();
         ok(format!(
             "{{\"received\":{},\"admitted\":{},\"shed\":{},\"shed_by_source\":[{}],\
-             \"datagrams\":{},\"records\":{},\"decode_errors\":{},\"pool_errors\":{},\
+             \"datagrams\":{},\"records\":{},\"parse_rejected\":{},\"decode_errors\":{},\
+             \"pool_errors\":{},\
              \"isolate\":\"{}\",\"queue_depth\":{},\"shards\":{},\
              \"watchdog\":{{\"probes\":{},\"respawns\":{}}},\
              \"collector\":{{\"missed_datagrams\":{},\"restarts_detected\":{},\
@@ -618,6 +643,7 @@ impl Engine {
             shed_by_source.join(","),
             self.datagrams,
             self.records,
+            self.parse_rejected,
             self.decode_errors,
             self.pool_errors,
             self.config.isolate.label(),
@@ -781,6 +807,8 @@ impl Engine {
         if let Err(e) = self.pool.set_rules(&loaded.rules, &hitlist) {
             return err(500, &e.to_string());
         }
+        // The next datagram is gated by the pack the pool now judges by.
+        self.hitlist = hitlist.clone();
         let usage_state =
             pack::migrate_usage_state(&self.rules, &new_rules, &self.usage.export_state());
         self.usage.set_rules(Arc::clone(&new_rules), hitlist.clone());
@@ -871,4 +899,171 @@ pub fn new_shutdown_flag() -> Arc<AtomicBool> {
 /// Set the shared flag (listener/HTTP side of the drain).
 pub fn trip(flag: &AtomicBool) {
     flag.store(true, Ordering::SeqCst);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use haystack_cli::resume::Isolate;
+    use haystack_core::hitlist::MapHitList;
+    use haystack_core::reference::ReferenceDetector;
+    use haystack_core::rules::{RuleDomain, RuleSetBuilder};
+    use haystack_dns::DomainName;
+    use haystack_flow::export::{ExportProtocol, Exporter};
+    use haystack_flow::{FlowKey, TcpFlags};
+    use haystack_net::ports::Proto;
+    use haystack_net::SimTime;
+    use haystack_testbed::catalog::DetectionLevel;
+    use std::net::Ipv4Addr;
+
+    /// Two rules over a handful of service IPs, the second gated on the
+    /// first, one usage-indicator domain: a hitlist small enough that
+    /// fingerprint colliders are dense.
+    fn rules() -> RuleSet {
+        let dom = |name: &str, octets: &[u8], indicator: bool| RuleDomain {
+            name: DomainName::parse(name).unwrap(),
+            ports: [443u16, 8883].into_iter().collect(),
+            ips: octets.iter().map(|&o| Ipv4Addr::new(198, 18, 40, o)).collect(),
+            usage_indicator: indicator,
+        };
+        let mut b = RuleSetBuilder::new();
+        b.rule(
+            "Cam",
+            DetectionLevel::Manufacturer,
+            None,
+            vec![dom("api.cam.test", &[1, 2, 3], false), dom("fw.cam.test", &[4, 5], true)],
+        );
+        b.rule(
+            "Cam Pro",
+            DetectionLevel::Product,
+            Some("Cam"),
+            vec![dom("pro.cam.test", &[2, 6], false), dom("log.cam.test", &[7], false)],
+        );
+        b.build()
+    }
+
+    /// Keys `10.99.x.y:443` absent from the hitlist that pass its
+    /// fingerprint all the same: the admission predicate's false
+    /// positives, brute-forced through the public gate.
+    fn colliders(hitlist: &HitList) -> Vec<Ipv4Addr> {
+        let found: Vec<Ipv4Addr> = (0..=u16::MAX)
+            .map(|i| Ipv4Addr::new(10, 99, (i >> 8) as u8, i as u8))
+            .filter(|&ip| hitlist.admits(ip, 443))
+            .inspect(|&ip| assert!(hitlist.lookup(ip, 443).is_empty(), "collider must be absent"))
+            .take(16)
+            .collect();
+        assert!(!found.is_empty(), "no fingerprint collision found in a /16 scan");
+        found
+    }
+
+    /// A 99 %-miss stream over three hours: one record in a hundred is a
+    /// rule hit, one a fingerprint collider, the rest random misses.
+    fn stream(rules: &RuleSet, colliders: &[Ipv4Addr]) -> Vec<FlowRecord> {
+        let targets: Vec<(Ipv4Addr, u16)> = rules
+            .rules
+            .iter()
+            .flat_map(|r| &r.domains)
+            .flat_map(|d| d.ips.iter().flat_map(move |&ip| d.ports.iter().map(move |&p| (ip, p))))
+            .collect();
+        (0..30_000u64)
+            .map(|i| {
+                let x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
+                let (dst, dport) = match i % 100 {
+                    0 => targets[(x as usize) % targets.len()],
+                    1 => (colliders[(x as usize) % colliders.len()], 443),
+                    _ => (Ipv4Addr::from(0xCB00_0000 | (x as u32 & 0x00FF_FFFF)), x as u16),
+                };
+                let first = (i / 10_000) * 3_600 + i % 3_000;
+                FlowRecord {
+                    key: FlowKey {
+                        src: Ipv4Addr::new(100, 64, 0, (x % 40) as u8),
+                        dst,
+                        sport: 40_000,
+                        dport,
+                        proto: Proto::Tcp,
+                    },
+                    packets: 1 + x % 9,
+                    bytes: 60,
+                    tcp_flags: TcpFlags::ACK,
+                    first: SimTime(first),
+                    last: SimTime(first + 30),
+                }
+            })
+            .collect()
+    }
+
+    fn engine(rules: &RuleSet) -> Engine {
+        let config = EngineConfig {
+            workers: 2,
+            threshold: 0.4,
+            seed: 11,
+            ckpt: None,
+            checkpoint_secs: 0,
+            chaos: false,
+            watchdog_every: Duration::from_secs(60),
+            watchdog_timeout: Duration::from_secs(1),
+            isolate: Isolate::Thread,
+        };
+        Engine::new(Arc::new(rules.clone()), Vec::new(), config, Arc::default()).unwrap()
+    }
+
+    /// The fingerprint has no false negatives, so dropping what it
+    /// rejects at decode changes no answer: the gated engine and one fed
+    /// through `|_, _| true` end byte-identical in every book but
+    /// `parse_rejected`, and both detect what the reference detector
+    /// detects.
+    #[test]
+    fn gated_ingest_equals_ungated_ingest_on_fingerprint_colliders() {
+        let rules = rules();
+        let colliders = colliders(&HitList::whole_window(&rules));
+        let flows = stream(&rules, &colliders);
+        let mut exporter = Exporter::new(ExportProtocol::NetflowV9, 7);
+        let datagrams: Vec<Bytes> =
+            flows.chunks(512).flat_map(|c| exporter.export(c, 0).unwrap()).collect();
+
+        let mut gated = engine(&rules);
+        let mut ungated = engine(&rules);
+        for d in &datagrams {
+            gated.ingest(d.clone());
+            ungated.datagrams += 1;
+            ungated.flow_buf.clear();
+            let fed = ungated.collector.feed_into(d, &mut ungated.flow_buf, |_, _| true);
+            ungated.observe_decoded(fed);
+        }
+
+        let hitlist = HitList::whole_window(&rules);
+        let survivors = flows.iter().filter(|r| hitlist.admits(r.key.dst, r.key.dport)).count();
+        assert!(survivors >= flows.len() / 50, "hits and colliders must both survive");
+        assert_eq!(gated.records, flows.len() as u64);
+        assert_eq!(gated.parse_rejected, (flows.len() - survivors) as u64);
+        assert_eq!(ungated.parse_rejected, 0);
+        assert_eq!((gated.datagrams, gated.records), (ungated.datagrams, ungated.records));
+        assert_eq!(gated.collector.snapshot(), ungated.collector.snapshot());
+        assert_eq!(gated.usage.export_state(), ungated.usage.export_state());
+        assert_eq!(gated.staleness.export_state(), ungated.staleness.export_state());
+        assert_eq!(gated.pool.shard_states().unwrap(), ungated.pool.shard_states().unwrap());
+
+        let anon = Anonymizer::new(11, 11 ^ 0x9E37_79B9_7F4A_7C15);
+        let config = DetectorConfig { threshold: 0.4, require_established: false };
+        let mut reference =
+            ReferenceDetector::new(&rules, MapHitList::whole_window(&rules), config);
+        for r in &flows {
+            reference.observe_wild(&WildRecord::from_flow(r, &anon));
+        }
+        let mut detected = 0;
+        for rule in &rules.rules {
+            let class = rules.class_name(rule.class);
+            let want = reference.detected_lines(class);
+            detected += want.len();
+            for engine in [&mut gated, &mut ungated] {
+                let mut got = engine.pool.detected_lines(class).unwrap();
+                got.sort_unstable();
+                assert_eq!(got, want, "{class}");
+            }
+        }
+        assert!(detected > 0, "the stream must detect something");
+        assert!(!gated.usage.active_lines("Cam").is_empty(), "usage must light up");
+        gated.pool.finish().unwrap();
+        ungated.pool.finish().unwrap();
+    }
 }

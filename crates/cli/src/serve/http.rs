@@ -23,7 +23,8 @@
 //! Nothing here polls. The accept thread blocks in `accept()`; each
 //! connection is served on a short-lived handler thread, at most
 //! [`MAX_HANDLERS`] at a time (a connection over the cap is served
-//! inline on the accept thread), and the *whole* request head must
+//! inline on the accept thread, once the handlers past their head
+//! deadline are joined), and the *whole* request head must
 //! arrive within [`HEAD_DEADLINE`] — so a client that stalls mid-head,
 //! or trickles a byte at a time, pins one handler for that long and
 //! nobody else. A query wakes the parked engine itself ([`ask`] unparks
@@ -96,7 +97,8 @@ pub fn spawn_http(
 
 fn accept_loop(listener: TcpListener, plane: &Plane, shutdown: &AtomicBool) {
     let accept_retries = telemetry::Scope::named("serve").counter("http_accept_retries");
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+    // Each handler with the head deadline its connection was given.
+    let mut handlers: Vec<(Instant, JoinHandle<()>)> = Vec::new();
     let mut draining = false;
     loop {
         let accepted = listener.accept();
@@ -111,8 +113,12 @@ fn accept_loop(listener: TcpListener, plane: &Plane, shutdown: &AtomicBool) {
         }
         match accepted {
             Ok((stream, _)) => {
-                handlers.retain(|h| !h.is_finished());
-                serve_conn(stream, plane, &mut handlers);
+                // The head deadline runs from the accept, on this thread,
+                // so a handler spawned before an inline serve is due
+                // before it.
+                let deadline = Instant::now() + HEAD_DEADLINE;
+                handlers.retain(|(_, h)| !h.is_finished());
+                serve_conn(stream, deadline, plane, &mut handlers);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) => match accept_retry(&e) {
@@ -130,34 +136,53 @@ fn accept_loop(listener: TcpListener, plane: &Plane, shutdown: &AtomicBool) {
     // Closed before the handlers are waited for: from here a client is
     // refused at once instead of queueing on a socket nobody accepts from.
     drop(listener);
-    for h in handlers {
+    for (_, h) in handlers {
         let _ = h.join();
     }
 }
 
 /// Serve one connection on a handler thread of its own, or inline when
-/// [`MAX_HANDLERS`] are busy.
-fn serve_conn(stream: TcpStream, plane: &Plane, handlers: &mut Vec<JoinHandle<()>>) {
+/// [`MAX_HANDLERS`] are busy. At the cap, a handler whose head deadline
+/// has passed is no longer held by its client — it is answering, or
+/// closing on one that stalled — so it is waited for rather than counted
+/// busy: connections over the cap delay the plane by one head deadline,
+/// not by one each.
+fn serve_conn(
+    stream: TcpStream,
+    deadline: Instant,
+    plane: &Plane,
+    handlers: &mut Vec<(Instant, JoinHandle<()>)>,
+) {
     if handlers.len() >= MAX_HANDLERS {
-        return handle_conn(stream, plane);
+        let now = Instant::now();
+        let mut i = 0;
+        while i < handlers.len() {
+            if handlers[i].0 <= now {
+                let _ = handlers.swap_remove(i).1.join();
+            } else {
+                i += 1;
+            }
+        }
+    }
+    if handlers.len() >= MAX_HANDLERS {
+        return handle_conn(stream, plane, deadline);
     }
     let handler = plane.clone();
     match std::thread::Builder::new()
         .name("hay-http-conn".into())
-        .spawn(move || handle_conn(stream, &handler))
+        .spawn(move || handle_conn(stream, &handler, deadline))
     {
-        Ok(h) => handlers.push(h),
+        Ok(h) => handlers.push((deadline, h)),
         // The connection went with the closure: this client sees a close,
         // the plane goes on.
         Err(e) => note!("serve: no thread for an http connection: {e}"),
     }
 }
 
-fn handle_conn(mut stream: TcpStream, plane: &Plane) {
+fn handle_conn(mut stream: TcpStream, plane: &Plane, deadline: Instant) {
     let _ = stream.set_write_timeout(Some(HEAD_DEADLINE));
     let _ = stream.set_nodelay(true);
-    let Some((method, target)) = read_request_head(&mut stream, Instant::now() + HEAD_DEADLINE)
-    else {
+    let Some((method, target)) = read_request_head(&mut stream, deadline) else {
         respond(&mut stream, 400, "text/plain", "bad request\n");
         return;
     };

@@ -22,6 +22,7 @@
 //!   200 delivered and its checkpoint written; requests in flight during
 //!   the drain are answered, not dropped.
 
+use haystack_core::hitlist::HitList;
 use haystack_core::pack::SignaturePack;
 use haystack_core::pipeline::{Pipeline, PipelineConfig};
 use haystack_core::rules::{RuleSet, RuleSetBuilder};
@@ -144,12 +145,14 @@ impl Daemon {
 
     /// One sample of `/metrics` by its exposition name.
     fn metric(&self, name: &str) -> u64 {
+        self.try_metric(name).unwrap_or_else(|| panic!("{name} missing from /metrics"))
+    }
+
+    /// [`Daemon::metric`], `None` while the sample is not published yet.
+    fn try_metric(&self, name: &str) -> Option<u64> {
         let text = self.get("/metrics");
-        let line = text
-            .lines()
-            .find(|l| l.split_whitespace().next() == Some(name))
-            .unwrap_or_else(|| panic!("{name} missing from /metrics"));
-        line.split_whitespace().nth(1).unwrap().parse().unwrap()
+        let line = text.lines().find(|l| l.split_whitespace().next() == Some(name))?;
+        Some(line.split_whitespace().nth(1).unwrap().parse().unwrap())
     }
 
     /// Poll `/stats` until the decoded-record counter reaches `want`.
@@ -217,19 +220,22 @@ fn send(args: &[&str]) {
     assert!(out.status.success(), "send failed: {}", String::from_utf8_lossy(&out.stderr));
 }
 
-/// Records per `send --rules --lines 8` burst, read from the sender's
-/// own accounting line (`sent \t records`).
-fn hitting_burst(tcp: u16, hour: &str) -> u64 {
+/// `haystack send` over TCP; returns the records sent, read from the
+/// sender's own accounting line (`sent \t records`).
+fn send_counted(tcp: u16, args: &[&str]) -> u64 {
     let out = Command::new(BIN)
-        .args(["send", "--port", &tcp.to_string(), "--mode", "tcp", "--hour", hour])
-        .arg("--rules")
-        .arg(rules_file())
-        .args(["--lines", "8"])
+        .args(["send", "--port", &tcp.to_string(), "--mode", "tcp"])
+        .args(args)
         .output()
         .unwrap();
     assert!(out.status.success(), "send failed: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).unwrap();
     text.trim().rsplit('\t').next().unwrap().parse().unwrap()
+}
+
+/// Records per `send --rules --lines 8` burst.
+fn hitting_burst(tcp: u16, hour: &str) -> u64 {
+    send_counted(tcp, &["--hour", hour, "--rules", rules_file().to_str().unwrap(), "--lines", "8"])
 }
 
 #[test]
@@ -527,6 +533,25 @@ fn pack_without(dir: &Path, name: &str, drop: &str) -> PathBuf {
     path
 }
 
+/// Seal one class of the pipeline's rule set, unparented, into a pack
+/// file: `send --rules` on it hits that class's keys and nothing else.
+fn pack_only(dir: &Path, name: &str, class: &str) -> PathBuf {
+    let rules = &pipeline().rules;
+    let mut b = RuleSetBuilder::new();
+    for r in rules.rules.iter().filter(|r| rules.class_name(r.class) == class) {
+        b.rule(class, r.level, None, r.domains.clone());
+    }
+    let pack = SignaturePack {
+        rules: b.build(),
+        threshold: 0.4,
+        source: format!("serve_daemon e2e, only {class}"),
+        comment: String::new(),
+    };
+    let path = dir.join(name);
+    std::fs::write(&path, pack.encode()).unwrap();
+    path
+}
+
 /// Classes no other rule claims as parent — safe to drop from a pack
 /// without dangling the hierarchy.
 fn leaf_classes(rules: &RuleSet) -> Vec<&str> {
@@ -608,9 +633,38 @@ fn reload_rules_swaps_pack_mid_stream_without_evidence_loss() {
         assert_eq!(kept["lines"], class["lines"], "evidence lost for {name} across the reload");
     }
 
+    // Hits for the added class alone. Pack B's hitlist holds every one
+    // of them, so the decoder's gate — swapped with the pack — turns
+    // none away; a gate left on pack A would silently drop each key A's
+    // fingerprint rejects, and there must be some.
+    let pack_a_rules = SignaturePack::load(&std::fs::read(&pack_a).unwrap()).unwrap().rules;
+    let pack_a_hitlist = HitList::whole_window(&pack_a_rules);
+    let added_rule = rules.rule(added).unwrap();
+    let novel = added_rule
+        .domains
+        .iter()
+        .flat_map(|dom| dom.ips.iter().flat_map(move |&ip| dom.ports.iter().map(move |&p| (ip, p))))
+        .filter(|&(ip, port)| !pack_a_hitlist.admits(ip, port))
+        .count();
+    assert!(novel > 0, "every key of {added} passes pack A's gate: the check below proves nothing");
+    let only_added = pack_only(&packs, "added.hsp", added);
+    let rejected = d.stats()["parse_rejected"].as_u64().unwrap();
+    let own = send_counted(
+        d.tcp,
+        &["--hour", "3", "--rules", only_added.to_str().unwrap(), "--lines", "8"],
+    );
+    d.wait_records(half1 + own);
+    assert_eq!(
+        d.stats()["parse_rejected"].as_u64().unwrap(),
+        rejected,
+        "the gate turned away hits of {added} after the reload"
+    );
+    let own_hits: serde_json::Value = serde_json::from_str(&d.get("/detections")).unwrap();
+    assert!(count_of(&own_hits, added).unwrap() > 0, "{added} undetected from its own hits");
+
     // Second half of the stream: the added rule lights up.
     let half2 = hitting_burst(d.tcp, "5");
-    d.wait_records(half1 + half2);
+    d.wait_records(half1 + own + half2);
     let lit: serde_json::Value = serde_json::from_str(&d.get("/detections")).unwrap();
     assert!(count_of(&lit, added).unwrap() > 0, "{added} never detected after the reload");
 
@@ -619,7 +673,7 @@ fn reload_rules_swaps_pack_mid_stream_without_evidence_loss() {
     let want = query_snapshot(&d);
     d.sigterm();
     let d = Daemon::start_with_rules("reload2", &ckpt, &["--resume"], &pack_a);
-    assert_eq!(d.stats()["records"].as_u64().unwrap(), half1 + half2);
+    assert_eq!(d.stats()["records"].as_u64().unwrap(), half1 + own + half2);
     let got = query_snapshot(&d);
     for ((t, want), (_, got)) in want.iter().zip(got.iter()) {
         assert_eq!(got, want, "{t} diverges after SIGTERM + resume with a reloaded pack");
@@ -627,6 +681,37 @@ fn reload_rules_swaps_pack_mid_stream_without_evidence_loss() {
     let resumed: serde_json::Value = serde_json::from_str(&d.get("/detections")).unwrap();
     assert!(!class_names(&resumed).contains(&removed.to_string()));
     assert!(count_of(&resumed, added).unwrap() > 0);
+    d.drain();
+}
+
+/// The serve conservation identity, over one process lifetime: every
+/// record decoded is either turned away by the decoder's fingerprint
+/// gate (`parse_rejected`) or handed to the pool (`records_in`). Misses
+/// change no answer on the way.
+#[test]
+fn every_decoded_record_is_parse_rejected_or_reaches_the_pool() {
+    let d = Daemon::start("conserve", &scratch("conserve-ckpt"), &[]);
+    let hits = hitting_burst(d.tcp, "0");
+    d.wait_records(hits);
+    let surfaces = ["/detections", "/usage", "/staleness"];
+    let before: Vec<String> = surfaces.iter().map(|t| d.get(t)).collect();
+    let misses = send_counted(d.tcp, &["--records", "50000"]);
+    d.wait_records(hits + misses);
+    let after: Vec<String> = surfaces.iter().map(|t| d.get(t)).collect();
+    assert_eq!(after, before, "background misses changed an answer");
+
+    // The engine publishes its gauges on the watchdog tick.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while d.try_metric("haystack_serve_records_decoded") < Some(hits + misses) {
+        assert!(Instant::now() < deadline, "records_decoded never reached {}", hits + misses);
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let rejected = d.metric("haystack_serve_parse_rejected");
+    let pooled = d.metric("haystack_pool_records_in");
+    assert_eq!(rejected + pooled, hits + misses, "rejected {rejected} + pooled {pooled}");
+    assert_eq!(d.stats()["parse_rejected"].as_u64().unwrap(), rejected);
+    assert!(pooled >= hits, "every rule hit passes the gate");
+    assert!(rejected > misses / 2, "most background records are proven misses");
     d.drain();
 }
 

@@ -333,19 +333,29 @@ impl HitList {
         }
     }
 
+    /// The fingerprint front gate on an unpacked key: `false` proves
+    /// `(dst, port)` absent, `true` means [`HitList::lookup`] must probe.
+    /// Every non-empty `lookup` answer implies `admits`, so a caller that
+    /// drops what this rejects loses no evidence — `haystack serve`
+    /// passes it to the collector as the decoder's admission predicate.
+    #[inline]
+    pub fn admits(&self, dst: Ipv4Addr, port: u16) -> bool {
+        self.prefilter_pass(mix64(pack(dst, port)))
+    }
+
     /// The rule evidence entries matching a flow's (dst, port), if any.
     ///
     /// This is the per-record hot path: one [`mix64`], one fingerprint
-    /// byte test (which retires the no-match majority on a single cache
-    /// line), and — for the gate's survivors — one masked table probe.
+    /// byte test ([`HitList::admits`], which retires the no-match
+    /// majority on a single cache line), and — for the gate's survivors
+    /// — one masked table probe.
     #[inline]
     pub fn lookup(&self, dst: Ipv4Addr, port: u16) -> &[(u16, u16)] {
-        let key = pack(dst, port);
-        let h = mix64(key);
-        if !self.prefilter_pass(h) {
+        if !self.admits(dst, port) {
             return &[];
         }
-        self.lookup_hashed(key, h)
+        let key = pack(dst, port);
+        self.lookup_hashed(key, mix64(key))
     }
 
     /// [`HitList::lookup`] without the fingerprint gate: the pre-gate
@@ -469,6 +479,7 @@ mod tests {
         assert_eq!(hl.prefilter_len(), 0);
         assert!(hl.lookup(ip(1), 443).is_empty());
         assert!(!hl.prefilter_pass(mix64(HitList::pack_key(ip(1), 443))));
+        assert!(!hl.admits(ip(1), 443));
         assert!(hl.lookup_hashed(HitList::pack_key(ip(1), 443), 0).is_empty());
     }
 
@@ -485,9 +496,10 @@ mod tests {
             for port in [443u16, 80, 8883, 123] {
                 let entries = hl.lookup_ungated(ip(o), port);
                 assert_eq!(hl.lookup(ip(o), port), entries, "gate changed {o}:{port}");
+                let h = mix64(HitList::pack_key(ip(o), port));
+                assert_eq!(hl.admits(ip(o), port), hl.prefilter_pass(h), "admits at {o}:{port}");
                 if !entries.is_empty() {
                     hits += 1;
-                    let h = mix64(HitList::pack_key(ip(o), port));
                     assert!(hl.prefilter_pass(h), "false negative at {o}:{port}");
                 }
             }

@@ -53,6 +53,10 @@
 //! * pool:      `records_in == gate_rejected + Σ shard records_observed +
 //!   records_discarded` (after `finish`): the feeder's fingerprint gate
 //!   retires proven misses, shards observe only survivors
+//! * serve:     `serve.records_decoded == serve.parse_rejected +
+//!   pool.records_in` over one daemon process lifetime (a `--resume`d
+//!   daemon's `records_decoded` starts at its checkpoint's count): the
+//!   decoder's fingerprint gate drops proven misses before the pool
 
 use crate::hitlist::HitList;
 use haystack_wild::{RecordChunk, RecordStream};

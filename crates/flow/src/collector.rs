@@ -38,6 +38,7 @@ use crate::wire::{
 use bytes::Bytes;
 use haystack_net::snapshot::{open, seal, SnapError, SnapReader, SnapWriter, MAGIC_LEN};
 use std::collections::HashMap;
+use std::net::Ipv4Addr;
 
 /// Per-source health counters, as a copyable snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -211,21 +212,33 @@ impl Collector {
     }
 
     /// Feed one datagram of any supported protocol (v5, v9, IPFIX),
-    /// dispatching on the version word, and append its records to the
-    /// caller's (reusable) buffer; returns how many were appended. Once
-    /// `out` has grown to a datagram's worth, a data-only datagram is
-    /// decoded without allocating.
+    /// dispatching on the version word, and append to the caller's
+    /// (reusable) buffer the records whose raw `(dst, dport)` the
+    /// admission predicate `keep` accepts; returns how many records the
+    /// datagram carried, kept or not. Once `out` has grown to a
+    /// datagram's worth, a data-only datagram is decoded without
+    /// allocating; a v9 / IPFIX datagram whose records `keep` all turns
+    /// away allocates nothing whatever `out`'s capacity (v5 decodes into
+    /// a `Vec` of its own first).
     ///
     /// The contract every `feed*` entry point shares (DESIGN.md §8): a
     /// message is validated whole before any of it is applied. A
     /// datagram that fails to parse — even in its last set — changes
     /// nothing but `datagrams_received`, `malformed_messages` and the
-    /// source's malformed streak, and leaves `out` as it was.
-    pub fn feed_into(&mut self, datagram: &[u8], out: &mut Vec<FlowRecord>) -> Result<usize, FlowError> {
+    /// source's malformed streak, and leaves `out` as it was. `keep`
+    /// filters only what reaches `out`: `records_decoded`, sequence
+    /// accounting and every per-source book count every record, so the
+    /// collector's state does not depend on the predicate.
+    pub fn feed_into(
+        &mut self,
+        datagram: &[u8],
+        out: &mut Vec<FlowRecord>,
+        mut keep: impl FnMut(Ipv4Addr, u16) -> bool,
+    ) -> Result<usize, FlowError> {
         match peek_version(datagram) {
-            Some(v5::VERSION) => self.feed_v5(datagram, out),
+            Some(v5::VERSION) => self.feed_v5(datagram, out, &mut keep),
             Some(version @ (v9::VERSION | ipfix::VERSION)) => {
-                self.feed_templated(version, datagram, out, false)
+                self.feed_templated(version, datagram, out, &mut keep, false)
             }
             found => {
                 self.datagrams_received += 1;
@@ -238,7 +251,7 @@ impl Collector {
     /// [`Collector::feed_into`], returning the records in a fresh `Vec`.
     pub fn feed(&mut self, datagram: Bytes) -> Result<Vec<FlowRecord>, FlowError> {
         let mut out = Vec::new();
-        self.feed_into(&datagram, &mut out).map(|_| out)
+        self.feed_into(&datagram, &mut out, |_, _| true).map(|_| out)
     }
 
     /// Like [`Collector::feed`], but data referencing an unannounced
@@ -249,7 +262,8 @@ impl Collector {
         match peek_version(&datagram) {
             Some(version @ (v9::VERSION | ipfix::VERSION)) => {
                 let mut out = Vec::new();
-                self.feed_templated(version, &datagram, &mut out, true).map(|_| out)
+                self.feed_templated(version, &datagram, &mut out, &mut |_, _| true, true)
+                    .map(|_| out)
             }
             _ => self.feed(datagram),
         }
@@ -263,6 +277,7 @@ impl Collector {
         version: u16,
         datagram: &[u8],
         out: &mut Vec<FlowRecord>,
+        keep: &mut impl FnMut(Ipv4Addr, u16) -> bool,
         strict: bool,
     ) -> Result<usize, FlowError> {
         self.datagrams_received += 1;
@@ -291,28 +306,33 @@ impl Collector {
         self.track_sequence(source, sequence);
         let start = out.len();
         let mut clean = true;
-        if let Err(e) = self.apply_sets(source, sets, out, strict, &mut clean) {
-            // Strict mode's unknown template: the message's records are
-            // neither handed out nor counted.
-            out.truncate(start);
-            return Err(e);
-        }
-        let decoded = out.len() - start;
+        let decoded = match self.apply_sets(source, sets, out, keep, strict, &mut clean) {
+            Ok(decoded) => decoded,
+            Err(e) => {
+                // Strict mode's unknown template: the message's records
+                // are neither handed out nor counted.
+                out.truncate(start);
+                return Err(e);
+            }
+        };
         self.finish_message(source, sequence, decoded, clean);
         self.records_decoded += decoded as u64;
         Ok(decoded)
     }
 
     /// Apply a validated message's sets in wire order: templates into the
-    /// caches, data through them into `out`.
+    /// caches, data through them into `out`. Returns the data records
+    /// decoded, kept or not.
     fn apply_sets(
         &mut self,
         source: u32,
         sets: Sets<'_>,
         out: &mut Vec<FlowRecord>,
+        keep: &mut impl FnMut(Ipv4Addr, u16) -> bool,
         strict: bool,
         clean: &mut bool,
-    ) -> Result<(), FlowError> {
+    ) -> Result<usize, FlowError> {
+        let mut decoded = 0;
         for set in sets {
             match set? {
                 Set::Templates(ts) => {
@@ -326,17 +346,23 @@ impl Collector {
                     }
                 }
                 Set::Data { template_id, body } => {
-                    self.decode_data(source, template_id, body, out, strict, clean)?;
+                    let key = (source, template_id);
+                    decoded += self.decode_data(key, body, out, keep, strict, clean)?;
                 }
             }
         }
-        Ok(())
+        Ok(decoded)
     }
 
     /// One legacy NetFlow v5 datagram (fixed format, no templates).
     /// The header's sampling announcement, if present, is recorded under
-    /// the engine id as source.
-    fn feed_v5(&mut self, datagram: &[u8], out: &mut Vec<FlowRecord>) -> Result<usize, FlowError> {
+    /// the engine id as source; `keep` filters the decoded records.
+    fn feed_v5(
+        &mut self,
+        datagram: &[u8],
+        out: &mut Vec<FlowRecord>,
+        keep: &mut impl FnMut(Ipv4Addr, u16) -> bool,
+    ) -> Result<usize, FlowError> {
         self.datagrams_received += 1;
         let mut msg = match v5::decode(datagram) {
             Ok(m) => m,
@@ -353,6 +379,7 @@ impl Collector {
         }
         let decoded = msg.records.len();
         self.records_decoded += decoded as u64;
+        msg.records.retain(|r| keep(r.key.dst, r.key.dport));
         out.append(&mut msg.records);
         Ok(decoded)
     }
@@ -512,17 +539,17 @@ impl Collector {
 
     fn decode_data(
         &mut self,
-        source: u32,
-        template_id: u16,
+        key: (u32, u16),
         body: &[u8],
         out: &mut Vec<FlowRecord>,
+        keep: &mut impl FnMut(Ipv4Addr, u16) -> bool,
         strict: bool,
         clean: &mut bool,
-    ) -> Result<(), FlowError> {
+    ) -> Result<usize, FlowError> {
         // Options data takes priority: options templates and data
         // templates share the ≥256 id space, but an exporter never reuses
         // an id across the two.
-        let key = (source, template_id);
+        let (source, template_id) = key;
         if self.options_templates.contains_key(&key) {
             self.template_hits += 1;
             self.lru_clock += 1;
@@ -537,11 +564,11 @@ impl Collector {
                     Err(_) => {
                         self.malformed_sets += 1;
                         *clean = false;
-                        return Ok(());
+                        return Ok(0);
                     }
                 }
             }
-            return Ok(());
+            return Ok(0);
         }
         match self.templates.get(&key) {
             Some((_, plan)) => {
@@ -554,10 +581,10 @@ impl Collector {
                     self.malformed_sets += 1;
                     *clean = false;
                 }
-                plan.decode_into(body, out);
+                let decoded = plan.decode_into(body, out, keep);
                 self.lru_clock += 1;
                 self.template_lru.insert(key, self.lru_clock);
-                Ok(())
+                Ok(decoded)
             }
             None => {
                 self.dropped_unknown_template += 1;
@@ -565,7 +592,7 @@ impl Collector {
                 if strict {
                     Err(FlowError::UnknownTemplate { source_id: source, template_id })
                 } else {
-                    Ok(())
+                    Ok(0)
                 }
             }
         }

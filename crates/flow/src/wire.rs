@@ -355,28 +355,50 @@ impl DecodePlan {
         self.record_len
     }
 
-    /// Append every record of a data-set body to `out`, returning how
-    /// many. Trailing bytes shorter than one record are the RFC-mandated
-    /// alignment padding and are ignored; a zero-length record decodes
-    /// nothing.
-    pub fn decode_into(&self, body: &[u8], out: &mut Vec<FlowRecord>) -> usize {
+    /// Decode every record of a data-set body, returning how many, and
+    /// append to `out` those whose raw `(dst, dport)` the admission
+    /// predicate `keep` accepts. Only the two key slots are loaded for a
+    /// record `keep` turns away; the full [`FlowRecord`] is built for
+    /// survivors alone. Trailing bytes shorter than one record are the
+    /// RFC-mandated alignment padding and are ignored; a zero-length
+    /// record decodes nothing.
+    pub fn decode_into(
+        &self,
+        body: &[u8],
+        out: &mut Vec<FlowRecord>,
+        mut keep: impl FnMut(Ipv4Addr, u16) -> bool,
+    ) -> usize {
         if self.record_len == 0 {
             return 0;
         }
-        let before = out.len();
-        out.extend(body.chunks_exact(self.record_len).map(|rec| self.decode(rec)));
-        out.len() - before
+        let records = body.chunks_exact(self.record_len);
+        let n = records.len();
+        for (i, rec) in records.enumerate() {
+            let dst = Ipv4Addr::from(self.slots[DST].load(rec) as u32);
+            let dport = self.slots[DPORT].load(rec) as u16;
+            if keep(dst, dport) {
+                // One growth per set at most, as `extend` would: room for
+                // the rest of the set, taken at the first survivor that
+                // needs it, so a set of misses never allocates.
+                if out.len() == out.capacity() {
+                    out.reserve(n - i);
+                }
+                out.push(self.decode(rec, dst, dport));
+            }
+        }
+        n
     }
 
+    /// The rest of a record whose key slots `decode_into` already loaded.
     #[inline(always)]
-    fn decode(&self, rec: &[u8]) -> FlowRecord {
+    fn decode(&self, rec: &[u8], dst: Ipv4Addr, dport: u16) -> FlowRecord {
         let field = |slot: usize| self.slots[slot].load(rec);
         FlowRecord {
             key: FlowKey {
                 src: Ipv4Addr::from(field(SRC) as u32),
-                dst: Ipv4Addr::from(field(DST) as u32),
+                dst,
                 sport: field(SPORT) as u16,
-                dport: field(DPORT) as u16,
+                dport,
                 proto: Proto::from_number(field(PROTO) as u8).unwrap_or(Proto::Tcp),
             },
             packets: field(PKTS),
@@ -557,7 +579,7 @@ impl OptionsTemplate {
 /// the same template compile the plan once instead).
 pub fn decode_records(t: &Template, body: &[u8]) -> Vec<FlowRecord> {
     let mut out = Vec::new();
-    t.plan().decode_into(body, &mut out);
+    t.plan().decode_into(body, &mut out, |_, _| true);
     out
 }
 

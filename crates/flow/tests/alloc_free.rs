@@ -5,7 +5,8 @@
 //! a datagram's worth, `Collector::feed_into` must decode data datagrams
 //! — and the exporter's periodic refresh of the same template — with
 //! **zero** heap allocations, and `Collector::feed` with exactly one: the
-//! `Vec` it returns.
+//! `Vec` it returns. A predicate that rejects every record costs none at
+//! all, into a buffer that never grew.
 //!
 //! This file deliberately holds exactly one `#[test]`: the counter is
 //! process-global, and a concurrently running test would pollute it.
@@ -77,12 +78,12 @@ fn steady_state_decode_does_not_allocate() {
 
     let mut collector = Collector::new();
     let mut out = Vec::new();
-    collector.feed_into(announce, &mut out).unwrap();
+    collector.feed_into(announce, &mut out, |_, _| true).unwrap();
     let mut decoded = out.len();
     let before = ALLOCS.load(Ordering::Relaxed);
     for d in data {
         out.clear();
-        decoded += collector.feed_into(d, &mut out).unwrap();
+        decoded += collector.feed_into(d, &mut out, |_, _| true).unwrap();
     }
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(decoded, recs.len());
@@ -102,4 +103,19 @@ fn steady_state_decode_does_not_allocate() {
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(decoded, DATAGRAMS * PER_DATAGRAM);
     assert_eq!(after - before, DATAGRAMS, "feed allocates the Vec it returns and nothing else");
+
+    // A predicate that turns every record away needs no room for any:
+    // on a warm collector, even an empty, never-grown buffer stays so.
+    let mut collector = Collector::new();
+    collector.feed_into(announce, &mut Vec::new(), |_, _| true).unwrap();
+    let mut out = Vec::new();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let mut decoded = 0;
+    for d in wire.iter().skip(1) {
+        decoded += collector.feed_into(d, &mut out, |_, _| false).unwrap();
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(decoded, DATAGRAMS * PER_DATAGRAM, "rejected records are still decoded");
+    assert!(out.is_empty() && out.capacity() == 0);
+    assert_eq!(after - before, 0, "a reject-all feed_into allocated");
 }

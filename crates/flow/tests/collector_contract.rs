@@ -105,7 +105,8 @@ fn a_bad_last_set_applies_nothing_of_the_message() {
                 0,
                 &[template_set(version, &t), data_set(&t, &records), tail],
             );
-            assert_eq!(collector.feed_into(&bad, &mut out), Err(want.clone()), "v{version}");
+            let fed = collector.feed_into(&bad, &mut out, |_, _| true);
+            assert_eq!(fed, Err(want.clone()), "v{version}");
             assert_eq!(out, recs(1), "out must be left as it was");
             assert_eq!(collector.datagrams_received(), 1);
             assert_eq!(collector.malformed_messages(), 1);
@@ -118,12 +119,12 @@ fn a_bad_last_set_applies_nothing_of_the_message() {
             // is nothing but a bad set leaves behind.
             let mut reference = Collector::new();
             let only_bad = datagram(version, 0, &[set(5, &[])]);
-            assert!(reference.feed_into(&only_bad, &mut Vec::new()).is_err());
+            assert!(reference.feed_into(&only_bad, &mut Vec::new(), |_, _| true).is_err());
             assert_eq!(collector.snapshot(), reference.snapshot(), "v{version} {want:?}");
 
             // The template was not learnt: clean data for it still drops.
             let clean = datagram(version, 0, &[data_set(&t, &records)]);
-            assert_eq!(collector.feed_into(&clean, &mut out), Ok(0));
+            assert_eq!(collector.feed_into(&clean, &mut out, |_, _| true), Ok(0));
             assert_eq!(collector.dropped_unknown_template(), 1);
             assert_eq!(out, recs(1));
         }
@@ -140,7 +141,7 @@ fn feed_is_feed_into_plus_the_vec() {
         let mut b = Collector::new();
         let mut out = recs(1);
         assert_eq!(a.feed(Bytes::from(d.clone())).unwrap(), records);
-        assert_eq!(b.feed_into(&d, &mut out), Ok(3), "appends, and says how many");
+        assert_eq!(b.feed_into(&d, &mut out, |_, _| true), Ok(3), "appends, and says how many");
         assert_eq!(out[1..], records[..]);
         assert_eq!(a.snapshot(), b.snapshot());
     }
@@ -173,13 +174,13 @@ fn restart_flush_drops_the_plan_with_the_template() {
     let mut collector = Collector::new();
     let mut out = Vec::new();
     let first = datagram(9, 0, &[template_set(9, &t), data_set(&t, &records)]);
-    assert_eq!(collector.feed_into(&first, &mut out), Ok(4));
+    assert_eq!(collector.feed_into(&first, &mut out, |_, _| true), Ok(4));
     let second = datagram(9, 4, &[data_set(&t, &records)]);
-    assert_eq!(collector.feed_into(&second, &mut out), Ok(4));
+    assert_eq!(collector.feed_into(&second, &mut out, |_, _| true), Ok(4));
     // The exporter restarts (sequence back to zero) and sends data before
     // re-announcing: the old process's layout must not decode it.
     let after_restart = datagram(9, 0, &[data_set(&t, &records)]);
-    assert_eq!(collector.feed_into(&after_restart, &mut out), Ok(0));
+    assert_eq!(collector.feed_into(&after_restart, &mut out, |_, _| true), Ok(0));
     assert_eq!(collector.restarts_detected(), 1);
     assert_eq!(collector.template_count(), 0);
     assert_eq!(collector.dropped_unknown_template(), 1);
@@ -193,9 +194,10 @@ fn lru_eviction_drops_the_plan_with_the_template() {
     let mut collector = Collector::new().with_template_cache_cap(1);
     let mut out = Vec::new();
     let d = datagram(9, 0, &[template_set(9, &old), data_set(&old, &records)]);
-    assert_eq!(collector.feed_into(&d, &mut out), Ok(2));
+    assert_eq!(collector.feed_into(&d, &mut out, |_, _| true), Ok(2));
     let d = datagram(9, 2, &[template_set(9, &new), data_set(&old, &records), data_set(&new, &records)]);
-    assert_eq!(collector.feed_into(&d, &mut out), Ok(2), "only the surviving template decodes");
+    let fed = collector.feed_into(&d, &mut out, |_, _| true);
+    assert_eq!(fed, Ok(2), "only the surviving template decodes");
     assert_eq!(collector.templates_evicted(), 1);
     assert_eq!(collector.dropped_unknown_template(), 1);
 }
@@ -215,9 +217,9 @@ fn reannouncing_an_id_replaces_its_plan() {
     let mut collector = Collector::new();
     let mut out = Vec::new();
     let d = datagram(9, 0, &[template_set(9, &wide), data_set(&wide, &records)]);
-    assert_eq!(collector.feed_into(&d, &mut out), Ok(3));
+    assert_eq!(collector.feed_into(&d, &mut out, |_, _| true), Ok(3));
     let d = datagram(9, 3, &[template_set(9, &narrow), data_set(&narrow, &records)]);
-    assert_eq!(collector.feed_into(&d, &mut out), Ok(3));
+    assert_eq!(collector.feed_into(&d, &mut out, |_, _| true), Ok(3));
     assert_eq!(out[..3], records[..]);
     assert_eq!(out[3..], records[..], "decoded under the re-announced layout");
 
@@ -225,6 +227,6 @@ fn reannouncing_an_id_replaces_its_plan() {
     let mut restored = Collector::restore(&collector.snapshot()).unwrap();
     out.clear();
     let d = datagram(9, 6, &[data_set(&narrow, &records)]);
-    assert_eq!(restored.feed_into(&d, &mut out), Ok(3));
+    assert_eq!(restored.feed_into(&d, &mut out, |_, _| true), Ok(3));
     assert_eq!(out, records);
 }

@@ -11,6 +11,7 @@
 
 use haystack_flow::chaos::records_subset;
 use haystack_flow::export::{ExportProtocol, Exporter};
+use haystack_flow::netflow_v5 as v5;
 use haystack_flow::{ChaosConfig, ChaosLink, Collector, FlowKey, FlowRecord, TcpFlags};
 use haystack_net::ports::Proto;
 use haystack_net::SimTime;
@@ -163,7 +164,7 @@ proptest! {
         let mut buf = Vec::new();
         for d in delivered {
             buf.clear();
-            let fed = by_buf.feed_into(&d, &mut buf);
+            let fed = by_buf.feed_into(&d, &mut buf, |_, _| true);
             from_buf.extend_from_slice(&buf);
             match by_vec.feed(d) {
                 Ok(rs) => {
@@ -178,6 +179,72 @@ proptest! {
         }
         prop_assert_eq!(from_vec, from_buf);
         prop_assert_eq!(by_vec.snapshot(), by_buf.snapshot());
+    }
+
+    /// The admission predicate filters `out` and nothing else: over v5,
+    /// v9 and IPFIX streams under loss, reordering, duplication,
+    /// corruption and restarts, a collector fed through a random `keep`
+    /// reports the same counts as one fed `|_, _| true`, appends exactly
+    /// the kept subsequence in order, and ends with byte-identical state
+    /// and per-source books.
+    #[test]
+    fn admission_predicate_filters_only_what_reaches_out(
+        records in prop::collection::vec(arb_record(), 0..120),
+        chaos in arb_chaos(),
+        protocol in prop_oneof![
+            Just(None),
+            Just(Some(ExportProtocol::NetflowV9)),
+            Just(Some(ExportProtocol::Ipfix)),
+        ],
+        batch in 1usize..40,
+        eighths in 0u32..=8,
+        salt in any::<u32>(),
+    ) {
+        // Keeps about `eighths`/8 of the keys: none, all, or a hashed share.
+        let keep = |dst: Ipv4Addr, port: u16| {
+            (u32::from(dst) ^ (u32::from(port) << 7) ^ salt).wrapping_mul(0x9E37_79B1) >> 29
+                < eighths
+        };
+        let mut link = ChaosLink::new(chaos);
+        let mut delivered = Vec::new();
+        match protocol {
+            Some(protocol) => {
+                let mut exporter = Exporter::new(protocol, 7).with_batch_size(batch);
+                for (hour, chunk) in records.chunks(37.max(batch)).enumerate() {
+                    let msgs = exporter.export(chunk, 100 + hour as u32).unwrap();
+                    delivered.extend(link.transmit_all(msgs));
+                }
+            }
+            None => {
+                let msgs: Vec<_> = records
+                    .chunks(batch.min(30))
+                    .enumerate()
+                    .map(|(i, chunk)| {
+                        let sequence = (i * batch.min(30)) as u32;
+                        let header = v5::V5Header { sequence, engine: 7, ..Default::default() }
+                            .with_sampling_interval(100);
+                        v5::encode(&header, chunk).unwrap()
+                    })
+                    .collect();
+                delivered.extend(link.transmit_all(msgs));
+            }
+        }
+        delivered.extend(link.shutdown());
+
+        let (mut all, mut gated) = (Collector::new(), Collector::new());
+        let (mut from_all, mut from_gated) = (Vec::new(), Vec::new());
+        for d in &delivered {
+            let fed_all = all.feed_into(d, &mut from_all, |_, _| true);
+            let fed_gated = gated.feed_into(d, &mut from_gated, keep);
+            prop_assert_eq!(fed_gated, fed_all);
+        }
+        let kept: Vec<FlowRecord> =
+            from_all.iter().filter(|r| keep(r.key.dst, r.key.dport)).copied().collect();
+        prop_assert_eq!(from_gated, kept);
+        prop_assert_eq!(gated.records_decoded(), all.records_decoded());
+        prop_assert_eq!(gated.source_healths(), all.source_healths());
+        prop_assert_eq!(gated.source_stats(7), all.source_stats(7));
+        prop_assert_eq!(gated.snapshot(), all.snapshot());
     }
 
     #[test]

@@ -102,11 +102,12 @@ fn hostile_templates_decode_nothing() {
         t.validate().unwrap();
         let body = [0xA5u8; 37];
         let mut out = Vec::new();
-        assert_eq!(t.plan().decode_into(&body, &mut out), 0, "template {}", t.id);
+        assert_eq!(t.plan().decode_into(&body, &mut out, |_, _| true), 0, "template {}", t.id);
         assert_eq!(wire::decode_records(&t, &body), vec![]);
         for version in [9, 10] {
             let mut collector = Collector::new();
-            let fed = collector.feed_into(&announce_and_data(version, &t, &body), &mut out);
+            let datagram = announce_and_data(version, &t, &body);
+            let fed = collector.feed_into(&datagram, &mut out, |_, _| true);
             assert_eq!(fed, Ok(0), "template {} over version {version}", t.id);
             assert_eq!(collector.template_count(), 1);
         }
@@ -138,13 +139,14 @@ proptest! {
             .collect();
 
         let mut out = Vec::new();
-        prop_assert_eq!(t.plan().decode_into(&body, &mut out), expected.len());
+        prop_assert_eq!(t.plan().decode_into(&body, &mut out, |_, _| true), expected.len());
         prop_assert_eq!(&out, &expected);
 
         for version in [9, 10] {
             let mut collector = Collector::new();
             out.clear();
-            let fed = collector.feed_into(&announce_and_data(version, &t, &body), &mut out);
+            let datagram = announce_and_data(version, &t, &body);
+            let fed = collector.feed_into(&datagram, &mut out, |_, _| true);
             prop_assert_eq!(fed, Ok(expected.len()));
             prop_assert_eq!(&out, &expected);
             prop_assert_eq!(collector.records_decoded(), expected.len() as u64);

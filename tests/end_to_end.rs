@@ -473,7 +473,7 @@ fn exported_records_decode_alike_through_feed_into_and_feed() {
         let (mut buf, mut from_buf, mut from_vec) = (Vec::new(), Vec::new(), Vec::new());
         for datagram in wire {
             buf.clear();
-            let decoded = by_buf.feed_into(&datagram, &mut buf).unwrap();
+            let decoded = by_buf.feed_into(&datagram, &mut buf, |_, _| true).unwrap();
             assert_eq!(decoded, buf.len());
             from_buf.extend(buf.iter().map(|r| WildRecord::from_flow(r, &anon)));
             from_vec.extend(by_vec.feed(datagram).unwrap());
