@@ -1,8 +1,8 @@
-//! Baseline comparison (§8): the traffic-feature classifier of [34] vs
+//! Baseline comparison (§8): the traffic-feature classifier of \[34\] vs
 //! the paper's destination-signature method, on identical data.
 //!
 //! Protocol: train the feature baseline per device class on Home-VP idle
-//! captures (full packets — [34]'s setting), then evaluate per
+//! captures (full packets — \[34\]'s setting), then evaluate per
 //! (device, hour) classification on (a) held-out full captures and
 //! (b) the ISP's 1/1000-sampled view of the same hours. The signature
 //! method's numbers come from the §5 crosscheck on the same sampled

@@ -912,7 +912,7 @@ mod tests {
     use haystack_flow::export::{ExportProtocol, Exporter};
     use haystack_flow::{FlowKey, TcpFlags};
     use haystack_net::ports::Proto;
-    use haystack_net::SimTime;
+    use haystack_net::{AnonId, SimTime};
     use haystack_testbed::catalog::DetectionLevel;
     use std::net::Ipv4Addr;
 
@@ -1011,7 +1011,7 @@ mod tests {
     /// rejects at decode changes no answer: the gated engine and one fed
     /// through `|_, _| true` end byte-identical in every book but
     /// `parse_rejected`, and both detect what the reference detector
-    /// detects.
+    /// detects and answer every line's `/line` query as it does.
     #[test]
     fn gated_ingest_equals_ungated_ingest_on_fingerprint_colliders() {
         let rules = rules();
@@ -1062,6 +1062,21 @@ mod tests {
             }
         }
         assert!(detected > 0, "the stream must detect something");
+        // `/line`'s query: every line of the stream, every class in rule
+        // order, as the reference answers it.
+        let lines: std::collections::BTreeSet<AnonId> =
+            flows.iter().map(|r| WildRecord::from_flow(r, &anon).line).collect();
+        for line in lines {
+            let want: Vec<(bool, f64)> = rules
+                .rules
+                .iter()
+                .map(|r| rules.class_name(r.class))
+                .map(|c| (reference.is_detected(line, c), reference.confidence(line, c)))
+                .collect();
+            for engine in [&mut gated, &mut ungated] {
+                assert_eq!(engine.pool.line_verdicts(line).unwrap(), want, "{line:?}");
+            }
+        }
         assert!(!gated.usage.active_lines("Cam").is_empty(), "usage must light up");
         gated.pool.finish().unwrap();
         ungated.pool.finish().unwrap();

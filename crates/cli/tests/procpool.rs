@@ -122,6 +122,22 @@ fn detections(rules: &RuleSet, mut query: impl FnMut(&str) -> Vec<AnonId>) -> Ve
         .collect()
 }
 
+/// The oracle's `(is_detected, confidence)` for `line`, per rule in
+/// rule order: what `DetectorPool::line_verdicts` must answer.
+fn oracle_verdicts(rules: &RuleSet, oracle: &ReferenceDetector, line: AnonId) -> Vec<(bool, f64)> {
+    rules
+        .rules
+        .iter()
+        .map(|r| rules.class_name(r.class))
+        .map(|c| (oracle.is_detected(line, c), oracle.confidence(line, c)))
+        .collect()
+}
+
+/// (line, rule) entries held across the pool's shards.
+fn entries(pool: &mut DetectorPool) -> usize {
+    pool.shard_states().expect("states").iter().map(DetectorState::entry_count).sum()
+}
+
 proptest! {
     // Each case spawns real child processes, so the case budget is
     // deliberately small; the record/chunk/worker space still varies
@@ -170,20 +186,16 @@ proptest! {
         let by_oracle = detections(&rules, |c| oracle.detected_lines(c));
         prop_assert_eq!(&by_proc, &by_thread, "process vs thread pool diverge");
         prop_assert_eq!(&by_proc, &by_oracle, "process pool vs reference diverge");
-        prop_assert_eq!(
-            proc_pool.state_size().expect("proc state size"),
-            oracle.state_size()
-        );
 
-        // Per-line verdicts and confidences agree too.
-        for r in &rules.rules {
-            let class = rules.class_name(r.class);
-            for line in by_oracle.iter().flatten().take(8) {
-                prop_assert!(proc_pool.is_detected(*line, class).expect("is_detected")
-                    == oracle.is_detected(*line, class)
-                    || !by_oracle[rules.rule_index(class).unwrap()].contains(line));
-            }
+        // Per-line verdicts and confidences agree too, on every line of
+        // the feed's universe, detected or not.
+        for line in (0..40).map(AnonId) {
+            let want = oracle_verdicts(&rules, &oracle, line);
+            prop_assert_eq!(&proc_pool.line_verdicts(line).expect("proc verdicts"), &want);
+            prop_assert_eq!(&thread_pool.line_verdicts(line).expect("thread verdicts"), &want);
         }
+        prop_assert_eq!(entries(&mut proc_pool), oracle.state_size());
+        prop_assert_eq!(entries(&mut thread_pool), oracle.state_size());
     }
 
     /// SIGKILL of one worker mid-stream changes nothing observable:
@@ -207,12 +219,17 @@ proptest! {
         let mut proc_pool = process_shards(&rules, config, workers);
         let mut thread_pool =
             DetectorPool::new(&rules, &HitList::whole_window(&rules), config, 2);
+        let mut oracle =
+            ReferenceDetector::new(&rules, MapHitList::whole_window(&rules), config);
         for (i, chunk) in chunks.iter().enumerate() {
             if i == kill_at {
                 proc_pool.kill_shard(victim).expect("SIGKILL");
             }
             proc_pool.observe_records(chunk).expect("proc observe");
             thread_pool.observe_records(chunk).expect("thread observe");
+            for r in *chunk {
+                oracle.observe_wild(r);
+            }
         }
         if kill_at >= chunks.len() {
             // The kill landed after the last chunk; deliver it anyway so
@@ -239,10 +256,15 @@ proptest! {
                 .map(|e| ndjson_line(&rules, e, None))
                 .collect();
         prop_assert_eq!(proc_events, thread_events, "SIGKILL changed the event stream");
-        prop_assert_eq!(
-            proc_pool.state_size().expect("proc size"),
-            thread_pool.state_size().expect("thread size")
-        );
+        for line in (0..40).map(AnonId) {
+            prop_assert_eq!(
+                proc_pool.line_verdicts(line).expect("proc verdicts"),
+                oracle_verdicts(&rules, &oracle, line),
+                "SIGKILL changed line {:?}'s verdicts", line
+            );
+        }
+        prop_assert_eq!(entries(&mut proc_pool), entries(&mut thread_pool));
+        prop_assert_eq!(entries(&mut proc_pool), oracle.state_size());
     }
 }
 
@@ -275,7 +297,7 @@ fn crash_loop_trips_breaker_then_operator_reset_recovers() {
     for death in 1..=3 {
         pool.kill_shard(0).expect("SIGKILL");
         // Any synchronous request notices the death and heals (or trips).
-        let _ = pool.state_size();
+        let _ = pool.finish();
         if pool.shard_status()[0].status == ShardStatus::Degraded {
             tripped_after = Some(death);
             break;
@@ -308,10 +330,16 @@ fn crash_loop_trips_breaker_then_operator_reset_recovers() {
         clean.detected_lines(CLASSES[0]).expect("clean query"),
         "recovered pool diverges from a never-degraded run"
     );
-    assert_eq!(
-        pool.state_size().expect("recovered size"),
-        clean.state_size().expect("clean size")
-    );
+    let mut oracle = ReferenceDetector::new(&rules, MapHitList::whole_window(&rules), config);
+    for r in pre.iter().chain(&post) {
+        oracle.observe_wild(r);
+    }
+    for line in (0..16).map(AnonId) {
+        let want = oracle_verdicts(&rules, &oracle, line);
+        assert_eq!(pool.line_verdicts(line).expect("recovered verdicts"), want, "{line:?}");
+    }
+    assert_eq!(entries(&mut pool), entries(&mut clean));
+    assert_eq!(entries(&mut pool), oracle.state_size());
 }
 
 /// One supervisor, two links: the same record feed and the same
@@ -376,7 +404,7 @@ fn transport_parity_same_feed_and_kill_schedule_give_identical_books() {
             let mut deaths = 1;
             while pool.shard_status()[victim].status != ShardStatus::Degraded {
                 pool.kill_shard(victim).expect("kill");
-                let _ = pool.state_size();
+                let _ = pool.finish();
                 deaths += 1;
                 assert!(deaths <= 3, "{link}: breaker must trip on the 3rd fast death");
             }
@@ -398,22 +426,47 @@ fn transport_parity_same_feed_and_kill_schedule_give_identical_books() {
             pool.observe_records(&after).expect("observe");
             pool.finish().expect("finish");
             rows.push(pool.shard_status());
-            let states: Vec<Vec<u8>> =
-                pool.shard_states().expect("states").iter().map(|s| s.encode()).collect();
+            let shard_states = pool.shard_states().expect("states");
+            let states: Vec<Vec<u8>> = shard_states.iter().map(|s| s.encode()).collect();
             let found = detections(&rules, |c| pool.detected_lines(c).expect("query"));
             assert!(found.iter().any(|lines| !lines.is_empty()), "{link}: nothing detected");
-            // One round trip per line answers what two per class do.
+
+            // The oracle sees what the pool kept: every record except
+            // the victim's `during` records past its degraded queue,
+            // which holds the oldest. `before` leaves evidence on all 40
+            // lines, so the victim's state names the lines it owns.
+            let victim_lines: Vec<AnonId> =
+                shard_states[victim].rules.iter().flatten().map(|e| e.line).collect();
+            let owned: usize = shard_states
+                .iter()
+                .map(|s| {
+                    let mut lines: Vec<AnonId> = s.rules.iter().flatten().map(|e| e.line).collect();
+                    lines.sort_unstable();
+                    lines.dedup();
+                    lines.len()
+                })
+                .sum();
+            assert_eq!(owned, 40, "{link}: every line owned by exactly one shard");
+            let mut room = rows[2][victim].queued;
+            let kept = during.iter().filter(|r| {
+                if !victim_lines.contains(&r.line) {
+                    return true;
+                }
+                let keep = room > 0;
+                room = room.saturating_sub(1);
+                keep
+            });
+            let mut oracle =
+                ReferenceDetector::new(&rules, MapHitList::whole_window(&rules), config);
+            for r in before.iter().chain(kept).chain(&after) {
+                oracle.observe_wild(r);
+            }
+            assert!(merged(&shard_states).encode() == oracle.export_state().encode(), "{link}");
             let verdicts: Vec<Vec<(bool, f64)>> = (0..40)
                 .map(|line| pool.line_verdicts(AnonId(line)).expect("line verdicts"))
                 .collect();
-            for (line, all) in (0..40).map(AnonId).zip(&verdicts) {
-                let by_class: Vec<(bool, f64)> = rules
-                    .rules
-                    .iter()
-                    .map(|r| rules.class_name(r.class))
-                    .map(|c| (pool.is_detected(line, c).unwrap(), pool.confidence(line, c).unwrap()))
-                    .collect();
-                assert_eq!(all, &by_class, "{link}: line {line:?}");
+            for (line, got) in (0..40).map(AnonId).zip(&verdicts) {
+                assert_eq!(got, &oracle_verdicts(&rules, &oracle, line), "{link}: line {line:?}");
             }
             assert!(verdicts.iter().flatten().any(|v| v.0), "{link}: no line detected");
             books.push((rows, states, found, verdicts));
@@ -506,7 +559,7 @@ fn feeder_gate_on_process_shards_equals_reference_on_colliders_and_misses() {
         let mut pool = process_shards(&rules, config, workers);
         pool.observe_records(&colliding).expect("observe colliders");
         pool.finish().expect("finish");
-        assert_eq!(pool.state_size().expect("state size"), 0, "{workers} workers: collider state");
+        assert_eq!(entries(&mut pool), 0, "{workers} workers: collider state");
 
         for chunk in feed.chunks(777) {
             pool.observe_records(chunk).expect("observe");
@@ -516,6 +569,10 @@ fn feeder_gate_on_process_shards_equals_reference_on_colliders_and_misses() {
         assert_eq!(by_proc, by_oracle, "{workers} workers: detections");
         let states = pool.shard_states().expect("states");
         assert!(merged(&states).encode() == want, "{workers} workers: state bytes diverge");
+        for line in (0..31).map(AnonId) {
+            let want = oracle_verdicts(&rules, &oracle, line);
+            assert_eq!(pool.line_verdicts(line).expect("verdicts"), want, "{workers}: {line:?}");
+        }
     }
 }
 

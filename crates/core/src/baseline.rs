@@ -1,7 +1,7 @@
 //! The baseline the paper argues against (§8): traffic-feature device
-//! classification in the style of Sivanathan et al. [34].
+//! classification in the style of Sivanathan et al. \[34\].
 //!
-//! [34] trains a classifier on per-device traffic characteristics (volume,
+//! \[34\] trains a classifier on per-device traffic characteristics (volume,
 //! packet sizes, port mix, endpoint counts) from **full packet captures**.
 //! The paper's §8 point is that such features do not survive an ISP's
 //! reality — "neither data from core networks subject to sampling … are

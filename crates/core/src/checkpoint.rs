@@ -11,14 +11,16 @@
 //!   the staleness monitor's decayed baselines, each encodable as one
 //!   checksummed [`haystack_net::snapshot`] frame. Baselines travel as
 //!   raw IEEE-754 bits, so a restore replays *bit-identical* float state.
-//! * **Delta codecs** — [`DetectorDelta`], [`UsageDelta`],
-//!   [`StalenessDelta`]: the *dirty* subset of a component's state —
-//!   every (rule, line) entry mutated since the previous snapshot,
-//!   carried as absolute-value upserts. Applying a delta onto a base
-//!   state replaces matching entries and inserts new ones, so deltas are
-//!   idempotent and over-inclusion is harmless. [`DetectorSnapshot`]
-//!   wraps either shape for paths (the supervised pool) that decide
-//!   full-vs-delta per shard at snapshot time.
+//! * **Delta codec** — [`DetectorDelta`]: the *dirty* subset of the
+//!   detector's state — every (rule, line) entry mutated since the
+//!   previous snapshot, carried as absolute-value upserts. Applying a
+//!   delta onto a base state replaces matching entries and inserts new
+//!   ones, so deltas are idempotent and over-inclusion is harmless.
+//!   [`DetectorSnapshot`] wraps either shape for paths (the supervised
+//!   pool) that decide full-vs-delta per shard at snapshot time. Only
+//!   the detector's evidence grows with subscriber lines; the usage
+//!   window (one hour) and the staleness counters (rules × domains)
+//!   are always checkpointed whole.
 //! * **[`CheckpointDir`]** — generation-numbered snapshot files written
 //!   atomically (temp file + fsync + rename + directory fsync) on a
 //!   caller-chosen cadence, pruned to a bounded number of generations.
@@ -147,10 +149,12 @@ pub struct LineEvidence {
 
 /// The detector's full evidence state: one sorted entry list per rule.
 ///
-/// Exported by [`Detector::export_state`](crate::detector::Detector::
-/// export_state), restored by [`Detector::restore_state`](crate::
-/// detector::Detector::restore_state). Entries are sorted by line, so
-/// equal detectors export byte-identical frames.
+/// Exported by [`Detector::export_state`] and restored by
+/// [`Detector::restore_state`]. Entries are sorted by line, so equal
+/// detectors export byte-identical frames.
+///
+/// [`Detector::export_state`]: crate::detector::Detector::export_state
+/// [`Detector::restore_state`]: crate::detector::Detector::restore_state
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DetectorState {
     /// Per-rule entries, indexed like `RuleSet::rules`.
@@ -496,152 +500,6 @@ impl DetectorSnapshot {
             }
             DetectorSnapshot::Delta(d) => d.apply(base),
         }
-    }
-}
-
-/// The usage tracker's dirty subset: per-rule (line, packets) upserts
-/// plus indicator lines newly set since the previous snapshot. The hour
-/// window only grows between resets (a reset forces the next snapshot
-/// full), so upserts + inserts cover every mutation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UsageDelta {
-    /// Per-rule (line, absolute sampled packets) upserts, sorted by line.
-    pub packets: Vec<Vec<(AnonId, u64)>>,
-    /// Per-rule indicator lines set since the previous snapshot, sorted.
-    pub indicator: Vec<Vec<AnonId>>,
-}
-
-impl UsageDelta {
-    /// Frame magic of a usage-delta snapshot.
-    pub const MAGIC: &'static [u8; MAGIC_LEN] = b"HAYUSGD\0";
-    /// Snapshot format version this build writes and reads.
-    pub const VERSION: u32 = 1;
-
-    /// Seal the delta as one checksummed frame.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.put_u64(self.packets.len() as u64);
-        for entries in &self.packets {
-            w.put_u64(entries.len() as u64);
-            for (line, pkts) in entries {
-                w.put_u64(line.0);
-                w.put_u64(*pkts);
-            }
-        }
-        w.put_u64(self.indicator.len() as u64);
-        for lines in &self.indicator {
-            w.put_u64(lines.len() as u64);
-            for line in lines {
-                w.put_u64(line.0);
-            }
-        }
-        seal(Self::MAGIC, Self::VERSION, &w.into_bytes())
-    }
-
-    /// Decode a frame produced by [`UsageDelta::encode`].
-    pub fn decode(frame: &[u8]) -> Result<UsageDelta, SnapError> {
-        let payload = open(Self::MAGIC, Self::VERSION, frame)?;
-        let mut r = SnapReader::new(payload);
-        let nrules = r.count(8)?;
-        let mut packets = Vec::with_capacity(nrules);
-        for _ in 0..nrules {
-            let n = r.count(16)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push((AnonId(r.u64()?), r.u64()?));
-            }
-            packets.push(entries);
-        }
-        let nrules = r.count(8)?;
-        let mut indicator = Vec::with_capacity(nrules);
-        for _ in 0..nrules {
-            let n = r.count(8)?;
-            let mut lines = Vec::with_capacity(n);
-            for _ in 0..n {
-                lines.push(AnonId(r.u64()?));
-            }
-            indicator.push(lines);
-        }
-        if r.remaining() != 0 {
-            return Err(SnapError::Malformed("trailing bytes"));
-        }
-        Ok(UsageDelta { packets, indicator })
-    }
-
-    /// Apply the delta's upserts onto `state`.
-    pub fn apply(&self, state: &mut UsageState) -> Result<(), CheckpointError> {
-        if state.packets.len() != self.packets.len()
-            || state.indicator.len() != self.indicator.len()
-        {
-            return Err(CheckpointError::StateMismatch("delta rule count"));
-        }
-        for (base, upserts) in state.packets.iter_mut().zip(&self.packets) {
-            merge_upserts(base, upserts, |&(line, _)| line);
-        }
-        for (base, inserts) in state.indicator.iter_mut().zip(&self.indicator) {
-            merge_upserts(base, inserts, |&line| line);
-        }
-        Ok(())
-    }
-
-    /// Total upserts carried (packet entries + indicator inserts).
-    pub fn entry_count(&self) -> usize {
-        self.packets.iter().map(Vec::len).sum::<usize>()
-            + self.indicator.iter().map(Vec::len).sum::<usize>()
-    }
-}
-
-/// The staleness monitor's dirty subset: today's (rule, domain) packet
-/// counters touched since the previous snapshot. Baselines and the day
-/// count change only at `end_of_day`, which forces the next snapshot
-/// full, so a delta never carries them.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StalenessDelta {
-    /// Sorted ((rule, domain), today's absolute matched packets).
-    pub today: Vec<((u16, u16), u64)>,
-}
-
-impl StalenessDelta {
-    /// Frame magic of a staleness-delta snapshot.
-    pub const MAGIC: &'static [u8; MAGIC_LEN] = b"HAYSTLD\0";
-    /// Snapshot format version this build writes and reads.
-    pub const VERSION: u32 = 1;
-
-    /// Seal the delta as one checksummed frame.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.put_u64(self.today.len() as u64);
-        for ((ri, di), pkts) in &self.today {
-            w.put_u16(*ri);
-            w.put_u16(*di);
-            w.put_u64(*pkts);
-        }
-        seal(Self::MAGIC, Self::VERSION, &w.into_bytes())
-    }
-
-    /// Decode a frame produced by [`StalenessDelta::encode`].
-    pub fn decode(frame: &[u8]) -> Result<StalenessDelta, SnapError> {
-        let payload = open(Self::MAGIC, Self::VERSION, frame)?;
-        let mut r = SnapReader::new(payload);
-        let n = r.count(12)?;
-        let mut today = Vec::with_capacity(n);
-        for _ in 0..n {
-            today.push(((r.u16()?, r.u16()?), r.u64()?));
-        }
-        if r.remaining() != 0 {
-            return Err(SnapError::Malformed("trailing bytes"));
-        }
-        Ok(StalenessDelta { today })
-    }
-
-    /// Apply the delta's upserts onto `state`.
-    pub fn apply(&self, state: &mut StalenessState) {
-        merge_upserts(&mut state.today, &self.today, |&(key, _)| key);
-    }
-
-    /// Total (rule, domain) upserts carried.
-    pub fn entry_count(&self) -> usize {
-        self.today.len()
     }
 }
 
@@ -1152,39 +1010,6 @@ mod tests {
         assert_eq!(DetectorSnapshot::decode(&delta.encode()).unwrap(), delta);
         assert!(full.is_full());
         assert!(!delta.is_full());
-    }
-
-    #[test]
-    fn usage_delta_applies_packet_upserts_and_indicator_inserts() {
-        let mut base = UsageState {
-            packets: vec![vec![(AnonId(1), 12), (AnonId(2), 1)], vec![]],
-            indicator: vec![vec![AnonId(2)], vec![]],
-        };
-        let delta = UsageDelta {
-            packets: vec![vec![(AnonId(2), 9), (AnonId(3), 4)], vec![(AnonId(7), 1)]],
-            indicator: vec![vec![AnonId(1), AnonId(2)], vec![]],
-        };
-        assert_eq!(UsageDelta::decode(&delta.encode()).unwrap(), delta);
-        assert_eq!(delta.entry_count(), 5);
-        delta.apply(&mut base).unwrap();
-        assert_eq!(base.packets[0], vec![(AnonId(1), 12), (AnonId(2), 9), (AnonId(3), 4)]);
-        assert_eq!(base.packets[1], vec![(AnonId(7), 1)]);
-        assert_eq!(base.indicator[0], vec![AnonId(1), AnonId(2)]);
-    }
-
-    #[test]
-    fn staleness_delta_applies_today_upserts_only() {
-        let mut base = StalenessState {
-            today: vec![((0, 0), 42), ((0, 1), 3)],
-            baseline: vec![((0, 0), 0.5)],
-            days_seen: 4,
-        };
-        let delta = StalenessDelta { today: vec![((0, 1), 8), ((1, 0), 2)] };
-        assert_eq!(StalenessDelta::decode(&delta.encode()).unwrap(), delta);
-        delta.apply(&mut base);
-        assert_eq!(base.today, vec![((0, 0), 42), ((0, 1), 8), ((1, 0), 2)]);
-        assert_eq!(base.baseline, vec![((0, 0), 0.5)]);
-        assert_eq!(base.days_seen, 4);
     }
 
     fn one_entry(line: u64, mask: u64) -> DetectorState {

@@ -18,7 +18,7 @@
 //! rule* (`Vec<FastMap<AnonId, LineState>>`, FxHash-keyed) rather than a
 //! SipHash'd map keyed by `(line, rule)` tuples. That makes
 //! [`Detector::observe`] allocation-free — the compiled
-//! [`HitList`](crate::hitlist::HitList) slice and the state maps live in
+//! [`HitList`] slice and the state maps live in
 //! disjoint fields, so no defensive clone is needed — and lets
 //! [`Detector::detected_lines`] walk only the queried rule's map instead
 //! of scanning every (line, rule) pair. Ancestor chains and class → rule

@@ -25,7 +25,7 @@
 //! 11. [`pipeline`] — end-to-end orchestration and the §4 funnel counts.
 //!
 //! Supporting systems around the pipeline: [`parallel`] (sharded
-//! multi-core detection), [`fasthash`] (the hot-path hasher), [`reference`]
+//! multi-core detection), [`fasthash`] (the hot-path hasher), [`reference`](mod@reference)
 //! (the pre-optimization detector kept as the equivalence oracle),
 //! [`mitigation`] (§7.2 block/redirect/notify), [`dns_assisted`] (§7.4's
 //! resolver-log variant), [`staleness`] (§7.3 rule-health monitoring),
@@ -76,7 +76,7 @@ pub mod visibility;
 
 pub use checkpoint::{
     CheckpointDir, CheckpointError, DetectorDelta, DetectorSnapshot, DetectorState,
-    StalenessDelta, StalenessState, UsageDelta, UsageState,
+    StalenessState, UsageState,
 };
 pub use classes::{ClassId, ClassTable};
 pub use crosscheck::{GroundTruthVantage, HOME_LINE};

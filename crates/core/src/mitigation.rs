@@ -80,7 +80,7 @@ pub fn block_plan(
     Some(BlockPlan { class, day, targets, action })
 }
 
-/// The owner-notification list (§7.2 / [31]): lines where the class is
+/// The owner-notification list (§7.2 / \[31\]): lines where the class is
 /// currently detected.
 #[derive(Debug, Clone)]
 pub struct NotificationList {

@@ -19,7 +19,7 @@
 //! lines, so any worker count produces the same detections.
 //!
 //! **Gate once, in the feeder** (DESIGN.md §9, §10). The feeder runs the
-//! fingerprint gate ([`gate::gate_block`]) over every caller chunk
+//! fingerprint gate (`gate::gate_block`) over every caller chunk
 //! against the pool's own hitlist — the one every shard detects with —
 //! and only *survivors* are routed, staged, retained for replay and
 //! shipped. A proven miss (~98 % of the paper's sampled regime) is never
@@ -35,14 +35,14 @@
 //! policy and all books — staging, batch retention for replay, the
 //! deferred delta fold, backoff and the crash-loop breaker, the degraded
 //! queue and its shed counts, auto-checkpoints, heal-and-retry, status
-//! rows. It talks to each shard through the private [`Link`] seam, which
+//! rows. It talks to each shard through the private `Link` seam, which
 //! captures only what differs between a worker *thread* and a worker
-//! *process*: how a `(seq, `[`Request`]`)` reaches the worker, how a
-//! `(seq, `[`Reply`]`)` comes back, and how the worker is spawned,
-//! noticed dead, and killed. [`ThreadLink`] (here) moves requests over
+//! *process*: how a `(seq, Request)` reaches the worker, how a
+//! `(seq, Reply)` comes back, and how the worker is spawned,
+//! noticed dead, and killed. `ThreadLink` (here) moves requests over
 //! an in-process channel; [`crate::procpool`] holds the child-process
 //! link, which moves the same requests as HAYPROC frames over a pipe.
-//! Both workers run the same [`serve_shard`] loop.
+//! Both workers run the same `serve_shard` loop.
 //!
 //! **Crash safety.** A thread worker runs under `catch_unwind`: a shard
 //! that panics surfaces as a typed [`PoolError`] carrying the shard id
@@ -63,7 +63,7 @@ use crate::hitlist::HitList;
 use crate::procpool::ProcLink;
 use crate::rules::RuleSet;
 use crate::telemetry::{self, Counter, Gauge, Histogram, HotStats, HotStatsCounters, Scope};
-use haystack_net::{AnonId, HourBin};
+use haystack_net::AnonId;
 use haystack_wild::{RecordChunk, RecordStream, WildRecord};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -399,17 +399,9 @@ pub(crate) enum Request {
     Stall(Duration),
     /// All detected lines for a class on this shard.
     DetectedLines(String),
-    /// Whether the class is detected for a line owned by this shard.
-    IsDetected(AnonId, String),
-    /// Graded confidence for (line, class) on the owning shard.
-    Confidence(AnonId, String),
-    /// First hour the gated detection held, on the owning shard.
-    FirstDetection(AnonId, String),
-    /// `IsDetected` and `Confidence` for every rule at once, for a line
+    /// `(is_detected, confidence)` for every rule at once, for a line
     /// owned by this shard: one round trip for a whole `/line` answer.
     LineVerdicts(AnonId),
-    /// (line, rule) states held by this shard.
-    StateSize,
     /// Leave the loop cleanly (a closed link means the same).
     Shutdown,
 }
@@ -425,14 +417,6 @@ pub(crate) enum Reply {
     Snap(DetectorSnapshot),
     /// `DetectedLines`.
     Lines(Vec<AnonId>),
-    /// `IsDetected`.
-    Bool(bool),
-    /// `Confidence`.
-    F64(f64),
-    /// `FirstDetection`.
-    First(Option<HourBin>),
-    /// `StateSize`.
-    Usize(usize),
     /// `LineVerdicts`: `(detected, confidence)` per rule, in rule order.
     Verdicts(Vec<(bool, f64)>),
 }
@@ -581,19 +565,15 @@ fn serve_request(det: &mut Detector<'_>, req: Request) -> Result<Option<Reply>, 
         Request::Snapshot => Reply::State(det.export_state()),
         Request::SnapshotDelta => Reply::Snap(det.take_snapshot_delta()),
         Request::DetectedLines(class) => Reply::Lines(det.detected_lines(&class)),
-        Request::IsDetected(line, class) => Reply::Bool(det.is_detected(line, &class)),
-        Request::Confidence(line, class) => Reply::F64(det.confidence(line, &class)),
-        Request::FirstDetection(line, class) => Reply::First(det.first_detection(line, &class)),
         Request::LineVerdicts(line) => {
-            // By class name, as `IsDetected` / `Confidence` resolve it, so
-            // the answers are theirs bit for bit.
+            // By class name, as `Detector::is_detected` / `confidence`
+            // resolve it, so the answers are theirs bit for bit.
             let rules = det.rules();
             let classes = rules.rules.iter().map(|r| rules.class_name(r.class));
             Reply::Verdicts(
                 classes.map(|c| (det.is_detected(line, c), det.confidence(line, c))).collect(),
             )
         }
-        Request::StateSize => Reply::Usize(det.state_size()),
         Request::Init { .. }
         | Request::SetRules { .. }
         | Request::Telemetry(_)
@@ -1490,7 +1470,7 @@ impl DetectorPool {
     }
 
     /// Observe records: gated against the pool's hitlist one
-    /// [`SOA_BLOCK`] at a time, survivors partitioned to shards and
+    /// `SOA_BLOCK` at a time, survivors partitioned to shards and
     /// shipped as buffers fill. A proven miss is counted
     /// (`gate_rejected`) and dropped right here.
     pub fn observe_records(&mut self, records: &[WildRecord]) -> Result<(), PoolError> {
@@ -1846,7 +1826,7 @@ impl DetectorPool {
     /// shard's evidence is exported (covering every record fed so far),
     /// migrated to the new rule set by class/domain name
     /// ([`crate::pack::migrate_detector_state`]), and shipped back with
-    /// the new rules in one [`Request::SetRules`] — so unchanged rules
+    /// the new rules in one `Request::SetRules` — so unchanged rules
     /// lose no evidence, removed rules vanish, added rules start empty,
     /// and a supervised replay never crosses the swap. The feeder gates
     /// with the new hitlist from here on — on a process pool that is
@@ -1938,69 +1918,17 @@ impl DetectorPool {
         Ok(out)
     }
 
-    /// Flush `line`'s shard and ask it one question.
-    fn ask_owner<T>(
-        &mut self,
-        line: AnonId,
-        build: &dyn Fn() -> Request,
-        pick: impl FnOnce(Reply) -> Option<T>,
-    ) -> Result<T, PoolError> {
+    /// `(is_detected, confidence)` of `line` for every rule, in rule
+    /// order, as [`Detector::is_detected`] and [`Detector::confidence`]
+    /// answer them: the pool's one per-line query, one round trip to the
+    /// owning shard (after flushing that shard's staged records).
+    pub fn line_verdicts(&mut self, line: AnonId) -> Result<Vec<(bool, f64)>, PoolError> {
         let shard = shard_of(line, self.links.len());
         self.ship(shard)?;
-        self.ask(shard, build, pick)
-    }
-
-    /// Whether `class` is detected for `line` (asks the owning shard).
-    pub fn is_detected(&mut self, line: AnonId, class: &str) -> Result<bool, PoolError> {
-        self.ask_owner(line, &|| Request::IsDetected(line, class.to_string()), |r| match r {
-            Reply::Bool(b) => Some(b),
-            _ => None,
-        })
-    }
-
-    /// Graded detection confidence for `(line, class)` in `[0, 1]`.
-    pub fn confidence(&mut self, line: AnonId, class: &str) -> Result<f64, PoolError> {
-        self.ask_owner(line, &|| Request::Confidence(line, class.to_string()), |r| match r {
-            Reply::F64(v) => Some(v),
-            _ => None,
-        })
-    }
-
-    /// `(is_detected, confidence)` of `line` for every rule, in rule
-    /// order — what [`DetectorPool::is_detected`] and
-    /// [`DetectorPool::confidence`] answer class by class, in one round
-    /// trip to the owning shard instead of two per rule.
-    pub fn line_verdicts(&mut self, line: AnonId) -> Result<Vec<(bool, f64)>, PoolError> {
-        self.ask_owner(line, &|| Request::LineVerdicts(line), |r| match r {
+        self.ask(shard, &|| Request::LineVerdicts(line), |r| match r {
             Reply::Verdicts(v) => Some(v),
             _ => None,
         })
-    }
-
-    /// First hour the full (hierarchy-gated) detection held for
-    /// `(line, class)`.
-    pub fn first_detection(
-        &mut self,
-        line: AnonId,
-        class: &str,
-    ) -> Result<Option<HourBin>, PoolError> {
-        self.ask_owner(line, &|| Request::FirstDetection(line, class.to_string()), |r| match r {
-            Reply::First(first) => Some(first),
-            _ => None,
-        })
-    }
-
-    /// Total per-(line, rule) states held across shards.
-    pub fn state_size(&mut self) -> Result<usize, PoolError> {
-        self.flush()?;
-        let mut total = 0usize;
-        for shard in 0..self.links.len() {
-            total += self.ask(shard, &|| Request::StateSize, |r| match r {
-                Reply::Usize(n) => Some(n),
-                _ => None,
-            })?;
-        }
-        Ok(total)
     }
 }
 
@@ -2063,6 +1991,20 @@ mod tests {
         ) -> Self {
             Self::build(rules, hitlist, config, workers, batch_records, channel_batches, None)
                 .expect("thread shards spawn and init infallibly")
+        }
+
+        /// Σ [`DetectorState::entry_count`] over
+        /// [`DetectorPool::shard_states`]: the pool's
+        /// [`Detector::state_size`].
+        fn entries(&mut self) -> usize {
+            self.shard_states().unwrap().iter().map(DetectorState::entry_count).sum()
+        }
+
+        /// Whether `class` is detected for `line`, read from the owning
+        /// shard's [`DetectorPool::line_verdicts`].
+        fn detects(&mut self, line: AnonId, class: &str) -> bool {
+            let ri = self.rules.rule_index(class).expect("class in the pool's rules");
+            self.line_verdicts(line).unwrap()[ri].0
         }
     }
 
@@ -2136,7 +2078,7 @@ mod tests {
                 seq.detected_lines("X"),
                 "{workers} workers diverge from sequential"
             );
-            assert_eq!(par.state_size().unwrap(), seq.state_size());
+            assert_eq!(par.entries(), seq.state_size());
         }
     }
 
@@ -2204,13 +2146,13 @@ mod tests {
         };
         pool.observe_records(&[rec]).unwrap();
         pool.finish().unwrap();
-        assert!(pool.is_detected(AnonId(42), "Y").unwrap());
+        assert!(pool.detects(AnonId(42), "Y"));
 
         // A crash after the swap recovers under the *new* rules: the
         // migrated checkpoint plus the replayed post-swap record.
         pool.inject_panic(1, "post-swap crash").unwrap();
         assert_eq!(pool.detected_lines("X").unwrap(), before);
-        assert!(pool.is_detected(AnonId(42), "Y").unwrap());
+        assert!(pool.detects(AnonId(42), "Y"));
 
         // Swap again, removing "X": its detections disappear, "Y"
         // survives by name.
@@ -2219,7 +2161,7 @@ mod tests {
         let only_y = b.build();
         pool.set_rules(&only_y, &HitList::whole_window(&only_y)).unwrap();
         assert!(pool.detected_lines("X").unwrap().is_empty(), "removed rule disappears");
-        assert!(pool.is_detected(AnonId(42), "Y").unwrap(), "surviving rule keeps evidence");
+        assert!(pool.detects(AnonId(42), "Y"), "surviving rule keeps evidence");
     }
 
     #[test]
@@ -2280,7 +2222,7 @@ mod tests {
             let mut stream = VecStream::new(records.clone(), 333);
             pool.observe_stream(&mut stream, &mut chunk).unwrap();
             pool.finish().unwrap();
-            results.push((pool.detected_lines("X").unwrap(), pool.state_size().unwrap()));
+            results.push((pool.detected_lines("X").unwrap(), pool.entries()));
         }
         assert_eq!(results[0], results[1], "2 workers diverge from 1");
         assert_eq!(results[0], results[2], "8 workers diverge from 1");
@@ -2311,16 +2253,26 @@ mod tests {
 
     #[test]
     fn queries_flush_staged_records() {
-        // A query with records still staged must observe them.
+        // A query with records still staged must observe them: the
+        // per-line query ships the owning shard's staging, a whole-pool
+        // query every shard's.
         let rules = ruleset(1);
         let hl = HitList::whole_window(&rules);
         let mut pool = DetectorPool::new(&rules, &hl, DetectorConfig::default(), 2);
         let records = random_records(10, 8);
         pool.observe_records(&records).unwrap(); // far below POOL_BATCH_RECORDS
-        assert!(pool.state_size().unwrap() > 0, "staged records visible to queries");
-        for line in pool.detected_lines("X").unwrap() {
-            assert!(pool.is_detected(line, "X").unwrap());
+        let mut seq = Detector::new(&rules, hl.clone(), DetectorConfig::default());
+        seq.observe_chunk(&records);
+        assert!(!seq.detected_lines("X").is_empty(), "test must detect something");
+        for r in &records {
+            assert_eq!(pool.detects(r.line, "X"), seq.is_detected(r.line, "X"), "{:?}", r.line);
         }
+        let more = hit_records(10, 9, 1);
+        let before = seq.state_size();
+        pool.observe_records(&more).unwrap();
+        seq.observe_chunk(&more);
+        assert!(seq.state_size() > before, "the second feed must add state");
+        assert_eq!(pool.entries(), seq.state_size(), "staged records visible to queries");
     }
 
     #[test]
@@ -2385,7 +2337,7 @@ mod tests {
         par.observe_records(&records).unwrap();
         par.finish().unwrap();
         for line in par.detected_lines("X").unwrap() {
-            assert!(par.is_detected(line, "X").unwrap());
+            assert!(par.detects(line, "X"));
         }
     }
 
@@ -2441,9 +2393,9 @@ mod tests {
         let mut par = DetectorPool::new(&rules, &hl, DetectorConfig::default(), 3);
         par.observe_records(&random_records(2_000, 1)).unwrap();
         par.finish().unwrap();
-        assert!(par.state_size().unwrap() > 0);
+        assert!(par.entries() > 0);
         par.reset().unwrap();
-        assert_eq!(par.state_size().unwrap(), 0);
+        assert_eq!(par.entries(), 0);
         assert!(par.detected_lines("X").unwrap().is_empty());
     }
 
@@ -2479,7 +2431,7 @@ mod tests {
         let mut clean = DetectorPool::new(&rules, &hl, config, 4);
         clean.observe_records(&records).unwrap();
         clean.finish().unwrap();
-        let want = (clean.detected_lines("X").unwrap(), clean.state_size().unwrap());
+        let want = (clean.detected_lines("X").unwrap(), clean.entries());
 
         for kill_at in [0usize, 10_000, 29_999] {
             let mut pool = DetectorPool::new(&rules, &hl, config, 4);
@@ -2488,7 +2440,7 @@ mod tests {
             pool.inject_panic(2, "chaos kill").unwrap();
             pool.observe_records(&records[kill_at..]).unwrap();
             pool.finish().unwrap();
-            let got = (pool.detected_lines("X").unwrap(), pool.state_size().unwrap());
+            let got = (pool.detected_lines("X").unwrap(), pool.entries());
             assert_eq!(got, want, "kill at {kill_at} diverges");
         }
     }
@@ -2563,7 +2515,7 @@ mod tests {
         let mut whole = DetectorPool::new(&rules, &hl, config, 3);
         whole.observe_records(&records).unwrap();
         whole.finish().unwrap();
-        let want = (whole.detected_lines("X").unwrap(), whole.state_size().unwrap());
+        let want = (whole.detected_lines("X").unwrap(), whole.entries());
 
         // First pool processes half, exports; a fresh pool restores and
         // finishes the rest — the CLI resume path in miniature.
@@ -2576,7 +2528,7 @@ mod tests {
         second.restore_shard_states(&states).unwrap();
         second.observe_records(&records[split..]).unwrap();
         second.finish().unwrap();
-        let got = (second.detected_lines("X").unwrap(), second.state_size().unwrap());
+        let got = (second.detected_lines("X").unwrap(), second.entries());
         assert_eq!(got, want);
     }
 
@@ -2632,7 +2584,7 @@ mod tests {
         pool.observe_records(after).unwrap();
         pool.finish().unwrap();
         assert_eq!(pool.detected_lines("X").unwrap(), seq.detected_lines("X"));
-        assert_eq!(pool.state_size().unwrap(), seq.state_size());
+        assert_eq!(pool.entries(), seq.state_size());
         let mut narrow_only = Detector::new(&rules, narrow, config);
         narrow_only.observe_chunk(&records);
         assert!(seq.state_size() > narrow_only.state_size(), "the swap must matter");
@@ -2674,7 +2626,7 @@ mod tests {
         empty.observe_records(&records).unwrap();
         empty.flush().unwrap();
         assert_eq!(empty.replay_buffered(), 0);
-        assert_eq!(empty.state_size().unwrap(), 0);
+        assert_eq!(empty.entries(), 0);
     }
 
     #[test]
@@ -2720,7 +2672,7 @@ mod tests {
         let mut clean = DetectorPool::new(&rules, &hl, config, 3);
         clean.observe_records(&records).unwrap();
         clean.finish().unwrap();
-        let want = (clean.detected_lines("X").unwrap(), clean.state_size().unwrap());
+        let want = (clean.detected_lines("X").unwrap(), clean.entries());
 
         let mut pool = DetectorPool::new(&rules, &hl, config, 3);
         pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
@@ -2738,7 +2690,7 @@ mod tests {
         );
         pool.observe_records(&records[split..]).unwrap();
         pool.finish().unwrap();
-        let got = (pool.detected_lines("X").unwrap(), pool.state_size().unwrap());
+        let got = (pool.detected_lines("X").unwrap(), pool.entries());
         assert_eq!(got, want, "stalled-shard recovery diverges from clean run");
     }
 
@@ -2877,7 +2829,7 @@ mod tests {
         let mut clean = DetectorPool::new(&rules, &hl, config, 2);
         clean.observe_records(&records).unwrap();
         clean.finish().unwrap();
-        let want = (clean.detected_lines("X").unwrap(), clean.state_size().unwrap());
+        let want = (clean.detected_lines("X").unwrap(), clean.entries());
 
         let mut pool = DetectorPool::new(&rules, &hl, config, 2);
         pool.set_respawn_policy(fast_trip_policy());
@@ -2900,7 +2852,7 @@ mod tests {
         pool.finish().unwrap();
         assert_eq!(pool.shard_status()[0].status, ShardStatus::Ok);
         assert_eq!(pool.shard_status()[0].queued, 0);
-        let got = (pool.detected_lines("X").unwrap(), pool.state_size().unwrap());
+        let got = (pool.detected_lines("X").unwrap(), pool.entries());
         assert_eq!(got, want, "reset_breaker recovery diverges from clean run");
     }
 

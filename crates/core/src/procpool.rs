@@ -4,18 +4,18 @@
 //! [`crate::parallel::DetectorPool`] is the only supervisor; this module
 //! is what it needs to run a shard in another *process* instead of
 //! another thread — the HAYPROC codec that puts the pool's
-//! [`Request`]/[`Reply`] protocol on a byte stream, [`ProcLink`] (the
+//! `Request`/`Reply` protocol on a byte stream, `ProcLink` (the
 //! supervisor's end of a child's stdin/stdout pipes), and
 //! [`worker_main`] (the child's end, which feeds decoded requests to the
-//! same [`serve_shard`] loop a thread worker runs). Frames reuse the §12
+//! same `serve_shard` loop a thread worker runs). Frames reuse the §12
 //! checksummed snapshot codec via [`haystack_net::framing`], so a child
 //! killed mid-write leaves a torn frame that fails validation instead
 //! of silently corrupting the supervisor.
 //!
 //! Three failure signals reach the supervisor through this link: a
-//! *write timeout* (the child's pipe stayed full past [`WRITE_TIMEOUT`]
+//! *write timeout* (the child's pipe stayed full past `WRITE_TIMEOUT`
 //! — it is hung), a *heartbeat miss* (a request got no reply within
-//! [`HEARTBEAT`]), and a *disconnect* (the child's stdout closed or
+//! `HEARTBEAT`), and a *disconnect* (the child's stdout closed or
 //! tore — it died, e.g. SIGKILL or OOM). The first two read as
 //! `Stalled`, the last as `Dead`; all three converge on the pool's one
 //! heal path.
@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 pub const PROC_MAGIC: &[u8; 8] = b"HAYPROC\0";
 /// Protocol version. Parent and child are always the same binary, so a
 /// mismatch means a stale worker binary on the PATH — reject it.
-pub const PROC_VERSION: u32 = 1;
+pub const PROC_VERSION: u32 = 2;
 /// Per-frame payload cap: a corrupt header cannot make the reader
 /// allocate unboundedly.
 pub const PROC_MAX_PAYLOAD: u64 = 1 << 30;
@@ -67,6 +67,7 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 
 // Request tags (supervisor → worker). The payload layout after the
 // `[seq u64][tag u8]` prefix is documented per tag in the codec below.
+// Tags 10–13 belonged to queries retired in version 2; never reuse them.
 const T_INIT: u8 = 0;
 const T_BATCH: u8 = 1;
 const T_BARRIER: u8 = 2;
@@ -77,24 +78,17 @@ const T_SET_HITLIST: u8 = 6;
 const T_SET_RULES: u8 = 7;
 const T_RESET: u8 = 8;
 const T_DETECTED_LINES: u8 = 9;
-const T_IS_DETECTED: u8 = 10;
-const T_CONFIDENCE: u8 = 11;
-const T_FIRST_DETECTION: u8 = 12;
-const T_STATE_SIZE: u8 = 13;
 const T_PANIC: u8 = 14;
 const T_STALL: u8 = 15;
 const T_SHUTDOWN: u8 = 16;
 const T_LINE_VERDICTS: u8 = 17;
 
-// Reply tags (worker → supervisor).
+// Reply tags (worker → supervisor). Tags 4–7 belonged to queries retired
+// in version 2; never reuse them.
 const R_ACK: u8 = 0;
 const R_STATE: u8 = 1;
 const R_SNAP: u8 = 2;
 const R_LINES: u8 = 3;
-const R_BOOL: u8 = 4;
-const R_F64: u8 = 5;
-const R_FIRST: u8 = 6;
-const R_USIZE: u8 = 7;
 const R_VERDICTS: u8 = 8;
 
 /// Wire layout of one [`WildRecord`] (fixed [`RECORD_WIRE_BYTES`]).
@@ -158,12 +152,6 @@ fn get_rules(r: &mut SnapReader<'_>) -> Result<Arc<RuleSet>, SnapError> {
     Ok(Arc::new(pack.rules))
 }
 
-fn put_line_class(w: &mut SnapWriter, tag: u8, line: AnonId, class: &str) {
-    w.put_u8(tag);
-    w.put_u64(line.0);
-    w.put_str(class);
-}
-
 fn get_string(r: &mut SnapReader<'_>) -> Result<String, SnapError> {
     let raw = r.bytes()?;
     std::str::from_utf8(raw).map(str::to_owned).map_err(|_| SnapError::Malformed("utf-8 string"))
@@ -209,16 +197,10 @@ pub(crate) fn encode_request(seq: u64, req: &Request) -> Option<Vec<u8>> {
             w.put_u8(T_DETECTED_LINES);
             w.put_str(class);
         }
-        Request::IsDetected(line, class) => put_line_class(&mut w, T_IS_DETECTED, *line, class),
-        Request::Confidence(line, class) => put_line_class(&mut w, T_CONFIDENCE, *line, class),
-        Request::FirstDetection(line, class) => {
-            put_line_class(&mut w, T_FIRST_DETECTION, *line, class)
-        }
         Request::LineVerdicts(line) => {
             w.put_u8(T_LINE_VERDICTS);
             w.put_u64(line.0);
         }
-        Request::StateSize => w.put_u8(T_STATE_SIZE),
         Request::Panic(msg) => {
             w.put_u8(T_PANIC);
             w.put_str(msg);
@@ -264,11 +246,7 @@ pub(crate) fn decode_to_worker(frame: &[u8]) -> Result<(u64, Request), SnapError
         }
         T_RESET => Request::Reset,
         T_DETECTED_LINES => Request::DetectedLines(get_string(&mut r)?),
-        T_IS_DETECTED => Request::IsDetected(AnonId(r.u64()?), get_string(&mut r)?),
-        T_CONFIDENCE => Request::Confidence(AnonId(r.u64()?), get_string(&mut r)?),
-        T_FIRST_DETECTION => Request::FirstDetection(AnonId(r.u64()?), get_string(&mut r)?),
         T_LINE_VERDICTS => Request::LineVerdicts(AnonId(r.u64()?)),
-        T_STATE_SIZE => Request::StateSize,
         T_PANIC => Request::Panic(get_string(&mut r)?),
         T_STALL => Request::Stall(Duration::from_millis(r.u64()?)),
         T_SHUTDOWN => Request::Shutdown,
@@ -297,23 +275,6 @@ pub(crate) fn encode_reply(seq: u64, reply: &Reply) -> Vec<u8> {
             for l in lines {
                 w.put_u64(l.0);
             }
-        }
-        Reply::Bool(b) => {
-            w.put_u8(R_BOOL);
-            w.put_u8(u8::from(*b));
-        }
-        Reply::F64(v) => {
-            w.put_u8(R_F64);
-            w.put_f64_bits(*v);
-        }
-        Reply::First(first) => {
-            w.put_u8(R_FIRST);
-            w.put_u8(u8::from(first.is_some()));
-            w.put_u32(first.map_or(0, |h| h.0));
-        }
-        Reply::Usize(n) => {
-            w.put_u8(R_USIZE);
-            w.put_u64(*n as u64);
         }
         Reply::Verdicts(verdicts) => {
             w.put_u8(R_VERDICTS);
@@ -344,14 +305,6 @@ pub(crate) fn decode_reply(frame: &[u8]) -> Result<(u64, Reply), SnapError> {
             }
             Reply::Lines(lines)
         }
-        R_BOOL => Reply::Bool(r.u8()? != 0),
-        R_F64 => Reply::F64(r.f64_bits()?),
-        R_FIRST => {
-            let some = r.u8()? != 0;
-            let hour = r.u32()?;
-            Reply::First(some.then_some(HourBin(hour)))
-        }
-        R_USIZE => Reply::Usize(r.u64()? as usize),
         R_VERDICTS => {
             let n = r.count(9)?;
             let mut verdicts = Vec::with_capacity(n);
@@ -640,11 +593,6 @@ mod tests {
             Reply::Ack,
             Reply::State(DetectorState { rules: vec![Vec::new(), Vec::new()] }),
             Reply::Lines(vec![AnonId(3), AnonId(9)]),
-            Reply::Bool(true),
-            Reply::F64(0.625),
-            Reply::First(Some(HourBin(17))),
-            Reply::First(None),
-            Reply::Usize(42),
             Reply::Verdicts(vec![(true, 1.0), (false, 0.375), (false, 0.0)]),
             Reply::Verdicts(Vec::new()),
         ];
@@ -656,12 +604,73 @@ mod tests {
         }
     }
 
+    /// Writes a frame's payload after its `[seq][tag]` prefix.
+    type Body = fn(&mut SnapWriter);
+
+    /// `[seq][tag]` plus `body`, sealed at `version`.
+    fn raw_frame(version: u32, seq: u64, tag: u8, body: Body) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put_u64(seq);
+        w.put_u8(tag);
+        body(&mut w);
+        seal(PROC_MAGIC, version, &w.into_bytes())
+    }
+
     #[test]
     fn corrupt_request_frame_is_rejected_not_misread() {
         let mut frame = request_frame(1, Request::Batch(Arc::new(vec![record(5, 1, 0)])));
         let mid = frame.len() / 2;
         frame[mid] ^= 0x80;
         assert!(decode_to_worker(&frame).is_err());
+
+        // The tags version 1 gave the retired single-answer queries, each
+        // with the payload version 1 wrote for it, sealed at this
+        // version: refused, never read as another request.
+        let line_class: Body = |w| {
+            w.put_u64(12);
+            w.put_str("X");
+        };
+        let retired: [(u8, Body); 4] =
+            [(10, line_class), (11, line_class), (12, line_class), (13, |_| {})];
+        for (tag, body) in retired {
+            let frame = raw_frame(PROC_VERSION, 2, tag, body);
+            assert!(matches!(decode_to_worker(&frame), Err(SnapError::Malformed(_))), "tag {tag}");
+            assert!(matches!(run_worker_on(&frame), Some(Err(_))), "tag {tag}");
+        }
+
+        // A well-formed version-1 frame is version skew: a stale worker
+        // binary, refused by name.
+        let old = raw_frame(1, 2, T_BARRIER, |_| {});
+        assert!(matches!(
+            decode_to_worker(&old),
+            Err(SnapError::BadVersion { found: 1, expected: PROC_VERSION })
+        ));
+        let err = run_worker_on(&old).expect("not a chaos request").unwrap_err();
+        assert!(err.contains("version 1"), "err: {err}");
+    }
+
+    #[test]
+    fn corrupt_reply_frame_is_rejected_not_misread() {
+        // The reply tags of the retired queries, with their version-1
+        // payloads, sealed at this version.
+        let retired: [(u8, Body); 4] = [
+            (4, |w| w.put_u8(1)),
+            (5, |w| w.put_f64_bits(0.625)),
+            (6, |w| {
+                w.put_u8(1);
+                w.put_u32(17);
+            }),
+            (7, |w| w.put_u64(42)),
+        ];
+        for (tag, body) in retired {
+            let frame = raw_frame(PROC_VERSION, 3, tag, body);
+            assert!(matches!(decode_reply(&frame), Err(SnapError::Malformed(_))), "tag {tag}");
+        }
+        let old = raw_frame(1, 3, R_ACK, |_| {});
+        assert!(matches!(
+            decode_reply(&old),
+            Err(SnapError::BadVersion { found: 1, expected: PROC_VERSION })
+        ));
     }
 
     /// Drive the child's protocol loop over in-memory pipes — the whole
@@ -678,7 +687,6 @@ mod tests {
         frame(request_frame(1, init_request(&rules, config)));
         frame(request_frame(2, Request::Batch(Arc::new(records))));
         frame(request_frame(3, Request::Barrier));
-        frame(request_frame(4, Request::IsDetected(AnonId(12), "X".into())));
         frame(request_frame(5, Request::DetectedLines("X".into())));
         frame(request_frame(6, Request::Snapshot));
         frame(request_frame(7, Request::LineVerdicts(AnonId(12))));
@@ -696,10 +704,6 @@ mod tests {
         };
         assert!(matches!(next(), (1, Reply::Ack)), "init ack");
         assert!(matches!(next(), (3, Reply::Ack)), "barrier ack");
-        match next() {
-            (4, Reply::Bool(b)) => assert!(b, "line 12 detected"),
-            other => panic!("unexpected: {other:?}"),
-        }
         match next() {
             (5, Reply::Lines(lines)) => assert_eq!(lines, vec![AnonId(12)]),
             other => panic!("unexpected: {other:?}"),
@@ -763,11 +767,7 @@ mod tests {
             Request::Panic("boom".into()),
             Request::Stall(Duration::from_millis(1)),
             Request::DetectedLines("X".into()),
-            Request::IsDetected(line, "X".into()),
-            Request::Confidence(line, "X".into()),
-            Request::FirstDetection(line, "X".into()),
             Request::LineVerdicts(line),
-            Request::StateSize,
             Request::Shutdown,
         ]
         .into_iter()
@@ -784,10 +784,6 @@ mod tests {
             Reply::Snap(DetectorSnapshot::Full(DetectorState { rules: vec![evidence()] })),
             Reply::Snap(DetectorSnapshot::Delta(DetectorDelta { rules: vec![evidence()] })),
             Reply::Lines(vec![AnonId(3), AnonId(9)]),
-            Reply::Bool(true),
-            Reply::F64(0.625),
-            Reply::First(Some(HourBin(17))),
-            Reply::Usize(42),
             Reply::Verdicts(vec![(true, 1.0), (false, 0.375)]),
         ]
         .iter()
@@ -873,12 +869,12 @@ mod tests {
             let _ = run_worker_on(&flipped);
             let _ = decode_reply(&resealed(reply, flip));
             let swapped = resealed(request, |p| p[TAG_AT] = tag);
-            if tag > T_LINE_VERDICTS {
+            if tag > T_LINE_VERDICTS || (10..=13).contains(&tag) {
                 prop_assert!(decode_to_worker(&swapped).is_err());
             }
             let _ = run_worker_on(&swapped);
             let swapped = resealed(reply, |p| p[TAG_AT] = tag);
-            if tag > R_VERDICTS {
+            if tag > R_VERDICTS || (4..=7).contains(&tag) {
                 prop_assert!(decode_reply(&swapped).is_err());
             }
 

@@ -187,8 +187,10 @@ impl<'r> ReferenceDetector<'r> {
     }
 
     /// The evidence state in checkpoint form, entries sorted by line per
-    /// rule — what [`Detector::export_state`](crate::detector::Detector::
-    /// export_state) of an equivalent detector encodes to, byte for byte.
+    /// rule — what [`Detector::export_state`] of an equivalent detector
+    /// encodes to, byte for byte.
+    ///
+    /// [`Detector::export_state`]: crate::detector::Detector::export_state
     pub fn export_state(&self) -> DetectorState {
         let mut rules = vec![Vec::new(); self.rules.rules.len()];
         for (&(line, ri), &mask) in &self.state {

@@ -10,8 +10,8 @@
 //! flags domains (and whole rules) whose evidence collapsed — the signal
 //! to re-run the testbed pipeline for that vendor.
 
-use crate::checkpoint::{StalenessDelta, StalenessState};
-use crate::fasthash::{FastMap, FastSet};
+use crate::checkpoint::StalenessState;
+use crate::fasthash::FastMap;
 use crate::hitlist::HitList;
 use crate::rules::RuleSet;
 use haystack_net::DayBin;
@@ -50,14 +50,6 @@ pub struct StalenessMonitor {
     /// (rule, domain) → decayed baseline.
     baseline: FastMap<(u16, u16), f64>,
     days_seen: u32,
-    /// (rule, domain) keys whose today-count mutated since the last
-    /// snapshot.
-    dirty: FastSet<(u16, u16)>,
-    /// Set when the dirty set cannot bound the mutations since the last
-    /// snapshot (fresh monitor, day fold, restore) — baselines and the
-    /// day count only change at `end_of_day`, so a delta never carries
-    /// them and the fold forces the next snapshot full.
-    dirty_all: bool,
 }
 
 impl StalenessMonitor {
@@ -68,20 +60,15 @@ impl StalenessMonitor {
             today: FastMap::default(),
             baseline: FastMap::default(),
             days_seen: 0,
-            dirty: FastSet::default(),
-            dirty_all: true,
         }
     }
 
     /// Observe one record of the current day. Allocation-free on the
     /// steady-state matching path (disjoint hitlist/count borrows).
     pub fn observe(&mut self, r: &WildRecord) {
-        let StalenessMonitor { hitlist, today, dirty, dirty_all, .. } = self;
+        let StalenessMonitor { hitlist, today, .. } = self;
         for &(ri, di) in hitlist.lookup(r.dst, r.dport) {
             *today.entry((ri, di)).or_default() += r.packets;
-            if !*dirty_all {
-                dirty.insert((ri, di));
-            }
         }
     }
 
@@ -119,10 +106,6 @@ impl StalenessMonitor {
         }
         self.today.clear();
         self.hitlist = next_hitlist;
-        // The fold rewrote every baseline and cleared the day counts —
-        // mutations a (today-only) delta cannot carry.
-        self.dirty_all = true;
-        self.dirty.clear();
         verdicts
     }
 
@@ -152,47 +135,6 @@ impl StalenessMonitor {
         self.baseline.clear();
         self.baseline.extend(state.baseline.iter().copied());
         self.days_seen = state.days_seen;
-        self.dirty_all = true;
-        self.dirty.clear();
-    }
-
-    fn mark_clean(&mut self) {
-        self.dirty_all = false;
-        self.dirty.clear();
-    }
-
-    /// Export a full snapshot and start tracking mutations from it.
-    pub fn checkpoint_full(&mut self) -> StalenessState {
-        let state = self.export_state();
-        self.mark_clean();
-        state
-    }
-
-    /// Take a dirty-only delta since the last `checkpoint_full` /
-    /// `take_snapshot_delta`. `Err` carries a full snapshot when no
-    /// clean base exists (fresh monitor, after a day fold or restore).
-    pub fn take_snapshot_delta(&mut self) -> Result<StalenessDelta, StalenessState> {
-        if self.dirty_all {
-            return Err(self.checkpoint_full());
-        }
-        let mut today: Vec<((u16, u16), u64)> = self
-            .dirty
-            .iter()
-            .map(|key| (*key, self.today.get(key).copied().unwrap_or(0)))
-            .collect();
-        today.sort_unstable();
-        self.mark_clean();
-        Ok(StalenessDelta { today })
-    }
-
-    /// Dirty entries accumulated since the last snapshot, or `None` when
-    /// the next snapshot must be full.
-    pub fn dirty_entries(&self) -> Option<usize> {
-        if self.dirty_all {
-            None
-        } else {
-            Some(self.dirty.len())
-        }
     }
 }
 
@@ -286,35 +228,6 @@ mod tests {
         }
         assert!(mon.end_of_day(&rules, hl(), DayBin(0)).is_empty());
         assert!(mon.end_of_day(&rules, hl(), DayBin(1)).is_empty());
-    }
-
-    #[test]
-    fn full_plus_delta_chain_reconstructs_today() {
-        let rules = ruleset();
-        let hl = || HitList::whole_window(&rules);
-        let mut mon = StalenessMonitor::new(hl());
-        // Fresh monitor: no clean base yet → full.
-        mon.observe(&rec(ip(1), 3));
-        assert_eq!(mon.dirty_entries(), None);
-        let base = match mon.take_snapshot_delta() {
-            Err(full) => full,
-            Ok(_) => panic!("fresh monitor must snapshot full"),
-        };
-        // Two mutations on distinct keys → a 2-entry delta.
-        mon.observe(&rec(ip(1), 4));
-        mon.observe(&rec(ip(2), 9));
-        assert_eq!(mon.dirty_entries(), Some(2));
-        let delta = mon.take_snapshot_delta().expect("clean base exists");
-        assert_eq!(delta.entry_count(), 2);
-        assert_eq!(mon.dirty_entries(), Some(0));
-        // base + delta reconstructs the live state exactly.
-        let mut chained = base.clone();
-        delta.apply(&mut chained);
-        assert_eq!(chained, mon.export_state());
-        // A day fold rewrites baselines → next snapshot is full again.
-        mon.end_of_day(&rules, hl(), DayBin(0));
-        assert_eq!(mon.dirty_entries(), None);
-        assert!(mon.take_snapshot_delta().is_err());
     }
 
     #[test]

@@ -705,8 +705,8 @@ impl<S: RecordStream> RecordStream for InstrumentedStream<S> {
     }
 }
 
-/// Plain per-detector hot-path tallies ([`Detector`](crate::detector::
-/// Detector) and [`UsageTracker`](crate::usage::UsageTracker) keep one
+/// Plain per-detector hot-path tallies ([`Detector`](crate::detector::Detector)
+/// and [`UsageTracker`](crate::usage::UsageTracker) keep one
 /// each). These are unconditional non-atomic adds — cheap enough for
 /// the allocation-free observe loop — and are flushed into atomic
 /// [`Counter`]s at chunk granularity by whoever owns the component.

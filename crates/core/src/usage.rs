@@ -13,7 +13,7 @@
 //!
 //! The tracker is windowed per hour: callers reset it at hour boundaries.
 
-use crate::checkpoint::{CheckpointError, UsageDelta, UsageState};
+use crate::checkpoint::{CheckpointError, UsageState};
 use crate::fasthash::{FastMap, FastSet};
 use crate::hitlist::HitList;
 use crate::rules::RuleSet;
@@ -46,12 +46,6 @@ pub struct UsageTracker {
     packets: Vec<FastMap<AnonId, u64>>,
     /// Per-rule: lines that touched a usage-indicator domain.
     indicator: Vec<FastSet<AnonId>>,
-    /// Per-rule lines mutated since the last snapshot (every match
-    /// mutates the packet tally, so one set covers both maps).
-    dirty: Vec<FastSet<AnonId>>,
-    /// Set when the dirty sets cannot bound the mutations since the last
-    /// snapshot (fresh tracker, hourly reset, restore, rule swap).
-    dirty_all: bool,
     /// Plain hot-path tallies (`detections` counts indicator hits).
     stats: HotStats,
 }
@@ -66,8 +60,6 @@ impl UsageTracker {
             config,
             packets: (0..n).map(|_| FastMap::default()).collect(),
             indicator: (0..n).map(|_| FastSet::default()).collect(),
-            dirty: (0..n).map(|_| FastSet::default()).collect(),
-            dirty_all: true,
             stats: HotStats::default(),
         }
     }
@@ -92,24 +84,18 @@ impl UsageTracker {
         self.hitlist = hitlist;
         self.packets = (0..n).map(|_| FastMap::default()).collect();
         self.indicator = (0..n).map(|_| FastSet::default()).collect();
-        self.dirty = (0..n).map(|_| FastSet::default()).collect();
-        self.dirty_all = true;
     }
 
     /// Observe one record of the current hour. Allocation-free on the
     /// steady-state matching path: the hitlist and the per-rule maps are
     /// disjoint fields, so entries are iterated in place.
     pub fn observe(&mut self, r: &WildRecord) {
-        let UsageTracker { rules, hitlist, packets, indicator, dirty, dirty_all, stats, .. } =
-            self;
+        let UsageTracker { rules, hitlist, packets, indicator, stats, .. } = self;
         stats.records += 1;
         stats.probes += 1;
         for &(ri, di) in hitlist.lookup(r.dst, r.dport) {
             stats.matches += 1;
             *packets[ri as usize].entry(r.line).or_default() += r.packets;
-            if !*dirty_all {
-                dirty[ri as usize].insert(r.line);
-            }
             if rules.rules[ri as usize].domains[di as usize].usage_indicator {
                 stats.detections += 1;
                 indicator[ri as usize].insert(r.line);
@@ -136,17 +122,12 @@ impl UsageTracker {
         out
     }
 
-    /// Start the next hour. Deltas cannot express the cleared window,
-    /// so the next snapshot is full.
+    /// Start the next hour.
     pub fn reset(&mut self) {
         for m in &mut self.packets {
             m.clear();
         }
         for s in &mut self.indicator {
-            s.clear();
-        }
-        self.dirty_all = true;
-        for s in &mut self.dirty {
             s.clear();
         }
     }
@@ -198,75 +179,7 @@ impl UsageTracker {
             s.clear();
             s.extend(lines.iter().copied());
         }
-        self.dirty_all = true;
-        for s in &mut self.dirty {
-            s.clear();
-        }
         Ok(())
-    }
-
-    fn mark_clean(&mut self) {
-        self.dirty_all = false;
-        for s in &mut self.dirty {
-            s.clear();
-        }
-    }
-
-    /// Export the full window *and* mark everything clean — the
-    /// checkpointing counterpart of the read-only
-    /// [`UsageTracker::export_state`].
-    pub fn checkpoint_full(&mut self) -> UsageState {
-        let state = self.export_state();
-        self.mark_clean();
-        state
-    }
-
-    /// Take an incremental snapshot: `Ok(delta)` with the (line, rule)
-    /// entries mutated since the previous snapshot as absolute-value
-    /// upserts, or `Err(full)` when the dirty sets cannot bound the
-    /// mutations (fresh tracker, hourly reset, restore). Clears the
-    /// dirty tracking either way.
-    #[allow(clippy::result_large_err)]
-    pub fn take_snapshot_delta(&mut self) -> Result<UsageDelta, UsageState> {
-        if self.dirty_all {
-            return Err(self.checkpoint_full());
-        }
-        let packets = self
-            .dirty
-            .iter()
-            .zip(&self.packets)
-            .map(|(dirty, m)| {
-                let mut entries: Vec<(AnonId, u64)> = dirty
-                    .iter()
-                    .map(|line| (*line, m.get(line).copied().unwrap_or_default()))
-                    .collect();
-                entries.sort_unstable();
-                entries
-            })
-            .collect();
-        let indicator = self
-            .dirty
-            .iter()
-            .zip(&self.indicator)
-            .map(|(dirty, set)| {
-                let mut lines: Vec<AnonId> =
-                    dirty.iter().filter(|l| set.contains(l)).copied().collect();
-                lines.sort_unstable();
-                lines
-            })
-            .collect();
-        self.mark_clean();
-        Ok(UsageDelta { packets, indicator })
-    }
-
-    /// Dirty lines accumulated since the last snapshot, or `None` when
-    /// the next snapshot must be full.
-    pub fn dirty_entries(&self) -> Option<usize> {
-        if self.dirty_all {
-            None
-        } else {
-            Some(self.dirty.iter().map(FastSet::len).sum())
-        }
     }
 }
 
@@ -353,30 +266,6 @@ mod tests {
         t.observe(&rec(1, ip(1), 50));
         t.reset();
         assert!(t.active_lines("Alexa Enabled").is_empty());
-    }
-
-    #[test]
-    fn full_plus_delta_chain_reconstructs_the_window() {
-        let rules = Arc::new(ruleset());
-        let mut t =
-            UsageTracker::new(rules.clone(), HitList::whole_window(&rules), UsageConfig::default());
-        // Fresh tracker: the first snapshot must be full.
-        assert!(t.dirty_entries().is_none());
-        assert!(t.take_snapshot_delta().is_err());
-        t.observe(&rec(1, ip(1), 4));
-        let base = t.checkpoint_full();
-        t.observe(&rec(1, ip(1), 7));
-        t.observe(&rec(3, ip(2), 1)); // indicator hit
-        assert_eq!(t.dirty_entries(), Some(2));
-        let delta = t.take_snapshot_delta().expect("bounded dirty set");
-        assert_eq!(delta.entry_count(), 3, "two packet upserts + one indicator insert");
-        let mut replayed = base;
-        delta.apply(&mut replayed).unwrap();
-        assert_eq!(replayed, t.export_state());
-        // The hourly reset clears the window — next snapshot is full.
-        t.reset();
-        assert!(t.dirty_entries().is_none());
-        assert!(t.take_snapshot_delta().is_err());
     }
 
     #[test]

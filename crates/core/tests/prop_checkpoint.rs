@@ -10,9 +10,7 @@
 //! carries floats as raw IEEE-754 bits and restore must not re-order
 //! the decay folds.
 
-use haystack_core::checkpoint::{
-    DetectorSnapshot, DetectorState, StalenessState, UsageDelta, UsageState,
-};
+use haystack_core::checkpoint::{DetectorSnapshot, DetectorState, StalenessState, UsageState};
 use haystack_core::detector::{Detector, DetectorConfig};
 use haystack_core::hitlist::HitList;
 use haystack_core::rules::{RuleDomain, RuleSet, RuleSetBuilder};
@@ -301,128 +299,5 @@ proptest! {
                 "class {} diverges after chain restore", class
             );
         }
-    }
-
-    /// UsageTracker delta chains: same invariant over the hour window.
-    #[test]
-    fn usage_delta_chain_equals_full_snapshot_at_same_point(
-        specs in rules_strategy(),
-        records in record_strategy(),
-        cut_fracs in prop::collection::vec(0.0f64..=1.0, 1..5),
-        threshold in 1u64..40,
-    ) {
-        let rules = std::sync::Arc::new(build_rules(&specs));
-        let config = UsageConfig { packet_threshold: threshold };
-        let records: Vec<WildRecord> = records.iter().map(build_record).collect();
-        let mut cuts: Vec<usize> =
-            cut_fracs.iter().map(|f| ((records.len() as f64) * f) as usize).collect();
-        cuts.sort_unstable();
-        cuts.dedup();
-
-        let mut live = UsageTracker::new(rules.clone(), HitList::whole_window(&rules), config);
-        let mut chained: Option<UsageState> = None;
-        let mut fed = 0usize;
-        for &cut in &cuts {
-            for r in &records[fed..cut] {
-                live.observe(r);
-            }
-            fed = cut;
-            match live.take_snapshot_delta() {
-                Err(full) => {
-                    prop_assert!(chained.is_none(), "full only at the chain head");
-                    chained = Some(UsageState::decode(&full.encode()).expect("own frame"));
-                }
-                Ok(delta) => {
-                    let delta = UsageDelta::decode(&delta.encode()).expect("own frame");
-                    delta.apply(chained.as_mut().expect("delta follows a full")).expect("applies");
-                }
-            }
-        }
-        let chained = chained.expect("at least one cut");
-
-        let mut oracle = UsageTracker::new(rules.clone(), HitList::whole_window(&rules), config);
-        for r in &records[..fed] {
-            oracle.observe(r);
-        }
-        prop_assert_eq!(chained.encode(), oracle.export_state().encode());
-
-        let mut resumed = UsageTracker::new(rules.clone(), HitList::whole_window(&rules), config);
-        resumed.restore_state(&chained).expect("same rule count");
-        for r in &records[fed..] {
-            resumed.observe(r);
-        }
-        let mut whole = UsageTracker::new(rules.clone(), HitList::whole_window(&rules), config);
-        for r in &records {
-            whole.observe(r);
-        }
-        prop_assert_eq!(resumed.export_state(), whole.export_state());
-        for rule in &rules.rules {
-            let class = rules.class_name(rule.class);
-            prop_assert_eq!(
-                resumed.active_lines(class),
-                whole.active_lines(class),
-                "class {} diverges after chain restore", class
-            );
-        }
-    }
-
-    /// StalenessMonitor delta chains within one day (the day fold
-    /// rewrites every baseline, forcing the next snapshot full — so a
-    /// chain never spans it): byte-identical reconstruction, and the
-    /// post-fold baselines of a chain-restored monitor are bit-identical
-    /// to the uninterrupted run's.
-    #[test]
-    fn staleness_delta_chain_equals_full_snapshot_at_same_point(
-        specs in rules_strategy(),
-        records in record_strategy(),
-        cut_fracs in prop::collection::vec(0.0f64..=1.0, 1..5),
-    ) {
-        let rules = build_rules(&specs);
-        let records: Vec<WildRecord> = records.iter().map(build_record).collect();
-        let mut cuts: Vec<usize> =
-            cut_fracs.iter().map(|f| ((records.len() as f64) * f) as usize).collect();
-        cuts.sort_unstable();
-        cuts.dedup();
-
-        let mut live = StalenessMonitor::new(HitList::whole_window(&rules));
-        let mut chained: Option<StalenessState> = None;
-        let mut fed = 0usize;
-        for &cut in &cuts {
-            for r in &records[fed..cut] {
-                live.observe(r);
-            }
-            fed = cut;
-            match live.take_snapshot_delta() {
-                Err(full) => {
-                    prop_assert!(chained.is_none(), "full only at the chain head");
-                    chained = Some(StalenessState::decode(&full.encode()).expect("own frame"));
-                }
-                Ok(delta) => {
-                    let delta = haystack_core::StalenessDelta::decode(&delta.encode())
-                        .expect("own frame");
-                    delta.apply(chained.as_mut().expect("delta follows a full"));
-                }
-            }
-        }
-        let chained = chained.expect("at least one cut");
-
-        let mut oracle = StalenessMonitor::new(HitList::whole_window(&rules));
-        for r in &records[..fed] {
-            oracle.observe(r);
-        }
-        prop_assert_eq!(chained.encode(), oracle.export_state().encode());
-
-        let mut resumed = StalenessMonitor::new(HitList::whole_window(&rules));
-        resumed.restore_state(&chained);
-        for r in &records[fed..] {
-            resumed.observe(r);
-        }
-        resumed.end_of_day(&rules, HitList::whole_window(&rules), DayBin(0));
-        let mut whole = StalenessMonitor::new(HitList::whole_window(&rules));
-        for r in &records {
-            whole.observe(r);
-        }
-        whole.end_of_day(&rules, HitList::whole_window(&rules), DayBin(0));
-        prop_assert_eq!(resumed.export_state(), whole.export_state());
     }
 }

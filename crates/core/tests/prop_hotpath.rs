@@ -419,7 +419,6 @@ fn pool_feeder_gate_equals_reference_on_colliders_and_misses() {
         let mut colliders_only = DetectorPool::new(&rules, &hl, config, workers);
         colliders_only.observe_records(&collider_records(&colliders)).unwrap();
         colliders_only.finish().unwrap();
-        assert_eq!(colliders_only.state_size().unwrap(), 0, "{workers} workers: collider state");
         let states = colliders_only.shard_states().unwrap();
         assert!(states.iter().all(|s| s.entry_count() == 0), "{workers} workers: collider state");
     }

@@ -1,8 +1,8 @@
-//! A passive-DNS database in the style of Farsight DNSDB ([16], [18]).
+//! A passive-DNS database in the style of Farsight DNSDB (\[16\], \[18\]).
 //!
 //! §4.2.1: *"DNSDB provides information for all domains served by an IP
 //! address in a given time period and vice versa, hence it mitigates the
-//! issues caused by [churn]. DNSDB also provides all records, including
+//! issues caused by \[churn\]. DNSDB also provides all records, including
 //! CNAMEs that may have been returned in the DNS response, for a given
 //! domain."*
 //!

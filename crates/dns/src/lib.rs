@@ -11,7 +11,7 @@
 //!    *churn* the paper works around: "the specific IP addresses mapping to
 //!    specific domains can change often" (§4.2.1). Domains are backed by IP
 //!    pools and the resolver rotates through them over time.
-//! 3. **Passive DNS** ([`dnsdb`]) — a DNSDB-style database (Farsight [16])
+//! 3. **Passive DNS** ([`dnsdb`]) — a DNSDB-style database (Farsight \[16\])
 //!    that records every observed resolution and answers the two §4.2.1
 //!    queries: *all IPs a domain mapped to* and *all domains an IP served*
 //!    within a time window, CNAMEs included.

@@ -1,7 +1,7 @@
 //! TCP flag handling.
 //!
 //! §6.3 is the consumer: at the IXP, spoofing prevention is impossible, so
-//! the methodology *"require[s] TCP traffic to see at least one packet
+//! the methodology *"require\[s\] TCP traffic to see at least one packet
 //! without flags, indicating that a TCP connection was successfully
 //! established"* — "without flags" meaning without any of the
 //! connection-management flags (SYN/FIN/RST); a mid-connection data or pure

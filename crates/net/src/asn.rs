@@ -31,7 +31,7 @@ impl fmt::Display for Asn {
 /// Coarse category of an AS, following the paper's discussion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AsCategory {
-    /// Residential access network ("eyeball AS", [29] in the paper).
+    /// Residential access network ("eyeball AS", \[29\] in the paper).
     Eyeball,
     /// Cloud/hosting provider (AWS-like); dedicated IoT backends often rent
     /// VMs here with exclusive public IPs (§4.2.1).

@@ -1,6 +1,6 @@
 //! # haystack-scan
 //!
-//! The Censys substrate ([9] in the paper): a queryable snapshot of
+//! The Censys substrate (\[9\] in the paper): a queryable snapshot of
 //! TLS certificates and HTTPS banners per scanned IP, plus the §4.2.2
 //! match criteria the methodology applies when DNSDB has no record for a
 //! domain:

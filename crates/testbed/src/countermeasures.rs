@@ -3,7 +3,7 @@
 //! The paper names the escape hatches itself: *"Given that we are unable
 //! to identify IoT services if they are using shared infrastructures
 //! (e.g., CDNs), this also points out a good way to hide IoT services"*,
-//! and the related-work discussion cites traffic shaping [36] against
+//! and the related-work discussion cites traffic shaping \[36\] against
 //! usage inference. Each [`Countermeasure`] transforms a device class's
 //! catalog entry the way a privacy-conscious vendor (or firmware update)
 //! would; the `ablation_hiding` binary quantifies what each buys.
@@ -24,7 +24,7 @@ pub enum Countermeasure {
         /// Ceiling on idle packets/hour per domain.
         max_idle_pph: f64,
     },
-    /// Constant-rate cover traffic ([36]-style shaping): every domain
+    /// Constant-rate cover traffic (\[36\]-style shaping): every domain
     /// idles at exactly `level_pph`, and interaction bursts are absorbed
     /// into the constant rate. Usage inference (§7.1) loses both of its
     /// signals — while *presence* detection gets easier. Privacy is a

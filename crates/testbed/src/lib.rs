@@ -11,7 +11,7 @@
 //!   backend domain set with per-domain traffic profiles, hosting shapes,
 //!   and the devices excluded in §4.2.3 (shared infrastructure /
 //!   insufficient information).
-//! * [`materialize`] — registers every catalog domain with the
+//! * [`materialize`](mod@materialize) — registers every catalog domain with the
 //!   [`haystack_backend::UniverseBuilder`], producing the DNS/cert/AS
 //!   world the experiments run against.
 //! * [`traffic`] — the per-instance packet generator: laconic vs gossiping

@@ -222,7 +222,7 @@ pub fn generate_hour(
 ///
 /// 1. **Same draws** — every (line, product) cell seeds its own RNG from
 ///    `(seed, line, product, hour)` and samples through
-///    [`sample_line_plan`], so iteration order (product-major there,
+///    `sample_line_plan`, so iteration order (product-major there,
 ///    line-major here) cannot change any draw.
 /// 2. **Same aggregation** — per-line accumulation keyed by
 ///    `(dst, dport)` with plans visited in plan order (background last)

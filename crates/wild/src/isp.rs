@@ -3,7 +3,7 @@
 //! All border routers sample at one consistent rate (default 1-in-1000)
 //! and export NetFlow; user addresses are anonymized before anything
 //! leaves the vantage point. At population scale the vantage point hands
-//! the detector decoded [`WildRecord`]s directly (see
+//! the detector decoded [`WildRecord`](crate::WildRecord)s directly (see
 //! [`crate::record`] for why), one batch per hour.
 
 use crate::degrade::{degrade_records, DegradeStream};
