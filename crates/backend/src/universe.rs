@@ -168,7 +168,13 @@ impl UniverseBuilder {
     /// own dedicated backend.
     pub fn add_operator(&mut self, name: &str) {
         let banner = HttpsBanner::new(format!("{name}-backend"), name);
-        self.operators.insert(name.to_string(), OperatorState { ips: Vec::new(), banner });
+        self.operators.insert(
+            name.to_string(),
+            OperatorState {
+                ips: Vec::new(),
+                banner,
+            },
+        );
     }
 
     /// Register a cloud provider; VM IPs come from its own sub-block of
@@ -232,15 +238,24 @@ impl UniverseBuilder {
         active: usize,
         rotation_period_secs: u64,
     ) -> Vec<Ipv4Addr> {
-        let ips = self.dedicated_alloc.alloc_n(pool_size).expect("dedicated space exhausted");
+        let ips = self
+            .dedicated_alloc
+            .alloc_n(pool_size)
+            .expect("dedicated space exhausted");
         let serial = self.next_serial();
-        let st = self.operators.get_mut(operator).expect("operator not registered");
+        let st = self
+            .operators
+            .get_mut(operator)
+            .expect("operator not registered");
         st.ips.extend(&ips);
         let banner = st.banner.clone();
         self.zones.insert_pool(
             domain.clone(),
             ips.clone(),
-            RotationPolicy { active_count: active, period_secs: rotation_period_secs },
+            RotationPolicy {
+                active_count: active,
+                period_secs: rotation_period_secs,
+            },
         );
         let cert = Certificate::new(
             vec![
@@ -250,8 +265,12 @@ impl UniverseBuilder {
             serial,
         );
         self.pending_scans.push((cert, banner, ips.clone()));
-        self.hosting
-            .insert(domain.clone(), Hosting::Dedicated { operator: operator.to_string() });
+        self.hosting.insert(
+            domain.clone(),
+            Hosting::Dedicated {
+                operator: operator.to_string(),
+            },
+        );
         ips
     }
 
@@ -263,13 +282,10 @@ impl UniverseBuilder {
         let cloud = self.clouds.get_mut(provider).expect("cloud not registered");
         let ip = cloud.alloc_block.alloc().expect("cloud block exhausted");
         cloud.vm_count += 1;
-        let vm_label = format!(
-            "{}-vm{}",
-            domain.as_str().replace('.', "-"),
-            cloud.vm_count
-        );
+        let vm_label = format!("{}-vm{}", domain.as_str().replace('.', "-"), cloud.vm_count);
         let vm_name = cloud.zone_suffix.child(&vm_label).expect("valid vm label");
-        self.zones.insert_pool(vm_name.clone(), vec![ip], RotationPolicy::STABLE);
+        self.zones
+            .insert_pool(vm_name.clone(), vec![ip], RotationPolicy::STABLE);
         self.zones.insert_cname(domain.clone(), vm_name);
         let cert = Certificate::new(
             vec![
@@ -282,7 +298,10 @@ impl UniverseBuilder {
         self.pending_scans.push((cert, banner, vec![ip]));
         self.hosting.insert(
             domain.clone(),
-            Hosting::CloudVm { provider: provider.to_string(), tenant: tenant.to_string() },
+            Hosting::CloudVm {
+                provider: provider.to_string(),
+                tenant: tenant.to_string(),
+            },
         );
         ip
     }
@@ -292,7 +311,10 @@ impl UniverseBuilder {
     pub fn host_cdn(&mut self, provider: &str, domain: &DomainName) {
         let cdn = self.cdns.get_mut(provider).expect("cdn not registered");
         let dispatch_label = domain.as_str().replace('.', "-");
-        let dispatch = cdn.zone_suffix.child(&dispatch_label).expect("valid dispatch label");
+        let dispatch = cdn
+            .zone_suffix
+            .child(&dispatch_label)
+            .expect("valid dispatch label");
         self.zones.insert_cname(domain.clone(), dispatch.clone());
         self.zones.insert_pool(
             dispatch,
@@ -303,7 +325,12 @@ impl UniverseBuilder {
             },
         );
         cdn.tenants.push(domain.clone());
-        self.hosting.insert(domain.clone(), Hosting::Cdn { provider: provider.to_string() });
+        self.hosting.insert(
+            domain.clone(),
+            Hosting::Cdn {
+                provider: provider.to_string(),
+            },
+        );
     }
 
     /// Host a generic (non-IoT) service on its own pool in the generic
@@ -317,11 +344,17 @@ impl UniverseBuilder {
         active: usize,
         rotation_period_secs: u64,
     ) -> Vec<Ipv4Addr> {
-        let ips = self.generic_alloc.alloc_n(pool_size).expect("generic space exhausted");
+        let ips = self
+            .generic_alloc
+            .alloc_n(pool_size)
+            .expect("generic space exhausted");
         self.zones.insert_pool(
             domain.clone(),
             ips.clone(),
-            RotationPolicy { active_count: active, period_secs: rotation_period_secs },
+            RotationPolicy {
+                active_count: active,
+                period_secs: rotation_period_secs,
+            },
         );
         let serial = self.next_serial();
         let cert = Certificate::single(
@@ -330,8 +363,12 @@ impl UniverseBuilder {
         );
         let banner = HttpsBanner::new("generic-web", domain.as_str());
         self.pending_scans.push((cert, banner, ips.clone()));
-        self.hosting
-            .insert(domain.clone(), Hosting::Dedicated { operator: "generic".to_string() });
+        self.hosting.insert(
+            domain.clone(),
+            Hosting::Dedicated {
+                operator: "generic".to_string(),
+            },
+        );
         ips
     }
 
@@ -340,7 +377,14 @@ impl UniverseBuilder {
         let mut scans = ScanDb::new();
         for (cert, banner, ips) in &self.pending_scans {
             for ip in ips {
-                scans.insert(*ip, HostScan { cert: cert.clone(), banner: banner.clone(), port: 443 });
+                scans.insert(
+                    *ip,
+                    HostScan {
+                        cert: cert.clone(),
+                        banner: banner.clone(),
+                        port: 443,
+                    },
+                );
             }
         }
         // CDN edges present one multi-tenant SAN certificate per CDN —
@@ -358,7 +402,14 @@ impl UniverseBuilder {
             let cert = Certificate::new(names, serial);
             let banner = HttpsBanner::new(format!("{name}-edge"), name);
             for ip in &cdn.edges {
-                scans.insert(*ip, HostScan { cert: cert.clone(), banner: banner.clone(), port: 443 });
+                scans.insert(
+                    *ip,
+                    HostScan {
+                        cert: cert.clone(),
+                        banner: banner.clone(),
+                        port: 443,
+                    },
+                );
             }
         }
 
@@ -430,7 +481,10 @@ mod tests {
         let res = r.resolve(&d("api.deva.com"), SimTime(0)).unwrap();
         assert_eq!(res.ips.len(), 4);
         assert!(res.chain.is_empty());
-        assert!(res.ips.iter().all(|ip| AddressPlan::dedicated().contains(*ip)));
+        assert!(res
+            .ips
+            .iter()
+            .all(|ip| AddressPlan::dedicated().contains(*ip)));
     }
 
     #[test]
@@ -441,7 +495,9 @@ mod tests {
         assert_eq!(res.chain.len(), 1);
         assert_eq!(res.ips.len(), 1);
         assert!(AddressPlan::cloud().contains(res.ips[0]));
-        assert!(res.canonical.is_subdomain_of(&d("ec2compute.cloudnova.com")));
+        assert!(res
+            .canonical
+            .is_subdomain_of(&d("ec2compute.cloudnova.com")));
         // The cloud AS is registered with category Cloud.
         let info = u.as_registry.lookup(res.ips[0]).unwrap();
         assert_eq!(info.category, AsCategory::Cloud);
@@ -519,7 +575,10 @@ mod tests {
                 seen.insert(ip);
             }
         }
-        assert!(seen.len() > 4, "rotation exposes more than one epoch's subset");
+        assert!(
+            seen.len() > 4,
+            "rotation exposes more than one epoch's subset"
+        );
         assert!(seen.len() <= 8);
     }
 }

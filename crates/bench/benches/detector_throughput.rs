@@ -71,7 +71,10 @@ fn stream(hit_rate: f64) -> Vec<WildRecord> {
             let (dst, dport) = if rng.gen_bool(hit_rate) {
                 keys[rng.gen_range(0..keys.len())]
             } else {
-                (Ipv4Addr::new(30 + (i >> 16) as u8, (i >> 8) as u8, i as u8, 1), 443)
+                (
+                    Ipv4Addr::new(30 + (i >> 16) as u8, (i >> 8) as u8, i as u8, 1),
+                    443,
+                )
             };
             let src = Ipv4Addr::new(100, 64, rng.gen(), rng.gen());
             WildRecord {
@@ -92,7 +95,11 @@ fn stream(hit_rate: f64) -> Vec<WildRecord> {
 
 fn compiled() -> Detector<'static> {
     let p = pipeline();
-    Detector::new(&p.rules, HitList::whole_window(&p.rules), DetectorConfig::default())
+    Detector::new(
+        &p.rules,
+        HitList::whole_window(&p.rules),
+        DetectorConfig::default(),
+    )
 }
 
 /// "reference" is the pre-optimization implementation (SipHash tuple
@@ -179,7 +186,12 @@ fn miss_dominated(c: &mut Criterion) {
     }
     let hl = HitList::whole_window(&p.rules);
     g.bench_function("ungated_probe_miss99", |b| {
-        b.iter(|| miss99.iter().map(|r| hl.lookup_ungated(r.dst, r.dport).len()).sum::<usize>())
+        b.iter(|| {
+            miss99
+                .iter()
+                .map(|r| hl.lookup_ungated(r.dst, r.dport).len())
+                .sum::<usize>()
+        })
     });
     g.finish();
 }

@@ -43,8 +43,10 @@ fn main() {
     // DNS-based detection at several resolver shares.
     let rules = dns_rules(&p.catalog, &p.observations, &p.classification);
     let shares = [1.0f64, 0.7, 0.4];
-    let mut dns_dets: Vec<DnsDetector<'_>> =
-        shares.iter().map(|_| DnsDetector::new(&rules, 0.4)).collect();
+    let mut dns_dets: Vec<DnsDetector<'_>> = shares
+        .iter()
+        .map(|_| DnsDetector::new(&rules, 0.4))
+        .collect();
     eprintln!("# resolver-log detection at shares {shares:?} ...");
     for hour in day.hours() {
         for (si, &share) in shares.iter().enumerate() {

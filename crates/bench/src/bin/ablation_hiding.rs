@@ -22,7 +22,10 @@ fn run(label: &str, catalog: haystack_testbed::catalog::Catalog, args: &Args) {
     let config = if args.fast {
         PipelineConfig::fast(args.seed)
     } else {
-        PipelineConfig { seed: args.seed, ..Default::default() }
+        PipelineConfig {
+            seed: args.seed,
+            ..Default::default()
+        }
     };
     eprintln!("# [{label}] rebuilding pipeline ...");
     let p = Pipeline::run_with_catalog(config, catalog);
@@ -36,7 +39,11 @@ fn run(label: &str, catalog: haystack_testbed::catalog::Catalog, args: &Args) {
     let detect = |kind: ExperimentKind| -> String {
         let times = detection_times(
             &p,
-            &CrosscheckConfig { sampling: 1_000, kind, hours },
+            &CrosscheckConfig {
+                sampling: 1_000,
+                kind,
+                hours,
+            },
             &[0.4],
         );
         match times.iter().find(|t| t.class == CLASS) {
@@ -52,8 +59,11 @@ fn run(label: &str, catalog: haystack_testbed::catalog::Catalog, args: &Args) {
         .unwrap_or(0);
     println!(
         "{label}\t{}\t{}\t{}\t{}\t{}",
-        rule.map(|r| r.domains.len().to_string()).unwrap_or_else(|| "-".into()),
-        excluded.map(|(_, r)| format!("{r:?}")).unwrap_or_else(|| "detectable".into()),
+        rule.map(|r| r.domains.len().to_string())
+            .unwrap_or_else(|| "-".into()),
+        excluded
+            .map(|(_, r)| format!("{r:?}"))
+            .unwrap_or_else(|| "detectable".into()),
         detect(ExperimentKind::Active),
         detect(ExperimentKind::Idle),
         if usage_indicators > 0 { "yes" } else { "no" },
@@ -73,14 +83,24 @@ fn main() {
     );
     run(
         "rate_limit_5pph",
-        apply(&base, CLASS, Countermeasure::RateLimit { max_idle_pph: 5.0 }),
+        apply(
+            &base,
+            CLASS,
+            Countermeasure::RateLimit { max_idle_pph: 5.0 },
+        ),
         &args,
     );
     run(
         "constant_shaping_120pph",
-        apply(&base, CLASS, Countermeasure::ConstantRateShaping { level_pph: 120.0 }),
+        apply(
+            &base,
+            CLASS,
+            Countermeasure::ConstantRateShaping { level_pph: 120.0 },
+        ),
         &args,
     );
     println!("# paper §7.4: shared infrastructure is 'a good way to hide IoT services';");
-    println!("# shaping ([36]) kills usage inference but leaves — or strengthens — presence detection.");
+    println!(
+        "# shaping ([36]) kills usage inference but leaves — or strengthens — presence detection."
+    );
 }

@@ -24,13 +24,18 @@ fn main() {
     let days = if args.fast { 1u32 } else { 3 };
 
     let mut pool = DetectorPool::new(&p.rules, &HitList::default(), DetectorConfig::default(), 4);
-    pool.attach_telemetry(&telemetry::Scope::named("pool")).unwrap();
+    pool.attach_telemetry(&telemetry::Scope::named("pool"))
+        .unwrap();
     let mut chunk = RecordChunk::with_capacity(DEFAULT_CHUNK_RECORDS);
     let stream_scope = telemetry::Scope::named("stream");
-    println!("# accuracy over {days} day(s), {} lines, sampling 1/1000, D=0.4", isp.config().lines);
+    println!(
+        "# accuracy over {days} day(s), {} lines, sampling 1/1000, D=0.4",
+        isp.config().lines
+    );
     println!("day\tclass\ttp\tfp\tfn\tprecision\trecall\tf1");
     for day in 0..days {
-        pool.set_hitlist(&HitList::for_day(&p.rules, &p.dnsdb, DayBin(day))).unwrap();
+        pool.set_hitlist(&HitList::for_day(&p.rules, &p.dnsdb, DayBin(day)))
+            .unwrap();
         // Evidence accumulates across days (the detector is cumulative
         // here, matching Figure 13's multi-day view).
         for hour in DayBin(day).hours() {
@@ -65,5 +70,8 @@ fn main() {
     println!("# note: owner identities churn with daily IP reassignment; the oracle tracks it.");
     println!("# telemetry");
     let snap = telemetry::global().snapshot();
-    println!("{}", serde_json::to_string_pretty(&snap.to_json()).expect("serializable"));
+    println!(
+        "{}",
+        serde_json::to_string_pretty(&snap.to_json()).expect("serializable")
+    );
 }

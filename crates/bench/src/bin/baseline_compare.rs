@@ -29,7 +29,12 @@ fn to_flows(packets: &[&GroundTruthPacket]) -> Vec<FlowObs> {
         e.1 += u64::from(g.packet.bytes);
     }
     agg.into_iter()
-        .map(|((dst, dport), (packets, bytes))| FlowObs { dst, dport, packets, bytes })
+        .map(|((dst, dport), (packets, bytes))| FlowObs {
+            dst,
+            dport,
+            packets,
+            bytes,
+        })
         .collect()
 }
 
@@ -58,8 +63,10 @@ fn main() {
         }
         for inst in p.driver.instances() {
             let class = p.catalog.products[inst.product].class;
-            let full_flows =
-                per_instance.get(&inst.id).map(|v| to_flows(v)).unwrap_or_default();
+            let full_flows = per_instance
+                .get(&inst.id)
+                .map(|v| to_flows(v))
+                .unwrap_or_default();
             let sampled_flows = per_instance_sampled
                 .get(&inst.id)
                 .map(|v| to_flows(v))
@@ -96,9 +103,18 @@ fn main() {
     println!("# baseline_compare: feature classifier [34] vs destination signatures");
     println!("metric\tvalue");
     println!("baseline classes trained\t{}", clf.num_classes());
-    println!("baseline accuracy, full capture (device-hour)\t{}", pct(a_full));
-    println!("baseline accuracy, 1/1000 sampled (device-hour)\t{}", pct(a_sampled));
-    println!("signature coverage, same sampled stream (classes detected, idle window)\t{}", pct(sig_coverage));
+    println!(
+        "baseline accuracy, full capture (device-hour)\t{}",
+        pct(a_full)
+    );
+    println!(
+        "baseline accuracy, 1/1000 sampled (device-hour)\t{}",
+        pct(a_sampled)
+    );
+    println!(
+        "signature coverage, same sampled stream (classes detected, idle window)\t{}",
+        pct(sig_coverage)
+    );
     println!(
         "\n# §8: feature approaches need full captures ({} here); under ISP sampling they\n\
          # collapse ({}), while destination signatures still cover {} of rule classes.",

@@ -20,8 +20,8 @@ use haystack_bench::{build_isp, build_pipeline, pct, Args};
 use haystack_core::detector::DetectorConfig;
 use haystack_core::hitlist::HitList;
 use haystack_core::parallel::DetectorPool;
-use haystack_core::quality::{evaluate, Confusion};
 use haystack_core::pipeline::Pipeline;
+use haystack_core::quality::{evaluate, Confusion};
 use haystack_core::telemetry::{self, InstrumentedStream};
 use haystack_flow::export::{ExportProtocol, Exporter};
 use haystack_flow::key::FlowKey;
@@ -107,11 +107,13 @@ fn detection_step(p: &Pipeline, args: &Args, severity: Option<f64>, days: u32) -
     // Supervised like the deployment shape — the hitlist swaps below
     // double as shard checkpoints, so the `# telemetry` section carries
     // the checkpoint.* recovery counters.
-    pool.enable_supervision(haystack_core::parallel::DEFAULT_REPLAY_LIMIT).unwrap();
+    pool.enable_supervision(haystack_core::parallel::DEFAULT_REPLAY_LIMIT)
+        .unwrap();
     let mut chunk = RecordChunk::with_capacity(DEFAULT_CHUNK_RECORDS);
     let mut degradation = haystack_wild::FeedDegradation::default();
     for day in 0..days {
-        pool.set_hitlist(&HitList::for_day(&p.rules, &p.dnsdb, DayBin(day))).unwrap();
+        pool.set_hitlist(&HitList::for_day(&p.rules, &p.dnsdb, DayBin(day)))
+            .unwrap();
         for hour in DayBin(day).hours() {
             let mut stream = InstrumentedStream::new(
                 isp.stream_hour(&p.world, hour, DEFAULT_CHUNK_RECORDS),
@@ -192,8 +194,14 @@ fn main() {
     for d in link.shutdown() {
         decoded += collector.feed(d).map_or(0, |rs| rs.len());
     }
-    assert!(collector.missed_datagrams() > 0, "10% loss must register sequence gaps");
-    assert!(collector.restarts_detected() >= 1, "the restart must be detected");
+    assert!(
+        collector.missed_datagrams() > 0,
+        "10% loss must register sequence gaps"
+    );
+    assert!(
+        collector.restarts_detected() >= 1,
+        "the restart must be detected"
+    );
     assert!(decoded > 0, "most records still decode");
     telemetry::observe_collector(&telemetry::Scope::named("wire.collector"), &collector);
     println!(
@@ -217,7 +225,11 @@ fn main() {
         (zero.true_pos, zero.false_pos, zero.false_neg),
         "severity 0 must reproduce the clean study exactly"
     );
-    let det_severities: &[f64] = if args.fast { &[0.3, 0.6] } else { &[0.2, 0.4, 0.6, 0.8] };
+    let det_severities: &[f64] = if args.fast {
+        &[0.3, 0.6]
+    } else {
+        &[0.2, 0.4, 0.6, 0.8]
+    };
     let mut last_recall = zero.recall();
     for &s in det_severities {
         let c = detection_step(&p, &args, Some(s), days);
@@ -239,5 +251,8 @@ fn main() {
     // ---- Section 3: pipeline telemetry --------------------------------
     println!("# telemetry");
     let snap = telemetry::global().snapshot();
-    println!("{}", serde_json::to_string_pretty(&snap.to_json()).expect("serializable"));
+    println!(
+        "{}",
+        serde_json::to_string_pretty(&snap.to_json()).expect("serializable")
+    );
 }

@@ -19,26 +19,43 @@ fn main() {
     let hours = if args.fast { Some(8) } else { None };
 
     for kind in [ExperimentKind::Active, ExperimentKind::Idle] {
-        let label = if kind == ExperimentKind::Active { "active" } else { "idle" };
+        let label = if kind == ExperimentKind::Active {
+            "active"
+        } else {
+            "idle"
+        };
         eprintln!("# replaying {label} experiment through sampling + NetFlow ...");
         let times = detection_times(
             &p,
-            &CrosscheckConfig { sampling: 1_000, kind, hours },
+            &CrosscheckConfig {
+                sampling: 1_000,
+                kind,
+                hours,
+            },
             &thresholds,
         );
 
-        println!("\n# fig10 ({label}): hours-to-detect per class per threshold ('-' = not detected)");
+        println!(
+            "\n# fig10 ({label}): hours-to-detect per class per threshold ('-' = not detected)"
+        );
         print!("class\t#domains");
         for t in &thresholds {
             print!("\tD={t:.1}");
         }
         println!();
         for rule in &p.rules.rules {
-            print!("{}{}\t{}", p.rules.class_name(rule.class), rule.level.suffix(), rule.domains.len());
+            print!(
+                "{}{}\t{}",
+                p.rules.class_name(rule.class),
+                rule.level.suffix(),
+                rule.domains.len()
+            );
             for t in &thresholds {
                 let row = times
                     .iter()
-                    .find(|x| x.class == p.rules.class_name(rule.class) && (x.threshold - t).abs() < 1e-9)
+                    .find(|x| {
+                        x.class == p.rules.class_name(rule.class) && (x.threshold - t).abs() < 1e-9
+                    })
                     .unwrap();
                 match row.hours_to_detect {
                     Some(h) => print!("\t{h}"),

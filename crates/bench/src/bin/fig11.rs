@@ -28,9 +28,21 @@ fn main() {
     for h in &hours {
         println!(
             "{h}\t{}\t{}\t{}",
-            study.group_hourly.get(&(DeviceGroup::Alexa, *h)).copied().unwrap_or(0),
-            study.group_hourly.get(&(DeviceGroup::Samsung, *h)).copied().unwrap_or(0),
-            study.group_hourly.get(&(DeviceGroup::Other, *h)).copied().unwrap_or(0),
+            study
+                .group_hourly
+                .get(&(DeviceGroup::Alexa, *h))
+                .copied()
+                .unwrap_or(0),
+            study
+                .group_hourly
+                .get(&(DeviceGroup::Samsung, *h))
+                .copied()
+                .unwrap_or(0),
+            study
+                .group_hourly
+                .get(&(DeviceGroup::Other, *h))
+                .copied()
+                .unwrap_or(0),
         );
     }
 
@@ -41,9 +53,21 @@ fn main() {
         let any = study.any_iot_daily[d];
         println!(
             "{d}\t{}\t{}\t{}\t{any}\t{}",
-            study.group_daily.get(&(DeviceGroup::Alexa, *d)).copied().unwrap_or(0),
-            study.group_daily.get(&(DeviceGroup::Samsung, *d)).copied().unwrap_or(0),
-            study.group_daily.get(&(DeviceGroup::Other, *d)).copied().unwrap_or(0),
+            study
+                .group_daily
+                .get(&(DeviceGroup::Alexa, *d))
+                .copied()
+                .unwrap_or(0),
+            study
+                .group_daily
+                .get(&(DeviceGroup::Samsung, *d))
+                .copied()
+                .unwrap_or(0),
+            study
+                .group_daily
+                .get(&(DeviceGroup::Other, *d))
+                .copied()
+                .unwrap_or(0),
             pct(any as f64 / lines)
         );
     }

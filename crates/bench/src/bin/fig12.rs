@@ -7,8 +7,13 @@
 
 use haystack_bench::{build_pipeline, pct, run_standard_isp_study, Args};
 
-const CLASSES: &[&str] =
-    &["Alexa Enabled", "Amazon Product", "Fire TV", "Samsung IoT", "Samsung TV"];
+const CLASSES: &[&str] = &[
+    "Alexa Enabled",
+    "Amazon Product",
+    "Fire TV",
+    "Samsung IoT",
+    "Samsung TV",
+];
 
 fn main() {
     let args = Args::parse();
@@ -25,7 +30,14 @@ fn main() {
     for d in &days {
         print!("{d}");
         for c in CLASSES {
-            print!("\t{}", study.daily.get(&((*c).to_string(), *d)).copied().unwrap_or(0));
+            print!(
+                "\t{}",
+                study
+                    .daily
+                    .get(&((*c).to_string(), *d))
+                    .copied()
+                    .unwrap_or(0)
+            );
         }
         println!();
     }

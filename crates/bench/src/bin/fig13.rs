@@ -8,8 +8,13 @@
 
 use haystack_bench::{build_pipeline, run_standard_isp_study, Args};
 
-const CLASSES: &[&str] =
-    &["Alexa Enabled", "Amazon Product", "Fire TV", "Samsung IoT", "Samsung TV"];
+const CLASSES: &[&str] = &[
+    "Alexa Enabled",
+    "Amazon Product",
+    "Fire TV",
+    "Samsung IoT",
+    "Samsung TV",
+];
 
 fn main() {
     let args = Args::parse();
@@ -26,7 +31,14 @@ fn main() {
     for d in &days {
         print!("{d}");
         for c in CLASSES {
-            print!("\t{}", study.cumulative_lines.get(&((*c).to_string(), *d)).copied().unwrap_or(0));
+            print!(
+                "\t{}",
+                study
+                    .cumulative_lines
+                    .get(&((*c).to_string(), *d))
+                    .copied()
+                    .unwrap_or(0)
+            );
         }
         println!();
     }
@@ -40,7 +52,14 @@ fn main() {
     for d in &days {
         print!("{d}");
         for c in CLASSES {
-            print!("\t{}", study.cumulative_slash24.get(&((*c).to_string(), *d)).copied().unwrap_or(0));
+            print!(
+                "\t{}",
+                study
+                    .cumulative_slash24
+                    .get(&((*c).to_string(), *d))
+                    .copied()
+                    .unwrap_or(0)
+            );
         }
         println!();
     }
@@ -51,10 +70,26 @@ fn main() {
         let last = *days.last().unwrap();
         println!("\n# growth (last/first day) — lines should outgrow /24s:");
         for c in CLASSES {
-            let l0 = study.cumulative_lines.get(&((*c).to_string(), first)).copied().unwrap_or(0) as f64;
-            let l1 = study.cumulative_lines.get(&((*c).to_string(), last)).copied().unwrap_or(0) as f64;
-            let p0 = study.cumulative_slash24.get(&((*c).to_string(), first)).copied().unwrap_or(0) as f64;
-            let p1 = study.cumulative_slash24.get(&((*c).to_string(), last)).copied().unwrap_or(0) as f64;
+            let l0 = study
+                .cumulative_lines
+                .get(&((*c).to_string(), first))
+                .copied()
+                .unwrap_or(0) as f64;
+            let l1 = study
+                .cumulative_lines
+                .get(&((*c).to_string(), last))
+                .copied()
+                .unwrap_or(0) as f64;
+            let p0 = study
+                .cumulative_slash24
+                .get(&((*c).to_string(), first))
+                .copied()
+                .unwrap_or(0) as f64;
+            let p1 = study
+                .cumulative_slash24
+                .get(&((*c).to_string(), last))
+                .copied()
+                .unwrap_or(0) as f64;
             println!(
                 "{c}\tlines x{:.2}\t/24s x{:.2}",
                 l1 / l0.max(1.0),

@@ -28,7 +28,9 @@ fn main() {
             .unwrap_or(MarketRank::Other)
     };
 
-    println!("# fig14: unique subscriber lines per day, other-32 classes (rows sorted by day-0 count)");
+    println!(
+        "# fig14: unique subscriber lines per day, other-32 classes (rows sorted by day-0 count)"
+    );
     print!("class\tmarket");
     for d in &days {
         print!("\tday{d}");
@@ -43,7 +45,13 @@ fn main() {
             let class = p.rules.class_name(r.class);
             let counts: Vec<u64> = days
                 .iter()
-                .map(|d| study.daily.get(&(class.to_string(), *d)).copied().unwrap_or(0))
+                .map(|d| {
+                    study
+                        .daily
+                        .get(&(class.to_string(), *d))
+                        .copied()
+                        .unwrap_or(0)
+                })
                 .collect();
             (class, band(class), counts)
         })
@@ -56,7 +64,10 @@ fn main() {
         }
         println!();
     }
-    println!("\n# {} other-32 classes reported (paper plots 32)", rows.len());
+    println!(
+        "\n# {} other-32 classes reported (paper plots 32)",
+        rows.len()
+    );
     // Stability check: max day-to-day swing per class.
     let mut max_swing = 0.0f64;
     for (_, _, counts) in &rows {

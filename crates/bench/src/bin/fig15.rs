@@ -25,19 +25,33 @@ fn main() {
         &p,
         &p.world,
         &ixp,
-        &IxpStudyConfig { window: study_window(&args), ..Default::default() },
+        &IxpStudyConfig {
+            window: study_window(&args),
+            ..Default::default()
+        },
     );
 
     println!("# fig15: unique detected client IPs per day (established-TCP filtered)");
     println!("day\tsamsung\talexa\tother32");
-    let days: std::collections::BTreeSet<u32> =
-        study.daily_ips.keys().map(|(_, d)| *d).collect();
+    let days: std::collections::BTreeSet<u32> = study.daily_ips.keys().map(|(_, d)| *d).collect();
     for d in &days {
         println!(
             "{d}\t{}\t{}\t{}",
-            study.daily_ips.get(&(DeviceGroup::Samsung, *d)).copied().unwrap_or(0),
-            study.daily_ips.get(&(DeviceGroup::Alexa, *d)).copied().unwrap_or(0),
-            study.daily_ips.get(&(DeviceGroup::Other, *d)).copied().unwrap_or(0),
+            study
+                .daily_ips
+                .get(&(DeviceGroup::Samsung, *d))
+                .copied()
+                .unwrap_or(0),
+            study
+                .daily_ips
+                .get(&(DeviceGroup::Alexa, *d))
+                .copied()
+                .unwrap_or(0),
+            study
+                .daily_ips
+                .get(&(DeviceGroup::Other, *d))
+                .copied()
+                .unwrap_or(0),
         );
     }
     println!(

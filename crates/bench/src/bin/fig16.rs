@@ -16,7 +16,10 @@ fn main() {
         &p,
         &p.world,
         &ixp,
-        &IxpStudyConfig { window: StudyWindow::days(0, 1), ..Default::default() },
+        &IxpStudyConfig {
+            window: StudyWindow::days(0, 1),
+            ..Default::default()
+        },
     );
 
     for group in [DeviceGroup::Samsung, DeviceGroup::Alexa, DeviceGroup::Other] {
@@ -33,10 +36,16 @@ fn main() {
             .collect();
         counts.sort_by_key(|row| std::cmp::Reverse(row.2));
         let total: u64 = counts.iter().map(|(_, _, n)| n).sum();
-        println!("\n# fig16 [{}]: per-AS share of unique detected IPs, day 0", group.label());
+        println!(
+            "\n# fig16 [{}]: per-AS share of unique detected IPs, day 0",
+            group.label()
+        );
         println!("member\tcategory\tips\tshare");
         for (name, cat, n) in &counts {
-            println!("{name}\t{cat}\t{n}\t{}", pct(*n as f64 / total.max(1) as f64));
+            println!(
+                "{name}\t{cat}\t{n}\t{}",
+                pct(*n as f64 / total.max(1) as f64)
+            );
         }
         // ECDF summary: share held by the top 10 % of members.
         let members_with_any = counts.iter().filter(|(_, _, n)| *n > 0).count();

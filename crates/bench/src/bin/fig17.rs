@@ -58,7 +58,5 @@ fn main() {
         "\n# peaks: active home {} / isp {}; idle home {} / isp {}",
         peaks[0].0, peaks[0].1, peaks[1].0, peaks[1].1
     );
-    println!(
-        "# paper: activity spikes >1k at home and >10 at the ISP; idle never reaches either."
-    );
+    println!("# paper: activity spikes >1k at home and >10 at the ISP; idle never reaches either.");
 }

@@ -21,16 +21,32 @@ fn main() {
     for h in &hours {
         println!(
             "{h}\t{}\t{}",
-            study.group_hourly.get(&(DeviceGroup::Alexa, *h)).copied().unwrap_or(0),
-            study.active_hourly.get(&("Alexa Enabled".to_string(), *h)).copied().unwrap_or(0),
+            study
+                .group_hourly
+                .get(&(DeviceGroup::Alexa, *h))
+                .copied()
+                .unwrap_or(0),
+            study
+                .active_hourly
+                .get(&("Alexa Enabled".to_string(), *h))
+                .copied()
+                .unwrap_or(0),
         );
     }
 
-    let peak_hour = hours
-        .iter()
-        .max_by_key(|h| study.active_hourly.get(&("Alexa Enabled".to_string(), **h)).copied().unwrap_or(0));
+    let peak_hour = hours.iter().max_by_key(|h| {
+        study
+            .active_hourly
+            .get(&("Alexa Enabled".to_string(), **h))
+            .copied()
+            .unwrap_or(0)
+    });
     if let Some(h) = peak_hour {
-        let peak = study.active_hourly.get(&("Alexa Enabled".to_string(), *h)).copied().unwrap_or(0);
+        let peak = study
+            .active_hourly
+            .get(&("Alexa Enabled".to_string(), *h))
+            .copied()
+            .unwrap_or(0);
         let night = study
             .active_hourly
             .get(&("Alexa Enabled".to_string(), (h / 24) * 24 + 3))
@@ -44,7 +60,11 @@ fn main() {
         println!("# paper: active use follows the diurnal pattern, peaking during day/evening.");
     }
     println!("\n# daily presence for scale:");
-    for (k, v) in study.group_daily.iter().filter(|((g, _), _)| *g == DeviceGroup::Alexa) {
+    for (k, v) in study
+        .group_daily
+        .iter()
+        .filter(|((g, _), _)| *g == DeviceGroup::Alexa)
+    {
         println!("day {}\t{}", k.1, v);
     }
 }

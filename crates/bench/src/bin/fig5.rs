@@ -29,7 +29,8 @@ fn main() {
         .chain(StudyWindow::IDLE_GT.hour_bins().take(take))
         .collect();
 
-    let mut cum_home: std::collections::BTreeMap<PortClass, BTreeSet<Ipv4Addr>> = Default::default();
+    let mut cum_home: std::collections::BTreeMap<PortClass, BTreeSet<Ipv4Addr>> =
+        Default::default();
     let mut cum_isp: std::collections::BTreeMap<PortClass, BTreeSet<Ipv4Addr>> = Default::default();
     let mut sums = [[0f64; 4]; 2]; // [active|idle][ip_frac, dom_frac, dev_frac, count]
 
@@ -54,7 +55,10 @@ fn main() {
             isp.devices.len(),
         );
         for (cls, set) in &home.ips_by_class {
-            cum_home.entry(*cls).or_default().extend(set.iter().copied());
+            cum_home
+                .entry(*cls)
+                .or_default()
+                .extend(set.iter().copied());
         }
         for (cls, set) in &isp.ips_by_class {
             cum_isp.entry(*cls).or_default().extend(set.iter().copied());
@@ -79,7 +83,9 @@ fn main() {
         );
     }
 
-    println!("\n# summary (paper: ~16% hourly service-IP visibility; devices 67% active / 64% idle)");
+    println!(
+        "\n# summary (paper: ~16% hourly service-IP visibility; devices 67% active / 64% idle)"
+    );
     for (idx, label) in [(0usize, "active"), (1, "idle")] {
         let n = sums[idx][3].max(1.0);
         println!(

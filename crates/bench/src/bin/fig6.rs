@@ -37,7 +37,11 @@ fn main() {
         println!(
             "{}\t{}\t{}\t{}\t{}\t{}",
             hour,
-            if kind == ExperimentKind::Active { "active" } else { "idle" },
+            if kind == ExperimentKind::Active {
+                "active"
+            } else {
+                "idle"
+            },
             pct(t10),
             pct(t20),
             pct(t30),

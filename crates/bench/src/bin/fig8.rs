@@ -53,8 +53,16 @@ fn main() {
         let mut sorted: Vec<_> = rows.into_iter().collect();
         sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
         let total: f64 = sorted.iter().map(|(_, v)| v).sum();
-        let verdict = if sorted.len() >= 15 || total > 5_000.0 { "gossiping" } else { "laconic" };
-        println!("\n{class}  [{} domains, {:.0} pkts/h total → {verdict}]", sorted.len(), total);
+        let verdict = if sorted.len() >= 15 || total > 5_000.0 {
+            "gossiping"
+        } else {
+            "laconic"
+        };
+        println!(
+            "\n{class}  [{} domains, {:.0} pkts/h total → {verdict}]",
+            sorted.len(),
+            total
+        );
         for (name, rate) in sorted.iter().take(12) {
             println!("  {name}\t{rate:.1}");
         }

@@ -15,7 +15,10 @@ fn main() {
     let take = if args.fast { 6 } else { usize::MAX };
 
     let mut curves: Vec<(&str, Vec<(f64, f64)>)> = Vec::new();
-    for (label, window) in [("active", StudyWindow::ACTIVE_GT), ("idle", StudyWindow::IDLE_GT)] {
+    for (label, window) in [
+        ("active", StudyWindow::ACTIVE_GT),
+        ("idle", StudyWindow::IDLE_GT),
+    ] {
         let hours: Vec<_> = window.hour_bins().take(take).collect();
         let mut counts: HashMap<(u32, u32), u64> = HashMap::new();
         for hour in &hours {
@@ -34,7 +37,9 @@ fn main() {
 
     println!("# ECDF of avg packets/hour per (device, IoT-specific domain)");
     println!("pkts_per_hour\tactive_F\tidle_F");
-    for x in [1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1_000.0, 3_000.0, 10_000.0] {
+    for x in [
+        1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1_000.0, 3_000.0, 10_000.0,
+    ] {
         let a = ecdf_at(&curves[0].1, x);
         let i = ecdf_at(&curves[1].1, x);
         println!("{x}\t{a:.3}\t{i:.3}");

@@ -29,7 +29,11 @@ pub struct Args {
 impl Args {
     /// Parse from `std::env::args`. Unknown flags abort with usage help.
     pub fn parse() -> Args {
-        let mut args = Args { fast: false, lines: 100_000, seed: 42 };
+        let mut args = Args {
+            fast: false,
+            lines: 100_000,
+            seed: 42,
+        };
         let mut it = std::env::args().skip(1);
         while let Some(a) = it.next() {
             match a.as_str() {
@@ -67,7 +71,10 @@ pub fn build_pipeline(args: &Args) -> Pipeline {
     let config = if args.fast {
         PipelineConfig::fast(args.seed)
     } else {
-        PipelineConfig { seed: args.seed, ..Default::default() }
+        PipelineConfig {
+            seed: args.seed,
+            ..Default::default()
+        }
     };
     eprintln!(
         "# building pipeline (ground truth {} h active / {} h idle) ...",
@@ -81,7 +88,11 @@ pub fn build_isp(pipeline: &Pipeline, args: &Args) -> IspVantage {
     IspVantage::new(
         &pipeline.catalog,
         IspConfig {
-            lines: if args.fast { args.lines.min(10_000) } else { args.lines },
+            lines: if args.fast {
+                args.lines.min(10_000)
+            } else {
+                args.lines
+            },
             sampling: 1_000,
             seed: args.seed ^ 0x15B,
             background: false,
@@ -132,7 +143,10 @@ pub fn run_standard_isp_study(
         pipeline,
         &pipeline.world,
         &isp,
-        &haystack_core::report::IspStudyConfig { window: study_window(args), ..Default::default() },
+        &haystack_core::report::IspStudyConfig {
+            window: study_window(args),
+            ..Default::default()
+        },
     );
     (isp, result)
 }

@@ -85,7 +85,9 @@ pub fn num<T: std::str::FromStr>(
     key: &str,
     default: T,
 ) -> T {
-    let Some(v) = flags.get(key) else { return default };
+    let Some(v) = flags.get(key) else {
+        return default;
+    };
     v.parse().unwrap_or_else(|_| {
         cli_error!("--{key} needs a number");
         std::process::exit(2);

@@ -75,7 +75,13 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
 /// `generate_pack(42, false)`, the default pack.
 fn generate_pack(seed: u64, full: bool) -> SignaturePack {
     let (config, mode) = if full {
-        (PipelineConfig { seed, ..Default::default() }, "full")
+        (
+            PipelineConfig {
+                seed,
+                ..Default::default()
+            },
+            "full",
+        )
     } else {
         (PipelineConfig::fast(seed), "fast")
     };
@@ -189,7 +195,10 @@ fn cmd_rules_show(flags: HashMap<String, String>) {
         );
     }
     for (class, reason) in &rules.undetectable {
-        println!("{}\tundetectable\t{reason:?}\t-\t-\t-", rules.class_name(*class));
+        println!(
+            "{}\tundetectable\t{reason:?}\t-\t-\t-",
+            rules.class_name(*class)
+        );
     }
     let defects = pack.lint();
     if !defects.is_empty() {
@@ -222,8 +231,12 @@ fn cmd_rules_lint(flags: HashMap<String, String>) {
 }
 
 /// `detect` counts its run in days of 24 hours over the simulated ISP.
-const DETECT: RunSpec =
-    RunSpec { command: "detect", span_flag: "days", default_lines: 20_000, default_span: 1 };
+const DETECT: RunSpec = RunSpec {
+    command: "detect",
+    span_flag: "days",
+    default_lines: 20_000,
+    default_span: 1,
+};
 
 fn cmd_detect(flags: HashMap<String, String>) {
     let pack = load_pack(&flags);
@@ -237,7 +250,12 @@ fn cmd_detect(flags: HashMap<String, String>) {
     let world = materialize(&catalog);
     let isp = IspVantage::new(
         &catalog,
-        IspConfig { lines, sampling: 1_000, seed, background: false },
+        IspConfig {
+            lines,
+            sampling: 1_000,
+            seed,
+            background: false,
+        },
     );
     let mut run = ResumableRun::start(loaded, &flags, &rules);
     if run.ck.done {
@@ -348,7 +366,11 @@ fn cmd_mitigate(flags: HashMap<String, String>) {
     // passive-DNS feed is wired in.
     match block_plan(&rules, &DnsDb::new(), class, DayBin(0), action) {
         Some(plan) => {
-            println!("# {:?} plan for {class} ({} targets)", plan.action, plan.targets.len());
+            println!(
+                "# {:?} plan for {class} ({} targets)",
+                plan.action,
+                plan.targets.len()
+            );
             for (ip, port) in &plan.targets {
                 println!("{ip}\t{port}");
             }
@@ -370,7 +392,10 @@ fn cmd_capture(flags: HashMap<String, String>) {
     let world = materialize(driver.catalog());
     let mut packets = Vec::new();
     note!("capturing {hours} h of the idle experiment at the Home-VP ...");
-    for hour in haystack_net::StudyWindow::IDLE_GT.hour_bins().take(hours as usize) {
+    for hour in haystack_net::StudyWindow::IDLE_GT
+        .hour_bins()
+        .take(hours as usize)
+    {
         packets.extend(driver.generate_hour(&world, hour));
     }
     let file = std::fs::File::create(out).unwrap_or_else(|e| {
@@ -387,7 +412,9 @@ fn cmd_capture(flags: HashMap<String, String>) {
 fn cmd_replay(flags: HashMap<String, String>) {
     use haystack_flow::sampling::{PacketSampler, SystematicSampler};
     use haystack_testbed::capture::read_trace;
-    let SignaturePack { rules, threshold, .. } = load_pack(&flags);
+    let SignaturePack {
+        rules, threshold, ..
+    } = load_pack(&flags);
     let trace_path = flags.get("trace").unwrap_or_else(|| usage());
     let sampling: u64 = num(&flags, "sampling", 1_000);
     let threshold: f64 = num(&flags, "threshold", threshold);
@@ -406,7 +433,10 @@ fn cmd_replay(flags: HashMap<String, String>) {
     let mut det = Detector::new(
         &rules,
         HitList::whole_window(&rules),
-        DetectorConfig { threshold, require_established: false },
+        DetectorConfig {
+            threshold,
+            require_established: false,
+        },
     );
     let line = haystack_net::AnonId(1);
     let mut kept = 0u64;
@@ -423,7 +453,10 @@ fn cmd_replay(flags: HashMap<String, String>) {
             );
         }
     }
-    note!("{} packets replayed, {kept} sampled (1/{sampling})", packets.len());
+    note!(
+        "{} packets replayed, {kept} sampled (1/{sampling})",
+        packets.len()
+    );
     println!("class\tdetected");
     for (ri, rule) in rules.rules.iter().enumerate() {
         println!(
@@ -506,7 +539,11 @@ fn cmd_chaos(flags: HashMap<String, String>) {
             "{severity:.2}\t{}\t{}\t{decoded}\t{:.3}\t{}\t{}\t{}\t{}",
             s.sent,
             s.delivered,
-            if records.is_empty() { 1.0 } else { decoded as f64 / records.len() as f64 },
+            if records.is_empty() {
+                1.0
+            } else {
+                decoded as f64 / records.len() as f64
+            },
             collector.missed_datagrams(),
             collector.restarts_detected(),
             collector.malformed_messages() + collector.malformed_sets(),
@@ -565,7 +602,9 @@ fn cmd_metrics(flags: HashMap<String, String>) {
     observe_collector(&telemetry::Scope::named("collector"), &collector);
 
     if flags.contains_key("rules") {
-        let SignaturePack { rules, threshold, .. } = load_pack(&flags);
+        let SignaturePack {
+            rules, threshold, ..
+        } = load_pack(&flags);
         let threshold: f64 = num(&flags, "threshold", threshold);
         let lines: u32 = num(&flags, "lines", 2_000);
         let workers: usize = num(&flags, "workers", 2);
@@ -578,14 +617,22 @@ fn cmd_metrics(flags: HashMap<String, String>) {
         let world = materialize(&catalog);
         let isp = IspVantage::new(
             &catalog,
-            IspConfig { lines, sampling: 1_000, seed, background: false },
+            IspConfig {
+                lines,
+                sampling: 1_000,
+                seed,
+                background: false,
+            },
         );
         let hitlist = HitList::whole_window(&rules);
         observe_hitlist(&telemetry::Scope::named("hitlist"), &hitlist);
         let mut pool = DetectorPool::new(
             &rules,
             &hitlist,
-            DetectorConfig { threshold, require_established: false },
+            DetectorConfig {
+                threshold,
+                require_established: false,
+            },
             workers,
         );
         pool.attach_telemetry(&telemetry::Scope::named("pool"))
@@ -639,7 +686,10 @@ fn cmd_metrics(flags: HashMap<String, String>) {
 
     let snap = telemetry::global().snapshot();
     if flags.contains_key("json") {
-        println!("{}", serde_json::to_string_pretty(&snap.to_json()).expect("serializable"));
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&snap.to_json()).expect("serializable")
+        );
     } else {
         print!("{}", snap.to_prometheus());
     }

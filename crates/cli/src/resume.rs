@@ -109,7 +109,11 @@ impl RunCheckpoint {
         let threshold = r.f64_bits()?;
         let workers = r.u32()?;
         let chunk_records = r.u64()?;
-        let watermark = Watermark { day: r.u32()?, hour: r.u32()?, chunk: r.u64()? };
+        let watermark = Watermark {
+            day: r.u32()?,
+            hour: r.u32()?,
+            chunk: r.u64()?,
+        };
         let records_this_day = r.u64()?;
         let done = match r.u8()? {
             0 => false,
@@ -131,7 +135,19 @@ impl RunCheckpoint {
         if r.remaining() != 0 {
             return Err(SnapError::Malformed("trailing bytes"));
         }
-        Ok(RunCheckpoint { seed, lines, days, threshold, workers, chunk_records, watermark, records_this_day, done, emitted, shards })
+        Ok(RunCheckpoint {
+            seed,
+            lines,
+            days,
+            threshold,
+            workers,
+            chunk_records,
+            watermark,
+            records_this_day,
+            done,
+            emitted,
+            shards,
+        })
     }
 }
 
@@ -195,7 +211,11 @@ impl RunDelta {
         let payload = open(Self::MAGIC, Self::VERSION, frame)?;
         let mut r = SnapReader::new(payload);
         let base_generation = r.u64()?;
-        let watermark = Watermark { day: r.u32()?, hour: r.u32()?, chunk: r.u64()? };
+        let watermark = Watermark {
+            day: r.u32()?,
+            hour: r.u32()?,
+            chunk: r.u64()?,
+        };
         let records_this_day = r.u64()?;
         let done = match r.u8()? {
             0 => false,
@@ -217,7 +237,14 @@ impl RunDelta {
         if r.remaining() != 0 {
             return Err(SnapError::Malformed("trailing bytes"));
         }
-        Ok(RunDelta { base_generation, watermark, records_this_day, done, emitted_new, shards })
+        Ok(RunDelta {
+            base_generation,
+            watermark,
+            records_this_day,
+            done,
+            emitted_new,
+            shards,
+        })
     }
 
     /// Fold this delta into its base checkpoint.
@@ -276,13 +303,22 @@ impl fmt::Display for ResumeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ResumeError::Checkpoint(e) => write!(f, "{e}"),
-            ResumeError::WrongCommand { generation, wrote, resuming } => write!(
+            ResumeError::WrongCommand {
+                generation,
+                wrote,
+                resuming,
+            } => write!(
                 f,
                 "checkpoint generation {generation} was written by `haystack {wrote}`, \
                  not `haystack {resuming}`; resume it with `haystack {wrote} --resume` \
                  or start a fresh checkpoint directory"
             ),
-            ResumeError::Conflict { generation, field, flag, checkpoint } => write!(
+            ResumeError::Conflict {
+                generation,
+                field,
+                flag,
+                checkpoint,
+            } => write!(
                 f,
                 "--{field} {flag} conflicts with checkpoint generation {generation} \
                  ({field} = {checkpoint}); drop the flag or start a fresh checkpoint directory"
@@ -312,7 +348,9 @@ pub fn conflict<T: std::str::FromStr + PartialEq + fmt::Display>(
     field: &'static str,
     checkpoint: T,
 ) -> Result<(), ResumeError> {
-    let Some(flag) = flags.get(field) else { return Ok(()) };
+    let Some(flag) = flags.get(field) else {
+        return Ok(());
+    };
     // Values are compared *parsed*, so `--threshold 0.40` does not
     // conflict with a stored 0.4. A flag value that does not parse
     // conflicts trivially (it cannot equal the checkpoint's).
@@ -382,9 +420,7 @@ pub fn build_pool(
     isolate: Isolate,
 ) -> DetectorPool {
     match isolate {
-        Isolate::Thread => {
-            DetectorPool::new(rules, &HitList::whole_window(rules), config, workers)
-        }
+        Isolate::Thread => DetectorPool::new(rules, &HitList::whole_window(rules), config, workers),
         // No argv: the children are this executable's `shard-worker` arm.
         Isolate::Process => or_exit(
             DetectorPool::with_process_shards(rules, config, workers, &[])
@@ -451,11 +487,20 @@ fn restore(
     dir: &CheckpointDir,
     flags: &HashMap<String, String>,
 ) -> Result<Option<(u64, RunCheckpoint)>, ResumeError> {
-    let Some((generation, ck)) = load_run(dir)? else { return Ok(None) };
-    let soak = ck.emitted.first().is_some_and(|row| row.starts_with(SOAK_ROW));
+    let Some((generation, ck)) = load_run(dir)? else {
+        return Ok(None);
+    };
+    let soak = ck
+        .emitted
+        .first()
+        .is_some_and(|row| row.starts_with(SOAK_ROW));
     let wrote = if soak { "soak" } else { "detect" };
     if wrote != spec.command {
-        return Err(ResumeError::WrongCommand { generation, wrote, resuming: spec.command });
+        return Err(ResumeError::WrongCommand {
+            generation,
+            wrote,
+            resuming: spec.command,
+        });
     }
     conflict(flags, generation, "seed", ck.seed)?;
     conflict(flags, generation, "lines", ck.lines)?;
@@ -529,12 +574,10 @@ impl ResumableRun {
     /// the chain, or fail with a message naming the generation (and
     /// field) at fault — a version-skewed frame, a fully corrupt
     /// directory, the other command's chain, a conflicting flag.
-    pub fn load(
-        spec: &RunSpec,
-        flags: &HashMap<String, String>,
-        pack_threshold: f64,
-    ) -> Loaded {
-        let dir = flags.get("checkpoint-dir").map(|d| or_exit(CheckpointDir::open(d)));
+    pub fn load(spec: &RunSpec, flags: &HashMap<String, String>, pack_threshold: f64) -> Loaded {
+        let dir = flags
+            .get("checkpoint-dir")
+            .map(|d| or_exit(CheckpointDir::open(d)));
         let resume = flags.contains_key("resume");
         let restored = match (&dir, resume) {
             (None, true) => {
@@ -545,7 +588,11 @@ impl ResumableRun {
             _ => None,
         };
         if let Some((generation, ck)) = restored {
-            return Loaded { ck, generation: Some(generation), dir };
+            return Loaded {
+                ck,
+                generation: Some(generation),
+                dir,
+            };
         }
         if resume {
             note!("no checkpoint found; starting fresh");
@@ -570,20 +617,27 @@ impl ResumableRun {
             emitted: Vec::new(),
             shards: Vec::new(),
         };
-        Loaded { ck, generation: None, dir }
+        Loaded {
+            ck,
+            generation: None,
+            dir,
+        }
     }
 
     /// Build the pool, and for a resumed run re-print its stdout and
     /// restore its evidence.
-    pub fn start(
-        loaded: Loaded,
-        flags: &HashMap<String, String>,
-        rules: &RuleSet,
-    ) -> ResumableRun {
-        let Loaded { mut ck, generation, dir } = loaded;
+    pub fn start(loaded: Loaded, flags: &HashMap<String, String>, rules: &RuleSet) -> ResumableRun {
+        let Loaded {
+            mut ck,
+            generation,
+            dir,
+        } = loaded;
         let isolate = parse_isolate(flags);
         let chaos = flags.contains_key("chaos");
-        let config = DetectorConfig { threshold: ck.threshold, require_established: false };
+        let config = DetectorConfig {
+            threshold: ck.threshold,
+            require_established: false,
+        };
         let mut pool = build_pool(rules, config, ck.workers as usize, isolate);
         if dir.is_some() || isolate == Isolate::Process || chaos {
             // Checkpointed runs are also supervised: a shard panic is
@@ -736,7 +790,11 @@ mod tests {
             threshold: 0.4,
             workers: 4,
             chunk_records: 512,
-            watermark: Watermark { day: 1, hour: 7, chunk: 13 },
+            watermark: Watermark {
+                day: 1,
+                hour: 7,
+                chunk: 13,
+            },
             records_this_day: 99_001,
             done: false,
             emitted: vec![
@@ -751,7 +809,9 @@ mod tests {
                         first_met: Some(HourBin(30)),
                     }]],
                 },
-                DetectorState { rules: vec![vec![]] },
+                DetectorState {
+                    rules: vec![vec![]],
+                },
             ],
         }
     }
@@ -766,7 +826,11 @@ mod tests {
         use haystack_core::DetectorDelta;
         RunDelta {
             base_generation,
-            watermark: Watermark { day: 1, hour, chunk: 2 },
+            watermark: Watermark {
+                day: 1,
+                hour,
+                chunk: 2,
+            },
             records_this_day: 123_456,
             done: false,
             emitted_new: vec![format!("1\tAlexa Enabled\t{hour}")],
@@ -779,7 +843,11 @@ mod tests {
                     }]],
                 }),
                 DetectorSnapshot::Delta(DetectorDelta {
-                    rules: vec![vec![LineEvidence { line: AnonId(9), mask: 0b1, first_met: None }]],
+                    rules: vec![vec![LineEvidence {
+                        line: AnonId(9),
+                        mask: 0b1,
+                        first_met: None,
+                    }]],
                 }),
             ],
         }
@@ -801,7 +869,10 @@ mod tests {
             .write_delta(
                 RunCheckpoint::PREFIX,
                 &d.encode(),
-                d.shards.iter().map(DetectorSnapshot::entry_count).sum::<usize>() as u64,
+                d.shards
+                    .iter()
+                    .map(DetectorSnapshot::entry_count)
+                    .sum::<usize>() as u64,
             )
             .unwrap();
         let (top, loaded) = load_run(&dir).unwrap().unwrap();
@@ -826,21 +897,28 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!(
-            "haystack-resume-{}-{tag}-{n}",
-            std::process::id()
-        ))
+        std::env::temp_dir().join(format!("haystack-resume-{}-{tag}-{n}", std::process::id()))
     }
 
-    const DETECT: RunSpec =
-        RunSpec { command: "detect", span_flag: "days", default_lines: 1, default_span: 1 };
-    const SOAK: RunSpec =
-        RunSpec { command: "soak", span_flag: "hours", default_lines: 1, default_span: 1 };
+    const DETECT: RunSpec = RunSpec {
+        command: "detect",
+        span_flag: "days",
+        default_lines: 1,
+        default_span: 1,
+    };
+    const SOAK: RunSpec = RunSpec {
+        command: "soak",
+        span_flag: "hours",
+        default_lines: 1,
+        default_span: 1,
+    };
 
     #[test]
     fn explicit_flag_conflicts_name_field_and_generation() {
         let dir = CheckpointDir::open(scratch("conflict")).unwrap();
-        let g = dir.write(RunCheckpoint::PREFIX, &sample().encode()).unwrap();
+        let g = dir
+            .write(RunCheckpoint::PREFIX, &sample().encode())
+            .unwrap();
         let mut flags = HashMap::new();
         // Absent flags defer to the checkpoint.
         assert_eq!(restore(&DETECT, &dir, &flags).unwrap(), Some((g, sample())));
@@ -853,7 +931,12 @@ mod tests {
         flags.insert("lines".into(), "5000".into());
         let err = restore(&DETECT, &dir, &flags).unwrap_err();
         match &err {
-            ResumeError::Conflict { generation, field, flag, checkpoint } => {
+            ResumeError::Conflict {
+                generation,
+                field,
+                flag,
+                checkpoint,
+            } => {
                 assert_eq!(*generation, g);
                 assert_eq!(*field, "lines");
                 assert_eq!(flag, "5000");
@@ -877,9 +960,15 @@ mod tests {
         let flags = HashMap::new();
         let dir = CheckpointDir::open(scratch("wrong-command")).unwrap();
         // `sample()` starts with detect's column header…
-        let g = dir.write(RunCheckpoint::PREFIX, &sample().encode()).unwrap();
+        let g = dir
+            .write(RunCheckpoint::PREFIX, &sample().encode())
+            .unwrap();
         match restore(&SOAK, &dir, &flags).unwrap_err() {
-            ResumeError::WrongCommand { generation, wrote, resuming } => {
+            ResumeError::WrongCommand {
+                generation,
+                wrote,
+                resuming,
+            } => {
                 assert_eq!((generation, wrote, resuming), (g, "detect", "soak"));
             }
             other => panic!("expected WrongCommand, got {other:?}"),

@@ -157,7 +157,11 @@ pub struct CtlReply {
 }
 
 fn ok(body: String) -> CtlReply {
-    CtlReply { status: 200, content_type: "application/json", body }
+    CtlReply {
+        status: 200,
+        content_type: "application/json",
+        body,
+    }
 }
 
 fn err(status: u16, msg: &str) -> CtlReply {
@@ -236,12 +240,17 @@ impl Engine {
         let hitlist = HitList::whole_window(&rules);
         let mut pool = haystack_cli::resume::build_pool(
             &rules,
-            DetectorConfig { threshold: config.threshold, require_established: false },
+            DetectorConfig {
+                threshold: config.threshold,
+                require_established: false,
+            },
             config.workers,
             config.isolate,
         );
-        pool.enable_supervision(DEFAULT_REPLAY_LIMIT).map_err(|e| e.to_string())?;
-        pool.attach_telemetry(&telemetry::Scope::named("pool")).map_err(|e| e.to_string())?;
+        pool.enable_supervision(DEFAULT_REPLAY_LIMIT)
+            .map_err(|e| e.to_string())?;
+        pool.attach_telemetry(&telemetry::Scope::named("pool"))
+            .map_err(|e| e.to_string())?;
         let usage = UsageTracker::new(Arc::clone(&rules), hitlist.clone(), UsageConfig::default());
         let staleness = StalenessMonitor::new(hitlist.clone());
         let anon = Anonymizer::new(config.seed, config.seed ^ 0x9E37_79B9_7F4A_7C15);
@@ -282,10 +291,16 @@ impl Engine {
         ck: &ServeCheckpoint,
     ) -> Result<Engine, String> {
         let mut engine = Engine::new(rules, pack_bytes, config, stats)?;
-        engine.collector = Collector::restore(&ck.collector)
-            .map_err(|e| format!("collector snapshot: {e}"))?;
-        engine.pool.restore_shard_states(&ck.shards).map_err(|e| e.to_string())?;
-        engine.usage.restore_state(&ck.usage).map_err(|e| e.to_string())?;
+        engine.collector =
+            Collector::restore(&ck.collector).map_err(|e| format!("collector snapshot: {e}"))?;
+        engine
+            .pool
+            .restore_shard_states(&ck.shards)
+            .map_err(|e| e.to_string())?;
+        engine
+            .usage
+            .restore_state(&ck.usage)
+            .map_err(|e| e.to_string())?;
         engine.staleness.restore_state(&ck.staleness);
         engine.datagrams = ck.datagrams;
         engine.records = ck.records;
@@ -418,7 +433,9 @@ impl Engine {
         let hitlist = &self.hitlist;
         let fed = self
             .collector
-            .feed_into(&datagram, &mut self.flow_buf, |dst, port| hitlist.admits(dst, port));
+            .feed_into(&datagram, &mut self.flow_buf, |dst, port| {
+                hitlist.admits(dst, port)
+            });
         self.observe_decoded(fed);
     }
 
@@ -470,9 +487,7 @@ impl Engine {
                 ShardHealth::Responsive => self.strikes[shard] = 0,
                 ShardHealth::Stalled | ShardHealth::Dead => {
                     self.strikes[shard] += 1;
-                    if self.strikes[shard] >= WATCHDOG_STRIKES
-                        || matches!(h, ShardHealth::Dead)
-                    {
+                    if self.strikes[shard] >= WATCHDOG_STRIKES || matches!(h, ShardHealth::Dead) {
                         note!("serve: watchdog respawning shard {shard} ({})", h.label());
                         match self.pool.force_respawn(shard) {
                             Ok(()) => self.watchdog_respawns += 1,
@@ -493,7 +508,9 @@ impl Engine {
         scope.gauge("admitted").set(self.stats.admitted());
         scope.gauge("shed").set(self.stats.shed());
         // (The HTTP plane counts its own, `serve.http_accept_retries`.)
-        scope.gauge("tcp_accept_retries").set(self.stats.accept_retries());
+        scope
+            .gauge("tcp_accept_retries")
+            .set(self.stats.accept_retries());
         scope.gauge("datagrams_processed").set(self.datagrams);
         scope.gauge("records_decoded").set(self.records);
         scope.gauge("parse_rejected").set(self.parse_rejected);
@@ -509,7 +526,9 @@ impl Engine {
         // provide the full states the serve frame persists. The on-disk
         // format stays a single full frame — only the worker pause
         // shrinks to the dirty set.
-        self.pool.checkpoint_all_delta().map_err(|e| e.to_string())?;
+        self.pool
+            .checkpoint_all_delta()
+            .map_err(|e| e.to_string())?;
         let shards = self.pool.supervised_shard_states();
         let ck = ServeCheckpoint {
             workers: self.config.workers as u32,
@@ -525,7 +544,8 @@ impl Engine {
             pack: self.pack_bytes.clone(),
         };
         let dir = self.config.ckpt.as_ref().ok_or("no --checkpoint-dir")?;
-        dir.write(ServeCheckpoint::PREFIX, &ck.encode()).map_err(|e| e.to_string())
+        dir.write(ServeCheckpoint::PREFIX, &ck.encode())
+            .map_err(|e| e.to_string())
     }
 
     fn handle_ctl(&mut self, req: CtlRequest) {
@@ -698,10 +718,15 @@ impl Engine {
             .zip(verdicts)
             .map(|(r, (detected, confidence))| {
                 let name = self.rules.class_name(r.class);
-                format!("{{\"class\":{name:?},\"detected\":{detected},\"confidence\":{confidence}}}")
+                format!(
+                    "{{\"class\":{name:?},\"detected\":{detected},\"confidence\":{confidence}}}"
+                )
             })
             .collect();
-        ok(format!("{{\"line\":{id},\"classes\":[{}]}}", parts.join(",")))
+        ok(format!(
+            "{{\"line\":{id},\"classes\":[{}]}}",
+            parts.join(",")
+        ))
     }
 
     fn usage_body(&mut self, class: Option<&str>) -> CtlReply {
@@ -763,7 +788,9 @@ impl Engine {
         for (id, n) in &shed {
             if !seen.contains(id) {
                 seen.push(*id);
-                parts.push(format!("{{\"id\":{id},\"health\":\"unseen\",\"shed\":{n}}}"));
+                parts.push(format!(
+                    "{{\"id\":{id},\"health\":\"unseen\",\"shed\":{n}}}"
+                ));
             }
         }
         ok(format!("{{\"sources\":[{}]}}", parts.join(",")))
@@ -784,7 +811,11 @@ impl Engine {
             body.push_str(&ndjson_line(&self.rules, e, None));
             body.push('\n');
         }
-        CtlReply { status: 200, content_type: "application/x-ndjson", body }
+        CtlReply {
+            status: 200,
+            content_type: "application/x-ndjson",
+            body,
+        }
     }
 
     /// Swap in a signature pack mid-stream. Checkpoint-first: the pool
@@ -811,7 +842,8 @@ impl Engine {
         self.hitlist = hitlist.clone();
         let usage_state =
             pack::migrate_usage_state(&self.rules, &new_rules, &self.usage.export_state());
-        self.usage.set_rules(Arc::clone(&new_rules), hitlist.clone());
+        self.usage
+            .set_rules(Arc::clone(&new_rules), hitlist.clone());
         if let Err(e) = self.usage.restore_state(&usage_state) {
             return err(500, &format!("usage migration: {e}"));
         }
@@ -875,7 +907,9 @@ impl Engine {
             return err(400, "shard out of range");
         }
         match self.pool.inject_stall(shard, Duration::from_millis(ms)) {
-            Ok(()) => ok(format!("{{\"shard\":{shard},\"injected\":\"stall\",\"ms\":{ms}}}")),
+            Ok(()) => ok(format!(
+                "{{\"shard\":{shard},\"injected\":\"stall\",\"ms\":{ms}}}"
+            )),
             Err(e) => err(500, &e.to_string()),
         }
     }
@@ -923,7 +957,10 @@ mod tests {
         let dom = |name: &str, octets: &[u8], indicator: bool| RuleDomain {
             name: DomainName::parse(name).unwrap(),
             ports: [443u16, 8883].into_iter().collect(),
-            ips: octets.iter().map(|&o| Ipv4Addr::new(198, 18, 40, o)).collect(),
+            ips: octets
+                .iter()
+                .map(|&o| Ipv4Addr::new(198, 18, 40, o))
+                .collect(),
             usage_indicator: indicator,
         };
         let mut b = RuleSetBuilder::new();
@@ -931,13 +968,19 @@ mod tests {
             "Cam",
             DetectionLevel::Manufacturer,
             None,
-            vec![dom("api.cam.test", &[1, 2, 3], false), dom("fw.cam.test", &[4, 5], true)],
+            vec![
+                dom("api.cam.test", &[1, 2, 3], false),
+                dom("fw.cam.test", &[4, 5], true),
+            ],
         );
         b.rule(
             "Cam Pro",
             DetectionLevel::Product,
             Some("Cam"),
-            vec![dom("pro.cam.test", &[2, 6], false), dom("log.cam.test", &[7], false)],
+            vec![
+                dom("pro.cam.test", &[2, 6], false),
+                dom("log.cam.test", &[7], false),
+            ],
         );
         b.build()
     }
@@ -949,10 +992,18 @@ mod tests {
         let found: Vec<Ipv4Addr> = (0..=u16::MAX)
             .map(|i| Ipv4Addr::new(10, 99, (i >> 8) as u8, i as u8))
             .filter(|&ip| hitlist.admits(ip, 443))
-            .inspect(|&ip| assert!(hitlist.lookup(ip, 443).is_empty(), "collider must be absent"))
+            .inspect(|&ip| {
+                assert!(
+                    hitlist.lookup(ip, 443).is_empty(),
+                    "collider must be absent"
+                )
+            })
             .take(16)
             .collect();
-        assert!(!found.is_empty(), "no fingerprint collision found in a /16 scan");
+        assert!(
+            !found.is_empty(),
+            "no fingerprint collision found in a /16 scan"
+        );
         found
     }
 
@@ -963,7 +1014,11 @@ mod tests {
             .rules
             .iter()
             .flat_map(|r| &r.domains)
-            .flat_map(|d| d.ips.iter().flat_map(move |&ip| d.ports.iter().map(move |&p| (ip, p))))
+            .flat_map(|d| {
+                d.ips
+                    .iter()
+                    .flat_map(move |&ip| d.ports.iter().map(move |&p| (ip, p)))
+            })
             .collect();
         (0..30_000u64)
             .map(|i| {
@@ -971,7 +1026,10 @@ mod tests {
                 let (dst, dport) = match i % 100 {
                     0 => targets[(x as usize) % targets.len()],
                     1 => (colliders[(x as usize) % colliders.len()], 443),
-                    _ => (Ipv4Addr::from(0xCB00_0000 | (x as u32 & 0x00FF_FFFF)), x as u16),
+                    _ => (
+                        Ipv4Addr::from(0xCB00_0000 | (x as u32 & 0x00FF_FFFF)),
+                        x as u16,
+                    ),
                 };
                 let first = (i / 10_000) * 3_600 + i % 3_000;
                 FlowRecord {
@@ -1018,8 +1076,10 @@ mod tests {
         let colliders = colliders(&HitList::whole_window(&rules));
         let flows = stream(&rules, &colliders);
         let mut exporter = Exporter::new(ExportProtocol::NetflowV9, 7);
-        let datagrams: Vec<Bytes> =
-            flows.chunks(512).flat_map(|c| exporter.export(c, 0).unwrap()).collect();
+        let datagrams: Vec<Bytes> = flows
+            .chunks(512)
+            .flat_map(|c| exporter.export(c, 0).unwrap())
+            .collect();
 
         let mut gated = engine(&rules);
         let mut ungated = engine(&rules);
@@ -1027,24 +1087,44 @@ mod tests {
             gated.ingest(d.clone());
             ungated.datagrams += 1;
             ungated.flow_buf.clear();
-            let fed = ungated.collector.feed_into(d, &mut ungated.flow_buf, |_, _| true);
+            let fed = ungated
+                .collector
+                .feed_into(d, &mut ungated.flow_buf, |_, _| true);
             ungated.observe_decoded(fed);
         }
 
         let hitlist = HitList::whole_window(&rules);
-        let survivors = flows.iter().filter(|r| hitlist.admits(r.key.dst, r.key.dport)).count();
-        assert!(survivors >= flows.len() / 50, "hits and colliders must both survive");
+        let survivors = flows
+            .iter()
+            .filter(|r| hitlist.admits(r.key.dst, r.key.dport))
+            .count();
+        assert!(
+            survivors >= flows.len() / 50,
+            "hits and colliders must both survive"
+        );
         assert_eq!(gated.records, flows.len() as u64);
         assert_eq!(gated.parse_rejected, (flows.len() - survivors) as u64);
         assert_eq!(ungated.parse_rejected, 0);
-        assert_eq!((gated.datagrams, gated.records), (ungated.datagrams, ungated.records));
+        assert_eq!(
+            (gated.datagrams, gated.records),
+            (ungated.datagrams, ungated.records)
+        );
         assert_eq!(gated.collector.snapshot(), ungated.collector.snapshot());
         assert_eq!(gated.usage.export_state(), ungated.usage.export_state());
-        assert_eq!(gated.staleness.export_state(), ungated.staleness.export_state());
-        assert_eq!(gated.pool.shard_states().unwrap(), ungated.pool.shard_states().unwrap());
+        assert_eq!(
+            gated.staleness.export_state(),
+            ungated.staleness.export_state()
+        );
+        assert_eq!(
+            gated.pool.shard_states().unwrap(),
+            ungated.pool.shard_states().unwrap()
+        );
 
         let anon = Anonymizer::new(11, 11 ^ 0x9E37_79B9_7F4A_7C15);
-        let config = DetectorConfig { threshold: 0.4, require_established: false };
+        let config = DetectorConfig {
+            threshold: 0.4,
+            require_established: false,
+        };
         let mut reference =
             ReferenceDetector::new(&rules, MapHitList::whole_window(&rules), config);
         for r in &flows {
@@ -1064,20 +1144,30 @@ mod tests {
         assert!(detected > 0, "the stream must detect something");
         // `/line`'s query: every line of the stream, every class in rule
         // order, as the reference answers it.
-        let lines: std::collections::BTreeSet<AnonId> =
-            flows.iter().map(|r| WildRecord::from_flow(r, &anon).line).collect();
+        let lines: std::collections::BTreeSet<AnonId> = flows
+            .iter()
+            .map(|r| WildRecord::from_flow(r, &anon).line)
+            .collect();
         for line in lines {
             let want: Vec<(bool, f64)> = rules
                 .rules
                 .iter()
                 .map(|r| rules.class_name(r.class))
-                .map(|c| (reference.is_detected(line, c), reference.confidence(line, c)))
+                .map(|c| {
+                    (
+                        reference.is_detected(line, c),
+                        reference.confidence(line, c),
+                    )
+                })
                 .collect();
             for engine in [&mut gated, &mut ungated] {
                 assert_eq!(engine.pool.line_verdicts(line).unwrap(), want, "{line:?}");
             }
         }
-        assert!(!gated.usage.active_lines("Cam").is_empty(), "usage must light up");
+        assert!(
+            !gated.usage.active_lines("Cam").is_empty(),
+            "usage must light up"
+        );
         gated.pool.finish().unwrap();
         ungated.pool.finish().unwrap();
     }

@@ -88,7 +88,12 @@ pub fn spawn_http(
     chaos: bool,
     shutdown: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
-    let plane = Plane { ctl, engine, orchestrator: std::thread::current(), chaos };
+    let plane = Plane {
+        ctl,
+        engine,
+        orchestrator: std::thread::current(),
+        chaos,
+    };
     std::thread::Builder::new()
         .name("hay-http".into())
         .spawn(move || accept_loop(listener, &plane, &shutdown))
@@ -250,7 +255,9 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) 
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    let _ = stream.write_all(head.as_bytes()).and_then(|()| stream.write_all(body.as_bytes()));
+    let _ = stream
+        .write_all(head.as_bytes())
+        .and_then(|()| stream.write_all(body.as_bytes()));
 }
 
 /// Percent-decode one query-string value (`+` means space; a malformed
@@ -317,16 +324,28 @@ fn route(method: &str, path: &str, query: &str, plane: &Plane) -> Routed {
                 ask(plane, Query::Ready)
             }
         }
-        ("GET", "/metrics") => {
-            (200, "text/plain; version=0.0.4", telemetry::global().snapshot().to_prometheus())
-        }
+        ("GET", "/metrics") => (
+            200,
+            "text/plain; version=0.0.4",
+            telemetry::global().snapshot().to_prometheus(),
+        ),
         ("GET", "/stats") => ask(plane, Query::Stats),
-        ("GET", "/detections") => ask(plane, Query::Detections { class: param(query, "class") }),
+        ("GET", "/detections") => ask(
+            plane,
+            Query::Detections {
+                class: param(query, "class"),
+            },
+        ),
         ("GET", "/line") => match param(query, "id").and_then(|v| v.parse().ok()) {
             Some(id) => ask(plane, Query::Line { id }),
             None => bad("line needs ?id=N"),
         },
-        ("GET", "/usage") => ask(plane, Query::Usage { class: param(query, "class") }),
+        ("GET", "/usage") => ask(
+            plane,
+            Query::Usage {
+                class: param(query, "class"),
+            },
+        ),
         ("GET", "/staleness") => ask(plane, Query::Staleness),
         ("GET", "/sources") => ask(plane, Query::Sources),
         ("GET", "/events") => ask(plane, Query::Events),
@@ -377,12 +396,33 @@ fn route(method: &str, path: &str, query: &str, plane: &Plane) -> Routed {
         }
         (
             _,
-            "/healthz" | "/readyz" | "/metrics" | "/stats" | "/detections" | "/line"
-            | "/usage" | "/staleness" | "/sources" | "/events" | "/admin/checkpoint"
-            | "/admin/drain" | "/admin/reload-rules" | "/admin/reset-breaker" | "/admin/panic"
-            | "/admin/stall" | "/admin/slow",
-        ) => (405, "application/json", "{\"error\":\"method not allowed\"}".into()),
-        _ => (404, "application/json", "{\"error\":\"no such endpoint\"}".into()),
+            "/healthz"
+            | "/readyz"
+            | "/metrics"
+            | "/stats"
+            | "/detections"
+            | "/line"
+            | "/usage"
+            | "/staleness"
+            | "/sources"
+            | "/events"
+            | "/admin/checkpoint"
+            | "/admin/drain"
+            | "/admin/reload-rules"
+            | "/admin/reset-breaker"
+            | "/admin/panic"
+            | "/admin/stall"
+            | "/admin/slow",
+        ) => (
+            405,
+            "application/json",
+            "{\"error\":\"method not allowed\"}".into(),
+        ),
+        _ => (
+            404,
+            "application/json",
+            "{\"error\":\"no such endpoint\"}".into(),
+        ),
     }
 }
 
@@ -391,21 +431,37 @@ fn bad(msg: &str) -> Routed {
 }
 
 fn forbidden() -> Routed {
-    (403, "application/json", "{\"error\":\"chaos endpoints need --chaos\"}".into())
+    (
+        403,
+        "application/json",
+        "{\"error\":\"chaos endpoints need --chaos\"}".into(),
+    )
 }
 
 /// Round-trip a query to the engine; a missing engine is 503, not a hang.
 fn ask(plane: &Plane, query: Query) -> Routed {
     let (tx, rx) = channel();
     if plane.ctl.send(CtlRequest { query, reply: tx }).is_err() {
-        return (503, "application/json", "{\"error\":\"engine gone\"}".into());
+        return (
+            503,
+            "application/json",
+            "{\"error\":\"engine gone\"}".into(),
+        );
     }
     // After the send, so the engine cannot wake, find nothing and park
     // again before the request is there.
     plane.engine.unpark();
     match rx.recv_timeout(ENGINE_TIMEOUT) {
-        Ok(CtlReply { status, content_type, body }) => (status, content_type, body),
-        Err(_) => (503, "application/json", "{\"error\":\"engine busy\"}".into()),
+        Ok(CtlReply {
+            status,
+            content_type,
+            body,
+        }) => (status, content_type, body),
+        Err(_) => (
+            503,
+            "application/json",
+            "{\"error\":\"engine busy\"}".into(),
+        ),
     }
 }
 
@@ -424,7 +480,10 @@ mod tests {
 
     #[test]
     fn params_parse() {
-        assert_eq!(param("class=Alexa+Enabled&x=1", "class").as_deref(), Some("Alexa Enabled"));
+        assert_eq!(
+            param("class=Alexa+Enabled&x=1", "class").as_deref(),
+            Some("Alexa Enabled")
+        );
         assert_eq!(param("a=1&b=2", "b").as_deref(), Some("2"));
         assert_eq!(param("a=1", "missing"), None);
         assert_eq!(param("", "a"), None);

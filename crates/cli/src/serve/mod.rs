@@ -89,8 +89,14 @@ pub fn cmd_serve(flags: HashMap<String, String>) {
         let loaded = fatal("resume", chain);
         match &loaded {
             Some((generation, ck)) => {
-                fatal("resume", conflict(&flags, *generation, "workers", ck.workers));
-                fatal("resume", conflict(&flags, *generation, "threshold", ck.threshold));
+                fatal(
+                    "resume",
+                    conflict(&flags, *generation, "workers", ck.workers),
+                );
+                fatal(
+                    "resume",
+                    conflict(&flags, *generation, "threshold", ck.threshold),
+                );
                 fatal("resume", conflict(&flags, *generation, "seed", ck.seed));
                 note!(
                     "resuming from serve checkpoint generation {generation} \
@@ -153,7 +159,10 @@ pub fn cmd_serve(flags: HashMap<String, String>) {
 
     // Bind every socket before spawning anything, so a port clash fails
     // fast and `--ports-file` describes a fully-listening daemon.
-    let host = flags.get("host").cloned().unwrap_or_else(|| "127.0.0.1".into());
+    let host = flags
+        .get("host")
+        .cloned()
+        .unwrap_or_else(|| "127.0.0.1".into());
     let host_ip: Ipv4Addr = fatal("--host", host.parse());
     let udp = fatal(
         "udp bind",
@@ -190,7 +199,10 @@ pub fn cmd_serve(flags: HashMap<String, String>) {
             "restore",
             Engine::restore(rules, pack_bytes, config, stats.clone(), ck),
         ),
-        None => fatal("engine", Engine::new(rules, pack_bytes, config, stats.clone())),
+        None => fatal(
+            "engine",
+            Engine::new(rules, pack_bytes, config, stats.clone()),
+        ),
     };
 
     // The engine first: its thread handle is what the producers of its
@@ -226,7 +238,11 @@ pub fn cmd_serve(flags: HashMap<String, String>) {
     // The HTTP plane blocks in `accept()`: a connection to its own port
     // is what lets it see the flag. It may already be on its way out (a
     // request got there first), so a refused connection is fine.
-    let http_ip = if host_ip.is_unspecified() { Ipv4Addr::LOCALHOST } else { host_ip };
+    let http_ip = if host_ip.is_unspecified() {
+        Ipv4Addr::LOCALHOST
+    } else {
+        host_ip
+    };
     let _ = TcpStream::connect_timeout(&(http_ip, http_port).into(), Duration::from_secs(1));
     let _ = udp_handle.join();
     let _ = tcp_handle.join();

@@ -86,7 +86,10 @@ pub fn cmd_send(flags: HashMap<String, String>) {
         cli_error!("send needs --port (the daemon prints its bound ports at startup)");
         exit(2);
     }
-    let host = flags.get("host").cloned().unwrap_or_else(|| "127.0.0.1".into());
+    let host = flags
+        .get("host")
+        .cloned()
+        .unwrap_or_else(|| "127.0.0.1".into());
     let mode = flags.get("mode").map(String::as_str).unwrap_or("tcp");
     let seed: u64 = haystack_cli::num(&flags, "seed", 42);
     let source: u32 = haystack_cli::num(&flags, "source", 7);
@@ -158,7 +161,11 @@ pub fn cmd_send(flags: HashMap<String, String>) {
     note!(
         "sent {sent} datagram(s) ({} record(s){}) from source {source} to {addr} over {mode}",
         records.len() * repeat,
-        if malformed > 0 { format!(", first {malformed} malformed") } else { String::new() },
+        if malformed > 0 {
+            format!(", first {malformed} malformed")
+        } else {
+            String::new()
+        },
     );
     println!("{sent}\t{}", records.len() * repeat);
 }

@@ -132,7 +132,9 @@ mod tests {
                         first_met: Some(HourBin(4)),
                     }]],
                 },
-                DetectorState { rules: vec![vec![]] },
+                DetectorState {
+                    rules: vec![vec![]],
+                },
             ],
             usage: UsageState {
                 packets: vec![vec![(AnonId(11), 14)]],

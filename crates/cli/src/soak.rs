@@ -36,8 +36,12 @@ use std::time::Instant;
 
 /// `soak` counts its run in flat hours (`RunCheckpoint::days` stores
 /// the total) over the stateless wild-scale generator.
-const SOAK: RunSpec =
-    RunSpec { command: "soak", span_flag: "hours", default_lines: 1_000_000, default_span: 6 };
+const SOAK: RunSpec = RunSpec {
+    command: "soak",
+    span_flag: "hours",
+    default_lines: 1_000_000,
+    default_span: 6,
+};
 
 /// Peak resident set size in KiB, from `/proc/self/status` (`VmHWM`).
 /// `None` off Linux or if the field is missing.
@@ -60,7 +64,11 @@ fn hit_targets(rules: &RuleSet) -> Vec<(Ipv4Addr, u16)> {
         .rules
         .iter()
         .flat_map(|r| &r.domains)
-        .flat_map(|d| d.ips.iter().flat_map(|&ip| d.ports.iter().map(move |&p| (ip, p))))
+        .flat_map(|d| {
+            d.ips
+                .iter()
+                .flat_map(|&ip| d.ports.iter().map(move |&p| (ip, p)))
+        })
         .collect();
     targets.sort_unstable();
     targets.dedup();
@@ -114,14 +122,25 @@ pub fn cmd_soak(flags: HashMap<String, String>) {
                 cli_error!("resume: checkpoint generation {generation} has a malformed config row");
                 exit(1);
             };
-            fatal("resume", conflict(&flags, generation, "records-per-hour", rph));
+            fatal(
+                "resume",
+                conflict(&flags, generation, "records-per-hour", rph),
+            );
             fatal("resume", conflict(&flags, generation, "hit-rate-ppm", ppm));
             (rph, ppm)
         }
-        None => (num(&flags, "records-per-hour", 1_000_000), num(&flags, "hit-rate-ppm", 10_000)),
+        None => (
+            num(&flags, "records-per-hour", 1_000_000),
+            num(&flags, "hit-rate-ppm", 10_000),
+        ),
     };
 
-    let soak_cfg = SoakConfig { lines, seed, hit_rate_ppm, records_per_hour };
+    let soak_cfg = SoakConfig {
+        lines,
+        seed,
+        hit_rate_ppm,
+        records_per_hour,
+    };
     let targets = hit_targets(&rules);
     if targets.is_empty() {
         cli_error!("the rule set has no service IPs — every record would miss");
@@ -150,7 +169,13 @@ pub fn cmd_soak(flags: HashMap<String, String>) {
     // the memory-ceiling check is about.
     while run.ck.watermark.hour < hours {
         let g = run.ck.watermark.hour;
-        run.feed_hour(&mut SoakStream::hour(&targets, soak_cfg, 0, g, chunk_records));
+        run.feed_hour(&mut SoakStream::hour(
+            &targets,
+            soak_cfg,
+            0,
+            g,
+            chunk_records,
+        ));
         run.emit(format!("{g}\t{}", run.ck.records_this_day));
         run.ck.watermark = Watermark::hour_start(0, g + 1);
         run.ck.records_this_day = 0;

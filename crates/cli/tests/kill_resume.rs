@@ -24,14 +24,21 @@ const BIN: &str = env!("CARGO_BIN_EXE_haystack");
 /// tenth of the run, so the kill always lands mid-stream, and the run is
 /// still short enough for CI.
 const DETECT: &[&str] = &[
-    "detect", "--lines", "3000", "--days", "4", "--seed", "7", "--workers", "3", "--quiet",
+    "detect",
+    "--lines",
+    "3000",
+    "--days",
+    "4",
+    "--seed",
+    "7",
+    "--workers",
+    "3",
+    "--quiet",
 ];
 
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "haystack-kill-resume-{}-{tag}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("haystack-kill-resume-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -57,13 +64,20 @@ fn rules_file() -> &'static Path {
 
 fn detect_cmd(extra: &[&str]) -> Command {
     let mut cmd = Command::new(BIN);
-    cmd.args(DETECT).arg("--rules").arg(rules_file()).args(extra);
+    cmd.args(DETECT)
+        .arg("--rules")
+        .arg(rules_file())
+        .args(extra);
     cmd
 }
 
 fn run_to_string(cmd: &mut Command) -> String {
     let out = cmd.output().unwrap();
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     String::from_utf8(out.stdout).unwrap()
 }
 
@@ -94,12 +108,21 @@ fn crashed_run() -> PathBuf {
             child.kill().unwrap(); // SIGKILL on unix — no cleanup runs
             break;
         }
-        assert!(child.try_wait().unwrap().is_none(), "the run finished before the kill");
-        assert!(Instant::now() < deadline, "no checkpoints appeared in 120 s");
+        assert!(
+            child.try_wait().unwrap().is_none(),
+            "the run finished before the kill"
+        );
+        assert!(
+            Instant::now() < deadline,
+            "no checkpoints appeared in 120 s"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
     let _ = child.wait();
-    assert!(!ckpt_files(&dir).is_empty(), "killed run left no checkpoint");
+    assert!(
+        !ckpt_files(&dir).is_empty(),
+        "killed run left no checkpoint"
+    );
     dir
 }
 
@@ -114,7 +137,10 @@ fn sigkill_then_resume_is_byte_identical() {
         dir.to_str().unwrap(),
         "--resume",
     ]));
-    assert_eq!(resumed, clean, "resumed stdout diverges from the uninterrupted run");
+    assert_eq!(
+        resumed, clean,
+        "resumed stdout diverges from the uninterrupted run"
+    );
 
     // A second resume replays the completed run verbatim from its
     // done-marked checkpoint without recomputing anything.
@@ -129,7 +155,10 @@ fn sigkill_then_resume_is_byte_identical() {
     // The checksum rejects it, resume falls back to the previous
     // generation and recomputes the tail — same bytes, no panic.
     let files = ckpt_files(&dir);
-    assert!(files.len() >= 2, "expected two retained generations, got {files:?}");
+    assert!(
+        files.len() >= 2,
+        "expected two retained generations, got {files:?}"
+    );
     let newest = files.last().unwrap();
     let mut bytes = std::fs::read(newest).unwrap();
     for i in (0..bytes.len()).step_by(7) {
@@ -175,8 +204,14 @@ fn events_stream_survives_sigkill_and_resume_byte_identical() {
             child.kill().unwrap();
             break;
         }
-        assert!(child.try_wait().unwrap().is_none(), "the run finished before the kill");
-        assert!(Instant::now() < deadline, "no checkpoints appeared in 120 s");
+        assert!(
+            child.try_wait().unwrap().is_none(),
+            "the run finished before the kill"
+        );
+        assert!(
+            Instant::now() < deadline,
+            "no checkpoints appeared in 120 s"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
     let _ = child.wait();
@@ -229,26 +264,45 @@ fn sigterm_drains_to_a_final_checkpoint_and_resumes_byte_identical() {
             assert!(sent, "SIGTERM not delivered");
             break;
         }
-        assert!(child.try_wait().unwrap().is_none(), "the run finished before the drain request");
-        assert!(Instant::now() < deadline, "no checkpoints appeared in 120 s");
+        assert!(
+            child.try_wait().unwrap().is_none(),
+            "the run finished before the drain request"
+        );
+        assert!(
+            Instant::now() < deadline,
+            "no checkpoints appeared in 120 s"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
     let out = child.wait_with_output().unwrap();
     // Unlike SIGKILL, a drain is an orderly exit: status 0, and when the
     // signal landed mid-run the process says what it checkpointed.
-    assert!(out.status.success(), "SIGTERM drain exited nonzero: {:?}", out.status);
+    assert!(
+        out.status.success(),
+        "SIGTERM drain exited nonzero: {:?}",
+        out.status
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     if stderr.contains("sigterm") {
-        assert!(stderr.contains("checkpointed"), "drain message missing: {stderr}");
+        assert!(
+            stderr.contains("checkpointed"),
+            "drain message missing: {stderr}"
+        );
     }
-    assert!(!ckpt_files(&dir).is_empty(), "drained run left no checkpoint");
+    assert!(
+        !ckpt_files(&dir).is_empty(),
+        "drained run left no checkpoint"
+    );
 
     let resumed = run_to_string(&mut detect_cmd(&[
         "--checkpoint-dir",
         dir.to_str().unwrap(),
         "--resume",
     ]));
-    assert_eq!(resumed, clean, "post-SIGTERM resume diverges from the uninterrupted run");
+    assert_eq!(
+        resumed, clean,
+        "post-SIGTERM resume diverges from the uninterrupted run"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -261,7 +315,11 @@ fn version_skew_refuses_resume_and_names_the_generation() {
     let ckpt = CheckpointDir::open(&dir).unwrap();
     let mut w = SnapWriter::new();
     w.put_u64(0xDEAD);
-    let future = seal(RunCheckpoint::MAGIC, RunCheckpoint::VERSION + 1, &w.into_bytes());
+    let future = seal(
+        RunCheckpoint::MAGIC,
+        RunCheckpoint::VERSION + 1,
+        &w.into_bytes(),
+    );
     let generation = ckpt.write(RunCheckpoint::PREFIX, &future).unwrap();
 
     let stderr = run_to_failure(&mut detect_cmd(&[
@@ -288,15 +346,33 @@ fn conflicting_flag_refuses_resume_and_names_the_field() {
     // wrong world, so it must be refused by name.
     let mut cmd = Command::new(BIN);
     cmd.args([
-        "detect", "--lines", "4321", "--days", "4", "--seed", "7", "--workers", "3", "--quiet",
+        "detect",
+        "--lines",
+        "4321",
+        "--days",
+        "4",
+        "--seed",
+        "7",
+        "--workers",
+        "3",
+        "--quiet",
     ])
     .arg("--rules")
     .arg(rules_file())
     .args(["--checkpoint-dir", dir.to_str().unwrap(), "--resume"]);
     let stderr = run_to_failure(&mut cmd);
-    assert!(stderr.contains("--lines"), "error does not name the flag: {stderr}");
-    assert!(stderr.contains("4321"), "error does not echo the flag value: {stderr}");
-    assert!(stderr.contains("generation"), "error does not name the generation: {stderr}");
+    assert!(
+        stderr.contains("--lines"),
+        "error does not name the flag: {stderr}"
+    );
+    assert!(
+        stderr.contains("4321"),
+        "error does not echo the flag value: {stderr}"
+    );
+    assert!(
+        stderr.contains("generation"),
+        "error does not name the generation: {stderr}"
+    );
 
     // `soak` shares the frame format and the `run` prefix: resuming this
     // directory as a soak would run another stream with `hours = days`.
@@ -305,8 +381,14 @@ fn conflicting_flag_refuses_resume_and_names_the_field() {
         .arg(rules_file())
         .args(["--checkpoint-dir", dir.to_str().unwrap(), "--resume"]);
     let stderr = run_to_failure(&mut cmd);
-    assert!(stderr.contains("`haystack detect`"), "error does not name the writer: {stderr}");
-    assert!(stderr.contains("generation"), "error does not name the generation: {stderr}");
+    assert!(
+        stderr.contains("`haystack detect`"),
+        "error does not name the writer: {stderr}"
+    );
+    assert!(
+        stderr.contains("generation"),
+        "error does not name the generation: {stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -340,7 +422,10 @@ fn the_default_pack_is_the_seed_42_pack() {
     let (default, seeded) = (dir.join("default.hsp"), dir.join("seed42.hsp"));
     assert!(export(&[], &default).status.success());
     assert!(export(&["--seed", "42"], &seeded).status.success());
-    assert_eq!(std::fs::read(&default).unwrap(), std::fs::read(&seeded).unwrap());
+    assert_eq!(
+        std::fs::read(&default).unwrap(),
+        std::fs::read(&seeded).unwrap()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -357,7 +442,10 @@ fn a_rules_file_that_is_not_a_pack_is_refused_by_path() {
         .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains(json.to_str().unwrap()), "error does not name the file: {stderr}");
+    assert!(
+        stderr.contains(json.to_str().unwrap()),
+        "error does not name the file: {stderr}"
+    );
     assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -367,7 +455,12 @@ fn export_refuses_rules_together_with_seed() {
     let dir = scratch("export-conflict");
     let pack = rules_file().to_str().unwrap();
     let out = export(&["--rules", pack, "--seed", "1"], &dir.join("x.hsp"));
-    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(!dir.join("x.hsp").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }

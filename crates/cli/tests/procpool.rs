@@ -38,7 +38,10 @@ use std::time::Duration;
 /// The worker command every test pool spawns: the real CLI binary's
 /// `shard-worker` arm.
 fn worker_cmd() -> Vec<String> {
-    vec![env!("CARGO_BIN_EXE_haystack").to_string(), "shard-worker".to_string()]
+    vec![
+        env!("CARGO_BIN_EXE_haystack").to_string(),
+        "shard-worker".to_string(),
+    ]
 }
 
 /// A pool on `workers` process shards.
@@ -135,7 +138,11 @@ fn oracle_verdicts(rules: &RuleSet, oracle: &ReferenceDetector, line: AnonId) ->
 
 /// (line, rule) entries held across the pool's shards.
 fn entries(pool: &mut DetectorPool) -> usize {
-    pool.shard_states().expect("states").iter().map(DetectorState::entry_count).sum()
+    pool.shard_states()
+        .expect("states")
+        .iter()
+        .map(DetectorState::entry_count)
+        .sum()
 }
 
 proptest! {
@@ -276,7 +283,10 @@ proptest! {
 #[test]
 fn crash_loop_trips_breaker_then_operator_reset_recovers() {
     let rules = build_rules(&[vec![(0, 0, false), (1, 0, false)]]);
-    let config = DetectorConfig { threshold: 0.4, require_established: false };
+    let config = DetectorConfig {
+        threshold: 0.4,
+        require_established: false,
+    };
     let policy = RespawnPolicy {
         base: Duration::from_millis(1),
         cap: Duration::from_millis(2),
@@ -303,17 +313,29 @@ fn crash_loop_trips_breaker_then_operator_reset_recovers() {
             break;
         }
     }
-    assert_eq!(tripped_after, Some(3), "breaker must trip on the 3rd fast death");
+    assert_eq!(
+        tripped_after,
+        Some(3),
+        "breaker must trip on the 3rd fast death"
+    );
 
     // Degraded: new evidence queues with exact accounting, not silently
     // dropped, and queries fail loudly.
     let post: Vec<WildRecord> = (8..16).map(|i| build_record(&(i, 1, 0, 4, 1))).collect();
-    pool.observe_records(&post).expect("degraded observe queues");
+    pool.observe_records(&post)
+        .expect("degraded observe queues");
     let report = &pool.shard_status()[0];
     assert_eq!(report.status, ShardStatus::Degraded);
-    assert_eq!(report.queued, post.len() as u64, "all post-trip records queued");
+    assert_eq!(
+        report.queued,
+        post.len() as u64,
+        "all post-trip records queued"
+    );
     assert_eq!(report.shed, 0);
-    assert!(pool.detected_lines(CLASSES[0]).is_err(), "degraded shard fails queries");
+    assert!(
+        pool.detected_lines(CLASSES[0]).is_err(),
+        "degraded shard fails queries"
+    );
 
     // Operator reset: breaker closes, the queue replays, and the state
     // matches a pool that never degraded.
@@ -336,7 +358,11 @@ fn crash_loop_trips_breaker_then_operator_reset_recovers() {
     }
     for line in (0..16).map(AnonId) {
         let want = oracle_verdicts(&rules, &oracle, line);
-        assert_eq!(pool.line_verdicts(line).expect("recovered verdicts"), want, "{line:?}");
+        assert_eq!(
+            pool.line_verdicts(line).expect("recovered verdicts"),
+            want,
+            "{line:?}"
+        );
     }
     assert_eq!(entries(&mut pool), entries(&mut clean));
     assert_eq!(entries(&mut pool), oracle.state_size());
@@ -351,7 +377,10 @@ fn crash_loop_trips_breaker_then_operator_reset_recovers() {
 #[test]
 fn transport_parity_same_feed_and_kill_schedule_give_identical_books() {
     let rules = build_rules(&[vec![(0, 0, false), (1, 0, false)], vec![(2, 1, true)]]);
-    let config = DetectorConfig { threshold: 0.4, require_established: false };
+    let config = DetectorConfig {
+        threshold: 0.4,
+        require_established: false,
+    };
     // A window no test run outlasts: the trip point depends on the
     // death count alone, never on scheduling.
     let policy = RespawnPolicy {
@@ -378,8 +407,13 @@ fn transport_parity_same_feed_and_kill_schedule_give_identical_books() {
     for workers in [1usize, 2, 4] {
         let mut thread_pool =
             DetectorPool::new(&rules, &HitList::whole_window(&rules), config, workers);
-        thread_pool.enable_supervision(haystack_core::parallel::DEFAULT_REPLAY_LIMIT).unwrap();
-        let mut pools = [("thread", thread_pool), ("process", process_shards(&rules, config, workers))];
+        thread_pool
+            .enable_supervision(haystack_core::parallel::DEFAULT_REPLAY_LIMIT)
+            .unwrap();
+        let mut pools = [
+            ("thread", thread_pool),
+            ("process", process_shards(&rules, config, workers)),
+        ];
         // Per pool: the status rows after each phase, then the final
         // shard-state bytes and detections.
         let mut books = Vec::new();
@@ -398,7 +432,11 @@ fn transport_parity_same_feed_and_kill_schedule_give_identical_books() {
             }
             pool.finish().expect("finish heals the kill");
             rows.push(pool.shard_status());
-            assert_eq!(rows[0][victim].status, ShardStatus::Ok, "{link}: answered since");
+            assert_eq!(
+                rows[0][victim].status,
+                ShardStatus::Ok,
+                "{link}: answered since"
+            );
 
             // Crash loop: kills until the breaker opens — deaths #2, #3.
             let mut deaths = 1;
@@ -406,7 +444,10 @@ fn transport_parity_same_feed_and_kill_schedule_give_identical_books() {
                 pool.kill_shard(victim).expect("kill");
                 let _ = pool.finish();
                 deaths += 1;
-                assert!(deaths <= 3, "{link}: breaker must trip on the 3rd fast death");
+                assert!(
+                    deaths <= 3,
+                    "{link}: breaker must trip on the 3rd fast death"
+                );
             }
             rows.push(pool.shard_status());
 
@@ -417,7 +458,11 @@ fn transport_parity_same_feed_and_kill_schedule_give_identical_books() {
             rows.push(pool.shard_status());
             if workers == 1 {
                 let row = rows[2][0];
-                assert_eq!(row.queued + row.shed, during.len() as u64, "{link}: exact accounting");
+                assert_eq!(
+                    row.queued + row.shed,
+                    during.len() as u64,
+                    "{link}: exact accounting"
+                );
                 assert!(row.shed > 0, "{link}: the schedule must exercise shedding");
             }
 
@@ -429,14 +474,21 @@ fn transport_parity_same_feed_and_kill_schedule_give_identical_books() {
             let shard_states = pool.shard_states().expect("states");
             let states: Vec<Vec<u8>> = shard_states.iter().map(|s| s.encode()).collect();
             let found = detections(&rules, |c| pool.detected_lines(c).expect("query"));
-            assert!(found.iter().any(|lines| !lines.is_empty()), "{link}: nothing detected");
+            assert!(
+                found.iter().any(|lines| !lines.is_empty()),
+                "{link}: nothing detected"
+            );
 
             // The oracle sees what the pool kept: every record except
             // the victim's `during` records past its degraded queue,
             // which holds the oldest. `before` leaves evidence on all 40
             // lines, so the victim's state names the lines it owns.
-            let victim_lines: Vec<AnonId> =
-                shard_states[victim].rules.iter().flatten().map(|e| e.line).collect();
+            let victim_lines: Vec<AnonId> = shard_states[victim]
+                .rules
+                .iter()
+                .flatten()
+                .map(|e| e.line)
+                .collect();
             let owned: usize = shard_states
                 .iter()
                 .map(|s| {
@@ -461,22 +513,41 @@ fn transport_parity_same_feed_and_kill_schedule_give_identical_books() {
             for r in before.iter().chain(kept).chain(&after) {
                 oracle.observe_wild(r);
             }
-            assert!(merged(&shard_states).encode() == oracle.export_state().encode(), "{link}");
+            assert!(
+                merged(&shard_states).encode() == oracle.export_state().encode(),
+                "{link}"
+            );
             let verdicts: Vec<Vec<(bool, f64)>> = (0..40)
                 .map(|line| pool.line_verdicts(AnonId(line)).expect("line verdicts"))
                 .collect();
             for (line, got) in (0..40).map(AnonId).zip(&verdicts) {
-                assert_eq!(got, &oracle_verdicts(&rules, &oracle, line), "{link}: line {line:?}");
+                assert_eq!(
+                    got,
+                    &oracle_verdicts(&rules, &oracle, line),
+                    "{link}: line {line:?}"
+                );
             }
-            assert!(verdicts.iter().flatten().any(|v| v.0), "{link}: no line detected");
+            assert!(
+                verdicts.iter().flatten().any(|v| v.0),
+                "{link}: no line detected"
+            );
             books.push((rows, states, found, verdicts));
         }
         let process = books.pop().expect("process books");
         let thread = books.pop().expect("thread books");
-        assert_eq!(thread.0, process.0, "{workers} workers: shard_status rows diverge");
-        assert!(thread.1 == process.1, "{workers} workers: shard_states bytes diverge");
+        assert_eq!(
+            thread.0, process.0,
+            "{workers} workers: shard_status rows diverge"
+        );
+        assert!(
+            thread.1 == process.1,
+            "{workers} workers: shard_states bytes diverge"
+        );
         assert_eq!(thread.2, process.2, "{workers} workers: detections diverge");
-        assert_eq!(thread.3, process.3, "{workers} workers: line verdicts diverge");
+        assert_eq!(
+            thread.3, process.3,
+            "{workers} workers: line verdicts diverge"
+        );
     }
 }
 
@@ -490,16 +561,26 @@ fn fingerprint_colliders(rules: &RuleSet) -> Vec<Ipv4Addr> {
         .filter(|&ip| hl.prefilter_pass(mix64(HitList::pack_key(ip, 443))))
         .take(16)
         .collect();
-    assert!(!colliders.is_empty(), "no fingerprint collision found in a /16 scan");
+    assert!(
+        !colliders.is_empty(),
+        "no fingerprint collision found in a /16 scan"
+    );
     for &ip in &colliders {
-        assert!(hl.lookup(ip, 443).is_empty(), "collider {ip} must be absent");
+        assert!(
+            hl.lookup(ip, 443).is_empty(),
+            "collider {ip} must be absent"
+        );
     }
     colliders
 }
 
 /// One record from `line` to `dst:dport` in `hour`.
 fn record_to(line: u64, dst: Ipv4Addr, dport: u16, hour: u32) -> WildRecord {
-    WildRecord { dst, dport, ..build_record(&(line, 0, 0, 1, hour)) }
+    WildRecord {
+        dst,
+        dport,
+        ..build_record(&(line, 0, 0, 1, hour))
+    }
 }
 
 /// The pool's per-shard states folded into one, entries sorted by line
@@ -524,9 +605,14 @@ fn merged(states: &[DetectorState]) -> DetectorState {
 /// woven in gives the reference detector's detections and state bytes.
 #[test]
 fn feeder_gate_on_process_shards_equals_reference_on_colliders_and_misses() {
-    let rules =
-        build_rules(&[vec![(0, 0, false), (1, 0, false), (3, 1, false)], vec![(2, 1, true)]]);
-    let config = DetectorConfig { threshold: 0.4, require_established: false };
+    let rules = build_rules(&[
+        vec![(0, 0, false), (1, 0, false), (3, 1, false)],
+        vec![(2, 1, true)],
+    ]);
+    let config = DetectorConfig {
+        threshold: 0.4,
+        require_established: false,
+    };
     let colliders = fingerprint_colliders(&rules);
     let colliding: Vec<WildRecord> = (0..colliders.len() * 13)
         .map(|i| record_to(i as u64 % 5, colliders[i % colliders.len()], 443, 0))
@@ -538,12 +624,20 @@ fn feeder_gate_on_process_shards_equals_reference_on_colliders_and_misses() {
         .map(|i| {
             let line = u64::from(i % 31);
             if i % 150 == 75 {
-                WildRecord { line: AnonId(line), ..colliding[(i / 150) as usize % colliding.len()] }
+                WildRecord {
+                    line: AnonId(line),
+                    ..colliding[(i / 150) as usize % colliding.len()]
+                }
             } else if i % 100 == 0 {
                 let (ip, port) = hits[(i / 100) as usize % hits.len()];
                 build_record(&(line, ip, port, 1, i / 1_000))
             } else {
-                record_to(line, Ipv4Addr::new(151, 64, (i >> 8) as u8, i as u8), 443, i / 1_000)
+                record_to(
+                    line,
+                    Ipv4Addr::new(151, 64, (i >> 8) as u8, i as u8),
+                    443,
+                    i / 1_000,
+                )
             }
         })
         .collect();
@@ -553,7 +647,10 @@ fn feeder_gate_on_process_shards_equals_reference_on_colliders_and_misses() {
     }
     let want = oracle.export_state().encode();
     let by_oracle = detections(&rules, |c| oracle.detected_lines(c));
-    assert!(by_oracle.iter().any(|lines| !lines.is_empty()), "the hits must detect");
+    assert!(
+        by_oracle.iter().any(|lines| !lines.is_empty()),
+        "the hits must detect"
+    );
 
     for workers in [1usize, 2, 4] {
         let mut pool = process_shards(&rules, config, workers);
@@ -568,10 +665,17 @@ fn feeder_gate_on_process_shards_equals_reference_on_colliders_and_misses() {
         let by_proc = detections(&rules, |c| pool.detected_lines(c).expect("query"));
         assert_eq!(by_proc, by_oracle, "{workers} workers: detections");
         let states = pool.shard_states().expect("states");
-        assert!(merged(&states).encode() == want, "{workers} workers: state bytes diverge");
+        assert!(
+            merged(&states).encode() == want,
+            "{workers} workers: state bytes diverge"
+        );
         for line in (0..31).map(AnonId) {
             let want = oracle_verdicts(&rules, &oracle, line);
-            assert_eq!(pool.line_verdicts(line).expect("verdicts"), want, "{workers}: {line:?}");
+            assert_eq!(
+                pool.line_verdicts(line).expect("verdicts"),
+                want,
+                "{workers}: {line:?}"
+            );
         }
     }
 }
@@ -584,9 +688,14 @@ fn feeder_gate_on_process_shards_equals_reference_on_colliders_and_misses() {
 /// to it.
 #[test]
 fn process_pool_set_hitlist_keeps_the_whole_window() {
-    let rules =
-        build_rules(&[vec![(0, 0, false), (1, 0, false)], vec![(2, 1, true), (3, 0, false)]]);
-    let config = DetectorConfig { threshold: 0.4, require_established: false };
+    let rules = build_rules(&[
+        vec![(0, 0, false), (1, 0, false)],
+        vec![(2, 1, true), (3, 0, false)],
+    ]);
+    let config = DetectorConfig {
+        threshold: 0.4,
+        require_established: false,
+    };
     // Passive DNS saw two of the four domains on other addresses on day
     // 0, so that day's hitlist drops their whole-window keys.
     let mut zones = ZoneDb::new();
@@ -613,13 +722,20 @@ fn process_pool_set_hitlist_keeps_the_whole_window() {
         pool.observe_records(rest).expect("observe");
         pool.finish().expect("finish");
         let found = detections(&rules, |c| pool.detected_lines(c).expect("query"));
-        let states: Vec<Vec<u8>> =
-            pool.shard_states().expect("states").iter().map(|s| s.encode()).collect();
+        let states: Vec<Vec<u8>> = pool
+            .shard_states()
+            .expect("states")
+            .iter()
+            .map(|s| s.encode())
+            .collect();
         (found, states)
     };
     let want = run(&mut process_shards(&rules, config, 2), false);
     assert_eq!(run(&mut process_shards(&rules, config, 2), true), want);
     let whole = HitList::whole_window(&rules);
     let swapped_threads = run(&mut DetectorPool::new(&rules, &whole, config, 2), true);
-    assert_ne!(swapped_threads, want, "day 0's hitlist must differ from the whole window's");
+    assert_ne!(
+        swapped_threads, want,
+        "day 0's hitlist must differ from the whole window's"
+    );
 }

@@ -38,7 +38,10 @@ fn real_rules_survive_the_pack_and_detect_identically() {
             assert_eq!(da.usage_indicator, db.usage_indicator);
         }
     }
-    assert!(!p.rules.undetectable.is_empty(), "fast(7) has undetectable classes");
+    assert!(
+        !p.rules.undetectable.is_empty(),
+        "fast(7) has undetectable classes"
+    );
     assert_eq!(loaded.undetectable.len(), p.rules.undetectable.len());
     for ((ca, ra), (cb, rb)) in p.rules.undetectable.iter().zip(&loaded.undetectable) {
         assert_eq!(p.rules.class_name(*ca), loaded.class_name(*cb));
@@ -63,9 +66,7 @@ fn real_rules_survive_the_pack_and_detect_identically() {
         .rules
         .iter()
         .flat_map(|r| r.domains.iter())
-        .filter_map(|d| {
-            Some((*d.ips.iter().next()?, *d.ports.iter().next()?))
-        })
+        .filter_map(|d| Some((*d.ips.iter().next()?, *d.ports.iter().next()?)))
         .collect();
     for (ip, port) in combos {
         orig.observe(line, ip, port, Proto::Tcp, true, HourBin(0));

@@ -105,25 +105,38 @@ impl Daemon {
             if let Some(status) = child.try_wait().unwrap() {
                 panic!("daemon exited before writing its ports file: {status:?}");
             }
-            assert!(Instant::now() < deadline, "daemon never wrote its ports file");
+            assert!(
+                Instant::now() < deadline,
+                "daemon never wrote its ports file"
+            );
             std::thread::sleep(Duration::from_millis(20));
         };
         let port = |k: &str| ports[k].as_u64().unwrap() as u16;
-        Daemon { child, udp: port("udp"), tcp: port("tcp"), http: port("http") }
+        Daemon {
+            child,
+            udp: port("udp"),
+            tcp: port("tcp"),
+            http: port("http"),
+        }
     }
 
     /// A connection to the HTTP plane with nothing sent on it yet.
     fn connect(&self) -> TcpStream {
         let stream = TcpStream::connect(("127.0.0.1", self.http)).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
         stream
     }
 
     /// One HTTP/1.1 request; returns (status, body).
     fn http(&self, method: &str, target: &str) -> (u16, String) {
         let mut stream = self.connect();
-        write!(stream, "{method} {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-            .unwrap();
+        write!(
+            stream,
+            "{method} {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        .unwrap();
         read_response(&mut stream).unwrap()
     }
 
@@ -145,13 +158,16 @@ impl Daemon {
 
     /// One sample of `/metrics` by its exposition name.
     fn metric(&self, name: &str) -> u64 {
-        self.try_metric(name).unwrap_or_else(|| panic!("{name} missing from /metrics"))
+        self.try_metric(name)
+            .unwrap_or_else(|| panic!("{name} missing from /metrics"))
     }
 
     /// [`Daemon::metric`], `None` while the sample is not published yet.
     fn try_metric(&self, name: &str) -> Option<u64> {
         let text = self.get("/metrics");
-        let line = text.lines().find(|l| l.split_whitespace().next() == Some(name))?;
+        let line = text
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(name))?;
         Some(line.split_whitespace().nth(1).unwrap().parse().unwrap())
     }
 
@@ -192,7 +208,10 @@ impl Daemon {
     fn sigterm(mut self) {
         self.signal_term();
         let status = self.child.wait().unwrap();
-        assert!(status.success(), "daemon SIGTERM exited nonzero: {status:?}");
+        assert!(
+            status.success(),
+            "daemon SIGTERM exited nonzero: {status:?}"
+        );
     }
 }
 
@@ -209,15 +228,26 @@ fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, String)> {
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
     let text = String::from_utf8_lossy(&raw).into_owned();
-    let status: u16 = text.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0);
-    let body = text.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
+    let status: u16 = text
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    let body = text
+        .split_once("\r\n\r\n")
+        .map(|(_, b)| b.to_string())
+        .unwrap_or_default();
     Ok((status, body))
 }
 
 /// Drive `haystack send` at a daemon port.
 fn send(args: &[&str]) {
     let out = Command::new(BIN).arg("send").args(args).output().unwrap();
-    assert!(out.status.success(), "send failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "send failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 /// `haystack send` over TCP; returns the records sent, read from the
@@ -228,14 +258,28 @@ fn send_counted(tcp: u16, args: &[&str]) -> u64 {
         .args(args)
         .output()
         .unwrap();
-    assert!(out.status.success(), "send failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "send failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8(out.stdout).unwrap();
     text.trim().rsplit('\t').next().unwrap().parse().unwrap()
 }
 
 /// Records per `send --rules --lines 8` burst.
 fn hitting_burst(tcp: u16, hour: &str) -> u64 {
-    send_counted(tcp, &["--hour", hour, "--rules", rules_file().to_str().unwrap(), "--lines", "8"])
+    send_counted(
+        tcp,
+        &[
+            "--hour",
+            hour,
+            "--rules",
+            rules_file().to_str().unwrap(),
+            "--lines",
+            "8",
+        ],
+    )
 }
 
 #[test]
@@ -247,7 +291,10 @@ fn chaos_daemon_stays_up_sheds_exactly_and_readmits_flapped_sources() {
     let records = hitting_burst(d.tcp, "0");
     d.wait_records(records);
     let detections = d.get("/detections");
-    assert!(detections.contains("\"count\":8"), "expected 8 detected lines: {detections}");
+    assert!(
+        detections.contains("\"count\":8"),
+        "expected 8 detected lines: {detections}"
+    );
 
     // Forced shard panic: supervision respawns and replays; a stall is
     // healed by the watchdog. The daemon keeps answering throughout.
@@ -259,14 +306,26 @@ fn chaos_daemon_stays_up_sheds_exactly_and_readmits_flapped_sources() {
         if s["watchdog"]["respawns"].as_u64().unwrap() >= 1 {
             break;
         }
-        assert!(Instant::now() < deadline, "watchdog never respawned the panicked shard");
+        assert!(
+            Instant::now() < deadline,
+            "watchdog never respawned the panicked shard"
+        );
         std::thread::sleep(Duration::from_millis(100));
     }
 
     // 2× overload: slow the engine so the bounded queue (64) fills,
     // then burst over UDP. Shedding must be exact and attributed.
     let _ = d.post("/admin/slow?us=3000");
-    send(&["--port", &d.udp.to_string(), "--mode", "udp", "--records", "5000", "--source", "44"]);
+    send(&[
+        "--port",
+        &d.udp.to_string(),
+        "--mode",
+        "udp",
+        "--records",
+        "5000",
+        "--source",
+        "44",
+    ]);
     let _ = d.post("/admin/slow?us=0");
     std::thread::sleep(Duration::from_millis(500));
     let s = d.stats();
@@ -276,20 +335,35 @@ fn chaos_daemon_stays_up_sheds_exactly_and_readmits_flapped_sources() {
         s["shed"].as_u64().unwrap(),
     );
     assert!(shed > 0, "overload burst shed nothing: {s}");
-    assert_eq!(received, admitted + shed, "shed accounting does not balance: {s}");
+    assert_eq!(
+        received,
+        admitted + shed,
+        "shed accounting does not balance: {s}"
+    );
     let by_source = s["shed_by_source"].as_array().unwrap();
     let shed_44: u64 = by_source
         .iter()
         .filter(|row| row[0].as_u64() == Some(44))
         .map(|row| row[1].as_u64().unwrap())
         .sum();
-    assert_eq!(shed_44, shed, "shed not attributed to the bursting source: {s}");
+    assert_eq!(
+        shed_44, shed,
+        "shed not attributed to the bursting source: {s}"
+    );
 
     // Malformed flood: source 99 is quarantined after consecutive bad
     // messages, then re-admitted (probation → healthy) by clean sends.
     send(&[
-        "--port", &d.tcp.to_string(), "--mode", "tcp", "--source", "99", "--records", "600",
-        "--malformed", "10",
+        "--port",
+        &d.tcp.to_string(),
+        "--mode",
+        "tcp",
+        "--source",
+        "99",
+        "--records",
+        "600",
+        "--malformed",
+        "10",
     ]);
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -297,12 +371,23 @@ fn chaos_daemon_stays_up_sheds_exactly_and_readmits_flapped_sources() {
         if sources.contains("\"id\":99,\"health\":\"quarantined\"") {
             break;
         }
-        assert!(Instant::now() < deadline, "source 99 never quarantined: {sources}");
+        assert!(
+            Instant::now() < deadline,
+            "source 99 never quarantined: {sources}"
+        );
         std::thread::sleep(Duration::from_millis(50));
     }
     for _ in 0..6 {
-        send(&["--port", &d.tcp.to_string(), "--mode", "tcp", "--source", "99", "--records",
-            "300"]);
+        send(&[
+            "--port",
+            &d.tcp.to_string(),
+            "--mode",
+            "tcp",
+            "--source",
+            "99",
+            "--records",
+            "300",
+        ]);
     }
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -310,7 +395,10 @@ fn chaos_daemon_stays_up_sheds_exactly_and_readmits_flapped_sources() {
         if sources.contains("\"id\":99,\"health\":\"healthy\"") {
             break;
         }
-        assert!(Instant::now() < deadline, "source 99 never re-admitted: {sources}");
+        assert!(
+            Instant::now() < deadline,
+            "source 99 never re-admitted: {sources}"
+        );
         std::thread::sleep(Duration::from_millis(50));
     }
 
@@ -319,8 +407,16 @@ fn chaos_daemon_stays_up_sheds_exactly_and_readmits_flapped_sources() {
     // is still detected (background traffic may only have *added*).
     assert_eq!(d.get("/healthz"), "ok\n");
     let ready: serde_json::Value = serde_json::from_str(&d.get("/readyz")).unwrap();
-    assert_eq!(ready["ready"].as_bool(), Some(true), "not ready after chaos: {ready}");
-    assert_eq!(ready["degraded"].as_array().map(Vec::len), Some(0), "degraded shards: {ready}");
+    assert_eq!(
+        ready["ready"].as_bool(),
+        Some(true),
+        "not ready after chaos: {ready}"
+    );
+    assert_eq!(
+        ready["degraded"].as_array().map(Vec::len),
+        Some(0),
+        "degraded shards: {ready}"
+    );
     let before: serde_json::Value = serde_json::from_str(&detections).unwrap();
     let after: serde_json::Value = serde_json::from_str(&d.get("/detections")).unwrap();
     for class in before["classes"].as_array().unwrap() {
@@ -340,7 +436,10 @@ fn chaos_daemon_stays_up_sheds_exactly_and_readmits_flapped_sources() {
         }
     }
     let metrics = d.get("/metrics");
-    assert!(metrics.contains("haystack_serve_shed"), "shed gauge missing from /metrics");
+    assert!(
+        metrics.contains("haystack_serve_shed"),
+        "shed gauge missing from /metrics"
+    );
 
     d.drain();
     assert!(
@@ -352,7 +451,10 @@ fn chaos_daemon_stays_up_sheds_exactly_and_readmits_flapped_sources() {
 /// `/readyz` parsed, whatever its status.
 fn readyz(d: &Daemon) -> (u16, serde_json::Value) {
     let (status, body) = d.http("GET", "/readyz");
-    (status, serde_json::from_str(&body).unwrap_or_else(|e| panic!("/readyz {body:?}: {e:?}")))
+    (
+        status,
+        serde_json::from_str(&body).unwrap_or_else(|e| panic!("/readyz {body:?}: {e:?}")),
+    )
 }
 
 #[test]
@@ -362,7 +464,10 @@ fn reset_breaker_brings_a_crash_looped_shard_back_without_a_restart() {
     let records = hitting_burst(d.tcp, "0");
     d.wait_records(records);
     let baseline = d.get("/detections");
-    assert!(baseline.contains("\"count\":8"), "expected 8 detected lines: {baseline}");
+    assert!(
+        baseline.contains("\"count\":8"),
+        "expected 8 detected lines: {baseline}"
+    );
 
     // Only a degraded shard can be reset; a bad shard is the caller's error.
     assert_eq!(d.http("POST", "/admin/reset-breaker").0, 400);
@@ -402,13 +507,28 @@ fn reset_breaker_brings_a_crash_looped_shard_back_without_a_restart() {
             assert_eq!(ready["degraded"], serde_json::json!([]), "{ready}");
             break;
         }
-        assert!(Instant::now() < deadline, "shard 1 never came back: {ready}");
+        assert!(
+            Instant::now() < deadline,
+            "shard 1 never came back: {ready}"
+        );
         std::thread::sleep(Duration::from_millis(50));
     }
     let shard = &d.stats()["shards"][1];
-    assert_eq!(shard["queued"].as_u64(), Some(0), "queue not replayed: {shard}");
-    assert_eq!(shard["shed"].as_u64(), Some(0), "records shed below the queue bound: {shard}");
-    assert_eq!(d.get("/detections"), baseline, "evidence lost across the crash loop");
+    assert_eq!(
+        shard["queued"].as_u64(),
+        Some(0),
+        "queue not replayed: {shard}"
+    );
+    assert_eq!(
+        shard["shed"].as_u64(),
+        Some(0),
+        "records shed below the queue bound: {shard}"
+    );
+    assert_eq!(
+        d.get("/detections"),
+        baseline,
+        "evidence lost across the crash loop"
+    );
     d.drain();
 }
 
@@ -451,7 +571,10 @@ fn sigterm_restart_answers_queries_byte_identical_to_an_uninterrupted_run() {
     let subject = Daemon::start("sub2", &sub_ckpt, &["--resume"]);
     let carried = subject.stats()["records"].as_u64().unwrap();
     assert_eq!(carried, half1, "restarted daemon lost checkpointed records");
-    assert!(subject.metric("haystack_checkpoint_restores") >= 1, "the restore went uncounted");
+    assert!(
+        subject.metric("haystack_checkpoint_restores") >= 1,
+        "the restore went uncounted"
+    );
     let got2 = hitting_burst(subject.tcp, "5");
     assert_eq!(got2, half2);
     subject.wait_records(half1 + half2);
@@ -485,7 +608,11 @@ fn resume_falls_back_past_a_corrupt_generation_and_refuses_a_future_version() {
     bytes[mid] ^= 0x20;
     std::fs::write(&newest, bytes).unwrap();
     let d = Daemon::start("rot2", &ckpt, &["--resume"]);
-    assert_eq!(d.stats()["records"].as_u64().unwrap(), half1, "did not fall back to generation 0");
+    assert_eq!(
+        d.stats()["records"].as_u64().unwrap(),
+        half1,
+        "did not fall back to generation 0"
+    );
     for ((t, want), (_, got)) in want.iter().zip(query_snapshot(&d).iter()) {
         assert_eq!(got, want, "{t} is not generation 0's answer");
     }
@@ -497,16 +624,30 @@ fn resume_falls_back_past_a_corrupt_generation_and_refuses_a_future_version() {
     // rot: falling back would silently serve an older state, so the
     // daemon refuses to start and names the generation.
     let future = seal(b"HAYSRVC\0", 99, &[0; 8]);
-    let generation = CheckpointDir::open(&ckpt).unwrap().write("serve", &future).unwrap();
+    let generation = CheckpointDir::open(&ckpt)
+        .unwrap()
+        .write("serve", &future)
+        .unwrap();
     let out = Command::new(BIN)
-        .args(["serve", "--resume", "--checkpoint-dir", ckpt.to_str().unwrap()])
+        .args([
+            "serve",
+            "--resume",
+            "--checkpoint-dir",
+            ckpt.to_str().unwrap(),
+        ])
         .arg("--rules")
         .arg(rules_file())
         .output()
         .unwrap();
-    assert!(!out.status.success(), "a future-version checkpoint was accepted");
+    assert!(
+        !out.status.success(),
+        "a future-version checkpoint was accepted"
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains(&format!("generation {generation}")), "{stderr}");
+    assert!(
+        stderr.contains(&format!("generation {generation}")),
+        "{stderr}"
+    );
     assert!(stderr.contains("version 99"), "{stderr}");
 }
 
@@ -538,7 +679,11 @@ fn pack_without(dir: &Path, name: &str, drop: &str) -> PathBuf {
 fn pack_only(dir: &Path, name: &str, class: &str) -> PathBuf {
     let rules = &pipeline().rules;
     let mut b = RuleSetBuilder::new();
-    for r in rules.rules.iter().filter(|r| rules.class_name(r.class) == class) {
+    for r in rules
+        .rules
+        .iter()
+        .filter(|r| rules.class_name(r.class) == class)
+    {
         b.rule(class, r.level, None, r.domains.clone());
     }
     let pack = SignaturePack {
@@ -569,7 +714,10 @@ fn leaf_classes(rules: &RuleSet) -> Vec<&str> {
 fn reload_rules_swaps_pack_mid_stream_without_evidence_loss() {
     let rules = &pipeline().rules;
     let leaves = leaf_classes(rules);
-    assert!(leaves.len() >= 2, "need two leaf classes to add/remove: {leaves:?}");
+    assert!(
+        leaves.len() >= 2,
+        "need two leaf classes to add/remove: {leaves:?}"
+    );
     let added = leaves[0]; // absent from pack A, present in pack B
     let removed = leaves[1]; // present in pack A, absent from pack B
     let packs = scratch("reload-packs");
@@ -601,12 +749,21 @@ fn reload_rules_swaps_pack_mid_stream_without_evidence_loss() {
     let half1 = hitting_burst(d.tcp, "0");
     d.wait_records(half1);
     let before: serde_json::Value = serde_json::from_str(&d.get("/detections")).unwrap();
-    assert!(!class_names(&before).contains(&added.to_string()), "pack A must not know {added}");
-    assert!(count_of(&before, removed).unwrap() > 0, "{removed} undetected before reload");
+    assert!(
+        !class_names(&before).contains(&added.to_string()),
+        "pack A must not know {added}"
+    );
+    assert!(
+        count_of(&before, removed).unwrap() > 0,
+        "{removed} undetected before reload"
+    );
 
     // Swap packs mid-stream: adds `added`, removes `removed`.
     let reply = d.post(&format!("/admin/reload-rules?path={}", pack_b.display()));
-    assert!(reply.contains("\"reloaded\":true"), "unexpected reload reply: {reply}");
+    assert!(
+        reply.contains("\"reloaded\":true"),
+        "unexpected reload reply: {reply}"
+    );
 
     let after: serde_json::Value = serde_json::from_str(&d.get("/detections")).unwrap();
     assert!(
@@ -630,28 +787,47 @@ fn reload_rules_swaps_pack_mid_stream_without_evidence_loss() {
             .iter()
             .find(|c| c["class"] == class["class"])
             .unwrap_or_else(|| panic!("class {name} vanished across the reload"));
-        assert_eq!(kept["lines"], class["lines"], "evidence lost for {name} across the reload");
+        assert_eq!(
+            kept["lines"], class["lines"],
+            "evidence lost for {name} across the reload"
+        );
     }
 
     // Hits for the added class alone. Pack B's hitlist holds every one
     // of them, so the decoder's gate — swapped with the pack — turns
     // none away; a gate left on pack A would silently drop each key A's
     // fingerprint rejects, and there must be some.
-    let pack_a_rules = SignaturePack::load(&std::fs::read(&pack_a).unwrap()).unwrap().rules;
+    let pack_a_rules = SignaturePack::load(&std::fs::read(&pack_a).unwrap())
+        .unwrap()
+        .rules;
     let pack_a_hitlist = HitList::whole_window(&pack_a_rules);
     let added_rule = rules.rule(added).unwrap();
     let novel = added_rule
         .domains
         .iter()
-        .flat_map(|dom| dom.ips.iter().flat_map(move |&ip| dom.ports.iter().map(move |&p| (ip, p))))
+        .flat_map(|dom| {
+            dom.ips
+                .iter()
+                .flat_map(move |&ip| dom.ports.iter().map(move |&p| (ip, p)))
+        })
         .filter(|&(ip, port)| !pack_a_hitlist.admits(ip, port))
         .count();
-    assert!(novel > 0, "every key of {added} passes pack A's gate: the check below proves nothing");
+    assert!(
+        novel > 0,
+        "every key of {added} passes pack A's gate: the check below proves nothing"
+    );
     let only_added = pack_only(&packs, "added.hsp", added);
     let rejected = d.stats()["parse_rejected"].as_u64().unwrap();
     let own = send_counted(
         d.tcp,
-        &["--hour", "3", "--rules", only_added.to_str().unwrap(), "--lines", "8"],
+        &[
+            "--hour",
+            "3",
+            "--rules",
+            only_added.to_str().unwrap(),
+            "--lines",
+            "8",
+        ],
     );
     d.wait_records(half1 + own);
     assert_eq!(
@@ -660,13 +836,19 @@ fn reload_rules_swaps_pack_mid_stream_without_evidence_loss() {
         "the gate turned away hits of {added} after the reload"
     );
     let own_hits: serde_json::Value = serde_json::from_str(&d.get("/detections")).unwrap();
-    assert!(count_of(&own_hits, added).unwrap() > 0, "{added} undetected from its own hits");
+    assert!(
+        count_of(&own_hits, added).unwrap() > 0,
+        "{added} undetected from its own hits"
+    );
 
     // Second half of the stream: the added rule lights up.
     let half2 = hitting_burst(d.tcp, "5");
     d.wait_records(half1 + own + half2);
     let lit: serde_json::Value = serde_json::from_str(&d.get("/detections")).unwrap();
-    assert!(count_of(&lit, added).unwrap() > 0, "{added} never detected after the reload");
+    assert!(
+        count_of(&lit, added).unwrap() > 0,
+        "{added} never detected after the reload"
+    );
 
     // SIGTERM + --resume: the reloaded pack survives the restart — the
     // stale pack A on the command line must lose to the checkpoint.
@@ -676,7 +858,10 @@ fn reload_rules_swaps_pack_mid_stream_without_evidence_loss() {
     assert_eq!(d.stats()["records"].as_u64().unwrap(), half1 + own + half2);
     let got = query_snapshot(&d);
     for ((t, want), (_, got)) in want.iter().zip(got.iter()) {
-        assert_eq!(got, want, "{t} diverges after SIGTERM + resume with a reloaded pack");
+        assert_eq!(
+            got, want,
+            "{t} diverges after SIGTERM + resume with a reloaded pack"
+        );
     }
     let resumed: serde_json::Value = serde_json::from_str(&d.get("/detections")).unwrap();
     assert!(!class_names(&resumed).contains(&removed.to_string()));
@@ -703,15 +888,26 @@ fn every_decoded_record_is_parse_rejected_or_reaches_the_pool() {
     // The engine publishes its gauges on the watchdog tick.
     let deadline = Instant::now() + Duration::from_secs(30);
     while d.try_metric("haystack_serve_records_decoded") < Some(hits + misses) {
-        assert!(Instant::now() < deadline, "records_decoded never reached {}", hits + misses);
+        assert!(
+            Instant::now() < deadline,
+            "records_decoded never reached {}",
+            hits + misses
+        );
         std::thread::sleep(Duration::from_millis(50));
     }
     let rejected = d.metric("haystack_serve_parse_rejected");
     let pooled = d.metric("haystack_pool_records_in");
-    assert_eq!(rejected + pooled, hits + misses, "rejected {rejected} + pooled {pooled}");
+    assert_eq!(
+        rejected + pooled,
+        hits + misses,
+        "rejected {rejected} + pooled {pooled}"
+    );
     assert_eq!(d.stats()["parse_rejected"].as_u64().unwrap(), rejected);
     assert!(pooled >= hits, "every rule hit passes the gate");
-    assert!(rejected > misses / 2, "most background records are proven misses");
+    assert!(
+        rejected > misses / 2,
+        "most background records are proven misses"
+    );
     d.drain();
 }
 
@@ -721,13 +917,24 @@ fn serve_takes_its_threshold_from_the_loaded_pack() {
     // --threshold, so its checkpoint must record the pack's D.
     let pack = scratch("d09-pack").join("d09.hsp");
     let out = Command::new(BIN)
-        .args(["rules", "export", "--quiet", "--threshold", "0.9", "--rules"])
+        .args([
+            "rules",
+            "export",
+            "--quiet",
+            "--threshold",
+            "0.9",
+            "--rules",
+        ])
         .arg(rules_file())
         .arg("--out")
         .arg(&pack)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let ckpt = scratch("d09-ckpt");
     let d = Daemon::start_with_rules("d09a", &ckpt, &[], &pack);
     let records = hitting_burst(d.tcp, "0");
@@ -759,10 +966,15 @@ fn idle_daemon_answers_line_queries_without_waiting_out_a_poll() {
     d.get("/readyz");
     // Nothing arrives between the queries: every one finds the engine
     // parked and has to wake it.
-    let mut took: Vec<Duration> = (0..20).map(|i| timed_get(&d, &format!("/line?id={i}"))).collect();
+    let mut took: Vec<Duration> = (0..20)
+        .map(|i| timed_get(&d, &format!("/line?id={i}")))
+        .collect();
     took.sort_unstable();
     let median = took[took.len() / 2];
-    assert!(median < Duration::from_millis(10), "idle /line median {median:?}: {took:?}");
+    assert!(
+        median < Duration::from_millis(10),
+        "idle /line median {median:?}: {took:?}"
+    );
     d.drain();
 }
 
@@ -784,14 +996,18 @@ fn stalled_clients_delay_nobody_and_are_closed_by_the_head_deadline() {
     let opened = Instant::now();
     let mut stalled = stalled_client(&d);
     let best = (0..3).map(|_| timed_get(&d, "/readyz")).min().unwrap();
-    assert!(best < Duration::from_millis(100), "/readyz behind a stalled client: {best:?}");
+    assert!(
+        best < Duration::from_millis(100),
+        "/readyz behind a stalled client: {best:?}"
+    );
     // ... and the stalled client is told 400 when its head deadline
     // passes — once, for the whole head, not per read.
     let (status, _) = read_response(&mut stalled).expect("stalled client was reset, not answered");
     let held = opened.elapsed();
     assert_eq!(status, 400);
     assert!(
-        held >= HEAD_DEADLINE - Duration::from_millis(200) && held < HEAD_DEADLINE + Duration::from_secs(2),
+        held >= HEAD_DEADLINE - Duration::from_millis(200)
+            && held < HEAD_DEADLINE + Duration::from_secs(2),
         "stalled client held {held:?}"
     );
 
@@ -836,9 +1052,19 @@ fn drain_and_sigterm_exit_promptly_with_the_final_checkpoint_written() {
     let answered = Instant::now();
     let status = d.child.wait().unwrap();
     let took = answered.elapsed();
-    assert!(status.success(), "drained daemon exited nonzero: {status:?}");
-    assert!(took < Duration::from_millis(500), "drain to exit took {took:?}");
-    assert_eq!(serve_checkpoints(&ckpt), 1, "no final checkpoint after /admin/drain");
+    assert!(
+        status.success(),
+        "drained daemon exited nonzero: {status:?}"
+    );
+    assert!(
+        took < Duration::from_millis(500),
+        "drain to exit took {took:?}"
+    );
+    assert_eq!(
+        serve_checkpoints(&ckpt),
+        1,
+        "no final checkpoint after /admin/drain"
+    );
     // The listener is closed, not hanging: a late client is refused.
     assert!(TcpStream::connect(("127.0.0.1", d.http)).is_err());
 
@@ -851,9 +1077,19 @@ fn drain_and_sigterm_exit_promptly_with_the_final_checkpoint_written() {
     let signalled = Instant::now();
     let status = d.child.wait().unwrap();
     let took = signalled.elapsed();
-    assert!(status.success(), "daemon SIGTERM exited nonzero: {status:?}");
-    assert!(took < Duration::from_millis(500), "SIGTERM to exit took {took:?}");
-    assert_eq!(serve_checkpoints(&ckpt), 1, "no final checkpoint after SIGTERM");
+    assert!(
+        status.success(),
+        "daemon SIGTERM exited nonzero: {status:?}"
+    );
+    assert!(
+        took < Duration::from_millis(500),
+        "SIGTERM to exit took {took:?}"
+    );
+    assert_eq!(
+        serve_checkpoints(&ckpt),
+        1,
+        "no final checkpoint after SIGTERM"
+    );
 }
 
 #[test]
@@ -863,23 +1099,40 @@ fn requests_in_flight_during_a_drain_are_answered_not_dropped() {
     d.get("/readyz");
     // Connected before the drain, asking during it: each of these has a
     // handler already waiting for its head when the flag goes up.
-    let targets = ["/readyz", "/stats", "/line?id=7", "/readyz", "/detections", "/line?id=8"];
+    let targets = [
+        "/readyz",
+        "/stats",
+        "/line?id=7",
+        "/readyz",
+        "/detections",
+        "/line?id=8",
+    ];
     let mut racers: Vec<TcpStream> = targets.iter().map(|_| d.connect()).collect();
     assert_eq!(d.post("/admin/drain"), "{\"draining\":true}");
     for (stream, target) in racers.iter_mut().zip(targets) {
         // A refused write would be the daemon already gone: it may not
         // leave while these are in flight.
-        write!(stream, "GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
+        write!(
+            stream,
+            "GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        .unwrap();
     }
     for (stream, target) in racers.iter_mut().zip(targets) {
-        let (status, body) = read_response(stream)
-            .unwrap_or_else(|e| panic!("GET {target} during the drain: {e}"));
-        assert!(matches!(status, 200 | 503), "GET {target} during the drain -> {status}: {body}");
+        let (status, body) =
+            read_response(stream).unwrap_or_else(|e| panic!("GET {target} during the drain: {e}"));
+        assert!(
+            matches!(status, 200 | 503),
+            "GET {target} during the drain -> {status}: {body}"
+        );
         if target == "/readyz" {
             assert_eq!((status, body.as_str()), (503, "draining\n"));
         }
     }
     let status = d.child.wait().unwrap();
-    assert!(status.success(), "drained daemon exited nonzero: {status:?}");
+    assert!(
+        status.success(),
+        "drained daemon exited nonzero: {status:?}"
+    );
     assert_eq!(serve_checkpoints(&ckpt), 1);
 }

@@ -44,10 +44,8 @@ const SOAK: &[&str] = &[
 ];
 
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "haystack-soak-resume-{}-{tag}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("haystack-soak-resume-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -79,7 +77,11 @@ fn soak_cmd(extra: &[&str]) -> Command {
 
 fn run_to_string(cmd: &mut Command) -> String {
     let out = cmd.output().unwrap();
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     String::from_utf8(out.stdout).unwrap()
 }
 
@@ -106,7 +108,10 @@ fn soak_sigkill_resume_replays_the_delta_chain_byte_identical() {
         "--events",
         clean_events.to_str().unwrap(),
     ]));
-    assert!(clean_stdout.lines().count() > 5, "clean soak produced no rows");
+    assert!(
+        clean_stdout.lines().count() > 5,
+        "clean soak produced no rows"
+    );
     let want_out = std::fs::read_to_string(&clean_out).unwrap();
     let want_events = std::fs::read_to_string(&clean_events).unwrap();
     assert!(!want_events.is_empty(), "clean soak emitted no events");
@@ -134,13 +139,25 @@ fn soak_sigkill_resume_replays_the_delta_chain_byte_identical() {
             child.kill().unwrap(); // SIGKILL — no cleanup runs
             break;
         }
-        assert!(child.try_wait().unwrap().is_none(), "the soak finished before the kill");
-        assert!(Instant::now() < deadline, "no delta frames appeared in 300 s");
+        assert!(
+            child.try_wait().unwrap().is_none(),
+            "the soak finished before the kill"
+        );
+        assert!(
+            Instant::now() < deadline,
+            "no delta frames appeared in 300 s"
+        );
         std::thread::sleep(Duration::from_millis(10));
     }
     let _ = child.wait();
-    assert!(!files_with_ext(&dir, "ckpt").is_empty(), "killed soak left no full anchor");
-    assert!(files_with_ext(&dir, "dckpt").len() >= 2, "killed soak left no delta chain");
+    assert!(
+        !files_with_ext(&dir, "ckpt").is_empty(),
+        "killed soak left no full anchor"
+    );
+    assert!(
+        files_with_ext(&dir, "dckpt").len() >= 2,
+        "killed soak left no delta chain"
+    );
 
     // Resume: the chain (full + deltas, applied in base_generation
     // order) plus the stateless stream must reconstruct everything.
@@ -173,15 +190,34 @@ fn soak_sigkill_resume_replays_the_delta_chain_byte_identical() {
     // which shares the frame format and would run the ISP stream with
     // `days = hours`. Both errors name the generation.
     let refused = |cmd: &mut Command| {
-        let out = cmd.args(["--checkpoint-dir", dir.to_str().unwrap(), "--resume"]).output().unwrap();
+        let out = cmd
+            .args(["--checkpoint-dir", dir.to_str().unwrap(), "--resume"])
+            .output()
+            .unwrap();
         assert!(!out.status.success(), "resume was accepted");
         String::from_utf8_lossy(&out.stderr).into_owned()
     };
     let stderr = refused(soak_cmd(&[]).args(["--hit-rate-ppm", "5"]));
-    assert!(stderr.contains("--hit-rate-ppm 5"), "error does not name the flag: {stderr}");
-    assert!(stderr.contains("generation"), "error does not name the generation: {stderr}");
-    let stderr = refused(Command::new(BIN).args(["detect", "--quiet", "--rules"]).arg(rules_file()));
-    assert!(stderr.contains("`haystack soak`"), "error does not name the writer: {stderr}");
-    assert!(stderr.contains("generation"), "error does not name the generation: {stderr}");
+    assert!(
+        stderr.contains("--hit-rate-ppm 5"),
+        "error does not name the flag: {stderr}"
+    );
+    assert!(
+        stderr.contains("generation"),
+        "error does not name the generation: {stderr}"
+    );
+    let stderr = refused(
+        Command::new(BIN)
+            .args(["detect", "--quiet", "--rules"])
+            .arg(rules_file()),
+    );
+    assert!(
+        stderr.contains("`haystack soak`"),
+        "error does not name the writer: {stderr}"
+    );
+    assert!(
+        stderr.contains("generation"),
+        "error does not name the generation: {stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -77,7 +77,11 @@ pub fn extract(flows: &[FlowObs]) -> Option<FeatureVector> {
 }
 
 fn distance(a: &FeatureVector, b: &FeatureVector) -> f64 {
-    a.0.iter().zip(&b.0).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
+    a.0.iter()
+        .zip(&b.0)
+        .map(|(x, y)| (x - y) * (x - y))
+        .sum::<f64>()
+        .sqrt()
 }
 
 /// A nearest-centroid classifier over device classes.
@@ -128,10 +132,7 @@ impl CentroidClassifier {
 /// Windows whose features cannot be extracted (empty under sampling) count
 /// as misclassified — the baseline has no answer for them, which is
 /// exactly its failure mode at sparse vantage points.
-pub fn accuracy(
-    clf: &CentroidClassifier,
-    eval: &[(&'static str, Option<FeatureVector>)],
-) -> f64 {
+pub fn accuracy(clf: &CentroidClassifier, eval: &[(&'static str, Option<FeatureVector>)]) -> f64 {
     if eval.is_empty() {
         return 0.0;
     }
@@ -209,7 +210,10 @@ mod tests {
         ];
         let a_full = accuracy(&clf, &full);
         let a_sampled = accuracy(&clf, &sampled);
-        assert!(a_full > a_sampled, "full {a_full} must beat sampled {a_sampled}");
+        assert!(
+            a_full > a_sampled,
+            "full {a_full} must beat sampled {a_sampled}"
+        );
         assert_eq!(accuracy(&clf, &[]), 0.0);
     }
 }

@@ -93,7 +93,11 @@ impl fmt::Display for CheckpointError {
                 write!(f, "checkpoint I/O error at {}: {err}", path.display())
             }
             CheckpointError::Snap(e) => write!(f, "checkpoint snapshot error: {e}"),
-            CheckpointError::VersionSkew { generation, found, expected } => write!(
+            CheckpointError::VersionSkew {
+                generation,
+                found,
+                expected,
+            } => write!(
                 f,
                 "checkpoint generation {generation} was written by snapshot format \
                  version {found}, but this build reads version {expected}; \
@@ -120,7 +124,10 @@ impl From<SnapError> for CheckpointError {
 }
 
 fn io_err(path: &Path, err: std::io::Error) -> CheckpointError {
-    CheckpointError::Io { path: path.to_path_buf(), err }
+    CheckpointError::Io {
+        path: path.to_path_buf(),
+        err,
+    }
 }
 
 /// `Option<HourBin>` sentinel: hours in the study window are tiny, so
@@ -337,7 +344,11 @@ impl StalenessState {
         if r.remaining() != 0 {
             return Err(SnapError::Malformed("trailing bytes"));
         }
-        Ok(StalenessState { today, baseline, days_seen })
+        Ok(StalenessState {
+            today,
+            baseline,
+            days_seen,
+        })
     }
 }
 
@@ -595,8 +606,12 @@ impl CheckpointDir {
             let entry = entry.map_err(|e| io_err(&self.root, e))?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let Some(rest) = name.strip_prefix(&lead) else { continue };
-            let Some(digits) = rest.strip_suffix(suffix) else { continue };
+            let Some(rest) = name.strip_prefix(&lead) else {
+                continue;
+            };
+            let Some(digits) = rest.strip_suffix(suffix) else {
+                continue;
+            };
             if digits.len() == 8 {
                 if let Ok(generation) = digits.parse::<u64>() {
                     out.push(generation);
@@ -754,7 +769,11 @@ impl CheckpointDir {
     ) -> Result<Option<(u64, T)>, CheckpointError> {
         let skew = |generation: u64, frame: &[u8], e: &SnapError| match *e {
             SnapError::BadVersion { found, expected } if checksum_ok(frame) => {
-                Err(CheckpointError::VersionSkew { generation, found, expected })
+                Err(CheckpointError::VersionSkew {
+                    generation,
+                    found,
+                    expected,
+                })
             }
             _ => Ok(()),
         };
@@ -824,11 +843,23 @@ mod tests {
         DetectorState {
             rules: vec![
                 vec![
-                    LineEvidence { line: AnonId(1), mask: 0b101, first_met: Some(HourBin(7)) },
-                    LineEvidence { line: AnonId(9), mask: 0b1, first_met: None },
+                    LineEvidence {
+                        line: AnonId(1),
+                        mask: 0b101,
+                        first_met: Some(HourBin(7)),
+                    },
+                    LineEvidence {
+                        line: AnonId(9),
+                        mask: 0b1,
+                        first_met: None,
+                    },
                 ],
                 vec![],
-                vec![LineEvidence { line: AnonId(3), mask: u64::MAX, first_met: Some(HourBin(0)) }],
+                vec![LineEvidence {
+                    line: AnonId(3),
+                    mask: u64::MAX,
+                    first_met: Some(HourBin(0)),
+                }],
             ],
         }
     }
@@ -861,7 +892,11 @@ mod tests {
         assert_eq!(back.today, s.today);
         for (a, b) in back.baseline.iter().zip(&s.baseline) {
             assert_eq!(a.0, b.0);
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "baselines must be bit-identical");
+            assert_eq!(
+                a.1.to_bits(),
+                b.1.to_bits(),
+                "baselines must be bit-identical"
+            );
         }
     }
 
@@ -869,7 +904,10 @@ mod tests {
     fn state_magics_are_disjoint() {
         let det = sample_detector_state().encode();
         assert!(matches!(UsageState::decode(&det), Err(SnapError::BadMagic)));
-        assert!(matches!(StalenessState::decode(&det), Err(SnapError::BadMagic)));
+        assert!(matches!(
+            StalenessState::decode(&det),
+            Err(SnapError::BadMagic)
+        ));
     }
 
     #[test]
@@ -878,7 +916,11 @@ mod tests {
         let dir = CheckpointDir::open(&root).unwrap();
         for i in 0..4u64 {
             let s = DetectorState {
-                rules: vec![vec![LineEvidence { line: AnonId(i), mask: i, first_met: None }]],
+                rules: vec![vec![LineEvidence {
+                    line: AnonId(i),
+                    mask: i,
+                    first_met: None,
+                }]],
             };
             assert_eq!(dir.write("det", &s.encode()).unwrap(), i);
         }
@@ -898,11 +940,19 @@ mod tests {
         let root = scratch("corrupt");
         let dir = CheckpointDir::open(&root).unwrap();
         let good = DetectorState {
-            rules: vec![vec![LineEvidence { line: AnonId(7), mask: 1, first_met: None }]],
+            rules: vec![vec![LineEvidence {
+                line: AnonId(7),
+                mask: 1,
+                first_met: None,
+            }]],
         };
         dir.write("det", &good.encode()).unwrap();
         let newer = DetectorState {
-            rules: vec![vec![LineEvidence { line: AnonId(8), mask: 3, first_met: None }]],
+            rules: vec![vec![LineEvidence {
+                line: AnonId(8),
+                mask: 3,
+                first_met: None,
+            }]],
         };
         let g1 = dir.write("det", &newer.encode()).unwrap();
 
@@ -928,7 +978,10 @@ mod tests {
             CheckpointError::AllCorrupt { generation, .. } => assert_eq!(*generation, g1),
             other => panic!("expected AllCorrupt, got {other:?}"),
         }
-        assert!(err.to_string().contains(&format!("generation {g1}")), "{err}");
+        assert!(
+            err.to_string().contains(&format!("generation {g1}")),
+            "{err}"
+        );
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -943,7 +996,11 @@ mod tests {
         let g1 = dir.write("det", &future).unwrap();
         let err = load_chain(&dir).unwrap_err();
         match &err {
-            CheckpointError::VersionSkew { generation, found, expected } => {
+            CheckpointError::VersionSkew {
+                generation,
+                found,
+                expected,
+            } => {
                 assert_eq!(*generation, g1);
                 assert_eq!(*found, DetectorState::VERSION + 1);
                 assert_eq!(*expected, DetectorState::VERSION);
@@ -955,9 +1012,13 @@ mod tests {
         assert!(msg.contains("version 2"), "{msg}");
         // The same holds for a skewed *delta* on top of a good full.
         fs::remove_file(root.join(format!("det-{g1:08}.ckpt"))).unwrap();
-        let g2 = dir.write_delta("det", &seal(LINK_MAGIC, 2, &[0; 8]), 0).unwrap();
+        let g2 = dir
+            .write_delta("det", &seal(LINK_MAGIC, 2, &[0; 8]), 0)
+            .unwrap();
         match load_chain(&dir).unwrap_err() {
-            CheckpointError::VersionSkew { generation, found, .. } => {
+            CheckpointError::VersionSkew {
+                generation, found, ..
+            } => {
                 assert_eq!((generation, found), (g2, 2));
             }
             other => panic!("expected VersionSkew, got {other:?}"),
@@ -972,11 +1033,23 @@ mod tests {
             rules: vec![
                 vec![
                     // Replaces the existing line-1 entry…
-                    LineEvidence { line: AnonId(1), mask: 0b111, first_met: Some(HourBin(9)) },
+                    LineEvidence {
+                        line: AnonId(1),
+                        mask: 0b111,
+                        first_met: Some(HourBin(9)),
+                    },
                     // …and inserts a new line between 1 and 9.
-                    LineEvidence { line: AnonId(4), mask: 0b10, first_met: None },
+                    LineEvidence {
+                        line: AnonId(4),
+                        mask: 0b10,
+                        first_met: None,
+                    },
                 ],
-                vec![LineEvidence { line: AnonId(2), mask: 1, first_met: None }],
+                vec![LineEvidence {
+                    line: AnonId(2),
+                    mask: 1,
+                    first_met: None,
+                }],
                 vec![],
             ],
         };
@@ -986,14 +1059,35 @@ mod tests {
         assert_eq!(
             base.rules[0],
             vec![
-                LineEvidence { line: AnonId(1), mask: 0b111, first_met: Some(HourBin(9)) },
-                LineEvidence { line: AnonId(4), mask: 0b10, first_met: None },
-                LineEvidence { line: AnonId(9), mask: 0b1, first_met: None },
+                LineEvidence {
+                    line: AnonId(1),
+                    mask: 0b111,
+                    first_met: Some(HourBin(9))
+                },
+                LineEvidence {
+                    line: AnonId(4),
+                    mask: 0b10,
+                    first_met: None
+                },
+                LineEvidence {
+                    line: AnonId(9),
+                    mask: 0b1,
+                    first_met: None
+                },
             ]
         );
-        assert_eq!(base.rules[1], vec![LineEvidence { line: AnonId(2), mask: 1, first_met: None }]);
+        assert_eq!(
+            base.rules[1],
+            vec![LineEvidence {
+                line: AnonId(2),
+                mask: 1,
+                first_met: None
+            }]
+        );
         // Rule-count mismatch is a typed error, not a partial merge.
-        let narrow = DetectorDelta { rules: vec![vec![]] };
+        let narrow = DetectorDelta {
+            rules: vec![vec![]],
+        };
         assert!(matches!(
             narrow.apply(&mut base),
             Err(CheckpointError::StateMismatch(_))
@@ -1004,7 +1098,11 @@ mod tests {
     fn snapshot_enum_decodes_either_shape_by_magic() {
         let full = DetectorSnapshot::Full(sample_detector_state());
         let delta = DetectorSnapshot::Delta(DetectorDelta {
-            rules: vec![vec![LineEvidence { line: AnonId(5), mask: 2, first_met: None }]],
+            rules: vec![vec![LineEvidence {
+                line: AnonId(5),
+                mask: 2,
+                first_met: None,
+            }]],
         });
         assert_eq!(DetectorSnapshot::decode(&full.encode()).unwrap(), full);
         assert_eq!(DetectorSnapshot::decode(&delta.encode()).unwrap(), delta);
@@ -1014,13 +1112,21 @@ mod tests {
 
     fn one_entry(line: u64, mask: u64) -> DetectorState {
         DetectorState {
-            rules: vec![vec![LineEvidence { line: AnonId(line), mask, first_met: None }]],
+            rules: vec![vec![LineEvidence {
+                line: AnonId(line),
+                mask,
+                first_met: None,
+            }]],
         }
     }
 
     fn one_upsert(line: u64, mask: u64) -> DetectorDelta {
         DetectorDelta {
-            rules: vec![vec![LineEvidence { line: AnonId(line), mask, first_met: None }]],
+            rules: vec![vec![LineEvidence {
+                line: AnonId(line),
+                mask,
+                first_met: None,
+            }]],
         }
     }
 
@@ -1081,8 +1187,16 @@ mod tests {
         assert_eq!(
             s.rules[0],
             vec![
-                LineEvidence { line: AnonId(1), mask: 0b11, first_met: None },
-                LineEvidence { line: AnonId(2), mask: 0b1, first_met: None },
+                LineEvidence {
+                    line: AnonId(1),
+                    mask: 0b11,
+                    first_met: None
+                },
+                LineEvidence {
+                    line: AnonId(2),
+                    mask: 0b1,
+                    first_met: None
+                },
             ]
         );
         fs::remove_dir_all(&root).unwrap();
@@ -1110,7 +1224,7 @@ mod tests {
         let dir = CheckpointDir::open(&root).unwrap();
         dir.write("det", &one_entry(1, 0b1).encode()).unwrap(); // gen 0
         dir.write_delta("det", &linked(0, 1, 0b11), 1).unwrap(); // gen 1
-        // Intact, but chained onto a frame that is not the one below it.
+                                                                 // Intact, but chained onto a frame that is not the one below it.
         dir.write_delta("det", &linked(7, 1, 0b111), 1).unwrap(); // gen 2
         dir.write_delta("det", &linked(2, 2, 0b1), 1).unwrap(); // gen 3
         let (generation, s) = load_chain(&dir).unwrap().expect("chain");
@@ -1127,8 +1241,8 @@ mod tests {
         dir.write_delta("det", &linked(0, 1, 0b11), 1).unwrap(); // gen 1
         let g2 = dir.write("det", &one_entry(1, 0b11).encode()).unwrap(); // gen 2
         dir.write_delta("det", &linked(g2, 2, 0b1), 1).unwrap(); // gen 3
-        // Corrupt the newest full: the delta written after it links to a
-        // frame the walk cannot restore, so the chain ends below it.
+                                                                 // Corrupt the newest full: the delta written after it links to a
+                                                                 // frame the walk cannot restore, so the chain ends below it.
         flip_a_bit(&root.join(format!("det-{g2:08}.ckpt")));
         let (generation, s) = load_chain(&dir).unwrap().expect("chain");
         assert_eq!(generation, 1, "resume stops at the last consistent frame");
@@ -1145,7 +1259,7 @@ mod tests {
         dir.write("det", &one_entry(1, 1).encode()).unwrap(); // gen 2
         dir.write_delta("det", &linked(2, 3, 1), 1).unwrap(); // gen 3
         dir.write("det", &one_entry(1, 1).encode()).unwrap(); // gen 4 → prunes gen 0
-        // keep=2 retains fulls {2, 4}; the gen-1 delta predates full 2.
+                                                              // keep=2 retains fulls {2, 4}; the gen-1 delta predates full 2.
         assert_eq!(dir.generations("det").unwrap(), vec![2, 4]);
         assert_eq!(dir.delta_generations("det").unwrap(), vec![3]);
         fs::remove_dir_all(&root).unwrap();
@@ -1209,9 +1323,15 @@ mod tests {
 
         dir.inject_write_fault(WriteFault::TornWrite);
         let err = dir.write_delta("det", &linked(1, 3, 1), 1).unwrap_err();
-        assert!(matches!(err, CheckpointError::Io { .. }), "typed error, not a panic");
+        assert!(
+            matches!(err, CheckpointError::Io { .. }),
+            "typed error, not a panic"
+        );
         // The crash left a truncated tmp remnant on disk…
-        assert_eq!(tmp_remnants(&root), vec!["det-00000002.dckpt.tmp".to_string()]);
+        assert_eq!(
+            tmp_remnants(&root),
+            vec!["det-00000002.dckpt.tmp".to_string()]
+        );
         // …which generation scans and chain loads never see.
         assert_eq!(dir.generations("det").unwrap(), vec![0]);
         assert_eq!(dir.delta_generations("det").unwrap(), vec![1]);
@@ -1232,7 +1352,10 @@ mod tests {
         dir.write("det", &one_entry(1, 1).encode()).unwrap(); // gen 0
         dir.inject_write_fault(WriteFault::TornWrite);
         dir.write("det", &one_entry(9, 9).encode()).unwrap_err();
-        assert_eq!(tmp_remnants(&root), vec!["det-00000001.ckpt.tmp".to_string()]);
+        assert_eq!(
+            tmp_remnants(&root),
+            vec!["det-00000001.ckpt.tmp".to_string()]
+        );
         let (generation, state) = load_chain(&dir).unwrap().expect("previous full loads");
         assert_eq!((generation, state), (0, one_entry(1, 1)));
         fs::remove_dir_all(&root).unwrap();

@@ -100,7 +100,10 @@ impl ClassTable {
 
     /// All `(id, name)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (ClassId, &str)> {
-        self.names.iter().enumerate().map(|(i, n)| (ClassId(i as u16), n.as_str()))
+        self.names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (ClassId(i as u16), n.as_str()))
     }
 }
 

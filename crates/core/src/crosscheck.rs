@@ -58,13 +58,19 @@ pub struct DetectionTime {
 
 /// Replay the ground truth through sampling + NetFlow and return the
 /// decoded flow records per hour.
-pub fn replay_flows(pipeline: &Pipeline, config: &CrosscheckConfig) -> Vec<(HourBin, Vec<FlowRecord>)> {
+pub fn replay_flows(
+    pipeline: &Pipeline,
+    config: &CrosscheckConfig,
+) -> Vec<(HourBin, Vec<FlowRecord>)> {
     let window = match config.kind {
         ExperimentKind::Active => StudyWindow::ACTIVE_GT,
         ExperimentKind::Idle => StudyWindow::IDLE_GT,
     };
-    let mut sampler = SystematicSampler::new(config.sampling, pipeline.driver.catalog().products.len() as u64)
-        .expect("valid sampling rate");
+    let mut sampler = SystematicSampler::new(
+        config.sampling,
+        pipeline.driver.catalog().products.len() as u64,
+    )
+    .expect("valid sampling rate");
     let mut cache = FlowCache::new(FlowCacheConfig::default());
     let mut exporter = Exporter::new(ExportProtocol::NetflowV9, 1);
     let mut collector = Collector::new();
@@ -87,11 +93,7 @@ pub fn replay_flows(pipeline: &Pipeline, config: &CrosscheckConfig) -> Vec<(Hour
             .export(&expired, hour.start().0 as u32)
             .expect("export never fails on valid records")
         {
-            decoded.extend(
-                collector
-                    .feed(msg)
-                    .expect("self-produced datagrams decode"),
-            );
+            decoded.extend(collector.feed(msg).expect("self-produced datagrams decode"));
         }
         out.push((hour, decoded));
     }
@@ -127,16 +129,25 @@ struct ReplayState {
 
 impl std::fmt::Debug for GroundTruthVantage<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GroundTruthVantage").field("config", &self.config).finish_non_exhaustive()
+        f.debug_struct("GroundTruthVantage")
+            .field("config", &self.config)
+            .finish_non_exhaustive()
     }
 }
 
 impl<'p> GroundTruthVantage<'p> {
     /// A vantage point replaying `config.kind`'s experiment window.
     pub fn new(pipeline: &'p Pipeline, config: CrosscheckConfig) -> Self {
-        let window_start = Self::window_of(&config).hour_bins().next().expect("non-empty window");
+        let window_start = Self::window_of(&config)
+            .hour_bins()
+            .next()
+            .expect("non-empty window");
         let state = RefCell::new(Self::fresh_state(pipeline, &config, window_start));
-        GroundTruthVantage { pipeline, config, state }
+        GroundTruthVantage {
+            pipeline,
+            config,
+            state,
+        }
     }
 
     fn window_of(config: &CrosscheckConfig) -> StudyWindow {
@@ -162,7 +173,12 @@ impl<'p> GroundTruthVantage<'p> {
 
     /// Run one hour through the measurement chain, returning the decoded
     /// records and the number of border-sampled packets.
-    fn replay_one(&self, state: &mut ReplayState, world: &MaterializedWorld, hour: HourBin) -> (Vec<WildRecord>, u64) {
+    fn replay_one(
+        &self,
+        state: &mut ReplayState,
+        world: &MaterializedWorld,
+        hour: HourBin,
+    ) -> (Vec<WildRecord>, u64) {
         let packets = self.pipeline.driver.generate_hour(world, hour);
         let mut sampled = 0u64;
         for g in &packets {
@@ -187,7 +203,10 @@ impl<'p> GroundTruthVantage<'p> {
             );
         }
         state.next_hour = hour.next();
-        (decoded.iter().map(|r| home_record(r, hour)).collect(), sampled)
+        (
+            decoded.iter().map(|r| home_record(r, hour)).collect(),
+            sampled,
+        )
     }
 }
 
@@ -219,7 +238,10 @@ impl VantagePoint for GroundTruthVantage<'_> {
             *state = Self::fresh_state(
                 self.pipeline,
                 &self.config,
-                Self::window_of(&self.config).hour_bins().next().expect("non-empty window"),
+                Self::window_of(&self.config)
+                    .hour_bins()
+                    .next()
+                    .expect("non-empty window"),
             );
         }
         // Fast-forward the chain through any skipped hours so the flow
@@ -257,7 +279,10 @@ pub fn detection_times(
             Detector::new(
                 &pipeline.rules,
                 HitList::whole_window(&pipeline.rules),
-                DetectorConfig { threshold, require_established: false },
+                DetectorConfig {
+                    threshold,
+                    require_established: false,
+                },
             )
         })
         .collect();
@@ -305,7 +330,10 @@ pub fn detected_classes(
     let mut det = Detector::new(
         &pipeline.rules,
         hitlist,
-        DetectorConfig { threshold, require_established: false },
+        DetectorConfig {
+            threshold,
+            require_established: false,
+        },
     );
     let hours: Vec<HourBin> = match config.hours {
         Some(h) => window.hour_bins().take(h as usize).collect(),
@@ -371,7 +399,11 @@ mod tests {
         let p = pipeline();
         let flows = replay_flows(
             p,
-            &CrosscheckConfig { sampling: 100, kind: ExperimentKind::Idle, hours: Some(3) },
+            &CrosscheckConfig {
+                sampling: 100,
+                kind: ExperimentKind::Idle,
+                hours: Some(3),
+            },
         );
         assert_eq!(flows.len(), 3);
         let total: usize = flows.iter().map(|(_, r)| r.len()).sum();
@@ -381,7 +413,11 @@ mod tests {
     #[test]
     fn vantage_stream_matches_replay_flows() {
         let p = pipeline();
-        let config = CrosscheckConfig { sampling: 100, kind: ExperimentKind::Idle, hours: Some(3) };
+        let config = CrosscheckConfig {
+            sampling: 100,
+            kind: ExperimentKind::Idle,
+            hours: Some(3),
+        };
         let flows = replay_flows(p, &config);
         let vantage = GroundTruthVantage::new(p, config);
         let mut chunk = RecordChunk::default();
@@ -407,7 +443,11 @@ mod tests {
         let p = pipeline();
         let times = detection_times(
             p,
-            &CrosscheckConfig { sampling: 1_000, kind: ExperimentKind::Active, hours: Some(12) },
+            &CrosscheckConfig {
+                sampling: 1_000,
+                kind: ExperimentKind::Active,
+                hours: Some(12),
+            },
             &[0.4],
         );
         let alexa = times.iter().find(|t| t.class == "Alexa Enabled").unwrap();
@@ -423,7 +463,11 @@ mod tests {
         let p = pipeline();
         let times = detection_times(
             p,
-            &CrosscheckConfig { sampling: 500, kind: ExperimentKind::Active, hours: Some(8) },
+            &CrosscheckConfig {
+                sampling: 500,
+                kind: ExperimentKind::Active,
+                hours: Some(8),
+            },
             &[0.2, 1.0],
         );
         for rule in &p.rules.rules {
@@ -459,7 +503,11 @@ mod tests {
         let detected = detected_classes(
             p,
             &yi,
-            &CrosscheckConfig { sampling: 100, kind: ExperimentKind::Active, hours: Some(10) },
+            &CrosscheckConfig {
+                sampling: 100,
+                kind: ExperimentKind::Active,
+                hours: Some(10),
+            },
             0.4,
         );
         for class in &detected {
@@ -470,9 +518,21 @@ mod tests {
     #[test]
     fn fraction_helper() {
         let times = vec![
-            DetectionTime { class: "A".to_string(), threshold: 0.4, hours_to_detect: Some(0) },
-            DetectionTime { class: "B".to_string(), threshold: 0.4, hours_to_detect: Some(30) },
-            DetectionTime { class: "C".to_string(), threshold: 0.4, hours_to_detect: None },
+            DetectionTime {
+                class: "A".to_string(),
+                threshold: 0.4,
+                hours_to_detect: Some(0),
+            },
+            DetectionTime {
+                class: "B".to_string(),
+                threshold: 0.4,
+                hours_to_detect: Some(30),
+            },
+            DetectionTime {
+                class: "C".to_string(),
+                threshold: 0.4,
+                hours_to_detect: None,
+            },
         ];
         let classes: BTreeSet<&'static str> = ["A", "B", "C"].into_iter().collect();
         assert!((fraction_detected_within(&times, 0.4, 1, &classes) - 1.0 / 3.0).abs() < 1e-9);
@@ -484,7 +544,11 @@ mod tests {
     #[test]
     fn replay_flows_is_call_stable() {
         let p = pipeline();
-        let config = CrosscheckConfig { sampling: 100, kind: ExperimentKind::Idle, hours: Some(1) };
+        let config = CrosscheckConfig {
+            sampling: 100,
+            kind: ExperimentKind::Idle,
+            hours: Some(1),
+        };
         let a = replay_flows(p, &config);
         let b = replay_flows(p, &config);
         assert_eq!(a, b);

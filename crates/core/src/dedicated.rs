@@ -32,7 +32,9 @@ pub struct InfraKnowledge {
 impl InfraKnowledge {
     /// Build from the cloud providers' zone SLDs.
     pub fn new(cloud_slds: impl IntoIterator<Item = DomainName>) -> Self {
-        InfraKnowledge { cloud_slds: cloud_slds.into_iter().collect() }
+        InfraKnowledge {
+            cloud_slds: cloud_slds.into_iter().collect(),
+        }
     }
 
     /// Whether an SLD is a cloud machine zone.
@@ -158,12 +160,19 @@ mod tests {
         z.insert_pool(
             d("api.deva.com"),
             (1..=6).map(ip).collect(),
-            RotationPolicy { active_count: 3, period_secs: 3_600 },
+            RotationPolicy {
+                active_count: 3,
+                period_secs: 3_600,
+            },
         );
         let db = fed_dnsdb(&z);
         match dnsdb_verdict(&db, &infra(), &d("api.deva.com"), &StudyWindow::days(0, 3)) {
             DedicationVerdict::Dedicated(ips) => {
-                assert!(ips.len() >= 3, "churn exposes most of the pool: {}", ips.len());
+                assert!(
+                    ips.len() >= 3,
+                    "churn exposes most of the pool: {}",
+                    ips.len()
+                );
             }
             v => panic!("expected dedicated, got {v:?}"),
         }
@@ -180,7 +189,9 @@ mod tests {
         );
         let db = fed_dnsdb(&z);
         match dnsdb_verdict(&db, &infra(), &d("iot.devx.com"), &StudyWindow::days(0, 3)) {
-            DedicationVerdict::Dedicated(ips) => assert_eq!(ips.into_iter().collect::<Vec<_>>(), vec![ip(50)]),
+            DedicationVerdict::Dedicated(ips) => {
+                assert_eq!(ips.into_iter().collect::<Vec<_>>(), vec![ip(50)])
+            }
             v => panic!("expected dedicated, got {v:?}"),
         }
     }
@@ -191,8 +202,22 @@ mod tests {
         z.insert_cname(d("devb.com"), d("devb-com.akadns.net"));
         z.insert_cname(d("other.com"), d("other-com.akadns.net"));
         let edges: Vec<Ipv4Addr> = (100..=103).map(ip).collect();
-        z.insert_pool(d("devb-com.akadns.net"), edges.clone(), RotationPolicy { active_count: 2, period_secs: 3_600 });
-        z.insert_pool(d("other-com.akadns.net"), edges, RotationPolicy { active_count: 2, period_secs: 3_600 });
+        z.insert_pool(
+            d("devb-com.akadns.net"),
+            edges.clone(),
+            RotationPolicy {
+                active_count: 2,
+                period_secs: 3_600,
+            },
+        );
+        z.insert_pool(
+            d("other-com.akadns.net"),
+            edges,
+            RotationPolicy {
+                active_count: 2,
+                period_secs: 3_600,
+            },
+        );
         let db = fed_dnsdb(&z);
         assert_eq!(
             dnsdb_verdict(&db, &infra(), &d("devb.com"), &StudyWindow::days(0, 3)),
@@ -211,7 +236,9 @@ mod tests {
         let mut z2 = ZoneDb::new();
         z2.insert_pool(d("intruder.net"), vec![ip(60)], RotationPolicy::STABLE);
         let r2 = Resolver::new(&z2);
-        let res = r2.resolve(&d("intruder.net"), SimTime(2 * 86_400 + 60)).unwrap();
+        let res = r2
+            .resolve(&d("intruder.net"), SimTime(2 * 86_400 + 60))
+            .unwrap();
         db.record_resolution(&res, SimTime(2 * 86_400 + 60));
         assert_eq!(
             dnsdb_verdict(&db, &infra(), &d("api.devc.com"), &StudyWindow::days(0, 3)),
@@ -232,16 +259,27 @@ mod tests {
     #[test]
     fn censys_fallback_requires_https_and_matching_cert() {
         let mut scans = ScanDb::new();
-        let cert = Certificate::single(haystack_dns::DomainPattern::parse("*.deve.com").unwrap(), 1);
+        let cert =
+            Certificate::single(haystack_dns::DomainPattern::parse("*.deve.com").unwrap(), 1);
         let banner = HttpsBanner::new("deve", "x");
         for i in [70u8, 71, 72] {
-            scans.insert(ip(i), HostScan { cert: cert.clone(), banner: banner.clone(), port: 443 });
+            scans.insert(
+                ip(i),
+                HostScan {
+                    cert: cert.clone(),
+                    banner: banner.clone(),
+                    port: 443,
+                },
+            );
         }
         let seeds: BTreeSet<_> = [ip(70)].into_iter().collect();
         let got = censys_fallback(&scans, &d("c.deve.com"), true, &seeds).unwrap();
         assert_eq!(got.len(), 3);
         // No HTTPS → no fallback.
-        assert_eq!(censys_fallback(&scans, &d("c.deve.com"), false, &seeds), None);
+        assert_eq!(
+            censys_fallback(&scans, &d("c.deve.com"), false, &seeds),
+            None
+        );
         // Unknown seed → no fallback.
         let bad: BTreeSet<_> = [ip(99)].into_iter().collect();
         assert_eq!(censys_fallback(&scans, &d("c.deve.com"), true, &bad), None);

@@ -82,7 +82,10 @@ pub struct DetectorConfig {
 
 impl Default for DetectorConfig {
     fn default() -> Self {
-        DetectorConfig { threshold: 0.4, require_established: false }
+        DetectorConfig {
+            threshold: 0.4,
+            require_established: false,
+        }
     }
 }
 
@@ -95,7 +98,6 @@ struct LineState {
     /// Hour the rule's own threshold was first met, if ever.
     first_met: Option<HourBin>,
 }
-
 
 /// Struct-of-arrays scratch for [`Detector::observe_chunk`], owned by
 /// the detector so steady-state chunks reuse the same allocations (the
@@ -213,7 +215,11 @@ impl<'r> Detector<'r> {
         let parent = rules
             .rules
             .iter()
-            .map(|r| r.parent.and_then(|p| rules.rule_index_of(p)).map(|p| p as u16))
+            .map(|r| {
+                r.parent
+                    .and_then(|p| rules.rule_index_of(p))
+                    .map(|p| p as u16)
+            })
             .collect();
         let state = rules.rules.iter().map(|_| FastMap::default()).collect();
         let dirty = rules.rules.iter().map(|_| FastSet::default()).collect();
@@ -275,7 +281,15 @@ impl<'r> Detector<'r> {
         }
         // Disjoint borrows: the hitlist slice must not alias the state
         // maps, which destructuring proves to the borrow checker.
-        let Detector { hitlist, state, required, stats, dirty, dirty_all, .. } = self;
+        let Detector {
+            hitlist,
+            state,
+            required,
+            stats,
+            dirty,
+            dirty_all,
+            ..
+        } = self;
         let key = HitList::pack_key(dst, dport);
         let h = mix64(key);
         if !hitlist.prefilter_pass(h) {
@@ -336,14 +350,26 @@ impl<'r> Detector<'r> {
     /// [`Detector::observe_chunk`].
     fn observe_block(&mut self, records: &[WildRecord]) {
         self.stats.records += records.len() as u64;
-        let Detector { hitlist, state, required, stats, scratch, config, dirty, dirty_all, .. } =
-            self;
+        let Detector {
+            hitlist,
+            state,
+            required,
+            stats,
+            scratch,
+            config,
+            dirty,
+            dirty_all,
+            ..
+        } = self;
         let filtered = config.require_established;
         let fp = hitlist.prefilter();
         if fp.is_empty() {
             // Empty hitlist: every eligible record is a gate miss.
             let eligible = if filtered {
-                records.iter().filter(|r| r.proto != Proto::Tcp || r.established).count()
+                records
+                    .iter()
+                    .filter(|r| r.proto != Proto::Tcp || r.established)
+                    .count()
             } else {
                 records.len()
             };
@@ -428,7 +454,8 @@ impl<'r> Detector<'r> {
 
     /// Whether `class` is detected for `line`, including hierarchy gating.
     pub fn is_detected(&self, line: AnonId, class: &str) -> bool {
-        self.rule_handle(class).is_some_and(|ri| self.is_detected_rule(line, ri))
+        self.rule_handle(class)
+            .is_some_and(|ri| self.is_detected_rule(line, ri))
     }
 
     /// [`Detector::is_detected`] by pre-resolved [`RuleHandle`].
@@ -454,7 +481,8 @@ impl<'r> Detector<'r> {
     /// score smoothly instead of flipping the verdict for downstream
     /// consumers that want ranking rather than a hard cut.
     pub fn confidence(&self, line: AnonId, class: &str) -> f64 {
-        self.rule_handle(class).map_or(0.0, |ri| self.confidence_rule(line, ri))
+        self.rule_handle(class)
+            .map_or(0.0, |ri| self.confidence_rule(line, ri))
     }
 
     /// [`Detector::confidence`] by pre-resolved [`RuleHandle`].
@@ -478,7 +506,8 @@ impl<'r> Detector<'r> {
     /// First hour the full (hierarchy-gated) detection held for
     /// (line, class): the max of the chain's own first-met hours.
     pub fn first_detection(&self, line: AnonId, class: &str) -> Option<HourBin> {
-        self.rule_handle(class).and_then(|ri| self.first_detection_rule(line, ri))
+        self.rule_handle(class)
+            .and_then(|ri| self.first_detection_rule(line, ri))
     }
 
     /// [`Detector::first_detection`] by pre-resolved [`RuleHandle`].
@@ -497,7 +526,8 @@ impl<'r> Detector<'r> {
 
     /// All lines for which `class` is currently detected, sorted.
     pub fn detected_lines(&self, class: &str) -> Vec<AnonId> {
-        self.rule_handle(class).map_or_else(Vec::new, |ri| self.detected_lines_rule(ri))
+        self.rule_handle(class)
+            .map_or_else(Vec::new, |ri| self.detected_lines_rule(ri))
     }
 
     /// [`Detector::detected_lines`] by pre-resolved [`RuleHandle`]: walks
@@ -575,7 +605,13 @@ impl<'r> Detector<'r> {
         for (m, entries) in self.state.iter_mut().zip(&state.rules) {
             m.clear();
             for e in entries {
-                m.insert(e.line, LineState { mask: e.mask, first_met: e.first_met });
+                m.insert(
+                    e.line,
+                    LineState {
+                        mask: e.mask,
+                        first_met: e.first_met,
+                    },
+                );
             }
         }
         // The restored state replaces whatever the dirty sets were
@@ -625,7 +661,11 @@ impl<'r> Detector<'r> {
                     .iter()
                     .map(|line| {
                         let s = m.get(line).copied().unwrap_or_default();
-                        LineEvidence { line: *line, mask: s.mask, first_met: s.first_met }
+                        LineEvidence {
+                            line: *line,
+                            mask: s.mask,
+                            first_met: s.first_met,
+                        }
                     })
                     .collect();
                 entries.sort_unstable_by_key(|e| e.line);
@@ -688,7 +728,14 @@ mod tests {
 
     fn detector(rules: &RuleSet, threshold: f64) -> Detector<'_> {
         let hl = HitList::whole_window(rules);
-        Detector::new(rules, hl, DetectorConfig { threshold, require_established: false })
+        Detector::new(
+            rules,
+            hl,
+            DetectorConfig {
+                threshold,
+                require_established: false,
+            },
+        )
     }
 
     const LINE: AnonId = AnonId(77);
@@ -738,7 +785,10 @@ mod tests {
         let mut det = Detector::new(
             &rules,
             hl,
-            DetectorConfig { threshold: 0.4, require_established: true },
+            DetectorConfig {
+                threshold: 0.4,
+                require_established: true,
+            },
         );
         det.observe(LINE, ip(1), 443, Proto::Tcp, false, HourBin(0));
         assert!(!det.is_detected(LINE, "Fam"), "spoofable evidence rejected");
@@ -913,7 +963,11 @@ mod tests {
             panic!("expected a delta");
         };
         assert_eq!(delta.entry_count(), 2);
-        assert_eq!(det.dirty_entries(), Some(0), "taking the snapshot clears dirty");
+        assert_eq!(
+            det.dirty_entries(),
+            Some(0),
+            "taking the snapshot clears dirty"
+        );
     }
 
     #[test]
@@ -977,7 +1031,10 @@ mod tests {
         }
         for class in ["Fam", "Kid"] {
             assert_eq!(chunked.detected_lines(class), single.detected_lines(class));
-            assert_eq!(chunked.first_detection(LINE, class), single.first_detection(LINE, class));
+            assert_eq!(
+                chunked.first_detection(LINE, class),
+                single.first_detection(LINE, class)
+            );
         }
         assert_eq!(chunked.state_size(), single.state_size());
     }

@@ -81,10 +81,19 @@ impl<'r> DnsDetector<'r> {
             assert!(domains.len() <= 128, "rule {class} exceeds 128 domains");
             classes.push(*class);
             for (di, d) in domains.iter().enumerate() {
-                index.entry(d.clone()).or_default().push((ci as u16, di as u16));
+                index
+                    .entry(d.clone())
+                    .or_default()
+                    .push((ci as u16, di as u16));
             }
         }
-        DnsDetector { rules, threshold, index, classes, state: HashMap::new() }
+        DnsDetector {
+            rules,
+            threshold,
+            index,
+            classes,
+            state: HashMap::new(),
+        }
     }
 
     /// Observe one query event (callers translate domain ids to names).
@@ -158,10 +167,17 @@ mod tests {
         // Flow-level §4.2.3 excludes these; DNS rules include them.
         for class in ["Google Home", "Apple TV", "Lefun Cam"] {
             assert!(
-                rules.rules.get(class).map(|d| !d.is_empty()).unwrap_or(false),
+                rules
+                    .rules
+                    .get(class)
+                    .map(|d| !d.is_empty())
+                    .unwrap_or(false),
                 "{class} must be DNS-detectable"
             );
-            assert!(p.rules.rule(class).is_none(), "{class} must not have a flow rule");
+            assert!(
+                p.rules.rule(class).is_none(),
+                "{class} must not have a flow rule"
+            );
         }
     }
 
@@ -209,7 +225,10 @@ mod tests {
         let p = pipeline();
         let rules = dns_rules(&p.catalog, &p.observations, &p.classification);
         let mut det = DnsDetector::new(&rules, 0.4);
-        det.observe(AnonId(1), &DomainName::parse("g3.global-search.com").unwrap());
+        det.observe(
+            AnonId(1),
+            &DomainName::parse("g3.global-search.com").unwrap(),
+        );
         assert_eq!(det.state.len(), 0);
     }
 }

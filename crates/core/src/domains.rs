@@ -50,7 +50,9 @@ pub struct StaticWebIntelligence {
 impl StaticWebIntelligence {
     /// Build from a list of generic SLDs.
     pub fn new(slds: impl IntoIterator<Item = DomainName>) -> Self {
-        StaticWebIntelligence { known_generic: slds.into_iter().collect() }
+        StaticWebIntelligence {
+            known_generic: slds.into_iter().collect(),
+        }
     }
 
     /// The analyst list for the synthetic universe: the SLDs of the
@@ -196,11 +198,23 @@ mod tests {
         let intel = StaticWebIntelligence::new([]);
         let majority = d("samsung-iot.com");
         assert_eq!(
-            classify(&c, &intel, &d("d2.samsung-iot.com"), &usage(&["Samsung IoT"], &[443]), Some(&majority)),
+            classify(
+                &c,
+                &intel,
+                &d("d2.samsung-iot.com"),
+                &usage(&["Samsung IoT"], &[443]),
+                Some(&majority)
+            ),
             DomainClass::Primary
         );
         assert_eq!(
-            classify(&c, &intel, &d("samsung0.svc-partner0.com"), &usage(&["Samsung IoT"], &[443]), Some(&majority)),
+            classify(
+                &c,
+                &intel,
+                &d("samsung0.svc-partner0.com"),
+                &usage(&["Samsung IoT"], &[443]),
+                Some(&majority)
+            ),
             DomainClass::Support
         );
     }
@@ -210,7 +224,13 @@ mod tests {
         let c = standard_catalog();
         let intel = StaticWebIntelligence::new([]);
         assert_eq!(
-            classify(&c, &intel, &d("d0.anova-iot.com"), &usage(&["Anova Sousvide"], &[443]), None),
+            classify(
+                &c,
+                &intel,
+                &d("d0.anova-iot.com"),
+                &usage(&["Anova Sousvide"], &[443]),
+                None
+            ),
             DomainClass::Primary
         );
     }

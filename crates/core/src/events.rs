@@ -107,28 +107,57 @@ mod tests {
     fn rules() -> RuleSet {
         let mut b = RuleSetBuilder::new();
         b.rule("Alexa Enabled", DetectionLevel::Platform, None, vec![]);
-        b.rule("Fire \"TV\"", DetectionLevel::Product, Some("Alexa Enabled"), vec![]);
+        b.rule(
+            "Fire \"TV\"",
+            DetectionLevel::Product,
+            Some("Alexa Enabled"),
+            vec![],
+        );
         b.build()
     }
 
     fn ev(line: u64, mask: u64, first_met: Option<u32>) -> LineEvidence {
-        LineEvidence { line: AnonId(line), mask, first_met: first_met.map(HourBin) }
+        LineEvidence {
+            line: AnonId(line),
+            mask,
+            first_met: first_met.map(HourBin),
+        }
     }
 
     #[test]
     fn only_transitions_become_events_and_order_is_canonical() {
         let rules = rules();
         let shard_a = DetectorState {
-            rules: vec![vec![ev(5, 0b111, Some(9)), ev(2, 0b1, None)], vec![ev(3, 0b11, Some(4))]],
+            rules: vec![
+                vec![ev(5, 0b111, Some(9)), ev(2, 0b1, None)],
+                vec![ev(3, 0b11, Some(4))],
+            ],
         };
-        let shard_b = DetectorState { rules: vec![vec![ev(1, 0b1, Some(9))], vec![]] };
+        let shard_b = DetectorState {
+            rules: vec![vec![ev(1, 0b1, Some(9))], vec![]],
+        };
         let events = events_from_states(&rules, &[shard_a.clone(), shard_b.clone()]);
         assert_eq!(
             events,
             vec![
-                DetectionEvent { line: AnonId(3), rule: 1, evidence: 2, hour: HourBin(4) },
-                DetectionEvent { line: AnonId(1), rule: 0, evidence: 1, hour: HourBin(9) },
-                DetectionEvent { line: AnonId(5), rule: 0, evidence: 3, hour: HourBin(9) },
+                DetectionEvent {
+                    line: AnonId(3),
+                    rule: 1,
+                    evidence: 2,
+                    hour: HourBin(4)
+                },
+                DetectionEvent {
+                    line: AnonId(1),
+                    rule: 0,
+                    evidence: 1,
+                    hour: HourBin(9)
+                },
+                DetectionEvent {
+                    line: AnonId(5),
+                    rule: 0,
+                    evidence: 3,
+                    hour: HourBin(9)
+                },
             ]
         );
         // Shard order must not matter.
@@ -136,14 +165,24 @@ mod tests {
     }
 
     #[test]
-    fn ndjson_lines_are_exact_and_escaped()  {
+    fn ndjson_lines_are_exact_and_escaped() {
         let rules = rules();
-        let e = DetectionEvent { line: AnonId(7), rule: 0, evidence: 2, hour: HourBin(30) };
+        let e = DetectionEvent {
+            line: AnonId(7),
+            rule: 0,
+            evidence: 2,
+            hour: HourBin(30),
+        };
         assert_eq!(
             ndjson_line(&rules, &e, Some(1)),
             "{\"day\":1,\"line\":7,\"class\":\"Alexa Enabled\",\"evidence\":2,\"hour\":30}"
         );
-        let quoted = DetectionEvent { line: AnonId(8), rule: 1, evidence: 1, hour: HourBin(0) };
+        let quoted = DetectionEvent {
+            line: AnonId(8),
+            rule: 1,
+            evidence: 1,
+            hour: HourBin(0),
+        };
         assert_eq!(
             ndjson_line(&rules, &quoted, None),
             "{\"line\":8,\"class\":\"Fire \\\"TV\\\"\",\"evidence\":1,\"hour\":0}"

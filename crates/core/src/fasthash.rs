@@ -149,8 +149,6 @@ mod tests {
     use std::hash::{BuildHasher, Hash};
 
     fn hash_of<T: Hash>(v: T) -> u64 {
-        
-        
         FxBuildHasher::default().hash_one(&v)
     }
 
@@ -189,6 +187,9 @@ mod tests {
                 same += 1;
             }
         }
-        assert!(same < 20, "{same}/1000 high-bit-only pairs collide in the low 12 bits");
+        assert!(
+            same < 20,
+            "{same}/1000 high-bit-only pairs collide in the low 12 bits"
+        );
     }
 }

@@ -47,12 +47,7 @@ pub const SOA_BLOCK: usize = 2_048;
 /// [`SOA_BLOCK`] elements (column slots past the survivor count are
 /// scratch — the emit overwrites one slot past the last survivor).
 #[inline]
-pub fn gate_block(
-    records: &[WildRecord],
-    fp: &[u8],
-    surv: &mut [u32],
-    shash: &mut [u64],
-) -> usize {
+pub fn gate_block(records: &[WildRecord], fp: &[u8], surv: &mut [u32], shash: &mut [u64]) -> usize {
     debug_assert!(fp.len().is_power_of_two());
     debug_assert!(records.len() <= SOA_BLOCK);
     let surv = &mut surv[..SOA_BLOCK];

@@ -111,7 +111,10 @@ impl MapHitList {
             for (di, dom) in rule.domains.iter().enumerate() {
                 let mut add = |ip: Ipv4Addr| {
                     for &port in &dom.ports {
-                        index.entry((ip, port)).or_default().push((ri as u16, di as u16));
+                        index
+                            .entry((ip, port))
+                            .or_default()
+                            .push((ri as u16, di as u16));
                     }
                 };
                 let daily = dnsdb.ips_of(&dom.name, &day_window);
@@ -126,7 +129,10 @@ impl MapHitList {
                 }
             }
         }
-        MapHitList { day: Some(day), index }
+        MapHitList {
+            day: Some(day),
+            index,
+        }
     }
 
     /// Build a whole-window hitlist from the rules' IP unions (used by
@@ -137,7 +143,10 @@ impl MapHitList {
             for (di, dom) in rule.domains.iter().enumerate() {
                 for &ip in &dom.ips {
                     for &port in &dom.ports {
-                        index.entry((ip, port)).or_default().push((ri as u16, di as u16));
+                        index
+                            .entry((ip, port))
+                            .or_default()
+                            .push((ri as u16, di as u16));
                     }
                 }
             }
@@ -147,7 +156,10 @@ impl MapHitList {
 
     /// The rule evidence entries matching a flow's (dst, port), if any.
     pub fn lookup(&self, dst: Ipv4Addr, port: u16) -> &[(u16, u16)] {
-        self.index.get(&(dst, port)).map(Vec::as_slice).unwrap_or(&[])
+        self.index
+            .get(&(dst, port))
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
     }
 
     /// Number of indexed (ip, port) combinations.
@@ -164,7 +176,10 @@ impl MapHitList {
     pub fn compile(self) -> HitList {
         let n = self.index.len();
         if n == 0 {
-            return HitList { day: self.day, ..HitList::default() };
+            return HitList {
+                day: self.day,
+                ..HitList::default()
+            };
         }
         // ≤ 50 % load keeps linear-probe chains short.
         let cap = (n * 2).next_power_of_two().max(8);
@@ -191,7 +206,10 @@ impl MapHitList {
                 i = (i + 1) & mask;
             }
             keys[i] = key;
-            let mut slot = Slot { count: entries.len() as u16, ..Slot::default() };
+            let mut slot = Slot {
+                count: entries.len() as u16,
+                ..Slot::default()
+            };
             if entries.len() <= INLINE {
                 slot.inline[..entries.len()].copy_from_slice(&entries);
             } else {
@@ -410,9 +428,17 @@ mod tests {
             "A",
             DetectionLevel::Manufacturer,
             None,
-            vec![dom("d0.a.com", &[1, 2], &[443]), dom("d1.a.com", &[3], &[8883])],
+            vec![
+                dom("d0.a.com", &[1, 2], &[443]),
+                dom("d1.a.com", &[3], &[8883]),
+            ],
         );
-        b.rule("B", DetectionLevel::Product, None, vec![dom("d0.b.com", &[2], &[443])]);
+        b.rule(
+            "B",
+            DetectionLevel::Product,
+            None,
+            vec![dom("d0.b.com", &[2], &[443])],
+        );
         b.build()
     }
 
@@ -467,7 +493,10 @@ mod tests {
         }
         let rules = b.build();
         let hl = HitList::whole_window(&rules);
-        assert_eq!(hl.lookup(shared, 443), &[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]);
+        assert_eq!(
+            hl.lookup(shared, 443),
+            &[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
+        );
         assert!(hl.lookup(shared, 80).is_empty());
     }
 
@@ -480,7 +509,9 @@ mod tests {
         assert!(hl.lookup(ip(1), 443).is_empty());
         assert!(!hl.prefilter_pass(mix64(HitList::pack_key(ip(1), 443))));
         assert!(!hl.admits(ip(1), 443));
-        assert!(hl.lookup_hashed(HitList::pack_key(ip(1), 443), 0).is_empty());
+        assert!(hl
+            .lookup_hashed(HitList::pack_key(ip(1), 443), 0)
+            .is_empty());
     }
 
     #[test]
@@ -497,7 +528,11 @@ mod tests {
                 let entries = hl.lookup_ungated(ip(o), port);
                 assert_eq!(hl.lookup(ip(o), port), entries, "gate changed {o}:{port}");
                 let h = mix64(HitList::pack_key(ip(o), port));
-                assert_eq!(hl.admits(ip(o), port), hl.prefilter_pass(h), "admits at {o}:{port}");
+                assert_eq!(
+                    hl.admits(ip(o), port),
+                    hl.prefilter_pass(h),
+                    "admits at {o}:{port}"
+                );
                 if !entries.is_empty() {
                     hits += 1;
                     assert!(hl.prefilter_pass(h), "false negative at {o}:{port}");
@@ -522,7 +557,9 @@ mod tests {
         );
         let r = Resolver::new(&z);
         let mut db = DnsDb::new();
-        let res = r.resolve(&DomainName::parse("d0.a.com").unwrap(), SimTime(100)).unwrap();
+        let res = r
+            .resolve(&DomainName::parse("d0.a.com").unwrap(), SimTime(100))
+            .unwrap();
         db.record_resolution(&res, SimTime(100));
 
         let rules = ruleset();

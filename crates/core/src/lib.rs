@@ -68,31 +68,31 @@ pub mod procpool;
 pub mod quality;
 pub mod reference;
 pub mod report;
-pub mod staleness;
 pub mod rules;
+pub mod staleness;
 pub mod telemetry;
 pub mod usage;
 pub mod visibility;
 
 pub use checkpoint::{
-    CheckpointDir, CheckpointError, DetectorDelta, DetectorSnapshot, DetectorState,
-    StalenessState, UsageState,
+    CheckpointDir, CheckpointError, DetectorDelta, DetectorSnapshot, DetectorState, StalenessState,
+    UsageState,
 };
 pub use classes::{ClassId, ClassTable};
 pub use crosscheck::{GroundTruthVantage, HOME_LINE};
 pub use dedicated::{DedicationVerdict, InfraKnowledge};
 pub use detector::{DetectionQuery, Detector, DetectorConfig, RuleHandle};
 pub use domains::{DomainClass, WebIntelligence};
+pub use events::DetectionEvent;
 pub use fasthash::{FastMap, FastSet, FxBuildHasher, FxHasher};
 pub use hitlist::{HitList, MapHitList};
-pub use reference::ReferenceDetector;
 pub use observations::{DomainObservations, DomainUsage};
+pub use pack::{PackError, SignaturePack};
 pub use parallel::{
     DetectorPool, PoolError, RespawnPolicy, ShardHealth, ShardStatus, ShardStatusReport,
 };
-pub use events::DetectionEvent;
-pub use pack::{PackError, SignaturePack};
 pub use pipeline::{Pipeline, PipelineStats};
+pub use reference::ReferenceDetector;
 pub use rules::{DetectionRule, RuleSet, RuleSetBuilder};
 pub use telemetry::{Counter, Gauge, Histogram, HotStats, InstrumentedStream, Scope, Snapshot};
 

@@ -77,7 +77,12 @@ pub fn block_plan(
     if targets.is_empty() {
         return None;
     }
-    Some(BlockPlan { class, day, targets, action })
+    Some(BlockPlan {
+        class,
+        day,
+        targets,
+        action,
+    })
 }
 
 /// The owner-notification list (§7.2 / \[31\]): lines where the class is
@@ -92,7 +97,10 @@ pub struct NotificationList {
 
 /// Build the notification list from a detector's current state.
 pub fn notification_list(detector: &Detector<'_>, class: &'static str) -> NotificationList {
-    NotificationList { class, lines: detector.detected_lines(class) }
+    NotificationList {
+        class,
+        lines: detector.detected_lines(class),
+    }
 }
 
 /// Outcome of enforcing a plan over one batch of records.
@@ -180,8 +188,7 @@ mod tests {
     #[test]
     fn plan_covers_all_rule_combos() {
         let rules = ruleset();
-        let plan =
-            block_plan(&rules, &DnsDb::new(), "Vuln Cam", DayBin(0), Action::Block).unwrap();
+        let plan = block_plan(&rules, &DnsDb::new(), "Vuln Cam", DayBin(0), Action::Block).unwrap();
         assert_eq!(plan.targets.len(), 4, "2 IPs × 2 ports");
         assert!(block_plan(&rules, &DnsDb::new(), "Nope", DayBin(0), Action::Block).is_none());
     }
@@ -189,8 +196,7 @@ mod tests {
     #[test]
     fn block_drops_only_matching_traffic() {
         let rules = ruleset();
-        let plan =
-            block_plan(&rules, &DnsDb::new(), "Vuln Cam", DayBin(0), Action::Block).unwrap();
+        let plan = block_plan(&rules, &DnsDb::new(), "Vuln Cam", DayBin(0), Action::Block).unwrap();
         let records = vec![rec(1, ip(1), 443), rec(2, ip(9), 443), rec(1, ip(2), 8883)];
         let (passed, log) = enforce(&plan, records);
         assert_eq!(passed.len(), 1);
@@ -203,9 +209,14 @@ mod tests {
     fn redirect_rewrites_destination() {
         let rules = ruleset();
         let benign = Ipv4Addr::new(198, 18, 99, 99);
-        let plan =
-            block_plan(&rules, &DnsDb::new(), "Vuln Cam", DayBin(0), Action::Redirect(benign))
-                .unwrap();
+        let plan = block_plan(
+            &rules,
+            &DnsDb::new(),
+            "Vuln Cam",
+            DayBin(0),
+            Action::Redirect(benign),
+        )
+        .unwrap();
         let (passed, log) = enforce(&plan, vec![rec(1, ip(1), 443), rec(2, ip(9), 80)]);
         assert_eq!(passed.len(), 2);
         assert_eq!(passed[0].dst, benign);
@@ -234,8 +245,7 @@ mod tests {
         // After blocking, the device class becomes invisible — the
         // "hide by blocking" corollary of §7.2/§7.4.
         let rules = ruleset();
-        let plan =
-            block_plan(&rules, &DnsDb::new(), "Vuln Cam", DayBin(0), Action::Block).unwrap();
+        let plan = block_plan(&rules, &DnsDb::new(), "Vuln Cam", DayBin(0), Action::Block).unwrap();
         let records = vec![rec(1, ip(1), 443), rec(1, ip(2), 8883)];
         let (passed, _) = enforce(&plan, records);
         let mut det = Detector::new(

@@ -174,8 +174,7 @@ mod tests {
     #[test]
     fn majority_sld_identifies_manufacturer_domain() {
         let (_d, obs) = observations();
-        let family: BTreeSet<&'static str> =
-            ["Samsung IoT", "Samsung TV"].into_iter().collect();
+        let family: BTreeSet<&'static str> = ["Samsung IoT", "Samsung TV"].into_iter().collect();
         let sld = obs.majority_sld_for(&family).unwrap();
         assert_eq!(sld.as_str(), "samsung-iot.com");
     }
@@ -184,7 +183,10 @@ mod tests {
     fn active_hours_track_persistence() {
         let (_d, obs) = observations();
         let avs = DomainName::parse("avs-alexa.amazon-iot.com").unwrap();
-        assert!(obs.get(&avs).unwrap().active_hours >= 5, "hot domain seen almost every hour");
+        assert!(
+            obs.get(&avs).unwrap().active_hours >= 5,
+            "hot domain seen almost every hour"
+        );
         let _ = StudyWindow::IDLE_GT; // silence unused import in some cfgs
     }
 }

@@ -198,8 +198,7 @@ impl SignaturePack {
             }
             let level = level_from_tag(r.u8()?)?;
             let parent_wire = r.u16()?;
-            let parent =
-                (parent_wire != ClassId::NONE_WIRE).then_some(ClassId(parent_wire));
+            let parent = (parent_wire != ClassId::NONE_WIRE).then_some(ClassId(parent_wire));
             let ndomains = r.count(8 + 8 + 8 + 1)?;
             let mut domains = Vec::with_capacity(ndomains);
             for _ in 0..ndomains {
@@ -221,9 +220,19 @@ impl SignaturePack {
                     1 => true,
                     _ => return Err(SnapError::Malformed("bad usage-indicator flag")),
                 };
-                domains.push(RuleDomain { name, ports, ips, usage_indicator });
+                domains.push(RuleDomain {
+                    name,
+                    ports,
+                    ips,
+                    usage_indicator,
+                });
             }
-            rules.push(DetectionRule { class, level, parent, domains });
+            rules.push(DetectionRule {
+                class,
+                level,
+                parent,
+                domains,
+            });
         }
 
         let nundet = r.count(3)?;
@@ -231,7 +240,9 @@ impl SignaturePack {
         for _ in 0..nundet {
             let class = ClassId(r.u16()?);
             if classes.get(class).is_none() {
-                return Err(SnapError::Malformed("undetectable class not in class table"));
+                return Err(SnapError::Malformed(
+                    "undetectable class not in class table",
+                ));
             }
             undetectable.push((class, reason_from_tag(r.u8()?)?));
         }
@@ -256,10 +267,7 @@ impl SignaturePack {
         let mut defects = Vec::new();
         let rs = &self.rules;
         if !(self.threshold > 0.0 && self.threshold <= 1.0) {
-            defects.push(format!(
-                "threshold: {} outside (0, 1]",
-                self.threshold
-            ));
+            defects.push(format!("threshold: {} outside (0, 1]", self.threshold));
         }
         let mut seen: std::collections::BTreeSet<ClassId> = Default::default();
         for rule in &rs.rules {
@@ -290,7 +298,9 @@ impl SignaturePack {
             for dom in &rule.domains {
                 let name = dom.name.as_str();
                 if !names.insert(name) {
-                    defects.push(format!("rule \"{class}\" domain \"{name}\": duplicate domain"));
+                    defects.push(format!(
+                        "rule \"{class}\" domain \"{name}\": duplicate domain"
+                    ));
                 }
                 if dom.ports.is_empty() {
                     defects.push(format!("rule \"{class}\" domain \"{name}\": no ports"));
@@ -351,7 +361,11 @@ pub fn migrate_detector_state(
         let or = &old.rules[ori];
         let entries = state.rules.get(ori).cloned().unwrap_or_default();
         let same_domains = or.domains.len() == nr.domains.len()
-            && or.domains.iter().zip(&nr.domains).all(|(a, b)| a.name == b.name);
+            && or
+                .domains
+                .iter()
+                .zip(&nr.domains)
+                .all(|(a, b)| a.name == b.name);
         if same_domains {
             rules.push(entries);
             continue;
@@ -377,7 +391,11 @@ pub fn migrate_detector_state(
                 continue;
             }
             let first_met = e.first_met.filter(|_| mask.count_ones() >= required);
-            remapped.push(LineEvidence { line: e.line, mask, first_met });
+            remapped.push(LineEvidence {
+                line: e.line,
+                mask,
+                first_met,
+            });
         }
         rules.push(remapped);
     }
@@ -396,11 +414,17 @@ pub fn migrate_usage_state(old: &RuleSet, new: &RuleSet, state: &UsageState) -> 
     UsageState {
         packets: map
             .iter()
-            .map(|o| o.and_then(|ori| state.packets.get(ori).cloned()).unwrap_or_default())
+            .map(|o| {
+                o.and_then(|ori| state.packets.get(ori).cloned())
+                    .unwrap_or_default()
+            })
             .collect(),
         indicator: map
             .iter()
-            .map(|o| o.and_then(|ori| state.indicator.get(ori).cloned()).unwrap_or_default())
+            .map(|o| {
+                o.and_then(|ori| state.indicator.get(ori).cloned())
+                    .unwrap_or_default()
+            })
             .collect(),
     }
 }
@@ -416,7 +440,9 @@ pub fn migrate_staleness_state(
 ) -> StalenessState {
     let mut remap: FastMap<(u16, u16), (u16, u16)> = FastMap::default();
     for (nri, nr) in new.rules.iter().enumerate() {
-        let Some(ori) = old.rule_index(new.class_name(nr.class)) else { continue };
+        let Some(ori) = old.rule_index(new.class_name(nr.class)) else {
+            continue;
+        };
         let or = &old.rules[ori];
         for (ndi, nd) in nr.domains.iter().enumerate() {
             if let Some(odi) = or.domains.iter().position(|od| od.name == nd.name) {
@@ -438,7 +464,11 @@ pub fn migrate_staleness_state(
         .filter_map(|(k, v)| remap.get(k).map(|nk| (*nk, *v)))
         .collect();
     baseline.sort_unstable_by_key(|(k, _)| *k);
-    StalenessState { today: rekey(&state.today), baseline, days_seen: state.days_seen }
+    StalenessState {
+        today: rekey(&state.today),
+        baseline,
+        days_seen: state.days_seen,
+    }
 }
 
 #[cfg(test)]
@@ -485,7 +515,11 @@ mod tests {
         let bytes = pack.encode();
         let back = SignaturePack::decode(&bytes).unwrap();
         assert_eq!(back, pack);
-        assert_eq!(back.encode(), bytes, "export → load → export must reproduce bytes");
+        assert_eq!(
+            back.encode(),
+            bytes,
+            "export → load → export must reproduce bytes"
+        );
         assert!(pack.lint().is_empty(), "{:?}", pack.lint());
     }
 
@@ -518,13 +552,9 @@ mod tests {
     #[test]
     fn version_skew_is_typed_and_distinguishable_from_rot() {
         let pack = sample();
-        let payload = snapshot::open(
-            SignaturePack::MAGIC,
-            SignaturePack::VERSION,
-            &pack.encode(),
-        )
-        .unwrap()
-        .to_vec();
+        let payload = snapshot::open(SignaturePack::MAGIC, SignaturePack::VERSION, &pack.encode())
+            .unwrap()
+            .to_vec();
         let future = snapshot::seal(SignaturePack::MAGIC, SignaturePack::VERSION + 1, &payload);
         assert_eq!(
             SignaturePack::decode(&future),
@@ -535,7 +565,10 @@ mod tests {
         );
         // Intact frame: checksum holds, so this is genuine skew.
         assert!(snapshot::checksum_ok(&future));
-        assert_eq!(snapshot::peek_version(&future), Some(SignaturePack::VERSION + 1));
+        assert_eq!(
+            snapshot::peek_version(&future),
+            Some(SignaturePack::VERSION + 1)
+        );
     }
 
     #[test]
@@ -544,7 +577,10 @@ mod tests {
         for i in (0..bytes.len()).step_by(7) {
             let mut bad = bytes.clone();
             bad[i] ^= 0x10;
-            assert!(SignaturePack::decode(&bad).is_err(), "flip at {i} not caught");
+            assert!(
+                SignaturePack::decode(&bad).is_err(),
+                "flip at {i} not caught"
+            );
         }
     }
 
@@ -559,10 +595,16 @@ mod tests {
         let defects = pack.lint();
         let all = defects.join("\n");
         assert!(all.contains("threshold: 1.5"), "{all}");
-        assert!(all.contains("rule \"Alexa Enabled\": empty domain set"), "{all}");
+        assert!(
+            all.contains("rule \"Alexa Enabled\": empty domain set"),
+            "{all}"
+        );
         assert!(all.contains("rule \"Fire TV\": parent id 77"), "{all}");
         assert!(all.contains("domain \"ftv.a.com\": no ports"), "{all}");
-        assert!(all.contains("domain \"ads.a.com\": no service IP evidence"), "{all}");
+        assert!(
+            all.contains("domain \"ads.a.com\": no service IP evidence"),
+            "{all}"
+        );
         assert!(matches!(
             SignaturePack::load(&pack.encode()),
             Err(PackError::Lint(v)) if v.len() == defects.len()
@@ -588,7 +630,9 @@ mod tests {
         // A rule class id pointing past the class table is a codec-level
         // failure, not a lint defect.
         let pack = sample();
-        let payload = snapshot::open(SignaturePack::MAGIC, 1, &pack.encode()).unwrap().to_vec();
+        let payload = snapshot::open(SignaturePack::MAGIC, 1, &pack.encode())
+            .unwrap()
+            .to_vec();
         // Class count is the first u64; names follow. Rebuild with an
         // empty class table but keep the rules → class out of range.
         let mut w = SnapWriter::new();
@@ -621,18 +665,35 @@ mod tests {
             None,
             vec![dom("new.a.com", 443, 9), dom("ftv.a.com", 443, 2)],
         );
-        b.rule("Echo Dot", DetectionLevel::Product, None, vec![dom("echo.a.com", 443, 4)]);
+        b.rule(
+            "Echo Dot",
+            DetectionLevel::Product,
+            None,
+            vec![dom("echo.a.com", 443, 4)],
+        );
         let new = b.build();
 
         let state = DetectorState {
             rules: vec![
                 // Alexa Enabled evidence: dropped wholesale.
-                vec![LineEvidence { line: AnonId(1), mask: 0b1, first_met: Some(HourBin(2)) }],
+                vec![LineEvidence {
+                    line: AnonId(1),
+                    mask: 0b1,
+                    first_met: Some(HourBin(2)),
+                }],
                 // Fire TV: bit 0 = ftv.a.com (kept → new bit 1), bit 1 =
                 // ads.a.com (dropped).
                 vec![
-                    LineEvidence { line: AnonId(5), mask: 0b11, first_met: Some(HourBin(4)) },
-                    LineEvidence { line: AnonId(6), mask: 0b10, first_met: None },
+                    LineEvidence {
+                        line: AnonId(5),
+                        mask: 0b11,
+                        first_met: Some(HourBin(4)),
+                    },
+                    LineEvidence {
+                        line: AnonId(6),
+                        mask: 0b10,
+                        first_met: None,
+                    },
                 ],
             ],
         };
@@ -643,7 +704,11 @@ mod tests {
         // because 1 < required(2). Line 6's mask emptied → dropped.
         assert_eq!(
             migrated.rules[0],
-            vec![LineEvidence { line: AnonId(5), mask: 0b10, first_met: None }]
+            vec![LineEvidence {
+                line: AnonId(5),
+                mask: 0b10,
+                first_met: None
+            }]
         );
         assert!(migrated.rules[1].is_empty(), "new rule starts empty");
 
@@ -677,8 +742,16 @@ mod tests {
         let rules = sample().rules;
         let state = DetectorState {
             rules: vec![
-                vec![LineEvidence { line: AnonId(2), mask: 0b1, first_met: Some(HourBin(0)) }],
-                vec![LineEvidence { line: AnonId(3), mask: 0b11, first_met: Some(HourBin(5)) }],
+                vec![LineEvidence {
+                    line: AnonId(2),
+                    mask: 0b1,
+                    first_met: Some(HourBin(0)),
+                }],
+                vec![LineEvidence {
+                    line: AnonId(3),
+                    mask: 0b11,
+                    first_met: Some(HourBin(5)),
+                }],
             ],
         };
         assert_eq!(migrate_detector_state(&rules, &rules, 0.4, &state), state);

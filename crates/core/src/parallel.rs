@@ -102,7 +102,10 @@ pub struct PoolError {
 
 impl PoolError {
     pub(crate) fn new(shard: usize, why: impl Into<String>) -> PoolError {
-        PoolError { shard, panic: Some(why.into()) }
+        PoolError {
+            shard,
+            panic: Some(why.into()),
+        }
     }
 }
 
@@ -453,7 +456,12 @@ pub(crate) fn serve_shard(port: &mut dyn WorkerPort) -> Result<(), String> {
     let Some((seq, first)) = port.next()? else {
         return Ok(()); // spawned and immediately abandoned
     };
-    let Request::Init { rules, hitlist, config } = first else {
+    let Request::Init {
+        rules,
+        hitlist,
+        config,
+    } = first
+    else {
         return Err("first request is not Init".into());
     };
     port.reply(seq, Reply::Ack)?;
@@ -481,7 +489,8 @@ fn serve_generation(
 ) -> Result<Generation, String> {
     let mut det = Detector::new(rules, hitlist, config);
     if let Some(state) = restore {
-        det.restore_state(&state).map_err(|e| format!("restore migrated state: {e}"))?;
+        det.restore_state(&state)
+            .map_err(|e| format!("restore migrated state: {e}"))?;
     }
     // A fresh detector's tallies start at zero; the previous
     // generation's were flushed before the swap returned.
@@ -489,19 +498,22 @@ fn serve_generation(
     // Fold the detector's tallies accrued since the last flush into the
     // shard's atomic counters — one set of adds per request, not per
     // record.
-    let flush_stats =
-        |det: &Detector<'_>, tel: &Option<ShardTelemetry>, flushed: &mut HotStats| {
-            if let Some(t) = tel {
-                let now = det.hot_stats();
-                t.hot.flush(now.since(flushed));
-                *flushed = now;
-            }
-        };
+    let flush_stats = |det: &Detector<'_>, tel: &Option<ShardTelemetry>, flushed: &mut HotStats| {
+        if let Some(t) = tel {
+            let now = det.hot_stats();
+            t.hot.flush(now.since(flushed));
+            *flushed = now;
+        }
+    };
     while let Some((seq, req)) = port.next()? {
         let reply = match req {
             Request::Init { .. } => return Err("duplicate Init after handshake".into()),
             Request::Shutdown => break,
-            Request::SetRules { rules, hitlist, state } => {
+            Request::SetRules {
+                rules,
+                hitlist,
+                state,
+            } => {
                 flush_stats(&det, tel, &mut flushed);
                 return Ok(Generation::Swap(rules, hitlist, state));
             }
@@ -553,7 +565,8 @@ fn serve_request(det: &mut Detector<'_>, req: Request) -> Result<Option<Reply>, 
             return Ok(None);
         }
         Request::Restore(state) => {
-            det.restore_state(&state).map_err(|e| format!("restore: {e}"))?;
+            det.restore_state(&state)
+                .map_err(|e| format!("restore: {e}"))?;
             return Ok(None);
         }
         Request::Panic(msg) => panic!("{msg}"),
@@ -571,7 +584,9 @@ fn serve_request(det: &mut Detector<'_>, req: Request) -> Result<Option<Reply>, 
             let rules = det.rules();
             let classes = rules.rules.iter().map(|r| rules.class_name(r.class));
             Reply::Verdicts(
-                classes.map(|c| (det.is_detected(line, c), det.confidence(line, c))).collect(),
+                classes
+                    .map(|c| (det.is_detected(line, c), det.confidence(line, c)))
+                    .collect(),
             )
         }
         Request::Init { .. }
@@ -650,10 +665,11 @@ pub(crate) fn take<T>(rx: &Receiver<T>, deadline: Option<Instant>) -> Result<T, 
     let Some(deadline) = deadline else {
         return rx.recv().map_err(|_| Fault::Dead);
     };
-    rx.recv_timeout(deadline.saturating_duration_since(Instant::now())).map_err(|e| match e {
-        RecvTimeoutError::Timeout => Fault::Stalled,
-        RecvTimeoutError::Disconnected => Fault::Dead,
-    })
+    rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        .map_err(|e| match e {
+            RecvTimeoutError::Timeout => Fault::Stalled,
+            RecvTimeoutError::Disconnected => Fault::Dead,
+        })
 }
 
 /// The in-process link: requests and replies move over channels to a
@@ -724,7 +740,11 @@ impl ThreadLink {
         let handle = std::thread::Builder::new()
             .name(format!("detector-shard-{shard}"))
             .spawn(move || {
-                let mut port = ChannelPort { rx, replies: reply_tx, recycle: recycle_tx };
+                let mut port = ChannelPort {
+                    rx,
+                    replies: reply_tx,
+                    recycle: recycle_tx,
+                };
                 let words = match catch_unwind(AssertUnwindSafe(|| serve_shard(&mut port))) {
                     Ok(Ok(())) => None,
                     Ok(Err(e)) => Some(e),
@@ -921,7 +941,9 @@ impl Supervisor {
 }
 
 fn empty_state(nrules: usize) -> DetectorState {
-    DetectorState { rules: vec![Vec::new(); nrules] }
+    DetectorState {
+        rules: vec![Vec::new(); nrules],
+    }
 }
 
 /// A persistent pool of shard-owning detector workers.
@@ -1019,8 +1041,16 @@ struct FeederTelemetry {
 impl DetectorPool {
     /// Spawn `workers` shard threads sharing one rule set and hitlist.
     pub fn new(rules: &RuleSet, hitlist: &HitList, config: DetectorConfig, workers: usize) -> Self {
-        Self::build(rules, hitlist, config, workers, POOL_BATCH_RECORDS, POOL_CHANNEL_BATCHES, None)
-            .expect("thread shards spawn and init infallibly")
+        Self::build(
+            rules,
+            hitlist,
+            config,
+            workers,
+            POOL_BATCH_RECORDS,
+            POOL_CHANNEL_BATCHES,
+            None,
+        )
+        .expect("thread shards spawn and init infallibly")
     }
 
     /// Spawn `workers` shard *processes* (DESIGN.md §15): one
@@ -1045,7 +1075,10 @@ impl DetectorPool {
         let command = if command.is_empty() {
             let exe = std::env::current_exe()
                 .map_err(|e| PoolError::new(0, format!("resolve worker binary: {e}")))?;
-            vec![exe.to_string_lossy().into_owned(), "shard-worker".to_string()]
+            vec![
+                exe.to_string_lossy().into_owned(),
+                "shard-worker".to_string(),
+            ]
         } else {
             command.to_vec()
         };
@@ -1082,7 +1115,9 @@ impl DetectorPool {
             command,
             links: Vec::with_capacity(workers),
             seq: vec![0; workers],
-            staging: (0..workers).map(|_| Vec::with_capacity(batch_records)).collect(),
+            staging: (0..workers)
+                .map(|_| Vec::with_capacity(batch_records))
+                .collect(),
             batch_records,
             surv: vec![0; SOA_BLOCK],
             shash: vec![0; SOA_BLOCK],
@@ -1115,7 +1150,9 @@ impl DetectorPool {
             hitlist: self.hitlist.clone(),
             config: self.config,
         };
-        let acked = link.send(seq, init, None).and_then(|_| await_reply(&*link, seq, None));
+        let acked = link
+            .send(seq, init, None)
+            .and_then(|_| await_reply(&*link, seq, None));
         match acked {
             Ok(Reply::Ack) => Ok(link),
             _ => Err(PoolError::new(shard, "init shard worker: no init ack")),
@@ -1168,7 +1205,9 @@ impl DetectorPool {
 
     /// Survivors currently held in replay buffers across all shards.
     pub fn replay_buffered(&self) -> usize {
-        self.supervisor.as_ref().map_or(0, |s| s.replay_records.iter().sum())
+        self.supervisor
+            .as_ref()
+            .map_or(0, |s| s.replay_records.iter().sum())
     }
 
     /// Instrument the pool under `scope`: feeder counters (`records_in`,
@@ -1209,7 +1248,10 @@ impl DetectorPool {
     /// Handles re-acquire existing registry entries, so a respawned
     /// shard continues the same counters.
     fn shard_telemetry(&self, shard: usize) -> ShardTelemetry {
-        let scope = self.scope.as_ref().expect("scope set when telemetry attached");
+        let scope = self
+            .scope
+            .as_ref()
+            .expect("scope set when telemetry attached");
         let feeder = self.telemetry.as_ref().expect("telemetry attached");
         let sub = scope.sub(&format!("shard{shard}"));
         ShardTelemetry {
@@ -1234,7 +1276,10 @@ impl DetectorPool {
     fn breaker_err(&self, shard: usize) -> PoolError {
         PoolError::new(
             shard,
-            format!("crash-loop circuit breaker open after {} fast deaths", self.policy.trip_after),
+            format!(
+                "crash-loop circuit breaker open after {} fast deaths",
+                self.policy.trip_after
+            ),
         )
     }
 
@@ -1247,7 +1292,10 @@ impl DetectorPool {
     fn heal(&mut self, shard: usize, fault: Fault) -> Result<(), PoolError> {
         let last_words = self.links[shard].kill(fault);
         let Some(sup) = &self.supervisor else {
-            return Err(PoolError { shard, panic: last_words });
+            return Err(PoolError {
+                shard,
+                panic: last_words,
+            });
         };
         // Respawn-storm brake: a deterministically-dying shard backs
         // off exponentially and eventually trips the circuit breaker
@@ -1297,11 +1345,18 @@ impl DetectorPool {
                 t.queue_depth[shard].inc();
             }
             let seq = self.next_seq(shard);
-            if self.links[shard].send(seq, Request::Batch(batch), None).is_err() {
+            if self.links[shard]
+                .send(seq, Request::Batch(batch), None)
+                .is_err()
+            {
                 return Err(PoolError::new(shard, "shard died during replay"));
             }
         }
-        self.supervisor.as_ref().expect("supervised").replayed_records.add(replayed);
+        self.supervisor
+            .as_ref()
+            .expect("supervised")
+            .replayed_records
+            .add(replayed);
         Ok(())
     }
 
@@ -1358,7 +1413,9 @@ impl DetectorPool {
         build: &dyn Fn() -> Request,
         pick: impl FnOnce(Reply) -> Option<T>,
     ) -> Result<T, PoolError> {
-        let reply = self.exchange(shard, build, true)?.expect("asked for a reply");
+        let reply = self
+            .exchange(shard, build, true)?
+            .expect("asked for a reply");
         pick(reply).ok_or_else(|| PoolError::new(shard, "protocol: unexpected reply shape"))
     }
 
@@ -1391,7 +1448,9 @@ impl DetectorPool {
     /// shard's crash-loop breaker is open.
     fn queue_degraded(&mut self, shard: usize) {
         let staged = &mut self.staging[shard];
-        let room = self.queue_limit.saturating_sub(self.degraded_queue[shard].len());
+        let room = self
+            .queue_limit
+            .saturating_sub(self.degraded_queue[shard].len());
         let keep = staged.len().min(room);
         let shed = (staged.len() - keep) as u64;
         self.degraded_queue[shard].extend_from_slice(&staged[..keep]);
@@ -1498,8 +1557,7 @@ impl DetectorPool {
                 // queue eagerly (not at the batch threshold), so
                 // `/readyz` and `/stats` see the queue grow as they
                 // arrive.
-                if self.staging[shard].len() >= self.batch_records
-                    || self.backoff[shard].tripped()
+                if self.staging[shard].len() >= self.batch_records || self.backoff[shard].tripped()
                 {
                     self.ship(shard)?;
                 }
@@ -1554,7 +1612,9 @@ impl DetectorPool {
     pub fn finish(&mut self) -> Result<(), PoolError> {
         self.flush()?;
         for shard in 0..self.links.len() {
-            self.ask(shard, &|| Request::Barrier, |r| matches!(r, Reply::Ack).then_some(()))?;
+            self.ask(shard, &|| Request::Barrier, |r| {
+                matches!(r, Reply::Ack).then_some(())
+            })?;
         }
         Ok(())
     }
@@ -1670,10 +1730,17 @@ impl DetectorPool {
     pub fn shard_states(&mut self) -> Result<Vec<DetectorState>, PoolError> {
         if self.supervisor.is_some() {
             self.checkpoint_all()?;
-            return Ok(self.supervisor.as_ref().expect("supervised").shard_state.clone());
+            return Ok(self
+                .supervisor
+                .as_ref()
+                .expect("supervised")
+                .shard_state
+                .clone());
         }
         self.flush()?;
-        (0..self.links.len()).map(|shard| self.snapshot_shard(shard)).collect()
+        (0..self.links.len())
+            .map(|shard| self.snapshot_shard(shard))
+            .collect()
     }
 
     /// Restore per-shard evidence states exported by
@@ -1878,7 +1945,12 @@ impl DetectorPool {
     /// counted in `records_discarded`) — they belong to the window being
     /// cleared.
     pub fn reset(&mut self) -> Result<(), PoolError> {
-        let held = self.staging.iter().chain(&self.degraded_queue).map(Vec::len).sum::<usize>();
+        let held = self
+            .staging
+            .iter()
+            .chain(&self.degraded_queue)
+            .map(Vec::len)
+            .sum::<usize>();
         if let Some(t) = &self.telemetry {
             t.records_discarded.add(held as u64);
         }
@@ -1907,11 +1979,14 @@ impl DetectorPool {
         self.flush()?;
         let mut out = Vec::new();
         for shard in 0..self.links.len() {
-            let lines =
-                self.ask(shard, &|| Request::DetectedLines(class.to_string()), |r| match r {
+            let lines = self.ask(
+                shard,
+                &|| Request::DetectedLines(class.to_string()),
+                |r| match r {
                     Reply::Lines(lines) => Some(lines),
                     _ => None,
-                })?;
+                },
+            )?;
             out.extend(lines);
         }
         out.sort_unstable();
@@ -1989,21 +2064,36 @@ mod tests {
             batch_records: usize,
             channel_batches: usize,
         ) -> Self {
-            Self::build(rules, hitlist, config, workers, batch_records, channel_batches, None)
-                .expect("thread shards spawn and init infallibly")
+            Self::build(
+                rules,
+                hitlist,
+                config,
+                workers,
+                batch_records,
+                channel_batches,
+                None,
+            )
+            .expect("thread shards spawn and init infallibly")
         }
 
         /// Σ [`DetectorState::entry_count`] over
         /// [`DetectorPool::shard_states`]: the pool's
         /// [`Detector::state_size`].
         fn entries(&mut self) -> usize {
-            self.shard_states().unwrap().iter().map(DetectorState::entry_count).sum()
+            self.shard_states()
+                .unwrap()
+                .iter()
+                .map(DetectorState::entry_count)
+                .sum()
         }
 
         /// Whether `class` is detected for `line`, read from the owning
         /// shard's [`DetectorPool::line_verdicts`].
         fn detects(&mut self, line: AnonId, class: &str) -> bool {
-            let ri = self.rules.rule_index(class).expect("class in the pool's rules");
+            let ri = self
+                .rules
+                .rule_index(class)
+                .expect("class in the pool's rules");
             self.line_verdicts(line).unwrap()[ri].0
         }
     }
@@ -2018,7 +2108,9 @@ mod tests {
                 .map(|i| RuleDomain {
                     name: DomainName::parse(&format!("d{i}.x.com")).unwrap(),
                     ports: [443u16].into_iter().collect(),
-                    ips: [Ipv4Addr::new(198, 18, 8, i as u8 + 1)].into_iter().collect(),
+                    ips: [Ipv4Addr::new(198, 18, 8, i as u8 + 1)]
+                        .into_iter()
+                        .collect(),
                     usage_indicator: false,
                 })
                 .collect(),
@@ -2062,7 +2154,10 @@ mod tests {
     fn sharded_equals_sequential() {
         let rules = ruleset(6);
         let hl = HitList::whole_window(&rules);
-        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
         let records = random_records(20_000, 3);
 
         let mut seq = Detector::new(&rules, hl.clone(), config);
@@ -2098,7 +2193,9 @@ mod tests {
             .map(|i| RuleDomain {
                 name: DomainName::parse(&format!("d{i}.x.com")).unwrap(),
                 ports: [443u16].into_iter().collect(),
-                ips: [Ipv4Addr::new(198, 18, 8, i as u8 + 1)].into_iter().collect(),
+                ips: [Ipv4Addr::new(198, 18, 8, i as u8 + 1)]
+                    .into_iter()
+                    .collect(),
                 usage_indicator: false,
             })
             .collect()
@@ -2108,7 +2205,10 @@ mod tests {
     fn set_rules_swaps_live_without_evidence_loss() {
         let rules = ruleset(6);
         let hl = HitList::whole_window(&rules);
-        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
         let records = random_records(20_000, 5);
         let mut pool = DetectorPool::new(&rules, &hl, config, 4);
         pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
@@ -2122,13 +2222,17 @@ mod tests {
         b.rule("X", DetectionLevel::Manufacturer, None, x_domains(6));
         b.rule("Y", DetectionLevel::Manufacturer, None, vec![y_domain()]);
         let with_y = b.build();
-        pool.set_rules(&with_y, &HitList::whole_window(&with_y)).unwrap();
+        pool.set_rules(&with_y, &HitList::whole_window(&with_y))
+            .unwrap();
         assert_eq!(
             pool.detected_lines("X").unwrap(),
             before,
             "unchanged rule keeps its evidence across the swap"
         );
-        assert!(pool.detected_lines("Y").unwrap().is_empty(), "added rule starts empty");
+        assert!(
+            pool.detected_lines("Y").unwrap().is_empty(),
+            "added rule starts empty"
+        );
 
         // The added rule is live immediately under the new hitlist.
         let src = Ipv4Addr::new(100, 64, 9, 9);
@@ -2159,16 +2263,26 @@ mod tests {
         let mut b = RuleSetBuilder::new();
         b.rule("Y", DetectionLevel::Manufacturer, None, vec![y_domain()]);
         let only_y = b.build();
-        pool.set_rules(&only_y, &HitList::whole_window(&only_y)).unwrap();
-        assert!(pool.detected_lines("X").unwrap().is_empty(), "removed rule disappears");
-        assert!(pool.detects(AnonId(42), "Y"), "surviving rule keeps evidence");
+        pool.set_rules(&only_y, &HitList::whole_window(&only_y))
+            .unwrap();
+        assert!(
+            pool.detected_lines("X").unwrap().is_empty(),
+            "removed rule disappears"
+        );
+        assert!(
+            pool.detects(AnonId(42), "Y"),
+            "surviving rule keeps evidence"
+        );
     }
 
     #[test]
     fn delta_checkpoints_merge_into_the_full_shard_states() {
         let rules = ruleset(6);
         let hl = HitList::whole_window(&rules);
-        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
         let records = random_records(24_000, 17);
         let (first, rest) = records.split_at(8_000);
 
@@ -2177,7 +2291,10 @@ mod tests {
         pool.observe_records(first).unwrap();
         // Fresh workers have no clean base: round one is all-full.
         let frames = pool.checkpoint_all_delta().unwrap();
-        assert!(frames.iter().all(DetectorSnapshot::is_full), "first round must be full");
+        assert!(
+            frames.iter().all(DetectorSnapshot::is_full),
+            "first round must be full"
+        );
 
         pool.observe_records(rest).unwrap();
         let frames = pool.checkpoint_all_delta().unwrap();
@@ -2196,7 +2313,10 @@ mod tests {
         pool.inject_panic(2, "mid-soak crash").unwrap();
         pool.observe_records(first).unwrap();
         let frames = pool.checkpoint_all_delta().unwrap();
-        assert!(frames[2].is_full(), "healed shard restarts its chain with a full frame");
+        assert!(
+            frames[2].is_full(),
+            "healed shard restarts its chain with a full frame"
+        );
         assert_eq!(
             pool.detected_lines("X").unwrap(),
             {
@@ -2213,7 +2333,10 @@ mod tests {
         // detection sets (and state counts) for any worker count.
         let rules = ruleset(6);
         let hl = HitList::whole_window(&rules);
-        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
         let records = random_records(30_000, 11);
         let mut results = Vec::new();
         for workers in [1usize, 2, 8] {
@@ -2233,7 +2356,10 @@ mod tests {
     fn streamed_chunks_equal_one_batch() {
         let rules = ruleset(6);
         let hl = HitList::whole_window(&rules);
-        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
         let records = random_records(10_000, 5);
 
         let mut batched = DetectorPool::new(&rules, &hl, config, 3);
@@ -2263,16 +2389,28 @@ mod tests {
         pool.observe_records(&records).unwrap(); // far below POOL_BATCH_RECORDS
         let mut seq = Detector::new(&rules, hl.clone(), DetectorConfig::default());
         seq.observe_chunk(&records);
-        assert!(!seq.detected_lines("X").is_empty(), "test must detect something");
+        assert!(
+            !seq.detected_lines("X").is_empty(),
+            "test must detect something"
+        );
         for r in &records {
-            assert_eq!(pool.detects(r.line, "X"), seq.is_detected(r.line, "X"), "{:?}", r.line);
+            assert_eq!(
+                pool.detects(r.line, "X"),
+                seq.is_detected(r.line, "X"),
+                "{:?}",
+                r.line
+            );
         }
         let more = hit_records(10, 9, 1);
         let before = seq.state_size();
         pool.observe_records(&more).unwrap();
         seq.observe_chunk(&more);
         assert!(seq.state_size() > before, "the second feed must add state");
-        assert_eq!(pool.entries(), seq.state_size(), "staged records visible to queries");
+        assert_eq!(
+            pool.entries(),
+            seq.state_size(),
+            "staged records visible to queries"
+        );
     }
 
     #[test]
@@ -2348,23 +2486,23 @@ mod tests {
         let rules = ruleset(4);
         let hl = HitList::whole_window(&rules);
         let scope = Scope::named("t_pool_unit");
-        let mut pool = DetectorPool::with_tuning(
-            &rules,
-            &hl,
-            DetectorConfig::default(),
-            3,
-            64,
-            2,
-        );
+        let mut pool = DetectorPool::with_tuning(&rules, &hl, DetectorConfig::default(), 3, 64, 2);
         pool.attach_telemetry(&scope).unwrap();
         let records = hit_records(10_000, 21, 4);
         pool.observe_records(&records).unwrap();
         pool.finish().unwrap();
         let snap = telemetry::global().snapshot().filtered("t_pool_unit");
         assert_eq!(snap.counter("t_pool_unit.records_in"), Some(10_000));
-        assert_eq!(snap.counter("t_pool_unit.gate_rejected"), Some(0), "every record is a hit");
+        assert_eq!(
+            snap.counter("t_pool_unit.gate_rejected"),
+            Some(0),
+            "every record is a hit"
+        );
         let observed: u64 = (0..3)
-            .map(|i| snap.counter(&format!("t_pool_unit.shard{i}.records_observed")).unwrap())
+            .map(|i| {
+                snap.counter(&format!("t_pool_unit.shard{i}.records_observed"))
+                    .unwrap()
+            })
             .sum();
         assert_eq!(observed, 10_000, "every fed record observed by some shard");
         assert!(snap.counter("t_pool_unit.batches_shipped").unwrap() > 0);
@@ -2374,7 +2512,9 @@ mod tests {
         assert!(recycled > 0, "tiny buffers at 10k records must recycle");
         for i in 0..3 {
             assert_eq!(
-                telemetry::global().snapshot().gauge(&format!("t_pool_unit.shard{i}.queue_depth")),
+                telemetry::global()
+                    .snapshot()
+                    .gauge(&format!("t_pool_unit.shard{i}.queue_depth")),
                 Some(0),
                 "queues drained after finish"
             );
@@ -2425,7 +2565,10 @@ mod tests {
         // exactly the detections of an uninterrupted run.
         let rules = ruleset(6);
         let hl = HitList::whole_window(&rules);
-        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
         let records = random_records(30_000, 17);
 
         let mut clean = DetectorPool::new(&rules, &hl, config, 4);
@@ -2451,7 +2594,10 @@ mod tests {
         // last checkpoint, not from zero, and stays byte-identical.
         let rules = ruleset(6);
         let hl = HitList::whole_window(&rules);
-        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
         let records = random_records(24_000, 23);
 
         let mut clean = DetectorPool::new(&rules, &hl, config, 3);
@@ -2508,7 +2654,10 @@ mod tests {
     fn shard_states_round_trip_into_a_fresh_pool() {
         let rules = ruleset(6);
         let hl = HitList::whole_window(&rules);
-        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
         let records = random_records(12_000, 41);
         let split = 7_000;
 
@@ -2538,7 +2687,10 @@ mod tests {
         // must be observed under the hitlist they were fed under.
         let rules = ruleset(6);
         let hl = HitList::whole_window(&rules);
-        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
         let records = random_records(10_000, 53);
         let split = 5_000;
 
@@ -2569,7 +2721,10 @@ mod tests {
         let rules = ruleset(6);
         let narrow = HitList::whole_window(&ruleset(2));
         let wide = HitList::whole_window(&rules);
-        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
         let records = random_records(12_000, 59);
         let (before, after) = records.split_at(4_000);
 
@@ -2587,7 +2742,10 @@ mod tests {
         assert_eq!(pool.entries(), seq.state_size());
         let mut narrow_only = Detector::new(&rules, narrow, config);
         narrow_only.observe_chunk(&records);
-        assert!(seq.state_size() > narrow_only.state_size(), "the swap must matter");
+        assert!(
+            seq.state_size() > narrow_only.state_size(),
+            "the swap must matter"
+        );
     }
 
     #[test]
@@ -2657,7 +2815,10 @@ mod tests {
             if h[2] == ShardHealth::Dead {
                 break;
             }
-            assert!(Instant::now() < deadline, "shard 2 never probed dead: {h:?}");
+            assert!(
+                Instant::now() < deadline,
+                "shard 2 never probed dead: {h:?}"
+            );
         }
     }
 
@@ -2665,7 +2826,10 @@ mod tests {
     fn force_respawn_recovers_a_stalled_shard_byte_identically() {
         let rules = ruleset(6);
         let hl = HitList::whole_window(&rules);
-        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
         let records = random_records(20_000, 83);
         let split = 9_000;
 
@@ -2681,7 +2845,10 @@ mod tests {
         // recover within the test's lifetime, then escalate exactly as
         // the daemon's watchdog would.
         pool.inject_stall(1, Duration::from_secs(600)).unwrap();
-        assert_eq!(pool.shard_health(Duration::from_millis(100))[1], ShardHealth::Stalled);
+        assert_eq!(
+            pool.shard_health(Duration::from_millis(100))[1],
+            ShardHealth::Stalled
+        );
         pool.force_respawn(1).unwrap();
         assert_eq!(
             pool.shard_health(Duration::from_secs(10))[1],
@@ -2698,7 +2865,10 @@ mod tests {
     fn force_respawn_after_checkpoint_replays_only_the_tail() {
         let rules = ruleset(4);
         let hl = HitList::whole_window(&rules);
-        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
         let records = random_records(12_000, 97);
 
         let mut clean = DetectorPool::new(&rules, &hl, config, 2);
@@ -2770,7 +2940,10 @@ mod tests {
                 break;
             }
         }
-        assert!(tripped, "breaker never opened under a deterministic crash loop");
+        assert!(
+            tripped,
+            "breaker never opened under a deterministic crash loop"
+        );
         let status = pool.shard_status();
         assert_eq!(status[0].status, ShardStatus::Degraded);
         assert_eq!(status[0].status.label(), "degraded");
@@ -2778,7 +2951,10 @@ mod tests {
         // typed error, not a hang or an abort.
         let err = pool.detected_lines("X").unwrap_err();
         assert!(
-            err.panic.as_deref().unwrap_or("").contains("circuit breaker"),
+            err.panic
+                .as_deref()
+                .unwrap_or("")
+                .contains("circuit breaker"),
             "unexpected error: {err}"
         );
     }
@@ -2787,8 +2963,7 @@ mod tests {
     fn degraded_shard_queues_then_sheds_with_exact_accounting() {
         let rules = ruleset(4);
         let hl = HitList::whole_window(&rules);
-        let mut pool =
-            DetectorPool::with_tuning(&rules, &hl, DetectorConfig::default(), 2, 64, 4);
+        let mut pool = DetectorPool::with_tuning(&rules, &hl, DetectorConfig::default(), 2, 64, 4);
         pool.set_respawn_policy(fast_trip_policy());
         pool.queue_limit = 200;
         pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
@@ -2806,8 +2981,7 @@ mod tests {
         let records = hit_records(20_000, 23, 4);
         pool.observe_records(&records).unwrap();
         pool.flush().unwrap();
-        let shard0: u64 =
-            records.iter().filter(|r| shard_of(r.line, 2) == 0).count() as u64;
+        let shard0: u64 = records.iter().filter(|r| shard_of(r.line, 2) == 0).count() as u64;
         let status = pool.shard_status();
         assert_eq!(status[0].queued, 200, "queue fills to its bound");
         assert_eq!(
@@ -2823,7 +2997,10 @@ mod tests {
     fn reset_breaker_recovers_the_shard_and_replays_its_queue() {
         let rules = ruleset(4);
         let hl = HitList::whole_window(&rules);
-        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
         let records = random_records(8_000, 41);
 
         let mut clean = DetectorPool::new(&rules, &hl, config, 2);
@@ -2873,7 +3050,10 @@ mod tests {
 
     #[test]
     fn respawning_label_ends_at_the_first_reply_not_at_the_window() {
-        let p = RespawnPolicy { fast_window: Duration::from_secs(1), ..RespawnPolicy::default() };
+        let p = RespawnPolicy {
+            fast_window: Duration::from_secs(1),
+            ..RespawnPolicy::default()
+        };
         let ms = Duration::from_millis;
         let mut b = BackoffState::default();
         let t0 = Instant::now();
@@ -2886,10 +3066,17 @@ mod tests {
         // First reply from the replacement: recovered, window or not.
         b.on_reply();
         assert_eq!(b.status_at(&p, t0 + ms(401)), ShardStatus::Ok);
-        assert_eq!(b.status_at(&p, t0 + ms(5_000)), ShardStatus::Ok, "window elapsed");
+        assert_eq!(
+            b.status_at(&p, t0 + ms(5_000)),
+            ShardStatus::Ok,
+            "window elapsed"
+        );
         // The reply did not forgive the streak: a second fast death is
         // death #2, and it reports respawning afresh.
-        assert!(matches!(b.on_death(&p, t0 + ms(600)), RespawnDecision::Backoff(_)));
+        assert!(matches!(
+            b.on_death(&p, t0 + ms(600)),
+            RespawnDecision::Backoff(_)
+        ));
         assert_eq!(b.streak(), 2);
         assert_eq!(b.status_at(&p, t0 + ms(601)), ShardStatus::Respawning);
         // A replacement nobody asks anything of ages out with the window.
@@ -2913,6 +3100,9 @@ mod tests {
         let t2 = t1 + Duration::from_millis(5);
         assert!(matches!(b.on_death(&p, t2), RespawnDecision::Backoff(_)));
         assert!(!b.tripped());
-        assert_eq!(b.status_at(&p, t2 + Duration::from_millis(5)), ShardStatus::Ok);
+        assert_eq!(
+            b.status_at(&p, t2 + Duration::from_millis(5)),
+            ShardStatus::Ok
+        );
     }
 }

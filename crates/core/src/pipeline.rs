@@ -28,14 +28,22 @@ pub struct PipelineConfig {
 
 impl Default for PipelineConfig {
     fn default() -> Self {
-        PipelineConfig { seed: 0xC0DE, active_hours: 96, idle_hours: 72 }
+        PipelineConfig {
+            seed: 0xC0DE,
+            active_hours: 96,
+            idle_hours: 72,
+        }
     }
 }
 
 impl PipelineConfig {
     /// A fast configuration for unit/integration tests.
     pub fn fast(seed: u64) -> Self {
-        PipelineConfig { seed, active_hours: 6, idle_hours: 6 }
+        PipelineConfig {
+            seed,
+            active_hours: 6,
+            idle_hours: 6,
+        }
     }
 }
 
@@ -137,7 +145,9 @@ impl Pipeline {
         let active_hours = StudyWindow::ACTIVE_GT
             .hour_bins()
             .take(config.active_hours as usize);
-        let idle_hours = StudyWindow::IDLE_GT.hour_bins().take(config.idle_hours as usize);
+        let idle_hours = StudyWindow::IDLE_GT
+            .hour_bins()
+            .take(config.idle_hours as usize);
         let gt_hours: Vec<HourBin> = active_hours.chain(idle_hours).collect();
         for hour in gt_hours {
             let pkts = driver.generate_hour(&world, hour);
@@ -149,18 +159,28 @@ impl Pipeline {
         // Family map: root class → all classes under that root.
         let mut families: BTreeMap<&'static str, BTreeSet<&'static str>> = BTreeMap::new();
         for class in &catalog.classes {
-            let root = catalog.ancestry(class.name).last().map(|c| c.name).unwrap_or(class.name);
+            let root = catalog
+                .ancestry(class.name)
+                .last()
+                .map(|c| c.name)
+                .unwrap_or(class.name);
             families.entry(root).or_default().insert(class.name);
         }
         let mut majority_cache: HashMap<&'static str, Option<DomainName>> = HashMap::new();
         let mut classification = HashMap::new();
         for (name, usage) in observations.domains() {
             let majority = usage.classes.iter().next().and_then(|first| {
-                let root = catalog.ancestry(first).last().map(|c| c.name).unwrap_or(first);
+                let root = catalog
+                    .ancestry(first)
+                    .last()
+                    .map(|c| c.name)
+                    .unwrap_or(first);
                 majority_cache
                     .entry(root)
                     .or_insert_with(|| {
-                        families.get(root).and_then(|f| observations.majority_sld_for(f))
+                        families
+                            .get(root)
+                            .and_then(|f| observations.majority_sld_for(f))
                     })
                     .clone()
             });
@@ -169,8 +189,9 @@ impl Pipeline {
         }
 
         // ---- §4.2 dedication (DNSDB + Censys fallback).
-        let infra = InfraKnowledge::new([DomainName::parse(&format!("{CLOUD_PROVIDER}.com"))
-            .expect("valid cloud sld")]);
+        let infra = InfraKnowledge::new([
+            DomainName::parse(&format!("{CLOUD_PROVIDER}.com")).expect("valid cloud sld")
+        ]);
         let window = StudyWindow::FULL;
         let mut dedication = HashMap::new();
         let mut censys_recovered = 0usize;
@@ -182,9 +203,12 @@ impl Pipeline {
             }
             let mut verdict = dnsdb_verdict(&dnsdb, &infra, name, &window);
             if verdict == DedicationVerdict::NoRecord {
-                if let Some(ips) =
-                    censys_fallback(&world.universe.scans, name, usage.uses_https(), &usage.seed_ips)
-                {
+                if let Some(ips) = censys_fallback(
+                    &world.universe.scans,
+                    name,
+                    usage.uses_https(),
+                    &usage.seed_ips,
+                ) {
                     censys_recovered += 1;
                     censys_classes.extend(usage.classes.iter().copied());
                     verdict = DedicationVerdict::Dedicated(ips);
@@ -259,14 +283,23 @@ mod tests {
         let p = pipeline();
         let s = &p.stats;
         assert!(s.observed_domains > 250, "observed {}", s.observed_domains);
-        assert!(s.primary > s.support, "primary {} vs support {}", s.primary, s.support);
+        assert!(
+            s.primary > s.support,
+            "primary {} vs support {}",
+            s.primary,
+            s.support
+        );
         assert!(s.generic >= 60, "generic {}", s.generic);
         assert!(s.support >= 10, "support {}", s.support);
         // Dedicated and shared are the same order of magnitude (217/202).
         let ratio = s.dedicated_dnsdb as f64 / s.shared.max(1) as f64;
         assert!((0.5..2.0).contains(&ratio), "ded/shared ratio {ratio:.2}");
         // 15 blind domains; 8 recovered.
-        assert_eq!(s.censys_recovered, 8, "censys recovered {}", s.censys_recovered);
+        assert_eq!(
+            s.censys_recovered, 8,
+            "censys recovered {}",
+            s.censys_recovered
+        );
         assert!(s.no_record >= 5, "unrecovered no-record {}", s.no_record);
     }
 
@@ -275,7 +308,11 @@ mod tests {
         let p = pipeline();
         assert_eq!(p.stats.manufacturer_rules, 20, "manufacturer rules");
         assert_eq!(p.stats.product_rules, 11, "product rules");
-        assert!(p.stats.platform_rules >= 3, "platform rules {}", p.stats.platform_rules);
+        assert!(
+            p.stats.platform_rules >= 3,
+            "platform rules {}",
+            p.stats.platform_rules
+        );
     }
 
     #[test]
@@ -320,7 +357,11 @@ mod tests {
         assert_eq!(n("Meross Dooropener"), 1);
         assert_eq!(n("Blink Hub & Cam."), 2);
         assert_eq!(n("Xiaomi Dev."), 3);
-        assert!(n("Ring Doorbell") >= 4, "Ring: {} (2 Censys-recovered)", n("Ring Doorbell"));
+        assert!(
+            n("Ring Doorbell") >= 4,
+            "Ring: {} (2 Censys-recovered)",
+            n("Ring Doorbell")
+        );
         assert!(n("Amazon Product") >= 15);
         assert!(n("Fire TV") >= 15);
         assert!(n("Samsung IoT") >= 5);
@@ -354,7 +395,13 @@ mod tests {
         assert_eq!(alexa.domains[0].name.as_str(), "avs-alexa.amazon-iot.com");
         assert_eq!(alexa.level, DetectionLevel::Platform);
         // Hierarchy wiring.
-        assert_eq!(p.rules.rule("Amazon Product").unwrap().parent, p.rules.class_id("Alexa Enabled"));
-        assert_eq!(p.rules.rule("Fire TV").unwrap().parent, p.rules.class_id("Amazon Product"));
+        assert_eq!(
+            p.rules.rule("Amazon Product").unwrap().parent,
+            p.rules.class_id("Alexa Enabled")
+        );
+        assert_eq!(
+            p.rules.rule("Fire TV").unwrap().parent,
+            p.rules.class_id("Amazon Product")
+        );
     }
 }

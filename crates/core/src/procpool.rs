@@ -154,7 +154,9 @@ fn get_rules(r: &mut SnapReader<'_>) -> Result<Arc<RuleSet>, SnapError> {
 
 fn get_string(r: &mut SnapReader<'_>) -> Result<String, SnapError> {
     let raw = r.bytes()?;
-    std::str::from_utf8(raw).map(str::to_owned).map_err(|_| SnapError::Malformed("utf-8 string"))
+    std::str::from_utf8(raw)
+        .map(str::to_owned)
+        .map_err(|_| SnapError::Malformed("utf-8 string"))
 }
 
 /// Seal one request frame: `[seq][tag]` then the tag's payload. `None`
@@ -222,9 +224,15 @@ pub(crate) fn decode_to_worker(frame: &[u8]) -> Result<(u64, Request), SnapError
     let req = match r.u8()? {
         T_INIT => {
             let rules = get_rules(&mut r)?;
-            let config =
-                DetectorConfig { threshold: r.f64_bits()?, require_established: r.u8()? != 0 };
-            Request::Init { hitlist: HitList::whole_window(&rules), rules, config }
+            let config = DetectorConfig {
+                threshold: r.f64_bits()?,
+                require_established: r.u8()? != 0,
+            };
+            Request::Init {
+                hitlist: HitList::whole_window(&rules),
+                rules,
+                config,
+            }
         }
         T_BATCH => {
             let n = r.count(RECORD_WIRE_BYTES)?;
@@ -242,7 +250,11 @@ pub(crate) fn decode_to_worker(frame: &[u8]) -> Result<(u64, Request), SnapError
         T_SET_RULES => {
             let rules = get_rules(&mut r)?;
             let state = DetectorState::decode(r.bytes()?)?;
-            Request::SetRules { hitlist: HitList::whole_window(&rules), rules, state }
+            Request::SetRules {
+                hitlist: HitList::whole_window(&rules),
+                rules,
+                state,
+            }
         }
         T_RESET => Request::Reset,
         T_DETECTED_LINES => Request::DetectedLines(get_string(&mut r)?),
@@ -353,9 +365,9 @@ struct PipePort<'a, R, W> {
 impl<R: Read, W: Write> WorkerPort for PipePort<'_, R, W> {
     fn next(&mut self) -> Result<Option<(u64, Request)>, String> {
         match read_frame(self.rin, PROC_MAGIC, PROC_MAX_PAYLOAD) {
-            Ok(Some(frame)) => {
-                decode_to_worker(&frame).map(Some).map_err(|e| format!("decode: {e}"))
-            }
+            Ok(Some(frame)) => decode_to_worker(&frame)
+                .map(Some)
+                .map_err(|e| format!("decode: {e}")),
             Ok(None) => Ok(None),
             Err(e) => Err(format!("read: {e}")),
         }
@@ -396,7 +408,9 @@ pub(crate) struct ProcLink {
 
 impl fmt::Debug for ProcLink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ProcLink").field("pid", &self.child.id()).finish_non_exhaustive()
+        f.debug_struct("ProcLink")
+            .field("pid", &self.child.id())
+            .finish_non_exhaustive()
     }
 }
 
@@ -410,7 +424,9 @@ impl ProcLink {
         channel_batches: usize,
     ) -> Result<ProcLink, PoolError> {
         let mut cmd = Command::new(&command[0]);
-        cmd.args(&command[1..]).stdin(Stdio::piped()).stdout(Stdio::piped());
+        cmd.args(&command[1..])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped());
         let mut child = cmd
             .spawn()
             .map_err(|e| PoolError::new(shard, format!("spawn shard worker: {e}")))?;
@@ -537,7 +553,9 @@ mod tests {
                 .map(|i| RuleDomain {
                     name: DomainName::parse(&format!("d{i}.x.com")).unwrap(),
                     ports: [443u16].into_iter().collect(),
-                    ips: [Ipv4Addr::new(198, 18, 8, i as u8 + 1)].into_iter().collect(),
+                    ips: [Ipv4Addr::new(198, 18, 8, i as u8 + 1)]
+                        .into_iter()
+                        .collect(),
                     usage_indicator: false,
                 })
                 .collect(),
@@ -575,12 +593,15 @@ mod tests {
 
     #[test]
     fn record_codec_round_trips_exactly() {
-        let records: Vec<WildRecord> =
-            (0..40).map(|i| record(i, (i % 6) as u8 + 1, (i % 24) as u32)).collect();
+        let records: Vec<WildRecord> = (0..40)
+            .map(|i| record(i, (i % 6) as u8 + 1, (i % 24) as u32))
+            .collect();
         let frame = request_frame(7, Request::Batch(Arc::new(records.clone())));
         let (seq, msg) = decode_to_worker(&frame).unwrap();
         assert_eq!(seq, 7);
-        let Request::Batch(back) = msg else { panic!("not a batch") };
+        let Request::Batch(back) = msg else {
+            panic!("not a batch")
+        };
         assert_eq!(*back, records);
         let mut w = SnapWriter::new();
         put_record(&mut w, &records[0]);
@@ -591,7 +612,9 @@ mod tests {
     fn reply_codec_round_trips_every_shape() {
         let shapes: Vec<Reply> = vec![
             Reply::Ack,
-            Reply::State(DetectorState { rules: vec![Vec::new(), Vec::new()] }),
+            Reply::State(DetectorState {
+                rules: vec![Vec::new(), Vec::new()],
+            }),
             Reply::Lines(vec![AnonId(3), AnonId(9)]),
             Reply::Verdicts(vec![(true, 1.0), (false, 0.375), (false, 0.0)]),
             Reply::Verdicts(Vec::new()),
@@ -630,11 +653,18 @@ mod tests {
             w.put_u64(12);
             w.put_str("X");
         };
-        let retired: [(u8, Body); 4] =
-            [(10, line_class), (11, line_class), (12, line_class), (13, |_| {})];
+        let retired: [(u8, Body); 4] = [
+            (10, line_class),
+            (11, line_class),
+            (12, line_class),
+            (13, |_| {}),
+        ];
         for (tag, body) in retired {
             let frame = raw_frame(PROC_VERSION, 2, tag, body);
-            assert!(matches!(decode_to_worker(&frame), Err(SnapError::Malformed(_))), "tag {tag}");
+            assert!(
+                matches!(decode_to_worker(&frame), Err(SnapError::Malformed(_))),
+                "tag {tag}"
+            );
             assert!(matches!(run_worker_on(&frame), Some(Err(_))), "tag {tag}");
         }
 
@@ -643,9 +673,14 @@ mod tests {
         let old = raw_frame(1, 2, T_BARRIER, |_| {});
         assert!(matches!(
             decode_to_worker(&old),
-            Err(SnapError::BadVersion { found: 1, expected: PROC_VERSION })
+            Err(SnapError::BadVersion {
+                found: 1,
+                expected: PROC_VERSION
+            })
         ));
-        let err = run_worker_on(&old).expect("not a chaos request").unwrap_err();
+        let err = run_worker_on(&old)
+            .expect("not a chaos request")
+            .unwrap_err();
         assert!(err.contains("version 1"), "err: {err}");
     }
 
@@ -664,12 +699,18 @@ mod tests {
         ];
         for (tag, body) in retired {
             let frame = raw_frame(PROC_VERSION, 3, tag, body);
-            assert!(matches!(decode_reply(&frame), Err(SnapError::Malformed(_))), "tag {tag}");
+            assert!(
+                matches!(decode_reply(&frame), Err(SnapError::Malformed(_))),
+                "tag {tag}"
+            );
         }
         let old = raw_frame(1, 3, R_ACK, |_| {});
         assert!(matches!(
             decode_reply(&old),
-            Err(SnapError::BadVersion { found: 1, expected: PROC_VERSION })
+            Err(SnapError::BadVersion {
+                found: 1,
+                expected: PROC_VERSION
+            })
         ));
     }
 
@@ -678,7 +719,10 @@ mod tests {
     #[test]
     fn worker_loop_serves_the_protocol_over_byte_streams() {
         let rules = ruleset(6);
-        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
 
         // Enough distinct-domain evidence on line 12 to cross 0.5 of 6.
         let records: Vec<WildRecord> = (0..4).map(|i| record(12, i + 1, i as u32)).collect();
@@ -699,7 +743,9 @@ mod tests {
 
         let mut rout = Cursor::new(out);
         let mut next = || {
-            let f = read_frame(&mut rout, PROC_MAGIC, PROC_MAX_PAYLOAD).unwrap().expect("reply");
+            let f = read_frame(&mut rout, PROC_MAGIC, PROC_MAX_PAYLOAD)
+                .unwrap()
+                .expect("reply");
             decode_reply(&f).unwrap()
         };
         assert!(matches!(next(), (1, Reply::Ack)), "init ack");
@@ -721,7 +767,9 @@ mod tests {
             other => panic!("unexpected: {other:?}"),
         }
         assert!(
-            read_frame(&mut rout, PROC_MAGIC, PROC_MAX_PAYLOAD).unwrap().is_none(),
+            read_frame(&mut rout, PROC_MAGIC, PROC_MAX_PAYLOAD)
+                .unwrap()
+                .is_none(),
             "clean EOF after shutdown"
         );
     }
@@ -741,14 +789,23 @@ mod tests {
     // ------------------------------------------------------------------
 
     fn evidence() -> Vec<LineEvidence> {
-        vec![LineEvidence { line: AnonId(12), mask: 0b101, first_met: Some(HourBin(3)) }]
+        vec![LineEvidence {
+            line: AnonId(12),
+            mask: 0b101,
+            first_met: Some(HourBin(3)),
+        }]
     }
 
     /// One valid frame of every request variant that has a wire form.
     fn every_request_frame() -> Vec<Vec<u8>> {
         let rules = ruleset(3);
-        let config = DetectorConfig { threshold: 0.5, require_established: false };
-        let state = DetectorState { rules: vec![evidence()] };
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
+        let state = DetectorState {
+            rules: vec![evidence()],
+        };
         let line = AnonId(12);
         vec![
             init_request(&rules, config),
@@ -780,9 +837,15 @@ mod tests {
     fn every_reply_frame() -> Vec<Vec<u8>> {
         [
             Reply::Ack,
-            Reply::State(DetectorState { rules: vec![evidence()] }),
-            Reply::Snap(DetectorSnapshot::Full(DetectorState { rules: vec![evidence()] })),
-            Reply::Snap(DetectorSnapshot::Delta(DetectorDelta { rules: vec![evidence()] })),
+            Reply::State(DetectorState {
+                rules: vec![evidence()],
+            }),
+            Reply::Snap(DetectorSnapshot::Full(DetectorState {
+                rules: vec![evidence()],
+            })),
+            Reply::Snap(DetectorSnapshot::Delta(DetectorDelta {
+                rules: vec![evidence()],
+            })),
             Reply::Lines(vec![AnonId(3), AnonId(9)]),
             Reply::Verdicts(vec![(true, 1.0), (false, 0.375)]),
         ]
@@ -795,7 +858,9 @@ mod tests {
     /// Mutate a frame's payload and seal it again, so the mutant gets
     /// past the checksum and the decoder itself is what is on trial.
     fn resealed(frame: &[u8], mutate: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-        let mut payload = open(PROC_MAGIC, PROC_VERSION, frame).expect("valid frame").to_vec();
+        let mut payload = open(PROC_MAGIC, PROC_VERSION, frame)
+            .expect("valid frame")
+            .to_vec();
         mutate(&mut payload);
         seal(PROC_MAGIC, PROC_VERSION, &payload)
     }
@@ -804,10 +869,16 @@ mod tests {
     /// to a chaos request are valid frames doing what they say (panic,
     /// sleep) — not the decoder's business — so they are skipped.
     fn run_worker_on(frame: &[u8]) -> Option<Result<(), String>> {
-        if matches!(decode_to_worker(frame), Ok((_, Request::Panic(_) | Request::Stall(_)))) {
+        if matches!(
+            decode_to_worker(frame),
+            Ok((_, Request::Panic(_) | Request::Stall(_)))
+        ) {
             return None;
         }
-        let config = DetectorConfig { threshold: 0.5, require_established: false };
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
         let mut input = request_frame(1, init_request(&ruleset(3), config));
         input.extend_from_slice(frame);
         Some(run_worker(&mut Cursor::new(input), &mut Vec::new()))

@@ -64,12 +64,19 @@ impl Confusion {
 pub fn owner_ids(pipeline: &Pipeline, isp: &IspVantage, class: &str, day: u32) -> BTreeSet<AnonId> {
     let mut out = BTreeSet::new();
     for (pi, prod) in pipeline.catalog.products.iter().enumerate() {
-        let in_class = pipeline.catalog.ancestry(prod.class).iter().any(|c| c.name == class);
+        let in_class = pipeline
+            .catalog
+            .ancestry(prod.class)
+            .iter()
+            .any(|c| c.name == class);
         if !in_class {
             continue;
         }
         for &line in isp.population().owners_of(pi) {
-            out.insert(isp.anonymizer().anonymize(isp.population().ip_of(line, day)));
+            out.insert(
+                isp.anonymizer()
+                    .anonymize(isp.population().ip_of(line, day)),
+            );
         }
     }
     out
@@ -105,7 +112,11 @@ mod tests {
 
     #[test]
     fn confusion_math() {
-        let c = Confusion { true_pos: 8, false_pos: 2, false_neg: 8 };
+        let c = Confusion {
+            true_pos: 8,
+            false_pos: 2,
+            false_neg: 8,
+        };
         assert!((c.precision() - 0.8).abs() < 1e-9);
         assert!((c.recall() - 0.5).abs() < 1e-9);
         assert!((c.f1() - 2.0 * 0.8 * 0.5 / 1.3).abs() < 1e-9);
@@ -119,7 +130,12 @@ mod tests {
         let p = crate::testutil::shared_pipeline();
         let isp = IspVantage::new(
             &p.catalog,
-            IspConfig { lines: 8_000, sampling: 1_000, seed: 77, background: false },
+            IspConfig {
+                lines: 8_000,
+                sampling: 1_000,
+                seed: 77,
+                background: false,
+            },
         );
         let mut det = Detector::new(
             &p.rules,

@@ -121,7 +121,10 @@ impl<'r> ReferenceDetector<'r> {
             if !self.own_threshold_met(line, ri as u16) {
                 return false;
             }
-            match self.rules.rules[ri].parent.and_then(|p| self.rules.rule_index_of(p)) {
+            match self.rules.rules[ri]
+                .parent
+                .and_then(|p| self.rules.rule_index_of(p))
+            {
                 Some(p) => ri = p,
                 None => return true,
             }
@@ -142,7 +145,10 @@ impl<'r> ReferenceDetector<'r> {
                 .map(|m| f64::from(m.count_ones()))
                 .unwrap_or(0.0);
             conf = conf.min((have / required).min(1.0));
-            match self.rules.rules[ri].parent.and_then(|p| self.rules.rule_index_of(p)) {
+            match self.rules.rules[ri]
+                .parent
+                .and_then(|p| self.rules.rule_index_of(p))
+            {
                 Some(p) => ri = p,
                 None => return conf,
             }
@@ -157,7 +163,10 @@ impl<'r> ReferenceDetector<'r> {
         loop {
             let h = *self.first_met.get(&(line, ri as u16))?;
             latest = Some(latest.map_or(h, |l: HourBin| l.max(h)));
-            match self.rules.rules[ri].parent.and_then(|p| self.rules.rule_index_of(p)) {
+            match self.rules.rules[ri]
+                .parent
+                .and_then(|p| self.rules.rule_index_of(p))
+            {
                 Some(p) => ri = p,
                 None => return latest,
             }
@@ -195,7 +204,11 @@ impl<'r> ReferenceDetector<'r> {
         let mut rules = vec![Vec::new(); self.rules.rules.len()];
         for (&(line, ri), &mask) in &self.state {
             let first_met = self.first_met.get(&(line, ri)).copied();
-            rules[ri as usize].push(LineEvidence { line, mask, first_met });
+            rules[ri as usize].push(LineEvidence {
+                line,
+                mask,
+                first_met,
+            });
         }
         for entries in &mut rules {
             entries.sort_unstable_by_key(|e: &LineEvidence| e.line);

@@ -112,7 +112,10 @@ pub fn run_isp_study(
     config: &IspStudyConfig,
 ) -> IspStudyResult {
     let rules = &pipeline.rules;
-    let det_cfg = DetectorConfig { threshold: config.threshold, require_established: false };
+    let det_cfg = DetectorConfig {
+        threshold: config.threshold,
+        require_established: false,
+    };
     let mut hourly_det = Detector::new(rules, HitList::default(), det_cfg);
     let mut daily_det = Detector::new(rules, HitList::default(), det_cfg);
     let mut usage = UsageTracker::new(pipeline.rules.clone(), HitList::default(), config.usage);
@@ -128,7 +131,11 @@ pub fn run_isp_study(
         .enumerate()
         .map(|(ri, r)| {
             let class = rules.class_name(r.class);
-            (ri as u16, class.to_string(), DeviceGroup::of(pipeline, class))
+            (
+                ri as u16,
+                class.to_string(),
+                DeviceGroup::of(pipeline, class),
+            )
         })
         .collect();
     // One chunk buffer for the whole study — the streaming vantage point
@@ -160,10 +167,14 @@ pub fn run_isp_study(
             let mut group_lines: BTreeMap<DeviceGroup, BTreeSet<AnonId>> = BTreeMap::new();
             for (ri, class, group) in &rule_meta {
                 let lines = hourly_det.detected_lines_rule(*ri);
-                result.hourly.insert((class.clone(), hour.0), lines.len() as u64);
+                result
+                    .hourly
+                    .insert((class.clone(), hour.0), lines.len() as u64);
                 group_lines.entry(*group).or_default().extend(lines);
                 let active = usage.active_lines_rule(*ri);
-                result.active_hourly.insert((class.clone(), hour.0), active.len() as u64);
+                result
+                    .active_hourly
+                    .insert((class.clone(), hour.0), active.len() as u64);
             }
             for (g, lines) in group_lines {
                 result.group_hourly.insert((g, hour.0), lines.len() as u64);
@@ -175,8 +186,13 @@ pub fn run_isp_study(
         let mut any_iot: BTreeSet<AnonId> = BTreeSet::new();
         for (ri, class, group) in &rule_meta {
             let lines = daily_det.detected_lines_rule(*ri);
-            result.daily.insert((class.clone(), day.0), lines.len() as u64);
-            group_lines.entry(*group).or_default().extend(lines.iter().copied());
+            result
+                .daily
+                .insert((class.clone(), day.0), lines.len() as u64);
+            group_lines
+                .entry(*group)
+                .or_default()
+                .extend(lines.iter().copied());
             any_iot.extend(lines.iter().copied());
             let cl = cum_lines.entry(*ri).or_default();
             let cs = cum_slash24.entry(*ri).or_default();
@@ -186,8 +202,12 @@ pub fn run_isp_study(
                     cs.insert(*p);
                 }
             }
-            result.cumulative_lines.insert((class.clone(), day.0), cl.len() as u64);
-            result.cumulative_slash24.insert((class.clone(), day.0), cs.len() as u64);
+            result
+                .cumulative_lines
+                .insert((class.clone(), day.0), cl.len() as u64);
+            result
+                .cumulative_slash24
+                .insert((class.clone(), day.0), cs.len() as u64);
         }
         for (g, lines) in group_lines {
             result.group_daily.insert((g, day.0), lines.len() as u64);
@@ -212,7 +232,11 @@ pub struct IxpStudyConfig {
 
 impl Default for IxpStudyConfig {
     fn default() -> Self {
-        IxpStudyConfig { threshold: 0.4, window: StudyWindow::FULL, established_filter: true }
+        IxpStudyConfig {
+            threshold: 0.4,
+            window: StudyWindow::FULL,
+            established_filter: true,
+        }
     }
 }
 
@@ -306,18 +330,45 @@ mod tests {
         let p = pipeline();
         let isp = IspVantage::new(
             &p.catalog,
-            IspConfig { lines: 8_000, sampling: 1_000, seed: 3, background: false },
+            IspConfig {
+                lines: 8_000,
+                sampling: 1_000,
+                seed: 3,
+                background: false,
+            },
         );
-        let cfg = IspStudyConfig { window: StudyWindow::days(0, 2), ..Default::default() };
+        let cfg = IspStudyConfig {
+            window: StudyWindow::days(0, 2),
+            ..Default::default()
+        };
         let r = run_isp_study(p, &p.world, &isp, &cfg);
         // Alexa daily detections beat hourly ones (§6.2's ×2 gain).
-        let alexa_daily = r.daily.get(&("Alexa Enabled".to_string(), 0)).copied().unwrap_or(0);
-        let alexa_hour = r.hourly.get(&("Alexa Enabled".to_string(), 12)).copied().unwrap_or(0);
+        let alexa_daily = r
+            .daily
+            .get(&("Alexa Enabled".to_string(), 0))
+            .copied()
+            .unwrap_or(0);
+        let alexa_hour = r
+            .hourly
+            .get(&("Alexa Enabled".to_string(), 12))
+            .copied()
+            .unwrap_or(0);
         assert!(alexa_daily > 0, "Alexa detected in the wild");
-        assert!(alexa_daily >= alexa_hour, "daily {alexa_daily} >= hourly {alexa_hour}");
+        assert!(
+            alexa_daily >= alexa_hour,
+            "daily {alexa_daily} >= hourly {alexa_hour}"
+        );
         // Cumulative counts are monotone.
-        let c0 = r.cumulative_lines.get(&("Alexa Enabled".to_string(), 0)).copied().unwrap_or(0);
-        let c1 = r.cumulative_lines.get(&("Alexa Enabled".to_string(), 1)).copied().unwrap_or(0);
+        let c0 = r
+            .cumulative_lines
+            .get(&("Alexa Enabled".to_string(), 0))
+            .copied()
+            .unwrap_or(0);
+        let c1 = r
+            .cumulative_lines
+            .get(&("Alexa Enabled".to_string(), 1))
+            .copied()
+            .unwrap_or(0);
         assert!(c1 >= c0);
         // Any-IoT share is a plausible fraction of 8 000 lines.
         let any = r.any_iot_daily[&0] as f64 / 8_000.0;
@@ -340,10 +391,20 @@ mod tests {
                 spoofed_per_hour: 300,
             },
         );
-        let cfg = IxpStudyConfig { window: StudyWindow::days(0, 1), ..Default::default() };
+        let cfg = IxpStudyConfig {
+            window: StudyWindow::days(0, 1),
+            ..Default::default()
+        };
         let r = run_ixp_study(p, &p.world, &ixp, &cfg);
-        assert!(r.records_before_filter > r.records_after_filter, "filter drops spoofed records");
-        let alexa = r.daily_ips.get(&(DeviceGroup::Alexa, 0)).copied().unwrap_or(0);
+        assert!(
+            r.records_before_filter > r.records_after_filter,
+            "filter drops spoofed records"
+        );
+        let alexa = r
+            .daily_ips
+            .get(&(DeviceGroup::Alexa, 0))
+            .copied()
+            .unwrap_or(0);
         assert!(alexa > 0, "Alexa visible at the IXP");
         assert!(!r.per_as_day0.is_empty());
     }
@@ -354,9 +415,17 @@ mod tests {
         let p = pipeline();
         let isp = IspVantage::new(
             &p.catalog,
-            IspConfig { lines: 6_000, sampling: 1_000, seed: 8, background: false },
+            IspConfig {
+                lines: 6_000,
+                sampling: 1_000,
+                seed: 8,
+                background: false,
+            },
         );
-        let cfg = IspStudyConfig { window: StudyWindow::days(0, 2), ..Default::default() };
+        let cfg = IspStudyConfig {
+            window: StudyWindow::days(0, 2),
+            ..Default::default()
+        };
         let r = run_isp_study(p, &p.world, &isp, &cfg);
         for rule in &p.rules.rules {
             let class = p.rules.class_name(rule.class).to_string();
@@ -367,12 +436,28 @@ mod tests {
                     .max()
                     .copied()
                     .unwrap_or(0);
-                assert!(max_hourly <= daily, "{class} day {day}: hourly {max_hourly} > daily {daily}");
-                let cumulative = r.cumulative_lines.get(&(class.clone(), day)).copied().unwrap_or(0);
-                assert!(daily <= cumulative, "{class} day {day}: daily {daily} > cumulative {cumulative}");
-                let slash24 =
-                    r.cumulative_slash24.get(&(class.clone(), day)).copied().unwrap_or(0);
-                assert!(slash24 <= cumulative, "{class}: /24s {slash24} > lines {cumulative}");
+                assert!(
+                    max_hourly <= daily,
+                    "{class} day {day}: hourly {max_hourly} > daily {daily}"
+                );
+                let cumulative = r
+                    .cumulative_lines
+                    .get(&(class.clone(), day))
+                    .copied()
+                    .unwrap_or(0);
+                assert!(
+                    daily <= cumulative,
+                    "{class} day {day}: daily {daily} > cumulative {cumulative}"
+                );
+                let slash24 = r
+                    .cumulative_slash24
+                    .get(&(class.clone(), day))
+                    .copied()
+                    .unwrap_or(0);
+                assert!(
+                    slash24 <= cumulative,
+                    "{class}: /24s {slash24} > lines {cumulative}"
+                );
             }
         }
     }
@@ -382,12 +467,24 @@ mod tests {
         let p = pipeline();
         let isp = IspVantage::new(
             &p.catalog,
-            IspConfig { lines: 6_000, sampling: 1_000, seed: 8, background: false },
+            IspConfig {
+                lines: 6_000,
+                sampling: 1_000,
+                seed: 8,
+                background: false,
+            },
         );
-        let cfg = IspStudyConfig { window: StudyWindow::days(0, 1), ..Default::default() };
+        let cfg = IspStudyConfig {
+            window: StudyWindow::days(0, 1),
+            ..Default::default()
+        };
         let r = run_isp_study(p, &p.world, &isp, &cfg);
         for hour in 0..24u32 {
-            let active = r.active_hourly.get(&("Alexa Enabled".to_string(), hour)).copied().unwrap_or(0);
+            let active = r
+                .active_hourly
+                .get(&("Alexa Enabled".to_string(), hour))
+                .copied()
+                .unwrap_or(0);
             let present = r
                 .group_hourly
                 .get(&(DeviceGroup::Alexa, hour))

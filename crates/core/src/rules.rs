@@ -105,8 +105,17 @@ impl RuleSet {
         rules: Vec<DetectionRule>,
         undetectable: Vec<(ClassId, Undetectable)>,
     ) -> RuleSet {
-        let index = rules.iter().enumerate().map(|(i, r)| (r.class, i)).collect();
-        RuleSet { classes, rules, undetectable, index }
+        let index = rules
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.class, i))
+            .collect();
+        RuleSet {
+            classes,
+            rules,
+            undetectable,
+            index,
+        }
     }
 
     /// The name behind an interned class id.
@@ -178,7 +187,12 @@ impl RuleSetBuilder {
     ) -> ClassId {
         let class = self.classes.intern(class);
         let parent = parent.map(|p| self.classes.intern(p));
-        self.rules.push(DetectionRule { class, level, parent, domains });
+        self.rules.push(DetectionRule {
+            class,
+            level,
+            parent,
+            domains,
+        });
         class
     }
 
@@ -200,7 +214,10 @@ impl RuleSetBuilder {
 /// unrelated families. (Also used by the §7.4 DNS-assisted variant,
 /// which assigns domains to classes the same way but skips the
 /// dedicated-infrastructure filter.)
-pub fn common_ancestor(catalog: &Catalog, classes: &BTreeSet<&'static str>) -> Option<&'static str> {
+pub fn common_ancestor(
+    catalog: &Catalog,
+    classes: &BTreeSet<&'static str>,
+) -> Option<&'static str> {
     let mut iter = classes.iter();
     let first = iter.next()?;
     // Ancestor chain of the first class, most specific first.
@@ -279,11 +296,13 @@ pub fn generate(inputs: &RuleInputs<'_>) -> RuleSet {
     let mut rules = Vec::new();
     let mut undetectable = Vec::new();
     for class in &inputs.catalog.classes {
-        let id = classes.id(class.name).expect("all catalog classes interned");
+        let id = classes
+            .id(class.name)
+            .expect("all catalog classes interned");
         let tally = per_class.remove(class.name).unwrap_or_default();
         let usable = tally.domains.len();
-        let enough = usable > 0
-            && usable as f64 >= MIN_USABLE_FRACTION * tally.primary_observed as f64;
+        let enough =
+            usable > 0 && usable as f64 >= MIN_USABLE_FRACTION * tally.primary_observed as f64;
         if enough {
             let mut domains = tally.domains;
             domains.sort_by(|a, b| a.name.cmp(&b.name));
@@ -356,7 +375,10 @@ mod tests {
         assert_eq!(rule.required(0.4), 4);
         assert_eq!(rule.required(0.05), 1, "max(1, ·) floor");
         assert_eq!(rule.required(1.0), 10);
-        let single = DetectionRule { domains: rule.domains[..1].to_vec(), ..rule.clone() };
+        let single = DetectionRule {
+            domains: rule.domains[..1].to_vec(),
+            ..rule.clone()
+        };
         assert_eq!(single.required(0.1), 1);
         assert_eq!(single.required(1.0), 1);
     }
@@ -370,7 +392,11 @@ mod tests {
         let rs = b.build();
         assert_eq!(rs.rule_index("A"), Some(0));
         assert_eq!(rs.rule_index("B"), Some(1));
-        assert_eq!(rs.rule_index("C"), None, "undetectable classes have no rule");
+        assert_eq!(
+            rs.rule_index("C"),
+            None,
+            "undetectable classes have no rule"
+        );
         assert_eq!(rs.rule_index("missing"), None);
         let b_id = rs.class_id("B").unwrap();
         assert_eq!(rs.rule_index_of(b_id), Some(1));

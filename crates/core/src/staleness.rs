@@ -119,13 +119,16 @@ impl StalenessMonitor {
     /// the snapshot codec carries them as raw bits, so a restored
     /// monitor continues from bit-identical decayed means.
     pub fn export_state(&self) -> StalenessState {
-        let mut today: Vec<((u16, u16), u64)> =
-            self.today.iter().map(|(k, v)| (*k, *v)).collect();
+        let mut today: Vec<((u16, u16), u64)> = self.today.iter().map(|(k, v)| (*k, *v)).collect();
         today.sort_unstable();
         let mut baseline: Vec<((u16, u16), f64)> =
             self.baseline.iter().map(|(k, v)| (*k, *v)).collect();
         baseline.sort_unstable_by_key(|(k, _)| *k);
-        StalenessState { today, baseline, days_seen: self.days_seen }
+        StalenessState {
+            today,
+            baseline,
+            days_seen: self.days_seen,
+        }
     }
 
     /// Replace counts and baselines with a checkpointed state.

@@ -293,7 +293,10 @@ impl Registry {
 
     /// A handle rooted at `prefix` on the global registry.
     pub fn scope(&'static self, prefix: &str) -> Scope {
-        Scope { registry: self, prefix: prefix.to_string() }
+        Scope {
+            registry: self,
+            prefix: prefix.to_string(),
+        }
     }
 
     fn counter(&self, name: &str) -> Counter {
@@ -302,7 +305,10 @@ impl Registry {
         }
         let mut inner = self.inner.lock().expect("telemetry registry poisoned");
         Counter(Some(Arc::clone(
-            inner.counters.entry(name.to_string()).or_insert_with(|| Arc::new(AtomicU64::new(0))),
+            inner
+                .counters
+                .entry(name.to_string())
+                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
         )))
     }
 
@@ -312,7 +318,10 @@ impl Registry {
         }
         let mut inner = self.inner.lock().expect("telemetry registry poisoned");
         Gauge(Some(Arc::clone(
-            inner.gauges.entry(name.to_string()).or_insert_with(|| Arc::new(AtomicU64::new(0))),
+            inner
+                .gauges
+                .entry(name.to_string())
+                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
         )))
     }
 
@@ -338,7 +347,11 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.load(Relaxed)))
                 .collect(),
-            gauges: inner.gauges.iter().map(|(k, v)| (k.clone(), v.load(Relaxed))).collect(),
+            gauges: inner
+                .gauges
+                .iter()
+                .map(|(k, v)| (k.clone(), v.load(Relaxed)))
+                .collect(),
             histograms: inner
                 .histograms
                 .iter()
@@ -396,7 +409,10 @@ impl Scope {
 
     /// A child scope (`pool` → `pool.shard0`).
     pub fn sub(&self, name: &str) -> Scope {
-        Scope { registry: self.registry, prefix: format!("{}.{}", self.prefix, name) }
+        Scope {
+            registry: self.registry,
+            prefix: format!("{}.{}", self.prefix, name),
+        }
     }
 
     fn path(&self, name: &str) -> String {
@@ -463,7 +479,10 @@ fn prometheus_name(name: &str) -> String {
 impl Snapshot {
     /// The value of counter `name` (exact dot-path), if registered.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
+        self.counters
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| *v)
     }
 
     /// The value of gauge `name` (exact dot-path), if registered.
@@ -475,9 +494,24 @@ impl Snapshot {
     pub fn filtered(&self, scope: &str) -> Snapshot {
         let keep = |k: &str| k == scope || k.starts_with(&format!("{scope}."));
         Snapshot {
-            counters: self.counters.iter().filter(|(k, _)| keep(k)).cloned().collect(),
-            gauges: self.gauges.iter().filter(|(k, _)| keep(k)).cloned().collect(),
-            histograms: self.histograms.iter().filter(|(k, _)| keep(k)).cloned().collect(),
+            counters: self
+                .counters
+                .iter()
+                .filter(|(k, _)| keep(k))
+                .cloned()
+                .collect(),
+            gauges: self
+                .gauges
+                .iter()
+                .filter(|(k, _)| keep(k))
+                .cloned()
+                .collect(),
+            histograms: self
+                .histograms
+                .iter()
+                .filter(|(k, _)| keep(k))
+                .cloned()
+                .collect(),
         }
     }
 
@@ -485,16 +519,25 @@ impl Snapshot {
     /// later value; histograms diff count/sum/buckets). The test-isolation
     /// primitive: two snapshots bracket a workload, the delta is its cost.
     pub fn delta_since(&self, earlier: &Snapshot) -> Snapshot {
-        let base_c: BTreeMap<&str, u64> =
-            earlier.counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        let base_h: BTreeMap<&str, &HistogramSnapshot> =
-            earlier.histograms.iter().map(|(k, v)| (k.as_str(), v)).collect();
+        let base_c: BTreeMap<&str, u64> = earlier
+            .counters
+            .iter()
+            .map(|(k, v)| (k.as_str(), *v))
+            .collect();
+        let base_h: BTreeMap<&str, &HistogramSnapshot> = earlier
+            .histograms
+            .iter()
+            .map(|(k, v)| (k.as_str(), v))
+            .collect();
         Snapshot {
             counters: self
                 .counters
                 .iter()
                 .map(|(k, v)| {
-                    (k.clone(), v.saturating_sub(base_c.get(k.as_str()).copied().unwrap_or(0)))
+                    (
+                        k.clone(),
+                        v.saturating_sub(base_c.get(k.as_str()).copied().unwrap_or(0)),
+                    )
                 })
                 .collect(),
             gauges: self.gauges.clone(),
@@ -563,8 +606,11 @@ impl Snapshot {
             .iter()
             .map(|(k, v)| (k.clone(), serde_json::json!(*v)))
             .collect();
-        let gauges: serde_json::Map =
-            self.gauges.iter().map(|(k, v)| (k.clone(), serde_json::json!(*v))).collect();
+        let gauges: serde_json::Map = self
+            .gauges
+            .iter()
+            .map(|(k, v)| (k.clone(), serde_json::json!(*v)))
+            .collect();
         let histograms: serde_json::Map = self
             .histograms
             .iter()
@@ -605,7 +651,10 @@ impl Snapshot {
     /// scheduling and wall-clock, counters do not).
     pub fn counters_to_json(&self) -> serde_json::Value {
         serde_json::Value::Object(
-            self.counters.iter().map(|(k, v)| (k.clone(), serde_json::json!(*v))).collect(),
+            self.counters
+                .iter()
+                .map(|(k, v)| (k.clone(), serde_json::json!(*v)))
+                .collect(),
         )
     }
 }
@@ -619,19 +668,31 @@ impl Snapshot {
 /// `haystack-flow` sits below this crate). Call after a feed pass or on
 /// a scrape interval.
 pub fn observe_collector(scope: &Scope, c: &haystack_flow::Collector) {
-    scope.gauge("datagrams_received").set(c.datagrams_received());
+    scope
+        .gauge("datagrams_received")
+        .set(c.datagrams_received());
     scope.gauge("records_decoded").set(c.records_decoded());
     scope.gauge("template_hits").set(c.template_hits());
-    scope.gauge("template_announcements").set(c.template_announcements());
-    scope.gauge("template_misses").set(c.dropped_unknown_template());
+    scope
+        .gauge("template_announcements")
+        .set(c.template_announcements());
+    scope
+        .gauge("template_misses")
+        .set(c.dropped_unknown_template());
     scope.gauge("templates_evicted").set(c.templates_evicted());
-    scope.gauge("templates_cached").set(c.template_count() as u64);
+    scope
+        .gauge("templates_cached")
+        .set(c.template_count() as u64);
     scope.gauge("missed_datagrams").set(c.missed_datagrams());
     scope.gauge("missed_records").set(c.missed_records());
     scope.gauge("restarts_detected").set(c.restarts_detected());
-    scope.gauge("malformed_messages").set(c.malformed_messages());
+    scope
+        .gauge("malformed_messages")
+        .set(c.malformed_messages());
     scope.gauge("malformed_sets").set(c.malformed_sets());
-    scope.gauge("quarantined_sources").set(c.quarantined_sources().len() as u64);
+    scope
+        .gauge("quarantined_sources")
+        .set(c.quarantined_sources().len() as u64);
     scope.gauge("requarantined").set(c.requarantines_total());
 }
 
@@ -680,7 +741,10 @@ pub struct InstrumentedStream<S> {
 impl<S: RecordStream> InstrumentedStream<S> {
     /// Wrap `inner`, reporting under `scope`.
     pub fn new(inner: S, scope: &Scope) -> InstrumentedStream<S> {
-        InstrumentedStream { inner, tel: StreamTelemetry::new(scope) }
+        InstrumentedStream {
+            inner,
+            tel: StreamTelemetry::new(scope),
+        }
     }
 }
 
@@ -787,7 +851,9 @@ impl HotStatsCounters {
 /// footprint).
 pub fn observe_hitlist(scope: &Scope, hitlist: &HitList) {
     scope.gauge("hitlist_entries").set(hitlist.len() as u64);
-    scope.gauge("hitlist_prefilter_bytes").set(hitlist.prefilter_len() as u64);
+    scope
+        .gauge("hitlist_prefilter_bytes")
+        .set(hitlist.prefilter_len() as u64);
 }
 
 #[cfg(test)]
@@ -844,7 +910,10 @@ mod tests {
         }
         let snap = global().snapshot().delta_since(&before);
         assert_eq!(snap.counter("t_basic.records"), Some(4));
-        assert_eq!(global().snapshot().gauge("t_basic.shard0.queue_depth"), Some(6));
+        assert_eq!(
+            global().snapshot().gauge("t_basic.shard0.queue_depth"),
+            Some(6)
+        );
         let (_, hs) = snap
             .histograms
             .iter()
@@ -873,7 +942,11 @@ mod tests {
         for i in 0..20usize {
             let le = bucket_bound(i);
             assert_eq!(bucket_index(le), i, "le {le} must land in bucket {i}");
-            assert_eq!(bucket_index(le + 1), i + 1, "le+1 spills to the next bucket");
+            assert_eq!(
+                bucket_index(le + 1),
+                i + 1,
+                "le+1 spills to the next bucket"
+            );
         }
     }
 
@@ -896,7 +969,10 @@ mod tests {
         let json = snap.to_json();
         assert_eq!(json["counters"]["t_export.hits"].as_u64(), Some(2));
         assert_eq!(json["gauges"]["t_export.depth"].as_u64(), Some(5));
-        assert_eq!(json["histograms"]["t_export.lat_us"]["count"].as_u64(), Some(1));
+        assert_eq!(
+            json["histograms"]["t_export.lat_us"]["count"].as_u64(),
+            Some(1)
+        );
         // JSON round-trips through the shim parser.
         let text = serde_json::to_string_pretty(&json).unwrap();
         let back: serde_json::Value = serde_json::from_str(&text).unwrap();

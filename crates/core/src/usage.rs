@@ -32,7 +32,9 @@ pub struct UsageConfig {
 
 impl Default for UsageConfig {
     fn default() -> Self {
-        UsageConfig { packet_threshold: 10 }
+        UsageConfig {
+            packet_threshold: 10,
+        }
     }
 }
 
@@ -90,7 +92,14 @@ impl UsageTracker {
     /// steady-state matching path: the hitlist and the per-rule maps are
     /// disjoint fields, so entries are iterated in place.
     pub fn observe(&mut self, r: &WildRecord) {
-        let UsageTracker { rules, hitlist, packets, indicator, stats, .. } = self;
+        let UsageTracker {
+            rules,
+            hitlist,
+            packets,
+            indicator,
+            stats,
+            ..
+        } = self;
         stats.records += 1;
         stats.probes += 1;
         for &(ri, di) in hitlist.lookup(r.dst, r.dport) {
@@ -145,8 +154,7 @@ impl UsageTracker {
             .packets
             .iter()
             .map(|m| {
-                let mut entries: Vec<(AnonId, u64)> =
-                    m.iter().map(|(l, p)| (*l, *p)).collect();
+                let mut entries: Vec<(AnonId, u64)> = m.iter().map(|(l, p)| (*l, *p)).collect();
                 entries.sort_unstable();
                 entries
             })
@@ -239,8 +247,11 @@ mod tests {
     #[test]
     fn volume_threshold() {
         let rules = Arc::new(ruleset());
-        let mut t =
-            UsageTracker::new(rules.clone(), HitList::whole_window(&rules), UsageConfig::default());
+        let mut t = UsageTracker::new(
+            rules.clone(),
+            HitList::whole_window(&rules),
+            UsageConfig::default(),
+        );
         t.observe(&rec(1, ip(1), 4));
         t.observe(&rec(1, ip(1), 7)); // cumulative 11 ≥ 10
         t.observe(&rec(2, ip(1), 3)); // idle-level
@@ -252,8 +263,11 @@ mod tests {
     #[test]
     fn indicator_domain_wins_regardless_of_volume() {
         let rules = Arc::new(ruleset());
-        let mut t =
-            UsageTracker::new(rules.clone(), HitList::whole_window(&rules), UsageConfig::default());
+        let mut t = UsageTracker::new(
+            rules.clone(),
+            HitList::whole_window(&rules),
+            UsageConfig::default(),
+        );
         t.observe(&rec(3, ip(2), 1));
         assert!(t.active_lines("Alexa Enabled").contains(&AnonId(3)));
     }
@@ -261,8 +275,11 @@ mod tests {
     #[test]
     fn reset_clears_the_hour() {
         let rules = Arc::new(ruleset());
-        let mut t =
-            UsageTracker::new(rules.clone(), HitList::whole_window(&rules), UsageConfig::default());
+        let mut t = UsageTracker::new(
+            rules.clone(),
+            HitList::whole_window(&rules),
+            UsageConfig::default(),
+        );
         t.observe(&rec(1, ip(1), 50));
         t.reset();
         assert!(t.active_lines("Alexa Enabled").is_empty());
@@ -271,8 +288,11 @@ mod tests {
     #[test]
     fn non_rule_traffic_ignored() {
         let rules = Arc::new(ruleset());
-        let mut t =
-            UsageTracker::new(rules.clone(), HitList::whole_window(&rules), UsageConfig::default());
+        let mut t = UsageTracker::new(
+            rules.clone(),
+            HitList::whole_window(&rules),
+            UsageConfig::default(),
+        );
         t.observe(&rec(1, ip(99), 1_000));
         assert!(t.active_lines("Alexa Enabled").is_empty());
     }

@@ -45,7 +45,9 @@ impl HourVisibility {
                 .entry(PortClass::of(g.packet.dport))
                 .or_default()
                 .insert(g.packet.dst);
-            *v.packets_by_device_domain.entry((g.instance, g.domain_id)).or_default() += 1;
+            *v.packets_by_device_domain
+                .entry((g.instance, g.domain_id))
+                .or_default() += 1;
         }
         v
     }
@@ -57,7 +59,11 @@ pub fn sample_stream(
     packets: &[GroundTruthPacket],
     sampler: &mut impl PacketSampler,
 ) -> Vec<GroundTruthPacket> {
-    packets.iter().filter(|_| sampler.sample()).copied().collect()
+    packets
+        .iter()
+        .filter(|_| sampler.sample())
+        .copied()
+        .collect()
 }
 
 /// Figure 6: of the top `top_frac` service IPs by byte volume at the
@@ -75,7 +81,10 @@ pub fn heavy_hitter_visibility(
     ranked.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
     let take = ((ranked.len() as f64 * top_frac).ceil() as usize).max(1);
     let top = &ranked[..take.min(ranked.len())];
-    let visible = top.iter().filter(|(ip, _)| sampled.service_ips.contains(ip)).count();
+    let visible = top
+        .iter()
+        .filter(|(ip, _)| sampled.service_ips.contains(ip))
+        .count();
     Some(visible as f64 / top.len() as f64)
 }
 
@@ -144,7 +153,9 @@ mod tests {
 
     #[test]
     fn sampling_reduces_the_view() {
-        let packets: Vec<_> = (0..1000u32).map(|i| gt(i % 8, i % 16, (i % 50) as u8, 443, 100)).collect();
+        let packets: Vec<_> = (0..1000u32)
+            .map(|i| gt(i % 8, i % 16, (i % 50) as u8, 443, 100))
+            .collect();
         let mut sampler = SystematicSampler::new(10, 0).unwrap();
         let sampled = sample_stream(&packets, &mut sampler);
         assert_eq!(sampled.len(), 100);
@@ -174,7 +185,10 @@ mod tests {
         let top10 = heavy_hitter_visibility(&home, &sampled, 0.10).unwrap();
         let all = heavy_hitter_visibility(&home, &sampled, 1.0).unwrap();
         assert!(top10 > 0.9, "top-10% visibility {top10}");
-        assert!(all < top10, "overall visibility {all} below heavy-hitter visibility");
+        assert!(
+            all < top10,
+            "overall visibility {all} below heavy-hitter visibility"
+        );
         assert!(heavy_hitter_visibility(&HourVisibility::default(), &sampled, 0.1).is_none());
     }
 

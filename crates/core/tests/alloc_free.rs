@@ -103,14 +103,20 @@ fn steady_state_observe_allocates_nothing() {
     let mut det = Detector::new(
         &rules,
         HitList::whole_window(&rules),
-        DetectorConfig { threshold: 1.0, require_established: false },
+        DetectorConfig {
+            threshold: 1.0,
+            require_established: false,
+        },
     );
     let records = stream(512);
 
     // Warm-up: inserts every (line, rule) state the stream will touch
     // (map growth and rehashing happen here, legitimately).
     det.observe_chunk(&records);
-    assert!(det.is_detected(AnonId(0), "Child"), "warm-up must fully detect");
+    assert!(
+        det.is_detected(AnonId(0), "Child"),
+        "warm-up must fully detect"
+    );
     let states = det.state_size();
 
     // Steady state: identical records, every one down the matching path

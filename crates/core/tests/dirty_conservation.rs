@@ -15,8 +15,8 @@ use haystack_core::rules::{RuleDomain, RuleSet, RuleSetBuilder};
 use haystack_core::telemetry;
 use haystack_core::{CheckpointDir, DetectorSnapshot};
 use haystack_dns::DomainName;
-use haystack_net::snapshot::{open, seal, SnapError, SnapReader, SnapWriter, MAGIC_LEN};
 use haystack_net::ports::Proto;
+use haystack_net::snapshot::{open, seal, SnapError, SnapReader, SnapWriter, MAGIC_LEN};
 use haystack_net::{AnonId, HourBin};
 use haystack_testbed::catalog::DetectionLevel;
 use std::net::Ipv4Addr;
@@ -31,7 +31,9 @@ fn ruleset() -> RuleSet {
             .map(|i| RuleDomain {
                 name: DomainName::parse(&format!("d{i}.cam.com")).unwrap(),
                 ports: [443u16].into_iter().collect(),
-                ips: [Ipv4Addr::new(198, 18, 40, i as u8 + 1)].into_iter().collect(),
+                ips: [Ipv4Addr::new(198, 18, 40, i as u8 + 1)]
+                    .into_iter()
+                    .collect(),
                 usage_indicator: false,
             })
             .collect(),
@@ -62,10 +64,12 @@ fn dirty_entries_flushed_equal_entries_encoded() {
     let mut det = Detector::new(
         &rules,
         HitList::whole_window(&rules),
-        DetectorConfig { threshold: 0.4, require_established: false },
+        DetectorConfig {
+            threshold: 0.4,
+            require_established: false,
+        },
     );
-    let root = std::env::temp_dir()
-        .join(format!("haystack-dirty-cons-{}", std::process::id()));
+    let root = std::env::temp_dir().join(format!("haystack-dirty-cons-{}", std::process::id()));
     let dir = CheckpointDir::open(&root).unwrap();
 
     let observe = |det: &mut Detector<'_>, line: u64, ip_last: u8| {
@@ -119,14 +123,26 @@ fn dirty_entries_flushed_equal_entries_encoded() {
 
     // The chain those frames form restores to the live state.
     let restored = dir
-        .load_chain("det", haystack_core::DetectorState::decode, decode_linked, |base, d| {
-            d.apply_to(base)
-        })
+        .load_chain(
+            "det",
+            haystack_core::DetectorState::decode,
+            decode_linked,
+            |base, d| d.apply_to(base),
+        )
         .unwrap()
         .expect("chain present");
-    assert_eq!(restored, (head, det.export_state()), "every delta linked and applied");
+    assert_eq!(
+        restored,
+        (head, det.export_state()),
+        "every delta linked and applied"
+    );
     // …and the one loader is what `checkpoint.restores` counts.
     assert_eq!(snap.counter("checkpoint.restores"), Some(0));
-    assert_eq!(telemetry::global().snapshot().counter("checkpoint.restores"), Some(1));
+    assert_eq!(
+        telemetry::global()
+            .snapshot()
+            .counter("checkpoint.restores"),
+        Some(1)
+    );
     let _ = std::fs::remove_dir_all(dir.root());
 }

@@ -127,7 +127,16 @@ fn warm_pool_feeds_an_all_miss_chunk_without_allocating() {
         misses.len(),
         after - before
     );
-    assert_eq!(pool.replay_buffered(), buffered, "a miss must never be retained");
-    let entries: usize = pool.shard_states().unwrap().iter().map(DetectorState::entry_count).sum();
+    assert_eq!(
+        pool.replay_buffered(),
+        buffered,
+        "a miss must never be retained"
+    );
+    let entries: usize = pool
+        .shard_states()
+        .unwrap()
+        .iter()
+        .map(DetectorState::entry_count)
+        .sum();
     assert_eq!(entries, states, "misses must not create state");
 }

@@ -22,7 +22,9 @@ fn ruleset(n: usize) -> RuleSet {
             .map(|i| RuleDomain {
                 name: DomainName::parse(&format!("d{i}.x.com")).unwrap(),
                 ports: [443u16].into_iter().collect(),
-                ips: [Ipv4Addr::new(198, 18, 8, i as u8 + 1)].into_iter().collect(),
+                ips: [Ipv4Addr::new(198, 18, 8, i as u8 + 1)]
+                    .into_iter()
+                    .collect(),
                 usage_indicator: false,
             })
             .collect(),

@@ -24,7 +24,10 @@ fn arb_domain() -> impl Strategy<Value = DomainSpec> {
         ),
     )
         .prop_map(|(last_octets, ports)| DomainSpec {
-            ips: last_octets.into_iter().map(|o| Ipv4Addr::new(198, 18, 11, o)).collect(),
+            ips: last_octets
+                .into_iter()
+                .map(|o| Ipv4Addr::new(198, 18, 11, o))
+                .collect(),
             ports,
         })
 }

@@ -42,7 +42,11 @@ fn ruleset(specs: &[RuleSpec], chain: bool) -> RuleSet {
         b.rule(
             CLASSES[ri],
             haystack_testbed::catalog::DetectionLevel::Manufacturer,
-            if chain && ri > 0 { Some(CLASSES[ri - 1]) } else { None },
+            if chain && ri > 0 {
+                Some(CLASSES[ri - 1])
+            } else {
+                None
+            },
             doms.iter()
                 .enumerate()
                 .map(|(di, ips)| RuleDomain {
@@ -268,7 +272,10 @@ fn fingerprint_colliders(rules: &RuleSet) -> Vec<Ipv4Addr> {
             let h = mix64(HitList::pack_key(ip, 443));
             if hl.prefilter_pass(h) {
                 assert!(map.lookup(ip, 443).is_empty(), "collider must be absent");
-                assert!(hl.lookup(ip, 443).is_empty(), "probe must reject the collider");
+                assert!(
+                    hl.lookup(ip, 443).is_empty(),
+                    "probe must reject the collider"
+                );
                 colliders.push(ip);
                 if colliders.len() >= 16 {
                     break 'scan;
@@ -276,7 +283,10 @@ fn fingerprint_colliders(rules: &RuleSet) -> Vec<Ipv4Addr> {
             }
         }
     }
-    assert!(!colliders.is_empty(), "no fingerprint collision found in a /16 scan");
+    assert!(
+        !colliders.is_empty(),
+        "no fingerprint collision found in a /16 scan"
+    );
     colliders
 }
 
@@ -316,14 +326,21 @@ fn fingerprint_collisions_are_rejected_by_the_probe() {
     let colliders = fingerprint_colliders(&rules);
     let recs = collider_records(&colliders);
     for chunk_size in [1usize, 7, recs.len()] {
-        let mut det =
-            Detector::new(&rules, MapHitList::whole_window(&rules).compile(), DetectorConfig::default());
+        let mut det = Detector::new(
+            &rules,
+            MapHitList::whole_window(&rules).compile(),
+            DetectorConfig::default(),
+        );
         for chunk in recs.chunks(chunk_size) {
             det.observe_chunk(chunk);
         }
         let stats = det.hot_stats();
         assert_eq!(stats.records, recs.len() as u64);
-        assert_eq!(stats.prefilter_hits, recs.len() as u64, "colliders must pass the gate");
+        assert_eq!(
+            stats.prefilter_hits,
+            recs.len() as u64,
+            "colliders must pass the gate"
+        );
         assert_eq!(stats.probes, recs.len() as u64);
         assert_eq!(stats.matches, 0, "the probe must reject every collider");
         assert_eq!(stats.detections, 0);
@@ -344,7 +361,10 @@ fn miss99_with_colliders(colliders: &[Ipv4Addr]) -> Vec<WildRecord> {
             }
             let (dst, dport) = if i % 100 == 0 {
                 let k = i / 100;
-                (Ipv4Addr::new(198, 18, 40, 1 + (k % 7) as u8), if k % 3 == 0 { 8883 } else { 443 })
+                (
+                    Ipv4Addr::new(198, 18, 40, 1 + (k % 7) as u8),
+                    if k % 3 == 0 { 8883 } else { 443 },
+                )
             } else {
                 (Ipv4Addr::new(151, 64, (i >> 8) as u8, i as u8), 443)
             };
@@ -414,12 +434,20 @@ fn pool_feeder_gate_equals_reference_on_colliders_and_misses() {
             );
         }
         let states = pool.shard_states().unwrap();
-        assert!(merged(&states).encode() == want, "{workers} workers: state bytes diverge");
+        assert!(
+            merged(&states).encode() == want,
+            "{workers} workers: state bytes diverge"
+        );
 
         let mut colliders_only = DetectorPool::new(&rules, &hl, config, workers);
-        colliders_only.observe_records(&collider_records(&colliders)).unwrap();
+        colliders_only
+            .observe_records(&collider_records(&colliders))
+            .unwrap();
         colliders_only.finish().unwrap();
         let states = colliders_only.shard_states().unwrap();
-        assert!(states.iter().all(|s| s.entry_count() == 0), "{workers} workers: collider state");
+        assert!(
+            states.iter().all(|s| s.entry_count() == 0),
+            "{workers} workers: collider state"
+        );
     }
 }

@@ -24,8 +24,11 @@ use std::net::Ipv4Addr;
 const CLASSES: [&str; 4] = ["R0", "R1", "R2", "R3"];
 /// Small shared pools so rules overlap on IPs — the multi-entry case.
 const PORTS: [u16; 2] = [443, 8883];
-const LEVELS: [DetectionLevel; 3] =
-    [DetectionLevel::Platform, DetectionLevel::Manufacturer, DetectionLevel::Product];
+const LEVELS: [DetectionLevel; 3] = [
+    DetectionLevel::Platform,
+    DetectionLevel::Manufacturer,
+    DetectionLevel::Product,
+];
 
 fn pool_ip(idx: u8) -> Ipv4Addr {
     Ipv4Addr::new(198, 18, 21, idx % 8)
@@ -93,7 +96,11 @@ fn build_record(&(line, ip, port, packets, hour): &RecordSpec) -> WildRecord {
 
 fn rules_strategy() -> impl Strategy<Value = Vec<RuleSpec>> {
     prop::collection::vec(
-        (0u8..3, 0u8..4, prop::collection::vec((0u8..8, 0u8..2, any::<bool>()), 1..4)),
+        (
+            0u8..3,
+            0u8..4,
+            prop::collection::vec((0u8..8, 0u8..2, any::<bool>()), 1..4),
+        ),
         1..=4,
     )
 }

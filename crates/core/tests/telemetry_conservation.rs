@@ -59,7 +59,11 @@ fn wire_records_are_conserved_under_loss() {
     let records = flow_records(6_000, 3);
     for (i, &loss) in LOSS_RATES.iter().enumerate() {
         let scope = telemetry::Scope::named(&format!("cons.wire{i}"));
-        let chaos = ChaosConfig { drop_probability: loss, seed: 7, ..ChaosConfig::off() };
+        let chaos = ChaosConfig {
+            drop_probability: loss,
+            seed: 7,
+            ..ChaosConfig::off()
+        };
         let mut exporter = Exporter::new(ExportProtocol::NetflowV9, 7);
         let mut link = ChaosLink::new(chaos);
         let mut collector = Collector::new();
@@ -82,7 +86,9 @@ fn wire_records_are_conserved_under_loss() {
 
         telemetry::observe_collector(&scope, &collector);
         let snap = telemetry::global().snapshot();
-        let decoded = snap.gauge(&format!("cons.wire{i}.records_decoded")).unwrap();
+        let decoded = snap
+            .gauge(&format!("cons.wire{i}.records_decoded"))
+            .unwrap();
         let missed = snap.gauge(&format!("cons.wire{i}.missed_records")).unwrap();
         assert_eq!(
             decoded + missed,
@@ -148,7 +154,11 @@ fn stream_and_pool_records_are_conserved_under_loss() {
     let n = 20_000usize;
     for (i, &loss) in LOSS_RATES.iter().enumerate() {
         let scope = telemetry::Scope::named(&format!("cons.rec{i}"));
-        let chaos = ChaosConfig { drop_probability: loss, seed: 11, ..ChaosConfig::off() };
+        let chaos = ChaosConfig {
+            drop_probability: loss,
+            seed: 11,
+            ..ChaosConfig::off()
+        };
         let mut pool = DetectorPool::new(&rules, &hitlist, DetectorConfig::default(), 3);
         pool.attach_telemetry(&scope.sub("pool")).unwrap();
         let mut stream = InstrumentedStream::new(
@@ -173,7 +183,10 @@ fn stream_and_pool_records_are_conserved_under_loss() {
             "loss {loss}: stream books don't balance"
         );
         let records_in = c("pool.records_in");
-        assert_eq!(records_in, emitted, "loss {loss}: the pool saw what the stream emitted");
+        assert_eq!(
+            records_in, emitted,
+            "loss {loss}: the pool saw what the stream emitted"
+        );
         let rejected = c("pool.gate_rejected");
         let discarded = c("pool.records_discarded");
         let shard_sum: u64 = snap

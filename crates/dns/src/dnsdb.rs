@@ -203,7 +203,10 @@ impl DnsDb {
     /// Distinct SLDs among [`DnsDb::names_of_ip`] — the quantity the
     /// dedicated/shared classifier thresholds on.
     pub fn slds_of_ip(&self, ip: Ipv4Addr, window: &StudyWindow) -> BTreeSet<DomainName> {
-        self.names_of_ip(ip, window).iter().map(|n| n.sld()).collect()
+        self.names_of_ip(ip, window)
+            .iter()
+            .map(|n| n.sld())
+            .collect()
     }
 
     /// CNAME targets recorded for `alias` within `window`.
@@ -235,8 +238,7 @@ impl DnsDb {
     /// Whether the database holds *any* record for `name` in `window` —
     /// the §4.2.1/§4.2.2 "no record in DNSDB" predicate.
     pub fn has_records(&self, name: &DomainName, window: &StudyWindow) -> bool {
-        !self.ips_of(name, window).is_empty()
-            || !self.cname_targets(name, window).is_empty()
+        !self.ips_of(name, window).is_empty() || !self.cname_targets(name, window).is_empty()
     }
 
     /// Dump all A observations (reporting/tests).
@@ -295,12 +297,24 @@ mod tests {
         );
         zones.insert_cname(d("devb.com"), d("devb.com.akadns.net"));
         zones.insert_cname(d("anothersite.com"), d("anothersite.com.akadns.net"));
-        zones.insert_pool(d("devb.com.akadns.net"), vec![ip(20)], RotationPolicy::STABLE);
-        zones.insert_pool(d("anothersite.com.akadns.net"), vec![ip(20)], RotationPolicy::STABLE);
+        zones.insert_pool(
+            d("devb.com.akadns.net"),
+            vec![ip(20)],
+            RotationPolicy::STABLE,
+        );
+        zones.insert_pool(
+            d("anothersite.com.akadns.net"),
+            vec![ip(20)],
+            RotationPolicy::STABLE,
+        );
 
         let resolver = Resolver::new(&zones);
         let mut db = DnsDb::new();
-        for (q, t) in [("deva.com", 100u64), ("devb.com", 200), ("anothersite.com", 300)] {
+        for (q, t) in [
+            ("deva.com", 100u64),
+            ("devb.com", 200),
+            ("anothersite.com", 300),
+        ] {
             let res = resolver.resolve(&d(q), SimTime(t)).unwrap();
             db.record_resolution(&res, SimTime(t));
         }
@@ -339,10 +353,19 @@ mod tests {
     #[test]
     fn window_filtering() {
         let db = populated();
-        let early = StudyWindow { start: SimTime(0), end: SimTime(150) };
-        let late = StudyWindow { start: SimTime(150), end: SimTime(400) };
+        let early = StudyWindow {
+            start: SimTime(0),
+            end: SimTime(150),
+        };
+        let late = StudyWindow {
+            start: SimTime(150),
+            end: SimTime(400),
+        };
         assert!(db.has_records(&d("deva.com"), &early));
-        assert!(!db.has_records(&d("deva.com"), &late), "deva observed only at t=100");
+        assert!(
+            !db.has_records(&d("deva.com"), &late),
+            "deva observed only at t=100"
+        );
         assert!(db.has_records(&d("devb.com"), &late));
     }
 

@@ -138,7 +138,11 @@ impl DomainName {
     /// → `avs.amazon.com`.
     pub fn child(&self, label: &str) -> Result<DomainName, NameError> {
         validate_label(&label.to_ascii_lowercase(), label, false)?;
-        Ok(DomainName(format!("{}.{}", label.to_ascii_lowercase(), self.0)))
+        Ok(DomainName(format!(
+            "{}.{}",
+            label.to_ascii_lowercase(),
+            self.0
+        )))
     }
 }
 
@@ -221,7 +225,10 @@ mod tests {
 
     #[test]
     fn parse_canonicalizes() {
-        assert_eq!(d("AVS-Alexa.NA.Amazon.COM.").as_str(), "avs-alexa.na.amazon.com");
+        assert_eq!(
+            d("AVS-Alexa.NA.Amazon.COM.").as_str(),
+            "avs-alexa.na.amazon.com"
+        );
     }
 
     #[test]
@@ -231,13 +238,19 @@ mod tests {
         assert!(DomainName::parse(".a.com").is_err());
         assert!(DomainName::parse("spaced out.com").is_err());
         assert!(DomainName::parse("star*.com").is_err());
-        assert!(DomainName::parse("*.wild.com").is_err(), "wildcards only in patterns");
+        assert!(
+            DomainName::parse("*.wild.com").is_err(),
+            "wildcards only in patterns"
+        );
     }
 
     #[test]
     fn sld_extraction_matches_paper_examples() {
         // §4.2.1 example: EC2-hosted VM name.
-        assert_eq!(d("deva-vm.ec2compute.amazonaws.com").sld(), d("amazonaws.com"));
+        assert_eq!(
+            d("deva-vm.ec2compute.amazonaws.com").sld(),
+            d("amazonaws.com")
+        );
         assert_eq!(d("avs-alexa.na.amazon.com").sld(), d("amazon.com"));
         assert_eq!(d("samsungotn.net").sld(), d("samsungotn.net"));
         assert_eq!(d("cam.vendor.co.uk").sld(), d("vendor.co.uk"));
@@ -250,7 +263,10 @@ mod tests {
     fn subdomain_relation() {
         assert!(d("a.b.com").is_subdomain_of(&d("b.com")));
         assert!(d("b.com").is_subdomain_of(&d("b.com")));
-        assert!(!d("ab.com").is_subdomain_of(&d("b.com")), "label boundary respected");
+        assert!(
+            !d("ab.com").is_subdomain_of(&d("b.com")),
+            "label boundary respected"
+        );
         assert!(!d("b.com").is_subdomain_of(&d("a.b.com")));
     }
 
@@ -264,8 +280,14 @@ mod tests {
     fn wildcard_pattern_single_label() {
         let p = DomainPattern::parse("*.devE.com").unwrap();
         assert!(p.matches(&d("c.deve.com")));
-        assert!(!p.matches(&d("deve.com")), "wildcard does not match the base");
-        assert!(!p.matches(&d("a.b.deve.com")), "wildcard covers exactly one label");
+        assert!(
+            !p.matches(&d("deve.com")),
+            "wildcard does not match the base"
+        );
+        assert!(
+            !p.matches(&d("a.b.deve.com")),
+            "wildcard covers exactly one label"
+        );
         assert!(!p.matches(&d("deve.net")));
     }
 

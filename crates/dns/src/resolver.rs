@@ -128,7 +128,12 @@ impl<'a> Resolver<'a> {
                         .into_iter()
                         .map(|i| addrs[i])
                         .collect();
-                    return Some(Resolution { qname: qname.clone(), chain, canonical: current, ips });
+                    return Some(Resolution {
+                        qname: qname.clone(),
+                        chain,
+                        canonical: current,
+                        ips,
+                    });
                 }
             }
         }
@@ -168,7 +173,10 @@ mod tests {
         db.insert_pool(
             d("edge.cdn.net"),
             (1..=12).map(ip).collect(),
-            RotationPolicy { active_count: 4, period_secs: 3_600 },
+            RotationPolicy {
+                active_count: 4,
+                period_secs: 3_600,
+            },
         );
         db.insert_cname(d("devb.com"), d("devb.com.cdn.net"));
         db.insert_cname(d("devb.com.cdn.net"), d("edge.cdn.net"));
@@ -217,7 +225,11 @@ mod tests {
         let r = Resolver::new(&z);
         let mut seen = std::collections::HashSet::new();
         for h in 0..200u64 {
-            for i in r.resolve(&d("edge.cdn.net"), SimTime(h * 3_600)).unwrap().ips {
+            for i in r
+                .resolve(&d("edge.cdn.net"), SimTime(h * 3_600))
+                .unwrap()
+                .ips
+            {
                 seen.insert(i);
             }
         }
@@ -227,7 +239,9 @@ mod tests {
     #[test]
     fn unknown_name_fails() {
         let z = zones();
-        assert!(Resolver::new(&z).resolve(&d("nosuch.com"), SimTime(0)).is_none());
+        assert!(Resolver::new(&z)
+            .resolve(&d("nosuch.com"), SimTime(0))
+            .is_none());
     }
 
     #[test]
@@ -235,14 +249,18 @@ mod tests {
         let mut db = ZoneDb::new();
         db.insert_cname(d("a.com"), d("b.com"));
         db.insert_cname(d("b.com"), d("a.com"));
-        assert!(Resolver::new(&db).resolve(&d("a.com"), SimTime(0)).is_none());
+        assert!(Resolver::new(&db)
+            .resolve(&d("a.com"), SimTime(0))
+            .is_none());
     }
 
     #[test]
     fn empty_pool_fails() {
         let mut db = ZoneDb::new();
         db.insert_pool(d("hollow.com"), vec![], RotationPolicy::STABLE);
-        assert!(Resolver::new(&db).resolve(&d("hollow.com"), SimTime(0)).is_none());
+        assert!(Resolver::new(&db)
+            .resolve(&d("hollow.com"), SimTime(0))
+            .is_none());
     }
 
     #[test]
@@ -282,7 +300,10 @@ mod tests {
         db.insert_pool(
             d("tiny.com"),
             vec![ip(1), ip(2)],
-            RotationPolicy { active_count: 10, period_secs: 60 },
+            RotationPolicy {
+                active_count: 10,
+                period_secs: 60,
+            },
         );
         let r = Resolver::new(&db);
         let res = r.resolve(&d("tiny.com"), SimTime(0)).unwrap();

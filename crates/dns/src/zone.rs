@@ -22,7 +22,10 @@ pub struct RotationPolicy {
 
 impl RotationPolicy {
     /// A mapping that never changes.
-    pub const STABLE: RotationPolicy = RotationPolicy { active_count: usize::MAX, period_secs: 0 };
+    pub const STABLE: RotationPolicy = RotationPolicy {
+        active_count: usize::MAX,
+        period_secs: 0,
+    };
 
     /// The rotation epoch at time `t_secs`.
     pub fn epoch(&self, t_secs: u64) -> u64 {
@@ -65,7 +68,8 @@ impl ZoneDb {
         addrs: Vec<Ipv4Addr>,
         rotation: RotationPolicy,
     ) {
-        self.entries.insert(name, ZoneEntry::Pool { addrs, rotation });
+        self.entries
+            .insert(name, ZoneEntry::Pool { addrs, rotation });
     }
 
     /// Register a CNAME. Replaces any previous entry.
@@ -110,16 +114,25 @@ mod tests {
     #[test]
     fn insert_and_lookup() {
         let mut db = ZoneDb::new();
-        db.insert_pool(d("api.deva.com"), vec![Ipv4Addr::new(198, 18, 0, 1)], RotationPolicy::STABLE);
+        db.insert_pool(
+            d("api.deva.com"),
+            vec![Ipv4Addr::new(198, 18, 0, 1)],
+            RotationPolicy::STABLE,
+        );
         db.insert_cname(d("devb.com"), d("devb.com.akadns.net"));
         assert!(db.contains(&d("api.deva.com")));
-        assert!(matches!(db.get(&d("devb.com")), Some(ZoneEntry::Cname(t)) if *t == d("devb.com.akadns.net")));
+        assert!(
+            matches!(db.get(&d("devb.com")), Some(ZoneEntry::Cname(t)) if *t == d("devb.com.akadns.net"))
+        );
         assert_eq!(db.len(), 2);
     }
 
     #[test]
     fn rotation_epochs() {
-        let r = RotationPolicy { active_count: 2, period_secs: 3600 };
+        let r = RotationPolicy {
+            active_count: 2,
+            period_secs: 3600,
+        };
         assert_eq!(r.epoch(0), 0);
         assert_eq!(r.epoch(3599), 0);
         assert_eq!(r.epoch(3600), 1);
@@ -129,7 +142,11 @@ mod tests {
     #[test]
     fn reinsert_replaces() {
         let mut db = ZoneDb::new();
-        db.insert_pool(d("x.com"), vec![Ipv4Addr::new(1, 1, 1, 1)], RotationPolicy::STABLE);
+        db.insert_pool(
+            d("x.com"),
+            vec![Ipv4Addr::new(1, 1, 1, 1)],
+            RotationPolicy::STABLE,
+        );
         db.insert_cname(d("x.com"), d("y.com"));
         assert!(matches!(db.get(&d("x.com")), Some(ZoneEntry::Cname(_))));
         assert_eq!(db.len(), 1);

@@ -12,7 +12,11 @@ fn arb_label() -> impl Strategy<Value = String> {
 }
 
 fn arb_name() -> impl Strategy<Value = DomainName> {
-    (arb_label(), arb_label(), prop_oneof![Just("com"), Just("net"), Just("io"), Just("co.uk")])
+    (
+        arb_label(),
+        arb_label(),
+        prop_oneof![Just("com"), Just("net"), Just("io"), Just("co.uk")],
+    )
         .prop_map(|(a, b, tld)| DomainName::parse(&format!("{a}.{b}.{tld}")).unwrap())
 }
 

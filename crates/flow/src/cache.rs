@@ -25,7 +25,10 @@ pub struct FlowCacheConfig {
 
 impl Default for FlowCacheConfig {
     fn default() -> Self {
-        FlowCacheConfig { inactive_timeout_secs: 15, active_timeout_secs: 60 }
+        FlowCacheConfig {
+            inactive_timeout_secs: 15,
+            active_timeout_secs: 60,
+        }
     }
 }
 
@@ -41,7 +44,11 @@ pub struct FlowCache {
 impl FlowCache {
     /// Create a cache with the given timeouts.
     pub fn new(config: FlowCacheConfig) -> Self {
-        FlowCache { config, table: HashMap::new(), expired: Vec::new() }
+        FlowCache {
+            config,
+            table: HashMap::new(),
+            expired: Vec::new(),
+        }
     }
 
     /// Ingest one **already-sampled** packet (sampling happens upstream).
@@ -140,7 +147,10 @@ mod tests {
 
     #[test]
     fn inactive_timeout_expires() {
-        let mut c = FlowCache::new(FlowCacheConfig { inactive_timeout_secs: 10, active_timeout_secs: 60 });
+        let mut c = FlowCache::new(FlowCacheConfig {
+            inactive_timeout_secs: 10,
+            active_timeout_secs: 60,
+        });
         c.on_packet(&pkt(0, 443));
         c.advance(SimTime(9));
         assert_eq!(c.active_flows(), 1);
@@ -151,7 +161,10 @@ mod tests {
 
     #[test]
     fn active_timeout_splits_long_flow() {
-        let mut c = FlowCache::new(FlowCacheConfig { inactive_timeout_secs: 100, active_timeout_secs: 30 });
+        let mut c = FlowCache::new(FlowCacheConfig {
+            inactive_timeout_secs: 100,
+            active_timeout_secs: 30,
+        });
         for t in 0..90 {
             c.on_packet(&pkt(t, 443));
         }

@@ -187,7 +187,13 @@ impl ChaosLink {
     /// A link with the given impairments.
     pub fn new(config: ChaosConfig) -> Self {
         let rng = SmallRng::seed_from_u64(config.seed ^ 0x5EED_C4A0_5C4A_05C4);
-        ChaosLink { config, rng, held: None, restart_base: None, stats: ChaosStats::default() }
+        ChaosLink {
+            config,
+            rng,
+            held: None,
+            restart_base: None,
+            stats: ChaosStats::default(),
+        }
     }
 
     /// Cumulative impairment counts.
@@ -315,7 +321,8 @@ fn read_u16(d: &[u8], at: usize) -> Option<u16> {
 }
 
 fn read_u32(d: &[u8], at: usize) -> Option<u32> {
-    d.get(at..at + 4).map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+    d.get(at..at + 4)
+        .map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
 }
 
 /// Protocol-aware location of the sequence field.
@@ -377,7 +384,9 @@ fn carries_templates(datagram: &[u8]) -> bool {
         Some(10) => [2, 3],
         _ => return false,
     };
-    walk_sets(datagram).iter().any(|(id, _, _)| template_ids.contains(id))
+    walk_sets(datagram)
+        .iter()
+        .any(|(id, _, _)| template_ids.contains(id))
 }
 
 /// Rewrite every sampling interval announced in options data sets to
@@ -464,17 +473,32 @@ mod tests {
 
     #[test]
     fn loss_drops_datagrams() {
-        let cfg = ChaosConfig { drop_probability: 0.5, seed: 3, ..ChaosConfig::off() };
+        let cfg = ChaosConfig {
+            drop_probability: 0.5,
+            seed: 3,
+            ..ChaosConfig::off()
+        };
         let mut link = ChaosLink::new(cfg);
         let out = link.transmit_all(wire(300, 5));
-        assert!(link.stats().dropped > 10, "dropped {}", link.stats().dropped);
+        assert!(
+            link.stats().dropped > 10,
+            "dropped {}",
+            link.stats().dropped
+        );
         assert_eq!(out.len() as u64, link.stats().delivered);
-        assert_eq!(link.stats().sent, link.stats().dropped + link.stats().delivered);
+        assert_eq!(
+            link.stats().sent,
+            link.stats().dropped + link.stats().delivered
+        );
     }
 
     #[test]
     fn reorder_swaps_neighbours() {
-        let cfg = ChaosConfig { reorder_probability: 1.0, seed: 1, ..ChaosConfig::off() };
+        let cfg = ChaosConfig {
+            reorder_probability: 1.0,
+            seed: 1,
+            ..ChaosConfig::off()
+        };
         let mut link = ChaosLink::new(cfg);
         let msgs = wire(20, 5);
         let out = link.transmit_all(msgs.clone());
@@ -485,7 +509,11 @@ mod tests {
 
     #[test]
     fn duplicates_add_deliveries() {
-        let cfg = ChaosConfig { duplicate_probability: 1.0, seed: 1, ..ChaosConfig::off() };
+        let cfg = ChaosConfig {
+            duplicate_probability: 1.0,
+            seed: 1,
+            ..ChaosConfig::off()
+        };
         let mut link = ChaosLink::new(cfg);
         let out = link.transmit_all(wire(20, 5));
         assert_eq!(out.len(), 8, "every datagram delivered twice");
@@ -494,19 +522,30 @@ mod tests {
 
     #[test]
     fn restart_rebases_sequence_numbers() {
-        let cfg = ChaosConfig { restart_after: Some(2), seed: 1, ..ChaosConfig::off() };
+        let cfg = ChaosConfig {
+            restart_after: Some(2),
+            seed: 1,
+            ..ChaosConfig::off()
+        };
         let mut link = ChaosLink::new(cfg);
         let msgs = wire(100, 10); // 10 datagrams, seq advancing by 10
         let out = link.transmit_all(msgs);
         assert_eq!(link.stats().restarts, 1);
         let seqs: Vec<u32> = out.iter().map(|d| read_sequence(d).unwrap()).collect();
         assert_eq!(seqs[..3], [0, 10, 0], "third datagram restarts at zero");
-        assert!(seqs[3..].windows(2).all(|w| w[1] > w[0]), "post-restart stream is consistent");
+        assert!(
+            seqs[3..].windows(2).all(|w| w[1] > w[0]),
+            "post-restart stream is consistent"
+        );
     }
 
     #[test]
     fn withholding_starves_collector_of_templates() {
-        let cfg = ChaosConfig { template_withhold_probability: 1.0, seed: 1, ..ChaosConfig::off() };
+        let cfg = ChaosConfig {
+            template_withhold_probability: 1.0,
+            seed: 1,
+            ..ChaosConfig::off()
+        };
         let mut link = ChaosLink::new(cfg);
         let mut collector = Collector::new();
         let mut decoded = Vec::new();
@@ -520,10 +559,13 @@ mod tests {
 
     #[test]
     fn sampling_misannouncement_rewrites_interval() {
-        let mut exporter =
-            Exporter::new(ExportProtocol::NetflowV9, 7).with_sampling(1_000, false);
+        let mut exporter = Exporter::new(ExportProtocol::NetflowV9, 7).with_sampling(1_000, false);
         let msgs = exporter.export(&records(5), 100).unwrap();
-        let cfg = ChaosConfig { misannounce_sampling: Some(64), seed: 1, ..ChaosConfig::off() };
+        let cfg = ChaosConfig {
+            misannounce_sampling: Some(64),
+            seed: 1,
+            ..ChaosConfig::off()
+        };
         let mut link = ChaosLink::new(cfg);
         let mut collector = Collector::new();
         for d in link.transmit_all(msgs) {
@@ -548,7 +590,10 @@ mod tests {
         for d in link.transmit_all(wire(400, 10)) {
             decoded.extend(collector.feed(d).unwrap_or_default());
         }
-        assert!(records_subset(&decoded, &exported), "decoder must not invent records");
+        assert!(
+            records_subset(&decoded, &exported),
+            "decoder must not invent records"
+        );
         assert!(link.stats().truncated > 0 && link.stats().corrupted > 0);
     }
 

@@ -243,7 +243,10 @@ impl Collector {
             found => {
                 self.datagrams_received += 1;
                 self.malformed_messages += 1;
-                Err(FlowError::BadVersion { expected: 9, found: found.unwrap_or(0) })
+                Err(FlowError::BadVersion {
+                    expected: 9,
+                    found: found.unwrap_or(0),
+                })
             }
         }
     }
@@ -251,7 +254,8 @@ impl Collector {
     /// [`Collector::feed_into`], returning the records in a fresh `Vec`.
     pub fn feed(&mut self, datagram: Bytes) -> Result<Vec<FlowRecord>, FlowError> {
         let mut out = Vec::new();
-        self.feed_into(&datagram, &mut out, |_, _| true).map(|_| out)
+        self.feed_into(&datagram, &mut out, |_, _| true)
+            .map(|_| out)
     }
 
     /// Like [`Collector::feed`], but data referencing an unannounced
@@ -281,7 +285,9 @@ impl Collector {
         strict: bool,
     ) -> Result<usize, FlowError> {
         self.datagrams_received += 1;
-        let source_hint = peek_source(datagram).filter(|(v, _)| *v == version).map(|(_, s)| s);
+        let source_hint = peek_source(datagram)
+            .filter(|(v, _)| *v == version)
+            .map(|(_, s)| s);
         if let Some(source) = source_hint {
             if self.consume_quarantine(source) {
                 return Ok(0);
@@ -374,7 +380,10 @@ impl Collector {
         if let Some(interval) = msg.header.sampling_interval() {
             self.sampling.insert(
                 u32::from(msg.header.engine),
-                SamplingOptions { interval: u32::from(interval), algorithm: 1 },
+                SamplingOptions {
+                    interval: u32::from(interval),
+                    algorithm: 1,
+                },
             );
         }
         let decoded = msg.records.len();
@@ -507,7 +516,11 @@ impl Collector {
         self.template_lru.insert(key, self.lru_clock);
         // The periodic refresh of a layout already cached keeps the
         // template and its plan; only a new layout is copied and compiled.
-        if self.templates.get(&key).is_some_and(|(cached, _)| t.describes(cached)) {
+        if self
+            .templates
+            .get(&key)
+            .is_some_and(|(cached, _)| t.describes(cached))
+        {
             return;
         }
         let t = t.to_template();
@@ -588,9 +601,16 @@ impl Collector {
             }
             None => {
                 self.dropped_unknown_template += 1;
-                self.sources.entry(source).or_default().stats.dropped_unknown_template += 1;
+                self.sources
+                    .entry(source)
+                    .or_default()
+                    .stats
+                    .dropped_unknown_template += 1;
                 if strict {
-                    Err(FlowError::UnknownTemplate { source_id: source, template_id })
+                    Err(FlowError::UnknownTemplate {
+                        source_id: source,
+                        template_id,
+                    })
                 } else {
                     Ok(0)
                 }
@@ -611,7 +631,9 @@ impl Collector {
 
     /// [`Collector::dropped_unknown_template`], restricted to one source.
     pub fn dropped_unknown_template_by_source(&self, source_id: u32) -> u64 {
-        self.sources.get(&source_id).map_or(0, |s| s.stats.dropped_unknown_template)
+        self.sources
+            .get(&source_id)
+            .map_or(0, |s| s.stats.dropped_unknown_template)
     }
 
     /// Datagrams that failed to parse at the message level.
@@ -628,7 +650,10 @@ impl Collector {
     /// Sequence gaps observed across all sources (each ≥ 1 lost
     /// datagram).
     pub fn missed_datagrams(&self) -> u64 {
-        self.sources.values().map(|s| s.stats.missed_datagrams).sum()
+        self.sources
+            .values()
+            .map(|s| s.stats.missed_datagrams)
+            .sum()
     }
 
     /// Flow records the sequence gaps account for, across all sources.
@@ -662,12 +687,12 @@ impl Collector {
     /// for sources never seen).
     pub fn source_health(&self, source_id: u32) -> SourceHealth {
         match self.sources.get(&source_id) {
-            Some(st) if st.quarantine_remaining > 0 => {
-                SourceHealth::Quarantined { remaining: st.quarantine_remaining }
-            }
-            Some(st) if st.probation_remaining > 0 => {
-                SourceHealth::Probation { clean_needed: st.probation_remaining }
-            }
+            Some(st) if st.quarantine_remaining > 0 => SourceHealth::Quarantined {
+                remaining: st.quarantine_remaining,
+            },
+            Some(st) if st.probation_remaining > 0 => SourceHealth::Probation {
+                clean_needed: st.probation_remaining,
+            },
             _ => SourceHealth::Healthy,
         }
     }
@@ -675,8 +700,11 @@ impl Collector {
     /// Every seen source with its health, sorted by source id — the
     /// daemon's source-status endpoint renders this directly.
     pub fn source_healths(&self) -> Vec<(u32, SourceHealth)> {
-        let mut out: Vec<(u32, SourceHealth)> =
-            self.sources.keys().map(|&id| (id, self.source_health(id))).collect();
+        let mut out: Vec<(u32, SourceHealth)> = self
+            .sources
+            .keys()
+            .map(|&id| (id, self.source_health(id)))
+            .collect();
         out.sort_unstable_by_key(|(id, _)| *id);
         out
     }
@@ -807,7 +835,11 @@ impl Collector {
         w.put_u64(self.template_hits);
         w.put_u64(self.template_announcements);
 
-        seal(Self::SNAPSHOT_MAGIC, Self::SNAPSHOT_VERSION, &w.into_bytes())
+        seal(
+            Self::SNAPSHOT_MAGIC,
+            Self::SNAPSHOT_VERSION,
+            &w.into_bytes(),
+        )
     }
 
     /// Rebuild a collector from a [`Collector::snapshot`] frame. A
@@ -843,7 +875,14 @@ impl Collector {
             let id = r.u16()?;
             let scope_fields = read_fields(&mut r)?;
             let option_fields = read_fields(&mut r)?;
-            c.options_templates.insert((source, id), OptionsTemplate { id, scope_fields, option_fields });
+            c.options_templates.insert(
+                (source, id),
+                OptionsTemplate {
+                    id,
+                    scope_fields,
+                    option_fields,
+                },
+            );
         }
         read_lru(&mut r, &mut c.options_lru)?;
 
@@ -889,7 +928,13 @@ impl Collector {
             let source = r.u32()?;
             let interval = r.u32()?;
             let algorithm = r.u8()?;
-            c.sampling.insert(source, SamplingOptions { interval, algorithm });
+            c.sampling.insert(
+                source,
+                SamplingOptions {
+                    interval,
+                    algorithm,
+                },
+            );
         }
 
         c.dropped_unknown_template = r.u64()?;
@@ -919,7 +964,10 @@ fn read_fields(r: &mut SnapReader<'_>) -> Result<Vec<TemplateField>, SnapError> 
     let n = r.count(4)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(TemplateField { id: r.u16()?, len: r.u16()? });
+        out.push(TemplateField {
+            id: r.u16()?,
+            len: r.u16()?,
+        });
     }
     Ok(out)
 }
@@ -969,7 +1017,10 @@ pub fn peek_source(datagram: &[u8]) -> Option<(u16, u32)> {
         _ => return None,
     };
     let b = datagram.get(at..at + 4)?;
-    Some((peek_version(datagram)?, u32::from_be_bytes([b[0], b[1], b[2], b[3]])))
+    Some((
+        peek_version(datagram)?,
+        u32::from_be_bytes([b[0], b[1], b[2], b[3]]),
+    ))
 }
 
 #[cfg(test)]
@@ -1016,7 +1067,10 @@ mod tests {
         assert_eq!(collector.missed_datagrams(), 0);
         assert_eq!(collector.restarts_detected(), 0);
         assert_eq!(collector.records_decoded(), 20);
-        assert!(collector.datagrams_received() >= 3, "20 records in batches of 8");
+        assert!(
+            collector.datagrams_received() >= 3,
+            "20 records in batches of 8"
+        );
         assert!(collector.template_announcements() >= 1);
         assert!(collector.template_hits() >= 3);
     }
@@ -1079,7 +1133,10 @@ mod tests {
         let mut collector = Collector::new();
         assert!(matches!(
             collector.feed_strict(msgs[1].clone()),
-            Err(FlowError::UnknownTemplate { source_id: 6, template_id: 256 })
+            Err(FlowError::UnknownTemplate {
+                source_id: 6,
+                template_id: 256
+            })
         ));
         // The lenient path still counts the same event.
         assert_eq!(collector.dropped_unknown_template_by_source(6), 1);
@@ -1121,8 +1178,11 @@ mod tests {
     fn v5_feed_decodes_and_learns_sampling() {
         use crate::netflow_v5 as v5;
         let records = recs(4);
-        let header = v5::V5Header { engine: 12, ..Default::default() }
-            .with_sampling_interval(1_000);
+        let header = v5::V5Header {
+            engine: 12,
+            ..Default::default()
+        }
+        .with_sampling_interval(1_000);
         let wire = v5::encode(&header, &records).unwrap();
         let mut collector = Collector::new();
         let decoded = collector.feed(wire).unwrap();
@@ -1141,7 +1201,10 @@ mod tests {
         foreign[..2].copy_from_slice(&11u16.to_be_bytes());
         assert!(matches!(
             collector.feed(Bytes::from(foreign)),
-            Err(FlowError::BadVersion { expected: 9, found: 11 })
+            Err(FlowError::BadVersion {
+                expected: 9,
+                found: 11
+            })
         ));
         assert_eq!(collector.feed(msgs[0].clone()).unwrap(), recs(1));
     }
@@ -1295,7 +1358,9 @@ mod tests {
             let bad = v9_datagram(9, i, &bad_set);
             assert!(collector.feed(bad).is_err());
         }
-        assert!(matches!(collector.source_health(9), SourceHealth::Quarantined { remaining } if remaining == window));
+        assert!(
+            matches!(collector.source_health(9), SourceHealth::Quarantined { remaining } if remaining == window)
+        );
         let mut e9 = Exporter::new(ExportProtocol::NetflowV9, 9).with_batch_size(4);
         let msgs9 = e9.export(&recs(4), 100).unwrap();
         for _ in 0..window {
@@ -1303,7 +1368,9 @@ mod tests {
         }
         assert_eq!(
             collector.source_health(9),
-            SourceHealth::Probation { clean_needed: Collector::PROBATION_CLEAN }
+            SourceHealth::Probation {
+                clean_needed: Collector::PROBATION_CLEAN
+            }
         );
         msgs9
     }
@@ -1337,17 +1404,22 @@ mod tests {
         assert!(collector.feed(v9_datagram(9, 50, &bad_set)).is_err());
         assert_eq!(
             collector.source_health(9),
-            SourceHealth::Quarantined { remaining: Collector::QUARANTINE_DATAGRAMS << 1 }
+            SourceHealth::Quarantined {
+                remaining: Collector::QUARANTINE_DATAGRAMS << 1
+            }
         );
         assert_eq!(collector.requarantines_total(), 1);
         let st = collector.source_stats(9).unwrap();
         assert_eq!(st.quarantines, 2);
         assert_eq!(st.requarantines, 1);
         // Serve the doubled window; next failure doubles again.
-        let _ = quarantine_backoff_cycle(&mut collector, &msgs9, Collector::QUARANTINE_DATAGRAMS << 1);
+        let _ =
+            quarantine_backoff_cycle(&mut collector, &msgs9, Collector::QUARANTINE_DATAGRAMS << 1);
         assert_eq!(
             collector.source_health(9),
-            SourceHealth::Quarantined { remaining: Collector::QUARANTINE_DATAGRAMS << 2 }
+            SourceHealth::Quarantined {
+                remaining: Collector::QUARANTINE_DATAGRAMS << 2
+            }
         );
         assert_eq!(collector.requarantines_total(), 2);
     }
@@ -1358,7 +1430,10 @@ mod tests {
         for _ in 0..window {
             assert_eq!(collector.feed(msgs9[0].clone()).unwrap(), vec![]);
         }
-        assert!(matches!(collector.source_health(9), SourceHealth::Probation { .. }));
+        assert!(matches!(
+            collector.source_health(9),
+            SourceHealth::Probation { .. }
+        ));
         let mut bad_set = Vec::new();
         bad_set.extend_from_slice(&256u16.to_be_bytes());
         bad_set.extend_from_slice(&3u16.to_be_bytes());
@@ -1403,8 +1478,14 @@ mod tests {
         assert_eq!(healths[0], (5, SourceHealth::Healthy));
         assert!(matches!(healths[1], (9, SourceHealth::Probation { .. })));
         assert_eq!(SourceHealth::Healthy.label(), "healthy");
-        assert_eq!(SourceHealth::Quarantined { remaining: 1 }.label(), "quarantined");
-        assert_eq!(SourceHealth::Probation { clean_needed: 1 }.label(), "probation");
+        assert_eq!(
+            SourceHealth::Quarantined { remaining: 1 }.label(),
+            "quarantined"
+        );
+        assert_eq!(
+            SourceHealth::Probation { clean_needed: 1 }.label(),
+            "probation"
+        );
     }
 
     #[test]
@@ -1419,7 +1500,10 @@ mod tests {
         assert!(collector.feed(v9_datagram(9, 60, &bad_set)).is_err());
         let restored = Collector::restore(&collector.snapshot()).expect("restore");
         assert_eq!(restored.source_health(9), collector.source_health(9));
-        assert_eq!(restored.requarantines_total(), collector.requarantines_total());
+        assert_eq!(
+            restored.requarantines_total(),
+            collector.requarantines_total()
+        );
         assert_eq!(restored.snapshot(), collector.snapshot());
     }
 
@@ -1474,8 +1558,15 @@ mod tests {
                 resumed_records.extend(rs);
             }
         }
-        assert_eq!(resumed_records, whole_records, "decoded records diverge after restore");
-        assert_eq!(back.snapshot(), whole.snapshot(), "full state diverges after restore");
+        assert_eq!(
+            resumed_records, whole_records,
+            "decoded records diverge after restore"
+        );
+        assert_eq!(
+            back.snapshot(),
+            whole.snapshot(),
+            "full state diverges after restore"
+        );
         assert_eq!(back.datagrams_received(), whole.datagrams_received());
         assert_eq!(back.records_decoded(), whole.records_decoded());
         assert_eq!(back.missed_datagrams(), whole.missed_datagrams());

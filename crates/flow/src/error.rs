@@ -55,14 +55,27 @@ pub enum FlowError {
 impl fmt::Display for FlowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FlowError::Truncated { context, needed, available } => {
-                write!(f, "truncated {context}: need {needed} bytes, have {available}")
+            FlowError::Truncated {
+                context,
+                needed,
+                available,
+            } => {
+                write!(
+                    f,
+                    "truncated {context}: need {needed} bytes, have {available}"
+                )
             }
             FlowError::BadVersion { expected, found } => {
                 write!(f, "bad version: expected {expected}, found {found}")
             }
-            FlowError::UnknownTemplate { source_id, template_id } => {
-                write!(f, "data set references unknown template {template_id} (source {source_id})")
+            FlowError::UnknownTemplate {
+                source_id,
+                template_id,
+            } => {
+                write!(
+                    f,
+                    "data set references unknown template {template_id} (source {source_id})"
+                )
             }
             FlowError::UnsupportedField { field, len } => {
                 write!(f, "unsupported field type {field} with length {len}")
@@ -70,8 +83,14 @@ impl fmt::Display for FlowError {
             FlowError::ReservedTemplateId(id) => {
                 write!(f, "template id {id} is in the reserved range (< 256)")
             }
-            FlowError::BadSetLength { declared, remaining } => {
-                write!(f, "bad set length {declared} with {remaining} bytes remaining")
+            FlowError::BadSetLength {
+                declared,
+                remaining,
+            } => {
+                write!(
+                    f,
+                    "bad set length {declared} with {remaining} bytes remaining"
+                )
             }
             FlowError::EmptyTemplate(id) => write!(f, "template {id} declares zero fields"),
             FlowError::BadSamplingRate(n) => write!(f, "invalid sampling rate 1/{n}"),
@@ -87,7 +106,10 @@ mod tests {
 
     #[test]
     fn messages_are_descriptive() {
-        let e = FlowError::UnknownTemplate { source_id: 7, template_id: 300 };
+        let e = FlowError::UnknownTemplate {
+            source_id: 7,
+            template_id: 300,
+        };
         assert!(e.to_string().contains("unknown template 300"));
         assert!(FlowError::BadSamplingRate(0).to_string().contains("1/0"));
     }

@@ -93,7 +93,11 @@ impl Exporter {
 
     /// Encode `records` into one or more wire messages stamped with export
     /// time `now_secs`.
-    pub fn export(&mut self, records: &[FlowRecord], now_secs: u32) -> Result<Vec<Bytes>, FlowError> {
+    pub fn export(
+        &mut self,
+        records: &[FlowRecord],
+        now_secs: u32,
+    ) -> Result<Vec<Bytes>, FlowError> {
         let mut out = Vec::with_capacity(records.len() / self.batch_size + 1);
         let mut chunks: Vec<&[FlowRecord]> = records.chunks(self.batch_size).collect();
         if chunks.is_empty() && self.messages_sent == 0 {

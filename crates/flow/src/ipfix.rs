@@ -140,7 +140,10 @@ pub fn split(datagram: &[u8]) -> Result<(IpfixHeader, Sets<'_>), FlowError> {
     }
     let version = be16(datagram, 0);
     if version != VERSION {
-        return Err(FlowError::BadVersion { expected: VERSION, found: version });
+        return Err(FlowError::BadVersion {
+            expected: VERSION,
+            found: version,
+        });
     }
     let declared_len = be16(datagram, 2);
     if declared_len < 16 || usize::from(declared_len) != datagram.len() {
@@ -161,7 +164,10 @@ pub fn split(datagram: &[u8]) -> Result<(IpfixHeader, Sets<'_>), FlowError> {
 pub fn decode(datagram: &[u8]) -> Result<Message<'_>, FlowError> {
     let (header, sets) = split(datagram)?;
     sets.validate()?;
-    Ok(Message { header, sets: sets.collect::<Result<_, _>>()? })
+    Ok(Message {
+        header,
+        sets: sets.collect::<Result<_, _>>()?,
+    })
 }
 
 #[cfg(test)]
@@ -192,7 +198,11 @@ mod tests {
     }
 
     fn header() -> IpfixHeader {
-        IpfixHeader { export_time: 100, sequence: 1, domain_id: 9 }
+        IpfixHeader {
+            export_time: 100,
+            sequence: 1,
+            domain_id: 9,
+        }
     }
 
     #[test]
@@ -223,7 +233,10 @@ mod tests {
         tampered[1] = 9;
         assert_eq!(
             decode(&tampered),
-            Err(FlowError::BadVersion { expected: 10, found: 9 })
+            Err(FlowError::BadVersion {
+                expected: 10,
+                found: 9
+            })
         );
     }
 
@@ -233,7 +246,10 @@ mod tests {
         let wire = encode(&header(), &[t], &[]).unwrap();
         let mut tampered = BytesMut::from(&wire[..]);
         tampered[3] = tampered[3].wrapping_add(4); // lie about length
-        assert!(matches!(decode(&tampered), Err(FlowError::BadSetLength { .. })));
+        assert!(matches!(
+            decode(&tampered),
+            Err(FlowError::BadSetLength { .. })
+        ));
     }
 
     #[test]
@@ -260,7 +276,12 @@ mod tests {
         let t2 = Template::standard(257);
         let r1: Vec<_> = (0..2).map(rec).collect();
         let r2: Vec<_> = (2..5).map(rec).collect();
-        let wire = encode(&header(), &[t1.clone(), t2.clone()], &[(&t1, &r1), (&t2, &r2)]).unwrap();
+        let wire = encode(
+            &header(),
+            &[t1.clone(), t2.clone()],
+            &[(&t1, &r1), (&t2, &r2)],
+        )
+        .unwrap();
         let msg = decode(&wire).unwrap();
         assert_eq!(msg.sets.len(), 3);
         match &msg.sets[0] {

@@ -134,7 +134,15 @@ impl AdmissionQueue {
         assert!(capacity > 0, "admission queue capacity must be positive");
         let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
         let stats = Arc::new(AdmissionStats::default());
-        (AdmissionQueue { tx, stats: Arc::clone(&stats), waker: Waker::default() }, rx, stats)
+        (
+            AdmissionQueue {
+                tx,
+                stats: Arc::clone(&stats),
+                waker: Waker::default(),
+            },
+            rx,
+            stats,
+        )
     }
 
     /// Register the thread that consumes this queue's receive side, for a
@@ -191,7 +199,10 @@ impl AdmissionQueue {
 
 /// Write one length-prefixed frame.
 pub fn write_frame(w: &mut impl Write, datagram: &[u8]) -> io::Result<()> {
-    assert!(datagram.len() <= MAX_FRAME_LEN, "datagram exceeds frame bound");
+    assert!(
+        datagram.len() <= MAX_FRAME_LEN,
+        "datagram exceeds frame bound"
+    );
     w.write_all(&(datagram.len() as u32).to_be_bytes())?;
     w.write_all(datagram)
 }
@@ -221,7 +232,12 @@ pub struct FrameReader<R: Read> {
 impl<R: Read> FrameReader<R> {
     /// Wrap a stream.
     pub fn new(inner: R) -> FrameReader<R> {
-        FrameReader { inner, buf: vec![0; FRAME_BUF_LEN].into_boxed_slice(), start: 0, end: 0 }
+        FrameReader {
+            inner,
+            buf: vec![0; FRAME_BUF_LEN].into_boxed_slice(),
+            start: 0,
+            end: 0,
+        }
     }
 
     /// The next complete frame, `Ok(None)` on clean EOF at a frame
@@ -270,7 +286,10 @@ impl<R: Read> FrameReader<R> {
 }
 
 fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// Classify an `accept` error for the daemon's accept loops (the TCP
@@ -304,7 +323,9 @@ pub fn spawn_udp_listener(
     queue: AdmissionQueue,
     shutdown: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
-    socket.set_read_timeout(Some(POLL_INTERVAL)).expect("udp read timeout");
+    socket
+        .set_read_timeout(Some(POLL_INTERVAL))
+        .expect("udp read timeout");
     std::thread::Builder::new()
         .name("hay-udp".into())
         .spawn(move || {
@@ -372,7 +393,9 @@ pub fn spawn_tcp_listener(
 }
 
 fn handle_tcp_conn(stream: TcpStream, queue: AdmissionQueue, shutdown: Arc<AtomicBool>) {
-    stream.set_read_timeout(Some(POLL_INTERVAL)).expect("tcp read timeout");
+    stream
+        .set_read_timeout(Some(POLL_INTERVAL))
+        .expect("tcp read timeout");
     let mut frames = FrameReader::new(stream);
     while !shutdown.load(Ordering::Relaxed) {
         match frames.next_frame() {
@@ -481,14 +504,20 @@ mod tests {
             drop(q);
             let (seen, after) = consumer.join().unwrap();
             assert_eq!(seen, Err(std::sync::mpsc::TryRecvError::Disconnected));
-            assert!(after < Duration::from_millis(100), "round {round}: woke after {after:?}");
+            assert!(
+                after < Duration::from_millis(100),
+                "round {round}: woke after {after:?}"
+            );
         }
     }
 
     #[test]
     fn parked_consumer_is_woken_by_offer_and_by_push() {
         type Admit = fn(&AdmissionQueue, Bytes) -> bool;
-        for admit in [AdmissionQueue::offer as Admit, AdmissionQueue::push as Admit] {
+        for admit in [
+            AdmissionQueue::offer as Admit,
+            AdmissionQueue::push as Admit,
+        ] {
             let (q, rx, _) = AdmissionQueue::bounded(4);
             let since = Arc::new(Mutex::new(std::time::Instant::now()));
             let consumer = parked_consumer(rx, Arc::clone(&since));
@@ -514,10 +543,17 @@ mod tests {
             assert_eq!(accept_retry(&e), Some(EXHAUSTION_PAUSE), "errno {errno}");
         }
         // ECONNABORTED as the kernel reports it, not just as a kind.
-        assert_eq!(accept_retry(&io::Error::from_raw_os_error(103)), Some(Duration::ZERO));
+        assert_eq!(
+            accept_retry(&io::Error::from_raw_os_error(103)),
+            Some(Duration::ZERO)
+        );
         // A dead listener: EBADF, EINVAL, ENOTSOCK — and anything unnamed.
         for errno in [9, 22, 88] {
-            assert_eq!(accept_retry(&io::Error::from_raw_os_error(errno)), None, "errno {errno}");
+            assert_eq!(
+                accept_retry(&io::Error::from_raw_os_error(errno)),
+                None,
+                "errno {errno}"
+            );
         }
         for kind in [InvalidInput, NotConnected, PermissionDenied, Other] {
             assert_eq!(accept_retry(&kind.into()), None, "{kind:?}");
@@ -563,10 +599,16 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, &v9_stub(5)).unwrap();
         let mut r = FrameReader::new(Cursor::new(wire[..wire.len() - 3].to_vec()));
-        assert_eq!(r.next_frame().unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(
+            r.next_frame().unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
         let huge = ((MAX_FRAME_LEN + 1) as u32).to_be_bytes().to_vec();
         let mut r = FrameReader::new(Cursor::new(huge));
-        assert_eq!(r.next_frame().unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            r.next_frame().unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
     }
 
     /// A stream that hands out at most `step` bytes per `read` and raises
@@ -584,7 +626,10 @@ mod tests {
                 self.blocks.remove(0);
                 return Err(io::ErrorKind::WouldBlock.into());
             }
-            let until = self.blocks.first().map_or(self.data.len(), |b| (*b).min(self.data.len()));
+            let until = self
+                .blocks
+                .first()
+                .map_or(self.data.len(), |b| (*b).min(self.data.len()));
             let n = self.step.min(buf.len()).min(until - self.pos);
             buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
             self.pos += n;
@@ -611,7 +656,19 @@ mod tests {
     fn frames_are_independent_of_how_reads_split_the_stream() {
         // Sizes around every edge of the cursor buffer: empty, tiny,
         // datagram-sized, maximal; enough of them to wrap it many times.
-        let sizes = [0, 1, 3, 4, 5, 1_164, 1_464, 4_096, MAX_FRAME_LEN, 40_000, MAX_FRAME_LEN - 1];
+        let sizes = [
+            0,
+            1,
+            3,
+            4,
+            5,
+            1_164,
+            1_464,
+            4_096,
+            MAX_FRAME_LEN,
+            40_000,
+            MAX_FRAME_LEN - 1,
+        ];
         let want: Vec<Bytes> = (0..60usize)
             .map(|i| {
                 let len = sizes[i % sizes.len()];
@@ -623,14 +680,24 @@ mod tests {
             write_frame(&mut wire, f).unwrap();
         }
         for step in [1, 2, 3, 7, 4_095, 4_097, 65_536] {
-            let stream = Trickle { data: wire.clone(), pos: 0, step, blocks: Vec::new() };
+            let stream = Trickle {
+                data: wire.clone(),
+                pos: 0,
+                step,
+                blocks: Vec::new(),
+            };
             assert_eq!(frames_of(stream), want, "{step} bytes per read");
         }
         // A timeout at every split point of one frame (the 1 164-byte one
         // and its prefix) loses nothing and duplicates nothing.
         let at: usize = want[..5].iter().map(|f| 4 + f.len()).sum();
         let blocks: Vec<usize> = (at..=at + 4 + want[5].len()).collect();
-        let stream = Trickle { data: wire.clone(), pos: 0, step: 4_097, blocks };
+        let stream = Trickle {
+            data: wire.clone(),
+            pos: 0,
+            step: 4_097,
+            blocks,
+        };
         assert_eq!(frames_of(stream), want);
     }
 
@@ -642,16 +709,28 @@ mod tests {
         wire.extend_from_slice(&vec![7u8; MAX_FRAME_LEN + 1]);
         let mut r = FrameReader::new(Cursor::new(wire));
         assert_eq!(r.next_frame().unwrap().unwrap().len(), MAX_FRAME_LEN);
-        assert_eq!(r.next_frame().unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            r.next_frame().unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
         // EOF inside the length prefix and inside the body are both
         // mid-frame, however the reads fall.
         let mut wire = Vec::new();
         write_frame(&mut wire, &v9_stub(5)).unwrap();
         for cut in [2, 4, wire.len() - 1] {
-            let stream = Trickle { data: wire[..cut].to_vec(), pos: 0, step: 3, blocks: vec![1] };
+            let stream = Trickle {
+                data: wire[..cut].to_vec(),
+                pos: 0,
+                step: 3,
+                blocks: vec![1],
+            };
             let mut r = FrameReader::new(stream);
             assert!(is_timeout(&r.next_frame().unwrap_err()));
-            assert_eq!(r.next_frame().unwrap_err().kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
+            assert_eq!(
+                r.next_frame().unwrap_err().kind(),
+                io::ErrorKind::UnexpectedEof,
+                "cut {cut}"
+            );
         }
     }
 

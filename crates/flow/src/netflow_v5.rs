@@ -130,11 +130,17 @@ pub fn decode(mut datagram: impl Buf) -> Result<Message, FlowError> {
     }
     let version = datagram.get_u16();
     if version != VERSION {
-        return Err(FlowError::BadVersion { expected: VERSION, found: version });
+        return Err(FlowError::BadVersion {
+            expected: VERSION,
+            found: version,
+        });
     }
     let count = usize::from(datagram.get_u16());
     if count > MAX_RECORDS {
-        return Err(FlowError::BadSetLength { declared: count as u16, remaining: MAX_RECORDS });
+        return Err(FlowError::BadSetLength {
+            declared: count as u16,
+            remaining: MAX_RECORDS,
+        });
     }
     let header = V5Header {
         sys_uptime_ms: datagram.get_u32(),
@@ -171,7 +177,13 @@ pub fn decode(mut datagram: impl Buf) -> Result<Message, FlowError> {
         datagram.advance(9); // tos + ASes + masks + pad
         match Proto::from_number(proto_num) {
             Some(proto) => records.push(FlowRecord {
-                key: FlowKey { src, dst, sport, dport, proto },
+                key: FlowKey {
+                    src,
+                    dst,
+                    sport,
+                    dport,
+                    proto,
+                },
                 packets,
                 bytes,
                 tcp_flags: flags,
@@ -181,7 +193,11 @@ pub fn decode(mut datagram: impl Buf) -> Result<Message, FlowError> {
             None => skipped += 1,
         }
     }
-    Ok(Message { header, records, skipped })
+    Ok(Message {
+        header,
+        records,
+        skipped,
+    })
 }
 
 #[cfg(test)]
@@ -195,11 +211,19 @@ mod tests {
                 dst: Ipv4Addr::new(198, 18, 0, 1),
                 sport: 40_000 + u16::from(i),
                 dport: 443,
-                proto: if i.is_multiple_of(2) { Proto::Tcp } else { Proto::Udp },
+                proto: if i.is_multiple_of(2) {
+                    Proto::Tcp
+                } else {
+                    Proto::Udp
+                },
             },
             packets: u64::from(i) + 1,
             bytes: u64::from(i) * 120 + 40,
-            tcp_flags: if i.is_multiple_of(2) { TcpFlags::ACK } else { TcpFlags::NONE },
+            tcp_flags: if i.is_multiple_of(2) {
+                TcpFlags::ACK
+            } else {
+                TcpFlags::NONE
+            },
             first: SimTime(100),
             last: SimTime(130),
         }
@@ -238,7 +262,10 @@ mod tests {
         tampered[1] = 9;
         assert_eq!(
             decode(tampered.freeze()),
-            Err(FlowError::BadVersion { expected: 5, found: 9 })
+            Err(FlowError::BadVersion {
+                expected: 5,
+                found: 9
+            })
         );
     }
 
@@ -249,7 +276,10 @@ mod tests {
             decode(wire.slice(0..HEADER_LEN + 10)),
             Err(FlowError::Truncated { .. })
         ));
-        assert!(matches!(decode(wire.slice(0..10)), Err(FlowError::Truncated { .. })));
+        assert!(matches!(
+            decode(wire.slice(0..10)),
+            Err(FlowError::Truncated { .. })
+        ));
     }
 
     #[test]

@@ -148,7 +148,10 @@ pub fn split(datagram: &[u8]) -> Result<(V9Header, u16, Sets<'_>), FlowError> {
     }
     let version = be16(datagram, 0);
     if version != VERSION {
-        return Err(FlowError::BadVersion { expected: VERSION, found: version });
+        return Err(FlowError::BadVersion {
+            expected: VERSION,
+            found: version,
+        });
     }
     let header = V9Header {
         sys_uptime_ms: be32(datagram, 4),
@@ -156,7 +159,11 @@ pub fn split(datagram: &[u8]) -> Result<(V9Header, u16, Sets<'_>), FlowError> {
         sequence: be32(datagram, 12),
         source_id: be32(datagram, 16),
     };
-    Ok((header, be16(datagram, 2), Sets::new(&datagram[20..], Dialect::V9)))
+    Ok((
+        header,
+        be16(datagram, 2),
+        Sets::new(&datagram[20..], Dialect::V9),
+    ))
 }
 
 /// Decode a datagram into a [`Message`], every flowset and template
@@ -164,7 +171,11 @@ pub fn split(datagram: &[u8]) -> Result<(V9Header, u16, Sets<'_>), FlowError> {
 pub fn decode(datagram: &[u8]) -> Result<Message<'_>, FlowError> {
     let (header, count, sets) = split(datagram)?;
     sets.validate()?;
-    Ok(Message { header, count, flowsets: sets.collect::<Result<_, _>>()? })
+    Ok(Message {
+        header,
+        count,
+        flowsets: sets.collect::<Result<_, _>>()?,
+    })
 }
 
 #[cfg(test)]
@@ -195,7 +206,12 @@ mod tests {
     }
 
     fn header() -> V9Header {
-        V9Header { sys_uptime_ms: 5000, unix_secs: 100, sequence: 42, source_id: 7 }
+        V9Header {
+            sys_uptime_ms: 5000,
+            unix_secs: 100,
+            sequence: 42,
+            source_id: 7,
+        }
     }
 
     #[test]
@@ -250,7 +266,10 @@ mod tests {
         tampered[1] = 5; // NetFlow v5
         assert_eq!(
             decode(&tampered),
-            Err(FlowError::BadVersion { expected: 9, found: 5 })
+            Err(FlowError::BadVersion {
+                expected: 9,
+                found: 5
+            })
         );
     }
 
@@ -271,7 +290,10 @@ mod tests {
         // Flowset length field sits at offset 22; claim more than remains.
         tampered[22] = 0xFF;
         tampered[23] = 0xFF;
-        assert!(matches!(decode(&tampered), Err(FlowError::BadSetLength { .. })));
+        assert!(matches!(
+            decode(&tampered),
+            Err(FlowError::BadSetLength { .. })
+        ));
     }
 
     #[test]
@@ -294,6 +316,9 @@ mod tests {
         buf.put_u32(0);
         buf.put_u16(5);
         buf.put_u16(4);
-        assert!(matches!(decode(&buf), Err(FlowError::ReservedTemplateId(5))));
+        assert!(matches!(
+            decode(&buf),
+            Err(FlowError::ReservedTemplateId(5))
+        ));
     }
 }

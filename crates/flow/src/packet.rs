@@ -58,7 +58,16 @@ impl Packet {
             Proto::Tcp => TcpFlags::ACK,
             Proto::Udp => TcpFlags::NONE,
         };
-        Packet { ts, src, dst, sport, dport, proto, bytes, flags }
+        Packet {
+            ts,
+            src,
+            dst,
+            sport,
+            dport,
+            proto,
+            bytes,
+            flags,
+        }
     }
 }
 

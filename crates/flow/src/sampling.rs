@@ -42,7 +42,10 @@ impl SystematicSampler {
         if n == 0 {
             return Err(FlowError::BadSamplingRate(n));
         }
-        Ok(SystematicSampler { n, counter: phase % n })
+        Ok(SystematicSampler {
+            n,
+            counter: phase % n,
+        })
     }
 
     /// Sampler that keeps every packet (rate 1/1), used by the Home-VP
@@ -193,7 +196,9 @@ mod tests {
         // n = 10_000, p = 1e-3 → mean 10: the ISP sampling operating point.
         let mut rng = SmallRng::seed_from_u64(13);
         let trials = 20_000;
-        let total: u64 = (0..trials).map(|_| binomial_thin(10_000, 1e-3, &mut rng)).sum();
+        let total: u64 = (0..trials)
+            .map(|_| binomial_thin(10_000, 1e-3, &mut rng))
+            .sum();
         let mean = total as f64 / trials as f64;
         assert!((9.5..10.5).contains(&mean), "mean {mean}, expected ~10");
     }
@@ -202,7 +207,9 @@ mod tests {
     fn binomial_mean_tracks_np_normal_regime() {
         let mut rng = SmallRng::seed_from_u64(17);
         let trials = 20_000;
-        let total: u64 = (0..trials).map(|_| binomial_thin(1_000, 0.2, &mut rng)).sum();
+        let total: u64 = (0..trials)
+            .map(|_| binomial_thin(1_000, 0.2, &mut rng))
+            .sum();
         let mean = total as f64 / trials as f64;
         assert!((195.0..205.0).contains(&mean), "mean {mean}, expected ~200");
     }
@@ -222,8 +229,13 @@ mod tests {
         // turns on, so pin it within loose bounds.
         let mut rng = SmallRng::seed_from_u64(23);
         let trials = 50_000;
-        let nonzero = (0..trials).filter(|_| binomial_thin(100, 1e-3, &mut rng) >= 1).count();
+        let nonzero = (0..trials)
+            .filter(|_| binomial_thin(100, 1e-3, &mut rng) >= 1)
+            .count();
         let frac = nonzero as f64 / trials as f64;
-        assert!((0.085..0.105).contains(&frac), "P[X>=1] = {frac}, expected ~0.095");
+        assert!(
+            (0.085..0.105).contains(&frac),
+            "P[X>=1] = {frac}, expected ~0.095"
+        );
     }
 }

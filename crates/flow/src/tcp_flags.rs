@@ -73,7 +73,13 @@ impl fmt::Display for TcpFlags {
             return f.write_str(".");
         }
         let mut s = String::new();
-        for (bit, ch) in [(0x02u8, 'S'), (0x10, 'A'), (0x08, 'P'), (0x01, 'F'), (0x04, 'R')] {
+        for (bit, ch) in [
+            (0x02u8, 'S'),
+            (0x10, 'A'),
+            (0x08, 'P'),
+            (0x01, 'F'),
+            (0x04, 'R'),
+        ] {
             if self.0 & bit != 0 {
                 s.push(ch);
             }
@@ -103,7 +109,10 @@ mod tests {
         f |= TcpFlags::SYN;
         f |= TcpFlags::ACK;
         assert!(f.contains(TcpFlags::SYN_ACK));
-        assert!(!f.is_established_evidence(), "cumulative SYN taints the record");
+        assert!(
+            !f.is_established_evidence(),
+            "cumulative SYN taints the record"
+        );
     }
 
     #[test]

@@ -74,16 +74,46 @@ impl Template {
         Template {
             id,
             fields: vec![
-                TemplateField { id: FIELD_IPV4_SRC_ADDR, len: 4 },
-                TemplateField { id: FIELD_IPV4_DST_ADDR, len: 4 },
-                TemplateField { id: FIELD_L4_SRC_PORT, len: 2 },
-                TemplateField { id: FIELD_L4_DST_PORT, len: 2 },
-                TemplateField { id: FIELD_PROTOCOL, len: 1 },
-                TemplateField { id: FIELD_TCP_FLAGS, len: 1 },
-                TemplateField { id: FIELD_IN_PKTS, len: 8 },
-                TemplateField { id: FIELD_IN_BYTES, len: 8 },
-                TemplateField { id: FIELD_FIRST_SWITCHED, len: 4 },
-                TemplateField { id: FIELD_LAST_SWITCHED, len: 4 },
+                TemplateField {
+                    id: FIELD_IPV4_SRC_ADDR,
+                    len: 4,
+                },
+                TemplateField {
+                    id: FIELD_IPV4_DST_ADDR,
+                    len: 4,
+                },
+                TemplateField {
+                    id: FIELD_L4_SRC_PORT,
+                    len: 2,
+                },
+                TemplateField {
+                    id: FIELD_L4_DST_PORT,
+                    len: 2,
+                },
+                TemplateField {
+                    id: FIELD_PROTOCOL,
+                    len: 1,
+                },
+                TemplateField {
+                    id: FIELD_TCP_FLAGS,
+                    len: 1,
+                },
+                TemplateField {
+                    id: FIELD_IN_PKTS,
+                    len: 8,
+                },
+                TemplateField {
+                    id: FIELD_IN_BYTES,
+                    len: 8,
+                },
+                TemplateField {
+                    id: FIELD_FIRST_SWITCHED,
+                    len: 4,
+                },
+                TemplateField {
+                    id: FIELD_LAST_SWITCHED,
+                    len: 4,
+                },
             ],
         }
     }
@@ -115,7 +145,10 @@ impl Template {
             // `validate` rejects is skipped like an unknown one.
             if let Some((slot, widths)) = known_field(f.id) {
                 if widths.contains(&f.len) {
-                    plan.slots[slot] = Slot { off: plan.record_len, width };
+                    plan.slots[slot] = Slot {
+                        off: plan.record_len,
+                        width,
+                    };
                 }
             }
             plan.record_len += width;
@@ -203,7 +236,13 @@ impl Template {
             }
         }
         Ok(FlowRecord {
-            key: FlowKey { src, dst, sport, dport, proto },
+            key: FlowKey {
+                src,
+                dst,
+                sport,
+                dport,
+                proto,
+            },
             packets,
             bytes,
             tcp_flags: flags,
@@ -219,7 +258,10 @@ impl Template {
 fn check_fields(fields: impl Iterator<Item = TemplateField>) -> Result<(), FlowError> {
     for f in fields {
         if known_field(f.id).is_some_and(|(_, widths)| !widths.contains(&f.len)) {
-            return Err(FlowError::UnsupportedField { field: f.id, len: f.len });
+            return Err(FlowError::UnsupportedField {
+                field: f.id,
+                len: f.len,
+            });
         }
     }
     Ok(())
@@ -273,7 +315,10 @@ impl<'a> TemplateRef<'a> {
 
     /// The fields in template order.
     pub fn fields(&self) -> impl Iterator<Item = TemplateField> + 'a {
-        self.fields.chunks_exact(4).map(|f| TemplateField { id: be16(f, 0), len: be16(f, 2) })
+        self.fields.chunks_exact(4).map(|f| TemplateField {
+            id: be16(f, 0),
+            len: be16(f, 2),
+        })
     }
 
     /// Whether `t` is this very template: same id, same fields.
@@ -283,7 +328,10 @@ impl<'a> TemplateRef<'a> {
 
     /// Copy into an owned [`Template`].
     pub fn to_template(&self) -> Template {
-        Template { id: self.id, fields: self.fields().collect() }
+        Template {
+            id: self.id,
+            fields: self.fields().collect(),
+        }
     }
 }
 
@@ -437,10 +485,19 @@ impl OptionsTemplate {
     pub fn sampling(id: u16) -> OptionsTemplate {
         OptionsTemplate {
             id,
-            scope_fields: vec![TemplateField { id: SCOPE_SYSTEM, len: 4 }],
+            scope_fields: vec![TemplateField {
+                id: SCOPE_SYSTEM,
+                len: 4,
+            }],
             option_fields: vec![
-                TemplateField { id: FIELD_SAMPLING_INTERVAL, len: 4 },
-                TemplateField { id: FIELD_SAMPLING_ALGORITHM, len: 1 },
+                TemplateField {
+                    id: FIELD_SAMPLING_INTERVAL,
+                    len: 4,
+                },
+                TemplateField {
+                    id: FIELD_SAMPLING_ALGORITHM,
+                    len: 1,
+                },
             ],
         }
     }
@@ -479,7 +536,10 @@ impl OptionsTemplate {
         let scope_bytes = usize::from(buf.get_u16());
         let option_bytes = usize::from(buf.get_u16());
         if scope_bytes % 4 != 0 || option_bytes % 4 != 0 {
-            return Err(FlowError::UnsupportedField { field: 0, len: scope_bytes as u16 });
+            return Err(FlowError::UnsupportedField {
+                field: 0,
+                len: scope_bytes as u16,
+            });
         }
         let total = scope_bytes / 4 + option_bytes / 4;
         if buf.remaining() < total * 4 {
@@ -491,10 +551,17 @@ impl OptionsTemplate {
         }
         let mut fields = Vec::with_capacity(total);
         for _ in 0..total {
-            fields.push(TemplateField { id: buf.get_u16(), len: buf.get_u16() });
+            fields.push(TemplateField {
+                id: buf.get_u16(),
+                len: buf.get_u16(),
+            });
         }
         let option_fields = fields.split_off(scope_bytes / 4);
-        Ok(OptionsTemplate { id, scope_fields: fields, option_fields })
+        Ok(OptionsTemplate {
+            id,
+            scope_fields: fields,
+            option_fields,
+        })
     }
 
     /// Encode the template body, IPFIX layout (RFC 7011 §3.4.2.2): id,
@@ -523,7 +590,10 @@ impl OptionsTemplate {
         let total = usize::from(buf.get_u16());
         let scope_count = usize::from(buf.get_u16());
         if scope_count > total {
-            return Err(FlowError::UnsupportedField { field: 0, len: scope_count as u16 });
+            return Err(FlowError::UnsupportedField {
+                field: 0,
+                len: scope_count as u16,
+            });
         }
         if buf.remaining() < total * 4 {
             return Err(FlowError::Truncated {
@@ -534,10 +604,17 @@ impl OptionsTemplate {
         }
         let mut fields = Vec::with_capacity(total);
         for _ in 0..total {
-            fields.push(TemplateField { id: buf.get_u16(), len: buf.get_u16() });
+            fields.push(TemplateField {
+                id: buf.get_u16(),
+                len: buf.get_u16(),
+            });
         }
         let option_fields = fields.split_off(scope_count);
-        Ok(OptionsTemplate { id, scope_fields: fields, option_fields })
+        Ok(OptionsTemplate {
+            id,
+            scope_fields: fields,
+            option_fields,
+        })
     }
 
     /// Encode one sampling-options record under this template.
@@ -562,7 +639,10 @@ impl OptionsTemplate {
                 available: buf.remaining(),
             });
         }
-        let mut out = SamplingOptions { interval: 1, algorithm: 1 };
+        let mut out = SamplingOptions {
+            interval: 1,
+            algorithm: 1,
+        };
         for f in self.scope_fields.iter().chain(&self.option_fields) {
             match f.id {
                 FIELD_SAMPLING_INTERVAL => out.interval = get_uint(buf, f.len) as u32,
@@ -689,7 +769,10 @@ impl<'a> Sets<'a> {
         let (id, declared) = (be16(self.rest, 0), be16(self.rest, 2));
         let rest = &self.rest[4..];
         if declared < 4 || usize::from(declared) - 4 > rest.len() {
-            return Err(FlowError::BadSetLength { declared, remaining: rest.len() });
+            return Err(FlowError::BadSetLength {
+                declared,
+                remaining: rest.len(),
+            });
         }
         let (body, rest) = rest.split_at(usize::from(declared) - 4);
         self.rest = rest;
@@ -699,10 +782,14 @@ impl<'a> Sets<'a> {
         };
         match id {
             id if id == template_set => Ok(Set::Templates(TemplateRefs(body))),
-            id if id == options_template_set => {
-                Ok(Set::OptionsTemplates(OptionsTemplates { body, dialect: self.dialect }))
-            }
-            id if id >= 256 => Ok(Set::Data { template_id: id, body }),
+            id if id == options_template_set => Ok(Set::OptionsTemplates(OptionsTemplates {
+                body,
+                dialect: self.dialect,
+            })),
+            id if id >= 256 => Ok(Set::Data {
+                template_id: id,
+                body,
+            }),
             id => Err(FlowError::ReservedTemplateId(id)),
         }
     }
@@ -831,18 +918,32 @@ mod tests {
     #[test]
     fn validation_rejects_bad_templates() {
         assert_eq!(
-            Template { id: 100, fields: vec![] }.validate(),
+            Template {
+                id: 100,
+                fields: vec![]
+            }
+            .validate(),
             Err(FlowError::ReservedTemplateId(100))
         );
         assert_eq!(
-            Template { id: 256, fields: vec![] }.validate(),
+            Template {
+                id: 256,
+                fields: vec![]
+            }
+            .validate(),
             Err(FlowError::EmptyTemplate(256))
         );
         let bad = Template {
             id: 256,
-            fields: vec![TemplateField { id: FIELD_IPV4_SRC_ADDR, len: 3 }],
+            fields: vec![TemplateField {
+                id: FIELD_IPV4_SRC_ADDR,
+                len: 3,
+            }],
         };
-        assert!(matches!(bad.validate(), Err(FlowError::UnsupportedField { field: 8, len: 3 })));
+        assert!(matches!(
+            bad.validate(),
+            Err(FlowError::UnsupportedField { field: 8, len: 3 })
+        ));
     }
 
     #[test]
@@ -851,7 +952,10 @@ mod tests {
         let mut buf = BytesMut::new();
         t.encode_record(&rec(), &mut buf);
         let mut short = buf.freeze().slice(0..10);
-        assert!(matches!(t.decode_record(&mut short), Err(FlowError::Truncated { .. })));
+        assert!(matches!(
+            t.decode_record(&mut short),
+            Err(FlowError::Truncated { .. })
+        ));
     }
 
     #[test]

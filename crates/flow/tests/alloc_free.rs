@@ -78,7 +78,9 @@ fn steady_state_decode_does_not_allocate() {
 
     let mut collector = Collector::new();
     let mut out = Vec::new();
-    collector.feed_into(announce, &mut out, |_, _| true).unwrap();
+    collector
+        .feed_into(announce, &mut out, |_, _| true)
+        .unwrap();
     let mut decoded = out.len();
     let before = ALLOCS.load(Ordering::Relaxed);
     for d in data {
@@ -102,12 +104,18 @@ fn steady_state_decode_does_not_allocate() {
     }
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(decoded, DATAGRAMS * PER_DATAGRAM);
-    assert_eq!(after - before, DATAGRAMS, "feed allocates the Vec it returns and nothing else");
+    assert_eq!(
+        after - before,
+        DATAGRAMS,
+        "feed allocates the Vec it returns and nothing else"
+    );
 
     // A predicate that turns every record away needs no room for any:
     // on a warm collector, even an empty, never-grown buffer stays so.
     let mut collector = Collector::new();
-    collector.feed_into(announce, &mut Vec::new(), |_, _| true).unwrap();
+    collector
+        .feed_into(announce, &mut Vec::new(), |_, _| true)
+        .unwrap();
     let mut out = Vec::new();
     let before = ALLOCS.load(Ordering::Relaxed);
     let mut decoded = 0;
@@ -115,7 +123,11 @@ fn steady_state_decode_does_not_allocate() {
         decoded += collector.feed_into(d, &mut out, |_, _| false).unwrap();
     }
     let after = ALLOCS.load(Ordering::Relaxed);
-    assert_eq!(decoded, DATAGRAMS * PER_DATAGRAM, "rejected records are still decoded");
+    assert_eq!(
+        decoded,
+        DATAGRAMS * PER_DATAGRAM,
+        "rejected records are still decoded"
+    );
     assert!(out.is_empty() && out.capacity() == 0);
     assert_eq!(after - before, 0, "a reject-all feed_into allocated");
 }

@@ -89,12 +89,19 @@ fn a_bad_last_set_applies_nothing_of_the_message() {
             // trailing word keeps the IPFIX message length consistent.
             (
                 [300u16.to_be_bytes(), 3u16.to_be_bytes(), [0, 0], [0, 0]].concat(),
-                FlowError::BadSetLength { declared: 3, remaining: 4 },
+                FlowError::BadSetLength {
+                    declared: 3,
+                    remaining: 4,
+                },
             ),
             (set(5, &[]), FlowError::ReservedTemplateId(5)),
             (
                 set(if version == 9 { 0 } else { 2 }, &truncated_template),
-                FlowError::Truncated { context: "template fields", needed: 20, available: 4 },
+                FlowError::Truncated {
+                    context: "template fields",
+                    needed: 20,
+                    available: 4,
+                },
             ),
         ];
         for (tail, want) in bad_tails {
@@ -119,8 +126,14 @@ fn a_bad_last_set_applies_nothing_of_the_message() {
             // is nothing but a bad set leaves behind.
             let mut reference = Collector::new();
             let only_bad = datagram(version, 0, &[set(5, &[])]);
-            assert!(reference.feed_into(&only_bad, &mut Vec::new(), |_, _| true).is_err());
-            assert_eq!(collector.snapshot(), reference.snapshot(), "v{version} {want:?}");
+            assert!(reference
+                .feed_into(&only_bad, &mut Vec::new(), |_, _| true)
+                .is_err());
+            assert_eq!(
+                collector.snapshot(),
+                reference.snapshot(),
+                "v{version} {want:?}"
+            );
 
             // The template was not learnt: clean data for it still drops.
             let clean = datagram(version, 0, &[data_set(&t, &records)]);
@@ -136,12 +149,20 @@ fn feed_is_feed_into_plus_the_vec() {
     let t = Template::standard(300);
     let records = recs(3);
     for version in [9u16, 10] {
-        let d = datagram(version, 0, &[template_set(version, &t), data_set(&t, &records)]);
+        let d = datagram(
+            version,
+            0,
+            &[template_set(version, &t), data_set(&t, &records)],
+        );
         let mut a = Collector::new();
         let mut b = Collector::new();
         let mut out = recs(1);
         assert_eq!(a.feed(Bytes::from(d.clone())).unwrap(), records);
-        assert_eq!(b.feed_into(&d, &mut out, |_, _| true), Ok(3), "appends, and says how many");
+        assert_eq!(
+            b.feed_into(&d, &mut out, |_, _| true),
+            Ok(3),
+            "appends, and says how many"
+        );
         assert_eq!(out[1..], records[..]);
         assert_eq!(a.snapshot(), b.snapshot());
     }
@@ -154,12 +175,19 @@ fn strict_unknown_template_leaves_out_untouched() {
     let d = datagram(
         9,
         0,
-        &[template_set(9, &known), data_set(&known, &records), data_set(&unknown, &records)],
+        &[
+            template_set(9, &known),
+            data_set(&known, &records),
+            data_set(&unknown, &records),
+        ],
     );
     let mut collector = Collector::new();
     assert_eq!(
         collector.feed_strict(Bytes::from(d)),
-        Err(FlowError::UnknownTemplate { source_id: SOURCE, template_id: 301 })
+        Err(FlowError::UnknownTemplate {
+            source_id: SOURCE,
+            template_id: 301
+        })
     );
     // As before the plans: the sets ahead of the unknown one were
     // applied, the message's records were not handed out or counted.
@@ -180,7 +208,10 @@ fn restart_flush_drops_the_plan_with_the_template() {
     // The exporter restarts (sequence back to zero) and sends data before
     // re-announcing: the old process's layout must not decode it.
     let after_restart = datagram(9, 0, &[data_set(&t, &records)]);
-    assert_eq!(collector.feed_into(&after_restart, &mut out, |_, _| true), Ok(0));
+    assert_eq!(
+        collector.feed_into(&after_restart, &mut out, |_, _| true),
+        Ok(0)
+    );
     assert_eq!(collector.restarts_detected(), 1);
     assert_eq!(collector.template_count(), 0);
     assert_eq!(collector.dropped_unknown_template(), 1);
@@ -195,7 +226,15 @@ fn lru_eviction_drops_the_plan_with_the_template() {
     let mut out = Vec::new();
     let d = datagram(9, 0, &[template_set(9, &old), data_set(&old, &records)]);
     assert_eq!(collector.feed_into(&d, &mut out, |_, _| true), Ok(2));
-    let d = datagram(9, 2, &[template_set(9, &new), data_set(&old, &records), data_set(&new, &records)]);
+    let d = datagram(
+        9,
+        2,
+        &[
+            template_set(9, &new),
+            data_set(&old, &records),
+            data_set(&new, &records),
+        ],
+    );
     let fed = collector.feed_into(&d, &mut out, |_, _| true);
     assert_eq!(fed, Ok(2), "only the surviving template decodes");
     assert_eq!(collector.templates_evicted(), 1);
@@ -206,7 +245,10 @@ fn lru_eviction_drops_the_plan_with_the_template() {
 fn reannouncing_an_id_replaces_its_plan() {
     let wide = Template::standard(300);
     // Same id, different layout: counters first and narrow, key after.
-    let mut narrow = Template { id: 300, fields: wide.fields.clone() };
+    let mut narrow = Template {
+        id: 300,
+        fields: wide.fields.clone(),
+    };
     narrow.fields.rotate_left(6);
     for f in &mut narrow.fields {
         if f.id == FIELD_IN_PKTS || f.id == FIELD_IN_BYTES {
@@ -218,10 +260,18 @@ fn reannouncing_an_id_replaces_its_plan() {
     let mut out = Vec::new();
     let d = datagram(9, 0, &[template_set(9, &wide), data_set(&wide, &records)]);
     assert_eq!(collector.feed_into(&d, &mut out, |_, _| true), Ok(3));
-    let d = datagram(9, 3, &[template_set(9, &narrow), data_set(&narrow, &records)]);
+    let d = datagram(
+        9,
+        3,
+        &[template_set(9, &narrow), data_set(&narrow, &records)],
+    );
     assert_eq!(collector.feed_into(&d, &mut out, |_, _| true), Ok(3));
     assert_eq!(out[..3], records[..]);
-    assert_eq!(out[3..], records[..], "decoded under the re-announced layout");
+    assert_eq!(
+        out[3..],
+        records[..],
+        "decoded under the re-announced layout"
+    );
 
     // And a restored collector rebuilds the plan it does not serialize.
     let mut restored = Collector::restore(&collector.snapshot()).unwrap();

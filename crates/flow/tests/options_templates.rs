@@ -53,7 +53,10 @@ fn ipfix_options_body_round_trips() {
 #[test]
 fn sampling_record_round_trips() {
     let ot = OptionsTemplate::sampling(512);
-    let opts = SamplingOptions { interval: 1_000, algorithm: 1 };
+    let opts = SamplingOptions {
+        interval: 1_000,
+        algorithm: 1,
+    };
     let mut buf = BytesMut::new();
     ot.encode_sampling(77, &opts, &mut buf);
     assert_eq!(buf.len(), ot.record_len());
@@ -63,8 +66,7 @@ fn sampling_record_round_trips() {
 
 #[test]
 fn collector_learns_sampling_rate_netflow() {
-    let mut exporter =
-        Exporter::new(ExportProtocol::NetflowV9, 7).with_sampling(1_000, false);
+    let mut exporter = Exporter::new(ExportProtocol::NetflowV9, 7).with_sampling(1_000, false);
     let mut collector = Collector::new();
     for msg in exporter.export(&recs(3), 100).unwrap() {
         collector.feed(msg).unwrap();
@@ -89,15 +91,17 @@ fn collector_learns_sampling_rate_ipfix() {
 
 #[test]
 fn data_records_still_decode_alongside_options() {
-    let mut exporter =
-        Exporter::new(ExportProtocol::NetflowV9, 7).with_sampling(1_000, false);
+    let mut exporter = Exporter::new(ExportProtocol::NetflowV9, 7).with_sampling(1_000, false);
     let mut collector = Collector::new();
     let records = recs(5);
     let mut decoded = Vec::new();
     for msg in exporter.export(&records, 100).unwrap() {
         decoded.extend(collector.feed(msg).unwrap());
     }
-    assert_eq!(decoded, records, "options sets must not disturb data decoding");
+    assert_eq!(
+        decoded, records,
+        "options sets must not disturb data decoding"
+    );
 }
 
 #[test]
@@ -106,15 +110,30 @@ fn odd_width_option_fields_are_skipped_not_overread() {
     // read as eight bytes, past the end of the record.
     let ot = OptionsTemplate {
         id: 512,
-        scope_fields: vec![TemplateField { id: SCOPE_SYSTEM, len: 4 }],
+        scope_fields: vec![TemplateField {
+            id: SCOPE_SYSTEM,
+            len: 4,
+        }],
         option_fields: vec![
-            TemplateField { id: FIELD_SAMPLING_INTERVAL, len: 3 },
-            TemplateField { id: FIELD_SAMPLING_ALGORITHM, len: 1 },
+            TemplateField {
+                id: FIELD_SAMPLING_INTERVAL,
+                len: 3,
+            },
+            TemplateField {
+                id: FIELD_SAMPLING_ALGORITHM,
+                len: 1,
+            },
         ],
     };
     let mut record = &[0, 0, 0, 7, 9, 9, 9, 2][..];
     let decoded = ot.decode_sampling(&mut record).unwrap();
-    assert_eq!(decoded, SamplingOptions { interval: 0, algorithm: 2 });
+    assert_eq!(
+        decoded,
+        SamplingOptions {
+            interval: 0,
+            algorithm: 2
+        }
+    );
     assert!(record.is_empty(), "exactly one record consumed");
 }
 

@@ -11,7 +11,12 @@ use std::net::Ipv4Addr;
 
 fn arb_packet() -> impl Strategy<Value = (u64, u8, u16, u32)> {
     // (timestamp, flow-selector, dport, bytes)
-    (0u64..600, 0u8..6, prop_oneof![Just(443u16), Just(123)], 40u32..1500)
+    (
+        0u64..600,
+        0u8..6,
+        prop_oneof![Just(443u16), Just(123)],
+        40u32..1500,
+    )
 }
 
 proptest! {

@@ -31,20 +31,22 @@ fn arb_record() -> impl Strategy<Value = FlowRecord> {
         0u32..=2_000_000,
         0u32..=1_000,
     )
-        .prop_map(|(src, dst, sport, dport, proto, packets, bytes, flags, first, dur)| FlowRecord {
-            key: FlowKey {
-                src: Ipv4Addr::from(src),
-                dst: Ipv4Addr::from(dst),
-                sport,
-                dport,
-                proto,
+        .prop_map(
+            |(src, dst, sport, dport, proto, packets, bytes, flags, first, dur)| FlowRecord {
+                key: FlowKey {
+                    src: Ipv4Addr::from(src),
+                    dst: Ipv4Addr::from(dst),
+                    sport,
+                    dport,
+                    proto,
+                },
+                packets,
+                bytes,
+                tcp_flags: TcpFlags(flags),
+                first: SimTime(u64::from(first)),
+                last: SimTime(u64::from(first) + u64::from(dur)),
             },
-            packets,
-            bytes,
-            tcp_flags: TcpFlags(flags),
-            first: SimTime(u64::from(first)),
-            last: SimTime(u64::from(first) + u64::from(dur)),
-        })
+        )
 }
 
 /// Arbitrary-but-bounded chaos: probabilities in [0, 0.5] keep runs
@@ -60,18 +62,20 @@ fn arb_chaos() -> impl Strategy<Value = ChaosConfig> {
         prop_oneof![Just(None), (0u64..12).prop_map(Some)],
         any::<u64>(),
     )
-        .prop_map(|(drop, reorder, dup, trunc, corrupt, withhold, restart, seed)| ChaosConfig {
-            drop_probability: drop,
-            reorder_probability: reorder,
-            duplicate_probability: dup,
-            truncate_probability: trunc,
-            corrupt_probability: corrupt,
-            template_withhold_probability: withhold,
-            restart_after: restart,
-            misannounce_sampling: None,
-            seed,
-            ..ChaosConfig::off()
-        })
+        .prop_map(
+            |(drop, reorder, dup, trunc, corrupt, withhold, restart, seed)| ChaosConfig {
+                drop_probability: drop,
+                reorder_probability: reorder,
+                duplicate_probability: dup,
+                truncate_probability: trunc,
+                corrupt_probability: corrupt,
+                template_withhold_probability: withhold,
+                restart_after: restart,
+                misannounce_sampling: None,
+                seed,
+                ..ChaosConfig::off()
+            },
+        )
 }
 
 proptest! {

@@ -25,20 +25,22 @@ fn arb_record() -> impl Strategy<Value = FlowRecord> {
         0u32..=2_000_000,
         0u32..=1_000,
     )
-        .prop_map(|(src, dst, sport, dport, proto, packets, bytes, flags, first, dur)| FlowRecord {
-            key: FlowKey {
-                src: Ipv4Addr::from(src),
-                dst: Ipv4Addr::from(dst),
-                sport,
-                dport,
-                proto,
+        .prop_map(
+            |(src, dst, sport, dport, proto, packets, bytes, flags, first, dur)| FlowRecord {
+                key: FlowKey {
+                    src: Ipv4Addr::from(src),
+                    dst: Ipv4Addr::from(dst),
+                    sport,
+                    dport,
+                    proto,
+                },
+                packets,
+                bytes,
+                tcp_flags: TcpFlags(flags),
+                first: SimTime(u64::from(first)),
+                last: SimTime(u64::from(first) + u64::from(dur)),
             },
-            packets,
-            bytes,
-            tcp_flags: TcpFlags(flags),
-            first: SimTime(u64::from(first)),
-            last: SimTime(u64::from(first) + u64::from(dur)),
-        })
+        )
 }
 
 /// One field of an arbitrary *valid* template: a known field at a width
@@ -70,7 +72,10 @@ fn announce_and_data(version: u16, t: &Template, body: &[u8]) -> Vec<u8> {
     let mut tmpl = BytesMut::new();
     t.encode_body(&mut tmpl);
     let mut sets = Vec::new();
-    for (id, set_body) in [(if version == 9 { 0u16 } else { 2 }, &tmpl[..]), (t.id, body)] {
+    for (id, set_body) in [
+        (if version == 9 { 0u16 } else { 2 }, &tmpl[..]),
+        (t.id, body),
+    ] {
         sets.extend_from_slice(&id.to_be_bytes());
         sets.extend_from_slice(&((4 + set_body.len()) as u16).to_be_bytes());
         sets.extend_from_slice(set_body);
@@ -93,16 +98,29 @@ fn announce_and_data(version: u16, t: &Template, body: &[u8]) -> Vec<u8> {
 /// records, no panic — `chunks_exact(0)` would be one.
 #[test]
 fn hostile_templates_decode_nothing() {
-    let zero_len = Template { id: 256, fields: vec![TemplateField { id: 999, len: 0 }] };
+    let zero_len = Template {
+        id: 256,
+        fields: vec![TemplateField { id: 999, len: 0 }],
+    };
     let mut huge = Template::standard(257);
-    huge.fields.extend([TemplateField { id: 999, len: u16::MAX }; 3]);
+    huge.fields.extend(
+        [TemplateField {
+            id: 999,
+            len: u16::MAX,
+        }; 3],
+    );
     assert!(huge.plan().record_len() > usize::from(u16::MAX));
     let longer_than_body = Template::standard(258);
     for t in [zero_len, huge, longer_than_body] {
         t.validate().unwrap();
         let body = [0xA5u8; 37];
         let mut out = Vec::new();
-        assert_eq!(t.plan().decode_into(&body, &mut out, |_, _| true), 0, "template {}", t.id);
+        assert_eq!(
+            t.plan().decode_into(&body, &mut out, |_, _| true),
+            0,
+            "template {}",
+            t.id
+        );
         assert_eq!(wire::decode_records(&t, &body), vec![]);
         for version in [9, 10] {
             let mut collector = Collector::new();

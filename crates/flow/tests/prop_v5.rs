@@ -21,8 +21,8 @@ fn arb_record() -> impl Strategy<Value = FlowRecord> {
         0u32..=2_000_000,
         0u32..=10_000,
     )
-        .prop_map(|(src, dst, sport, dport, proto, packets, bytes, flags, first, dur)| {
-            FlowRecord {
+        .prop_map(
+            |(src, dst, sport, dport, proto, packets, bytes, flags, first, dur)| FlowRecord {
                 key: FlowKey {
                     src: Ipv4Addr::from(src),
                     dst: Ipv4Addr::from(dst),
@@ -35,8 +35,8 @@ fn arb_record() -> impl Strategy<Value = FlowRecord> {
                 tcp_flags: TcpFlags(flags),
                 first: SimTime(u64::from(first)),
                 last: SimTime(u64::from(first) + u64::from(dur)),
-            }
-        })
+            },
+        )
 }
 
 proptest! {

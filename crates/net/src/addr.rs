@@ -73,8 +73,18 @@ mod tests {
 
     fn registry() -> AsRegistry {
         let mut r = AsRegistry::new();
-        r.register(Asn(64500), "cloudco", AsCategory::Cloud, vec![Prefix4::new(Ipv4Addr::new(198, 18, 0, 0), 16).unwrap()]);
-        r.register(Asn(64501), "eyeball", AsCategory::Eyeball, vec![Prefix4::new(Ipv4Addr::new(100, 64, 0, 0), 10).unwrap()]);
+        r.register(
+            Asn(64500),
+            "cloudco",
+            AsCategory::Cloud,
+            vec![Prefix4::new(Ipv4Addr::new(198, 18, 0, 0), 16).unwrap()],
+        );
+        r.register(
+            Asn(64501),
+            "eyeball",
+            AsCategory::Eyeball,
+            vec![Prefix4::new(Ipv4Addr::new(100, 64, 0, 0), 10).unwrap()],
+        );
         r.finalize();
         r
     }
@@ -87,27 +97,42 @@ mod tests {
 
     #[test]
     fn slash24_masks_low_octet() {
-        assert_eq!(Ipv4Addr::new(10, 1, 2, 200).slash24(), Ipv4Addr::new(10, 1, 2, 0));
+        assert_eq!(
+            Ipv4Addr::new(10, 1, 2, 200).slash24(),
+            Ipv4Addr::new(10, 1, 2, 0)
+        );
     }
 
     #[test]
     fn well_known_port_makes_server() {
         let r = registry();
         // Even an eyeball-space IP on port 443 is a server endpoint.
-        assert_eq!(classify_endpoint(Ipv4Addr::new(100, 64, 1, 1), 443, &r), IpClass::Server);
+        assert_eq!(
+            classify_endpoint(Ipv4Addr::new(100, 64, 1, 1), 443, &r),
+            IpClass::Server
+        );
     }
 
     #[test]
     fn cloud_as_makes_server_regardless_of_port() {
         let r = registry();
-        assert_eq!(classify_endpoint(Ipv4Addr::new(198, 18, 5, 5), 49152, &r), IpClass::Server);
+        assert_eq!(
+            classify_endpoint(Ipv4Addr::new(198, 18, 5, 5), 49152, &r),
+            IpClass::Server
+        );
     }
 
     #[test]
     fn eyeball_high_port_is_user() {
         let r = registry();
-        assert_eq!(classify_endpoint(Ipv4Addr::new(100, 64, 1, 1), 49152, &r), IpClass::User);
+        assert_eq!(
+            classify_endpoint(Ipv4Addr::new(100, 64, 1, 1), 49152, &r),
+            IpClass::User
+        );
         // Unregistered space on a high port is also user by default.
-        assert_eq!(classify_endpoint(Ipv4Addr::new(203, 0, 113, 9), 40000, &r), IpClass::User);
+        assert_eq!(
+            classify_endpoint(Ipv4Addr::new(203, 0, 113, 9), 40000, &r),
+            IpClass::User
+        );
     }
 }

@@ -115,11 +115,23 @@ impl AsRegistry {
         category: AsCategory,
         prefixes: Vec<Prefix4>,
     ) {
-        self.info.insert(asn, AsInfo { asn, name: name.into(), category });
+        self.info.insert(
+            asn,
+            AsInfo {
+                asn,
+                name: name.into(),
+                category,
+            },
+        );
         for p in prefixes {
             let start = u32::from(p.network());
             let end = start + (p.size() - 1);
-            self.intervals.push(Interval { start, end, len: p.len(), asn });
+            self.intervals.push(Interval {
+                start,
+                end,
+                len: p.len(),
+                asn,
+            });
         }
         self.sorted = false;
     }
@@ -144,7 +156,10 @@ impl AsRegistry {
     /// Longest-prefix match. Returns the AS metadata of the most specific
     /// registered prefix covering `ip`, or `None` for unregistered space.
     pub fn lookup(&self, ip: Ipv4Addr) -> Option<&AsInfo> {
-        debug_assert!(self.sorted || self.intervals.is_empty(), "AsRegistry::finalize not called");
+        debug_assert!(
+            self.sorted || self.intervals.is_empty(),
+            "AsRegistry::finalize not called"
+        );
         let v = u32::from(ip);
         // Partition point: first interval with start > v. Candidates are
         // before it; walk backwards until intervals can no longer cover v.
@@ -194,9 +209,24 @@ mod tests {
 
     fn registry() -> AsRegistry {
         let mut r = AsRegistry::new();
-        r.register(Asn(100), "eyeball-a", AsCategory::Eyeball, vec![p("100.64.0.0/10")]);
-        r.register(Asn(200), "cloud-x", AsCategory::Cloud, vec![p("198.18.0.0/16"), p("198.19.0.0/16")]);
-        r.register(Asn(300), "cdn-y", AsCategory::Cdn, vec![p("198.18.128.0/17")]);
+        r.register(
+            Asn(100),
+            "eyeball-a",
+            AsCategory::Eyeball,
+            vec![p("100.64.0.0/10")],
+        );
+        r.register(
+            Asn(200),
+            "cloud-x",
+            AsCategory::Cloud,
+            vec![p("198.18.0.0/16"), p("198.19.0.0/16")],
+        );
+        r.register(
+            Asn(300),
+            "cdn-y",
+            AsCategory::Cdn,
+            vec![p("198.18.128.0/17")],
+        );
         r.finalize();
         r
     }
@@ -204,8 +234,14 @@ mod tests {
     #[test]
     fn basic_lookup() {
         let r = registry();
-        assert_eq!(r.lookup(Ipv4Addr::new(100, 64, 3, 4)).unwrap().asn, Asn(100));
-        assert_eq!(r.lookup(Ipv4Addr::new(198, 19, 0, 1)).unwrap().asn, Asn(200));
+        assert_eq!(
+            r.lookup(Ipv4Addr::new(100, 64, 3, 4)).unwrap().asn,
+            Asn(100)
+        );
+        assert_eq!(
+            r.lookup(Ipv4Addr::new(198, 19, 0, 1)).unwrap().asn,
+            Asn(200)
+        );
         assert!(r.lookup(Ipv4Addr::new(203, 0, 113, 1)).is_none());
     }
 
@@ -213,24 +249,44 @@ mod tests {
     fn longest_prefix_wins() {
         let r = registry();
         // 198.18.128.0/17 (CDN) is more specific than 198.18.0.0/16 (cloud).
-        assert_eq!(r.lookup(Ipv4Addr::new(198, 18, 200, 1)).unwrap().asn, Asn(300));
-        assert_eq!(r.lookup(Ipv4Addr::new(198, 18, 1, 1)).unwrap().asn, Asn(200));
+        assert_eq!(
+            r.lookup(Ipv4Addr::new(198, 18, 200, 1)).unwrap().asn,
+            Asn(300)
+        );
+        assert_eq!(
+            r.lookup(Ipv4Addr::new(198, 18, 1, 1)).unwrap().asn,
+            Asn(200)
+        );
     }
 
     #[test]
     fn boundaries_are_inclusive() {
         let r = registry();
-        assert_eq!(r.lookup(Ipv4Addr::new(100, 64, 0, 0)).unwrap().asn, Asn(100));
-        assert_eq!(r.lookup(Ipv4Addr::new(100, 127, 255, 255)).unwrap().asn, Asn(100));
+        assert_eq!(
+            r.lookup(Ipv4Addr::new(100, 64, 0, 0)).unwrap().asn,
+            Asn(100)
+        );
+        assert_eq!(
+            r.lookup(Ipv4Addr::new(100, 127, 255, 255)).unwrap().asn,
+            Asn(100)
+        );
         assert!(r.lookup(Ipv4Addr::new(100, 128, 0, 0)).is_none());
     }
 
     #[test]
     fn reregistering_extends_prefixes() {
         let mut r = registry();
-        r.register(Asn(100), "eyeball-a", AsCategory::Eyeball, vec![p("203.0.113.0/24")]);
+        r.register(
+            Asn(100),
+            "eyeball-a",
+            AsCategory::Eyeball,
+            vec![p("203.0.113.0/24")],
+        );
         r.finalize();
-        assert_eq!(r.lookup(Ipv4Addr::new(203, 0, 113, 50)).unwrap().asn, Asn(100));
+        assert_eq!(
+            r.lookup(Ipv4Addr::new(203, 0, 113, 50)).unwrap().asn,
+            Asn(100)
+        );
         assert_eq!(r.len(), 3);
     }
 

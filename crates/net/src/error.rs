@@ -44,7 +44,11 @@ mod tests {
             NetError::InvalidPrefixLen(40).to_string(),
             "invalid IPv4 prefix length /40"
         );
-        let e = NetError::OutOfWindow { ts: 7, start: 10, end: 20 };
+        let e = NetError::OutOfWindow {
+            ts: 7,
+            start: 10,
+            end: 20,
+        };
         assert!(e.to_string().contains("outside study window"));
     }
 }

@@ -105,9 +105,16 @@ pub fn read_frame(
     if &header[..MAGIC_LEN] != magic {
         return Err(FrameError::Snap(SnapError::BadMagic));
     }
-    let len = u64::from_le_bytes(header[MAGIC_LEN + 4..FRAME_HEADER].try_into().expect("8 bytes"));
+    let len = u64::from_le_bytes(
+        header[MAGIC_LEN + 4..FRAME_HEADER]
+            .try_into()
+            .expect("8 bytes"),
+    );
     if len > max_payload {
-        return Err(FrameError::TooLarge { declared: len, max: max_payload });
+        return Err(FrameError::TooLarge {
+            declared: len,
+            max: max_payload,
+        });
     }
     // Payload plus the trailing checksum.
     let total = FRAME_HEADER + len as usize + 8;
@@ -140,11 +147,18 @@ mod tests {
         write_frame(&mut buf, &b).unwrap();
 
         let mut r = Cursor::new(buf);
-        let fa = read_frame(&mut r, MAGIC, 1 << 20).unwrap().expect("first frame");
+        let fa = read_frame(&mut r, MAGIC, 1 << 20)
+            .unwrap()
+            .expect("first frame");
         assert_eq!(open(MAGIC, 1, &fa).unwrap(), b"first");
-        let fb = read_frame(&mut r, MAGIC, 1 << 20).unwrap().expect("second frame");
+        let fb = read_frame(&mut r, MAGIC, 1 << 20)
+            .unwrap()
+            .expect("second frame");
         assert_eq!(open(MAGIC, 1, &fb).unwrap(), b"second payload");
-        assert!(read_frame(&mut r, MAGIC, 1 << 20).unwrap().is_none(), "clean EOF");
+        assert!(
+            read_frame(&mut r, MAGIC, 1 << 20).unwrap().is_none(),
+            "clean EOF"
+        );
     }
 
     #[test]
@@ -187,7 +201,12 @@ mod tests {
         let mid = FRAME_HEADER + 3;
         a[mid] ^= 0xFF;
         let mut r = Cursor::new(a);
-        let f = read_frame(&mut r, MAGIC, 1 << 20).unwrap().expect("frame reads");
-        assert!(matches!(open(MAGIC, 1, &f), Err(SnapError::Checksum { .. })));
+        let f = read_frame(&mut r, MAGIC, 1 << 20)
+            .unwrap()
+            .expect("frame reads");
+        assert!(matches!(
+            open(MAGIC, 1, &f),
+            Err(SnapError::Checksum { .. })
+        ));
     }
 }

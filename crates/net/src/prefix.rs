@@ -38,7 +38,10 @@ impl Prefix4 {
         if len > 32 {
             return Err(NetError::InvalidPrefixLen(len));
         }
-        Ok(Prefix4 { net: u32::from(addr) & Self::mask(len), len })
+        Ok(Prefix4 {
+            net: u32::from(addr) & Self::mask(len),
+            len,
+        })
     }
 
     fn mask(len: u8) -> u32 {
@@ -82,7 +85,11 @@ impl Prefix4 {
     /// The `i`-th address of the prefix (panics if `i >= size()`), used by
     /// the population model to hand out subscriber addresses.
     pub fn nth(&self, i: u32) -> Ipv4Addr {
-        debug_assert!(i < self.size(), "address index {i} out of /{} prefix", self.len);
+        debug_assert!(
+            i < self.size(),
+            "address index {i} out of /{} prefix",
+            self.len
+        );
         Ipv4Addr::from(self.net + i)
     }
 
@@ -98,7 +105,10 @@ impl Prefix4 {
 
     /// The enclosing /24 of an address — Figure 13's aggregation level.
     pub fn slash24_of(ip: Ipv4Addr) -> Prefix4 {
-        Prefix4 { net: u32::from(ip) & 0xFFFF_FF00, len: 24 }
+        Prefix4 {
+            net: u32::from(ip) & 0xFFFF_FF00,
+            len: 24,
+        }
     }
 }
 

@@ -106,10 +106,12 @@ pub fn open<'a>(
     }
     let found = u32::from_le_bytes(frame[MAGIC_LEN..MAGIC_LEN + 4].try_into().unwrap());
     if found != version {
-        return Err(SnapError::BadVersion { found, expected: version });
+        return Err(SnapError::BadVersion {
+            found,
+            expected: version,
+        });
     }
-    let len =
-        u64::from_le_bytes(frame[MAGIC_LEN + 4..MAGIC_LEN + 12].try_into().unwrap()) as usize;
+    let len = u64::from_le_bytes(frame[MAGIC_LEN + 4..MAGIC_LEN + 12].try_into().unwrap()) as usize;
     if frame.len() != FRAME_OVERHEAD + len {
         return Err(SnapError::Truncated);
     }
@@ -145,7 +147,9 @@ pub fn peek_version(frame: &[u8]) -> Option<u32> {
     if frame.len() < MAGIC_LEN + 4 {
         return None;
     }
-    Some(u32::from_le_bytes(frame[MAGIC_LEN..MAGIC_LEN + 4].try_into().unwrap()))
+    Some(u32::from_le_bytes(
+        frame[MAGIC_LEN..MAGIC_LEN + 4].try_into().unwrap(),
+    ))
 }
 
 /// Little-endian payload writer. All methods append; call
@@ -325,7 +329,11 @@ mod tests {
     fn truncation_is_detected() {
         let frame = seal(MAGIC, 1, &[9u8; 100]);
         for cut in [0usize, 5, FRAME_OVERHEAD, frame.len() - 1] {
-            assert_eq!(open(MAGIC, 1, &frame[..cut]), Err(SnapError::Truncated), "cut {cut}");
+            assert_eq!(
+                open(MAGIC, 1, &frame[..cut]),
+                Err(SnapError::Truncated),
+                "cut {cut}"
+            );
         }
     }
 
@@ -336,7 +344,10 @@ mod tests {
             for bit in 0..8 {
                 let mut bad = frame.clone();
                 bad[i] ^= 1 << bit;
-                assert!(open(MAGIC, 1, &bad).is_err(), "flip byte {i} bit {bit} not caught");
+                assert!(
+                    open(MAGIC, 1, &bad).is_err(),
+                    "flip byte {i} bit {bit} not caught"
+                );
             }
         }
     }
@@ -347,7 +358,10 @@ mod tests {
         assert_eq!(open(b"OTHERMAG", 2, &frame), Err(SnapError::BadMagic));
         assert_eq!(
             open(MAGIC, 3, &frame),
-            Err(SnapError::BadVersion { found: 2, expected: 3 })
+            Err(SnapError::BadVersion {
+                found: 2,
+                expected: 3
+            })
         );
     }
 
@@ -368,12 +382,21 @@ mod tests {
         // Intact frame from a different version: checksum holds, version peeks.
         assert!(checksum_ok(&frame));
         assert_eq!(peek_version(&frame), Some(2));
-        assert_eq!(open(MAGIC, 3, &frame), Err(SnapError::BadVersion { found: 2, expected: 3 }));
+        assert_eq!(
+            open(MAGIC, 3, &frame),
+            Err(SnapError::BadVersion {
+                found: 2,
+                expected: 3
+            })
+        );
         // Flip a bit in the version word: open still says BadVersion, but
         // the checksum now betrays corruption.
         let mut rotten = frame.clone();
         rotten[MAGIC_LEN] ^= 0x04;
-        assert!(matches!(open(MAGIC, 2, &rotten), Err(SnapError::BadVersion { .. })));
+        assert!(matches!(
+            open(MAGIC, 2, &rotten),
+            Err(SnapError::BadVersion { .. })
+        ));
         assert!(!checksum_ok(&rotten));
         // Too-short buffers are never checksum-valid.
         assert!(!checksum_ok(&frame[..4]));

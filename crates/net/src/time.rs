@@ -220,7 +220,11 @@ impl StudyWindow {
         if self.contains(t) {
             Ok(())
         } else {
-            Err(NetError::OutOfWindow { ts: t.0, start: self.start.0, end: self.end.0 })
+            Err(NetError::OutOfWindow {
+                ts: t.0,
+                start: self.start.0,
+                end: self.end.0,
+            })
         }
     }
 }
@@ -267,9 +271,15 @@ mod tests {
     #[test]
     fn weekends_fall_on_nov_16_17_and_23_24() {
         // Nov 15 2019 was a Friday.
-        for (day, weekend) in
-            [(0u32, false), (1, true), (2, true), (3, false), (8, true), (9, true), (10, false)]
-        {
+        for (day, weekend) in [
+            (0u32, false),
+            (1, true),
+            (2, true),
+            (3, false),
+            (8, true),
+            (9, true),
+            (10, false),
+        ] {
             assert_eq!(DayBin(day).is_weekend(), weekend, "day {day}");
         }
     }
@@ -301,6 +311,9 @@ mod tests {
     #[test]
     fn display_round_trips_key_instants() {
         assert_eq!(SimTime::from_dhs(0, 0, 0).to_string(), "Nov-15T00:00:00");
-        assert_eq!(SimTime::from_dhs(13, 23, 3599).to_string(), "Nov-28T23:59:59");
+        assert_eq!(
+            SimTime::from_dhs(13, 23, 3599).to_string(),
+            "Nov-28T23:59:59"
+        );
     }
 }

@@ -27,7 +27,10 @@ impl HttpsBanner {
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
             h = h.rotate_left(5);
         }
-        HttpsBanner { server_line, checksum: h }
+        HttpsBanner {
+            server_line,
+            checksum: h,
+        }
     }
 }
 

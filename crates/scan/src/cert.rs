@@ -30,7 +30,10 @@ impl Certificate {
             }
             h = h.rotate_left(7);
         }
-        Certificate { names, fingerprint: h }
+        Certificate {
+            names,
+            fingerprint: h,
+        }
     }
 
     /// Convenience: single-name certificate.
@@ -83,8 +86,15 @@ mod tests {
         let a = Certificate::single(pat("*.deve.com"), 1);
         let b = Certificate::single(pat("*.deve.com"), 2);
         let c = Certificate::single(pat("*.other.com"), 1);
-        assert_ne!(a.fingerprint, b.fingerprint, "serial re-key changes fingerprint");
+        assert_ne!(
+            a.fingerprint, b.fingerprint,
+            "serial re-key changes fingerprint"
+        );
         assert_ne!(a.fingerprint, c.fingerprint, "names change fingerprint");
-        assert_eq!(a, Certificate::single(pat("*.deve.com"), 1), "deterministic");
+        assert_eq!(
+            a,
+            Certificate::single(pat("*.deve.com"), 1),
+            "deterministic"
+        );
     }
 }

@@ -41,7 +41,10 @@ impl ScanDb {
                 set.remove(&ip);
             }
         }
-        self.by_fingerprint.entry(scan.cert.fingerprint).or_default().insert(ip);
+        self.by_fingerprint
+            .entry(scan.cert.fingerprint)
+            .or_default()
+            .insert(ip);
         self.hosts.insert(ip, scan);
     }
 
@@ -88,7 +91,11 @@ impl ScanDb {
     /// `None` when the certificate check fails — the caller then cannot
     /// use Censys for this domain, as happened for 7 of the paper's 15
     /// DNSDB-less domains.
-    pub fn expand_domain(&self, domain: &DomainName, seed_ip: Ipv4Addr) -> Option<BTreeSet<Ipv4Addr>> {
+    pub fn expand_domain(
+        &self,
+        domain: &DomainName,
+        seed_ip: Ipv4Addr,
+    ) -> Option<BTreeSet<Ipv4Addr>> {
         if !self.cert_at_ip_identifies(seed_ip, domain) {
             return None;
         }
@@ -124,7 +131,11 @@ mod tests {
     }
 
     fn scan(cert: &Certificate, banner: &HttpsBanner) -> HostScan {
-        HostScan { cert: cert.clone(), banner: banner.clone(), port: 443 }
+        HostScan {
+            cert: cert.clone(),
+            banner: banner.clone(),
+            port: 443,
+        }
     }
 
     /// Three hosts share devE's cert+banner; one host shares the cert but

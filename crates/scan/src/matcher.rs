@@ -53,7 +53,10 @@ mod tests {
 
     #[test]
     fn multiple_sans_same_sld_ok() {
-        let cert = Certificate::new(vec![pat("*.deve.com"), pat("api.deve.com"), pat("deve.com")], 0);
+        let cert = Certificate::new(
+            vec![pat("*.deve.com"), pat("api.deve.com"), pat("deve.com")],
+            0,
+        );
         assert!(cert_identifies_domain(&cert, &d("c.deve.com")));
     }
 

@@ -85,7 +85,8 @@ pub fn write_trace<W: Write>(mut w: W, packets: &[GroundTruthPacket]) -> io::Res
 /// Read a capture back.
 pub fn read_trace<R: Read>(mut r: R) -> Result<Vec<GroundTruthPacket>, CaptureError> {
     let mut header = [0u8; 14];
-    r.read_exact(&mut header).map_err(|_| CaptureError::BadHeader)?;
+    r.read_exact(&mut header)
+        .map_err(|_| CaptureError::BadHeader)?;
     if &header[0..4] != MAGIC || u16::from_le_bytes([header[4], header[5]]) != VERSION {
         return Err(CaptureError::BadHeader);
     }
@@ -93,7 +94,8 @@ pub fn read_trace<R: Read>(mut r: R) -> Result<Vec<GroundTruthPacket>, CaptureEr
     let mut out = Vec::with_capacity(count.min(1 << 24) as usize);
     let mut buf = [0u8; RECORD_LEN];
     for _ in 0..count {
-        r.read_exact(&mut buf).map_err(|_| CaptureError::Truncated)?;
+        r.read_exact(&mut buf)
+            .map_err(|_| CaptureError::Truncated)?;
         let proto_num = buf[20];
         let proto = Proto::from_number(proto_num).ok_or(CaptureError::BadProtocol(proto_num))?;
         out.push(GroundTruthPacket {
@@ -129,7 +131,11 @@ mod tests {
                     dport: if i % 5 == 0 { 123 } else { 443 },
                     proto: if i % 5 == 0 { Proto::Udp } else { Proto::Tcp },
                     bytes: 40 + i % 1400,
-                    flags: if i % 5 == 0 { TcpFlags::NONE } else { TcpFlags::ACK },
+                    flags: if i % 5 == 0 {
+                        TcpFlags::NONE
+                    } else {
+                        TcpFlags::ACK
+                    },
                 },
                 instance: i % 96,
                 domain_id: i % 400,
@@ -159,7 +165,10 @@ mod tests {
         let mut buf = Vec::new();
         write_trace(&mut buf, &packets(2)).unwrap();
         buf[0] = b'X';
-        assert!(matches!(read_trace(buf.as_slice()), Err(CaptureError::BadHeader)));
+        assert!(matches!(
+            read_trace(buf.as_slice()),
+            Err(CaptureError::BadHeader)
+        ));
     }
 
     #[test]
@@ -167,7 +176,10 @@ mod tests {
         let mut buf = Vec::new();
         write_trace(&mut buf, &packets(10)).unwrap();
         buf.truncate(buf.len() - 5);
-        assert!(matches!(read_trace(buf.as_slice()), Err(CaptureError::Truncated)));
+        assert!(matches!(
+            read_trace(buf.as_slice()),
+            Err(CaptureError::Truncated)
+        ));
     }
 
     #[test]
@@ -175,6 +187,9 @@ mod tests {
         let mut buf = Vec::new();
         write_trace(&mut buf, &packets(1)).unwrap();
         buf[14 + 20] = 99; // protocol byte of record 0
-        assert!(matches!(read_trace(buf.as_slice()), Err(CaptureError::BadProtocol(99))));
+        assert!(matches!(
+            read_trace(buf.as_slice()),
+            Err(CaptureError::BadProtocol(99))
+        ));
     }
 }

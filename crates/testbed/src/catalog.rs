@@ -108,11 +108,17 @@ pub enum HostingKind {
 
 impl HostingKind {
     /// A typical dedicated pool.
-    pub const DEDICATED_DEFAULT: HostingKind =
-        HostingKind::Dedicated { pool: 10, active: 6, period_secs: 6 * 3_600 };
+    pub const DEDICATED_DEFAULT: HostingKind = HostingKind::Dedicated {
+        pool: 10,
+        active: 6,
+        period_secs: 6 * 3_600,
+    };
     /// A large anycast-ish dedicated pool for very hot services.
-    pub const DEDICATED_LARGE: HostingKind =
-        HostingKind::Dedicated { pool: 24, active: 8, period_secs: 3_600 };
+    pub const DEDICATED_LARGE: HostingKind = HostingKind::Dedicated {
+        pool: 24,
+        active: 8,
+        period_secs: 3_600,
+    };
 
     /// Whether service IPs are exclusive to the domain's SLD.
     pub fn is_dedicated(self) -> bool {
@@ -311,7 +317,10 @@ impl Catalog {
     /// Every domain a product of `class` contacts: own + ancestors' +
     /// (separately) the generic set.
     pub fn effective_domains(&self, class: &str) -> Vec<&DomainSpec> {
-        self.ancestry(class).iter().flat_map(|c| c.domains.iter()).collect()
+        self.ancestry(class)
+            .iter()
+            .flat_map(|c| c.domains.iter())
+            .collect()
     }
 
     /// Distinct manufacturers in the catalog.
@@ -394,7 +403,10 @@ mod tests {
         let names: Vec<_> = fire_tv.iter().map(|c| c.name).collect();
         assert_eq!(names, vec!["Fire TV", "Amazon Product", "Alexa Enabled"]);
         let stv = c.ancestry("Samsung TV");
-        assert_eq!(stv.iter().map(|c| c.name).collect::<Vec<_>>(), vec!["Samsung TV", "Samsung IoT"]);
+        assert_eq!(
+            stv.iter().map(|c| c.name).collect::<Vec<_>>(),
+            vec!["Samsung TV", "Samsung IoT"]
+        );
     }
 
     #[test]
@@ -464,7 +476,10 @@ mod tests {
         assert!(primary >= 250, "primary domains: {primary}");
         assert!((15..=25).contains(&support), "support domains: {support}");
         let shared_frac = shared as f64 / iot.len() as f64;
-        assert!((0.35..=0.60).contains(&shared_frac), "shared fraction {shared_frac:.2}");
+        assert!(
+            (0.35..=0.60).contains(&shared_frac),
+            "shared fraction {shared_frac:.2}"
+        );
         assert_eq!(blind, 15, "DNSDB-blind domains");
         // Generic domains exist and are plentiful (paper: ~90).
         assert!(c.generic_domains.len() >= 60);
@@ -474,7 +489,12 @@ mod tests {
     fn every_product_maps_to_a_class() {
         let c = standard_catalog();
         for p in &c.products {
-            assert!(c.class(p.class).is_some(), "product {} → missing class {}", p.name, p.class);
+            assert!(
+                c.class(p.class).is_some(),
+                "product {} → missing class {}",
+                p.name,
+                p.class
+            );
             assert!(!p.testbeds.is_empty(), "product {} in no testbed", p.name);
         }
     }
@@ -482,8 +502,12 @@ mod tests {
     #[test]
     fn idle_only_products_match_table_1() {
         let c = standard_catalog();
-        let idle_only: Vec<_> =
-            c.products.iter().filter(|p| p.idle_only).map(|p| p.name).collect();
+        let idle_only: Vec<_> = c
+            .products
+            .iter()
+            .filter(|p| p.idle_only)
+            .map(|p| p.name)
+            .collect();
         assert!(idle_only.contains(&"Samsung Dryer"));
         assert!(idle_only.contains(&"Samsung Fridge"));
     }

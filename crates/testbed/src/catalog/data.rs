@@ -136,8 +136,13 @@ fn spread(base: f64, i: usize, n: usize) -> f64 {
 
 /// Service-port cycle for dedicated domains: mostly HTTPS with the odd
 /// MQTT-over-TLS / push-service port, as the testbeds observed.
-const PORT_CYCLE: [(u16, Proto); 5] =
-    [(443, Proto::Tcp), (443, Proto::Tcp), (8883, Proto::Tcp), (443, Proto::Tcp), (5223, Proto::Tcp)];
+const PORT_CYCLE: [(u16, Proto); 5] = [
+    (443, Proto::Tcp),
+    (443, Proto::Tcp),
+    (8883, Proto::Tcp),
+    (443, Proto::Tcp),
+    (5223, Proto::Tcp),
+];
 
 fn expand(row: &Row) -> ClassSpec {
     let mut domains = Vec::with_capacity(row.ded + row.shr + row.sup);
@@ -157,7 +162,8 @@ fn expand(row: &Row) -> ClassSpec {
             DomainRole::Primary
         };
         let pph = if i == 0 {
-            row.critical_pph.unwrap_or_else(|| spread(row.base_pph, 0, row.ded))
+            row.critical_pph
+                .unwrap_or_else(|| spread(row.base_pph, 0, row.ded))
         } else {
             spread(row.base_pph, i, row.ded)
         };
@@ -288,11 +294,18 @@ fn classes() -> Vec<ClassSpec> {
         Row::rule("Honeywell T-stat", Man, "honeywell", 3, 2, 130.0, 250.0).support(1),
         Row::rule("Xiaomi Dev.", Man, "xiaomi", 3, 3, 220.0, 500.0).support(2),
         // ---- 4 monitored domains ----
-        Row::rule("Nest Device", Man, "nest", 4, 3, 60.0, 200.0).support(1).active_only(1),
-        Row::rule("Ring Doorbell", Man, "ring", 4, 3, 240.0, 900.0).support(1).active_only(1).blind(2, 0),
+        Row::rule("Nest Device", Man, "nest", 4, 3, 60.0, 200.0)
+            .support(1)
+            .active_only(1),
+        Row::rule("Ring Doorbell", Man, "ring", 4, 3, 240.0, 900.0)
+            .support(1)
+            .active_only(1)
+            .blind(2, 0),
         Row::rule("Smartlife", Pl, "smartlife", 4, 2, 70.0, 220.0),
         Row::rule("Ubell Doorbell", Man, "ubell", 4, 2, 150.0, 500.0),
-        Row::rule("Yi Camera", Man, "yi", 4, 3, 280.0, 800.0).active_only(1).blind(2, 0),
+        Row::rule("Yi Camera", Man, "yi", 4, 3, 280.0, 800.0)
+            .active_only(1)
+            .blind(2, 0),
         // ---- 5+ monitored domains ----
         Row::rule("Amazon Product", Man, "amazon", 20, 13, 110.0, 600.0)
             .parent("Alexa Enabled")
@@ -306,7 +319,9 @@ fn classes() -> Vec<ClassSpec> {
             .offset(40)
             .active_only(4),
         Row::rule("Philips Dev.", Man, "philips", 4, 3, 310.0, 500.0).support(2),
-        Row::rule("Roku TV", Pr, "roku", 8, 4, 290.0, 800.0).support(2).active_only(2),
+        Row::rule("Roku TV", Pr, "roku", 8, 4, 290.0, 800.0)
+            .support(2)
+            .active_only(2),
         // §4.3.2/§6.2: 14 domains monitored but few matter — the OTN-like
         // update endpoint dominates, contacted infrequently; evening TV
         // usage lights up the top two, which is what gives Samsung its
@@ -318,7 +333,9 @@ fn classes() -> Vec<ClassSpec> {
             .parent("Samsung IoT")
             .offset(20)
             .active_only(3),
-        Row::rule("TP-link Dev.", Man, "tplink", 6, 3, 35.0, 120.0).support(2).active_only(1),
+        Row::rule("TP-link Dev.", Man, "tplink", 6, 3, 35.0, 120.0)
+            .support(2)
+            .active_only(1),
         Row::rule("ZModo Doorbell", Man, "zmodo", 5, 2, 170.0, 600.0),
         // ---- §4.2.3 exclusions: shared backend infrastructure ----
         Row::rule("Google Home", Man, "google-home", 0, 10, 500.0, 900.0)
@@ -327,8 +344,7 @@ fn classes() -> Vec<ClassSpec> {
         Row::rule("Apple TV", Man, "apple-tv", 0, 11, 700.0, 1200.0)
             .blind(0, 1)
             .excluded(SharedInfrastructure),
-        Row::rule("Lefun Cam", Man, "lefun", 0, 2, 260.0, 500.0)
-            .excluded(SharedInfrastructure),
+        Row::rule("Lefun Cam", Man, "lefun", 0, 2, 260.0, 500.0).excluded(SharedInfrastructure),
         // ---- §4.2.3 exclusions: insufficient information ----
         Row::rule("LG TV", Man, "lg-tv", 1, 3, 280.0, 700.0).excluded(InsufficientInfo),
         Row::rule("WeMo Plug", Man, "wemo", 2, 0, 40.0, 150.0)
@@ -351,7 +367,11 @@ fn generic_domains() -> Vec<DomainSpec> {
         v.push(DomainSpec {
             name: DomainName::parse(&format!("ntp{i}.pool-time.org")).unwrap(),
             role: DomainRole::Primary,
-            hosting: HostingKind::Dedicated { pool: 4, active: 2, period_secs: 12 * 3_600 },
+            hosting: HostingKind::Dedicated {
+                pool: 4,
+                active: 2,
+                period_secs: 12 * 3_600,
+            },
             port: 123,
             proto: Proto::Udp,
             idle_pph: 14.0,
@@ -391,7 +411,11 @@ fn generic_domains() -> Vec<DomainSpec> {
             hosting: if i % 2 == 0 {
                 HostingKind::Cdn
             } else {
-                HostingKind::Dedicated { pool: 6, active: 3, period_secs: 6 * 3_600 }
+                HostingKind::Dedicated {
+                    pool: 6,
+                    active: 3,
+                    period_secs: 6 * 3_600,
+                }
             },
             port: if i % 7 == 3 { 80 } else { 443 },
             proto: Proto::Tcp,
@@ -431,77 +455,576 @@ fn products() -> Vec<ProductSpec> {
     };
     vec![
         // ---- Surveillance (13) ----
-        p("Amcrest Cam", "Amcrest", Surveillance, "Amcrest Cam.", both(), false, Top2k, 0.0012),
-        p("Blink Cam", "Blink", Surveillance, "Blink Hub & Cam.", both(), false, Top500, 0.0030),
-        p("Blink Hub", "Blink", Surveillance, "Blink Hub & Cam.", both(), false, Top500, 0.0030),
-        p("Icsee Doorbell", "Icsee", Surveillance, "Icsee Doorbell", us(), false, Top10k, 0.0006),
-        p("Lefun Cam", "Lefun", Surveillance, "Lefun Cam", both(), false, Top10k, 0.0004),
-        p("Luohe Cam", "Luohe", Surveillance, "Luohe Cam.", us(), false, NoMarket, 0.00008),
-        p("Microseven Cam", "Microseven", Surveillance, "Microseven Cam.", us(), false, NoMarket, 0.00004),
-        p("Reolink Cam", "Reolink", Surveillance, "Reolink Cam.", both(), false, Top500, 0.0016),
-        p("Ring Doorbell", "Ring", Surveillance, "Ring Doorbell", both(), false, Top100, 0.0056),
-        p("Ubell Doorbell", "Ubell", Surveillance, "Ubell Doorbell", eu(), false, Top10k, 0.0005),
-        p("Wansview Cam", "Wansview", Surveillance, "Wansview Cam.", both(), false, Top200, 0.0022),
-        p("Yi Cam", "Yi", Surveillance, "Yi Camera", both(), false, Top500, 0.0020),
-        p("ZModo Doorbell", "ZModo", Surveillance, "ZModo Doorbell", both(), false, Top2k, 0.0008),
+        p(
+            "Amcrest Cam",
+            "Amcrest",
+            Surveillance,
+            "Amcrest Cam.",
+            both(),
+            false,
+            Top2k,
+            0.0012,
+        ),
+        p(
+            "Blink Cam",
+            "Blink",
+            Surveillance,
+            "Blink Hub & Cam.",
+            both(),
+            false,
+            Top500,
+            0.0030,
+        ),
+        p(
+            "Blink Hub",
+            "Blink",
+            Surveillance,
+            "Blink Hub & Cam.",
+            both(),
+            false,
+            Top500,
+            0.0030,
+        ),
+        p(
+            "Icsee Doorbell",
+            "Icsee",
+            Surveillance,
+            "Icsee Doorbell",
+            us(),
+            false,
+            Top10k,
+            0.0006,
+        ),
+        p(
+            "Lefun Cam",
+            "Lefun",
+            Surveillance,
+            "Lefun Cam",
+            both(),
+            false,
+            Top10k,
+            0.0004,
+        ),
+        p(
+            "Luohe Cam",
+            "Luohe",
+            Surveillance,
+            "Luohe Cam.",
+            us(),
+            false,
+            NoMarket,
+            0.00008,
+        ),
+        p(
+            "Microseven Cam",
+            "Microseven",
+            Surveillance,
+            "Microseven Cam.",
+            us(),
+            false,
+            NoMarket,
+            0.00004,
+        ),
+        p(
+            "Reolink Cam",
+            "Reolink",
+            Surveillance,
+            "Reolink Cam.",
+            both(),
+            false,
+            Top500,
+            0.0016,
+        ),
+        p(
+            "Ring Doorbell",
+            "Ring",
+            Surveillance,
+            "Ring Doorbell",
+            both(),
+            false,
+            Top100,
+            0.0056,
+        ),
+        p(
+            "Ubell Doorbell",
+            "Ubell",
+            Surveillance,
+            "Ubell Doorbell",
+            eu(),
+            false,
+            Top10k,
+            0.0005,
+        ),
+        p(
+            "Wansview Cam",
+            "Wansview",
+            Surveillance,
+            "Wansview Cam.",
+            both(),
+            false,
+            Top200,
+            0.0022,
+        ),
+        p(
+            "Yi Cam",
+            "Yi",
+            Surveillance,
+            "Yi Camera",
+            both(),
+            false,
+            Top500,
+            0.0020,
+        ),
+        p(
+            "ZModo Doorbell",
+            "ZModo",
+            Surveillance,
+            "ZModo Doorbell",
+            both(),
+            false,
+            Top2k,
+            0.0008,
+        ),
         // ---- Smart Hubs (8) ----
-        p("Insteon", "Insteon", SmartHubs, "Insteon Hub", both(), false, Top2k, 0.0006),
-        p("Lightify", "Osram", SmartHubs, "Lightify Hub", both(), false, Top2k, 0.0014),
-        p("Philips Hue", "Philips", SmartHubs, "Philips Dev.", both(), false, Top10, 0.0080),
-        p("Sengled", "Sengled", SmartHubs, "Sengled Dev.", both(), false, Top2k, 0.0010),
-        p("Smartthings", "SmartThings", SmartHubs, "Smartthings Dev.", both(), false, Top200, 0.0032),
-        p("SwitchBot", "SwitchBot", SmartHubs, "Smartlife", eu(), false, Top2k, 0.0008),
-        p("Wink 2", "Wink", SmartHubs, "Wink 2", us(), false, Top10k, 0.0003),
-        p("Xiaomi Home", "Xiaomi", SmartHubs, "Xiaomi Dev.", both(), false, Top500, 0.0036),
+        p(
+            "Insteon",
+            "Insteon",
+            SmartHubs,
+            "Insteon Hub",
+            both(),
+            false,
+            Top2k,
+            0.0006,
+        ),
+        p(
+            "Lightify",
+            "Osram",
+            SmartHubs,
+            "Lightify Hub",
+            both(),
+            false,
+            Top2k,
+            0.0014,
+        ),
+        p(
+            "Philips Hue",
+            "Philips",
+            SmartHubs,
+            "Philips Dev.",
+            both(),
+            false,
+            Top10,
+            0.0080,
+        ),
+        p(
+            "Sengled",
+            "Sengled",
+            SmartHubs,
+            "Sengled Dev.",
+            both(),
+            false,
+            Top2k,
+            0.0010,
+        ),
+        p(
+            "Smartthings",
+            "SmartThings",
+            SmartHubs,
+            "Smartthings Dev.",
+            both(),
+            false,
+            Top200,
+            0.0032,
+        ),
+        p(
+            "SwitchBot",
+            "SwitchBot",
+            SmartHubs,
+            "Smartlife",
+            eu(),
+            false,
+            Top2k,
+            0.0008,
+        ),
+        p(
+            "Wink 2",
+            "Wink",
+            SmartHubs,
+            "Wink 2",
+            us(),
+            false,
+            Top10k,
+            0.0003,
+        ),
+        p(
+            "Xiaomi Home",
+            "Xiaomi",
+            SmartHubs,
+            "Xiaomi Dev.",
+            both(),
+            false,
+            Top500,
+            0.0036,
+        ),
         // ---- Home Automation (14) ----
-        p("D-Link Mov Sensor", "D-Link", HomeAutomation, "Dlink Motion Sens.", both(), false, Top2k, 0.0015),
-        p("Flux Bulb", "Flux", HomeAutomation, "Flux Bulb", both(), false, Top2k, 0.0009),
-        p("Honeywell T-stat", "Honeywell", HomeAutomation, "Honeywell T-stat", both(), false, Top500, 0.0020),
-        p("Magichome Strip", "Magichome", HomeAutomation, "Magichome Stripe", both(), false, Top2k, 0.0011),
-        p("Meross Door Opener", "Meross", HomeAutomation, "Meross Dooropener", both(), false, Top100, 0.0025),
-        p("Nest T-stat", "Nest", HomeAutomation, "Nest Device", both(), false, Top200, 0.0042),
-        p("Philips Bulb", "Philips", HomeAutomation, "Philips Dev.", both(), false, Top10, 0.0042),
-        p("Smartlife Bulb", "Tuya", HomeAutomation, "Smartlife", both(), false, Top500, 0.0040),
-        p("Smartlife Remote", "Tuya", HomeAutomation, "Smartlife", eu(), false, Top2k, 0.0010),
-        p("TP-Link Bulb", "TP-Link", HomeAutomation, "TP-link Dev.", both(), false, Top100, 0.0036),
-        p("TP-Link Plug", "TP-Link", HomeAutomation, "TP-link Dev.", both(), false, Top100, 0.0042),
-        p("WeMo Plug", "Belkin", HomeAutomation, "WeMo Plug", both(), false, Top500, 0.0020),
-        p("Xiaomi Strip", "Xiaomi", HomeAutomation, "Xiaomi Dev.", both(), false, Top2k, 0.0012),
-        p("Xiaomi Plug", "Xiaomi", HomeAutomation, "Xiaomi Dev.", both(), false, Top2k, 0.0014),
+        p(
+            "D-Link Mov Sensor",
+            "D-Link",
+            HomeAutomation,
+            "Dlink Motion Sens.",
+            both(),
+            false,
+            Top2k,
+            0.0015,
+        ),
+        p(
+            "Flux Bulb",
+            "Flux",
+            HomeAutomation,
+            "Flux Bulb",
+            both(),
+            false,
+            Top2k,
+            0.0009,
+        ),
+        p(
+            "Honeywell T-stat",
+            "Honeywell",
+            HomeAutomation,
+            "Honeywell T-stat",
+            both(),
+            false,
+            Top500,
+            0.0020,
+        ),
+        p(
+            "Magichome Strip",
+            "Magichome",
+            HomeAutomation,
+            "Magichome Stripe",
+            both(),
+            false,
+            Top2k,
+            0.0011,
+        ),
+        p(
+            "Meross Door Opener",
+            "Meross",
+            HomeAutomation,
+            "Meross Dooropener",
+            both(),
+            false,
+            Top100,
+            0.0025,
+        ),
+        p(
+            "Nest T-stat",
+            "Nest",
+            HomeAutomation,
+            "Nest Device",
+            both(),
+            false,
+            Top200,
+            0.0042,
+        ),
+        p(
+            "Philips Bulb",
+            "Philips",
+            HomeAutomation,
+            "Philips Dev.",
+            both(),
+            false,
+            Top10,
+            0.0042,
+        ),
+        p(
+            "Smartlife Bulb",
+            "Tuya",
+            HomeAutomation,
+            "Smartlife",
+            both(),
+            false,
+            Top500,
+            0.0040,
+        ),
+        p(
+            "Smartlife Remote",
+            "Tuya",
+            HomeAutomation,
+            "Smartlife",
+            eu(),
+            false,
+            Top2k,
+            0.0010,
+        ),
+        p(
+            "TP-Link Bulb",
+            "TP-Link",
+            HomeAutomation,
+            "TP-link Dev.",
+            both(),
+            false,
+            Top100,
+            0.0036,
+        ),
+        p(
+            "TP-Link Plug",
+            "TP-Link",
+            HomeAutomation,
+            "TP-link Dev.",
+            both(),
+            false,
+            Top100,
+            0.0042,
+        ),
+        p(
+            "WeMo Plug",
+            "Belkin",
+            HomeAutomation,
+            "WeMo Plug",
+            both(),
+            false,
+            Top500,
+            0.0020,
+        ),
+        p(
+            "Xiaomi Strip",
+            "Xiaomi",
+            HomeAutomation,
+            "Xiaomi Dev.",
+            both(),
+            false,
+            Top2k,
+            0.0012,
+        ),
+        p(
+            "Xiaomi Plug",
+            "Xiaomi",
+            HomeAutomation,
+            "Xiaomi Dev.",
+            both(),
+            false,
+            Top2k,
+            0.0014,
+        ),
         // ---- Video (5) ----
-        p("Apple TV", "Apple", Video, "Apple TV", both(), false, Top100, 0.0250),
-        p("Fire TV", "Amazon", Video, "Fire TV", both(), false, Top10, 0.0400),
+        p(
+            "Apple TV",
+            "Apple",
+            Video,
+            "Apple TV",
+            both(),
+            false,
+            Top100,
+            0.0250,
+        ),
+        p(
+            "Fire TV",
+            "Amazon",
+            Video,
+            "Fire TV",
+            both(),
+            false,
+            Top10,
+            0.0400,
+        ),
         p("LG TV", "LG", Video, "LG TV", eu(), false, Top100, 0.0300),
-        p("Roku TV", "Roku", Video, "Roku TV", us(), false, NoMarket, 0.0012),
-        p("Samsung TV", "Samsung", Video, "Samsung TV", both(), false, Top10, 0.0380),
+        p(
+            "Roku TV",
+            "Roku",
+            Video,
+            "Roku TV",
+            us(),
+            false,
+            NoMarket,
+            0.0012,
+        ),
+        p(
+            "Samsung TV",
+            "Samsung",
+            Video,
+            "Samsung TV",
+            both(),
+            false,
+            Top10,
+            0.0380,
+        ),
         // ---- Audio (7) ----
         // Allure stands in for *all* third-party Alexa integrations in the
         // wild (fridges, alarm clocks — §4.3.1), hence the outsized
         // penetration relative to the single testbed unit.
-        p("Allure with Alexa", "Allure", Audio, "Alexa Enabled", eu(), false, Top10k, 0.0220),
-        p("Echo Dot", "Amazon", Audio, "Amazon Product", both(), false, Top10, 0.0720),
-        p("Echo Spot", "Amazon", Audio, "Amazon Product", both(), false, Top200, 0.0100),
-        p("Echo Plus", "Amazon", Audio, "Amazon Product", both(), false, Top100, 0.0250),
-        p("Google Home Mini", "Google", Audio, "Google Home", both(), false, Top10, 0.0400),
-        p("Google Home", "Google", Audio, "Google Home", both(), false, Top100, 0.0250),
+        p(
+            "Allure with Alexa",
+            "Allure",
+            Audio,
+            "Alexa Enabled",
+            eu(),
+            false,
+            Top10k,
+            0.0220,
+        ),
+        p(
+            "Echo Dot",
+            "Amazon",
+            Audio,
+            "Amazon Product",
+            both(),
+            false,
+            Top10,
+            0.0720,
+        ),
+        p(
+            "Echo Spot",
+            "Amazon",
+            Audio,
+            "Amazon Product",
+            both(),
+            false,
+            Top200,
+            0.0100,
+        ),
+        p(
+            "Echo Plus",
+            "Amazon",
+            Audio,
+            "Amazon Product",
+            both(),
+            false,
+            Top100,
+            0.0250,
+        ),
+        p(
+            "Google Home Mini",
+            "Google",
+            Audio,
+            "Google Home",
+            both(),
+            false,
+            Top10,
+            0.0400,
+        ),
+        p(
+            "Google Home",
+            "Google",
+            Audio,
+            "Google Home",
+            both(),
+            false,
+            Top100,
+            0.0250,
+        ),
         // ---- Appliances (9) ----
-        p("Anova Sousvide", "Anova", Appliances, "Anova Sousvide", both(), false, Top500, 0.0010),
-        p("Appkettle", "AppKettle", Appliances, "AppKettle", eu(), false, Top10k, 0.0004),
-        p("GE Microwave", "GE", Appliances, "GE Microwave", us(), false, NoMarket, 0.0002),
-        p("Netatmo Weather", "Netatmo", Appliances, "Netatmo Weather St.", both(), false, Top200, 0.0030),
-        p("Samsung Dryer", "Samsung", Appliances, "Samsung IoT", eu(), true, Top500, 0.0062),
-        p("Samsung Fridge", "Samsung", Appliances, "Samsung IoT", eu(), true, Top500, 0.0055),
-        p("Smarter Brewer", "Smarter", Appliances, "Smarter Coffee", eu(), false, Top10k, 0.0003),
-        p("Smarter Coffee Machine", "Smarter", Appliances, "Smarter Coffee", both(), false, Top10k, 0.0004),
-        p("Smarter iKettle", "Smarter", Appliances, "iKettle", both(), false, Top2k, 0.0007),
+        p(
+            "Anova Sousvide",
+            "Anova",
+            Appliances,
+            "Anova Sousvide",
+            both(),
+            false,
+            Top500,
+            0.0010,
+        ),
+        p(
+            "Appkettle",
+            "AppKettle",
+            Appliances,
+            "AppKettle",
+            eu(),
+            false,
+            Top10k,
+            0.0004,
+        ),
+        p(
+            "GE Microwave",
+            "GE",
+            Appliances,
+            "GE Microwave",
+            us(),
+            false,
+            NoMarket,
+            0.0002,
+        ),
+        p(
+            "Netatmo Weather",
+            "Netatmo",
+            Appliances,
+            "Netatmo Weather St.",
+            both(),
+            false,
+            Top200,
+            0.0030,
+        ),
+        p(
+            "Samsung Dryer",
+            "Samsung",
+            Appliances,
+            "Samsung IoT",
+            eu(),
+            true,
+            Top500,
+            0.0062,
+        ),
+        p(
+            "Samsung Fridge",
+            "Samsung",
+            Appliances,
+            "Samsung IoT",
+            eu(),
+            true,
+            Top500,
+            0.0055,
+        ),
+        p(
+            "Smarter Brewer",
+            "Smarter",
+            Appliances,
+            "Smarter Coffee",
+            eu(),
+            false,
+            Top10k,
+            0.0003,
+        ),
+        p(
+            "Smarter Coffee Machine",
+            "Smarter",
+            Appliances,
+            "Smarter Coffee",
+            both(),
+            false,
+            Top10k,
+            0.0004,
+        ),
+        p(
+            "Smarter iKettle",
+            "Smarter",
+            Appliances,
+            "iKettle",
+            both(),
+            false,
+            Top2k,
+            0.0007,
+        ),
         // ---- Rice cooker rounds out Xiaomi's Table-1 presence ----
-        p("Xiaomi Rice Cooker", "Xiaomi", Appliances, "Xiaomi Dev.", eu(), true, NoMarket, 0.0003),
+        p(
+            "Xiaomi Rice Cooker",
+            "Xiaomi",
+            Appliances,
+            "Xiaomi Dev.",
+            eu(),
+            true,
+            NoMarket,
+            0.0003,
+        ),
     ]
 }
 
 /// Build the standard catalog. Deterministic; no I/O.
 pub fn standard_catalog() -> Catalog {
-    Catalog { classes: classes(), products: products(), generic_domains: generic_domains() }
+    Catalog {
+        classes: classes(),
+        products: products(),
+        generic_domains: generic_domains(),
+    }
 }
 
 #[cfg(test)]
@@ -512,12 +1035,24 @@ mod tests {
     fn rule_level_counts_match_section_4_3_2() {
         let c = standard_catalog();
         let active: Vec<_> = c.classes.iter().filter(|k| k.excluded.is_none()).collect();
-        let man = active.iter().filter(|k| k.level == DetectionLevel::Manufacturer).count();
-        let pr = active.iter().filter(|k| k.level == DetectionLevel::Product).count();
-        let pl = active.iter().filter(|k| k.level == DetectionLevel::Platform).count();
+        let man = active
+            .iter()
+            .filter(|k| k.level == DetectionLevel::Manufacturer)
+            .count();
+        let pr = active
+            .iter()
+            .filter(|k| k.level == DetectionLevel::Product)
+            .count();
+        let pl = active
+            .iter()
+            .filter(|k| k.level == DetectionLevel::Platform)
+            .count();
         assert_eq!(man, 20, "manufacturer-level rules (paper: 20)");
         assert_eq!(pr, 11, "product-level rules (paper: 11)");
-        assert!(pl >= 3, "at least 3 platforms (paper text: 3; figure shows more)");
+        assert!(
+            pl >= 3,
+            "at least 3 platforms (paper text: 3; figure shows more)"
+        );
     }
 
     #[test]
@@ -588,7 +1123,11 @@ mod tests {
             }
         }
         for d in &c.generic_domains {
-            assert!(seen.insert(d.name.clone()), "generic duplicates IoT domain {}", d.name);
+            assert!(
+                seen.insert(d.name.clone()),
+                "generic duplicates IoT domain {}",
+                d.name
+            );
         }
     }
 

@@ -78,13 +78,23 @@ mod tests {
         assert!(yi.domains.iter().all(|d| d.hosting == HostingKind::Cdn));
         assert_eq!(yi.monitored_domain_count(), 0, "nothing left to monitor");
         // Other classes untouched.
-        assert!(hidden.class("Ring Doorbell").unwrap().monitored_domain_count() > 0);
+        assert!(
+            hidden
+                .class("Ring Doorbell")
+                .unwrap()
+                .monitored_domain_count()
+                > 0
+        );
     }
 
     #[test]
     fn rate_limit_caps_rates_only() {
         let c = standard_catalog();
-        let limited = apply(&c, "Yi Camera", Countermeasure::RateLimit { max_idle_pph: 5.0 });
+        let limited = apply(
+            &c,
+            "Yi Camera",
+            Countermeasure::RateLimit { max_idle_pph: 5.0 },
+        );
         let yi = limited.class("Yi Camera").unwrap();
         assert!(yi.domains.iter().all(|d| d.idle_pph <= 5.0));
         // Hosting unchanged: the service is still *theoretically* detectable.
@@ -96,8 +106,11 @@ mod tests {
     #[test]
     fn shaping_removes_usage_signals() {
         let c = standard_catalog();
-        let shaped =
-            apply(&c, "Blink Hub & Cam.", Countermeasure::ConstantRateShaping { level_pph: 60.0 });
+        let shaped = apply(
+            &c,
+            "Blink Hub & Cam.",
+            Countermeasure::ConstantRateShaping { level_pph: 60.0 },
+        );
         let blink = shaped.class("Blink Hub & Cam.").unwrap();
         for d in &blink.domains {
             assert_eq!(d.idle_pph, 60.0);
@@ -109,7 +122,11 @@ mod tests {
     #[test]
     fn unknown_class_is_a_no_op() {
         let c = standard_catalog();
-        let same = apply(&c, "No Such Device", Countermeasure::MoveToSharedInfrastructure);
+        let same = apply(
+            &c,
+            "No Such Device",
+            Countermeasure::MoveToSharedInfrastructure,
+        );
         assert_eq!(same.classes.len(), c.classes.len());
         assert_eq!(
             same.class("Yi Camera").unwrap().monitored_domain_count(),

@@ -88,7 +88,11 @@ impl ExperimentDriver {
         let mut instances = Vec::new();
         for (pi, p) in catalog.products.iter().enumerate() {
             for tb in &p.testbeds {
-                instances.push(Instance { id: instances.len() as u32, product: pi, testbed: *tb });
+                instances.push(Instance {
+                    id: instances.len() as u32,
+                    product: pi,
+                    testbed: *tb,
+                });
             }
         }
 
@@ -151,7 +155,15 @@ impl ExperimentDriver {
             contacts.push(list);
         }
 
-        ExperimentDriver { catalog, seed, instances, domain_table, contacts, home_vp, tunnel_ips }
+        ExperimentDriver {
+            catalog,
+            seed,
+            instances,
+            domain_table,
+            contacts,
+            home_vp,
+            tunnel_ips,
+        }
     }
 
     /// The catalog driving the experiments.
@@ -249,7 +261,11 @@ impl ExperimentDriver {
 
     /// Generate the Home-VP capture for one hour. Empty outside the
     /// ground-truth windows.
-    pub fn generate_hour(&self, world: &MaterializedWorld, hour: HourBin) -> Vec<GroundTruthPacket> {
+    pub fn generate_hour(
+        &self,
+        world: &MaterializedWorld,
+        hour: HourBin,
+    ) -> Vec<GroundTruthPacket> {
         let Some(kind) = Self::kind_of_hour(hour) else {
             return Vec::new();
         };
@@ -403,7 +419,10 @@ mod tests {
         let first = haystack_net::DayBin(7).first_hour(); // idle window start
         let later = haystack_net::DayBin(8).first_hour();
         let unique_ips = |pkts: &[GroundTruthPacket]| {
-            pkts.iter().map(|g| g.packet.dst).collect::<std::collections::HashSet<_>>().len()
+            pkts.iter()
+                .map(|g| g.packet.dst)
+                .collect::<std::collections::HashSet<_>>()
+                .len()
         };
         let spike = d.generate_hour(&world, first);
         let steady = d.generate_hour(&world, later);

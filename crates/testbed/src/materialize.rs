@@ -52,7 +52,11 @@ pub fn materialize(catalog: &Catalog) -> MaterializedWorld {
         for d in &class.domains {
             directory.insert(d.name.clone(), Some(class.name));
             match d.hosting {
-                HostingKind::Dedicated { pool, active, period_secs } => {
+                HostingKind::Dedicated {
+                    pool,
+                    active,
+                    period_secs,
+                } => {
                     let op = d.name.sld().as_str().to_string();
                     if operators_added.insert(op.clone()) {
                         b.add_operator(&op);
@@ -73,7 +77,11 @@ pub fn materialize(catalog: &Catalog) -> MaterializedWorld {
         directory.insert(d.name.clone(), None);
         match d.hosting {
             HostingKind::Cdn => b.host_cdn(CDN_PROVIDER, &d.name),
-            HostingKind::Dedicated { pool, active, period_secs } => {
+            HostingKind::Dedicated {
+                pool,
+                active,
+                period_secs,
+            } => {
                 b.host_generic(&d.name, pool, active, period_secs);
             }
             HostingKind::CloudVm => {
@@ -83,7 +91,10 @@ pub fn materialize(catalog: &Catalog) -> MaterializedWorld {
         }
     }
 
-    MaterializedWorld { universe: b.build(), directory }
+    MaterializedWorld {
+        universe: b.build(),
+        directory,
+    }
 }
 
 #[cfg(test)]
@@ -103,7 +114,11 @@ mod tests {
             assert!(!res.unwrap().ips.is_empty());
         }
         for d in &catalog.generic_domains {
-            assert!(r.resolve(&d.name, SimTime(0)).is_some(), "generic {} unresolvable", d.name);
+            assert!(
+                r.resolve(&d.name, SimTime(0)).is_some(),
+                "generic {} unresolvable",
+                d.name
+            );
         }
     }
 

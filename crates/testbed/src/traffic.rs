@@ -45,10 +45,8 @@ pub fn poisson<R: Rng>(lambda: f64, rng: &mut R) -> u64 {
 
 /// Deterministic per-(instance, domain, hour) RNG seed.
 fn seed_for(seed: u64, instance: u32, domain_idx: usize, hour: HourBin) -> u64 {
-    let mut z = seed
-        ^ (u64::from(instance) << 40)
-        ^ ((domain_idx as u64) << 24)
-        ^ u64::from(hour.0);
+    let mut z =
+        seed ^ (u64::from(instance) << 40) ^ ((domain_idx as u64) << 24) ^ u64::from(hour.0);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -91,7 +89,11 @@ pub fn device_domain_hour(
     } else {
         interactions
     };
-    let startup_pph = if startup { 40.0 + (spec.idle_pph * 0.5).min(80.0) } else { 0.0 };
+    let startup_pph = if startup {
+        40.0 + (spec.idle_pph * 0.5).min(80.0)
+    } else {
+        0.0
+    };
     let lambda = (spec.rate_with_interactions(eff_interactions) + startup_pph) * rate_scale;
     let n = poisson(lambda, &mut rng);
     if n == 0 {
@@ -189,7 +191,10 @@ mod tests {
         z.insert_pool(
             DomainName::parse("d0.test-iot.com").unwrap(),
             (1..=8).map(|i| Ipv4Addr::new(198, 18, 9, i)).collect(),
-            RotationPolicy { active_count: 4, period_secs: 3_600 },
+            RotationPolicy {
+                active_count: 4,
+                period_secs: 3_600,
+            },
         );
         z
     }
@@ -217,7 +222,10 @@ mod tests {
             .map(|h| device_domain_hour(1, 0, 0, &s, SRC, &r, HourBin(h), 0, false, 1.0).len())
             .sum();
         let mean = total as f64 / 50.0;
-        assert!((250.0..350.0).contains(&mean), "mean {mean} pkts/hour for rate 300");
+        assert!(
+            (250.0..350.0).contains(&mean),
+            "mean {mean} pkts/hour for rate 300"
+        );
     }
 
     #[test]
@@ -238,7 +246,10 @@ mod tests {
         let pkts = device_domain_hour(2, 1, 0, &s, SRC, &r, HourBin(3), 0, false, 1.0);
         assert!(pkts.iter().any(|p| p.flags.contains(TcpFlags::SYN)));
         assert!(pkts.iter().any(|p| p.flags.is_established_evidence()));
-        assert!(pkts.windows(2).all(|w| w[0].ts <= w[1].ts), "sorted by time");
+        assert!(
+            pkts.windows(2).all(|w| w[0].ts <= w[1].ts),
+            "sorted by time"
+        );
         assert!(pkts.iter().all(|p| p.dport == 443 && p.src == SRC));
     }
 
@@ -249,7 +260,9 @@ mod tests {
         let s = spec(60.0, Proto::Udp);
         let pkts = device_domain_hour(2, 1, 0, &s, SRC, &r, HourBin(3), 0, false, 1.0);
         assert!(!pkts.is_empty());
-        assert!(pkts.iter().all(|p| p.flags == TcpFlags::NONE && p.dport == 123));
+        assert!(pkts
+            .iter()
+            .all(|p| p.flags == TcpFlags::NONE && p.dport == 123));
     }
 
     #[test]

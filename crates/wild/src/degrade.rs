@@ -96,9 +96,9 @@ fn templates_known(chaos: &ChaosConfig, salt: u64, index: u64) -> bool {
     {
         return true;
     }
-    let mut rng = SmallRng::seed_from_u64(mix(
-        chaos.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ mix(refresh ^ 0x7E4A_11CE),
-    ));
+    let mut rng = SmallRng::seed_from_u64(mix(chaos.seed
+        ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ mix(refresh ^ 0x7E4A_11CE)));
     rng.gen::<f64>() >= chaos.template_withhold_probability
 }
 
@@ -135,9 +135,9 @@ fn apply_batch(
         deg.records_lost += batch.len() as u64;
         return;
     }
-    let mut rng = SmallRng::seed_from_u64(mix(
-        chaos.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ mix(index ^ 0xDE64_ADE5),
-    ));
+    let mut rng = SmallRng::seed_from_u64(mix(chaos.seed
+        ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ mix(index ^ 0xDE64_ADE5)));
     if rng.gen::<f64>() < chaos.drop_probability {
         deg.batches_dropped += 1;
         deg.records_lost += batch.len() as u64;
@@ -372,7 +372,10 @@ mod tests {
     #[test]
     fn loss_is_proportionate_not_total() {
         let records = recs(3_000);
-        let chaos = ChaosConfig { drop_probability: 0.3, ..ChaosConfig::off() };
+        let chaos = ChaosConfig {
+            drop_probability: 0.3,
+            ..ChaosConfig::off()
+        };
         let (out, deg) = degrade_records(records, &chaos, 11);
         assert!(deg.records_lost > 0);
         assert!(!out.is_empty(), "moderate loss must not empty the feed");
@@ -383,8 +386,10 @@ mod tests {
     #[test]
     fn withholding_loses_whole_refresh_periods() {
         let records = recs(3_000); // 100 batches, 5 refresh periods
-        let chaos =
-            ChaosConfig { template_withhold_probability: 1.0, ..ChaosConfig::off() };
+        let chaos = ChaosConfig {
+            template_withhold_probability: 1.0,
+            ..ChaosConfig::off()
+        };
         let (out, deg) = degrade_records(records, &chaos, 1);
         assert!(out.is_empty(), "all refreshes withheld ⇒ nothing decodes");
         assert_eq!(deg.batches_dropped, 100);
@@ -393,7 +398,10 @@ mod tests {
     #[test]
     fn restart_costs_one_batch() {
         let records = recs(300);
-        let chaos = ChaosConfig { restart_after: Some(4), ..ChaosConfig::off() };
+        let chaos = ChaosConfig {
+            restart_after: Some(4),
+            ..ChaosConfig::off()
+        };
         let (out, deg) = degrade_records(records, &chaos, 1);
         assert_eq!(deg.restarts, 1);
         assert_eq!(out.len(), 300 - BATCH_RECORDS);
@@ -431,7 +439,10 @@ mod tests {
     #[test]
     fn duplication_grows_but_preserves_membership() {
         let records = recs(300);
-        let chaos = ChaosConfig { duplicate_probability: 1.0, ..ChaosConfig::off() };
+        let chaos = ChaosConfig {
+            duplicate_probability: 1.0,
+            ..ChaosConfig::off()
+        };
         let (out, deg) = degrade_records(records.clone(), &chaos, 1);
         assert_eq!(out.len(), 600);
         assert_eq!(deg.records_duplicated, 300);

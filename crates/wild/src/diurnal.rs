@@ -68,17 +68,22 @@ mod tests {
         let evening = s.intensity(20);
         assert!(evening > s.intensity(3) * 5.0, "evening {evening} vs night");
         assert!(evening > s.intensity(12));
-        let peak_hour = (0..24).max_by(|a, b| {
-            s.intensity(*a).partial_cmp(&s.intensity(*b)).unwrap()
-        });
+        let peak_hour =
+            (0..24).max_by(|a, b| s.intensity(*a).partial_cmp(&s.intensity(*b)).unwrap());
         assert!((18..=22).contains(&peak_hour.unwrap()));
     }
 
     #[test]
     fn household_has_morning_shoulder() {
         let s = UsageShape::Household;
-        assert!(s.intensity(7) > s.intensity(12), "morning bump beats midday");
-        assert!(s.intensity(18) > s.intensity(7), "evening peak beats morning");
+        assert!(
+            s.intensity(7) > s.intensity(12),
+            "morning bump beats midday"
+        );
+        assert!(
+            s.intensity(18) > s.intensity(7),
+            "evening peak beats morning"
+        );
     }
 
     #[test]
@@ -100,8 +105,17 @@ mod tests {
 
     #[test]
     fn category_mapping() {
-        assert_eq!(UsageShape::for_category(Category::Audio), UsageShape::Entertainment);
-        assert_eq!(UsageShape::for_category(Category::Appliances), UsageShape::Household);
-        assert_eq!(UsageShape::for_category(Category::Surveillance), UsageShape::Ambient);
+        assert_eq!(
+            UsageShape::for_category(Category::Audio),
+            UsageShape::Entertainment
+        );
+        assert_eq!(
+            UsageShape::for_category(Category::Appliances),
+            UsageShape::Household
+        );
+        assert_eq!(
+            UsageShape::for_category(Category::Surveillance),
+            UsageShape::Ambient
+        );
     }
 }

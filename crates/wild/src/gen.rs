@@ -158,8 +158,15 @@ pub fn generate_hour(
     // §7.1/Figure 18: usage peaks "during the day and weekends".
     let weekend_boost = if hour.day().is_weekend() { 1.35 } else { 1.0 };
     let mut emit_line_plan = |line: u32, p: &ProductPlan, rng: &mut SmallRng| {
-        sampled_packets +=
-            sample_line_plan(p, plan, &live, hod, weekend_boost, s, rng, |dst, spec, est| {
+        sampled_packets += sample_line_plan(
+            p,
+            plan,
+            &live,
+            hod,
+            weekend_boost,
+            s,
+            rng,
+            |dst, spec, est| {
                 let e = acc.entry((line, dst, spec.port)).or_insert(Acc {
                     packets: 0,
                     bytes: 0,
@@ -169,7 +176,8 @@ pub fn generate_hour(
                 e.packets += 1;
                 e.bytes += u64::from(spec.bytes_per_pkt);
                 e.established |= est;
-            });
+            },
+        );
     };
 
     for p in &plan.products {
@@ -207,7 +215,11 @@ pub fn generate_hour(
         });
     }
     records.sort_by_key(|r| (r.line, r.dst, r.dport));
-    HourTraffic { records, sampled_packets, degradation: Default::default() }
+    HourTraffic {
+        records,
+        sampled_packets,
+        degradation: Default::default(),
+    }
 }
 
 /// The streaming, line-major twin of [`generate_hour`].
@@ -452,7 +464,9 @@ pub fn generate_dns_hour(
                 continue; // this household uses DoH / a public resolver
             }
             let mut rng = SmallRng::seed_from_u64(
-                seed ^ 0xD2D2 ^ (u64::from(line) << 24) ^ ((p.product as u64) << 8)
+                seed ^ 0xD2D2
+                    ^ (u64::from(line) << 24)
+                    ^ ((p.product as u64) << 8)
                     ^ u64::from(hour.0),
             );
             let active = p.active_extra_lambda > 0.0
@@ -509,8 +523,16 @@ mod tests {
         let (pop, plan, world) = setup();
         let anon = Anonymizer::new(1, 2);
         for background in [false, true] {
-            let want =
-                generate_hour(&pop, &plan, &world, HourBin(10), 1_000, 7, &anon, background);
+            let want = generate_hour(
+                &pop,
+                &plan,
+                &world,
+                HourBin(10),
+                1_000,
+                7,
+                &anon,
+                background,
+            );
             for chunk in [1usize, 7, 1024, usize::MAX] {
                 let mut s = HourStream::new(
                     &pop,
@@ -524,7 +546,10 @@ mod tests {
                     chunk,
                 );
                 let got = crate::stream::materialize(&mut s);
-                assert_eq!(got.records, want.records, "background {background} chunk {chunk}");
+                assert_eq!(
+                    got.records, want.records,
+                    "background {background} chunk {chunk}"
+                );
                 assert_eq!(got.sampled_packets, want.sampled_packets);
             }
         }
@@ -537,7 +562,10 @@ mod tests {
         let dense = generate_hour(&pop, &plan, &world, HourBin(10), 100, 7, &anon, false);
         let sparse = generate_hour(&pop, &plan, &world, HourBin(10), 1_000, 7, &anon, false);
         let ratio = dense.sampled_packets as f64 / sparse.sampled_packets.max(1) as f64;
-        assert!((7.0..14.0).contains(&ratio), "10× sampling ratio, got {ratio:.1}");
+        assert!(
+            (7.0..14.0).contains(&ratio),
+            "10× sampling ratio, got {ratio:.1}"
+        );
     }
 
     #[test]
@@ -545,8 +573,16 @@ mod tests {
         let (pop, plan, world) = setup();
         let anon = Anonymizer::new(1, 2);
         // Hour 20 (evening) vs hour 3 (night) of day 1.
-        let evening =
-            generate_hour(&pop, &plan, &world, HourBin(24 + 20), 1_000, 7, &anon, false);
+        let evening = generate_hour(
+            &pop,
+            &plan,
+            &world,
+            HourBin(24 + 20),
+            1_000,
+            7,
+            &anon,
+            false,
+        );
         let night = generate_hour(&pop, &plan, &world, HourBin(24 + 3), 1_000, 7, &anon, false);
         assert!(
             evening.sampled_packets > night.sampled_packets,
@@ -562,8 +598,7 @@ mod tests {
         let anon = Anonymizer::new(1, 2);
         let t = generate_hour(&pop, &plan, &world, HourBin(10), 500, 7, &anon, false);
         let live = live_sets(&plan, &world, HourBin(10));
-        let all_live: std::collections::HashSet<_> =
-            live.iter().flatten().copied().collect();
+        let all_live: std::collections::HashSet<_> = live.iter().flatten().copied().collect();
         assert!(t.records.iter().all(|r| all_live.contains(&r.dst)));
     }
 
@@ -578,7 +613,10 @@ mod tests {
             with.records.iter().map(|r| r.line).collect();
         let lines_without: std::collections::HashSet<_> =
             without.records.iter().map(|r| r.line).collect();
-        assert!(lines_with.len() > lines_without.len() * 2, "background reaches most lines");
+        assert!(
+            lines_with.len() > lines_without.len() * 2,
+            "background reaches most lines"
+        );
     }
 
     #[test]
@@ -602,7 +640,10 @@ mod tests {
         assert!(!full.is_empty());
         assert!(none.is_empty());
         let ratio = half.len() as f64 / full.len() as f64;
-        assert!((0.3..0.7).contains(&ratio), "resolver share ratio {ratio:.2}");
+        assert!(
+            (0.3..0.7).contains(&ratio),
+            "resolver share ratio {ratio:.2}"
+        );
     }
 
     #[test]
@@ -612,10 +653,13 @@ mod tests {
         let anon = Anonymizer::new(1, 2);
         let events = generate_dns_hour(&pop, &plan, HourBin(20), 1.0, 7, &anon);
         use haystack_testbed::catalog::HostingKind;
-        let shared_queried = events.iter().any(|e| {
-            matches!(plan.domains[e.domain_id as usize].hosting, HostingKind::Cdn)
-        });
-        assert!(shared_queried, "CDN-hosted domains must appear in the resolver log");
+        let shared_queried = events
+            .iter()
+            .any(|e| matches!(plan.domains[e.domain_id as usize].hosting, HostingKind::Cdn));
+        assert!(
+            shared_queried,
+            "CDN-hosted domains must appear in the resolver log"
+        );
     }
 
     #[test]
@@ -627,6 +671,10 @@ mod tests {
         let la: std::collections::HashSet<_> = a.records.iter().map(|r| r.line).collect();
         let lb: std::collections::HashSet<_> = b.records.iter().map(|r| r.line).collect();
         let overlap = la.intersection(&lb).count();
-        assert!(overlap > la.len() / 3, "line identities unstable: {overlap}/{}", la.len());
+        assert!(
+            overlap > la.len() / 3,
+            "line identities unstable: {overlap}/{}",
+            la.len()
+        );
     }
 }

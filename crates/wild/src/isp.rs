@@ -34,7 +34,12 @@ pub struct IspConfig {
 
 impl Default for IspConfig {
     fn default() -> Self {
-        IspConfig { lines: 100_000, sampling: 1_000, seed: 0x15B0_0001, background: false }
+        IspConfig {
+            lines: 100_000,
+            sampling: 1_000,
+            seed: 0x15B0_0001,
+            background: false,
+        }
     }
 }
 
@@ -51,11 +56,16 @@ pub struct IspVantage {
 impl IspVantage {
     /// Build the vantage point: draws the subscriber population.
     pub fn new(catalog: &Catalog, config: IspConfig) -> Self {
-        let population =
-            Population::new(catalog, PopulationConfig::isp(config.lines, config.seed));
+        let population = Population::new(catalog, PopulationConfig::isp(config.lines, config.seed));
         let plan = ContactPlan::new(catalog);
         let anonymizer = Anonymizer::new(config.seed ^ 0xA17A, config.seed ^ 0x5EED);
-        IspVantage { config, population, plan, anonymizer, chaos: None }
+        IspVantage {
+            config,
+            population,
+            plan,
+            anonymizer,
+            chaos: None,
+        }
     }
 
     /// Run the export feed through record-level chaos (see
@@ -155,7 +165,12 @@ mod tests {
         let world = materialize(&catalog);
         let isp = IspVantage::new(
             &catalog,
-            IspConfig { lines: 10_000, sampling: 1_000, seed: 1, background: false },
+            IspConfig {
+                lines: 10_000,
+                sampling: 1_000,
+                seed: 1,
+                background: false,
+            },
         );
         let t = isp.capture_hour(&world, HourBin(30));
         assert!(!t.records.is_empty());
@@ -169,7 +184,12 @@ mod tests {
     fn stream_hour_matches_capture_hour_with_and_without_chaos() {
         let catalog = standard_catalog();
         let world = materialize(&catalog);
-        let config = IspConfig { lines: 8_000, sampling: 500, seed: 9, background: true };
+        let config = IspConfig {
+            lines: 8_000,
+            sampling: 500,
+            seed: 9,
+            background: true,
+        };
         for chaos in [None, Some(ChaosConfig::at_severity(0.5, 77))] {
             let mut isp = IspVantage::new(&catalog, config.clone());
             if let Some(c) = chaos {
@@ -177,16 +197,16 @@ mod tests {
             }
             let want = isp.capture_hour(&world, HourBin(20));
             for chunk in [64usize, usize::MAX] {
-                let got = crate::stream::materialize(&mut *isp.stream_hour(
-                    &world,
-                    HourBin(20),
-                    chunk,
-                ));
+                let got =
+                    crate::stream::materialize(&mut *isp.stream_hour(&world, HourBin(20), chunk));
                 assert_eq!(got.records, want.records, "chunk {chunk}");
                 assert_eq!(got.sampled_packets, want.sampled_packets);
                 assert_eq!(got.degradation, want.degradation);
             }
-            assert_eq!(isp.materialize_hour(&world, HourBin(20)).records, want.records);
+            assert_eq!(
+                isp.materialize_hour(&world, HourBin(20)).records,
+                want.records
+            );
         }
     }
 
@@ -196,7 +216,12 @@ mod tests {
         let world = materialize(&catalog);
         let isp = IspVantage::new(
             &catalog,
-            IspConfig { lines: 5_000, sampling: 200, seed: 2, background: false },
+            IspConfig {
+                lines: 5_000,
+                sampling: 200,
+                seed: 2,
+                background: false,
+            },
         );
         let a = isp.capture_hour(&world, HourBin(10));
         // The anonymizer maps each raw address to exactly one id.

@@ -104,7 +104,11 @@ impl IxpVantage {
         for m in 0..total {
             let big = m < config.big_eyeballs;
             let block = base.subnet(16, m).expect("member block");
-            let lines = if big { config.big_lines } else { config.tail_lines };
+            let lines = if big {
+                config.big_lines
+            } else {
+                config.tail_lines
+            };
             // Tail members are mostly non-eyeball: devices show up there
             // rarely (offices, hosting with odd deployments).
             let (category, pen_scale) = if big {
@@ -136,7 +140,14 @@ impl IxpVantage {
         }
         let plan = ContactPlan::new(catalog);
         let anonymizer = Anonymizer::new(config.seed ^ 0x1C9, config.seed ^ 0xFAB);
-        IxpVantage { config, members, populations, plan, anonymizer, chaos: None }
+        IxpVantage {
+            config,
+            members,
+            populations,
+            plan,
+            anonymizer,
+            chaos: None,
+        }
     }
 
     /// Run every member's export feed through record-level chaos (see
@@ -187,8 +198,11 @@ impl IxpVantage {
                 false,
             );
             out.sampled_packets += t.sampled_packets;
-            let mut visible: Vec<WildRecord> =
-                t.records.into_iter().filter(|r| self.route_visible(mi, r.dst)).collect();
+            let mut visible: Vec<WildRecord> = t
+                .records
+                .into_iter()
+                .filter(|r| self.route_visible(mi, r.dst))
+                .collect();
             if let Some(chaos) = &self.chaos {
                 let salt = u64::from(hour.0) ^ ((mi as u64) << 16);
                 let (survived, deg) = degrade_records(visible, chaos, salt);
@@ -272,7 +286,12 @@ impl IxpVantage {
         match &self.chaos {
             Some(chaos) => {
                 let salt = u64::from(hour.0) ^ ((mi as u64) << 16);
-                Box::new(DegradeStream::new(visible, chaos.clone(), salt, chunk_records))
+                Box::new(DegradeStream::new(
+                    visible,
+                    chaos.clone(),
+                    salt,
+                    chunk_records,
+                ))
             }
             None => Box::new(visible),
         }
@@ -379,7 +398,11 @@ mod tests {
         let world = materialize(&catalog);
         let ixp = IxpVantage::new(&catalog, small_config());
         let t = ixp.capture_hour(&world, HourBin(20));
-        let spoofed = t.records.iter().filter(|r| !r.established && r.proto == Proto::Tcp).count();
+        let spoofed = t
+            .records
+            .iter()
+            .filter(|r| !r.established && r.proto == Proto::Tcp)
+            .count();
         assert!(spoofed >= 400, "spoofed component present: {spoofed}");
         let filtered = IxpVantage::established_only(t.records);
         assert!(filtered
@@ -398,11 +421,8 @@ mod tests {
             }
             let want = ixp.capture_hour(&world, HourBin(20));
             for chunk in [64usize, usize::MAX] {
-                let got = crate::stream::materialize(&mut *ixp.stream_hour(
-                    &world,
-                    HourBin(20),
-                    chunk,
-                ));
+                let got =
+                    crate::stream::materialize(&mut *ixp.stream_hour(&world, HourBin(20), chunk));
                 assert_eq!(got.records, want.records, "chunk {chunk}");
                 assert_eq!(got.sampled_packets, want.sampled_packets);
                 assert_eq!(got.degradation, want.degradation);
@@ -426,7 +446,10 @@ mod tests {
         }
         let eyeball = by_category.get("eyeball").copied().unwrap_or(0);
         let transit = by_category.get("transit").copied().unwrap_or(0);
-        assert!(eyeball > transit * 3, "eyeball {eyeball} vs transit {transit}");
+        assert!(
+            eyeball > transit * 3,
+            "eyeball {eyeball} vs transit {transit}"
+        );
         assert!(transit > 0, "the long tail exists");
     }
 
@@ -436,11 +459,19 @@ mod tests {
         let world = materialize(&catalog);
         let full = IxpVantage::new(
             &catalog,
-            IxpConfig { route_visibility: 1.0, spoofed_per_hour: 0, ..small_config() },
+            IxpConfig {
+                route_visibility: 1.0,
+                spoofed_per_hour: 0,
+                ..small_config()
+            },
         );
         let half = IxpVantage::new(
             &catalog,
-            IxpConfig { route_visibility: 0.5, spoofed_per_hour: 0, ..small_config() },
+            IxpConfig {
+                route_visibility: 0.5,
+                spoofed_per_hour: 0,
+                ..small_config()
+            },
         );
         let f = full.capture_hour(&world, HourBin(20)).records.len();
         let h = half.capture_hour(&world, HourBin(20)).records.len();

@@ -138,7 +138,11 @@ impl ContactPlan {
             active_cum: Vec::new(),
         };
 
-        ContactPlan { domains, products, background }
+        ContactPlan {
+            domains,
+            products,
+            background,
+        }
     }
 }
 
@@ -163,7 +167,11 @@ mod tests {
         let plan = ContactPlan::new(&c);
         assert_eq!(plan.products.len(), c.products.len());
         for p in &plan.products {
-            assert!(p.idle_lambda > 0.0, "product {} has zero idle rate", p.product);
+            assert!(
+                p.idle_lambda > 0.0,
+                "product {} has zero idle rate",
+                p.product
+            );
             assert_eq!(p.domain_ids.len(), p.idle_cum.len());
         }
     }
@@ -174,7 +182,11 @@ mod tests {
         let plan = ContactPlan::new(&c);
         // Echo Dot's plan: the AVS endpoint dominates → picking with small
         // u lands on a hot domain; u near λ lands later in the list.
-        let echo = c.products.iter().position(|p| p.name == "Echo Dot").unwrap();
+        let echo = c
+            .products
+            .iter()
+            .position(|p| p.name == "Echo Dot")
+            .unwrap();
         let p = &plan.products[echo];
         let first = p.pick_idle(0.0);
         let last = p.pick_idle(p.idle_lambda - 1e-9);

@@ -134,7 +134,12 @@ impl Population {
                 }
             }
         }
-        Population { config, owners, per_line, slots: Default::default() }
+        Population {
+            config,
+            owners,
+            per_line,
+            slots: Default::default(),
+        }
     }
 
     /// The configuration.
@@ -261,7 +266,10 @@ mod tests {
         // output in the integration tests.
         let p = pop(50_000);
         let frac = f64::from(p.lines_with_any_device()) / 50_000.0;
-        assert!((0.20..=0.45).contains(&frac), "any-device fraction {frac:.3}");
+        assert!(
+            (0.20..=0.45).contains(&frac),
+            "any-device fraction {frac:.3}"
+        );
     }
 
     #[test]

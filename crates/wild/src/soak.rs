@@ -80,7 +80,14 @@ impl<'a> SoakStream<'a> {
         hour: u32,
         chunk_records: usize,
     ) -> Self {
-        SoakStream { targets, config, day, hour, chunk_records: chunk_records.max(1), next: 0 }
+        SoakStream {
+            targets,
+            config,
+            day,
+            hour,
+            chunk_records: chunk_records.max(1),
+            next: 0,
+        }
     }
 
     /// The record at index `i` of this hour — a pure function of
@@ -95,8 +102,7 @@ impl<'a> SoakStream<'a> {
         );
         let line = h % u64::from(c.lines.max(1));
         let src = Ipv4Addr::new(100, 64, (line >> 8) as u8, line as u8);
-        let hit = !self.targets.is_empty()
-            && (h >> 8) % 1_000_000 < u64::from(c.hit_rate_ppm);
+        let hit = !self.targets.is_empty() && (h >> 8) % 1_000_000 < u64::from(c.hit_rate_ppm);
         let (dst, dport) = if hit {
             self.targets[(h >> 32) as usize % self.targets.len()]
         } else {
@@ -152,7 +158,12 @@ mod tests {
     }
 
     fn config() -> SoakConfig {
-        SoakConfig { lines: 50_000, seed: 7, hit_rate_ppm: 10_000, records_per_hour: 40_000 }
+        SoakConfig {
+            lines: 50_000,
+            seed: 7,
+            hit_rate_ppm: 10_000,
+            records_per_hour: 40_000,
+        }
     }
 
     #[test]
@@ -160,7 +171,10 @@ mod tests {
         let t = targets();
         let a = materialize(&mut SoakStream::hour(&t, config(), 1, 3, 512));
         let b = materialize(&mut SoakStream::hour(&t, config(), 1, 3, 4096));
-        assert_eq!(a.records, b.records, "chunk size must not change the traffic");
+        assert_eq!(
+            a.records, b.records,
+            "chunk size must not change the traffic"
+        );
         assert_eq!(a.sampled_packets, b.sampled_packets);
         assert_eq!(a.records.len() as u64, config().records_per_hour);
     }

@@ -225,7 +225,11 @@ impl Watermark {
 
     /// The first chunk of `(day, hour)`.
     pub fn hour_start(day: u32, hour: u32) -> Watermark {
-        Watermark { day, hour, chunk: 0 }
+        Watermark {
+            day,
+            hour,
+            chunk: 0,
+        }
     }
 
     /// The first chunk of the next hour (rolling into the next day after
@@ -326,7 +330,11 @@ mod tests {
 
     #[test]
     fn accounting_attaches_to_the_first_chunk_exactly_once() {
-        let mut hour = HourTraffic { records: recs(10), sampled_packets: 77, ..Default::default() };
+        let mut hour = HourTraffic {
+            records: recs(10),
+            sampled_packets: 77,
+            ..Default::default()
+        };
         hour.degradation.records_lost = 5;
         hour.degradation.batches = 2;
         let mut s = VecStream::from_hour(hour, 3);
@@ -344,7 +352,11 @@ mod tests {
 
     #[test]
     fn empty_vec_stream_still_flushes_accounting() {
-        let hour = HourTraffic { records: vec![], sampled_packets: 9, ..Default::default() };
+        let hour = HourTraffic {
+            records: vec![],
+            sampled_packets: 9,
+            ..Default::default()
+        };
         let mut s = VecStream::from_hour(hour, 8);
         let mut chunk = RecordChunk::default();
         assert!(s.next_chunk(&mut chunk), "accounting-only chunk");
@@ -392,20 +404,36 @@ mod tests {
 
     #[test]
     fn watermarks_order_and_roll_over() {
-        let a = Watermark { day: 0, hour: 23, chunk: 9 };
+        let a = Watermark {
+            day: 0,
+            hour: 23,
+            chunk: 9,
+        };
         let b = a.next_hour();
         assert_eq!(b, Watermark::hour_start(1, 0));
         assert!(a < b);
         assert!(Watermark::start() < a);
         assert!(
-            Watermark { day: 1, hour: 0, chunk: 0 } < Watermark { day: 1, hour: 0, chunk: 1 }
+            Watermark {
+                day: 1,
+                hour: 0,
+                chunk: 0
+            } < Watermark {
+                day: 1,
+                hour: 0,
+                chunk: 1
+            }
         );
     }
 
     #[test]
     fn materialize_round_trips() {
         let records = recs(50);
-        let hour = HourTraffic { records: records.clone(), sampled_packets: 123, ..Default::default() };
+        let hour = HourTraffic {
+            records: records.clone(),
+            sampled_packets: 123,
+            ..Default::default()
+        };
         let mut s = VecStream::from_hour(hour, 7);
         let out = materialize(&mut s);
         assert_eq!(out.records, records);

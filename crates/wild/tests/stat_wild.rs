@@ -34,8 +34,17 @@ fn sampled_volume_matches_expectation_at_night() {
     let mut total = 0u64;
     let hours = [3u32, 4];
     for h in hours {
-        total += generate_hour(&pop, &plan, &world, HourBin(3 * 24 + h), 1_000, 5, &anon, false)
-            .sampled_packets;
+        total += generate_hour(
+            &pop,
+            &plan,
+            &world,
+            HourBin(3 * 24 + h),
+            1_000,
+            5,
+            &anon,
+            false,
+        )
+        .sampled_packets;
     }
     let measured = total as f64 / hours.len() as f64;
     let expected = expected_idle_sampled(&pop, &plan, 1_000.0);
@@ -51,10 +60,26 @@ fn weekend_evenings_are_busier_than_weekday_evenings() {
     let (pop, plan, world) = setup(20_000);
     let anon = Anonymizer::new(1, 2);
     // Day 3 (Mon) vs day 8 (Sat), both at 20:00.
-    let weekday =
-        generate_hour(&pop, &plan, &world, HourBin(3 * 24 + 20), 1_000, 5, &anon, false);
-    let weekend =
-        generate_hour(&pop, &plan, &world, HourBin(8 * 24 + 20), 1_000, 5, &anon, false);
+    let weekday = generate_hour(
+        &pop,
+        &plan,
+        &world,
+        HourBin(3 * 24 + 20),
+        1_000,
+        5,
+        &anon,
+        false,
+    );
+    let weekend = generate_hour(
+        &pop,
+        &plan,
+        &world,
+        HourBin(8 * 24 + 20),
+        1_000,
+        5,
+        &anon,
+        false,
+    );
     assert!(
         weekend.sampled_packets as f64 > weekday.sampled_packets as f64 * 1.02,
         "weekend {} <= weekday {}",
@@ -70,13 +95,19 @@ fn per_line_identity_consistent_with_population_churn() {
     // Records on day d must carry exactly the population's day-d address
     // for their line.
     for day in [0u32, 1] {
-        let t = generate_hour(&pop, &plan, &world, HourBin(day * 24 + 10), 200, 5, &anon, false);
+        let t = generate_hour(
+            &pop,
+            &plan,
+            &world,
+            HourBin(day * 24 + 10),
+            200,
+            5,
+            &anon,
+            false,
+        );
         for r in &t.records {
             assert_eq!(anon.anonymize(r.src_ip), r.line);
-            assert_eq!(
-                haystack_net::Prefix4::slash24_of(r.src_ip),
-                r.line_slash24
-            );
+            assert_eq!(haystack_net::Prefix4::slash24_of(r.src_ip), r.line_slash24);
         }
         // Every src must be some line's day-d address.
         let valid: std::collections::HashSet<_> =
@@ -93,5 +124,8 @@ fn sampled_counts_scale_inverse_to_sampling_rate() {
     let s500 = generate_hour(&pop, &plan, &world, hour, 500, 5, &anon, false).sampled_packets;
     let s2000 = generate_hour(&pop, &plan, &world, hour, 2_000, 5, &anon, false).sampled_packets;
     let ratio = s500 as f64 / s2000.max(1) as f64;
-    assert!((3.0..5.0).contains(&ratio), "4× sampling ratio, got {ratio:.2}");
+    assert!(
+        (3.0..5.0).contains(&ratio),
+        "4× sampling ratio, got {ratio:.2}"
+    );
 }

@@ -18,7 +18,12 @@ fn main() {
     let lines = 15_000u32;
     let isp = IspVantage::new(
         &pipeline.catalog,
-        IspConfig { lines, sampling: 1_000, seed: 5, background: false },
+        IspConfig {
+            lines,
+            sampling: 1_000,
+            seed: 5,
+            background: false,
+        },
     );
 
     // Run one day of detection to build the device inventory per line.
@@ -42,17 +47,28 @@ fn main() {
     // simulate it by taking lines that own a camera-class product — the
     // classic Mirai recruitment pool — and checking what the *detector*
     // (which has no ownership oracle) says they share.
-    let camera_classes =
-        ["Yi Camera", "Wansview Cam.", "Reolink Cam.", "Amcrest Cam.", "ZModo Doorbell"];
+    let camera_classes = [
+        "Yi Camera",
+        "Wansview Cam.",
+        "Reolink Cam.",
+        "Amcrest Cam.",
+        "ZModo Doorbell",
+    ];
     let mut suspicious: BTreeSet<AnonId> = BTreeSet::new();
     for c in camera_classes {
         suspicious.extend(det.detected_lines(c));
     }
-    println!("\nincident: {} subscriber lines flagged by the abuse desk", suspicious.len());
+    println!(
+        "\nincident: {} subscriber lines flagged by the abuse desk",
+        suspicious.len()
+    );
 
     // Triage: which detected classes are over-represented among the
     // suspicious lines vs. the general population?
-    println!("\n{:<28} {:>10} {:>12} {:>8}", "class", "suspects", "population", "lift");
+    println!(
+        "\n{:<28} {:>10} {:>12} {:>8}",
+        "class", "suspects", "population", "lift"
+    );
     let mut rows: Vec<(&str, usize, usize, f64)> = Vec::new();
     for rule in &pipeline.rules.rules {
         let class = pipeline.rules.class_name(rule.class);

@@ -19,7 +19,12 @@ fn main() {
     let lines = 60_000u32;
     let isp = IspVantage::new(
         &pipeline.catalog,
-        IspConfig { lines, sampling: 1_000, seed: 11, background: true },
+        IspConfig {
+            lines,
+            sampling: 1_000,
+            seed: 11,
+            background: true,
+        },
     );
 
     // Pre-capture a day so the comparison times only the detectors.
@@ -40,10 +45,17 @@ fn main() {
     }
     let seq_time = t0.elapsed();
 
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4);
     let replay = all.clone();
     let t0 = Instant::now();
-    let mut pool = DetectorPool::new(&pipeline.rules, &hitlist, DetectorConfig::default(), workers);
+    let mut pool = DetectorPool::new(
+        &pipeline.rules,
+        &hitlist,
+        DetectorConfig::default(),
+        workers,
+    );
     let mut stream = VecStream::new(replay, DEFAULT_CHUNK_RECORDS);
     let mut chunk = RecordChunk::with_capacity(DEFAULT_CHUNK_RECORDS);
     pool.observe_stream(&mut stream, &mut chunk).unwrap();

@@ -38,7 +38,10 @@ fn main() {
         &pipeline,
         &pipeline.world,
         &ixp,
-        &IxpStudyConfig { window: StudyWindow::days(0, 1), ..Default::default() },
+        &IxpStudyConfig {
+            window: StudyWindow::days(0, 1),
+            ..Default::default()
+        },
     );
     // Without it — the over-counting ablation.
     let unfiltered = run_ixp_study(
@@ -53,7 +56,10 @@ fn main() {
     );
 
     println!("\nunique detected client IPs on day 1 (Figure 15 style):");
-    println!("{:<28} {:>10} {:>12}", "device group", "filtered", "unfiltered");
+    println!(
+        "{:<28} {:>10} {:>12}",
+        "device group", "filtered", "unfiltered"
+    );
     for g in [DeviceGroup::Alexa, DeviceGroup::Samsung, DeviceGroup::Other] {
         let f = filtered.daily_ips.get(&(g, 0)).copied().unwrap_or(0);
         let u = unfiltered.daily_ips.get(&(g, 0)).copied().unwrap_or(0);
@@ -74,7 +80,10 @@ fn main() {
             .iter()
             .filter_map(|g| filtered.per_as_day0.get(&(m.asn, *g)))
             .sum();
-        per_as.push((format!("{} ({}, {})", m.asn, m.name, m.category.label()), total));
+        per_as.push((
+            format!("{} ({}, {})", m.asn, m.name, m.category.label()),
+            total,
+        ));
     }
     per_as.sort_by_key(|r| std::cmp::Reverse(r.1));
     let grand: u64 = per_as.iter().map(|(_, n)| n).sum();

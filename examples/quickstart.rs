@@ -33,13 +33,21 @@ fn main() {
     println!("\nsimulating one day at a 20k-line ISP (sampling 1/1000) ...");
     let isp = IspVantage::new(
         &pipeline.catalog,
-        IspConfig { lines: 20_000, sampling: 1_000, seed: 7, background: false },
+        IspConfig {
+            lines: 20_000,
+            sampling: 1_000,
+            seed: 7,
+            background: false,
+        },
     );
     let study = run_isp_study(
         &pipeline,
         &pipeline.world,
         &isp,
-        &IspStudyConfig { window: StudyWindow::days(0, 1), ..Default::default() },
+        &IspStudyConfig {
+            window: StudyWindow::days(0, 1),
+            ..Default::default()
+        },
     );
 
     // 3. Report, as Figure 11(b) does.
@@ -50,7 +58,10 @@ fn main() {
         .iter()
         .filter_map(|r| {
             let class = pipeline.rules.class_name(r.class);
-            study.daily.get(&(class.to_string(), 0)).map(|n| (class, *n))
+            study
+                .daily
+                .get(&(class.to_string(), 0))
+                .map(|n| (class, *n))
         })
         .collect();
     rows.sort_by_key(|r| std::cmp::Reverse(r.1));

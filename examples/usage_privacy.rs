@@ -17,22 +17,37 @@ fn main() {
     let lines = 20_000u32;
     let isp = IspVantage::new(
         &pipeline.catalog,
-        IspConfig { lines, sampling: 1_000, seed: 21, background: false },
+        IspConfig {
+            lines,
+            sampling: 1_000,
+            seed: 21,
+            background: false,
+        },
     );
     println!("simulating two days at a {lines}-line ISP ...");
     let study = run_isp_study(
         &pipeline,
         &pipeline.world,
         &isp,
-        &IspStudyConfig { window: StudyWindow::days(0, 2), ..Default::default() },
+        &IspStudyConfig {
+            window: StudyWindow::days(0, 2),
+            ..Default::default()
+        },
     );
 
     println!("\nAlexa-enabled households: presence vs. active use (Figure 18 style)");
-    println!("{:<14} {:>10} {:>12}", "hour of day", "detected", "actively used");
+    println!(
+        "{:<14} {:>10} {:>12}",
+        "hour of day", "detected", "actively used"
+    );
     for hod in 0..24u32 {
         let hour = 24 + hod; // day 2, to let evidence accumulate
-        let detected = study.group_hourly.get(&(haystack::core::report::DeviceGroup::Alexa, hour));
-        let active = study.active_hourly.get(&("Alexa Enabled".to_string(), hour));
+        let detected = study
+            .group_hourly
+            .get(&(haystack::core::report::DeviceGroup::Alexa, hour));
+        let active = study
+            .active_hourly
+            .get(&("Alexa Enabled".to_string(), hour));
         println!(
             "{hod:>2}:00         {:>10} {:>12}",
             detected.copied().unwrap_or(0),
@@ -41,7 +56,12 @@ fn main() {
     }
 
     let peak_active = (0..24u32)
-        .filter_map(|h| study.active_hourly.get(&("Alexa Enabled".to_string(), 24 + h)).copied())
+        .filter_map(|h| {
+            study
+                .active_hourly
+                .get(&("Alexa Enabled".to_string(), 24 + h))
+                .copied()
+        })
         .max()
         .unwrap_or(0);
     let night_active = study

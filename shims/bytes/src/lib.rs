@@ -140,13 +140,21 @@ impl Bytes {
             Bound::Unbounded => self.len(),
         };
         assert!(lo <= hi && hi <= self.len(), "slice out of bounds");
-        Bytes { data: Arc::clone(&self.data), start: self.start + lo, end: self.start + hi }
+        Bytes {
+            data: Arc::clone(&self.data),
+            start: self.start + lo,
+            end: self.start + hi,
+        }
     }
 
     /// Split off and return the first `at` bytes; `self` keeps the rest.
     pub fn split_to(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len(), "split_to out of bounds");
-        let head = Bytes { data: Arc::clone(&self.data), start: self.start, end: self.start + at };
+        let head = Bytes {
+            data: Arc::clone(&self.data),
+            start: self.start,
+            end: self.start + at,
+        };
         self.start += at;
         head
     }
@@ -168,7 +176,11 @@ impl AsRef<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
-        Bytes { data: Arc::new(v), start: 0, end }
+        Bytes {
+            data: Arc::new(v),
+            start: 0,
+            end,
+        }
     }
 }
 
@@ -237,7 +249,10 @@ impl BytesMut {
 
     /// An empty buffer with reserved capacity.
     pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut { data: Vec::with_capacity(cap), read: 0 }
+        BytesMut {
+            data: Vec::with_capacity(cap),
+            read: 0,
+        }
     }
 
     /// Unread length.
@@ -293,7 +308,10 @@ impl DerefMut for BytesMut {
 
 impl From<&[u8]> for BytesMut {
     fn from(s: &[u8]) -> BytesMut {
-        BytesMut { data: s.to_vec(), read: 0 }
+        BytesMut {
+            data: s.to_vec(),
+            read: 0,
+        }
     }
 }
 

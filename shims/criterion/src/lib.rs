@@ -41,7 +41,10 @@ pub struct Bencher {
 
 impl Bencher {
     fn new(iters: u64) -> Bencher {
-        Bencher { iters, elapsed: Duration::ZERO }
+        Bencher {
+            iters,
+            elapsed: Duration::ZERO,
+        }
     }
 
     /// Time `routine` over a fixed number of iterations.
@@ -110,7 +113,11 @@ impl Criterion {
 
     /// Open a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { criterion: self, name: name.into(), throughput: None }
+        BenchmarkGroup {
+            criterion: self,
+            name: name.into(),
+            throughput: None,
+        }
     }
 }
 
@@ -191,7 +198,11 @@ mod tests {
         g.throughput(Throughput::Elements(4)).sample_size(50);
         let mut total = 0usize;
         g.bench_function("sum", |b| {
-            b.iter_batched(|| vec![1usize; 4], |v| total += v.len(), BatchSize::LargeInput)
+            b.iter_batched(
+                || vec![1usize; 4],
+                |v| total += v.len(),
+                BatchSize::LargeInput,
+            )
         });
         g.finish();
         assert!(total >= 44);

@@ -38,7 +38,9 @@ pub mod thread {
             T: Send + 'scope,
         {
             let inner = self.inner;
-            ScopedJoinHandle { inner: inner.spawn(move || f(&Scope { inner })) }
+            ScopedJoinHandle {
+                inner: inner.spawn(move || f(&Scope { inner })),
+            }
         }
     }
 
@@ -72,7 +74,10 @@ mod tests {
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum::<usize>()
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .sum::<usize>()
         })
         .unwrap();
         assert_eq!(sum, 28);

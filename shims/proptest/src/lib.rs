@@ -408,14 +408,20 @@ pub mod collection {
     impl From<Range<usize>> for SizeRange {
         fn from(r: Range<usize>) -> SizeRange {
             assert!(r.start < r.end, "empty size range");
-            SizeRange { lo: r.start, hi: r.end - 1 }
+            SizeRange {
+                lo: r.start,
+                hi: r.end - 1,
+            }
         }
     }
 
     impl From<RangeInclusive<usize>> for SizeRange {
         fn from(r: RangeInclusive<usize>) -> SizeRange {
             assert!(r.start() <= r.end(), "empty size range");
-            SizeRange { lo: *r.start(), hi: *r.end() }
+            SizeRange {
+                lo: *r.start(),
+                hi: *r.end(),
+            }
         }
     }
 
@@ -441,7 +447,10 @@ pub mod collection {
 
     /// `Vec`s of `elem` values with length drawn from `size`.
     pub fn vec<S: Strategy>(elem: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { elem, size: size.into() }
+        VecStrategy {
+            elem,
+            size: size.into(),
+        }
     }
 
     /// Strategy returned by [`btree_set`].
@@ -477,7 +486,10 @@ pub mod collection {
         S: Strategy,
         S::Value: Ord,
     {
-        BTreeSetStrategy { elem, size: size.into() }
+        BTreeSetStrategy {
+            elem,
+            size: size.into(),
+        }
     }
 }
 

@@ -383,7 +383,10 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn err<T>(&self, msg: &str) -> Result<T, Error> {
-        Err(Error { msg: msg.to_string(), offset: self.pos })
+        Err(Error {
+            msg: msg.to_string(),
+            offset: self.pos,
+        })
     }
 
     fn skip_ws(&mut self) {
@@ -476,8 +479,10 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Consume one UTF-8 scalar from the source text.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error { msg: "invalid UTF-8".into(), offset: self.pos })?;
+                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| Error {
+                        msg: "invalid UTF-8".into(),
+                        offset: self.pos,
+                    })?;
                     let c = rest.chars().next().expect("peeked non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
@@ -502,8 +507,10 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error { msg: "invalid UTF-8 in number".into(), offset: start })?;
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| Error {
+            msg: "invalid UTF-8 in number".into(),
+            offset: start,
+        })?;
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::Number(Number::U64(u)));
@@ -570,7 +577,10 @@ impl<'a> Parser<'a> {
 
 /// Parse a JSON document.
 pub fn from_str(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        bytes: s.as_bytes(),
+        pos: 0,
+    };
     let v = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {

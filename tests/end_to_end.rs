@@ -6,7 +6,9 @@ use haystack::core::detector::{Detector, DetectorConfig};
 use haystack::core::hitlist::HitList;
 use haystack::core::parallel::DetectorPool;
 use haystack::core::pipeline::{Pipeline, PipelineConfig};
-use haystack::core::report::{run_isp_study, run_ixp_study, DeviceGroup, IspStudyConfig, IxpStudyConfig};
+use haystack::core::report::{
+    run_isp_study, run_ixp_study, DeviceGroup, IspStudyConfig, IxpStudyConfig,
+};
 use haystack::net::{AnonId, DayBin, StudyWindow};
 use haystack::wild::{
     IspConfig, IspVantage, IxpConfig, IxpVantage, RecordChunk, VantagePoint, DEFAULT_CHUNK_RECORDS,
@@ -22,7 +24,12 @@ fn pipeline() -> &'static Pipeline {
 fn isp(lines: u32) -> IspVantage {
     IspVantage::new(
         &pipeline().catalog,
-        IspConfig { lines, sampling: 1_000, seed: 4242, background: true },
+        IspConfig {
+            lines,
+            sampling: 1_000,
+            seed: 4242,
+            background: true,
+        },
     )
 }
 
@@ -32,12 +39,19 @@ fn owner_ids(isp: &IspVantage, class: &str, day: u32) -> BTreeSet<AnonId> {
     let p = pipeline();
     let mut out = BTreeSet::new();
     for (pi, prod) in p.catalog.products.iter().enumerate() {
-        let in_class = p.catalog.ancestry(prod.class).iter().any(|c| c.name == class);
+        let in_class = p
+            .catalog
+            .ancestry(prod.class)
+            .iter()
+            .any(|c| c.name == class);
         if !in_class {
             continue;
         }
         for &line in isp.population().owners_of(pi) {
-            out.insert(isp.anonymizer().anonymize(isp.population().ip_of(line, day)));
+            out.insert(
+                isp.anonymizer()
+                    .anonymize(isp.population().ip_of(line, day)),
+            );
         }
     }
     out
@@ -61,14 +75,21 @@ fn alexa_detection_has_high_precision_and_useful_recall() {
         pool.observe_stream(&mut *stream, &mut chunk).unwrap();
     }
     pool.finish().unwrap();
-    let detected: BTreeSet<AnonId> = pool.detected_lines("Alexa Enabled").unwrap().into_iter().collect();
+    let detected: BTreeSet<AnonId> = pool
+        .detected_lines("Alexa Enabled")
+        .unwrap()
+        .into_iter()
+        .collect();
     let owners = owner_ids(&isp, "Alexa Enabled", 0);
     assert!(!detected.is_empty(), "nothing detected");
     let true_pos = detected.intersection(&owners).count();
     let precision = true_pos as f64 / detected.len() as f64;
     let recall = true_pos as f64 / owners.len() as f64;
     assert!(precision > 0.97, "precision {precision:.3}");
-    assert!(recall > 0.5, "daily recall {recall:.3} (paper: Alexa detectable within a day)");
+    assert!(
+        recall > 0.5,
+        "daily recall {recall:.3} (paper: Alexa detectable within a day)"
+    );
 }
 
 #[test]
@@ -83,7 +104,12 @@ fn background_browsing_alone_triggers_nothing() {
     }
     let isp = IspVantage::new(
         &catalog,
-        IspConfig { lines: 8_000, sampling: 200, seed: 7, background: true },
+        IspConfig {
+            lines: 8_000,
+            sampling: 200,
+            seed: 7,
+            background: true,
+        },
     );
     let mut det = Detector::new(
         &p.rules,
@@ -104,7 +130,8 @@ fn background_browsing_alone_triggers_nothing() {
     assert!(records > 1_000, "background produced traffic: {records}");
     for rule in &p.rules.rules {
         assert!(
-            det.detected_lines(p.rules.class_name(rule.class)).is_empty(),
+            det.detected_lines(p.rules.class_name(rule.class))
+                .is_empty(),
             "false positive for {} from pure background traffic",
             p.rules.class_name(rule.class)
         );
@@ -119,13 +146,21 @@ fn isp_study_headline_shares_track_the_paper() {
         p,
         &p.world,
         &isp,
-        &IspStudyConfig { window: StudyWindow::days(0, 1), ..Default::default() },
+        &IspStudyConfig {
+            window: StudyWindow::days(0, 1),
+            ..Default::default()
+        },
     );
     let lines = 15_000f64;
     let any = study.any_iot_daily[&0] as f64 / lines;
     // Paper: ~20 % of lines show IoT activity per day.
     assert!((0.10..=0.32).contains(&any), "any-IoT share {any:.3}");
-    let alexa = study.group_daily.get(&(DeviceGroup::Alexa, 0)).copied().unwrap_or(0) as f64 / lines;
+    let alexa = study
+        .group_daily
+        .get(&(DeviceGroup::Alexa, 0))
+        .copied()
+        .unwrap_or(0) as f64
+        / lines;
     // Paper: ~14 % Alexa-enabled penetration.
     assert!((0.07..=0.20).contains(&alexa), "alexa share {alexa:.3}");
     // Samsung hour→day gain is larger than Alexa's (paper: ×6 vs ×2).
@@ -136,7 +171,8 @@ fn isp_study_headline_shares_track_the_paper() {
             .copied()
             .unwrap_or(0) as f64
     };
-    let alexa_gain = study.group_daily[&(DeviceGroup::Alexa, 0)] as f64 / peak(DeviceGroup::Alexa).max(1.0);
+    let alexa_gain =
+        study.group_daily[&(DeviceGroup::Alexa, 0)] as f64 / peak(DeviceGroup::Alexa).max(1.0);
     let samsung_gain =
         study.group_daily[&(DeviceGroup::Samsung, 0)] as f64 / peak(DeviceGroup::Samsung).max(1.0);
     assert!(
@@ -160,16 +196,26 @@ fn ixp_spoofing_filter_kills_fake_evidence() {
     };
     let ixp = IxpVantage::new(&p.catalog, config);
     let window = StudyWindow::days(0, 1);
-    let filtered = run_ixp_study(p, &p.world, &ixp, &IxpStudyConfig { window, ..Default::default() });
+    let filtered = run_ixp_study(
+        p,
+        &p.world,
+        &ixp,
+        &IxpStudyConfig {
+            window,
+            ..Default::default()
+        },
+    );
     let unfiltered = run_ixp_study(
         p,
         &p.world,
         &ixp,
-        &IxpStudyConfig { window, established_filter: false, ..Default::default() },
+        &IxpStudyConfig {
+            window,
+            established_filter: false,
+            ..Default::default()
+        },
     );
-    let total = |s: &haystack::core::report::IxpStudyResult| -> u64 {
-        s.daily_ips.values().sum()
-    };
+    let total = |s: &haystack::core::report::IxpStudyResult| -> u64 { s.daily_ips.values().sum() };
     assert!(
         total(&unfiltered) > total(&filtered) * 2,
         "spoofing should inflate unfiltered counts: {} vs {}",
@@ -212,7 +258,10 @@ fn mitigation_starves_only_the_targeted_class() {
             filtered.observe_wild(r);
         }
     }
-    assert!(total_blocked > 0, "the BNG filter must have dropped something");
+    assert!(
+        total_blocked > 0,
+        "the BNG filter must have dropped something"
+    );
     assert!(
         !unfiltered.detected_lines("Yi Camera").is_empty(),
         "Yi owners exist in this population"
@@ -252,7 +301,10 @@ fn dns_assisted_covers_what_flows_cannot() {
     // Google Home: no flow rule (§4.2.3), but DNS sees it.
     assert!(p.rules.rule("Google Home").is_none());
     let google = det.detected_lines("Google Home");
-    assert!(!google.is_empty(), "resolver logs must expose the CDN-hosted class");
+    assert!(
+        !google.is_empty(),
+        "resolver logs must expose the CDN-hosted class"
+    );
     // And precision against the oracle stays high.
     let owners = owner_ids(&isp, "Google Home", 0);
     let tp = google.iter().filter(|l| owners.contains(l)).count();
@@ -370,7 +422,10 @@ fn golden_e2e_snapshot_matches_fixture() {
     // uploaded from the golden-e2e job, never committed).
     let target = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target");
     let _ = std::fs::create_dir_all(&target);
-    let _ = std::fs::write(target.join("metrics_snapshot.prom"), filtered.to_prometheus());
+    let _ = std::fs::write(
+        target.join("metrics_snapshot.prom"),
+        filtered.to_prometheus(),
+    );
 
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     if std::env::var_os("HAYSTACK_BLESS").is_some() {
@@ -424,10 +479,20 @@ fn full_flow_pipeline_ipfix_round_trip() {
             }
         }
         cache.advance(hour.next().start());
-        for msg in exporter.export(&cache.drain_expired(), hour.start().0 as u32).unwrap() {
+        for msg in exporter
+            .export(&cache.drain_expired(), hour.start().0 as u32)
+            .unwrap()
+        {
             for rec in collector.feed(msg).unwrap() {
                 let proto = rec.key.proto;
-                det.observe(line, rec.key.dst, rec.key.dport, proto, rec.is_established_evidence(), hour);
+                det.observe(
+                    line,
+                    rec.key.dst,
+                    rec.key.dport,
+                    proto,
+                    rec.is_established_evidence(),
+                    hour,
+                );
             }
         }
         let _ = Proto::Tcp;
@@ -463,12 +528,19 @@ fn exported_records_decode_alike_through_feed_into_and_feed() {
         cache.advance(hour.next().start());
         exported.extend(cache.drain_expired());
     }
-    assert!(exported.len() > 100, "only {} records to export", exported.len());
+    assert!(
+        exported.len() > 100,
+        "only {} records to export",
+        exported.len()
+    );
 
     let anon = Anonymizer::new(7, 8);
     for protocol in [ExportProtocol::NetflowV9, ExportProtocol::Ipfix] {
         let wire = Exporter::new(protocol, 9).export(&exported, 100).unwrap();
-        assert!(wire.len() as u64 > Exporter::TEMPLATE_REFRESH, "no template refresh on the wire");
+        assert!(
+            wire.len() as u64 > Exporter::TEMPLATE_REFRESH,
+            "no template refresh on the wire"
+        );
         let (mut by_buf, mut by_vec) = (Collector::new(), Collector::new());
         let (mut buf, mut from_buf, mut from_vec) = (Vec::new(), Vec::new(), Vec::new());
         for datagram in wire {
@@ -479,7 +551,10 @@ fn exported_records_decode_alike_through_feed_into_and_feed() {
             from_vec.extend(by_vec.feed(datagram).unwrap());
         }
         assert_eq!(from_vec, exported, "{protocol:?}");
-        let wild: Vec<WildRecord> = exported.iter().map(|r| WildRecord::from_flow(r, &anon)).collect();
+        let wild: Vec<WildRecord> = exported
+            .iter()
+            .map(|r| WildRecord::from_flow(r, &anon))
+            .collect();
         assert_eq!(from_buf, wild, "{protocol:?}");
         assert_eq!(by_buf.snapshot(), by_vec.snapshot(), "{protocol:?}");
         assert_eq!(by_buf.records_decoded(), exported.len() as u64);

@@ -58,7 +58,10 @@ fn assert_hour_equivalent(vantage: &dyn VantagePoint, label: &str) {
     let want = vantage.materialize_hour(&p.world, hour);
     for chunk_records in CHUNK_SIZES {
         let (got, chunks) = drain(vantage, &p.world, hour, chunk_records);
-        assert_eq!(got.records, want.records, "{label}: records diverge at chunk {chunk_records}");
+        assert_eq!(
+            got.records, want.records,
+            "{label}: records diverge at chunk {chunk_records}"
+        );
         assert_eq!(
             got.sampled_packets, want.sampled_packets,
             "{label}: sampled_packets diverge at chunk {chunk_records}"
@@ -67,7 +70,10 @@ fn assert_hour_equivalent(vantage: &dyn VantagePoint, label: &str) {
             got.degradation, want.degradation,
             "{label}: degradation diverges at chunk {chunk_records}"
         );
-        assert!(chunks > 0, "{label}: at least one (possibly accounting-only) chunk");
+        assert!(
+            chunks > 0,
+            "{label}: at least one (possibly accounting-only) chunk"
+        );
     }
 }
 
@@ -76,12 +82,22 @@ fn isp_any_chunking_matches_the_materialized_hour() {
     let p = pipeline();
     let clean = IspVantage::new(
         &p.catalog,
-        IspConfig { lines: 6_000, sampling: 500, seed: 13, background: true },
+        IspConfig {
+            lines: 6_000,
+            sampling: 500,
+            seed: 13,
+            background: true,
+        },
     );
     assert_hour_equivalent(&clean, "isp/clean");
     let chaotic = IspVantage::new(
         &p.catalog,
-        IspConfig { lines: 6_000, sampling: 500, seed: 13, background: true },
+        IspConfig {
+            lines: 6_000,
+            sampling: 500,
+            seed: 13,
+            background: true,
+        },
     )
     .with_chaos(ChaosConfig::at_severity(0.5, 99));
     assert_hour_equivalent(&chaotic, "isp/chaos");
@@ -114,7 +130,12 @@ fn detections_and_funnel_stats_are_chunking_invariant() {
     let p = pipeline();
     let isp = IspVantage::new(
         &p.catalog,
-        IspConfig { lines: 6_000, sampling: 1_000, seed: 31, background: false },
+        IspConfig {
+            lines: 6_000,
+            sampling: 1_000,
+            seed: 31,
+            background: false,
+        },
     )
     .with_chaos(ChaosConfig::at_severity(0.3, 17));
     let hours = 6usize;
@@ -164,8 +185,14 @@ fn detections_and_funnel_stats_are_chunking_invariant() {
                 }
             }
         }
-        assert_eq!(packets, base_packets, "sampled_packets diverge at chunk {chunk_records}");
-        assert_eq!(deg, base_deg, "funnel stats diverge at chunk {chunk_records}");
+        assert_eq!(
+            packets, base_packets,
+            "sampled_packets diverge at chunk {chunk_records}"
+        );
+        assert_eq!(
+            deg, base_deg,
+            "funnel stats diverge at chunk {chunk_records}"
+        );
         for (class, want) in &base_detected {
             assert_eq!(
                 &det.detected_lines(class),
