@@ -104,11 +104,8 @@ fn detection_step(p: &Pipeline, args: &Args, severity: Option<f64>, days: u32) -
     // worker pool; degradation accounting rides along on the chunks.
     let mut pool = DetectorPool::new(&p.rules, &HitList::default(), DetectorConfig::default(), 4);
     pool.attach_telemetry(&scope.sub("pool")).unwrap();
-    // Supervised like the deployment shape — the hitlist swaps below
-    // double as shard checkpoints, so the `# telemetry` section carries
-    // the checkpoint.* recovery counters.
-    pool.enable_supervision(haystack_core::parallel::DEFAULT_REPLAY_LIMIT)
-        .unwrap();
+    // The hitlist swaps below double as shard checkpoints, so the
+    // `# telemetry` section carries the checkpoint.* recovery counters.
     let mut chunk = RecordChunk::with_capacity(DEFAULT_CHUNK_RECORDS);
     let mut degradation = haystack_wild::FeedDegradation::default();
     for day in 0..days {

@@ -640,13 +640,6 @@ fn cmd_metrics(flags: HashMap<String, String>) {
                 cli_error!("{e}");
                 exit(1);
             });
-        // Supervision also publishes the `checkpoint.*` counters (shard
-        // checkpoints, restarts, replays) into this snapshot.
-        pool.enable_supervision(haystack_core::parallel::DEFAULT_REPLAY_LIMIT)
-            .unwrap_or_else(|e| {
-                cli_error!("{e}");
-                exit(1);
-            });
         let mut chunk = RecordChunk::with_capacity(DEFAULT_CHUNK_RECORDS);
         let hour = DayBin(0).hours().next().expect("a day has hours");
         let mut stream = InstrumentedStream::new(

@@ -27,7 +27,7 @@
 use crate::{cli_error, note, num, sig};
 use haystack_core::detector::DetectorConfig;
 use haystack_core::hitlist::HitList;
-use haystack_core::parallel::{DetectorPool, DEFAULT_REPLAY_LIMIT};
+use haystack_core::parallel::DetectorPool;
 use haystack_core::rules::RuleSet;
 use haystack_core::{CheckpointDir, CheckpointError, DetectorSnapshot, DetectorState};
 use haystack_net::snapshot::{open, seal, SnapError, SnapReader, SnapWriter, MAGIC_LEN};
@@ -639,14 +639,6 @@ impl ResumableRun {
             require_established: false,
         };
         let mut pool = build_pool(rules, config, ck.workers as usize, isolate);
-        if dir.is_some() || isolate == Isolate::Process || chaos {
-            // Checkpointed runs are also supervised: a shard panic is
-            // healed from the pool's in-memory shard checkpoints instead
-            // of killing the run. Process isolation and chaos both imply
-            // supervision too — losing a child (or killing one on
-            // purpose) must never lose evidence.
-            or_exit(pool.enable_supervision(DEFAULT_REPLAY_LIMIT));
-        }
         if dir.is_some() {
             // Drain on SIGTERM — checkpoint at the current watermark,
             // exit 0 — so an orchestrator's stop is never a crash.

@@ -28,7 +28,7 @@ use haystack_core::detector::DetectorConfig;
 use haystack_core::events::{events_from_states, ndjson_line};
 use haystack_core::hitlist::HitList;
 use haystack_core::pack::{self, SignaturePack};
-use haystack_core::parallel::{DetectorPool, ShardHealth, ShardStatus, DEFAULT_REPLAY_LIMIT};
+use haystack_core::parallel::{DetectorPool, ShardHealth, ShardStatus};
 use haystack_core::rules::RuleSet;
 use haystack_core::staleness::StalenessMonitor;
 use haystack_core::telemetry;
@@ -229,7 +229,7 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build a fresh engine (no checkpoint), with supervision enabled.
+    /// Build a fresh engine (no checkpoint).
     /// `pack_bytes` is the canonical encoded signature pack of `rules`.
     pub fn new(
         rules: Arc<RuleSet>,
@@ -247,8 +247,6 @@ impl Engine {
             config.workers,
             config.isolate,
         );
-        pool.enable_supervision(DEFAULT_REPLAY_LIMIT)
-            .map_err(|e| e.to_string())?;
         pool.attach_telemetry(&telemetry::Scope::named("pool"))
             .map_err(|e| e.to_string())?;
         let usage = UsageTracker::new(Arc::clone(&rules), hitlist.clone(), UsageConfig::default());
@@ -819,7 +817,7 @@ impl Engine {
     }
 
     /// Swap in a signature pack mid-stream. Checkpoint-first: the pool
-    /// exports every shard's evidence under supervision, migrates it to
+    /// exports every shard's evidence, migrates it to
     /// the new rule set by class name (identical rules keep their
     /// evidence verbatim), and ships the new rules + migrated state to
     /// each worker; usage windows and staleness baselines are rekeyed

@@ -405,13 +405,11 @@ fn transport_parity_same_feed_and_kill_schedule_give_identical_books() {
     let (before, during, after) = (feed(900, 1), feed(150_000, 2), feed(900, 3));
 
     for workers in [1usize, 2, 4] {
-        let mut thread_pool =
-            DetectorPool::new(&rules, &HitList::whole_window(&rules), config, workers);
-        thread_pool
-            .enable_supervision(haystack_core::parallel::DEFAULT_REPLAY_LIMIT)
-            .unwrap();
         let mut pools = [
-            ("thread", thread_pool),
+            (
+                "thread",
+                DetectorPool::new(&rules, &HitList::whole_window(&rules), config, workers),
+            ),
             ("process", process_shards(&rules, config, workers)),
         ];
         // Per pool: the status rows after each phase, then the final

@@ -5,12 +5,14 @@
 //! touches line B's state. [`DetectorPool`] exploits that — each worker
 //! owns an independent [`Detector`] for the lines hashing to its shard,
 //! and lives for the pool's whole lifetime. Records flow to workers in
-//! recycled chunk-sized buffers over bounded queues, so a steady-state
-//! hour costs **zero** allocations on the feed path and peak resident
-//! memory is set by queue capacity, never by hour size. This is the
-//! "minutes for millions of devices" configuration (§1); `benchmark/`
-//! measures it as `core.parallel.*` on every workload and end to end as
-//! `soak_thread` / `soak_process`.
+//! chunk-sized buffers over bounded queues; a shipped buffer is retained
+//! for replay until a checkpoint drains it, then reused, so a
+//! steady-state hour costs **zero** allocations on the feed path and
+//! peak resident memory is set by the replay bound
+//! ([`DEFAULT_REPLAY_LIMIT`] survivors per shard), never by hour size.
+//! This is the "minutes for millions of devices" configuration (§1);
+//! `benchmark/` measures it as `core.parallel.*` on every workload and
+//! end to end as `soak_thread` / `soak_process`.
 //!
 //! Semantics are *identical* to a single [`Detector`] fed the same
 //! records — the equivalence and determinism tests at the bottom of this
@@ -44,13 +46,13 @@
 //! link, which moves the same requests as HAYPROC frames over a pipe.
 //! Both workers run the same `serve_shard` loop.
 //!
-//! **Crash safety.** A thread worker runs under `catch_unwind`: a shard
-//! that panics surfaces as a typed [`PoolError`] carrying the shard id
-//! and the captured panic payload — never a process abort. With
-//! [`DetectorPool::enable_supervision`] (always on for process shards)
-//! the pool keeps, per shard, a last-checkpoint [`DetectorState`] plus a
-//! bounded retention of the batches shipped since, and a dead shard is
-//! respawned, restored, and replayed transparently. Replay is exact, not
+//! **Crash safety.** Every pool is supervised. A thread worker runs
+//! under `catch_unwind`, so a shard that panics is a dead link, never a
+//! process abort. The pool keeps, per shard, a last-checkpoint
+//! [`DetectorState`] plus a bounded retention of the batches shipped
+//! since, and a dead shard is respawned, restored, and replayed
+//! transparently; only a crash loop that opens the shard's circuit
+//! breaker surfaces as a typed [`PoolError`]. Replay is exact, not
 //! merely idempotent — the checkpoint covers everything before the
 //! watermark and the retention everything after — so a recovered run's
 //! detections are byte-identical to an uninterrupted one
@@ -70,7 +72,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -84,19 +86,18 @@ pub const POOL_CHANNEL_BATCHES: usize = 4;
 
 /// Default per-shard replay-buffer bound, in gate survivors (the only
 /// records a shard is sent): once a shard's buffer reaches this, the
-/// pool checkpoints the shard and drains it.
+/// pool checkpoints the shard and drains it. Every pool starts with it;
+/// [`DetectorPool::enable_supervision`] sets another.
 pub const DEFAULT_REPLAY_LIMIT: usize = 262_144;
 
-/// A detector shard died. Carries the shard id and the worker's last
-/// words — the panic payload captured by a thread worker's
-/// `catch_unwind`, or the supervisor's reason — when there are any.
+/// A detector shard could not be healed: it failed to spawn, died
+/// again during its own recovery, or crash-looped until its breaker
+/// opened. Carries the shard id and the supervisor's reason.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolError {
-    /// Which shard died.
+    /// Which shard failed.
     pub shard: usize,
-    /// The panic payload (if the worker panicked with a string and the
-    /// note survived), e.g. the message passed to
-    /// [`DetectorPool::inject_panic`].
+    /// Why, e.g. "crash-loop circuit breaker open after 5 fast deaths".
     pub panic: Option<String>,
 }
 
@@ -357,9 +358,8 @@ pub(crate) enum Request {
     },
     /// Observe a buffer of records. Batches travel as `Arc`s so the
     /// supervisor can retain one for replay with a refcount bump instead
-    /// of copying records; when a thread worker holds the last reference
-    /// (unsupervised, or post-checkpoint), the buffer is recovered,
-    /// cleared, and recycled back to the feeder.
+    /// of copying records; the retention holds a reference until a
+    /// checkpoint drains it, so the worker never holds the last one.
     Batch(Arc<Vec<WildRecord>>),
     /// Install telemetry handles on this shard. Never crosses a pipe.
     Telemetry(ShardTelemetry),
@@ -432,8 +432,6 @@ pub(crate) trait WorkerPort {
     fn next(&mut self) -> Result<Option<(u64, Request)>, String>;
     /// Send the reply to request `seq`.
     fn reply(&mut self, seq: u64, reply: Reply) -> Result<(), String>;
-    /// Hand a drained batch buffer back for reuse (in-process links).
-    fn recycle(&mut self, _buf: Vec<WildRecord>) {}
 }
 
 /// Why one rule-set generation of [`serve_shard`] ended.
@@ -447,8 +445,9 @@ enum Generation {
 
 /// The shard worker, whatever it runs in: take `Init` (acked), then
 /// serve requests until the link closes. `Err` is a protocol or state
-/// error — a thread worker records it as its last words, a child
-/// process exits 2. The loop is generationed around rule swaps:
+/// error — a thread worker panics with it, a child process exits 2;
+/// either way the message goes to stderr. The loop is generationed
+/// around rule swaps:
 /// [`Detector`] borrows its rule set, so each rule-set generation gets
 /// its own inner run, and a `SetRules` unwinds to this frame where the
 /// `Arc` can be rebound before the next generation starts.
@@ -527,12 +526,6 @@ fn serve_generation(
                 drop(span);
                 if let Some(t) = tel {
                     t.queue_depth.dec();
-                }
-                // Recycle only when this was the last reference — a
-                // replay-retained batch stays with the supervisor.
-                if let Ok(mut v) = Arc::try_unwrap(buf) {
-                    v.clear();
-                    port.recycle(v);
                 }
                 None
             }
@@ -624,11 +617,10 @@ pub(crate) trait Link: Send + fmt::Debug {
     fn send(&self, seq: u64, req: Request, deadline: Option<Instant>) -> Result<bool, Fault>;
     /// The worker's next reply.
     fn recv(&self, deadline: Option<Instant>) -> Result<(u64, Reply), Fault>;
-    /// Tear the worker down after `fault` and return its last words, if
-    /// it left any. Idempotent.
-    fn kill(&mut self, fault: Fault) -> Option<String>;
-    /// A cleared batch buffer to refill, if the link has one: a batch
-    /// its worker finished with, or one handed to [`Link::reclaim`].
+    /// Tear the worker down after `fault`. Idempotent.
+    fn kill(&mut self, fault: Fault);
+    /// A cleared batch buffer to refill, if the link has one: one handed
+    /// to [`Link::reclaim`].
     fn recycled(&mut self) -> Option<Vec<WildRecord>> {
         None
     }
@@ -678,16 +670,10 @@ struct ThreadLink {
     /// `None` once killed.
     tx: Option<SyncSender<(u64, Request)>>,
     replies: Receiver<(u64, Reply)>,
-    /// Cleared buffers coming back from the worker.
-    recycle: Receiver<Vec<WildRecord>>,
     /// Cleared buffers reclaimed from drained replay retention, reused
     /// last-in first-out: the most recently retained batch is the one
     /// most likely still in cache.
     spare: Vec<Vec<WildRecord>>,
-    /// Why the worker's loop ended, when it did not end cleanly: the
-    /// panic payload or the protocol error. Written by the worker thread
-    /// before its channels close; read after joining it.
-    last_words: Arc<Mutex<Option<String>>>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -701,7 +687,6 @@ impl fmt::Debug for ThreadLink {
 struct ChannelPort {
     rx: Receiver<(u64, Request)>,
     replies: Sender<(u64, Reply)>,
-    recycle: Sender<Vec<WildRecord>>,
 }
 
 impl WorkerPort for ChannelPort {
@@ -713,20 +698,6 @@ impl WorkerPort for ChannelPort {
         let _ = self.replies.send((seq, reply));
         Ok(())
     }
-    fn recycle(&mut self, buf: Vec<WildRecord>) {
-        let _ = self.recycle.send(buf);
-    }
-}
-
-/// Render a panic payload as a message, when it was a string.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 impl ThreadLink {
@@ -734,35 +705,26 @@ impl ThreadLink {
     fn spawn(shard: usize, channel_batches: usize) -> ThreadLink {
         let (tx, rx) = sync_channel(channel_batches.max(1));
         let (reply_tx, replies) = channel();
-        let (recycle_tx, recycle) = channel();
-        let last_words = Arc::new(Mutex::new(None));
-        let note = Arc::clone(&last_words);
         let handle = std::thread::Builder::new()
             .name(format!("detector-shard-{shard}"))
             .spawn(move || {
                 let mut port = ChannelPort {
                     rx,
                     replies: reply_tx,
-                    recycle: recycle_tx,
                 };
-                let words = match catch_unwind(AssertUnwindSafe(|| serve_shard(&mut port))) {
-                    Ok(Ok(())) => None,
-                    Ok(Err(e)) => Some(e),
-                    Err(payload) => Some(panic_message(payload)),
-                };
-                if let (Some(words), Ok(mut n)) = (words, note.lock()) {
-                    *n = Some(words);
-                }
-                // `port` drops here: the supervisor sees the channels
-                // close only after the note is written.
+                // A protocol error dies the way a panic does: the panic
+                // hook prints it, and the closed channels read as Dead.
+                let _ = catch_unwind(AssertUnwindSafe(|| {
+                    if let Err(e) = serve_shard(&mut port) {
+                        panic!("detector shard {shard}: {e}");
+                    }
+                }));
             })
             .expect("spawn detector shard");
         ThreadLink {
             tx: Some(tx),
             replies,
-            recycle,
             spare: Vec::new(),
-            last_words,
             handle: Some(handle),
         }
     }
@@ -787,28 +749,25 @@ impl Link for ThreadLink {
         take(&self.replies, deadline)
     }
 
-    fn kill(&mut self, fault: Fault) -> Option<String> {
+    fn kill(&mut self, fault: Fault) {
         // Closing the request channel ends a live worker's loop once it
         // has drained what was queued.
         self.tx = None;
-        let handle = self.handle.take()?;
-        match fault {
-            // Its channels closed, so the thread is past its loop: the
-            // join returns at once and the note is final.
-            Fault::Dead => {
-                let _ = handle.join();
-                self.last_words.lock().ok().and_then(|mut n| n.take())
-            }
-            // Alive but wedged — joining would hang the supervisor with
-            // it. Detach: the thread exits at its own pace, and its
-            // reply and recycle lanes are orphaned with this link, so
-            // nothing it touches flows back into the pool.
-            Fault::Stalled => None,
+        let Some(handle) = self.handle.take() else {
+            return;
+        };
+        // Its channels closed, so a dead thread is past its loop and the
+        // join returns at once. A wedged one would hang the supervisor
+        // with it: detach it instead. It exits at its own pace, and its
+        // reply lane is orphaned with this link, so nothing it touches
+        // flows back into the pool.
+        if fault == Fault::Dead {
+            let _ = handle.join();
         }
     }
 
     fn recycled(&mut self) -> Option<Vec<WildRecord>> {
-        self.recycle.try_recv().ok().or_else(|| self.spare.pop())
+        self.spare.pop()
     }
 
     fn reclaim(&mut self, buf: Vec<WildRecord>) {
@@ -915,12 +874,11 @@ impl Supervisor {
     /// Drain `shard`'s replay retention, handing each buffer back to
     /// its link. By the time a replay buffer drains (a checkpoint
     /// snapshot replied, so the worker has long since processed every
-    /// retained batch), the supervisor holds the last reference —
-    /// a thread link recovers the allocation for reuse instead of
-    /// dropping it (a worker can't recycle a batch the supervisor still
-    /// holds). Its spare list needs no cap: it only ever holds buffers
-    /// the replay retention held a moment earlier, so the pool's peak
-    /// resident memory is unchanged.
+    /// retained batch), the supervisor holds the last reference — a
+    /// thread link recovers the allocation for reuse instead of dropping
+    /// it. This is the only way a buffer comes back. Its spare list
+    /// needs no cap: it only ever holds buffers the replay retention held
+    /// a moment earlier, so the pool's peak resident memory is unchanged.
     fn drain_replay(&mut self, shard: usize, link: &mut dyn Link) {
         for batch in self.replay[shard].drain(..) {
             if let Ok(mut v) = Arc::try_unwrap(batch) {
@@ -954,11 +912,11 @@ fn empty_state(nrules: usize) -> DetectorState {
 /// staging buffers themselves, so forgetting an explicit flush can never
 /// lose records.
 ///
-/// Every method that talks to a worker returns `Err(`[`PoolError`]`)`
-/// when the shard died (instead of aborting the process). With
-/// [`DetectorPool::enable_supervision`], a dead shard is restored from
-/// its last checkpoint and its replay buffer transparently, and the
-/// operation is retried once before an error is surfaced.
+/// Every pool is supervised: a dead shard is restored from its last
+/// checkpoint and its replay buffer transparently, and the operation is
+/// retried once. Every method that talks to a worker returns
+/// `Err(`[`PoolError`]`)` only when the shard cannot be healed — it
+/// died again during recovery, or its crash-loop breaker is open.
 #[derive(Debug)]
 pub struct DetectorPool {
     /// Construction parameters, retained so a dead shard can be
@@ -989,7 +947,8 @@ pub struct DetectorPool {
     surv: Vec<u32>,
     shash: Vec<u64>,
     /// Chunk buffers ever allocated — on thread shards the pool's peak
-    /// resident buffer count, since buffers recycle instead of dropping.
+    /// resident buffer count, since drained buffers are reused instead of
+    /// dropped.
     buffers_created: usize,
     /// Feeder-side telemetry, present only after
     /// [`DetectorPool::attach_telemetry`] on an enabled registry.
@@ -997,8 +956,8 @@ pub struct DetectorPool {
     /// The telemetry scope, kept so a respawned shard's handles can be
     /// rebuilt against the same registry entries.
     scope: Option<Scope>,
-    supervisor: Option<Supervisor>,
-    /// Respawn backoff / circuit-breaker policy (supervised pools).
+    supervisor: Supervisor,
+    /// Respawn backoff / circuit-breaker policy.
     policy: RespawnPolicy,
     /// Per-shard crash-loop tracking.
     backoff: Vec<BackoffState>,
@@ -1024,9 +983,9 @@ struct FeederTelemetry {
     /// Ships that found the shard's queue full and had to wait — the
     /// backpressure signal.
     backpressure_stalls: Counter,
-    /// Fresh buffer allocations (nothing came back on the recycle lane).
+    /// Fresh buffer allocations (no drained buffer was spare).
     buffers_created: Counter,
-    /// Ships served by a recycled buffer.
+    /// Ships served by a buffer drained from the replay retention.
     buffers_recycled: Counter,
     /// Staged and degraded-queued survivors discarded by `reset` (they
     /// belong to the window being cleared). Keeps the conservation
@@ -1062,10 +1021,9 @@ impl DetectorPool {
     ///
     /// A hitlist has no wire codec, so process shards always detect
     /// against the whole-window hitlist of their rules, and the pool's
-    /// feeder gates against that same hitlist. They are always
-    /// supervised: the only link to a child is its pipe and the only
-    /// recovery is respawn. Fails if a child cannot be spawned or does
-    /// not complete the `Init` handshake within the heartbeat.
+    /// feeder gates against that same hitlist. Fails if a child cannot
+    /// be spawned or does not complete the `Init` handshake within the
+    /// heartbeat.
     pub fn with_process_shards(
         rules: &RuleSet,
         config: DetectorConfig,
@@ -1082,18 +1040,15 @@ impl DetectorPool {
         } else {
             command.to_vec()
         };
-        let hitlist = HitList::whole_window(rules);
-        let mut pool = Self::build(
+        Self::build(
             rules,
-            &hitlist,
+            &HitList::whole_window(rules),
             config,
             workers,
             POOL_BATCH_RECORDS,
             POOL_CHANNEL_BATCHES,
             Some(command),
-        )?;
-        pool.enable_supervision(DEFAULT_REPLAY_LIMIT)?;
-        Ok(pool)
+        )
     }
 
     fn build(
@@ -1124,7 +1079,9 @@ impl DetectorPool {
             buffers_created: workers,
             telemetry: None,
             scope: None,
-            supervisor: None,
+            // Fresh shards hold no evidence: the empty bases are their
+            // first checkpoint.
+            supervisor: Supervisor::new(workers, rules.rules.len(), DEFAULT_REPLAY_LIMIT),
             policy: RespawnPolicy::default(),
             backoff: vec![BackoffState::default(); workers],
             degraded_queue: (0..workers).map(|_| Vec::new()).collect(),
@@ -1182,32 +1139,17 @@ impl DetectorPool {
             .collect()
     }
 
-    /// Turn on supervised recovery: checkpoint every shard now, then
-    /// keep a bounded replay buffer (at most `replay_limit` gate
-    /// survivors per shard — reaching the bound auto-checkpoints the
-    /// shard). From this point a shard death is healed transparently:
-    /// the shard is respawned, restored from its last checkpoint, and
-    /// replayed, and the interrupted operation retried. On an
-    /// already-supervised pool (every process pool) this adjusts the
-    /// bound and takes a fresh checkpoint.
+    /// Set the replay bound to `replay_limit` gate survivors per shard
+    /// (reaching it auto-checkpoints the shard; every pool starts at
+    /// [`DEFAULT_REPLAY_LIMIT`]) and checkpoint every shard now.
     pub fn enable_supervision(&mut self, replay_limit: usize) -> Result<(), PoolError> {
-        match &mut self.supervisor {
-            Some(sup) => sup.replay_limit = replay_limit.max(1),
-            None => {
-                let sup = Supervisor::new(self.links.len(), self.rules.rules.len(), replay_limit);
-                self.supervisor = Some(sup);
-            }
-        }
-        // Capture whatever evidence the shards already hold, so a crash
-        // right after enabling loses nothing.
+        self.supervisor.replay_limit = replay_limit.max(1);
         self.checkpoint_all()
     }
 
     /// Survivors currently held in replay buffers across all shards.
     pub fn replay_buffered(&self) -> usize {
-        self.supervisor
-            .as_ref()
-            .map_or(0, |s| s.replay_records.iter().sum())
+        self.supervisor.replay_records.iter().sum()
     }
 
     /// Instrument the pool under `scope`: feeder counters (`records_in`,
@@ -1267,8 +1209,8 @@ impl DetectorPool {
     }
 
     /// Chunk buffers ever allocated by the pool — on thread shards its
-    /// peak resident buffer count (buffers recycle through the workers,
-    /// never drop).
+    /// peak resident buffer count (drained buffers are reused, never
+    /// dropped).
     pub fn buffers_created(&self) -> usize {
         self.buffers_created
     }
@@ -1284,19 +1226,13 @@ impl DetectorPool {
     }
 
     /// The heal path every failure signal converges on. Tear down
-    /// whatever is left of the worker; unsupervised, that surfaces the
-    /// typed error. Supervised: consult the breaker, back off, spawn a
-    /// replacement, restore it from the shard's last checkpoint, and
-    /// replay the retained batches — after which the caller retries the
-    /// interrupted operation.
+    /// whatever is left of the worker, consult the breaker, back off,
+    /// spawn a replacement, restore it from the shard's last checkpoint,
+    /// and replay the retained batches — after which the caller retries
+    /// the interrupted operation.
     fn heal(&mut self, shard: usize, fault: Fault) -> Result<(), PoolError> {
-        let last_words = self.links[shard].kill(fault);
-        let Some(sup) = &self.supervisor else {
-            return Err(PoolError {
-                shard,
-                panic: last_words,
-            });
-        };
+        self.links[shard].kill(fault);
+        let sup = &self.supervisor;
         // Respawn-storm brake: a deterministically-dying shard backs
         // off exponentially and eventually trips the circuit breaker
         // instead of respawning in a tight loop.
@@ -1322,7 +1258,7 @@ impl DetectorPool {
             let seq = self.next_seq(shard);
             let _ = self.links[shard].send(seq, Request::Telemetry(t), None);
         }
-        let sup = self.supervisor.as_mut().expect("supervised");
+        let sup = &mut self.supervisor;
         sup.restarts.inc();
         sup.fold_pending(shard);
         // Staging is left alone: those records were never shipped, are
@@ -1352,11 +1288,7 @@ impl DetectorPool {
                 return Err(PoolError::new(shard, "shard died during replay"));
             }
         }
-        self.supervisor
-            .as_ref()
-            .expect("supervised")
-            .replayed_records
-            .add(replayed);
+        self.supervisor.replayed_records.add(replayed);
         Ok(())
     }
 
@@ -1365,16 +1297,16 @@ impl DetectorPool {
     /// status, a timeout is a heartbeat miss.
     fn reply_for(&mut self, shard: usize, seq: u64) -> Result<Reply, Fault> {
         let got = await_reply(&*self.links[shard], seq, None);
-        match (&got, &self.supervisor) {
-            (Ok(_), _) => self.backoff[shard].on_reply(),
-            (Err(Fault::Stalled), Some(sup)) => sup.heartbeat_misses.inc(),
-            _ => {}
+        match &got {
+            Ok(_) => self.backoff[shard].on_reply(),
+            Err(Fault::Stalled) => self.supervisor.heartbeat_misses.inc(),
+            Err(Fault::Dead) => {}
         }
         got
     }
 
     /// Send `build()` to `shard` — and await its reply when `ask` —
-    /// healing (under supervision) and retrying once if the shard fails
+    /// healing and retrying once if the shard fails
     /// mid-operation. A second failure in a row, or an open breaker,
     /// errors.
     fn exchange(
@@ -1456,10 +1388,8 @@ impl DetectorPool {
         self.degraded_queue[shard].extend_from_slice(&staged[..keep]);
         staged.clear();
         self.shed_records[shard] += shed;
-        if let Some(sup) = &self.supervisor {
-            sup.degraded_queued.add(keep as u64);
-            sup.degraded_shed.add(shed);
-        }
+        self.supervisor.degraded_queued.add(keep as u64);
+        self.supervisor.degraded_shed.add(shed);
     }
 
     /// Ship `shard`'s staging buffer to its worker (waiting if its queue
@@ -1494,10 +1424,8 @@ impl DetectorPool {
         // batch lost with a dead worker (or dropped by a failed send) is
         // then always recoverable. This is a refcount bump, not a copy —
         // the records themselves are never duplicated.
-        if let Some(sup) = &mut self.supervisor {
-            sup.replay_records[shard] += full.len();
-            sup.replay[shard].push(Arc::clone(&full));
-        }
+        self.supervisor.replay_records[shard] += full.len();
+        self.supervisor.replay[shard].push(Arc::clone(&full));
         // Inc the queue gauge *before* the send: the worker decs after
         // taking the batch, and `Gauge::dec` saturates at zero — a dec
         // racing ahead of a post-send inc would strand the gauge at +1.
@@ -1517,8 +1445,8 @@ impl DetectorPool {
                 }
                 Ok(())
             }
-            // The send dropped the batch, but under supervision it lives
-            // in the replay buffer, which the heal re-fed (or, if the
+            // The send dropped the batch, but it lives in the replay
+            // buffer, which the heal re-fed (or, if the
             // heal tripped the breaker, which `reset_breaker` will). The
             // feed keeps flowing for the healthy shards either way.
             Err(fault) => match self.heal(shard, fault) {
@@ -1566,12 +1494,10 @@ impl DetectorPool {
         // Bound the replay buffers: a shard at the limit is checkpointed
         // (which drains its buffer) before the next call. Degraded
         // shards are skipped — their retention stopped growing.
-        if let Some(sup) = &self.supervisor {
-            let limit = sup.replay_limit;
-            let over: Vec<usize> = (0..n)
-                .filter(|&s| sup.replay_records[s] >= limit && !self.backoff[s].tripped())
-                .collect();
-            for shard in over {
+        for shard in 0..n {
+            if self.supervisor.replay_records[shard] >= self.supervisor.replay_limit
+                && !self.backoff[shard].tripped()
+            {
                 self.checkpoint_shard(shard)?;
             }
         }
@@ -1608,7 +1534,7 @@ impl DetectorPool {
 
     /// Flush, then block until every worker has processed everything
     /// sent so far. Per-shard barriers, so a dead shard is identified
-    /// (and healed, under supervision) individually.
+    /// and healed individually.
     pub fn finish(&mut self) -> Result<(), PoolError> {
         self.flush()?;
         for shard in 0..self.links.len() {
@@ -1631,28 +1557,26 @@ impl DetectorPool {
     /// A full state arrived for `shard`: it becomes the base, subsumes
     /// the queued deltas, and drains the replay buffer.
     fn absorb_full(&mut self, shard: usize, state: DetectorState) {
-        let sup = self.supervisor.as_mut().expect("supervised");
+        let sup = &mut self.supervisor;
         sup.clear_shard(shard, &mut *self.links[shard]);
         sup.shard_state[shard] = state;
         sup.shard_checkpoints.inc();
     }
 
     /// Checkpoint one shard: flush its staging, snapshot its evidence
-    /// state, and drain its replay buffer. Requires supervision.
+    /// state, and drain its replay buffer.
     fn checkpoint_shard(&mut self, shard: usize) -> Result<(), PoolError> {
-        assert!(self.supervisor.is_some(), "enable_supervision first");
         self.ship(shard)?;
         let state = self.snapshot_shard(shard)?;
         self.absorb_full(shard, state);
         Ok(())
     }
 
-    /// Checkpoint every shard (e.g. on an hour boundary). Requires
-    /// supervision. Snapshot requests are broadcast before any reply is
-    /// awaited, so the shards export their states concurrently — the
-    /// boundary costs one shard's export, not the sum of all of them.
+    /// Checkpoint every shard (e.g. on an hour boundary). Snapshot
+    /// requests are broadcast before any reply is awaited, so the shards
+    /// export their states concurrently — the boundary costs one shard's
+    /// export, not the sum of all of them.
     fn checkpoint_all(&mut self) -> Result<(), PoolError> {
-        assert!(self.supervisor.is_some(), "enable_supervision first");
         let replies = self.broadcast(&|| Request::Snapshot)?;
         for (shard, reply) in replies.into_iter().enumerate() {
             match reply {
@@ -1672,11 +1596,10 @@ impl DetectorPool {
     /// dirty-only [`DetectorSnapshot`] (full when it has no clean base —
     /// fresh worker, post-restore, post-reset), the supervisor merges it
     /// into its per-shard base state, and the per-shard frames are
-    /// returned for persistence. Requires supervision. A shard found
-    /// dead is healed first and contributes a full frame — its recovered
-    /// state has no delta base on disk.
+    /// returned for persistence. A shard found dead is healed first and
+    /// contributes a full frame — its recovered state has no delta base
+    /// on disk.
     pub fn checkpoint_all_delta(&mut self) -> Result<Vec<DetectorSnapshot>, PoolError> {
-        assert!(self.supervisor.is_some(), "enable_supervision first");
         let replies = self.broadcast(&|| Request::SnapshotDelta)?;
         let mut frames = Vec::with_capacity(replies.len());
         for (shard, reply) in replies.into_iter().enumerate() {
@@ -1691,7 +1614,7 @@ impl DetectorPool {
                 // fold happens off the boundary path, when the base is
                 // next read.
                 Ok(Reply::Snap(DetectorSnapshot::Delta(delta))) => {
-                    let sup = self.supervisor.as_mut().expect("supervised");
+                    let sup = &mut self.supervisor;
                     sup.drain_replay(shard, &mut *self.links[shard]);
                     sup.pending[shard].push(delta.clone());
                     sup.shard_checkpoints.inc();
@@ -1703,8 +1626,8 @@ impl DetectorPool {
                 other => {
                     self.heal(shard, other.err().unwrap_or(Fault::Dead))?;
                     self.checkpoint_shard(shard)?;
-                    let sup = self.supervisor.as_ref().expect("supervised");
-                    frames.push(DetectorSnapshot::Full(sup.shard_state[shard].clone()));
+                    let state = self.supervisor.shard_state[shard].clone();
+                    frames.push(DetectorSnapshot::Full(state));
                 }
             }
         }
@@ -1713,9 +1636,9 @@ impl DetectorPool {
 
     /// The supervisor's merged per-shard base states — what the delta
     /// frames of [`DetectorPool::checkpoint_all_delta`] have been folded
-    /// into. Requires supervision.
+    /// into.
     pub fn supervised_shard_states(&mut self) -> Vec<DetectorState> {
-        let sup = self.supervisor.as_mut().expect("enable_supervision first");
+        let sup = &mut self.supervisor;
         for shard in 0..sup.shard_state.len() {
             sup.fold_pending(shard);
         }
@@ -1723,31 +1646,20 @@ impl DetectorPool {
     }
 
     /// Export every shard's evidence state, flushing first so the
-    /// states cover everything fed. Under supervision this doubles as a
-    /// checkpoint (replay buffers drain). The returned vector is
-    /// indexed by shard and must be restored into a pool with the same
-    /// worker count ([`DetectorPool::restore_shard_states`]).
+    /// states cover everything fed. This doubles as a checkpoint (replay
+    /// buffers drain). The returned vector is indexed by shard and must
+    /// be restored into a pool with the same worker count
+    /// ([`DetectorPool::restore_shard_states`]).
     pub fn shard_states(&mut self) -> Result<Vec<DetectorState>, PoolError> {
-        if self.supervisor.is_some() {
-            self.checkpoint_all()?;
-            return Ok(self
-                .supervisor
-                .as_ref()
-                .expect("supervised")
-                .shard_state
-                .clone());
-        }
-        self.flush()?;
-        (0..self.links.len())
-            .map(|shard| self.snapshot_shard(shard))
-            .collect()
+        self.checkpoint_all()?;
+        Ok(self.supervisor.shard_state.clone())
     }
 
     /// Restore per-shard evidence states exported by
     /// [`DetectorPool::shard_states`] from a pool with the same worker
     /// count and rule set. Staged records are discarded — the restored
-    /// states define the new watermark. Under supervision the states
-    /// become the shards' checkpoints and the replay buffers drain.
+    /// states define the new watermark: they become the shards'
+    /// checkpoints and the replay buffers drain.
     pub fn restore_shard_states(&mut self, states: &[DetectorState]) -> Result<(), PoolError> {
         assert_eq!(
             states.len(),
@@ -1757,13 +1669,11 @@ impl DetectorPool {
         for s in &mut self.staging {
             s.clear();
         }
-        if let Some(sup) = &mut self.supervisor {
-            for shard in 0..states.len() {
-                // Stale deltas would corrupt the restored base.
-                sup.clear_shard(shard, &mut *self.links[shard]);
-            }
-            sup.shard_state = states.to_vec();
+        for shard in 0..states.len() {
+            // Stale deltas would corrupt the restored base.
+            self.supervisor.clear_shard(shard, &mut *self.links[shard]);
         }
+        self.supervisor.shard_state = states.to_vec();
         for (shard, state) in states.iter().enumerate() {
             self.tell(shard, &|| Request::Restore(state.clone()))?;
         }
@@ -1773,7 +1683,7 @@ impl DetectorPool {
     /// Deterministic crash injection: make `shard` panic with `msg` once
     /// every batch sent before this call is processed (a child process
     /// exits 101). The next operation touching the shard observes the
-    /// death (and heals it, under supervision).
+    /// death and heals it.
     pub fn inject_panic(&mut self, shard: usize, msg: &str) -> Result<(), PoolError> {
         self.tell(shard, &|| Request::Panic(msg.to_string()))
     }
@@ -1833,9 +1743,7 @@ impl DetectorPool {
     /// buffer everything after, and the abandoned worker's
     /// un-checkpointed state is discarded with it. Counts as a death for
     /// the breaker — repeated escalation trips it rather than thrashing.
-    /// Requires supervision.
     pub fn force_respawn(&mut self, shard: usize) -> Result<(), PoolError> {
-        assert!(self.supervisor.is_some(), "enable_supervision first");
         self.heal(shard, Fault::Stalled)
     }
 
@@ -1843,9 +1751,8 @@ impl DetectorPool {
     /// breaker, respawn it from its last checkpoint plus replay, then
     /// re-feed the records queued while the breaker was open (sheds are
     /// gone — the accounting in [`DetectorPool::shard_status`] is the
-    /// record of that loss). Requires supervision.
+    /// record of that loss).
     pub fn reset_breaker(&mut self, shard: usize) -> Result<(), PoolError> {
-        assert!(self.supervisor.is_some(), "enable_supervision first");
         self.backoff[shard].reset();
         self.heal(shard, Fault::Stalled)?;
         // The respawn above counted as a death; an operator reset
@@ -1863,8 +1770,8 @@ impl DetectorPool {
 
     /// Swap the daily hitlist on every shard and in the feeder's gate.
     /// Staged survivors are flushed first, so they are observed under
-    /// the hitlist that gated them. Under supervision every shard is
-    /// checkpointed first, so a replay never crosses a hitlist swap.
+    /// the hitlist that gated them. Every shard is checkpointed first, so
+    /// a replay never crosses a hitlist swap.
     ///
     /// A no-op on a process pool: a hitlist has no wire codec, so its
     /// children can only detect with the whole-window hitlist of their
@@ -1873,11 +1780,7 @@ impl DetectorPool {
         if self.command.is_some() {
             return Ok(());
         }
-        if self.supervisor.is_some() {
-            self.checkpoint_all()?;
-        } else {
-            self.flush()?;
-        }
+        self.checkpoint_all()?;
         self.hitlist = hitlist.clone();
         for shard in 0..self.links.len() {
             self.tell(shard, &|| Request::SetHitlist(Some(hitlist.clone())))?;
@@ -1895,14 +1798,14 @@ impl DetectorPool {
     /// ([`crate::pack::migrate_detector_state`]), and shipped back with
     /// the new rules in one `Request::SetRules` — so unchanged rules
     /// lose no evidence, removed rules vanish, added rules start empty,
-    /// and a supervised replay never crosses the swap. The feeder gates
+    /// and a replay never crosses the swap. The feeder gates
     /// with the new hitlist from here on — on a process pool that is
     /// always the whole-window hitlist of `rules`, and `hitlist` is
     /// ignored (see [`DetectorPool::set_hitlist`]).
     pub fn set_rules(&mut self, rules: &RuleSet, hitlist: &HitList) -> Result<(), PoolError> {
         let new_rules = Arc::new(rules.clone());
-        // Under supervision this is a checkpoint_all: replay buffers
-        // drain, so a post-swap respawn restores migrated state only.
+        // A checkpoint_all: replay buffers drain, so a post-swap respawn
+        // restores migrated state only.
         let old_states = self.shard_states()?;
         let migrated: Vec<DetectorState> = old_states
             .iter()
@@ -1915,11 +1818,9 @@ impl DetectorPool {
                 )
             })
             .collect();
-        if let Some(sup) = &mut self.supervisor {
-            sup.shard_state = migrated.clone();
-            for q in &mut sup.pending {
-                q.clear(); // pre-swap deltas reference the old rule set
-            }
+        self.supervisor.shard_state = migrated.clone();
+        for q in &mut self.supervisor.pending {
+            q.clear(); // pre-swap deltas reference the old rule set
         }
         self.hitlist = match self.command {
             Some(_) => HitList::whole_window(&new_rules),
@@ -1958,11 +1859,9 @@ impl DetectorPool {
             s.clear();
         }
         let nrules = self.rules.rules.len();
-        if let Some(sup) = &mut self.supervisor {
-            for shard in 0..sup.shard_state.len() {
-                sup.clear_shard(shard, &mut *self.links[shard]);
-                sup.shard_state[shard] = empty_state(nrules);
-            }
+        for shard in 0..self.links.len() {
+            self.supervisor.clear_shard(shard, &mut *self.links[shard]);
+            self.supervisor.shard_state[shard] = empty_state(nrules);
         }
         for shard in 0..self.links.len() {
             // A degraded shard is already at the empty base; it comes
@@ -2211,7 +2110,6 @@ mod tests {
         };
         let records = random_records(20_000, 5);
         let mut pool = DetectorPool::new(&rules, &hl, config, 4);
-        pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
         pool.observe_records(&records).unwrap();
         pool.finish().unwrap();
         let before = pool.detected_lines("X").unwrap();
@@ -2287,7 +2185,6 @@ mod tests {
         let (first, rest) = records.split_at(8_000);
 
         let mut pool = DetectorPool::new(&rules, &hl, config, 4);
-        pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
         pool.observe_records(first).unwrap();
         // Fresh workers have no clean base: round one is all-full.
         let frames = pool.checkpoint_all_delta().unwrap();
@@ -2414,26 +2311,24 @@ mod tests {
     }
 
     #[test]
-    fn buffer_count_is_bounded_by_channel_capacity_not_feed_size() {
+    fn buffer_count_is_bounded_by_the_replay_bound_not_feed_size() {
         let rules = ruleset(1);
         let hl = HitList::whole_window(&rules);
         // Tiny buffers force constant shipping: 100k records → ~1000
         // buffer sends per shard, but the resident set stays bounded.
-        let workers = 4;
-        let channel_batches = 4;
-        let mut pool = DetectorPool::with_tuning(
-            &rules,
-            &hl,
-            DetectorConfig::default(),
-            workers,
-            100,
-            channel_batches,
-        );
-        pool.observe_records(&hit_records(100_000, 2, 1)).unwrap();
+        let (workers, batch, limit, piece) = (4, 100, 1_000, 1_000);
+        let mut pool =
+            DetectorPool::with_tuning(&rules, &hl, DetectorConfig::default(), workers, batch, 4);
+        pool.enable_supervision(limit).unwrap();
+        for records in hit_records(100_000, 2, 1).chunks(piece) {
+            pool.observe_records(records).unwrap();
+        }
         pool.finish().unwrap();
-        // Per shard: 1 staging + channel_batches in flight + 1 being
-        // processed + 1 in the recycle queue.
-        let bound = workers * (channel_batches + 3);
+        // Per shard: the retention (under `limit` before a feed call, at
+        // most `piece` more during it, plus one partial batch) and 1
+        // staging buffer. A checkpoint hands the retained buffers back
+        // for reuse.
+        let bound = workers * ((limit + piece) / batch + 2);
         assert!(
             pool.buffers_created() <= bound,
             "{} buffers for a 100k feed (bound {bound})",
@@ -2489,7 +2384,11 @@ mod tests {
         let mut pool = DetectorPool::with_tuning(&rules, &hl, DetectorConfig::default(), 3, 64, 2);
         pool.attach_telemetry(&scope).unwrap();
         let records = hit_records(10_000, 21, 4);
-        pool.observe_records(&records).unwrap();
+        let (first, rest) = records.split_at(5_000);
+        pool.observe_records(first).unwrap();
+        // Draining the retention hands its buffers back for the rest.
+        pool.checkpoint_all().unwrap();
+        pool.observe_records(rest).unwrap();
         pool.finish().unwrap();
         let snap = telemetry::global().snapshot().filtered("t_pool_unit");
         assert_eq!(snap.counter("t_pool_unit.records_in"), Some(10_000));
@@ -2509,7 +2408,7 @@ mod tests {
         let created = snap.counter("t_pool_unit.buffers_created").unwrap();
         let recycled = snap.counter("t_pool_unit.buffers_recycled").unwrap();
         assert!(created >= 3, "startup buffers counted");
-        assert!(recycled > 0, "tiny buffers at 10k records must recycle");
+        assert!(recycled > 0, "drained buffers must be reused");
         for i in 0..3 {
             assert_eq!(
                 telemetry::global()
@@ -2544,19 +2443,43 @@ mod tests {
     // ------------------------------------------------------------------
 
     #[test]
-    fn unsupervised_shard_death_is_a_typed_error_not_an_abort() {
-        let rules = ruleset(2);
+    fn every_pool_heals_a_dead_shard_without_enable_supervision() {
+        let rules = ruleset(6);
         let hl = HitList::whole_window(&rules);
-        let mut pool = DetectorPool::new(&rules, &hl, DetectorConfig::default(), 3);
-        pool.observe_records(&random_records(1_000, 4)).unwrap();
+        let config = DetectorConfig {
+            threshold: 0.5,
+            require_established: false,
+        };
+        let records = random_records(12_000, 4);
+        let workers = 3;
+        let mut pool = DetectorPool::new(&rules, &hl, config, workers);
+        pool.observe_records(&records[..4_000]).unwrap();
         pool.inject_panic(1, "injected crash").unwrap();
-        let err = pool.finish().expect_err("dead shard must surface as Err");
-        assert_eq!(err.shard, 1);
-        assert_eq!(err.panic.as_deref(), Some("injected crash"));
-        assert!(err.to_string().contains("shard 1"));
-        assert!(err.to_string().contains("injected crash"));
-        // The error is sticky for that shard, not fatal to the process.
-        assert!(pool.finish().is_err());
+        pool.observe_records(&records[4_000..8_000]).unwrap();
+        pool.kill_shard(2).unwrap();
+        pool.observe_records(&records[8_000..]).unwrap();
+        pool.finish().unwrap();
+
+        // Each shard's state is what a sequential detector fed that
+        // shard's records holds, byte for byte.
+        let mut seq: Vec<Detector<'_>> = (0..workers)
+            .map(|_| Detector::new(&rules, hl.clone(), config))
+            .collect();
+        for r in &records {
+            seq[shard_of(r.line, workers)].observe_wild(r);
+        }
+        let got: Vec<Vec<u8>> = pool
+            .shard_states()
+            .unwrap()
+            .iter()
+            .map(|s| s.encode())
+            .collect();
+        let want: Vec<Vec<u8>> = seq.iter().map(|d| d.export_state().encode()).collect();
+        assert!(
+            seq.iter().all(|d| d.state_size() > 0),
+            "every shard holds evidence"
+        );
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -2578,7 +2501,6 @@ mod tests {
 
         for kill_at in [0usize, 10_000, 29_999] {
             let mut pool = DetectorPool::new(&rules, &hl, config, 4);
-            pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
             pool.observe_records(&records[..kill_at]).unwrap();
             pool.inject_panic(2, "chaos kill").unwrap();
             pool.observe_records(&records[kill_at..]).unwrap();
@@ -2606,7 +2528,6 @@ mod tests {
         let want = clean.detected_lines("X").unwrap();
 
         let mut pool = DetectorPool::new(&rules, &hl, config, 3);
-        pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
         for (i, piece) in records.chunks(4_000).enumerate() {
             pool.observe_records(piece).unwrap();
             if i % 2 == 0 {
@@ -2694,11 +2615,8 @@ mod tests {
         let records = random_records(10_000, 53);
         let split = 5_000;
 
-        let run = |supervise: bool, kill: bool| {
+        let run = |kill: bool| {
             let mut pool = DetectorPool::new(&rules, &hl, config, 3);
-            if supervise {
-                pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
-            }
             pool.observe_records(&records[..split]).unwrap();
             pool.set_hitlist(&hl).unwrap();
             if kill {
@@ -2708,8 +2626,8 @@ mod tests {
             pool.finish().unwrap();
             pool.detected_lines("X").unwrap()
         };
-        let want = run(false, false);
-        assert_eq!(run(true, true), want);
+        let want = run(false);
+        assert_eq!(run(true), want);
     }
 
     #[test]
@@ -2769,7 +2687,6 @@ mod tests {
         // What a shard is sent is retained for replay: the survivors,
         // exactly — a proven miss is never copied.
         let mut pool = DetectorPool::new(&rules, &hl, config, 3);
-        pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
         pool.observe_records(&records).unwrap();
         pool.flush().unwrap();
         assert_eq!(pool.replay_buffered(), survivors);
@@ -2780,7 +2697,6 @@ mod tests {
         // An empty hitlist has an empty fingerprint: the feeder retires
         // every record.
         let mut empty = DetectorPool::new(&rules, &HitList::default(), config, 3);
-        empty.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
         empty.observe_records(&records).unwrap();
         empty.flush().unwrap();
         assert_eq!(empty.replay_buffered(), 0);
@@ -2839,7 +2755,6 @@ mod tests {
         let want = (clean.detected_lines("X").unwrap(), clean.entries());
 
         let mut pool = DetectorPool::new(&rules, &hl, config, 3);
-        pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
         pool.observe_records(&records[..split]).unwrap();
         // Wedge a shard long enough that only a detaching respawn can
         // recover within the test's lifetime, then escalate exactly as
@@ -2877,7 +2792,6 @@ mod tests {
         let want = clean.detected_lines("X").unwrap();
 
         let mut pool = DetectorPool::new(&rules, &hl, config, 2);
-        pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
         pool.observe_records(&records[..6_000]).unwrap();
         pool.checkpoint_all().unwrap();
         pool.observe_records(&records[6_000..10_000]).unwrap();
@@ -2896,13 +2810,16 @@ mod tests {
         let hl = HitList::whole_window(&rules);
         let before = telemetry::global().snapshot();
         let mut pool = DetectorPool::new(&rules, &hl, DetectorConfig::default(), 2);
-        pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
-        pool.observe_records(&random_records(2_000, 61)).unwrap();
+        let records = random_records(4_000, 61);
+        pool.observe_records(&records[..2_000]).unwrap();
+        pool.checkpoint_all().unwrap();
+        pool.observe_records(&records[2_000..]).unwrap();
         pool.inject_panic(0, "counted kill").unwrap();
         pool.finish().unwrap();
         let delta = telemetry::global().snapshot().delta_since(&before);
         assert!(delta.counter("checkpoint.shard_restarts").unwrap_or(0) >= 1);
         assert!(delta.counter("checkpoint.shard_checkpoints").unwrap_or(0) >= 2);
+        assert!(delta.counter("checkpoint.replayed_records").unwrap_or(0) >= 1);
     }
 
     /// A fast policy for breaker tests: trips on the 3rd fast death,
@@ -2923,7 +2840,6 @@ mod tests {
         let hl = HitList::whole_window(&rules);
         let mut pool = DetectorPool::new(&rules, &hl, DetectorConfig::default(), 2);
         pool.set_respawn_policy(fast_trip_policy());
-        pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
         let records = random_records(4_000, 11);
         pool.observe_records(&records).unwrap();
 
@@ -2966,7 +2882,6 @@ mod tests {
         let mut pool = DetectorPool::with_tuning(&rules, &hl, DetectorConfig::default(), 2, 64, 4);
         pool.set_respawn_policy(fast_trip_policy());
         pool.queue_limit = 200;
-        pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
 
         // Trip shard 0's breaker.
         for _ in 0..10 {
@@ -3013,7 +2928,6 @@ mod tests {
         // Queue bound above the whole feed: nothing sheds, so recovery
         // can be byte-identical.
         pool.queue_limit = records.len();
-        pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
         pool.observe_records(&records[..3_000]).unwrap();
         for _ in 0..10 {
             if pool.inject_panic(0, "poison").is_err() || pool.finish().is_err() {

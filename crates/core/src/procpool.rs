@@ -47,13 +47,13 @@ use std::time::{Duration, Instant};
 pub const PROC_MAGIC: &[u8; 8] = b"HAYPROC\0";
 /// Protocol version. Parent and child are always the same binary, so a
 /// mismatch means a stale worker binary on the PATH — reject it.
-pub const PROC_VERSION: u32 = 2;
+pub const PROC_VERSION: u32 = 3;
 /// Per-frame payload cap: a corrupt header cannot make the reader
 /// allocate unboundedly.
 pub const PROC_MAX_PAYLOAD: u64 = 1 << 30;
-/// Bytes one [`WildRecord`] occupies on the wire (8+8+8+4+1+4+4+2+1+1+4)
-/// — also the allocation guard for a batch's declared record count.
-pub const RECORD_WIRE_BYTES: usize = 45;
+/// Bytes one [`WildRecord`] occupies on the wire (8+4+2+1+1+4) — also
+/// the allocation guard for a batch's declared record count.
+pub const RECORD_WIRE_BYTES: usize = 20;
 
 /// Reply deadline for a request to a child. A miss counts
 /// `checkpoint.heartbeat_misses` and heals the shard.
@@ -91,14 +91,11 @@ const R_SNAP: u8 = 2;
 const R_LINES: u8 = 3;
 const R_VERDICTS: u8 = 8;
 
-/// Wire layout of one [`WildRecord`] (fixed [`RECORD_WIRE_BYTES`]).
+/// Wire layout of one [`WildRecord`] (fixed [`RECORD_WIRE_BYTES`]):
+/// only the fields a shard's detector reads. The subscriber's address,
+/// its /24 and the byte and packet counts never leave the parent.
 fn put_record(w: &mut SnapWriter, r: &WildRecord) {
     w.put_u64(r.line.0);
-    w.put_u64(r.packets);
-    w.put_u64(r.bytes);
-    w.put_u32(u32::from(r.line_slash24.network()));
-    w.put_u8(r.line_slash24.len());
-    w.put_u32(u32::from(r.src_ip));
     w.put_u32(u32::from(r.dst));
     w.put_u16(r.dport);
     w.put_u8(r.proto.number());
@@ -106,31 +103,20 @@ fn put_record(w: &mut SnapWriter, r: &WildRecord) {
     w.put_u32(r.hour.0);
 }
 
+/// A shipped record, with the fields that are not shipped at fixed
+/// zero values.
 fn get_record(r: &mut SnapReader<'_>) -> Result<WildRecord, SnapError> {
-    let line = AnonId(r.u64()?);
-    let packets = r.u64()?;
-    let bytes = r.u64()?;
-    let net = Ipv4Addr::from(r.u32()?);
-    let plen = r.u8()?;
-    let line_slash24 =
-        Prefix4::new(net, plen).map_err(|_| SnapError::Malformed("record prefix"))?;
-    let src_ip = Ipv4Addr::from(r.u32()?);
-    let dst = Ipv4Addr::from(r.u32()?);
-    let dport = r.u16()?;
-    let proto = Proto::from_number(r.u8()?).ok_or(SnapError::Malformed("record proto"))?;
-    let established = r.u8()? != 0;
-    let hour = HourBin(r.u32()?);
     Ok(WildRecord {
-        line,
-        packets,
-        bytes,
-        line_slash24,
-        src_ip,
-        dst,
-        dport,
-        proto,
-        established,
-        hour,
+        line: AnonId(r.u64()?),
+        dst: Ipv4Addr::from(r.u32()?),
+        dport: r.u16()?,
+        proto: Proto::from_number(r.u8()?).ok_or(SnapError::Malformed("record proto"))?,
+        established: r.u8()? != 0,
+        hour: HourBin(r.u32()?),
+        src_ip: Ipv4Addr::UNSPECIFIED,
+        line_slash24: Prefix4::slash24_of(Ipv4Addr::UNSPECIFIED),
+        bytes: 0,
+        packets: 0,
     })
 }
 
@@ -264,6 +250,9 @@ pub(crate) fn decode_to_worker(frame: &[u8]) -> Result<(u64, Request), SnapError
         T_SHUTDOWN => Request::Shutdown,
         _ => return Err(SnapError::Malformed("unknown request tag")),
     };
+    if r.remaining() != 0 {
+        return Err(SnapError::Malformed("trailing bytes"));
+    }
     Ok((seq, req))
 }
 
@@ -327,6 +316,9 @@ pub(crate) fn decode_reply(frame: &[u8]) -> Result<(u64, Reply), SnapError> {
         }
         _ => return Err(SnapError::Malformed("unknown reply tag")),
     };
+    if r.remaining() != 0 {
+        return Err(SnapError::Malformed("trailing bytes"));
+    }
     Ok((seq, reply))
 }
 
@@ -519,9 +511,8 @@ impl Link for ProcLink {
         decode_reply(&frame).map_err(|_| Fault::Dead)
     }
 
-    fn kill(&mut self, _fault: Fault) -> Option<String> {
+    fn kill(&mut self, _fault: Fault) {
         self.teardown(Duration::ZERO);
-        None
     }
 }
 
@@ -602,7 +593,24 @@ mod tests {
         let Request::Batch(back) = msg else {
             panic!("not a batch")
         };
-        assert_eq!(*back, records);
+        // What a shard reads crosses exactly; the rest arrives zeroed.
+        let zero = Ipv4Addr::UNSPECIFIED;
+        let shipped: Vec<WildRecord> = records
+            .iter()
+            .map(|r| WildRecord {
+                src_ip: zero,
+                line_slash24: Prefix4::slash24_of(zero),
+                bytes: 0,
+                packets: 0,
+                ..*r
+            })
+            .collect();
+        assert_eq!(*back, shipped);
+        let src = u32::from(records[0].src_ip).to_le_bytes();
+        assert!(
+            !frame.windows(4).any(|w| w == src),
+            "the subscriber's address never crosses the pipe"
+        );
         let mut w = SnapWriter::new();
         put_record(&mut w, &records[0]);
         assert_eq!(w.len(), RECORD_WIRE_BYTES, "one record's wire size");
@@ -668,20 +676,18 @@ mod tests {
             assert!(matches!(run_worker_on(&frame), Some(Err(_))), "tag {tag}");
         }
 
-        // A well-formed version-1 frame is version skew: a stale worker
-        // binary, refused by name.
-        let old = raw_frame(1, 2, T_BARRIER, |_| {});
+        // A well-formed frame of the previous version is version skew: a
+        // stale worker binary, refused by name.
+        let stale = PROC_VERSION - 1;
+        let old = raw_frame(stale, 2, T_BARRIER, |_| {});
         assert!(matches!(
             decode_to_worker(&old),
-            Err(SnapError::BadVersion {
-                found: 1,
-                expected: PROC_VERSION
-            })
+            Err(SnapError::BadVersion { found, expected: PROC_VERSION }) if found == stale
         ));
         let err = run_worker_on(&old)
             .expect("not a chaos request")
             .unwrap_err();
-        assert!(err.contains("version 1"), "err: {err}");
+        assert!(err.contains(&format!("version {stale}")), "err: {err}");
     }
 
     #[test]
@@ -704,13 +710,27 @@ mod tests {
                 "tag {tag}"
             );
         }
-        let old = raw_frame(1, 3, R_ACK, |_| {});
+        let stale = PROC_VERSION - 1;
+        let old = raw_frame(stale, 3, R_ACK, |_| {});
         assert!(matches!(
             decode_reply(&old),
-            Err(SnapError::BadVersion {
-                found: 1,
-                expected: PROC_VERSION
-            })
+            Err(SnapError::BadVersion { found, expected: PROC_VERSION }) if found == stale
+        ));
+    }
+
+    #[test]
+    fn frames_with_trailing_bytes_are_refused() {
+        let junk = |p: &mut Vec<u8>| p.extend_from_slice(&[0xA5; 8]);
+        let barrier = resealed(&request_frame(4, Request::Barrier), junk);
+        assert!(matches!(
+            decode_to_worker(&barrier),
+            Err(SnapError::Malformed("trailing bytes"))
+        ));
+        assert!(matches!(run_worker_on(&barrier), Some(Err(_))));
+        let ack = resealed(&encode_reply(4, &Reply::Ack), junk);
+        assert!(matches!(
+            decode_reply(&ack),
+            Err(SnapError::Malformed("trailing bytes"))
         ));
     }
 

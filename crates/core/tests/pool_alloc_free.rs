@@ -13,7 +13,7 @@ use haystack_core::checkpoint::DetectorState;
 use haystack_core::detector::{Detector, DetectorConfig};
 use haystack_core::fasthash::mix64;
 use haystack_core::hitlist::HitList;
-use haystack_core::parallel::{DetectorPool, DEFAULT_REPLAY_LIMIT};
+use haystack_core::parallel::DetectorPool;
 use haystack_core::rules::{RuleDomain, RuleSetBuilder};
 use haystack_core::telemetry::{self, Scope};
 use haystack_dns::DomainName;
@@ -85,7 +85,6 @@ fn warm_pool_feeds_an_all_miss_chunk_without_allocating() {
     // As the daemon runs it: supervised, instrumented, several shards.
     telemetry::set_enabled(true);
     let mut pool = DetectorPool::new(&rules, &hl, DetectorConfig::default(), 3);
-    pool.enable_supervision(DEFAULT_REPLAY_LIMIT).unwrap();
     pool.attach_telemetry(&Scope::named("pool_alloc")).unwrap();
 
     // Proven misses only: destinations whose fingerprint bit is clear,
