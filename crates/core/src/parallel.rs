@@ -1232,7 +1232,6 @@ impl DetectorPool {
     /// the interrupted operation.
     fn heal(&mut self, shard: usize, fault: Fault) -> Result<(), PoolError> {
         self.links[shard].kill(fault);
-        let sup = &self.supervisor;
         // Respawn-storm brake: a deterministically-dying shard backs
         // off exponentially and eventually trips the circuit breaker
         // instead of respawning in a tight loop.
@@ -1241,11 +1240,11 @@ impl DetectorPool {
         }
         match self.backoff[shard].on_death(&self.policy, Instant::now()) {
             RespawnDecision::Trip => {
-                sup.breaker_trips.inc();
+                self.supervisor.breaker_trips.inc();
                 return Err(self.breaker_err(shard));
             }
             RespawnDecision::Backoff(delay) => {
-                sup.respawn_backoff.inc();
+                self.supervisor.respawn_backoff.inc();
                 std::thread::sleep(delay);
             }
         }
@@ -1306,9 +1305,8 @@ impl DetectorPool {
     }
 
     /// Send `build()` to `shard` — and await its reply when `ask` —
-    /// healing and retrying once if the shard fails
-    /// mid-operation. A second failure in a row, or an open breaker,
-    /// errors.
+    /// healing and retrying once if the shard fails mid-operation. A
+    /// second failure in a row, or an open breaker, errors.
     fn exchange(
         &mut self,
         shard: usize,
@@ -1446,9 +1444,9 @@ impl DetectorPool {
                 Ok(())
             }
             // The send dropped the batch, but it lives in the replay
-            // buffer, which the heal re-fed (or, if the
-            // heal tripped the breaker, which `reset_breaker` will). The
-            // feed keeps flowing for the healthy shards either way.
+            // buffer, which the heal re-fed (or, if the heal tripped the
+            // breaker, which `reset_breaker` will). The feed keeps
+            // flowing for the healthy shards either way.
             Err(fault) => match self.heal(shard, fault) {
                 Err(e) if !self.backoff[shard].tripped() => Err(e),
                 _ => Ok(()),
@@ -1545,15 +1543,6 @@ impl DetectorPool {
         Ok(())
     }
 
-    /// Ask one shard for its full evidence state (FIFO — the snapshot
-    /// covers everything shipped so far).
-    fn snapshot_shard(&mut self, shard: usize) -> Result<DetectorState, PoolError> {
-        self.ask(shard, &|| Request::Snapshot, |r| match r {
-            Reply::State(state) => Some(state),
-            _ => None,
-        })
-    }
-
     /// A full state arrived for `shard`: it becomes the base, subsumes
     /// the queued deltas, and drains the replay buffer.
     fn absorb_full(&mut self, shard: usize, state: DetectorState) {
@@ -1564,10 +1553,14 @@ impl DetectorPool {
     }
 
     /// Checkpoint one shard: flush its staging, snapshot its evidence
-    /// state, and drain its replay buffer.
+    /// state (FIFO — the snapshot covers everything shipped so far), and
+    /// drain its replay buffer.
     fn checkpoint_shard(&mut self, shard: usize) -> Result<(), PoolError> {
         self.ship(shard)?;
-        let state = self.snapshot_shard(shard)?;
+        let state = self.ask(shard, &|| Request::Snapshot, |r| match r {
+            Reply::State(state) => Some(state),
+            _ => None,
+        })?;
         self.absorb_full(shard, state);
         Ok(())
     }
