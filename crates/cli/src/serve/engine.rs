@@ -817,11 +817,11 @@ impl Engine {
     }
 
     /// Swap in a signature pack mid-stream. Checkpoint-first: the pool
-    /// exports every shard's evidence, migrates it to
-    /// the new rule set by class name (identical rules keep their
-    /// evidence verbatim), and ships the new rules + migrated state to
-    /// each worker; usage windows and staleness baselines are rekeyed
-    /// the same way. A defective or unreadable pack changes nothing.
+    /// exports every shard's evidence, migrates it to the new rule set
+    /// by class name (identical rules keep their evidence verbatim), and
+    /// ships the new rules + migrated state to each worker; usage
+    /// windows and staleness baselines are rekeyed the same way. A
+    /// defective or unreadable pack changes nothing.
     fn reload_rules(&mut self, path: &str) -> CtlReply {
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
